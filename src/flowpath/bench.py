@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .config import ClusterSpec, CostModel, Policy, ValidationError, small_cluster
+from .config import ClusterSpec, Policy, ValidationError, small_cluster
 from .ir import CompiledFunction, Tracer, chain_program
 from .runtime import (StreamJob, System, multicontroller_baseline, steady_rate)
 from .simcore import Simulator, us
@@ -57,13 +57,11 @@ def _recheck_rate(series: list[tuple[int, int]], reported: float,
 # -- shared drivers ----------------------------------------------------------
 
 def one_gang_program(n_devices: int, duration_us: float, out_kb: int = 1,
-                     collective: bool = True, apply_count: int = 1,
-                     name: str = "step"):
+                     collective: bool = True):
     """Arg -> one sharded computation -> Result, one shard per device."""
     t = Tracer()
-    fn = CompiledFunction(name, n_devices, (1024,), (out_kb * 1024,),
-                          duration_us, collective=collective,
-                          apply_count=apply_count)
+    fn = CompiledFunction("step", n_devices, (1024,), (out_kb * 1024,),
+                          duration_us, collective=collective)
     v = t.arg(shards=n_devices, bytes_per_shard=1024)
     v = t.call(fn, v)
     return t.finish([v])
@@ -71,23 +69,18 @@ def one_gang_program(n_devices: int, duration_us: float, out_kb: int = 1,
 
 def run_stream(spec: ClusterSpec, n_devices: int, duration_us: float,
                count: int, window: int, trigger: str = "complete",
-               clients: int = 1, policy: Policy | None = None,
-               costs: CostModel | None = None, mode: str = "parallel",
-               collective: bool = True, record_trace: bool = True,
-               record_log: bool = False,
-               program=None) -> tuple[System, list[StreamJob]]:
+               clients: int = 1, record_trace: bool = True,
+               record_log: bool = False) -> tuple[System, list[StreamJob]]:
     """Stream `count` instances per client over one shared device group."""
-    sys = System(spec, costs=costs, policy=policy, record_trace=record_trace,
-                 record_log=record_log)
-    prog = program if program is not None else one_gang_program(
-        n_devices, duration_us, collective=collective)
+    sys = System(spec, record_trace=record_trace, record_log=record_log)
+    prog = one_gang_program(n_devices, duration_us)
     devs = tuple(range(n_devices))
     sys.register_traced("g", prog, {sid: devs for sid in prog.slices})
     jobs = []
     for i in range(clients):
         c = sys.add_client(f"c{i}")
         job = StreamJob(sys.new_job_id(), "g", count, window=window,
-                        trigger=trigger, mode=mode)
+                        trigger=trigger)
         sys.start_job(c, job)
         jobs.append(job)
     r = sys.run()
@@ -391,54 +384,54 @@ def bench_fairness(weights: dict[str, float], total_gangs: int = 10400,
 
 # -- registry used by the command line ----------------------------------------
 
+# the workload keys each suite reads; any other key is rejected, so a typo
+# cannot silently run (and record) the defaults
+WORKLOAD_KEYS = {
+    "dispatch": ("host_counts", "devices_per_host", "chain_len",
+                 "duration_us", "count"),
+    "crossover": ("host_counts", "devices_per_host", "count", "window"),
+    "pipeline": ("cases", "stage_us", "cross_island"),
+    "utilization": ("client_counts", "duration_us", "per_client", "devices"),
+    "fairness": ("weights", "total_gangs", "duration_us", "window", "out_kb",
+                 "resident"),
+}
+
+
 def run_benchmark(name: str, workload: dict | None = None,
                   spec: ClusterSpec | None = None,
                   record_log: bool = False) -> dict:
+    if name not in WORKLOAD_KEYS:
+        raise ValidationError(f"unknown benchmark {name!r}")
     w = dict(workload or {})
     w.pop("benchmark", None)
+    unknown = sorted(set(w) - set(WORKLOAD_KEYS[name]))
+    if unknown:
+        raise ValidationError(
+            f"workload for {name!r} has unknown keys: {', '.join(unknown)}")
     if name in ("dispatch", "crossover", "pipeline") and spec is not None:
         raise ValidationError(
             f"benchmark {name!r} sweeps its own cluster shapes; "
             "--config does not apply")
     if name == "dispatch":
-        doc = bench_dispatch(record_log=record_log,
-                             **_keep(w, "host_counts", "devices_per_host",
-                                     "chain_len", "duration_us", "count"))
-    elif name == "crossover":
+        return bench_dispatch(record_log=record_log, **_kwargs(w))
+    if name == "crossover":
         if record_log:
             raise ValidationError(
                 "crossover runs many short systems; no event log is kept")
-        doc = bench_crossover(**_keep(w, "host_counts", "devices_per_host",
-                                      "count", "window"))
-    elif name == "pipeline":
-        cases = w.get("cases")
-        doc = bench_pipeline(
+        return bench_crossover(**_kwargs(w))
+    if name == "pipeline":
+        cases = w.pop("cases", None)
+        return bench_pipeline(
             cases=tuple(tuple(c) for c in cases) if cases else
             ((4, 16), (8, 32), (16, 64)),
-            record_log=record_log,
-            **_keep(w, "stage_us", "cross_island"))
-    elif name == "utilization":
-        doc = bench_utilization(spec=spec, record_log=record_log,
-                                **_keep(w, "client_counts", "duration_us",
-                                        "per_client", "devices"))
-    elif name == "fairness":
-        doc = bench_fairness(
-            weights={str(k): v for k, v in w.get(
-                "weights", {"c0": 1, "c1": 1, "c2": 1, "c3": 1}).items()},
-            spec=spec, record_log=record_log,
-            **_keep(w, "total_gangs", "duration_us", "window", "out_kb",
-                    "resident"))
-    else:
-        raise ValidationError(f"unknown benchmark {name!r}")
-    return doc
+            record_log=record_log, **_kwargs(w))
+    if name == "utilization":
+        return bench_utilization(spec=spec, record_log=record_log, **_kwargs(w))
+    weights = w.pop("weights", {"c0": 1, "c1": 1, "c2": 1, "c3": 1})
+    return bench_fairness(weights={str(k): v for k, v in weights.items()},
+                          spec=spec, record_log=record_log, **_kwargs(w))
 
 
-def _keep(d: dict, *names) -> dict:
-    out = {}
-    for n in names:
-        if n in d:
-            v = d[n]
-            if isinstance(v, list):
-                v = tuple(v)
-            out[n] = v
-    return out
+def _kwargs(d: dict) -> dict:
+    """Workload parameters as keyword arguments, JSON lists as tuples."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}

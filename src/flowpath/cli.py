@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import export_chrome_trace, run_benchmark, write_results
+from .bench import (WORKLOAD_KEYS, export_chrome_trace, run_benchmark,
+                    write_results)
 from .config import ValidationError, load_cluster, load_workload, small_cluster
 from .ir import LowerError, TraceError, deserialize
 from .ir import digest as program_digest
 from .resman import AllocationError
 from .runtime import StreamJob, System
 
-BENCHMARKS = ("dispatch", "crossover", "pipeline", "utilization", "fairness")
+BENCHMARKS = tuple(WORKLOAD_KEYS)
 _USER_ERRORS = (ValidationError, AllocationError, TraceError, LowerError)
 
 

@@ -8,14 +8,16 @@ The cluster document is JSON:
      "pcie": {"latency_ns": 5000, "gbps": 16.0},
      "hbm_bytes": 17179869184}
 
-gbps means gigabytes per second. Cost-model constants and the scheduling
-policy ride in the workload/run config document under "costs" and "policy".
+gbps means gigabytes per second. No document sets the cost-model constants
+or the batching limits; the CLI and the benchmark suites run with the
+defaults below. The scheduling policy is built by the driver that needs
+one; the fairness suite takes its weights from the workload document.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from .simcore import us
 
@@ -136,27 +138,6 @@ class CostModel:
     sched_send_ns: int = us(5)        # scheduler occupancy per outgoing message
     host_prep_ns: int = us(5)         # per-node host-side preparatory work (h)
     pcie_enqueue_ns: int = us(5)      # host occupancy per kernel enqueue
-    edge_control_messages: int = 3    # future handoff, address exchange, arrival
-
-    @staticmethod
-    def from_dict(doc: dict | None) -> "CostModel":
-        if not doc:
-            return CostModel()
-        base = CostModel()
-        kw = {}
-        for name, new in (("client_rpc_us", "client_rpc_ns"),
-                          ("sched_decision_us", "sched_decision_ns"),
-                          ("sched_send_us", "sched_send_ns"),
-                          ("host_prep_us", "host_prep_ns"),
-                          ("pcie_enqueue_us", "pcie_enqueue_ns")):
-            if name in doc:
-                v = doc[name]
-                if not isinstance(v, (int, float)) or v < 0:
-                    raise ValidationError(f"costs.{name}: non-negative number required")
-                kw[new] = us(v)
-        if "edge_control_messages" in doc:
-            kw["edge_control_messages"] = int(doc["edge_control_messages"])
-        return CostModel(**{**asdict(base), **kw})
 
 
 @dataclass(frozen=True)
@@ -164,32 +145,11 @@ class Policy:
     kind: str = "fifo"                               # "fifo" | "proportional"
     weights: dict = field(default_factory=dict)      # client id -> weight
 
-    @staticmethod
-    def from_dict(doc: dict | None) -> "Policy":
-        if not doc:
-            return Policy()
-        kind = doc.get("policy", doc.get("kind", "fifo"))
-        if kind not in ("fifo", "proportional"):
-            raise ValidationError(f"policy: unknown kind {kind!r}")
-        weights = doc.get("weights", {})
-        for c, w in weights.items():
-            if not isinstance(w, (int, float)) or w <= 0:
-                raise ValidationError(f"policy.weights[{c}]: positive weight required")
-        return Policy(kind=kind, weights=dict(weights))
-
 
 @dataclass(frozen=True)
 class BatchingConfig:
     max_messages: int = 16
     max_delay_ns: int = us(100)
-
-    @staticmethod
-    def from_dict(doc: dict | None) -> "BatchingConfig":
-        if not doc:
-            return BatchingConfig()
-        return BatchingConfig(
-            max_messages=int(doc.get("max_messages", 16)),
-            max_delay_ns=us(doc.get("max_delay_us", 100)))
 
 
 def load_workload(path: str) -> dict:

@@ -29,7 +29,6 @@ class DataTuple:
     instance: str
     src_shard: int
     dst_shard: int
-    payload: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -216,10 +215,6 @@ class MessageBatcher:
         self.sim.send(self.src_pid, dst_pid, "batch",
                       {"messages": [{"kind": k, "payload": p} for k, p in buf]},
                       latency=lat)
-
-    def flush_all(self) -> None:
-        for dst in sorted(self._buf):
-            self.flush(dst)
 
     def pending(self, dst_pid: str) -> int:
         return len(self._buf.get(dst_pid, []))

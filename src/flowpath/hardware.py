@@ -4,7 +4,8 @@ Devices execute kernels from a FIFO queue, one at a time, non-preemptible.
 A collective kernel blocks its device at the head of the queue until every
 member of the group has reached the matching kernel; all members then
 complete at the same virtual instant. Data transfers ride DMA paths and
-overlap compute. HBM is a per-device byte budget with a FIFO wait queue.
+overlap compute. HBM is a per-device byte budget that the gang scheduler
+reserves from.
 """
 from __future__ import annotations
 
@@ -74,7 +75,6 @@ class DeviceProcess(Process):
         self.executing: KernelExec | None = None
         self._exec_start = 0
         self._arrivals: dict[tuple[str, str, int], int] = {}
-        self._wait_q: list[tuple[int, str, int]] = []  # (bytes, owner, req id)
         self._blocked_on_collective = False
         self.busy_ns = 0  # accumulated kernel time, for utilization audits
 
@@ -169,33 +169,13 @@ class DeviceProcess(Process):
             return True
         return False
 
-    def hbm_request(self, nbytes: int, owner: str, req_id: int) -> bool:
-        """Direct allocation: grant now, or join the FIFO wait queue."""
-        if nbytes > self.hbm_capacity:
-            raise PermanentAllocationError(
-                f"dev{self.device_id}: request {nbytes} exceeds capacity "
-                f"{self.hbm_capacity}")
-        if not self._wait_q and nbytes <= self.free_bytes:
-            self.free_bytes -= nbytes
-            return True
-        self._wait_q.append((nbytes, owner, req_id))
-        return False
-
-    def hbm_release(self, nbytes: int) -> list[int]:
-        """Return bytes; grant waiting requests strictly head-first."""
+    def hbm_release(self, nbytes: int) -> None:
+        """Return bytes; the cluster hook lets waiting gangs retry."""
         self.free_bytes += nbytes
         if self.free_bytes > self.hbm_capacity:
             raise HBMError(f"dev{self.device_id}: free {self.free_bytes} "
                            f"exceeds capacity (double free?)")
-        granted = []
-        while self._wait_q and self._wait_q[0][0] <= self.free_bytes:
-            b, _owner, req_id = self._wait_q.pop(0)
-            self.free_bytes -= b
-            granted.append(req_id)
-        if granted:
-            self.cluster.on_hbm_granted(self, granted)
         self.cluster.on_hbm_freed(self)
-        return granted
 
     # -- introspection -----------------------------------------------------
 
@@ -205,8 +185,6 @@ class DeviceProcess(Process):
             out.append(f"incomplete kernel {self.executing.key}")
         elif self.queue:
             out.append(f"{len(self.queue)} queued kernels")
-        if self._wait_q:
-            out.append(f"{len(self._wait_q)} waiting HBM requests")
         return out
 
     def wait_edges(self) -> list[tuple[str, str]]:
@@ -262,9 +240,6 @@ class Cluster:
         pass
 
     def on_transfer_arrive(self, dev: DeviceProcess, payload: dict) -> None:
-        pass
-
-    def on_hbm_granted(self, dev: DeviceProcess, req_ids: list[int]) -> None:
         pass
 
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
@@ -342,14 +317,9 @@ class Cluster:
     def _collective_group(self, k: KernelExec) -> tuple[int, ...]:
         return self._group_of.get(k.collective_key or "", ())
 
-    # -- accounting --------------------------------------------------------
-
-    def hbm_in_use(self) -> dict[int, int]:
-        return {d.device_id: d.hbm_capacity - d.free_bytes for d in self.devices}
-
 
 def enqueue_kernel(sim: Simulator, device_id: int, kernel: KernelExec,
                    at: int | None = None) -> None:
-    """Low-level enqueue used by tests and the no-coordinator harness."""
+    """Low-level enqueue, for driving devices without a host executor."""
     sim.schedule_at(at if at is not None else sim.now(),
                     f"dev{device_id}", "enqueue_kernel", {"kernel": kernel})

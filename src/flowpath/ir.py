@@ -4,7 +4,7 @@ A traced program is a compact DAG: one Arg node per program input, one
 Compute node per call (regardless of how many shards the call runs on), one
 Result node per returned value. Lowering binds Compute nodes to physical
 devices and attaches a resharding spec to every edge; it is a pure function
-of (program, device map, topology) and can be re-run after a remap.
+of (program, device map).
 """
 from __future__ import annotations
 
@@ -180,7 +180,6 @@ class TracedProgram:
     edges: list[Edge]
     results: list[str]                   # Result node ids, in return order
     slices: dict[str, SliceRequirement]
-    form: str = "traced"
 
     @property
     def compute_nodes(self) -> list[ComputeNode]:
@@ -191,9 +190,6 @@ class TracedProgram:
 
     def in_edges(self, nid: str) -> list[Edge]:
         return [e for e in self.edges if e.dst == nid]
-
-    def out_edges(self, nid: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == nid]
 
 
 class Tracer:
@@ -296,10 +292,6 @@ class Tracer:
             raise TraceError(f"undefined value {ref!r}")
 
 
-def node_count(p: TracedProgram) -> int:
-    return len(p.nodes)
-
-
 @dataclass
 class RegularityReport:
     all_regular: bool
@@ -325,16 +317,6 @@ class LoweredProgram:
     placement: dict[str, tuple[int, ...]]    # node id -> devices, shard order
     edges: list[LoweredEdge]
     device_map: dict[str, tuple[int, ...]]   # slice id -> devices
-    form: str = "lowered"
-
-    def devices_of(self, nid: str) -> tuple[int, ...]:
-        return self.placement[nid]
-
-    def in_edges(self, nid: str) -> list[LoweredEdge]:
-        return [le for le in self.edges if le.edge.dst == nid]
-
-    def out_edges(self, nid: str) -> list[LoweredEdge]:
-        return [le for le in self.edges if le.edge.src == nid]
 
     def all_devices(self) -> tuple[int, ...]:
         seen = {d for devs in self.placement.values() for d in devs}
@@ -354,8 +336,8 @@ def _shard_geometry(p: TracedProgram, placement: dict[str, tuple[int, ...]],
     return fn.shard_count, fn.in_bytes[port], fn.in_layouts[port], placement[nid]
 
 
-def lower(p: TracedProgram, device_map: dict[str, tuple[int, ...] | list[int]],
-          cluster=None) -> LoweredProgram:
+def lower(p: TracedProgram,
+          device_map: dict[str, tuple[int, ...] | list[int]]) -> LoweredProgram:
     """Bind compute nodes to devices and derive per-edge resharding.
 
     device_map assigns each virtual slice an ordered device list (shard i of
@@ -507,10 +489,9 @@ def digest(p: TracedProgram) -> str:
 
 def chain_program(fns: list[CompiledFunction], arg_bytes: int | None = None,
                   slices: list[str] | None = None,
-                  tracer: Tracer | None = None,
                   arg_handle: str | None = None) -> TracedProgram:
     """Arg -> fn1 -> fn2 -> ... -> Result, one slice per node unless given."""
-    t = tracer or Tracer()
+    t = Tracer()
     first = fns[0]
     v = t.arg(shards=first.shard_count,
               bytes_per_shard=first.in_bytes[0] if arg_bytes is None else arg_bytes,

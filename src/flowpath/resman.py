@@ -1,25 +1,18 @@
 """Virtual slice allocation over islands.
 
 Slices are device-count requirements (mesh shape honored as a count within a
-single island). Devices are shareable between slices unless a request asks
-for exclusivity. Allocation picks the least-loaded island, then the
-least-assigned devices, with all ties broken by lowest id, so identical
-request sequences always produce identical placements.
+single island). Devices are shareable between slices. Allocation picks the
+least-loaded island, then the least-assigned devices, with all ties broken
+by lowest id, so identical request sequences always produce identical
+placements.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-
-from .simcore import Process, Simulator
+from dataclasses import dataclass
 
 
 class AllocationError(Exception):
-    pass
-
-
-class SliceBusyError(Exception):
     pass
 
 
@@ -28,7 +21,6 @@ class DeviceInfo:
     device_id: int
     island: int
     assigned: int = 0          # number of slices currently using this device
-    exclusive_by: str | None = None
 
 
 @dataclass
@@ -37,237 +29,56 @@ class SliceState:
     shape: tuple[int, ...]
     island: int
     devices: tuple[int, ...]
-    exclusive: bool = False
-    busy: int = 0              # running program instances on this slice
-    version: int = 0           # bumped on remap; lowering caches key off this
 
 
-@dataclass
-class PendingAlloc:
-    shape: tuple[int, ...]
-    island: int | None
-    exclusive: bool
-    reply_to: str
-    tag: str
+class ResourceManager:
+    """Single logical allocator; every request is serialized through it."""
 
-
-class ResourceManager(Process):
-    """Single logical process; every request is serialized through it.
-
-    The synchronous methods are the source of truth; the message interface
-    wraps them for in-simulation use and queues requests that cannot be
-    satisfied yet (retried on add_devices/release_slice).
-    """
-
-    def __init__(self, sim: Simulator, island_devices: dict[int, list[int]],
-                 pid: str = "resman"):
-        super().__init__(sim, pid)
+    def __init__(self, island_devices: dict[int, list[int]]):
         self.devices: dict[int, DeviceInfo] = {}
         self.islands: dict[int, list[int]] = {}
         for iid in sorted(island_devices):
             self.islands[iid] = list(island_devices[iid])
             for did in island_devices[iid]:
                 self.devices[did] = DeviceInfo(did, iid)
-        self.slices: dict[str, SliceState] = {}
         self._n = 0
-        self.pending: list[PendingAlloc] = []
-
-    # -- core operations ---------------------------------------------------
 
     def allocate_slice(self, shape: list[int] | tuple[int, ...],
-                       island: int | None = None,
-                       exclusive: bool = False) -> SliceState:
+                       island: int | None = None) -> SliceState:
         n = math.prod(tuple(shape))
         if n < 1:
             raise AllocationError(f"bad slice shape {tuple(shape)}")
-        choice = self._choose(n, island, exclusive)
+        choice = self._choose(n, island)
         if choice is None:
-            raise AllocationError(self._shortage_report(n, island, exclusive))
+            raise AllocationError(self._shortage_report(n, island))
         iid, devs = choice
         self._n += 1
         sid = f"slice{self._n}"
         for d in devs:
-            info = self.devices[d]
-            info.assigned += 1
-            if exclusive:
-                info.exclusive_by = sid
-        st = SliceState(sid, tuple(shape), iid, tuple(devs), exclusive)
-        self.slices[sid] = st
-        return st
+            self.devices[d].assigned += 1
+        return SliceState(sid, tuple(shape), iid, tuple(devs))
 
-    def _eligible(self, did: int, exclusive: bool) -> bool:
-        info = self.devices[did]
-        if info.exclusive_by is not None:
-            return False
-        if exclusive and info.assigned > 0:
-            return False
-        return True
-
-    def _choose(self, n: int, island: int | None,
-                exclusive: bool) -> tuple[int, list[int]] | None:
+    def _choose(self, n: int, island: int | None) -> tuple[int, list[int]] | None:
         candidates = []
         for iid in sorted(self.islands):
             if island is not None and iid != island:
                 continue
-            elig = [d for d in self.islands[iid] if self._eligible(d, exclusive)]
-            if len(elig) < n:
+            devs = self.islands[iid]
+            if len(devs) < n:
                 continue
-            load = sum(self.devices[d].assigned for d in self.islands[iid])
-            candidates.append((load, iid, elig))
+            load = sum(self.devices[d].assigned for d in devs)
+            candidates.append((load, iid, devs))
         if not candidates:
             return None
-        load, iid, elig = min(candidates, key=lambda c: (c[0], c[1]))
-        devs = sorted(elig, key=lambda d: (self.devices[d].assigned, d))[:n]
-        return iid, sorted(devs)
+        load, iid, devs = min(candidates, key=lambda c: (c[0], c[1]))
+        chosen = sorted(devs, key=lambda d: (self.devices[d].assigned, d))[:n]
+        return iid, sorted(chosen)
 
-    def _shortage_report(self, n: int, island: int | None, exclusive: bool) -> str:
-        per = {iid: sum(1 for d in self.islands[iid] if self._eligible(d, exclusive))
-               for iid in sorted(self.islands)}
+    def _shortage_report(self, n: int, island: int | None) -> str:
+        per = {iid: len(self.islands[iid]) for iid in sorted(self.islands)}
         return (f"cannot place slice of {n} devices"
                 f"{'' if island is None else f' on island {island}'}: "
                 f"eligible per island {per}")
 
-    def release_slice(self, slice_id: str) -> None:
-        st = self.slices.get(slice_id)
-        if st is None:
-            raise AllocationError(f"unknown slice {slice_id}")
-        if st.busy:
-            raise SliceBusyError(f"slice busy: {slice_id} has {st.busy} running "
-                                 "program(s)")
-        for d in st.devices:
-            info = self.devices[d]
-            info.assigned -= 1
-            if info.exclusive_by == slice_id:
-                info.exclusive_by = None
-        del self.slices[slice_id]
-        self._retry_pending()
-
-    def remap(self, slice_id: str) -> SliceState:
-        """Reassign an idle slice under the current load picture."""
-        st = self.slices.get(slice_id)
-        if st is None:
-            raise AllocationError(f"unknown slice {slice_id}")
-        if st.busy:
-            raise SliceBusyError(f"slice busy: {slice_id}")
-        for d in st.devices:
-            info = self.devices[d]
-            info.assigned -= 1
-            if info.exclusive_by == slice_id:
-                info.exclusive_by = None
-        choice = self._choose(math.prod(st.shape), None, st.exclusive)
-        if choice is None:
-            # put the old assignment back; nothing better exists
-            for d in st.devices:
-                self.devices[d].assigned += 1
-                if st.exclusive:
-                    self.devices[d].exclusive_by = slice_id
-            raise AllocationError(f"remap {slice_id}: no feasible placement")
-        iid, devs = choice
-        for d in devs:
-            self.devices[d].assigned += 1
-            if st.exclusive:
-                self.devices[d].exclusive_by = slice_id
-        st.island = iid
-        st.devices = tuple(devs)
-        st.version += 1
-        return st
-
-    def add_devices(self, island: int, device_ids: list[int]) -> None:
-        self.islands.setdefault(island, [])
-        for d in device_ids:
-            if d in self.devices:
-                raise AllocationError(f"device {d} already registered")
-            self.devices[d] = DeviceInfo(d, island)
-            self.islands[island].append(d)
-        self.islands[island].sort()
-        self._retry_pending()
-
-    def remove_devices(self, device_ids: list[int]) -> None:
-        for d in device_ids:
-            info = self.devices.get(d)
-            if info is None:
-                raise AllocationError(f"unknown device {d}")
-            if info.assigned:
-                raise AllocationError(
-                    f"device {d} is assigned to {info.assigned} slice(s)")
-        for d in device_ids:
-            info = self.devices.pop(d)
-            self.islands[info.island].remove(d)
-
-    def mark_busy(self, slice_id: str) -> None:
-        self.slices[slice_id].busy += 1
-
-    def mark_idle(self, slice_id: str) -> None:
-        st = self.slices[slice_id]
-        if st.busy <= 0:
-            raise AllocationError(f"slice {slice_id} not busy")
-        st.busy -= 1
-
-    # -- introspection -----------------------------------------------------
-
     def assignment_counts(self) -> dict[int, int]:
         return {d: info.assigned for d, info in sorted(self.devices.items())}
-
-    def island_slice_counts(self) -> dict[int, int]:
-        out = {iid: 0 for iid in sorted(self.islands)}
-        for st in self.slices.values():
-            out[st.island] += 1
-        return out
-
-    def dump_state(self) -> str:
-        doc = {
-            "devices": {str(d): {"island": i.island, "assigned": i.assigned,
-                                 "exclusive_by": i.exclusive_by}
-                        for d, i in sorted(self.devices.items())},
-            "slices": {sid: {"shape": list(st.shape), "island": st.island,
-                             "devices": list(st.devices), "busy": st.busy,
-                             "exclusive": st.exclusive, "version": st.version}
-                       for sid, st in sorted(self.slices.items())},
-            "pending": len(self.pending),
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    # -- message interface -------------------------------------------------
-
-    def handle(self, kind: str, payload: dict, src: str | None) -> None:
-        if kind == "allocate_slice":
-            req = PendingAlloc(tuple(payload["shape"]), payload.get("island"),
-                               payload.get("exclusive", False),
-                               payload["reply_to"], payload.get("tag", ""))
-            self._try_grant(req, queue_if_blocked=payload.get("wait", False))
-        elif kind == "release_slice":
-            self.release_slice(payload["slice_id"])
-        else:
-            raise ValueError(f"resman: unknown message {kind}")
-
-    def _try_grant(self, req: PendingAlloc, queue_if_blocked: bool) -> None:
-        try:
-            st = self.allocate_slice(req.shape, req.island, req.exclusive)
-        except AllocationError as e:
-            if queue_if_blocked:
-                self.pending.append(req)
-            else:
-                self.sim.send(self.pid, req.reply_to, "allocation_failed",
-                              {"tag": req.tag, "error": str(e)})
-            return
-        self.sim.send(self.pid, req.reply_to, "slice_allocated",
-                      {"tag": req.tag, "slice_id": st.slice_id,
-                       "devices": list(st.devices), "island": st.island})
-
-    def _retry_pending(self) -> None:
-        still = []
-        for req in self.pending:
-            try:
-                st = self.allocate_slice(req.shape, req.island, req.exclusive)
-            except AllocationError:
-                still.append(req)
-                continue
-            self.sim.send(self.pid, req.reply_to, "slice_allocated",
-                          {"tag": req.tag, "slice_id": st.slice_id,
-                           "devices": list(st.devices), "island": st.island})
-        self.pending = still
-
-    def obligations(self) -> list[str]:
-        if self.pending:
-            return [f"{len(self.pending)} queued slice allocations"]
-        return []

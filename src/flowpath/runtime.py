@@ -12,7 +12,7 @@ plans for the same computation must agree digest for digest.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import (BatchingConfig, ClusterSpec, CostModel, Policy,
                      ValidationError)
@@ -23,7 +23,7 @@ from .hardware import Cluster, DeviceProcess, KernelExec
 from .ir import LoweredProgram, TracedProgram, lower, validate_regularity
 from .resman import ResourceManager
 from .sched import GangRequest, IslandScheduler
-from .simcore import Process, Simulator
+from .simcore import Process, RunResult, Simulator
 
 
 def _h(*parts) -> str:
@@ -187,14 +187,13 @@ class StreamJob:
 
     def __init__(self, job_id: str, program_id: str, count: int,
                  window: int = 1, trigger: str = "complete",
-                 mode: str = "parallel", release: bool = True):
+                 mode: str = "parallel"):
         self.job_id = job_id
         self.program_id = program_id
         self.count = count
         self.window = window
         self.trigger = trigger
         self.mode = mode
-        self.release = release
         self.submitted = 0
         self.completed = 0
         self.instances: list[str] = []
@@ -216,8 +215,7 @@ class StreamJob:
 
     def on_complete(self, client: ClientProcess, inst: str) -> None:
         self.completed += 1
-        if self.release:
-            client.release_results(inst)
+        client.release_results(inst)
         if self.trigger == "complete" and self.submitted < self.count:
             self._submit(client)
         if self.completed == self.count:
@@ -282,28 +280,18 @@ class SerialChainJob:
 
 # -- the system --------------------------------------------------------------
 
-@dataclass
-class RunStats:
-    status: str
-    clock_ns: int
-    events: int
-    blocked: list[str] = field(default_factory=list)
-
-
 class System:
     def __init__(self, spec: ClusterSpec, costs: CostModel | None = None,
                  policy: Policy | None = None,
-                 batching: BatchingConfig | None = None,
                  record_log: bool = False, record_trace: bool = True):
         self.spec = spec
         self.costs = costs or CostModel()
         self.policy = policy or Policy()
-        self.batching = batching or BatchingConfig()
+        self.batching = BatchingConfig()
         self.sim = Simulator(record_log=record_log, record_trace=record_trace)
         self.cluster = _SysCluster(self.sim, spec, self)
         self.resman = ResourceManager(
-            self.sim, {i: list(v)
-                       for i, v in self.cluster.island_devices.items()})
+            {i: list(v) for i, v in self.cluster.island_devices.items()})
         self.audit: list = []
         control = spec.dcn.latency_ns
         self.scheds: dict[int, IslandScheduler] = {
@@ -338,6 +326,14 @@ class System:
 
     def register_program(self, pid: str, lowered: LoweredProgram) -> ProgramInfo:
         info = build_program_info(pid, lowered, self.cluster)
+        # a gang whose buffers cannot fit in one device's HBM would park at
+        # the scheduler forever; reject it here as bad input
+        for nid in info.order:
+            for dev, need in sorted(info.nodes[nid].hbm_by_device.items()):
+                if need > self.spec.hbm_bytes:
+                    raise ValidationError(
+                        f"node {nid} needs {need} bytes of HBM on device "
+                        f"{dev}, which has {self.spec.hbm_bytes}")
         self.programs[pid] = info
         return info
 
@@ -569,9 +565,8 @@ class System:
             self.sim.schedule_at(t, f"sched{i}", "client_failed",
                                  {"client": client.name})
 
-    def run(self, max_events: int | None = None) -> RunStats:
-        r = self.sim.run_until_quiescent(max_events=max_events)
-        return RunStats(r.status, r.clock_ns, r.events, r.blocked)
+    def run(self, max_events: int | None = None) -> RunResult:
+        return self.sim.run_until_quiescent(max_events=max_events)
 
     # -- measurement -------------------------------------------------------
 

@@ -35,25 +35,12 @@ class GangRequest:
     hosts: tuple[int, ...]
     hbm: dict[int, int]                  # device -> bytes to reserve
     duration_ns: int
-    go_payload: dict = field(default_factory=dict)
     reply_to: str | None = None          # send handles here once ordered
     reply_payload: dict = field(default_factory=dict)
 
     @property
     def busy_estimate(self) -> int:
         return max(1, self.duration_ns * len(self.devices))
-
-
-@dataclass
-class OrderTicket:
-    seq: int
-    positions: dict[int, int]            # device -> enqueue position
-
-
-@dataclass
-class _Parked:
-    ticket: OrderTicket
-    gang: GangRequest
 
 
 class _FifoPolicy:
@@ -138,9 +125,8 @@ class IslandScheduler(Process):
         else:
             self.policy = _FifoPolicy()
         self._seq = 0
-        self._dev_pos: dict[int, int] = {}
         self._rsv_q: dict[int, list[int]] = {}       # device -> ticket seqs
-        self._parked: dict[int, _Parked] = {}        # seq -> waiting gang
+        self._parked: dict[int, GangRequest] = {}    # ticket seq -> gang
         self._tasks: list[tuple] = []                # serialized work items
         self._working = False
         self._retry_queued = False
@@ -180,8 +166,8 @@ class IslandScheduler(Process):
         work is ordered onto them, so later arrivals wait in the policy
         queue where arrival order does not outrank the policy."""
         out: set[int] = set()
-        for p in self._parked.values():
-            out.update(p.gang.devices)
+        for gang in self._parked.values():
+            out.update(gang.devices)
         return out
 
     def _pump(self) -> None:
@@ -210,8 +196,7 @@ class IslandScheduler(Process):
             # except when a client death emptied the queue; then skip
             gang = self.policy.pop(self._blocked_devices())
             if gang is not None:
-                ticket = self._issue_ticket(gang)
-                self._parked[ticket.seq] = _Parked(ticket, gang)
+                self._parked[self._issue_ticket(gang)] = gang
                 self._try_grants()
         else:
             _kind, _nsends, sends = task
@@ -222,15 +207,11 @@ class IslandScheduler(Process):
         self._working = False
         self._start_next_task()
 
-    def _issue_ticket(self, gang: GangRequest) -> OrderTicket:
+    def _issue_ticket(self, gang: GangRequest) -> int:
         self._seq += 1
-        positions = {}
         for d in gang.devices:
-            pos = self._dev_pos.get(d, 0)
-            self._dev_pos[d] = pos + 1
-            positions[d] = pos
             self._rsv_q.setdefault(d, []).append(self._seq)
-        return OrderTicket(self._seq, positions)
+        return self._seq
 
     # -- reservations ------------------------------------------------------
 
@@ -240,8 +221,7 @@ class IslandScheduler(Process):
         while progress:
             progress = False
             for seq in sorted(self._parked):
-                parked = self._parked[seq]
-                gang = parked.gang
+                gang = self._parked[seq]
                 if not all(self._rsv_q[d][0] == seq for d in gang.devices):
                     continue
                 if not all(self.cluster.device(d).free_bytes >= gang.hbm.get(d, 0)
@@ -254,23 +234,21 @@ class IslandScheduler(Process):
                         assert taken
                     self._rsv_q[d].pop(0)
                 del self._parked[seq]
-                self._grant(parked)
+                self._grant(seq, gang)
                 progress = True
                 break
 
-    def _grant(self, parked: _Parked) -> None:
-        gang, ticket = parked.gang, parked.ticket
-        self.dispatched.append((ticket.seq, self.sim.now(), gang.client,
+    def _grant(self, seq: int, gang: GangRequest) -> None:
+        self.dispatched.append((seq, self.sim.now(), gang.client,
                                 gang.instance, gang.node))
         sends = []
         for h in gang.hosts:
-            payload = {"instance": gang.instance, "node": gang.node,
-                       "ticket": ticket.seq, "client": gang.client}
-            payload.update(gang.go_payload)
-            sends.append((f"host{h}", "go", payload))
+            sends.append((f"host{h}", "go",
+                          {"instance": gang.instance, "node": gang.node,
+                           "ticket": seq, "client": gang.client}))
         if gang.reply_to:
             reply = {"instance": gang.instance, "node": gang.node,
-                     "ticket": ticket.seq}
+                     "ticket": seq}
             reply.update(gang.reply_payload)
             sends.append((gang.reply_to, "handles", reply))
         self._tasks.append(("dispatch", len(sends), sends))
@@ -286,8 +264,8 @@ class IslandScheduler(Process):
         self._dead_clients.add(client)
         self.policy.drop_client(client)
         for seq in sorted(self._parked):
-            if self._parked[seq].gang.client == client:
-                gang = self._parked[seq].gang
+            gang = self._parked[seq]
+            if gang.client == client:
                 for d in gang.devices:
                     self._rsv_q[d].remove(seq)
                 del self._parked[seq]

@@ -15,17 +15,12 @@ import json
 from dataclasses import dataclass, field
 
 NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
 
 def us(x: float) -> int:
     """Microseconds to integer nanoseconds."""
     return int(round(x * NS_PER_US))
-
-
-def ms(x: float) -> int:
-    return int(round(x * NS_PER_MS))
 
 
 class SimError(Exception):

@@ -4,11 +4,11 @@ A logical buffer is one handle covering N shards that live in device HBM.
 Reference counts act on the logical buffer: one op per producer/consumer
 regardless of shard count. Ownership labels (client or program instance)
 allow a garbage collection sweep that frees everything an owner left behind
-and fails the futures of whoever was still waiting on those buffers.
+and returns the freed handles, so the executor can fail their consumers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hardware import Cluster
 
@@ -31,30 +31,6 @@ class ShardLoc:
     device: int
     nbytes: int
     resolved: bool = False      # data physically present
-    addr: int = 0               # opaque; only exec/store look at it
-
-
-@dataclass
-class BufferFuture:
-    """Resolution future for one shard of a logical buffer."""
-
-    handle: str
-    shard: int
-    done: bool = False
-    failed: bool = False
-    _cbs: list = field(default_factory=list)
-
-    def on_ready(self, cb) -> None:
-        if self.done:
-            cb(self)
-        else:
-            self._cbs.append(cb)
-
-    def _fire(self) -> None:
-        self.done = True
-        cbs, self._cbs = self._cbs, []
-        for cb in cbs:
-            cb(self)
 
 
 @dataclass
@@ -63,14 +39,10 @@ class LogicalBuffer:
     owner: str
     refcount: int
     shards: list[ShardLoc]
-    futures: list[BufferFuture]
-    dead: bool = False
 
 
 class HostStore:
     """The store fragment on one host. Handles are unique across hosts."""
-
-    _addr = 0
 
     def __init__(self, host_id: int, cluster: Cluster, audit: list | None = None):
         self.host_id = host_id
@@ -100,7 +72,6 @@ class HostStore:
         if h in self.buffers:
             raise StoreError(f"duplicate handle {h}")
         shards = []
-        futures = []
         for i, (dev, nbytes) in enumerate(shard_sizes):
             if reserve and nbytes > 0:
                 if not self.cluster.device(dev).hbm_try_take(nbytes):
@@ -109,11 +80,9 @@ class HostStore:
                             self.cluster.device(s.device).hbm_release(s.nbytes)
                     raise StoreError(
                         f"device {dev} lacks {nbytes} free bytes for {h}")
-            HostStore._addr += 1
-            shards.append(ShardLoc(i, dev, nbytes, addr=HostStore._addr))
-            futures.append(BufferFuture(h, i))
+            shards.append(ShardLoc(i, dev, nbytes))
             self.audit.append(("alloc", h, i, dev, nbytes, self._now()))
-        buf = LogicalBuffer(h, owner, refcount, shards, futures)
+        buf = LogicalBuffer(h, owner, refcount, shards)
         self.buffers[h] = buf
         return buf
 
@@ -124,18 +93,9 @@ class HostStore:
         return buf
 
     def resolve_shard(self, handle: str, shard: int) -> None:
-        buf = self.get(handle)
-        loc = buf.shards[shard]
-        loc.resolved = True
-        buf.futures[shard]._fire()
+        self.get(handle).shards[shard].resolved = True
 
     # -- reference counting ------------------------------------------------
-
-    def add_ref(self, handle: str) -> None:
-        buf = self.get(handle)
-        if buf.dead:
-            return
-        buf.refcount += 1
 
     def release(self, handle: str) -> bool:
         """Drop one logical reference; free all shards at zero."""
@@ -158,7 +118,6 @@ class HostStore:
                 self.cluster.device(loc.device).hbm_release(loc.nbytes)
             self.audit.append(("free", buf.handle, loc.shard, loc.device,
                                loc.nbytes, self._now()))
-        buf.dead = True
         del self.buffers[buf.handle]
         self._released.add(buf.handle)
 
@@ -167,17 +126,12 @@ class HostStore:
     def gc_owner(self, owner: str) -> list[str]:
         """Free every buffer of this owner regardless of refcount.
 
-        Unresolved futures on the victims fail, so in-flight consumers
-        observe the loss instead of hanging.
+        Returns the freed handles; the caller fails their in-flight
+        consumers, so they observe the loss instead of hanging.
         """
         victims = [h for h, b in self.buffers.items() if b.owner == owner]
         for h in victims:
-            buf = self.buffers[h]
-            for fut in buf.futures:
-                if not fut.done:
-                    fut.failed = True
-                    fut._fire()
-            self._free(buf)
+            self._free(self.buffers[h])
         return victims
 
     # -- audits ------------------------------------------------------------

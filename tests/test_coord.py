@@ -282,7 +282,7 @@ def test_destinations_batch_independently():
     assert b.pending("h0") == 1 and b.pending("h1") == 1
     b.send("h0", "c", {}, critical=False)
     assert b.pending("h0") == 0 and b.pending("h1") == 1
-    b.flush_all()
+    b.flush("h1")
     assert b.pending("h1") == 0
     sim.run_until_quiescent()
     kinds0 = [m["kind"] for m in dst0.seen[0][2]["messages"]]

@@ -184,35 +184,10 @@ def test_hbm_release_above_capacity_raises():
         cl.device(0).hbm_release(1)
 
 
-def test_hbm_request_queue_is_strictly_fifo():
-    """A small later request may not bypass a large earlier one."""
-    sim, cl = make_cluster(hosts=1, devices_per_host=1, hbm_bytes=1000)
-    granted = []
-    cl.on_hbm_granted = lambda dev, ids: granted.extend(ids)
-    dev = cl.device(0)
-    assert dev.hbm_request(900, "a", 1)
-    assert not dev.hbm_request(800, "b", 2)
-    assert not dev.hbm_request(50, "c", 3)    # would fit, must wait behind b
-    dev.hbm_release(900)
-    assert granted == [2, 3]
-    assert dev.free_bytes == 1000 - 800 - 50
-
-
 def test_hbm_request_exceeding_capacity_raises():
     sim, cl = make_cluster(hosts=1, devices_per_host=1, hbm_bytes=1000)
     with pytest.raises(PermanentAllocationError):
-        cl.device(0).hbm_request(1001, "a", 1)
-    with pytest.raises(PermanentAllocationError):
         cl.device(0).hbm_try_take(1001)
-
-
-def test_pending_hbm_requests_block_quiescence():
-    sim, cl = make_cluster(hosts=1, devices_per_host=1, hbm_bytes=1000)
-    cl.device(0).hbm_request(800, "a", 1)
-    cl.device(0).hbm_request(800, "b", 2)
-    res = sim.run_until_quiescent()
-    assert res.status == "deadlock"
-    assert "waiting HBM requests" in res.blocked[0]
 
 
 # -- topology ----------------------------------------------------------------

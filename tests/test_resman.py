@@ -1,34 +1,20 @@
-"""Slice allocation: placement determinism, exclusivity, pending queue."""
-import json
-
+"""Slice allocation: placement determinism and shortage errors."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowpath.resman import (AllocationError, ResourceManager, SliceBusyError)
-from flowpath.simcore import Process, Simulator
+from flowpath.resman import AllocationError, ResourceManager
 
 
 def make_rm(island_devices=None):
-    sim = Simulator()
-    rm = ResourceManager(sim, island_devices or {0: [0, 1, 2, 3],
-                                                 1: [4, 5, 6, 7]})
-    return sim, rm
-
-
-class Recorder(Process):
-    def __init__(self, sim, pid):
-        super().__init__(sim, pid)
-        self.seen = []
-
-    def handle(self, kind, payload, src):
-        self.seen.append((kind, payload))
+    return ResourceManager(island_devices or {0: [0, 1, 2, 3],
+                                              1: [4, 5, 6, 7]})
 
 
 # -- placement rules -------------------------------------------------------
 
 def test_first_allocation_prefers_lowest_island_and_devices():
-    _, rm = make_rm()
+    rm = make_rm()
     st_ = rm.allocate_slice((2,))
     assert st_.island == 0
     assert st_.devices == (0, 1)
@@ -36,7 +22,7 @@ def test_first_allocation_prefers_lowest_island_and_devices():
 
 
 def test_second_allocation_goes_to_less_loaded_island():
-    _, rm = make_rm()
+    rm = make_rm()
     rm.allocate_slice((2,))
     st2 = rm.allocate_slice((2,))
     assert st2.island == 1
@@ -48,7 +34,7 @@ def test_second_allocation_goes_to_less_loaded_island():
 
 
 def test_island_pin_overrides_load():
-    _, rm = make_rm()
+    rm = make_rm()
     rm.allocate_slice((2,), island=1)
     st2 = rm.allocate_slice((2,), island=1)
     assert st2.island == 1
@@ -56,7 +42,7 @@ def test_island_pin_overrides_load():
 
 
 def test_devices_can_be_shared():
-    _, rm = make_rm({0: [0, 1]})
+    rm = make_rm({0: [0, 1]})
     a = rm.allocate_slice((2,))
     b = rm.allocate_slice((2,))
     assert a.devices == b.devices == (0, 1)
@@ -64,7 +50,7 @@ def test_devices_can_be_shared():
 
 
 def test_least_assigned_devices_win_within_island():
-    _, rm = make_rm({0: [0, 1, 2]})
+    rm = make_rm({0: [0, 1, 2]})
     rm.allocate_slice((2,))             # devices 0,1
     st_ = rm.allocate_slice((2,))
     # device 2 is untouched, then lowest-id loaded device
@@ -73,7 +59,7 @@ def test_least_assigned_devices_win_within_island():
 
 def test_identical_request_sequences_place_identically():
     def run():
-        _, rm = make_rm()
+        rm = make_rm()
         seq = [(2,), (4,), (1,), (2,), (3,)]
         return [rm.allocate_slice(s).devices for s in seq]
     assert run() == run()
@@ -84,7 +70,7 @@ def test_identical_request_sequences_place_identically():
 @settings(max_examples=50, deadline=None)
 def test_placement_is_a_pure_function_of_history(sizes):
     def run():
-        _, rm = make_rm()
+        rm = make_rm()
         out = []
         for n in sizes:
             st_ = rm.allocate_slice((n,))
@@ -93,38 +79,10 @@ def test_placement_is_a_pure_function_of_history(sizes):
     assert run() == run()
 
 
-# -- exclusivity -----------------------------------------------------------
-
-def test_exclusive_slice_blocks_other_allocations():
-    _, rm = make_rm({0: [0, 1], 1: [2, 3]})
-    ex = rm.allocate_slice((2,), exclusive=True)
-    assert ex.island == 0
-    st_ = rm.allocate_slice((2,))
-    assert st_.island == 1
-    with pytest.raises(AllocationError):
-        rm.allocate_slice((2,), exclusive=True)
-
-
-def test_exclusive_request_avoids_assigned_devices():
-    _, rm = make_rm({0: [0, 1, 2]})
-    rm.allocate_slice((1,))             # device 0 now shared-assigned
-    ex = rm.allocate_slice((1,), exclusive=True)
-    assert ex.devices == (1,)
-
-
-def test_release_clears_exclusivity():
-    _, rm = make_rm({0: [0, 1]})
-    ex = rm.allocate_slice((2,), exclusive=True)
-    rm.release_slice(ex.slice_id)
-    st_ = rm.allocate_slice((2,))
-    assert st_.devices == (0, 1)
-    assert all(i.exclusive_by is None for i in rm.devices.values())
-
-
-# -- errors and lifecycle --------------------------------------------------
+# -- errors ---------------------------------------------------------------
 
 def test_oversized_request_reports_per_island_shortage():
-    _, rm = make_rm()
+    rm = make_rm()
     with pytest.raises(AllocationError) as ei:
         rm.allocate_slice((5,))
     msg = str(ei.value)
@@ -132,161 +90,12 @@ def test_oversized_request_reports_per_island_shortage():
 
 
 def test_empty_shape_rejected():
-    _, rm = make_rm()
+    rm = make_rm()
     with pytest.raises(AllocationError):
         rm.allocate_slice((0,))
 
 
 def test_island_pin_to_missing_island_fails():
-    _, rm = make_rm({0: [0, 1]})
+    rm = make_rm({0: [0, 1]})
     with pytest.raises(AllocationError):
         rm.allocate_slice((1,), island=7)
-
-
-def test_release_unknown_slice_raises():
-    _, rm = make_rm()
-    with pytest.raises(AllocationError):
-        rm.release_slice("slice99")
-
-
-def test_busy_slice_cannot_be_released():
-    _, rm = make_rm()
-    st_ = rm.allocate_slice((2,))
-    rm.mark_busy(st_.slice_id)
-    with pytest.raises(SliceBusyError):
-        rm.release_slice(st_.slice_id)
-    rm.mark_idle(st_.slice_id)
-    rm.release_slice(st_.slice_id)
-    assert rm.assignment_counts() == {d: 0 for d in range(8)}
-
-
-def test_mark_idle_below_zero_raises():
-    _, rm = make_rm()
-    st_ = rm.allocate_slice((1,))
-    with pytest.raises(AllocationError):
-        rm.mark_idle(st_.slice_id)
-
-
-# -- remap and topology changes --------------------------------------------
-
-def test_remap_moves_slice_to_lighter_island():
-    _, rm = make_rm({0: [0, 1]})
-    st_ = rm.allocate_slice((2,))
-    rm.allocate_slice((1,))             # keeps island 0 loaded after release
-    old_version = st_.version
-    rm.add_devices(1, [2, 3])
-    out = rm.remap(st_.slice_id)
-    assert out.island == 1
-    assert out.devices == (2, 3)
-    assert out.version == old_version + 1
-    assert rm.assignment_counts() == {0: 1, 1: 0, 2: 1, 3: 1}
-
-
-def test_remap_busy_slice_raises():
-    _, rm = make_rm()
-    st_ = rm.allocate_slice((2,))
-    rm.mark_busy(st_.slice_id)
-    with pytest.raises(SliceBusyError):
-        rm.remap(st_.slice_id)
-
-
-def test_add_duplicate_device_raises():
-    _, rm = make_rm()
-    with pytest.raises(AllocationError):
-        rm.add_devices(2, [0])
-
-
-def test_remove_assigned_device_raises():
-    _, rm = make_rm()
-    rm.allocate_slice((1,))
-    with pytest.raises(AllocationError):
-        rm.remove_devices([0])
-
-
-def test_remove_idle_devices_shrinks_island():
-    _, rm = make_rm()
-    rm.remove_devices([2, 3])
-    assert rm.islands[0] == [0, 1]
-    with pytest.raises(AllocationError):
-        rm.allocate_slice((3,), island=0)
-
-
-# -- message interface -----------------------------------------------------
-
-def test_allocation_reply_over_messages():
-    sim, rm = make_rm()
-    r = Recorder(sim, "caller")
-    sim.send("caller", rm.pid, "allocate_slice",
-             {"shape": [2], "reply_to": "caller", "tag": "t0"})
-    sim.run_until_quiescent()
-    assert r.seen == [("slice_allocated",
-                       {"tag": "t0", "slice_id": "slice1",
-                        "devices": [0, 1], "island": 0})]
-
-
-def test_failed_request_without_wait_reports_error():
-    sim, rm = make_rm({0: [0]})
-    r = Recorder(sim, "caller")
-    sim.send("caller", rm.pid, "allocate_slice",
-             {"shape": [4], "reply_to": "caller", "tag": "big"})
-    sim.run_until_quiescent()
-    (kind, payload), = r.seen
-    assert kind == "allocation_failed" and payload["tag"] == "big"
-    assert rm.pending == []
-
-
-def test_waiting_request_queues_and_grants_on_capacity():
-    sim, rm = make_rm({0: [0]})
-    r = Recorder(sim, "caller")
-    sim.send("caller", rm.pid, "allocate_slice",
-             {"shape": [4], "reply_to": "caller", "tag": "later",
-              "wait": True})
-    res = sim.run_until_quiescent()
-    # queued request counts as an obligation: the system is not done
-    assert res.status == "deadlock"
-    assert rm.obligations() == ["1 queued slice allocations"]
-    rm.add_devices(0, [1, 2, 3])
-    sim.run_until_quiescent()
-    (kind, payload), = r.seen
-    assert kind == "slice_allocated" and payload["devices"] == [0, 1, 2, 3]
-    assert rm.pending == []
-
-
-def test_waiting_request_grants_on_release():
-    sim, rm = make_rm({0: [0, 1]})
-    r = Recorder(sim, "caller")
-    ex = rm.allocate_slice((2,), exclusive=True)
-    sim.send("caller", rm.pid, "allocate_slice",
-             {"shape": [2], "reply_to": "caller", "tag": "q", "wait": True})
-    sim.run_until_quiescent()
-    assert r.seen == []
-    rm.release_slice(ex.slice_id)
-    sim.run_until_quiescent()
-    assert [k for k, _ in r.seen] == ["slice_allocated"]
-
-
-def test_release_over_messages():
-    sim, rm = make_rm()
-    st_ = rm.allocate_slice((2,))
-    sim.send("caller", rm.pid, "release_slice", {"slice_id": st_.slice_id})
-    sim.run_until_quiescent()
-    assert rm.slices == {}
-
-
-# -- introspection ---------------------------------------------------------
-
-def test_island_slice_counts():
-    _, rm = make_rm()
-    rm.allocate_slice((2,))
-    rm.allocate_slice((2,))
-    rm.allocate_slice((1,), island=0)
-    assert rm.island_slice_counts() == {0: 2, 1: 1}
-
-
-def test_dump_state_is_canonical_json():
-    _, rm = make_rm()
-    rm.allocate_slice((2,), exclusive=True)
-    doc = json.loads(rm.dump_state())
-    assert doc["slices"]["slice1"]["exclusive"] is True
-    assert doc["devices"]["0"]["exclusive_by"] == "slice1"
-    assert rm.dump_state() == rm.dump_state()

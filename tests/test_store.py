@@ -75,15 +75,6 @@ def test_release_frees_at_zero():
     assert ("free", buf.handle, 0, 0, 2 * MB, 0) in store.audit
 
 
-def test_add_ref_extends_lifetime():
-    cl, store = make_store()
-    buf = store.put([(0, MB)], owner="c0")
-    store.add_ref(buf.handle)
-    assert store.release(buf.handle) is False
-    assert store.release(buf.handle) is True
-    assert cl.device(0).free_bytes == 64 * MB
-
-
 def test_release_after_free_is_tolerated():
     _, store = make_store()
     buf = store.put([(0, MB)], owner="c0")
@@ -105,26 +96,11 @@ def test_refcount_below_zero_is_fatal():
         store.release(buf.handle)
 
 
-# -- futures ---------------------------------------------------------------
-
-def test_future_callback_waits_for_resolution():
+def test_resolve_shard_marks_only_that_shard():
     _, store = make_store()
     buf = store.put([(0, MB), (1, MB)], owner="c0")
-    fired = []
-    buf.futures[0].on_ready(lambda f: fired.append(f.shard))
-    assert fired == []
     store.resolve_shard(buf.handle, 0)
-    assert fired == [0]
     assert buf.shards[0].resolved and not buf.shards[1].resolved
-
-
-def test_future_callback_after_resolution_fires_immediately():
-    _, store = make_store()
-    buf = store.put([(0, MB)], owner="c0")
-    store.resolve_shard(buf.handle, 0)
-    fired = []
-    buf.futures[0].on_ready(lambda f: fired.append((f.shard, f.failed)))
-    assert fired == [(0, False)]
 
 
 # -- ownership GC ----------------------------------------------------------
@@ -134,11 +110,8 @@ def test_gc_owner_frees_everything_and_fails_waiters():
     a = store.put([(0, 2 * MB)], owner="victim", refcount=5)
     b = store.put([(1, MB)], owner="victim")
     keep = store.put([(0, MB)], owner="other")
-    observed = []
-    a.futures[0].on_ready(lambda f: observed.append(("a", f.failed)))
     victims = store.gc_owner("victim")
     assert sorted(victims) == sorted([a.handle, b.handle])
-    assert observed == [("a", True)]
     assert cl.device(0).free_bytes == 63 * MB      # only keep remains
     assert cl.device(1).free_bytes == 64 * MB
     assert list(store.buffers) == [keep.handle]
@@ -150,16 +123,6 @@ def test_gc_owner_with_nothing_returns_empty():
     _, store = make_store()
     store.put([(0, MB)], owner="other")
     assert store.gc_owner("nobody") == []
-
-
-def test_gc_does_not_refire_resolved_futures():
-    _, store = make_store()
-    buf = store.put([(0, MB)], owner="v")
-    store.resolve_shard(buf.handle, 0)
-    count = []
-    buf.futures[0].on_ready(lambda f: count.append(1))
-    store.gc_owner("v")
-    assert count == [1] and buf.futures[0].failed is False
 
 
 # -- audits ----------------------------------------------------------------
@@ -192,7 +155,7 @@ def test_normal_lifecycle_leaves_clean_audits():
 
 # -- conservation property -------------------------------------------------
 
-@given(st.lists(st.tuples(st.sampled_from(["put", "release", "add_ref", "gc"]),
+@given(st.lists(st.tuples(st.sampled_from(["put", "release", "gc"]),
                           st.integers(min_value=0, max_value=7),
                           st.integers(min_value=1, max_value=3)),
                 max_size=60))
@@ -210,8 +173,6 @@ def test_hbm_is_conserved_under_random_op_sequences(ops):
             h = live[pick % len(live)]
             if store.release(h):
                 live = [x for x in live if x != h]
-        elif action == "add_ref" and live:
-            store.add_ref(live[pick % len(live)])
         elif action == "gc":
             gone = store.gc_owner(f"o{pick % 3}")
             live = [x for x in live if x not in gone]
