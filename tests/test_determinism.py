@@ -1,8 +1,13 @@
-"""Event logs pinned across commits.
+"""Event logs and completion series pinned across commits.
 
-Each pin is the sha256 of `dump_event_log` for one small run. A change that
-moves the simulation (timing, event order, message payloads) changes a pin;
-such a change must update the pin and say which model change moved it.
+Each `PINS` entry is the sha256 of `dump_event_log` for one small run. A
+change that moves the simulation (timing, event order, message payloads)
+changes a pin; such a change must update the pin and say which model change
+moved it.
+
+Each `COMPLETION_PINS` entry is the sha256 of the same run's
+`completion_series()`: when and how much work finished. A change that only
+drops or merges control messages may move `PINS` but must leave these alone.
 """
 import hashlib
 
@@ -20,8 +25,17 @@ PINS = {
         "aa32f07e6180d1480880cf5ceed54f5f30b13ee2123eca0d45a13145ac6d8311",
 }
 
+COMPLETION_PINS = {
+    "parallel":
+        "cdc8011f81ab354c32526cd14648d92f94fe1971f8f9c3788f57b2a02947da60",
+    "sequential":
+        "a4f2c3b425d502cf7b3fb312e0c33d1cca9aa1e3b3c0ba589c3764c106517a2b",
+    "auto":
+        "63ad342807942ae109863ff0595d56cb58cb2cc17b993f6a805ae10b41d9433e",
+}
 
-def chain_log_digest(mode: str, tmp_path) -> str:
+
+def run_chain(mode: str) -> System:
     # parallel dispatch needs every node's sizes up front; the other two
     # modes run the middle node as data-dependent, so auto splits stages
     fns = [CompiledFunction(name, 4, (4096,), (4096,), 20.0,
@@ -33,11 +47,17 @@ def chain_log_digest(mode: str, tmp_path) -> str:
     system.start_job(system.add_client("c0"), StreamJob(
         system.new_job_id(), "chain", 3, window=2, mode=mode))
     assert system.run().status == "quiescent"
-    path = tmp_path / f"{mode}.ndjson"
-    system.sim.dump_event_log(str(path))
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return system
 
 
 @pytest.mark.parametrize("mode", sorted(PINS))
 def test_event_log_matches_pin(mode, tmp_path):
-    assert chain_log_digest(mode, tmp_path) == PINS[mode]
+    path = tmp_path / f"{mode}.ndjson"
+    run_chain(mode).sim.dump_event_log(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(COMPLETION_PINS))
+def test_completion_series_matches_pin(mode):
+    series = repr(run_chain(mode).completion_series()).encode()
+    assert hashlib.sha256(series).hexdigest() == COMPLETION_PINS[mode]
