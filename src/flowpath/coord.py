@@ -2,10 +2,14 @@
 
 Data moving along a sharded edge is announced with per-destination tuples;
 each source shard closes its contribution with a single punctuation carrying
-a sparse {dst shard: tuple count} map (absent means zero). A destination
-shard becomes ready exactly once, when every source shard has punctuated and
-the received tuple counts match the punctuated counts. State exists only for
-shards with pending input.
+a sparse {dst shard: tuple count} map (absent means zero). Each destination
+shard expects punctuations from a declared number of source shards per
+edge: on most hosts only the sources its reshard pairs read from, so
+progress messages flow only where data does; on a node's home host every
+source shard, which makes its readiness an all-sources gate before the gang
+is submitted. A destination shard becomes ready exactly once, when every
+expected source has punctuated and the received tuple counts match the
+punctuated counts. State exists only for shards with pending input.
 
 Control messages between hosts either bypass batching (critical path) or
 are coalesced per destination host and flushed when the batch reaches
@@ -45,102 +49,112 @@ class _EdgeState:
     received: dict[int, int] = field(default_factory=dict)      # src -> tuples seen
     punctuated: dict[int, int] = field(default_factory=dict)    # src -> declared count
 
-    def complete(self) -> bool:
-        if len(self.punctuated) < self.expected_srcs:
-            return False
-        return all(self.received.get(s, 0) == c
-                   for s, c in self.punctuated.items())
-
 
 @dataclass
 class _ShardState:
+    # expected punctuations not yet received, plus punctuated sources whose
+    # tuples have not all arrived; the shard is ready when this reaches 0
+    outstanding: int
     edges: dict[str, _EdgeState] = field(default_factory=dict)
 
 
 class ProgressTracker:
     """Exactly-once readiness for (instance, node, dst shard) triples.
 
-    edge_srcs declares, per edge id, how many source shards will punctuate.
+    expect() declares, per edge id, how many source shards will punctuate
+    each destination shard: an int means that many for every shard (a
+    node's home host expects every source, its all-sources gate), a dict
+    maps a shard to its own count (absent means none), as the static
+    reshard pairs give it on other hosts. A shard keeps a count of what is
+    still outstanding, so each event costs O(1) beyond its own bookkeeping.
     ready_cb fires once per shard with (instance, node, shard).
     """
 
     def __init__(self, ready_cb=None):
         self.ready_cb = ready_cb
-        self._pending: dict[tuple[str, str, int], _ShardState] = {}
+        self._pending: dict[tuple[str, str], dict[int, _ShardState]] = {}
         self._fired: dict[tuple[str, str], set[int]] = {}
-        self._expected: dict[tuple[str, str], dict[str, int]] = {}
+        self._expected: dict[tuple[str, str], dict[str, int | dict]] = {}
 
     # -- registration ------------------------------------------------------
 
-    def expect(self, instance: str, node: str, edge: str, src_shards: int) -> None:
+    def expect(self, instance: str, node: str, edge: str,
+               src_shards: int | dict[int, int]) -> None:
         """Declare an inbound edge for a node before any tuple can arrive."""
         self._expected.setdefault((instance, node), {})[edge] = src_shards
 
     def forget(self, instance: str, node: str) -> None:
         self._expected.pop((instance, node), None)
         self._fired.pop((instance, node), None)
-        for key in [k for k in self._pending if k[0] == instance and k[1] == node]:
-            del self._pending[key]
+        self._pending.pop((instance, node), None)
 
-    def _shard_state(self, instance: str, node: str, shard: int) -> _ShardState:
-        key = (instance, node, shard)
-        st = self._pending.get(key)
+    def _state(self, instance: str, node: str, shard: int,
+               edge: str) -> tuple[_ShardState, _EdgeState]:
+        key = (instance, node)
+        if shard in self._fired.get(key, ()):
+            raise ProtocolViolation(f"traffic on {edge} for completed shard {shard}")
+        shards = self._pending.setdefault(key, {})
+        st = shards.get(shard)
         if st is None:
-            st = _ShardState()
-            edges = self._expected.get((instance, node), {})
-            for eid, nsrc in edges.items():
-                st.edges[eid] = _EdgeState(expected_srcs=nsrc)
-            self._pending[key] = st
-        return st
+            st = _ShardState(0)
+            for eid, n in self._expected.get(key, {}).items():
+                n = n if isinstance(n, int) else n.get(shard, 0)
+                st.edges[eid] = _EdgeState(n)
+                st.outstanding += n
+            shards[shard] = st
+        es = st.edges.get(edge)
+        if es is None:
+            raise ProtocolViolation(f"traffic on undeclared edge {edge}")
+        return st, es
 
     # -- protocol events ---------------------------------------------------
 
     def on_tuple(self, node: str, t: DataTuple) -> None:
-        done = self._fired.get((t.instance, node), set())
-        if t.dst_shard in done:
-            raise ProtocolViolation(
-                f"tuple on {t.edge} for completed shard {t.dst_shard}")
-        st = self._shard_state(t.instance, node, t.dst_shard)
-        es = st.edges.get(t.edge)
-        if es is None:
-            raise ProtocolViolation(f"tuple on undeclared edge {t.edge}")
+        st, es = self._state(t.instance, node, t.dst_shard, t.edge)
         seen = es.received.get(t.src_shard, 0) + 1
-        if t.src_shard in es.punctuated and seen > es.punctuated[t.src_shard]:
+        declared = es.punctuated.get(t.src_shard)
+        if declared is not None and seen > declared:
             raise ProtocolViolation(
                 f"tuple on {t.edge} src {t.src_shard} after punctuation count "
-                f"{es.punctuated[t.src_shard]} exhausted")
+                f"{declared} exhausted")
         es.received[t.src_shard] = seen
-        self._maybe_ready(t.instance, node, t.dst_shard, st)
+        if seen == declared:
+            self._settle(t.instance, node, t.dst_shard, st)
 
     def on_punctuation(self, node: str, p: Punctuation,
                        local_shards: list[int]) -> None:
         """Apply one source shard's punctuation to the given local dst shards."""
         for shard in local_shards:
-            done = self._fired.get((p.instance, node), set())
-            if shard in done:
-                raise ProtocolViolation(
-                    f"punctuation on {p.edge} for completed shard {shard}")
-            st = self._shard_state(p.instance, node, shard)
-            es = st.edges.get(p.edge)
-            if es is None:
-                raise ProtocolViolation(f"punctuation on undeclared edge {p.edge}")
+            st, es = self._state(p.instance, node, shard, p.edge)
             if p.src_shard in es.punctuated:
                 raise ProtocolViolation(
                     f"duplicate punctuation {p.edge} src {p.src_shard}")
-            declared = p.counts.get(shard, p.counts.get(str(shard), 0))
-            if es.received.get(p.src_shard, 0) > declared:
+            if len(es.punctuated) == es.expected_srcs:
                 raise ProtocolViolation(
-                    f"{p.edge} src {p.src_shard}: received "
-                    f"{es.received.get(p.src_shard, 0)} > declared {declared}")
+                    f"{p.edge} src {p.src_shard}: shard {shard} expects "
+                    f"{es.expected_srcs} punctuating sources")
+            declared = p.counts.get(shard, p.counts.get(str(shard), 0))
+            got = es.received.get(p.src_shard, 0)
+            if got > declared:
+                raise ProtocolViolation(
+                    f"{p.edge} src {p.src_shard}: received {got} > "
+                    f"declared {declared}")
             es.punctuated[p.src_shard] = declared
-            self._maybe_ready(p.instance, node, shard, st)
+            if got == declared:
+                self._settle(p.instance, node, shard, st)
 
-    def _maybe_ready(self, instance: str, node: str, shard: int,
-                     st: _ShardState) -> None:
-        if not st.edges or not all(es.complete() for es in st.edges.values()):
+    def _settle(self, instance: str, node: str, shard: int,
+                st: _ShardState) -> None:
+        """One expected source of the shard is complete."""
+        st.outstanding -= 1
+        if st.outstanding:
             return
-        self._fired.setdefault((instance, node), set()).add(shard)
-        del self._pending[(instance, node, shard)]
+        key = (instance, node)
+        self._fired.setdefault(key, set()).add(shard)
+        shards = self._pending[key]
+        del shards[shard]
+        if not shards:
+            del self._pending[key]
         if self.ready_cb:
             self.ready_cb(instance, node, shard)
 
@@ -148,7 +162,7 @@ class ProgressTracker:
 
     def pending_count(self) -> int:
         """Number of shard states held: memory is O(shards with pending input)."""
-        return len(self._pending)
+        return sum(len(v) for v in self._pending.values())
 
 
 def edge_id(src: str, dst: str, dst_port: int = 0) -> str:

@@ -7,9 +7,12 @@ and keeps the store's logical refcounts honest via drain reports.
 
 Dispatch triggers per node come from the instance plan:
   "go"  - enqueue when the scheduler grants (parallel dispatch),
-  "fut" - home host submits the gang after every predecessor announced its
-          output futures (sequential dispatch of a regular node),
+  "fut" - home host submits the gang after every predecessor shard announced
+          its output futures (sequential dispatch of a regular node),
   "dat" - same, but gated on predecessor data completion (irregular node).
+For both, a producer host sends its update to the consumer hosts its
+reshard pairs feed, plus the node's home host; a non-home host waits only
+for the source shards paired with its own shards, the home host for all.
 """
 from __future__ import annotations
 
@@ -21,10 +24,6 @@ from .hardware import Cluster, KernelExec
 from .ir import ArgNode, ComputeNode, LoweredProgram, ResultNode, ShardPair
 from .simcore import Process, Simulator
 from .store import HostStore
-
-
-class ExecError(Exception):
-    pass
 
 
 # -- static program tables ---------------------------------------------------
@@ -42,9 +41,8 @@ class EdgeInfo:
     consumer_hosts: tuple[int, ...]              # hosts holding >=1 dst pair
     pairs_by_chost: dict[int, tuple[ShardPair, ...]]
     remote_by_chost: dict[int, tuple[ShardPair, ...]]
-    src_hosts: tuple[int, ...]
-    src_shards_by_host: dict[int, tuple[int, ...]]
-    cross_host: bool
+    pairs_by_shost: dict[int, tuple[ShardPair, ...]]   # by producer host
+    srcs_per_dst: dict[int, int]                 # dst shard -> src shards paired
     ext_arg: bool                                 # source is a handle-bound arg
     from_arg: bool                                # source is any arg node
 
@@ -79,8 +77,8 @@ class ArgInfo:
     shards: int
     bytes_per_shard: int
     placement: tuple[int, ...]
-    creator: str                                  # compute node that allocates
     home_host: int
+    local_shards: dict[int, tuple[int, ...]]     # host -> shard indices
     out_edges: tuple[str, ...]
     ext: bool
 
@@ -97,6 +95,7 @@ class ProgramInfo:
     result_shards: int
     all_hosts: tuple[int, ...]
     all_devices: tuple[int, ...]
+    plans: dict = field(default_factory=dict)     # dispatch mode -> plan
 
     def out_handle(self, instance: str, nid: str, port: int) -> str:
         return f"o.{instance}.{nid}.{port}"
@@ -106,6 +105,14 @@ class ProgramInfo:
                 for _rid, src, port in self.results]
 
 
+def _by_host(devs, host_of) -> dict[int, tuple[int, ...]]:
+    """host -> indices of the shards placed on it."""
+    out: dict[int, list[int]] = {}
+    for shard, dev in enumerate(devs):
+        out.setdefault(host_of[dev], []).append(shard)
+    return {h: tuple(v) for h, v in sorted(out.items())}
+
+
 def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> ProgramInfo:
     p = lp.program
     host_of = {d.device_id: d.host_id for d in cluster.devices}
@@ -113,6 +120,9 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     args: dict[str, ArgInfo] = {}
     edges: dict[str, EdgeInfo] = {}
     order = tuple(n.id for n in p.nodes.values() if isinstance(n, ComputeNode))
+    rank = {nid: i for i, nid in enumerate(order)}
+    in_eids: dict[str, list[str]] = {}
+    out_eids: dict[str, list[str]] = {}
 
     for le in lp.edges:
         e = le.edge
@@ -121,55 +131,56 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         ext = isinstance(src_n, ArgNode) and src_n.handle is not None
         pairs = le.reshard.pairs
         by_chost: dict[int, list[ShardPair]] = {}
+        by_shost: dict[int, list[ShardPair]] = {}
         remote: dict[int, list[ShardPair]] = {}
+        nsrc: dict[int, int] = {}
         for pr in pairs:
             ch = host_of[pr.dst_dev]
             by_chost.setdefault(ch, []).append(pr)
+            by_shost.setdefault(host_of[pr.src_dev], []).append(pr)
             if pr.src_dev != pr.dst_dev:
                 remote.setdefault(ch, []).append(pr)
-        sdevs = lp.placement[e.src]
-        sbh: dict[int, list[int]] = {}
-        for shard, dev in enumerate(sdevs):
-            sbh.setdefault(host_of[dev], []).append(shard)
-        cross = any(host_of[pr.src_dev] != host_of[pr.dst_dev] for pr in pairs)
+            # pairs are distinct (src, dst) block overlaps
+            nsrc[pr.dst_shard] = nsrc.get(pr.dst_shard, 0) + 1
         edges[eid] = EdgeInfo(
             eid=eid, src=e.src, dst=e.dst, src_port=e.src_port,
-            dst_port=e.dst_port, src_shards=len(sdevs),
+            dst_port=e.dst_port, src_shards=len(lp.placement[e.src]),
             to_result=isinstance(p.node(e.dst), ResultNode), pairs=pairs,
             consumer_hosts=tuple(sorted(by_chost)),
             pairs_by_chost={h: tuple(v) for h, v in sorted(by_chost.items())},
             remote_by_chost={h: tuple(v) for h, v in sorted(remote.items())},
-            src_hosts=tuple(sorted(sbh)),
-            src_shards_by_host={h: tuple(v) for h, v in sorted(sbh.items())},
-            cross_host=cross, ext_arg=ext,
+            pairs_by_shost={h: tuple(v) for h, v in sorted(by_shost.items())},
+            srcs_per_dst=nsrc, ext_arg=ext,
             from_arg=isinstance(src_n, ArgNode))
+        in_eids.setdefault(e.dst, []).append(eid)
+        out_eids.setdefault(e.src, []).append(eid)
 
+    created: dict[str, list[str]] = {}
     for n in p.nodes.values():
         if not isinstance(n, ArgNode):
             continue
-        consumers = sorted({e.dst for e in p.edges if e.src == n.id},
-                           key=order.index)
+        outs = tuple(out_eids.get(n.id, ()))
         placement = lp.placement[n.id]
         args[n.id] = ArgInfo(
             nid=n.id, shards=n.shards, bytes_per_shard=n.bytes_per_shard,
-            placement=placement, creator=consumers[0],
-            home_host=host_of[placement[0]],
-            out_edges=tuple(eid for eid, ei in edges.items() if ei.src == n.id),
-            ext=n.handle is not None)
+            placement=placement, home_host=host_of[placement[0]],
+            local_shards=_by_host(placement, host_of),
+            out_edges=outs, ext=n.handle is not None)
+        if n.handle is None:
+            # the first consumer in trace order allocates the arg
+            creator = min((edges[eid].dst for eid in outs), key=rank.__getitem__)
+            created.setdefault(creator, []).append(n.id)
 
     for n in p.nodes.values():
         if not isinstance(n, ComputeNode):
             continue
         devs = lp.placement[n.id]
-        local: dict[int, list[int]] = {}
-        for shard, dev in enumerate(devs):
-            local.setdefault(host_of[dev], []).append(shard)
-        in_eids = tuple(eid for eid, ei in edges.items() if ei.dst == n.id)
-        out_eids = tuple(eid for eid, ei in edges.items() if ei.src == n.id)
+        local = _by_host(devs, host_of)
+        ins = tuple(in_eids.get(n.id, ()))
         expected: dict[int, int] = {}
         sources: dict[int, list[int]] = {}
         recv: dict[int, int] = {}
-        for eid in in_eids:
+        for eid in ins:
             ei = edges[eid]
             if ei.ext_arg:
                 continue   # data already resident, held by the client
@@ -179,35 +190,34 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
                     expected[s] = expected.get(s, 0) + 1
                     sources.setdefault(s, []).append(pr.src_dev)
                     recv[s] = recv.get(s, 0) + pr.nbytes
-        created = tuple(a.nid for a in args.values()
-                        if a.creator == n.id and not a.ext)
+        made = tuple(created.get(n.id, ()))
         hbm: dict[int, int] = {}
         out_total = sum(n.fn.out_bytes)
         for shard, dev in enumerate(devs):
             hbm[dev] = hbm.get(dev, 0) + out_total + recv.get(shard, 0)
-        for aid in created:
+        for aid in made:
             a = args[aid]
             for shard in range(a.shards):
                 dev = a.placement[shard]
                 hbm[dev] = hbm.get(dev, 0) + a.bytes_per_shard
         nodes[n.id] = NodeInfo(
             nid=n.id, fn_name=n.fn.name, devices=devs,
-            hosts=tuple(sorted(local)), home_host=host_of[devs[0]],
-            local_shards={h: tuple(v) for h, v in sorted(local.items())},
-            shard_device=dict(enumerate(devs)),
+            hosts=tuple(local), home_host=host_of[devs[0]],
+            local_shards=local, shard_device=dict(enumerate(devs)),
             duration_ns=n.fn.duration_ns, collective=n.fn.collective,
             regular=n.fn.regular, apply_count=n.fn.apply_count,
-            out_bytes=n.fn.out_bytes, in_edges=in_eids, out_edges=out_eids,
+            out_bytes=n.fn.out_bytes, in_edges=ins,
+            out_edges=tuple(out_eids.get(n.id, ())),
             expected_inputs=expected,
             input_sources={s: tuple(v) for s, v in sorted(sources.items())},
             recv_bytes=recv, hbm_by_device=hbm,
-            kernel_count={h: len(v) for h, v in sorted(local.items())},
-            args_created=created)
+            kernel_count={h: len(v) for h, v in local.items()},
+            args_created=made)
 
     results = []
     nshards = 0
     for rid in p.results:
-        e = next(ei for ei in edges.values() if ei.dst == rid)
+        e = edges[in_eids[rid][0]]
         results.append((rid, e.src, e.src_port))
         nshards += len(lp.placement[e.src])
     all_hosts = tuple(sorted({h for ni in nodes.values() for h in ni.hosts}))
@@ -224,6 +234,7 @@ class InstanceMeta:
     program: ProgramInfo
     modes: dict[str, str]                        # node -> go | fut | dat
     stages: list[list[str]]                      # client-submitted groups
+    triggers: list[set[str]]                     # nodes each stage waits on
     arg_bindings: dict[str, str] = field(default_factory=dict)  # arg -> handle
     reply_to_client: bool = True
 
@@ -278,19 +289,15 @@ class HostExecutor(Process):
         for nid, ni in info.nodes.items():
             mode = meta.modes[nid]
             if mode in ("fut", "dat") and self.host_id in ni.hosts:
-                n_edges = 0
+                home = self.host_id == ni.home_host
                 for eid in ni.in_edges:
                     ei = info.edges[eid]
                     # arg-fed edges cannot gate dispatch: no predecessor gang
                     # hands their futures over
-                    if ei.from_arg:
-                        continue
-                    self.tracker.expect(meta.instance, nid, f"{mode}:{eid}",
-                                        ei.src_shards)
-                    n_edges += 1
-                if n_edges == 0:
-                    raise ExecError(
-                        f"{nid}: host-driven dispatch with nothing to wait on")
+                    if not ei.from_arg:
+                        self.tracker.expect(
+                            meta.instance, nid, f"{mode}:{eid}",
+                            ei.src_shards if home else ei.srcs_per_dst)
                 st.ready_shards[nid] = 0
         for aid, handle in meta.arg_bindings.items():
             for eid in info.args[aid].out_edges:
@@ -443,10 +450,9 @@ class HostExecutor(Process):
                      for s in range(a.shards)],
                     owner=instance, refcount=max(len(a.out_edges), 1),
                     reserve=rsv, handle=f"a.{instance}.{aid}")
-            mine = [s for s in range(a.shards)
-                    if self.cluster.device(a.placement[s]).host_id == self.host_id]
+            mine = a.local_shards.get(self.host_id, ())
             for eid in a.out_edges:
-                self._mark_src_ready(instance, eid, mine, emit_fut=True)
+                self._mark_src_ready(instance, eid, mine)
 
         for eid in ni.in_edges:
             ei = info.edges[eid]
@@ -542,9 +548,9 @@ class HostExecutor(Process):
                 input_sources=ni.input_sources.get(s, ()))
             self.sim.send(self.pid, f"dev{ni.shard_device[s]}",
                           "enqueue_kernel", {"kernel": k}, latency=pcie)
-        local = list(ni.local_shards[self.host_id])
         for eid in ni.out_edges:
-            self._emit_edge_update(instance, eid, local, "fut")
+            self._emit_edge_update(instance, eid,
+                                   ni.local_shards[self.host_id], "fut")
         if st.meta.modes[nid] == "dat" and self.host_id == ni.home_host:
             # irregular boundary passed: the next statically plannable stage
             # can be submitted now
@@ -552,8 +558,8 @@ class HostExecutor(Process):
 
     # -- edge updates (tuples plus punctuation in one message) --------------
 
-    def _emit_edge_update(self, instance: str, eid: str, src_shards: list[int],
-                          cls: str) -> None:
+    def _emit_edge_update(self, instance: str, eid: str,
+                          src_shards: tuple[int, ...], cls: str) -> None:
         st = self.inst[instance]
         info = st.meta.program
         ei = info.edges[eid]
@@ -562,19 +568,22 @@ class HostExecutor(Process):
                 for s in src_shards:
                     self.runtime.result_tuple(instance, ei, s, self.pid)
             return
-        dst_mode = st.meta.modes.get(ei.dst)
-        for ch in ei.consumer_hosts:
-            if not (dst_mode == cls or ei.cross_host):
-                continue
-            tuples = []
-            puncts: dict[str, dict[str, int]] = {}
-            for pr in ei.pairs_by_chost[ch]:
-                if pr.src_shard in src_shards:
-                    tuples.append([pr.src_shard, pr.dst_shard])
-                    c = puncts.setdefault(str(pr.src_shard), {})
-                    c[str(pr.dst_shard)] = c.get(str(pr.dst_shard), 0) + 1
-            for s in src_shards:
-                puncts.setdefault(str(s), {})
+        if ei.from_arg or st.meta.modes[ei.dst] != cls:
+            return
+        # the home host hears from every source shard, other consumer hosts
+        # only about the pairs that feed them
+        home = info.nodes[ei.dst].home_host
+        out: dict[int, tuple[list, dict]] = {
+            home: ([], {s: {} for s in src_shards})}
+        for pr in ei.pairs_by_shost.get(self.host_id, ()):
+            if pr.src_shard in src_shards:
+                tuples, puncts = out.setdefault(
+                    self.cluster.device(pr.dst_dev).host_id, ([], {}))
+                tuples.append((pr.src_shard, pr.dst_shard))
+                c = puncts.setdefault(pr.src_shard, {})
+                c[pr.dst_shard] = c.get(pr.dst_shard, 0) + 1
+        for ch in sorted(out):
+            tuples, puncts = out[ch]
             self._send(f"host{ch}", f"edge_{cls}",
                        {"instance": instance, "edge": eid,
                         "tuples": tuples, "puncts": puncts}, critical=True)
@@ -585,31 +594,25 @@ class HostExecutor(Process):
         if st is None or st.failed:
             return
         info = st.meta.program
-        ei = info.edges[eid]
-        nid = ei.dst
+        nid = info.edges[eid].dst
         ni = info.nodes[nid]
-        if (ei.from_arg or st.meta.modes.get(nid) != cls
-                or self.host_id not in ni.hosts):
-            return
         teid = f"{cls}:{eid}"
-        local = list(ni.local_shards[self.host_id])
         for s, d in payload["tuples"]:
-            if d in local:
-                self.tracker.on_tuple(nid, DataTuple(teid, instance, s, d))
-        for s_str, counts in payload["puncts"].items():
+            self.tracker.on_tuple(nid, DataTuple(teid, instance, s, d))
+        home = self.host_id == ni.home_host
+        for s, counts in payload["puncts"].items():
             self.tracker.on_punctuation(
-                nid, Punctuation(teid, instance, int(s_str), counts), local)
+                nid, Punctuation(teid, instance, s, counts),
+                ni.local_shards[self.host_id] if home else list(counts))
 
     # -- producer-side data movement ---------------------------------------
 
-    def _mark_src_ready(self, instance: str, eid: str, shards: list[int],
-                        emit_fut: bool = False) -> None:
+    def _mark_src_ready(self, instance: str, eid: str,
+                        shards: tuple[int, ...]) -> None:
         st = self.inst[instance]
         st.src_done.setdefault(eid, set()).update(shards)
         self._launch_ready(instance, eid)
         if shards:
-            if emit_fut:
-                self._emit_edge_update(instance, eid, shards, "fut")
             self._emit_edge_update(instance, eid, shards, "dat")
 
     def _on_addr(self, payload: dict) -> None:
@@ -627,18 +630,18 @@ class HostExecutor(Process):
         st = self.inst[instance]
         info = st.meta.program
         ei = info.edges[eid]
+        src_devs = info.lowered.placement[ei.src]
         done = st.src_done.get(eid, set())
         launched = st.launched.setdefault(eid, set())
         for (src_shard, dst_shard), (dst_dev, nbytes) in sorted(
                 st.addr.get(eid, {}).items()):
             if (src_shard, dst_shard) in launched or src_shard not in done:
                 continue
-            pr = next(p for p in ei.pairs if p.src_shard == src_shard
-                      and p.dst_shard == dst_shard)
-            if self.cluster.device(pr.src_dev).host_id != self.host_id:
+            src_dev = src_devs[src_shard]
+            if self.cluster.device(src_dev).host_id != self.host_id:
                 continue
             launched.add((src_shard, dst_shard))
-            self.cluster.transfer(pr.src_dev, dst_dev, nbytes, instance,
+            self.cluster.transfer(src_dev, dst_dev, nbytes, instance,
                                   ei.dst, dst_shard,
                                   extra={"edge": eid, "src_shard": src_shard})
 
@@ -653,7 +656,7 @@ class HostExecutor(Process):
         ni = info.nodes[nid]
         st.kdone[nid] = st.kdone.get(nid, 0) + 1
         for eid in ni.out_edges:
-            self._mark_src_ready(instance, eid, [shard])
+            self._mark_src_ready(instance, eid, (shard,))
         for eid in ni.in_edges:
             ei = info.edges[eid]
             if ei.ext_arg:

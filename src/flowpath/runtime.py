@@ -313,7 +313,6 @@ class System:
         self.inst_digests: dict[str, list[str]] = {}
         self._inst_seq = 0
         self._stage_idx: dict[str, int] = {}
-        self._stage_triggers: dict[str, list[set[str]]] = {}
         self._stage_seen: dict[str, set[str]] = {}
         self._job_seq = 0
 
@@ -354,7 +353,16 @@ class System:
     def _plan(self, info: ProgramInfo, mode: str) -> tuple[
             dict[str, str], list[list[str]], list[set[str]]]:
         """modes per node, client-submitted stages, and per-stage trigger
-        sets: stage i goes out once every trigger node has reported in."""
+        sets: stage i goes out once every trigger node has reported in.
+        Planned once per (program, mode); a mode that fails to plan raises
+        again on every submit."""
+        plan = info.plans.get(mode)
+        if plan is None:
+            plan = info.plans[mode] = self._make_plan(info, mode)
+        return plan
+
+    def _make_plan(self, info: ProgramInfo, mode: str) -> tuple[
+            dict[str, str], list[list[str]], list[set[str]]]:
         def gatable(nid: str) -> bool:
             return any(not info.edges[e].from_arg
                        for e in info.nodes[nid].in_edges)
@@ -431,7 +439,7 @@ class System:
                 raise ValidationError(
                     f"arg {aid}: bound buffer lives on devices {devs}, "
                     f"consumer expects {want}")
-        meta = InstanceMeta(inst, client.name, info, modes, stages,
+        meta = InstanceMeta(inst, client.name, info, modes, stages, triggers,
                             bindings, reply)
         self.instances[inst] = meta
         for h in info.all_hosts:
@@ -446,7 +454,6 @@ class System:
         client.expect[inst] = info.result_shards
         client.handles[inst] = info.result_handles(inst)
         self._stage_idx[inst] = 0
-        self._stage_triggers[inst] = triggers
         self.submit_next_stage(inst)
         return inst
 
@@ -459,7 +466,7 @@ class System:
             idx = self._stage_idx[inst]
             if idx >= len(meta.stages):
                 return
-            if not self._stage_triggers[inst][idx] <= seen:
+            if not meta.triggers[idx] <= seen:
                 return
             self._stage_idx[inst] = idx + 1
             nids = meta.stages[idx]

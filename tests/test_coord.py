@@ -76,6 +76,52 @@ def test_all_delivery_orders_fire_exactly_once_after_punctuation():
         assert tr.pending_count() == 0
 
 
+def test_per_shard_expectations_fire_each_shard_exactly_once():
+    # pairs 0->0, 0->1, 1->1: shard 0 hears only from source 0, shard 1
+    # from both; a punctuation goes only to the shards its counts name
+    base = [tup(0, 0), tup(0, 1), tup(1, 1),
+            punct(0, {0: 1, 1: 1}), punct(1, {1: 1})]
+    needs = {0: {0, 3}, 1: {1, 2, 3, 4}}      # shard -> message indices
+    for perm in itertools.permutations(range(len(base))):
+        fired = []
+        tr = ProgressTracker(lambda inst, node, shard: fired.append(shard))
+        tr.expect("i1", "b", E, {0: 1, 1: 2})
+        at = {}
+        for i, k in enumerate(perm):
+            m = base[k]
+            deliver(tr, m, () if isinstance(m, DataTuple) else list(m.counts))
+            for shard in fired:
+                at.setdefault(shard, i)
+        assert sorted(fired) == [0, 1]
+        for shard, idxs in needs.items():
+            assert at[shard] == max(perm.index(k) for k in idxs)
+        assert tr.pending_count() == 0
+
+
+def test_more_punctuating_sources_than_expected_rejected():
+    tr, _ = make_tracker()
+    tr.expect("i1", "b", E, {0: 1})
+    deliver(tr, punct(0, {0: 1}), local_shards=[0])
+    with pytest.raises(ProtocolViolation, match="expects 1 punctuating"):
+        deliver(tr, punct(1, {}), local_shards=[0])
+
+
+def test_duplicate_punctuation_rejected_per_shard():
+    tr, fired = make_tracker()
+    tr.expect("i1", "b", E, {0: 2})
+    deliver(tr, punct(0, {0: 1}), local_shards=[0])
+    with pytest.raises(ProtocolViolation, match="duplicate punctuation"):
+        deliver(tr, punct(0, {0: 1}), local_shards=[0])
+    assert fired == []
+
+
+def test_shard_without_expected_sources_rejects_traffic():
+    tr, _ = make_tracker()
+    tr.expect("i1", "b", E, {0: 1})         # shard 1 expects no source
+    with pytest.raises(ProtocolViolation, match="expects 0 punctuating"):
+        deliver(tr, punct(0, {}), local_shards=[1])
+
+
 def test_sparse_counts_mean_zero():
     tr, fired = make_tracker()
     deliver(tr, punct(0, {0: 1}))           # src 0 sends nothing to shard 1

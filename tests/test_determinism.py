@@ -20,9 +20,9 @@ PINS = {
     "parallel":
         "c15756e6627c0892f8ecdf88590bd8d60d6a2918425d3370eb59bc24f62ca698",
     "sequential":
-        "36f4316dc47d7c20739a569adc312df09a04ed2063b8471a4d84eddb9a7079b4",
+        "ac7cb9bcac5ac372efec29ee6c4fe086e18ef8d944cf13e7798655fcc911cd5c",
     "auto":
-        "aa32f07e6180d1480880cf5ceed54f5f30b13ee2123eca0d45a13145ac6d8311",
+        "1bd15e0f27fd1b17ecb97d549fdd3f4874f2be68286d0af1d71d7ff43c47ad03",
 }
 
 COMPLETION_PINS = {
