@@ -353,16 +353,7 @@ class System:
     def _plan(self, info: ProgramInfo, mode: str) -> tuple[
             dict[str, str], list[list[str]], list[set[str]]]:
         """modes per node, client-submitted stages, and per-stage trigger
-        sets: stage i goes out once every trigger node has reported in.
-        Planned once per (program, mode); a mode that fails to plan raises
-        again on every submit."""
-        plan = info.plans.get(mode)
-        if plan is None:
-            plan = info.plans[mode] = self._make_plan(info, mode)
-        return plan
-
-    def _make_plan(self, info: ProgramInfo, mode: str) -> tuple[
-            dict[str, str], list[list[str]], list[set[str]]]:
+        sets: stage i goes out once every trigger node has reported in."""
         def gatable(nid: str) -> bool:
             return any(not info.edges[e].from_arg
                        for e in info.nodes[nid].in_edges)
@@ -423,7 +414,11 @@ class System:
     def submit(self, client: ClientProcess, program_id: str, mode: str,
                bindings: dict[str, str] | None, reply: bool) -> str:
         info = self.programs[program_id]
-        modes, stages, triggers = self._plan(info, mode)
+        # planned once per (program, mode); a mode that fails to plan
+        # raises again on every submit
+        if mode not in info.plans:
+            info.plans[mode] = self._plan(info, mode)
+        modes, stages, triggers = info.plans[mode]
         self._inst_seq += 1
         inst = f"i{self._inst_seq}"
         bindings = dict(bindings or {})

@@ -49,15 +49,26 @@ def test_binding_must_live_where_the_consumer_runs():
 def test_unknown_mode_rejected():
     sys_, c = make_system()
     sys_.register_traced("p", chain_program([fn()]))
-    with pytest.raises(ValidationError, match="unknown dispatch mode"):
-        c.submit("p", mode="eager")
+    for _ in range(2):     # a failed plan is not cached
+        with pytest.raises(ValidationError, match="unknown dispatch mode"):
+            c.submit("p", mode="eager")
 
 
 def test_parallel_rejects_data_dependent_nodes():
     sys_, c = make_system()
     sys_.register_traced("p", chain_program([fn(), fn("dyn", regular=False)]))
-    with pytest.raises(ValidationError, match="data-dependent"):
-        c.submit("p", mode="parallel")
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="data-dependent"):
+            c.submit("p", mode="parallel")
+
+
+def test_plan_is_made_once_per_program_and_mode():
+    sys_, c = make_system()
+    sys_.register_traced("p", chain_program([fn(), fn("g")]))
+    a, b = (c.submit("p") for _ in range(2))
+    seq = c.submit("p", mode="sequential")
+    assert sys_.instances[a].modes is sys_.instances[b].modes
+    assert sys_.instances[seq].modes is not sys_.instances[a].modes
 
 
 # -- dispatch planning -----------------------------------------------------
