@@ -5,6 +5,15 @@ a time), mirrors its slice of every running program instance, launches DMA
 transfers once it holds both the producer data and the consumer addresses,
 and keeps the store's logical refcounts honest via drain reports.
 
+What a node allocates where is stated once, by `ProgramInfo.buffers`: its
+outputs on its home host, a landing buffer for inbound transfers on each of
+its hosts, and the args it creates on their home host. The gang's HBM ask,
+prep and the give-back of an unused grant all read it. Each (consuming
+edge, consumer host) holds one ref on the source buffer, a result edge one
+client hold. A consumer host sends one `drain` per edge once each pair it
+receives has landed (or, on the same device, been read by its kernel); the
+source's home host turns each drain into one release.
+
 Dispatch triggers per node come from the instance plan:
   "go"  - enqueue when the scheduler grants (parallel dispatch),
   "fut" - home host submits the gang after every predecessor shard announced
@@ -21,7 +30,8 @@ from dataclasses import dataclass, field
 from .config import BatchingConfig, CostModel
 from .coord import DataTuple, MessageBatcher, ProgressTracker, Punctuation, edge_id
 from .hardware import Cluster, KernelExec
-from .ir import ArgNode, ComputeNode, LoweredProgram, ResultNode, ShardPair
+from .ir import (ArgNode, CompiledFunction, ComputeNode, LoweredProgram,
+                 ResultNode, ShardPair)
 from .simcore import Process, Simulator
 from .store import HostStore
 
@@ -37,10 +47,7 @@ class EdgeInfo:
     dst_port: int
     src_shards: int
     to_result: bool
-    pairs: tuple[ShardPair, ...]
-    consumer_hosts: tuple[int, ...]              # hosts holding >=1 dst pair
-    pairs_by_chost: dict[int, tuple[ShardPair, ...]]
-    remote_by_chost: dict[int, tuple[ShardPair, ...]]
+    pairs_by_chost: dict[int, tuple[ShardPair, ...]]   # by consumer host
     pairs_by_shost: dict[int, tuple[ShardPair, ...]]   # by producer host
     srcs_per_dst: dict[int, int]                 # dst shard -> src shards paired
     ext_arg: bool                                 # source is a handle-bound arg
@@ -50,25 +57,17 @@ class EdgeInfo:
 @dataclass
 class NodeInfo:
     nid: str
-    fn_name: str
-    devices: tuple[int, ...]
+    fn: CompiledFunction
+    devices: tuple[int, ...]                     # shard -> device
     hosts: tuple[int, ...]
     home_host: int
     local_shards: dict[int, tuple[int, ...]]     # host -> shard indices
-    shard_device: dict[int, int]
-    duration_ns: int
-    collective: bool
-    regular: bool
-    apply_count: int
-    out_bytes: tuple[int, ...]
     in_edges: tuple[str, ...]
     out_edges: tuple[str, ...]
-    expected_inputs: dict[int, int]              # shard -> remote arrivals
-    input_sources: dict[int, tuple[int, ...]]
+    input_sources: dict[int, tuple[int, ...]]    # shard -> producer per arrival
     recv_bytes: dict[int, int]                   # shard -> landing bytes
-    hbm_by_device: dict[int, int]                # gang reservation ask
-    kernel_count: dict[int, int]                 # host -> kernels to enqueue
     args_created: tuple[str, ...]
+    hbm_by_device: dict[int, int] = field(default_factory=dict)  # gang ask
 
 
 @dataclass
@@ -94,15 +93,68 @@ class ProgramInfo:
     results: tuple[tuple[str, str, int], ...]     # (result id, src node, port)
     result_shards: int
     all_hosts: tuple[int, ...]
-    all_devices: tuple[int, ...]
     plans: dict = field(default_factory=dict)     # dispatch mode -> plan
 
     def out_handle(self, instance: str, nid: str, port: int) -> str:
         return f"o.{instance}.{nid}.{port}"
 
+    def arg_handle(self, instance: str, aid: str) -> str:
+        return f"a.{instance}.{aid}"
+
+    def recv_handle(self, instance: str, nid: str, host: int) -> str:
+        return f"r.{instance}.{nid}.h{host}"
+
     def result_handles(self, instance: str) -> list[str]:
         return [self.out_handle(instance, src, port)
                 for _rid, src, port in self.results]
+
+    def source(self, instance: str, ei: EdgeInfo) -> tuple[str, int]:
+        """The buffer an edge reads and the host whose store holds it."""
+        if ei.src in self.args:
+            return (self.arg_handle(instance, ei.src),
+                    self.args[ei.src].home_host)
+        return (self.out_handle(instance, ei.src, ei.src_port),
+                self.nodes[ei.src].home_host)
+
+    def buffers(self, instance: str, nid: str, host: int):
+        """The store rows `host` creates when it preps `nid`.
+
+        Yields (handle, [(device, bytes)] per shard, refcount, client-held).
+        This is the one statement of what a node allocates where: the gang's
+        HBM ask, prep and the give-back of an unused grant all read it.
+        """
+        ni = self.nodes[nid]
+        if host == ni.home_host:
+            for port, nbytes in enumerate(ni.fn.out_bytes):
+                rc, held = self._refs(ni.out_edges, port)
+                yield (self.out_handle(instance, nid, port),
+                       [(d, nbytes) for d in ni.devices], rc, held)
+        recv = [(ni.devices[s], ni.recv_bytes.get(s, 0))
+                for s in ni.local_shards.get(host, ())]
+        if any(nb for _d, nb in recv):
+            yield self.recv_handle(instance, nid, host), recv, 1, False
+        for aid in ni.args_created:
+            a = self.args[aid]
+            if host == a.home_host:
+                rc, held = self._refs(a.out_edges, 0)
+                yield (self.arg_handle(instance, aid),
+                       [(d, a.bytes_per_shard) for d in a.placement], rc, held)
+
+    def _refs(self, out_edges: tuple[str, ...], port: int) -> tuple[int, bool]:
+        """Each (consuming edge, consumer host) holds one ref, released by
+        that host's drain; a result edge is one client hold instead."""
+        rc = 0
+        held = False
+        for eid in out_edges:
+            ei = self.edges[eid]
+            if ei.src_port != port:
+                continue
+            if ei.to_result:
+                rc += 1
+                held = True
+            else:
+                rc += len(ei.pairs_by_chost)
+        return max(rc, 1), held
 
 
 def _by_host(devs, host_of) -> dict[int, tuple[int, ...]]:
@@ -123,32 +175,35 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     rank = {nid: i for i, nid in enumerate(order)}
     in_eids: dict[str, list[str]] = {}
     out_eids: dict[str, list[str]] = {}
+    # per consumer node, over its remote arrivals in edge order
+    sources: dict[str, dict[int, list[int]]] = {}
+    recv: dict[str, dict[int, int]] = {}
 
     for le in lp.edges:
         e = le.edge
         eid = edge_id(e.src, e.dst, e.dst_port)
         src_n = p.node(e.src)
         ext = isinstance(src_n, ArgNode) and src_n.handle is not None
-        pairs = le.reshard.pairs
         by_chost: dict[int, list[ShardPair]] = {}
         by_shost: dict[int, list[ShardPair]] = {}
-        remote: dict[int, list[ShardPair]] = {}
         nsrc: dict[int, int] = {}
-        for pr in pairs:
-            ch = host_of[pr.dst_dev]
-            by_chost.setdefault(ch, []).append(pr)
+        srcs = sources.setdefault(e.dst, {})
+        landing = recv.setdefault(e.dst, {})
+        for pr in le.reshard.pairs:
+            by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
             by_shost.setdefault(host_of[pr.src_dev], []).append(pr)
-            if pr.src_dev != pr.dst_dev:
-                remote.setdefault(ch, []).append(pr)
             # pairs are distinct (src, dst) block overlaps
             nsrc[pr.dst_shard] = nsrc.get(pr.dst_shard, 0) + 1
+            # bound args are resident already, held by the client
+            if pr.src_dev != pr.dst_dev and not ext:
+                s = pr.dst_shard
+                srcs.setdefault(s, []).append(pr.src_dev)
+                landing[s] = landing.get(s, 0) + pr.nbytes
         edges[eid] = EdgeInfo(
             eid=eid, src=e.src, dst=e.dst, src_port=e.src_port,
             dst_port=e.dst_port, src_shards=len(lp.placement[e.src]),
-            to_result=isinstance(p.node(e.dst), ResultNode), pairs=pairs,
-            consumer_hosts=tuple(sorted(by_chost)),
+            to_result=isinstance(p.node(e.dst), ResultNode),
             pairs_by_chost={h: tuple(v) for h, v in sorted(by_chost.items())},
-            remote_by_chost={h: tuple(v) for h, v in sorted(remote.items())},
             pairs_by_shost={h: tuple(v) for h, v in sorted(by_shost.items())},
             srcs_per_dst=nsrc, ext_arg=ext,
             from_arg=isinstance(src_n, ArgNode))
@@ -176,43 +231,15 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             continue
         devs = lp.placement[n.id]
         local = _by_host(devs, host_of)
-        ins = tuple(in_eids.get(n.id, ()))
-        expected: dict[int, int] = {}
-        sources: dict[int, list[int]] = {}
-        recv: dict[int, int] = {}
-        for eid in ins:
-            ei = edges[eid]
-            if ei.ext_arg:
-                continue   # data already resident, held by the client
-            for pr in ei.pairs:
-                if pr.src_dev != pr.dst_dev:
-                    s = pr.dst_shard
-                    expected[s] = expected.get(s, 0) + 1
-                    sources.setdefault(s, []).append(pr.src_dev)
-                    recv[s] = recv.get(s, 0) + pr.nbytes
-        made = tuple(created.get(n.id, ()))
-        hbm: dict[int, int] = {}
-        out_total = sum(n.fn.out_bytes)
-        for shard, dev in enumerate(devs):
-            hbm[dev] = hbm.get(dev, 0) + out_total + recv.get(shard, 0)
-        for aid in made:
-            a = args[aid]
-            for shard in range(a.shards):
-                dev = a.placement[shard]
-                hbm[dev] = hbm.get(dev, 0) + a.bytes_per_shard
         nodes[n.id] = NodeInfo(
-            nid=n.id, fn_name=n.fn.name, devices=devs,
-            hosts=tuple(local), home_host=host_of[devs[0]],
-            local_shards=local, shard_device=dict(enumerate(devs)),
-            duration_ns=n.fn.duration_ns, collective=n.fn.collective,
-            regular=n.fn.regular, apply_count=n.fn.apply_count,
-            out_bytes=n.fn.out_bytes, in_edges=ins,
+            nid=n.id, fn=n.fn, devices=devs, hosts=tuple(local),
+            home_host=host_of[devs[0]], local_shards=local,
+            in_edges=tuple(in_eids.get(n.id, ())),
             out_edges=tuple(out_eids.get(n.id, ())),
-            expected_inputs=expected,
-            input_sources={s: tuple(v) for s, v in sorted(sources.items())},
-            recv_bytes=recv, hbm_by_device=hbm,
-            kernel_count={h: len(v) for h, v in local.items()},
-            args_created=made)
+            input_sources={s: tuple(v)
+                           for s, v in sorted(sources.get(n.id, {}).items())},
+            recv_bytes=recv.get(n.id, {}),
+            args_created=tuple(created.get(n.id, ())))
 
     results = []
     nshards = 0
@@ -221,10 +248,20 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         results.append((rid, e.src, e.src_port))
         nshards += len(lp.placement[e.src])
     all_hosts = tuple(sorted({h for ni in nodes.values() for h in ni.hosts}))
-    return ProgramInfo(
+    info = ProgramInfo(
         pid=pid, lowered=lp, order=order, nodes=nodes, args=args, edges=edges,
-        results=tuple(results), result_shards=nshards, all_hosts=all_hosts,
-        all_devices=lp.all_devices())
+        results=tuple(results), result_shards=nshards, all_hosts=all_hosts)
+    # the gang's HBM ask: every row any host creates for the node (the
+    # handles, named for no instance here, go unused)
+    for ni in nodes.values():
+        hbm = dict.fromkeys(ni.devices, 0)
+        makers = {*ni.hosts, *(args[a].home_host for a in ni.args_created)}
+        for host in sorted(makers):
+            for _h, shards, _rc, _held in info.buffers("", ni.nid, host):
+                for dev, nbytes in shards:
+                    hbm[dev] = hbm.get(dev, 0) + nbytes
+        ni.hbm_by_device = hbm
+    return info
 
 
 @dataclass
@@ -237,6 +274,8 @@ class InstanceMeta:
     triggers: list[set[str]]                     # nodes each stage waits on
     arg_bindings: dict[str, str] = field(default_factory=dict)  # arg -> handle
     reply_to_client: bool = True
+    stage_idx: int = 0                           # next stage to submit
+    stage_seen: set[str] = field(default_factory=set)  # triggers reported
 
 
 # -- the host process --------------------------------------------------------
@@ -254,7 +293,6 @@ class _InstState:
     launched: dict[str, set] = field(default_factory=dict)
     arr_pending: dict[str, dict] = field(default_factory=dict)  # nid -> {shard: n}
     drain_pending: dict[str, int] = field(default_factory=dict)
-    drain_seen: dict[str, set] = field(default_factory=dict)    # home side
     failed: bool = False
 
 
@@ -330,7 +368,7 @@ class HostExecutor(Process):
             cost = self.costs.host_prep_ns
         else:
             ni = self.inst[instance].meta.program.nodes[nid]
-            cost = self.costs.pcie_enqueue_ns * ni.kernel_count[self.host_id]
+            cost = self.costs.pcie_enqueue_ns * len(ni.local_shards[self.host_id])
         self.sim.schedule_in(cost, self.pid, "task_done",
                              {"start": self.sim.now()})
 
@@ -422,48 +460,33 @@ class HostExecutor(Process):
         # grant time; host-paced nodes allocate as they prepare
         rsv = st.meta.modes[nid] != "go"
 
-        if self.host_id == ni.home_host:
-            for port, nbytes in enumerate(ni.out_bytes):
-                rc, held = self._initial_refcount(info, nid, port)
-                self.store.put(
-                    [(ni.shard_device[s], nbytes)
-                     for s in range(len(ni.devices))],
-                    owner=(st.meta.client if held else instance),
-                    refcount=rc, reserve=rsv,
-                    handle=info.out_handle(instance, nid, port))
-        local = ni.local_shards[self.host_id]
-        if sum(ni.recv_bytes.get(s, 0) for s in local):
-            self.store.put(
-                [(ni.shard_device[s], ni.recv_bytes.get(s, 0)) for s in local],
-                owner=instance, refcount=1, reserve=rsv,
-                handle=f"r.{instance}.{nid}.h{self.host_id}")
+        for handle, shards, rc, held in info.buffers(instance, nid,
+                                                     self.host_id):
+            self.store.put(shards, owner=(st.meta.client if held else instance),
+                           refcount=rc, reserve=rsv, handle=handle)
         pend = st.arr_pending.setdefault(nid, {})
-        for s in local:
-            if ni.expected_inputs.get(s, 0):
-                pend[s] = ni.expected_inputs[s]
-
+        for s in ni.local_shards[self.host_id]:
+            if s in ni.input_sources:
+                pend[s] = len(ni.input_sources[s])
         for aid in ni.args_created:
-            a = info.args[aid]
-            if self.host_id == a.home_host:
-                self.store.put(
-                    [(a.placement[s], a.bytes_per_shard)
-                     for s in range(a.shards)],
-                    owner=instance, refcount=max(len(a.out_edges), 1),
-                    reserve=rsv, handle=f"a.{instance}.{aid}")
-            mine = a.local_shards.get(self.host_id, ())
-            for eid in a.out_edges:
+            mine = info.args[aid].local_shards.get(self.host_id, ())
+            for eid in info.args[aid].out_edges:
                 self._mark_src_ready(instance, eid, mine)
 
         for eid in ni.in_edges:
             ei = info.edges[eid]
             if ei.ext_arg:
                 continue
-            self._register_consumer(info, instance, eid, nid)
+            handle, _home = info.source(instance, ei)
+            self._consumers_by_handle.setdefault(handle, []).append(
+                (instance, nid))
             my_pairs = ei.pairs_by_chost.get(self.host_id, ())
             if my_pairs:
                 st.drain_pending[eid] = st.drain_pending.get(eid, 0) + len(my_pairs)
             by_src_host: dict[int, list] = {}
-            for pr in ei.remote_by_chost.get(self.host_id, ()):
+            for pr in my_pairs:
+                if pr.src_dev == pr.dst_dev:
+                    continue
                 sh = self.cluster.device(pr.src_dev).host_id
                 by_src_host.setdefault(sh, []).append(
                     [pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes])
@@ -478,50 +501,14 @@ class HostExecutor(Process):
             self.runtime.submit_gangs(instance, [nid], src_pid=self.pid,
                                       latency_ns=self.control_latency_ns)
 
-    def _initial_refcount(self, info: ProgramInfo, nid: str,
-                          port: int) -> tuple[int, bool]:
-        """Consuming edges hold one ref each; a result adds a client hold."""
-        rc = 0
-        held = False
-        for eid in info.nodes[nid].out_edges:
-            ei = info.edges[eid]
-            if ei.src_port != port:
-                continue
-            rc += 1
-            if ei.to_result:
-                held = True
-        return max(rc, 1), held
-
     def _release_grant_reservation(self, instance: str, nid: str) -> None:
-        """Undo the slices of a gang reservation this host's prep would have
-        turned into store rows: outputs if we are the home host, our recv
-        landings, and any args we would have created."""
-        st = self.inst[instance]
-        info = st.meta.program
-        ni = info.nodes[nid]
-        out_total = sum(ni.out_bytes)
-        if self.host_id == ni.home_host and out_total:
-            for s in range(len(ni.devices)):
-                self.cluster.device(ni.shard_device[s]).hbm_release(out_total)
-        for s in ni.local_shards.get(self.host_id, ()):
-            nb = ni.recv_bytes.get(s, 0)
-            if nb:
-                self.cluster.device(ni.shard_device[s]).hbm_release(nb)
-        for aid in ni.args_created:
-            a = info.args[aid]
-            if self.host_id == a.home_host:
-                for s in range(a.shards):
-                    self.cluster.device(a.placement[s]).hbm_release(
-                        a.bytes_per_shard)
-
-    def _register_consumer(self, info: ProgramInfo, instance: str, eid: str,
-                           nid: str) -> None:
-        ei = info.edges[eid]
-        if ei.src in info.args:
-            handle = f"a.{instance}.{ei.src}"
-        else:
-            handle = info.out_handle(instance, ei.src, ei.src_port)
-        self._consumers_by_handle.setdefault(handle, []).append((instance, nid))
+        """Give back the part of a gang reservation that this host's prep
+        would have turned into store rows."""
+        info = self.inst[instance].meta.program
+        for _h, shards, _rc, _held in info.buffers(instance, nid, self.host_id):
+            for dev, nbytes in shards:
+                if nbytes:
+                    self.cluster.device(dev).hbm_release(nbytes)
 
     # -- enqueue: kernels to devices, future handoff downstream -------------
 
@@ -533,20 +520,16 @@ class HostExecutor(Process):
         ni = info.nodes[nid]
         self.stats["enqueues"] += 1
         st.enq[nid] = "done"
-        key = f"{instance}/{nid}"
-        collective = ni.collective and len(ni.devices) > 1
-        if collective:
-            self.cluster.set_collective_group(key, ni.devices)
+        collective = ni.fn.collective and len(ni.devices) > 1
         pcie = self.cluster.spec.pcie.latency_ns
         for s in ni.local_shards[self.host_id]:
+            srcs = ni.input_sources.get(s, ())
             k = KernelExec(
                 instance=instance, node=nid, shard=s,
-                duration_ns=ni.duration_ns,
-                expected_inputs=ni.expected_inputs.get(s, 0),
-                collective_key=key if collective else None,
-                group_size=len(ni.devices),
-                input_sources=ni.input_sources.get(s, ()))
-            self.sim.send(self.pid, f"dev{ni.shard_device[s]}",
+                duration_ns=ni.fn.duration_ns, expected_inputs=len(srcs),
+                collective_key=f"{instance}/{nid}" if collective else None,
+                group=ni.devices if collective else (), input_sources=srcs)
+            self.sim.send(self.pid, f"dev{ni.devices[s]}",
                           "enqueue_kernel", {"kernel": k}, latency=pcie)
         for eid in ni.out_edges:
             self._emit_edge_update(instance, eid,
@@ -554,7 +537,9 @@ class HostExecutor(Process):
         if st.meta.modes[nid] == "dat" and self.host_id == ni.home_host:
             # irregular boundary passed: the next statically plannable stage
             # can be submitted now
-            self.runtime.notify_stage_ready(instance, nid, self.pid)
+            self.sim.send(self.pid, f"client.{st.meta.client}", "stage_ready",
+                          {"instance": instance, "node": nid},
+                          latency=self.costs.client_rpc_ns)
 
     # -- edge updates (tuples plus punctuation in one message) --------------
 
@@ -566,7 +551,10 @@ class HostExecutor(Process):
         if ei.to_result:
             if cls == "dat":
                 for s in src_shards:
-                    self.runtime.result_tuple(instance, ei, s, self.pid)
+                    self.sim.send(self.pid, f"client.{st.meta.client}",
+                                  "result", {"instance": instance,
+                                             "edge": eid, "shard": s},
+                                  latency=self.costs.client_rpc_ns)
             return
         if ei.from_arg or st.meta.modes[ei.dst] != cls:
             return
@@ -666,18 +654,16 @@ class HostExecutor(Process):
             if n_local:
                 self._drain(instance, eid, n_local)
         if st.kdone[nid] == len(ni.local_shards[self.host_id]):
-            if sum(ni.recv_bytes.get(s, 0)
-                   for s in ni.local_shards[self.host_id]):
-                self.store.release(f"r.{instance}.{nid}.h{self.host_id}")
+            recv = info.recv_handle(instance, nid, self.host_id)
+            if recv in self.store.buffers:
+                self.store.release(recv)
 
     def _drain(self, instance: str, eid: str, n: int) -> None:
         st = self.inst[instance]
         st.drain_pending[eid] = st.drain_pending.get(eid, 0) - n
         if st.drain_pending[eid] == 0:
             info = st.meta.program
-            ei = info.edges[eid]
-            home = (info.args[ei.src].home_host if ei.src in info.args
-                    else info.nodes[ei.src].home_host)
+            _handle, home = info.source(instance, info.edges[eid])
             self._send(f"host{home}", "drain",
                        {"instance": instance, "edge": eid,
                         "from_host": self.host_id}, critical=False)
@@ -688,15 +674,8 @@ class HostExecutor(Process):
         if st is None:
             return
         info = st.meta.program
-        ei = info.edges[eid]
-        seen = st.drain_seen.setdefault(eid, set())
-        seen.add(payload["from_host"])
-        if len(seen) == len(ei.consumer_hosts):
-            if ei.src in info.args:
-                handle = f"a.{instance}.{ei.src}"
-            else:
-                handle = info.out_handle(instance, ei.src, ei.src_port)
-            self.store.release(handle)
+        handle, _home = info.source(instance, info.edges[eid])
+        self.store.release(handle)
 
     def _on_xfer_arrived(self, payload: dict) -> None:
         instance, nid = payload["instance"], payload["node"]
@@ -709,9 +688,10 @@ class HostExecutor(Process):
             pend[shard] -= 1
             if pend[shard] == 0:
                 del pend[shard]
-                recv = f"r.{instance}.{nid}.h{self.host_id}"
+                info = st.meta.program
+                recv = info.recv_handle(instance, nid, self.host_id)
                 if recv in self.store.buffers:
-                    local = st.meta.program.nodes[nid].local_shards[self.host_id]
+                    local = info.nodes[nid].local_shards[self.host_id]
                     self.store.resolve_shard(recv, local.index(shard))
         self._drain(instance, eid, 1)
 
@@ -766,7 +746,7 @@ class HostExecutor(Process):
             if st.kdone.get(nid, 0) >= len(mine):
                 continue
             for s in mine:
-                self.sim.send(self.pid, f"dev{ni.shard_device[s]}",
+                self.sim.send(self.pid, f"dev{ni.devices[s]}",
                               "abort_kernel",
                               {"instance": instance, "node": nid, "shard": s},
                               latency=pcie)

@@ -42,14 +42,18 @@ class KernelExec:
     shard: int
     duration_ns: int
     expected_inputs: int = 0            # pending inbound transfers
-    collective_key: str | None = None   # group id; None = independent kernel
-    group_size: int = 1
+    collective_key: str | None = None   # rendezvous id; None = independent
+    group: tuple[int, ...] = ()         # a collective's member devices
     input_sources: tuple[int, ...] = ()  # producer devices, for the wait graph
     aborted: bool = False
 
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.instance, self.node, self.shard)
+
+    @property
+    def group_size(self) -> int:
+        return len(self.group)
 
 
 @dataclass
@@ -209,7 +213,6 @@ class Cluster:
     def __init__(self, sim: Simulator, spec: ClusterSpec):
         self.sim = sim
         self.spec = spec
-        self._group_of: dict[str, tuple[int, ...]] = {}
         self.devices: list[DeviceProcess] = []
         self.island_devices: dict[int, list[int]] = {}
         self.host_devices: dict[int, list[int]] = {}
@@ -306,16 +309,7 @@ class Cluster:
         if r is None:
             return []
         here = {d for d, _t in r.arrived}
-        group = self._collective_group(k)
-        return sorted(set(group) - here)
-
-    # group membership is registered up front so the wait-for graph can name
-    # members that have not arrived yet
-    def set_collective_group(self, key: str, devices: tuple[int, ...]) -> None:
-        self._group_of[key] = devices
-
-    def _collective_group(self, k: KernelExec) -> tuple[int, ...]:
-        return self._group_of.get(k.collective_key or "", ())
+        return sorted(set(k.group) - here)
 
 
 def enqueue_kernel(sim: Simulator, device_id: int, kernel: KernelExec,

@@ -188,9 +188,6 @@ class TracedProgram:
     def node(self, nid: str):
         return self.nodes[nid]
 
-    def in_edges(self, nid: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == nid]
-
 
 class Tracer:
     """Builds a TracedProgram call by call.
@@ -318,10 +315,6 @@ class LoweredProgram:
     edges: list[LoweredEdge]
     device_map: dict[str, tuple[int, ...]]   # slice id -> devices
 
-    def all_devices(self) -> tuple[int, ...]:
-        seen = {d for devs in self.placement.values() for d in devs}
-        return tuple(sorted(seen))
-
 
 def _shard_geometry(p: TracedProgram, placement: dict[str, tuple[int, ...]],
                     nid: str, port: int, side: str) -> tuple[int, int, str, tuple[int, ...]]:
@@ -354,21 +347,25 @@ def lower(p: TracedProgram,
                 f"slice {sid}: requirement {req.device_count} devices, map has "
                 f"{len(dmap[sid])}")
 
+    # first consumer and first producer of each node, in edge order
+    consumer: dict[str, str] = {}
+    producer: dict[str, str] = {}
+    for e in p.edges:
+        consumer.setdefault(e.src, e.dst)
+        producer.setdefault(e.dst, e.src)
     placement: dict[str, tuple[int, ...]] = {}
     for n in p.nodes.values():
         if isinstance(n, ComputeNode):
             placement[n.id] = dmap[n.slice_id]
     for n in p.nodes.values():
         if isinstance(n, ArgNode):
-            consumers = [e.dst for e in p.edges if e.src == n.id]
-            if not consumers:
+            if n.id not in consumer:
                 raise LowerError(f"arg {n.id} has no consumer")
-            devs = placement[consumers[0]]
+            devs = placement[consumer[n.id]]
             placement[n.id] = tuple(devs[i % len(devs)] for i in range(n.shards))
     for n in p.nodes.values():
         if isinstance(n, ResultNode):
-            src = [e.src for e in p.edges if e.dst == n.id][0]
-            placement[n.id] = placement[src]
+            placement[n.id] = placement[producer[n.id]]
 
     lowered_edges: list[LoweredEdge] = []
     for e in p.edges:
@@ -461,9 +458,11 @@ def deserialize(text: str) -> TracedProgram:
 
 
 def _validate_graph(p: TracedProgram) -> None:
+    inbound: dict[str, int] = {}
     for e in p.edges:
         if e.src not in p.nodes or e.dst not in p.nodes:
             raise TraceError(f"edge {e} references unknown node")
+        inbound[e.dst] = inbound.get(e.dst, 0) + 1
     for rid in p.results:
         if rid not in p.nodes or not isinstance(p.node(rid), ResultNode):
             raise TraceError(f"results entry {rid} is not a result node")
@@ -475,7 +474,7 @@ def _validate_graph(p: TracedProgram) -> None:
             raise TraceError(
                 f"node {n.id}: {n.fn.shard_count} shards on slice of "
                 f"{req.device_count} devices")
-        seen = len(p.in_edges(n.id))
+        seen = inbound.get(n.id, 0)
         if seen != len(n.fn.in_bytes):
             raise TraceError(
                 f"node {n.id}: {seen} inbound edges for {len(n.fn.in_bytes)} inputs")

@@ -82,7 +82,6 @@ class ClientProcess(Process):
         self.jobs: dict[str, object] = {}
         self.inst_job: dict[str, str] = {}
         self.results_seen: dict[str, set] = {}
-        self.expect: dict[str, int] = {}
         self.handles: dict[str, list[str]] = {}
         self.submitted_at: dict[str, int] = {}
         self.granted_at: dict[str, int] = {}
@@ -103,17 +102,20 @@ class ClientProcess(Process):
         return inst
 
     def release_results(self, inst: str) -> None:
-        for h in self.handles.get(inst, []):
+        info = self.system.instances[inst].program
+        for _rid, src, port in info.results:
+            h = info.out_handle(inst, src, port)
             if h in self._released:
                 continue
             self._released.add(h)
-            home = self.system.handle_home[h]
-            self.batcher.send(f"host{home}", "release", {"handle": h},
-                              critical=False)
+            self.batcher.send(f"host{info.nodes[src].home_host}", "release",
+                              {"handle": h}, critical=False)
 
     # -- messages ----------------------------------------------------------
 
     def handle(self, kind: str, payload: dict, src: str | None) -> None:
+        if kind == "die":
+            self.dead = True
         if self.dead:
             return
         if kind == "batch_timeout":
@@ -148,11 +150,11 @@ class ClientProcess(Process):
             return
         seen = self.results_seen.setdefault(inst, set())
         seen.add((payload["edge"], payload["shard"]))
-        if len(seen) < self.expect.get(inst, 1):
+        info = self.system.instances[inst].program
+        if len(seen) < info.result_shards:
             return
         self.completed_at[inst] = self.sim.now()
         self.system.finish_instance(inst)
-        info = self.system.instances[inst].program
         for h in info.all_hosts:
             self.batcher.send(f"host{h}", "instance_done", {"instance": inst},
                               critical=False)
@@ -281,11 +283,10 @@ class SerialChainJob:
 # -- the system --------------------------------------------------------------
 
 class System:
-    def __init__(self, spec: ClusterSpec, costs: CostModel | None = None,
-                 policy: Policy | None = None,
+    def __init__(self, spec: ClusterSpec, policy: Policy | None = None,
                  record_log: bool = False, record_trace: bool = True):
         self.spec = spec
-        self.costs = costs or CostModel()
+        self.costs = CostModel()
         self.policy = policy or Policy()
         self.batching = BatchingConfig()
         self.sim = Simulator(record_log=record_log, record_trace=record_trace)
@@ -306,14 +307,10 @@ class System:
         self.programs: dict[str, ProgramInfo] = {}
         self.instances: dict[str, InstanceMeta] = {}
         self.gang_left: dict[tuple[str, str], int] = {}
-        self.units: dict[tuple[str, str], int] = {}
         self.handle_devices: dict[str, tuple[int, ...]] = {}
-        self.handle_home: dict[str, int] = {}
         self.handle_digests: dict[str, str] = {}
         self.inst_digests: dict[str, list[str]] = {}
         self._inst_seq = 0
-        self._stage_idx: dict[str, int] = {}
-        self._stage_seen: dict[str, set[str]] = {}
         self._job_seq = 0
 
     # -- setup -------------------------------------------------------------
@@ -371,7 +368,7 @@ class System:
             stage0 = []
             for nid in info.order:
                 if gatable(nid):
-                    modes[nid] = "dat" if not info.nodes[nid].regular else "fut"
+                    modes[nid] = "fut" if info.nodes[nid].fn.regular else "dat"
                 else:
                     modes[nid] = "go"
                     stage0.append(nid)
@@ -386,7 +383,7 @@ class System:
             cur: list[str] = []
             pending_trigger: set[str] = set()
             for nid in info.order:
-                if info.nodes[nid].regular:
+                if info.nodes[nid].fn.regular:
                     if not cur:
                         triggers.append(set(pending_trigger))
                         pending_trigger = set()
@@ -441,29 +438,24 @@ class System:
             self.hosts[h].install(meta)
         for nid, ni in info.nodes.items():
             self.gang_left[(inst, nid)] = len(ni.devices)
-            self.units[(inst, nid)] = ni.apply_count
         for _rid, srcn, port in info.results:
             h = info.out_handle(inst, srcn, port)
             self.handle_devices[h] = info.nodes[srcn].devices
-            self.handle_home[h] = info.nodes[srcn].home_host
-        client.expect[inst] = info.result_shards
         client.handles[inst] = info.result_handles(inst)
-        self._stage_idx[inst] = 0
         self.submit_next_stage(inst)
         return inst
 
     def submit_next_stage(self, inst: str, ready_node: str | None = None) -> None:
         meta = self.instances[inst]
-        seen = self._stage_seen.setdefault(inst, set())
         if ready_node is not None:
-            seen.add(ready_node)
+            meta.stage_seen.add(ready_node)
         while True:
-            idx = self._stage_idx[inst]
+            idx = meta.stage_idx
             if idx >= len(meta.stages):
                 return
-            if not meta.triggers[idx] <= seen:
+            if not meta.triggers[idx] <= meta.stage_seen:
                 return
-            self._stage_idx[inst] = idx + 1
+            meta.stage_idx = idx + 1
             nids = meta.stages[idx]
             if not nids:
                 continue
@@ -491,7 +483,7 @@ class System:
             g = GangRequest(
                 instance=inst, node=nid, client=meta.client,
                 devices=ni.devices, hosts=ni.hosts,
-                hbm=hbm, duration_ns=ni.duration_ns)
+                hbm=hbm, duration_ns=ni.fn.duration_ns)
             by_island.setdefault(island, []).append(g)
             last_gang = g
         if reply_last and last_gang is not None:
@@ -499,18 +491,6 @@ class System:
             last_gang.reply_payload = {"handles": info.result_handles(inst)}
         for island in sorted(by_island):
             self.scheds[island].submit(by_island[island], src_pid, latency_ns)
-
-    def notify_stage_ready(self, inst: str, nid: str, src_pid: str) -> None:
-        meta = self.instances[inst]
-        self.sim.send(src_pid, f"client.{meta.client}", "stage_ready",
-                      {"instance": inst, "node": nid},
-                      latency=self.costs.client_rpc_ns)
-
-    def result_tuple(self, inst: str, ei, src_shard: int, src_pid: str) -> None:
-        meta = self.instances[inst]
-        self.sim.send(src_pid, f"client.{meta.client}", "result",
-                      {"instance": inst, "edge": ei.eid, "shard": src_shard},
-                      latency=self.costs.client_rpc_ns)
 
     # -- value identity ----------------------------------------------------
 
@@ -531,10 +511,11 @@ class System:
                 ei = info.edges[eid]
                 ins.append(dig[(ei.src, ei.src_port)])
             d = ins[0] if len(ins) == 1 else _h("tuple", *ins)
-            for _ in range(ni.apply_count):
-                d = _h("apply", ni.fn_name, d)
-            for port in range(len(ni.out_bytes)):
-                dig[(nid, port)] = d if len(ni.out_bytes) == 1 else _h(d, port)
+            nout = len(ni.fn.out_bytes)
+            for _ in range(ni.fn.apply_count):
+                d = _h("apply", ni.fn.name, d)
+            for port in range(nout):
+                dig[(nid, port)] = d if nout == 1 else _h(d, port)
         out = []
         for _rid, srcn, port in info.results:
             h = info.out_handle(inst, srcn, port)
@@ -557,7 +538,6 @@ class System:
                     detect_ns: int | None = None) -> None:
         """The client dies at at_ns; the fleet learns after a detection lag."""
         self.sim.schedule_at(at_ns, client.pid, "die", {})
-        client.handle = _dying_handle(client)
         t = at_ns + (detect_ns if detect_ns is not None
                      else self.spec.dcn.latency_ns * 2)
         for h in sorted(self.hosts):
@@ -574,7 +554,7 @@ class System:
 
     def completion_series(self) -> list[tuple[int, int]]:
         """(t_ns, units) per finished gang, in completion order."""
-        return [(t, self.units.get((inst, node), 1))
+        return [(t, self.instances[inst].program.nodes[node].fn.apply_count)
                 for t, inst, node in self.sim.completions]
 
     def device_busy_fraction(self, devices: list[int] | tuple[int, ...],
@@ -585,18 +565,6 @@ class System:
             if r.category == "kernel" and r.tid in devs:
                 busy += max(0, min(r.end_ns, t1) - max(r.start_ns, t0))
         return busy / (len(devs) * (t1 - t0)) if t1 > t0 else 0.0
-
-
-def _dying_handle(client: ClientProcess):
-    orig = client.handle
-
-    def handler(kind: str, payload: dict, src: str | None) -> None:
-        if kind == "die":
-            client.dead = True
-            return
-        orig(kind, payload, src)
-
-    return handler
 
 
 def steady_rate(series: list[tuple[int, int]], lo: float = 0.25,
@@ -668,9 +636,9 @@ class MCHost(Process):
         for d in self.local:
             k = KernelExec(
                 instance="mc", node=f"c{i}", shard=self.group.index(d),
-                duration_ns=self.duration_ns, expected_inputs=0,
+                duration_ns=self.duration_ns,
                 collective_key=f"mc/c{i}" if len(self.group) > 1 else None,
-                group_size=len(self.group))
+                group=self.group if len(self.group) > 1 else ())
             self.sim.send(self.pid, f"dev{d}", "enqueue_kernel",
                           {"kernel": k}, latency=pcie)
         self._emitted = i + 1
@@ -697,18 +665,15 @@ class BaselineRun:
 
 
 def multicontroller_baseline(spec: ClusterSpec, count: int, duration_ns: int,
-                             costs: CostModel | None = None,
                              devices: list[int] | None = None,
                              record_trace: bool = False) -> BaselineRun:
     """Reference: every host enqueues its own kernels, nobody coordinates."""
-    costs = costs or CostModel()
+    costs = CostModel()
     sim = Simulator(record_trace=record_trace)
     cluster = _McCluster(sim, spec)
     group = (tuple(devices) if devices is not None
              else tuple(d.device_id for d in cluster.devices))
     cluster.group_n = len(group)
-    for i in range(count):
-        cluster.set_collective_group(f"mc/c{i}", group)
     by_host: dict[int, list[int]] = {}
     for d in group:
         by_host.setdefault(cluster.device(d).host_id, []).append(d)

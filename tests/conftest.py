@@ -1,6 +1,6 @@
 import pytest
 
-from flowpath.config import CostModel, small_cluster
+from flowpath.config import small_cluster
 
 
 @pytest.fixture
@@ -11,8 +11,3 @@ def spec():
 @pytest.fixture
 def tiny_spec():
     return small_cluster(hosts=1, devices_per_host=1)
-
-
-@pytest.fixture
-def costs():
-    return CostModel()

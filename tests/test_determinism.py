@@ -18,11 +18,11 @@ from flowpath import (CompiledFunction, StreamJob, System, chain_program,
 
 PINS = {
     "parallel":
-        "c15756e6627c0892f8ecdf88590bd8d60d6a2918425d3370eb59bc24f62ca698",
+        "6dd13fae75f5a64e5849019b98991118e8f7b9eb15d25ca4929a8ce8406daf00",
     "sequential":
-        "ac7cb9bcac5ac372efec29ee6c4fe086e18ef8d944cf13e7798655fcc911cd5c",
+        "43eb080135e359eb651f5052f541eb546b38f7288b6b2fcd99aad3e34d2f9eb6",
     "auto":
-        "1bd15e0f27fd1b17ecb97d549fdd3f4874f2be68286d0af1d71d7ff43c47ad03",
+        "d8a83f98e87f5ea07496af3991718e11f2bbcb8eccd23ad5efe374ebef2c2541",
 }
 
 COMPLETION_PINS = {

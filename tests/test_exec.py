@@ -13,7 +13,7 @@ from flowpath.hardware import transfer_ns
 from flowpath.ir import CompiledFunction, Tracer, chain_program
 from flowpath.runtime import SerialChainJob, StreamJob, System, steady_rate
 from flowpath.simcore import us
-from flowpath.store import audit_leaks, audit_no_double_free
+from flowpath.store import StoreError, audit_leaks, audit_no_double_free
 
 MB = 1 << 20
 
@@ -189,3 +189,29 @@ def test_surviving_client_is_untouched_by_anothers_failure():
     assert jg.done and jg.completed == 4
     assert audit_no_double_free(sys_.audit) == []
     assert audit_leaks(sys_.cluster) == {}
+
+
+# -- known defect: host-gated prep under HBM pressure ----------------------
+
+@pytest.mark.parametrize("mode", [
+    "parallel",
+    pytest.param("sequential", marks=pytest.mark.xfail(
+        strict=True, raises=StoreError,
+        reason="host-gated prep draws HBM with store.put(reserve=True), "
+               "which raises instead of waiting for memory")),
+])
+def test_chain_waits_for_memory_under_hbm_pressure(mode):
+    # HBM fits three 512 KB outputs: parallel dispatch parks gangs at the
+    # scheduler until memory returns, host-gated prep allocates directly
+    kb = 1024
+    fns = [CompiledFunction("a", 1, (4 * kb,), (512 * kb,), 50),
+           CompiledFunction("b", 1, (512 * kb,), (512 * kb,), 50)]
+    sys_ = System(small_cluster(hosts=1, devices_per_host=1,
+                                hbm_bytes=3 * 512 * kb + 4 * kb),
+                  record_trace=False)
+    sys_.register_traced("p", chain_program(fns))
+    c = sys_.add_client("c0")
+    sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=20, window=4,
+                                mode=mode))
+    assert sys_.run().status == "quiescent"
+    assert len(c.completed_at) == 20

@@ -15,10 +15,10 @@ def make_cluster(**kw):
     return sim, Cluster(sim, small_cluster(**kw))
 
 
-def k(inst, node, shard=0, dur=us(10), key=None, group=1, inputs=0, srcs=()):
+def k(inst, node, shard=0, dur=us(10), key=None, group=(), inputs=0, srcs=()):
     return KernelExec(instance=inst, node=node, shard=shard, duration_ns=dur,
                       expected_inputs=inputs, collective_key=key,
-                      group_size=group, input_sources=srcs)
+                      group=group, input_sources=srcs)
 
 
 # -- kernel queue ------------------------------------------------------------
@@ -97,9 +97,8 @@ def test_transfers_overlap_compute():
 
 def test_collective_completes_together_at_last_arrival():
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    cl.set_collective_group("g", (0, 1))
-    enqueue_kernel(sim, 0, k("i", "c", 0, us(10), key="g", group=2), at=0)
-    enqueue_kernel(sim, 1, k("i", "c", 1, us(10), key="g", group=2), at=us(7))
+    enqueue_kernel(sim, 0, k("i", "c", 0, us(10), key="g", group=(0, 1)), at=0)
+    enqueue_kernel(sim, 1, k("i", "c", 1, us(10), key="g", group=(0, 1)), at=us(7))
     assert sim.run_until_quiescent().status == "quiescent"
     ends = sorted((t.tid, t.end_ns) for t in sim.trace)
     assert ends == [(0, us(17)), (1, us(17))]   # last arrival 7us + 10us
@@ -108,12 +107,10 @@ def test_collective_completes_together_at_last_arrival():
 def test_crossed_collectives_deadlock_and_cycle_is_found():
     """dev0 queues A then B; dev1 queues B then A: classic rendezvous wedge."""
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    cl.set_collective_group("A", (0, 1))
-    cl.set_collective_group("B", (0, 1))
-    enqueue_kernel(sim, 0, k("i", "A", 0, key="A", group=2), at=0)
-    enqueue_kernel(sim, 0, k("i", "B", 0, key="B", group=2), at=0)
-    enqueue_kernel(sim, 1, k("i", "B", 1, key="B", group=2), at=0)
-    enqueue_kernel(sim, 1, k("i", "A", 1, key="A", group=2), at=0)
+    enqueue_kernel(sim, 0, k("i", "A", 0, key="A", group=(0, 1)), at=0)
+    enqueue_kernel(sim, 0, k("i", "B", 0, key="B", group=(0, 1)), at=0)
+    enqueue_kernel(sim, 1, k("i", "B", 1, key="B", group=(0, 1)), at=0)
+    enqueue_kernel(sim, 1, k("i", "A", 1, key="A", group=(0, 1)), at=0)
     res = sim.run_until_quiescent()
     assert res.status == "deadlock"
     cycle = find_wait_cycle(sim.wait_for_graph())
@@ -122,11 +119,9 @@ def test_crossed_collectives_deadlock_and_cycle_is_found():
 
 def test_identically_ordered_collectives_run_clean():
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    cl.set_collective_group("A", (0, 1))
-    cl.set_collective_group("B", (0, 1))
     for d in (0, 1):
-        enqueue_kernel(sim, d, k("i", "A", d, key="A", group=2), at=0)
-        enqueue_kernel(sim, d, k("i", "B", d, key="B", group=2), at=0)
+        enqueue_kernel(sim, d, k("i", "A", d, key="A", group=(0, 1)), at=0)
+        enqueue_kernel(sim, d, k("i", "B", d, key="B", group=(0, 1)), at=0)
     res = sim.run_until_quiescent()
     assert res.status == "quiescent"
     assert len([t for t in sim.trace if t.category == "kernel"]) == 4
@@ -136,10 +131,9 @@ def test_abort_releases_a_parked_rendezvous():
     """dev0 waits at a rendezvous its peer will never reach; the abort frees
     the device for the next queued kernel."""
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    cl.set_collective_group("A", (0, 1))
     aborted = []
     cl.on_kernel_aborted = lambda dev, kk: aborted.append((dev.device_id, kk.node))
-    enqueue_kernel(sim, 0, k("i", "A", 0, key="A", group=2), at=0)
+    enqueue_kernel(sim, 0, k("i", "A", 0, key="A", group=(0, 1)), at=0)
     enqueue_kernel(sim, 0, k("i", "tail", 0, dur=us(3)), at=0)
     sim.schedule_at(us(10), "dev0", "abort_kernel",
                     {"instance": "i", "node": "A", "shard": 0})
@@ -209,10 +203,9 @@ def test_single_global_order_never_deadlocks(n_dev, n_gang, data):
     runs to completion; rendezvous needs order divergence to wedge."""
     order = data.draw(st.permutations(range(n_gang)))
     sim, cl = make_cluster(hosts=1, devices_per_host=n_dev)
-    for g in range(n_gang):
-        cl.set_collective_group(f"g{g}", tuple(range(n_dev)))
+    group = tuple(range(n_dev))
     for d in range(n_dev):
         for g in order:
-            enqueue_kernel(sim, d, k("i", f"g{g}", d, key=f"g{g}", group=n_dev),
+            enqueue_kernel(sim, d, k("i", f"g{g}", d, key=f"g{g}", group=group),
                            at=0)
     assert sim.run_until_quiescent().status == "quiescent"

@@ -182,12 +182,6 @@ def test_lower_computes_cross_device_pairs():
     assert le.reshard.transfer_bytes == 2048
 
 
-def test_all_devices_sorted_union():
-    p = chain_program([fn("a", shards=2), fn("b", shards=2)])
-    lp = lower(p, {"s0": (5, 1), "s1": (0, 3)})
-    assert lp.all_devices() == (0, 1, 3, 5)
-
-
 # -- serialization -----------------------------------------------------------
 
 def test_round_trip_preserves_digest_and_shape():

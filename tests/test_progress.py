@@ -1,15 +1,22 @@
-"""Sparse progress tracking on the host-gated (sequential, auto) path.
+"""Sparse progress tracking on the host-gated (sequential, auto) path, and
+buffer lifetimes across reshard shapes.
 
 A producer host sends its edge updates only to the consumer hosts its
 reshard pairs feed, plus the consumer node's home host, so control traffic
-grows with pairs and hosts, not with hosts squared. Generated reshard edges
-check that this keeps the run's invariants.
+grows with pairs and hosts, not with hosts squared. Generated reshard edges,
+in every dispatch mode and with or without a client failure, check that
+the run's invariants hold. Each (consuming edge, consumer host) holds one
+ref on the producer's buffer, so a fanned-out output is freed by the drain
+of the last consumer host.
 """
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowpath import (CompiledFunction, StreamJob, System, chain_program,
-                      small_cluster)
+from flowpath import (CompiledFunction, StreamJob, System, Tracer,
+                      chain_program, small_cluster)
+from flowpath.ir import lower
+from flowpath.simcore import us
 from flowpath.store import audit_leaks, audit_no_double_free
 
 # per-edge logical bytes: divisible by every shard count drawn below; a
@@ -38,7 +45,7 @@ def test_sequential_events_grow_about_linearly_in_hosts():
 
 
 def run_reshard_chain(src: int, dst: int, total: int, hosts: int, dph: int,
-                      mode: str) -> System:
+                      mode: str, fail_us: int | None = None) -> System:
     """head (src shards) -> mid (dst shards) -> tail (src shards)."""
     a, b = total // src, total // dst
     fns = [CompiledFunction("head", src, (a,), (a,), 20.0),
@@ -48,25 +55,83 @@ def run_reshard_chain(src: int, dst: int, total: int, hosts: int, dph: int,
     system = System(small_cluster(hosts=hosts, devices_per_host=dph),
                     record_trace=False)
     system.register_traced("chain", chain_program(fns))
-    system.start_job(system.add_client("c0"), StreamJob(
+    client = system.add_client("c0")
+    system.start_job(client, StreamJob(
         system.new_job_id(), "chain", 2, window=2, mode=mode))
+    if fail_us is not None:
+        system.fail_client(client, at_ns=us(fail_us))
     assert system.run().status == "quiescent"
     return system
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(src=st.integers(1, 4), dst=st.integers(1, 4),
        total=st.sampled_from(TOTALS), hosts=st.integers(1, 4),
-       dph=st.integers(1, 2), mode=st.sampled_from(["sequential", "auto"]))
-def test_host_gated_reshard_edges_keep_invariants(src, dst, total, hosts, dph,
-                                                   mode):
+       dph=st.integers(1, 2),
+       mode=st.sampled_from(["parallel", "sequential", "auto"]),
+       fail_us=st.none() | st.integers(400, 2400))
+def test_reshard_edges_keep_invariants(src, dst, total, hosts, dph, mode,
+                                       fail_us):
     # identity (src == dst), gather, scatter and all-to-all edges, each
-    # spread over as many hosts as the cluster allows
+    # spread over as many hosts as the cluster allows; a run takes about
+    # 2-3 ms, so a failure lands anywhere from before the first grant to
+    # after the last result
     assume(max(src, dst) <= hosts * dph)
-    ref = run_reshard_chain(src, dst, total, hosts, dph, "parallel")
-    system = run_reshard_chain(src, dst, total, hosts, dph, mode)
+    system = run_reshard_chain(src, dst, total, hosts, dph, mode, fail_us)
     assert audit_leaks(system.cluster) == {}
     assert audit_no_double_free(system.audit) == []
-    assert system.inst_digests == ref.inst_digests
-    assert [h.tracker.pending_count() for h in system.hosts.values()] == \
-        [0] * len(system.hosts)
+    if fail_us is None:
+        ref = run_reshard_chain(src, dst, total, hosts, dph, "parallel")
+        assert system.inst_digests == ref.inst_digests
+        assert [h.tracker.pending_count() for h in system.hosts.values()] \
+            == [0] * len(system.hosts)
+
+
+def drains_to(system: System, host: int) -> list[tuple[int, dict]]:
+    """(t_ns, payload) of every drain report the host handled."""
+    out = []
+    for t, _seq, target, kind, payload in system.sim.log:
+        if target != f"host{host}":
+            continue
+        msgs = (payload["messages"] if kind == "batch"
+                else [{"kind": kind, "payload": payload}])
+        out += [(t, m["payload"]) for m in msgs if m["kind"] == "drain"]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+def test_fan_out_buffer_is_freed_by_the_last_consumer_hosts_drain(mode):
+    # head runs on host 0; b reads its output on host 1, c on hosts 0 and
+    # 2. Hosts 1 and 2 drain as their transfers land, host 0 only after c's
+    # kernel has read its shard in place, so the drains come at two instants
+    t = Tracer()
+    slices = [t.virtual_slice([2]) for _ in range(3)]
+    x = t.arg(2, 4096)
+    h = t.call(CompiledFunction("head", 2, (4096,), (4096,), 20.0), x,
+               slice_id=slices[0])
+    b = t.call(CompiledFunction("b", 2, (4096,), (4096,), 30.0), h,
+               slice_id=slices[1])
+    c = t.call(CompiledFunction("c", 2, (4096,), (4096,), 40.0), h,
+               slice_id=slices[2])
+    prog = t.finish(results=[b, c])
+    system = System(small_cluster(hosts=3, devices_per_host=2),
+                    record_log=True)
+    info = system.register_program("f", lower(prog, dict(zip(
+        slices, [(0, 1), (2, 3), (0, 4)]))))
+    system.start_job(system.add_client("c0"), StreamJob(
+        system.new_job_id(), "f", 3, window=2, mode=mode))
+    assert system.run().status == "quiescent"
+    assert audit_leaks(system.cluster) == {}
+    drains = drains_to(system, info.nodes[h.node].home_host)
+    for inst in ("i1", "i2", "i3"):
+        handle = info.out_handle(inst, h.node, 0)
+        mine = [(t_ns, d) for t_ns, d in drains if d["instance"] == inst
+                and info.edges[d["edge"]].src == h.node]
+        assert sorted((info.edges[d["edge"]].dst, d["from_host"])
+                      for _t, d in mine) == \
+            [(b.node, 1), (c.node, 0), (c.node, 2)]
+        times = sorted(t_ns for t_ns, _d in mine)
+        assert times[1] < times[2]
+        frees = {row[5] for row in system.audit
+                 if row[0] == "free" and row[1] == handle}
+        assert frees == {times[2]}
