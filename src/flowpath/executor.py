@@ -14,6 +14,12 @@ client hold. A consumer host sends one `drain` per edge once each pair it
 receives has landed (or, on the same device, been read by its kernel); the
 source's home host turns each drain into one release.
 
+An instance fails only with its client. Each host then aborts what its
+unfinished shards may have on a device (kernel, landed inputs), gives back
+grants it never prepped, and drops the instance as `instance_done` drops a
+finished one. Later messages for it are ignored, except a transfer that
+lands late: its device is told to drop it too.
+
 Dispatch triggers per node come from the instance plan:
   "go"  - enqueue when the scheduler grants (parallel dispatch),
   "fut" - home host submits the gang after every predecessor shard announced
@@ -31,7 +37,7 @@ from .config import BatchingConfig, CostModel
 from .coord import DataTuple, MessageBatcher, ProgressTracker, Punctuation, edge_id
 from .hardware import Cluster, KernelExec
 from .ir import (ArgNode, CompiledFunction, ComputeNode, LoweredProgram,
-                 ResultNode, ShardPair)
+                 ResultNode, ShardPair, arg_consumers)
 from .simcore import Process, Simulator
 from .store import HostStore
 
@@ -172,7 +178,6 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     args: dict[str, ArgInfo] = {}
     edges: dict[str, EdgeInfo] = {}
     order = tuple(n.id for n in p.nodes.values() if isinstance(n, ComputeNode))
-    rank = {nid: i for i, nid in enumerate(order)}
     in_eids: dict[str, list[str]] = {}
     out_eids: dict[str, list[str]] = {}
     # per consumer node, over its remote arrivals in edge order
@@ -210,6 +215,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         in_eids.setdefault(e.dst, []).append(eid)
         out_eids.setdefault(e.src, []).append(eid)
 
+    creator = arg_consumers(p)
     created: dict[str, list[str]] = {}
     for n in p.nodes.values():
         if not isinstance(n, ArgNode):
@@ -222,9 +228,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             local_shards=_by_host(placement, host_of),
             out_edges=outs, ext=n.handle is not None)
         if n.handle is None:
-            # the first consumer in trace order allocates the arg
-            creator = min((edges[eid].dst for eid in outs), key=rank.__getitem__)
-            created.setdefault(creator, []).append(n.id)
+            created.setdefault(creator[n.id], []).append(n.id)
 
     for n in p.nodes.values():
         if not isinstance(n, ComputeNode):
@@ -284,16 +288,13 @@ class InstanceMeta:
 class _InstState:
     meta: InstanceMeta
     prep: dict[str, str] = field(default_factory=dict)    # node -> queued/done
-    enq: dict[str, str] = field(default_factory=dict)
     ticket: dict[str, int] = field(default_factory=dict)
     ready_shards: dict[str, int] = field(default_factory=dict)
     kdone: dict[str, int] = field(default_factory=dict)   # node -> local done
     src_done: dict[str, set] = field(default_factory=dict)      # eid -> shards
     addr: dict[str, dict] = field(default_factory=dict)   # eid -> {(s,d): ...}
     launched: dict[str, set] = field(default_factory=dict)
-    arr_pending: dict[str, dict] = field(default_factory=dict)  # nid -> {shard: n}
     drain_pending: dict[str, int] = field(default_factory=dict)
-    failed: bool = False
 
 
 class HostExecutor(Process):
@@ -314,15 +315,13 @@ class HostExecutor(Process):
         self.inst: dict[str, _InstState] = {}
         self._tasks: list[tuple] = []
         self._working = False
-        self._consumers_by_handle: dict[str, list[tuple[str, str]]] = {}
         self.stats = {"ctrl_msgs": 0, "preps": 0, "enqueues": 0}
 
     # -- plumbing ----------------------------------------------------------
 
     def install(self, meta: InstanceMeta) -> None:
         """Out-of-band instance registration (program metadata is resident)."""
-        st = _InstState(meta)
-        self.inst[meta.instance] = st
+        self.inst[meta.instance] = _InstState(meta)
         info = meta.program
         for nid, ni in info.nodes.items():
             mode = meta.modes[nid]
@@ -336,11 +335,6 @@ class HostExecutor(Process):
                         self.tracker.expect(
                             meta.instance, nid, f"{mode}:{eid}",
                             ei.src_shards if home else ei.srcs_per_dst)
-                st.ready_shards[nid] = 0
-        for aid, handle in meta.arg_bindings.items():
-            for eid in info.args[aid].out_edges:
-                self._consumers_by_handle.setdefault(handle, []).append(
-                    (meta.instance, info.edges[eid].dst))
 
     def _send(self, dst: str, kind: str, payload: dict, critical: bool) -> None:
         self.stats["ctrl_msgs"] += 1
@@ -367,7 +361,8 @@ class HostExecutor(Process):
         if kind == "prep":
             cost = self.costs.host_prep_ns
         else:
-            ni = self.inst[instance].meta.program.nodes[nid]
+            # the instance may have left this host since the task was queued
+            ni = self.runtime.instances[instance].program.nodes[nid]
             cost = self.costs.pcie_enqueue_ns * len(ni.local_shards[self.host_id])
         self.sim.schedule_in(cost, self.pid, "task_done",
                              {"start": self.sim.now()})
@@ -409,8 +404,6 @@ class HostExecutor(Process):
             self._on_instance_done(payload)
         elif kind == "client_failed":
             self._on_client_failed(payload)
-        elif kind == "buffer_lost":
-            self._propagate_loss(payload["handle"])
         elif kind == "batch":
             for m in payload["messages"]:
                 self.handle(m["kind"], m["payload"], src)
@@ -422,18 +415,18 @@ class HostExecutor(Process):
     def _on_go(self, payload: dict) -> None:
         instance, nid = payload["instance"], payload["node"]
         st = self.inst.get(instance)
-        if st is None or st.failed:
-            # grant raced an abort: the scheduler reserved memory for a gang
+        if st is None:
+            # grant raced a failure: the scheduler reserved memory for a gang
             # that will never be prepped; give back the parts whose buffers
             # this host would have created
-            if st is not None and st.meta.modes[nid] == "go":
-                self._release_grant_reservation(instance, nid)
+            meta = self.runtime.instances[instance]
+            if meta.modes[nid] == "go":
+                self._release_grant_reservation(meta.program, instance, nid)
             return
         st.ticket[nid] = payload["ticket"]
         if st.prep.get(nid) is None:
             st.prep[nid] = "queued"
             self._push_task(("prep", instance, nid))
-        st.enq[nid] = "queued"
         self._push_task(("enqueue", instance, nid))
 
     def _on_shard_ready(self, instance: str, nid: str, shard: int) -> None:
@@ -442,7 +435,7 @@ class HostExecutor(Process):
         st.ready_shards[nid] = st.ready_shards.get(nid, 0) + 1
         if st.ready_shards[nid] < len(ni.local_shards[self.host_id]):
             return
-        if st.prep.get(nid) is None and not st.failed:
+        if st.prep.get(nid) is None:
             st.prep[nid] = "queued"
             self._push_task(("prep", instance, nid))
 
@@ -450,8 +443,6 @@ class HostExecutor(Process):
 
     def _prep_effects(self, instance: str, nid: str) -> None:
         st = self.inst[instance]
-        if st.failed:
-            return
         info = st.meta.program
         ni = info.nodes[nid]
         self.stats["preps"] += 1
@@ -464,10 +455,6 @@ class HostExecutor(Process):
                                                      self.host_id):
             self.store.put(shards, owner=(st.meta.client if held else instance),
                            refcount=rc, reserve=rsv, handle=handle)
-        pend = st.arr_pending.setdefault(nid, {})
-        for s in ni.local_shards[self.host_id]:
-            if s in ni.input_sources:
-                pend[s] = len(ni.input_sources[s])
         for aid in ni.args_created:
             mine = info.args[aid].local_shards.get(self.host_id, ())
             for eid in info.args[aid].out_edges:
@@ -477,9 +464,6 @@ class HostExecutor(Process):
             ei = info.edges[eid]
             if ei.ext_arg:
                 continue
-            handle, _home = info.source(instance, ei)
-            self._consumers_by_handle.setdefault(handle, []).append(
-                (instance, nid))
             my_pairs = ei.pairs_by_chost.get(self.host_id, ())
             if my_pairs:
                 st.drain_pending[eid] = st.drain_pending.get(eid, 0) + len(my_pairs)
@@ -501,10 +485,10 @@ class HostExecutor(Process):
             self.runtime.submit_gangs(instance, [nid], src_pid=self.pid,
                                       latency_ns=self.control_latency_ns)
 
-    def _release_grant_reservation(self, instance: str, nid: str) -> None:
+    def _release_grant_reservation(self, info: ProgramInfo, instance: str,
+                                   nid: str) -> None:
         """Give back the part of a gang reservation that this host's prep
         would have turned into store rows."""
-        info = self.inst[instance].meta.program
         for _h, shards, _rc, _held in info.buffers(instance, nid, self.host_id):
             for dev, nbytes in shards:
                 if nbytes:
@@ -514,12 +498,9 @@ class HostExecutor(Process):
 
     def _enqueue_effects(self, instance: str, nid: str) -> None:
         st = self.inst[instance]
-        if st.failed:
-            return
         info = st.meta.program
         ni = info.nodes[nid]
         self.stats["enqueues"] += 1
-        st.enq[nid] = "done"
         collective = ni.fn.collective and len(ni.devices) > 1
         pcie = self.cluster.spec.pcie.latency_ns
         for s in ni.local_shards[self.host_id]:
@@ -579,7 +560,7 @@ class HostExecutor(Process):
     def _on_edge_update(self, cls: str, payload: dict) -> None:
         instance, eid = payload["instance"], payload["edge"]
         st = self.inst.get(instance)
-        if st is None or st.failed:
+        if st is None:
             return
         info = st.meta.program
         nid = info.edges[eid].dst
@@ -625,9 +606,7 @@ class HostExecutor(Process):
                 st.addr.get(eid, {}).items()):
             if (src_shard, dst_shard) in launched or src_shard not in done:
                 continue
-            src_dev = src_devs[src_shard]
-            if self.cluster.device(src_dev).host_id != self.host_id:
-                continue
+            src_dev = src_devs[src_shard]       # on this host: addr came here
             launched.add((src_shard, dst_shard))
             self.cluster.transfer(src_dev, dst_dev, nbytes, instance,
                                   ei.dst, dst_shard,
@@ -638,7 +617,7 @@ class HostExecutor(Process):
     def _on_kernel_done(self, payload: dict) -> None:
         instance, nid, shard = payload["instance"], payload["node"], payload["shard"]
         st = self.inst.get(instance)
-        if st is None or st.failed:
+        if st is None:
             return
         info = st.meta.program
         ni = info.nodes[nid]
@@ -678,83 +657,61 @@ class HostExecutor(Process):
         self.store.release(handle)
 
     def _on_xfer_arrived(self, payload: dict) -> None:
+        # the device counts arrivals to gate the kernel; the host only drains
         instance, nid = payload["instance"], payload["node"]
-        shard, eid = payload["shard"], payload["edge"]
-        st = self.inst.get(instance)
-        if st is None:
-            return
-        pend = st.arr_pending.get(nid)
-        if pend and shard in pend:
-            pend[shard] -= 1
-            if pend[shard] == 0:
-                del pend[shard]
-                info = st.meta.program
-                recv = info.recv_handle(instance, nid, self.host_id)
-                if recv in self.store.buffers:
-                    local = info.nodes[nid].local_shards[self.host_id]
-                    self.store.resolve_shard(recv, local.index(shard))
-        self._drain(instance, eid, 1)
+        if instance in self.inst:
+            self._drain(instance, payload["edge"], 1)
+        else:   # landed after the instance failed: the device drops it
+            self._abort(self.runtime.instances[instance].program, instance,
+                        nid, payload["shard"])
 
     # -- teardown ----------------------------------------------------------
 
     def _on_instance_done(self, payload: dict) -> None:
-        instance = payload["instance"]
-        st = self.inst.get(instance)
-        if st is None:
-            return
+        if payload["instance"] in self.inst:
+            self._drop(payload["instance"])
+
+    def _drop(self, instance: str) -> None:
+        """Forget an instance here and free the buffers it owns."""
+        st = self.inst.pop(instance)
         for nid in st.meta.program.nodes:
             self.tracker.forget(instance, nid)
         self.store.gc_owner(instance)
-        del self.inst[instance]
 
     def _on_client_failed(self, payload: dict) -> None:
         client = payload["client"]
         for instance in sorted(self.inst):
             if self.inst[instance].meta.client == client:
-                self._fail_instance(instance, notify_client=False)
-        for handle in self.store.gc_owner(client):
-            self._propagate_loss(handle)
+                self._fail_instance(instance)
+        self.store.gc_owner(client)
 
-    def _propagate_loss(self, handle: str) -> None:
-        for instance, nid in self._consumers_by_handle.get(handle, []):
-            st = self.inst.get(instance)
-            if st is None or st.failed:
-                continue
-            ni = st.meta.program.nodes[nid]
-            mine = ni.local_shards.get(self.host_id, ())
-            if mine and st.kdone.get(nid, 0) >= len(mine):
-                continue   # consumption already finished; data was copied out
-            self._fail_instance(instance, notify_client=True)
-
-    def _fail_instance(self, instance: str, notify_client: bool) -> None:
-        st = self.inst.get(instance)
-        if st is None or st.failed:
-            return
-        st.failed = True
+    def _fail_instance(self, instance: str) -> None:
+        """Abort its kernels here, give back its unprepped grants, drop it."""
+        st = self.inst[instance]
         info = st.meta.program
-        pcie = self.cluster.spec.pcie.latency_ns
         for nid in info.nodes:
             # granted but never prepped here: the grant-time reservation is
             # not represented by any store row yet
             if (st.meta.modes[nid] == "go" and nid in st.ticket
                     and st.prep.get(nid) != "done"):
-                self._release_grant_reservation(instance, nid)
+                self._release_grant_reservation(info, instance, nid)
         for nid, ni in info.nodes.items():
             mine = ni.local_shards.get(self.host_id, ())
-            if not mine or st.enq.get(nid) != "done":
+            if st.prep.get(nid) != "done" or st.kdone.get(nid, 0) >= len(mine):
                 continue
-            if st.kdone.get(nid, 0) >= len(mine):
-                continue
+            # once prepped, a granted shard may have its kernel on the device
+            # and a shard with remote inputs may have inputs landing there
             for s in mine:
-                self.sim.send(self.pid, f"dev{ni.devices[s]}",
-                              "abort_kernel",
-                              {"instance": instance, "node": nid, "shard": s},
-                              latency=pcie)
-        for handle in self.store.gc_owner(instance):
-            self._propagate_loss(handle)
-        if notify_client:
-            self._send(f"client.{st.meta.client}", "instance_failed",
-                       {"instance": instance}, critical=True)
+                if nid in st.ticket or s in ni.input_sources:
+                    self._abort(info, instance, nid, s)
+        self._drop(instance)
+
+    def _abort(self, info: ProgramInfo, instance: str, nid: str,
+               shard: int) -> None:
+        self.sim.send(self.pid, f"dev{info.nodes[nid].devices[shard]}",
+                      "abort_kernel",
+                      {"instance": instance, "node": nid, "shard": shard},
+                      latency=self.cluster.spec.pcie.latency_ns)
 
     # -- introspection -----------------------------------------------------
 
@@ -764,8 +721,6 @@ class HostExecutor(Process):
             out.append(f"{len(self._tasks)} queued host tasks")
         for instance in sorted(self.inst):
             st = self.inst[instance]
-            if st.failed:
-                continue
             for nid, ni in st.meta.program.nodes.items():
                 mine = ni.local_shards.get(self.host_id, ())
                 if not mine:

@@ -143,7 +143,9 @@ class DeviceProcess(Process):
         self._try_start()
 
     def _abort(self, payload: dict) -> None:
+        """Drop a failed instance's kernel and the inputs landed for it."""
         key = (payload["instance"], payload["node"], payload["shard"])
+        self._arrivals.pop(key, None)
         ex = self.executing
         if ex is not None and ex.key == key and self._blocked_on_collective:
             # still waiting at the rendezvous, so nothing ran yet; a kernel
@@ -152,7 +154,6 @@ class DeviceProcess(Process):
             self._blocked_on_collective = False
             self.executing = None
             self.queue.pop(0)
-            self._arrivals.pop(ex.key, None)
             ex.aborted = True
             self.cluster.on_kernel_aborted(self, ex)
         for k in self.queue:

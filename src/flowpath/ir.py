@@ -329,6 +329,19 @@ def _shard_geometry(p: TracedProgram, placement: dict[str, tuple[int, ...]],
     return fn.shard_count, fn.in_bytes[port], fn.in_layouts[port], placement[nid]
 
 
+def arg_consumers(p: TracedProgram) -> dict[str, str]:
+    """Each arg's first consumer in node order, whatever the edge order:
+    lower places the arg on its devices and its prep creates the buffer."""
+    rank = {nid: i for i, nid in enumerate(p.nodes)}
+    first: dict[str, str] = {}
+    for e in p.edges:
+        if isinstance(p.nodes[e.src], ArgNode):
+            cur = first.get(e.src)
+            if cur is None or rank[e.dst] < rank[cur]:
+                first[e.src] = e.dst
+    return first
+
+
 def lower(p: TracedProgram,
           device_map: dict[str, tuple[int, ...] | list[int]]) -> LoweredProgram:
     """Bind compute nodes to devices and derive per-edge resharding.
@@ -347,11 +360,9 @@ def lower(p: TracedProgram,
                 f"slice {sid}: requirement {req.device_count} devices, map has "
                 f"{len(dmap[sid])}")
 
-    # first consumer and first producer of each node, in edge order
-    consumer: dict[str, str] = {}
+    consumer = arg_consumers(p)
     producer: dict[str, str] = {}
     for e in p.edges:
-        consumer.setdefault(e.src, e.dst)
         producer.setdefault(e.dst, e.src)
     placement: dict[str, tuple[int, ...]] = {}
     for n in p.nodes.values():

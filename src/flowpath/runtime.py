@@ -60,9 +60,8 @@ class _SysCluster(Cluster):
                 sys.gang_left[key] = left
 
     def on_transfer_arrive(self, dev: DeviceProcess, payload: dict) -> None:
-        if "edge" in payload:
-            self.sim.send(dev.pid, f"host{dev.host_id}", "xfer_arrived",
-                          dict(payload), latency=self.spec.pcie.latency_ns)
+        self.sim.send(dev.pid, f"host{dev.host_id}", "xfer_arrived",
+                      dict(payload), latency=self.spec.pcie.latency_ns)
 
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
         sched = self.system.scheds.get(dev.island_id)
@@ -83,12 +82,12 @@ class ClientProcess(Process):
         self.inst_job: dict[str, str] = {}
         self.results_seen: dict[str, set] = {}
         self.handles: dict[str, list[str]] = {}
+        # unreleased result handle -> devices: what this client may bind
+        self.live: dict[str, tuple[int, ...]] = {}
         self.submitted_at: dict[str, int] = {}
-        self.granted_at: dict[str, int] = {}
         self.completed_at: dict[str, int] = {}
-        self.failed: set[str] = set()
+        self.failed: set[str] = set()      # unfinished when the client died
         self.dead = False
-        self._released: set[str] = set()
 
     # -- submission --------------------------------------------------------
 
@@ -103,41 +102,30 @@ class ClientProcess(Process):
 
     def release_results(self, inst: str) -> None:
         info = self.system.instances[inst].program
-        for _rid, src, port in info.results:
-            h = info.out_handle(inst, src, port)
-            if h in self._released:
-                continue
-            self._released.add(h)
-            self.batcher.send(f"host{info.nodes[src].home_host}", "release",
-                              {"handle": h}, critical=False)
+        for h, (_rid, src, _port) in zip(self.handles[inst], info.results):
+            if self.live.pop(h, None) is not None:
+                self.batcher.send(f"host{info.nodes[src].home_host}",
+                                  "release", {"handle": h}, critical=False)
 
     # -- messages ----------------------------------------------------------
 
     def handle(self, kind: str, payload: dict, src: str | None) -> None:
         if kind == "die":
             self.dead = True
+            self.failed.update(i for i in self.submitted_at
+                               if i not in self.completed_at)
         if self.dead:
             return
         if kind == "batch_timeout":
             self.batcher.on_timeout(payload)
             return
         if kind == "handles":
-            inst = payload["instance"]
-            if inst not in self.granted_at:
-                self.granted_at[inst] = self.sim.now()
-                self._job_of(inst, "on_handles")
+            self._job_of(payload["instance"], "on_handles")
         elif kind == "result":
             self._on_result(payload)
-        elif kind == "instance_failed":
-            inst = payload["instance"]
-            if inst not in self.failed:
-                self.failed.add(inst)
-                self.release_results(inst)
-                self._job_of(inst, "on_failed")
         elif kind == "stage_ready":
-            if payload["instance"] not in self.failed:
-                self.system.submit_next_stage(payload["instance"],
-                                              ready_node=payload["node"])
+            self.system.submit_next_stage(payload["instance"],
+                                          ready_node=payload["node"])
         elif kind == "job":
             job = self.jobs[payload["job_id"]]
             job.start(self)
@@ -146,13 +134,14 @@ class ClientProcess(Process):
 
     def _on_result(self, payload: dict) -> None:
         inst = payload["instance"]
-        if inst in self.completed_at or inst in self.failed:
+        if inst in self.completed_at:
             return
         seen = self.results_seen.setdefault(inst, set())
         seen.add((payload["edge"], payload["shard"]))
         info = self.system.instances[inst].program
         if len(seen) < info.result_shards:
             return
+        del self.results_seen[inst]
         self.completed_at[inst] = self.sim.now()
         self.system.finish_instance(inst)
         for h in info.all_hosts:
@@ -223,11 +212,6 @@ class StreamJob:
         if self.completed == self.count:
             self.done = True
 
-    def on_failed(self, client: ClientProcess, inst: str) -> None:
-        self.completed += 1
-        if self.completed == self.count:
-            self.done = True
-
 
 class SerialChainJob:
     """One computation per call, each consuming the previous call's result.
@@ -274,11 +258,6 @@ class SerialChainJob:
         if self.completed == self.count:
             self.done = True
 
-    def on_failed(self, client: ClientProcess, inst: str) -> None:
-        self.completed += 1
-        if self.completed == self.count:
-            self.done = True
-
 
 # -- the system --------------------------------------------------------------
 
@@ -307,7 +286,6 @@ class System:
         self.programs: dict[str, ProgramInfo] = {}
         self.instances: dict[str, InstanceMeta] = {}
         self.gang_left: dict[tuple[str, str], int] = {}
-        self.handle_devices: dict[str, tuple[int, ...]] = {}
         self.handle_digests: dict[str, str] = {}
         self.inst_digests: dict[str, list[str]] = {}
         self._inst_seq = 0
@@ -422,15 +400,19 @@ class System:
         for aid, a in info.args.items():
             if a.ext and aid not in bindings:
                 raise ValidationError(f"arg {aid} needs a handle binding")
-            if not a.ext and aid in bindings:
-                raise ValidationError(f"arg {aid} does not take a binding")
         for aid, handle in bindings.items():
-            devs = self.handle_devices.get(handle)
-            want = info.args[aid].placement
-            if devs is not None and tuple(devs) != tuple(want):
+            a = info.args.get(aid)
+            if a is None or not a.ext:
+                raise ValidationError(f"arg {aid} does not take a binding")
+            # only the client's own unreleased results: no other death frees them
+            devs = client.live.get(handle)
+            if devs is None:
+                raise ValidationError(
+                    f"arg {aid}: {handle!r} is not a live result of {client.pid}")
+            if devs != a.placement:
                 raise ValidationError(
                     f"arg {aid}: bound buffer lives on devices {devs}, "
-                    f"consumer expects {want}")
+                    f"consumer expects {a.placement}")
         meta = InstanceMeta(inst, client.name, info, modes, stages, triggers,
                             bindings, reply)
         self.instances[inst] = meta
@@ -438,10 +420,9 @@ class System:
             self.hosts[h].install(meta)
         for nid, ni in info.nodes.items():
             self.gang_left[(inst, nid)] = len(ni.devices)
-        for _rid, srcn, port in info.results:
-            h = info.out_handle(inst, srcn, port)
-            self.handle_devices[h] = info.nodes[srcn].devices
         client.handles[inst] = info.result_handles(inst)
+        for h, (_rid, srcn, _port) in zip(client.handles[inst], info.results):
+            client.live[h] = info.nodes[srcn].devices
         self.submit_next_stage(inst)
         return inst
 

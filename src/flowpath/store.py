@@ -3,8 +3,8 @@
 A logical buffer is one handle covering N shards that live in device HBM.
 Reference counts act on the logical buffer: one op per producer/consumer
 regardless of shard count. Ownership labels (client or program instance)
-allow a garbage collection sweep that frees everything an owner left behind
-and returns the freed handles, so the executor can fail their consumers.
+allow a garbage collection sweep that frees everything an owner left behind:
+a finished or failed instance, or a dead client.
 """
 from __future__ import annotations
 
@@ -126,8 +126,8 @@ class HostStore:
     def gc_owner(self, owner: str) -> list[str]:
         """Free every buffer of this owner regardless of refcount.
 
-        Returns the freed handles; the caller fails their in-flight
-        consumers, so they observe the loss instead of hanging.
+        Returns the freed handles. Only the owner's own instances could
+        still read them, and they are finished or failed with it.
         """
         victims = [h for h, b in self.buffers.items() if b.owner == owner]
         for h in victims:

@@ -2,7 +2,8 @@
 
 `perfbench/spans.py` patches flowpath entry points from outside and reads
 counters off a finished System. Deleting or renaming one of those names
-would otherwise only break `perfbench/run.py --trace 1`.
+would otherwise only break `perfbench/run.py --trace 1`. The self-test of
+the benchmark's failure gate runs here too.
 """
 import json
 import sys
@@ -58,3 +59,19 @@ def test_layer_metrics_cover_the_benchmark_and_restore_is_exact(spans):
                  "coord.batcher_send_calls", "hardware.transfers",
                  "store.put_calls"):
         assert metrics[name] > 0, name
+
+
+@pytest.fixture
+def selftest(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import selftest as mod
+    yield mod
+    for name in ("selftest", "worker", "spans"):
+        sys.modules.pop(name, None)
+
+
+def test_failure_gate_counts_every_injected_fault(selftest):
+    # the benchmark's error_rate reads ClientProcess.failed and completed_at
+    # and the store audits; each injected fault must move its count
+    for case, want, got in selftest.cases():
+        assert got == want, case

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from flowpath import CompiledFunction, Tracer
 from flowpath.cli import main
+from flowpath.ir import serialize
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CHAIN4 = str(CONFIGS / "programs" / "chain4.json")
@@ -19,6 +21,26 @@ def test_run_with_defaults_exits_zero(capsys):
     assert main(["run", CHAIN4]) == 0
     out = capsys.readouterr().out
     assert "status=quiescent" in out and "results" in out
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+def test_edge_order_does_not_change_a_run(tmp_path, capsys, mode):
+    # an arg read by a (host 0) and b (host 1): its first consumer in node
+    # order places and creates it, however the edge list is ordered
+    t = Tracer()
+    x = t.arg(4, 4096)
+    a = t.call(CompiledFunction("a", 4, (4096,), (4096,), 20.0), x)
+    b = t.call(CompiledFunction("b", 4, (4096,), (4096,), 30.0), x)
+    doc = json.loads(serialize(t.finish(results=[a, b])))
+    runs = []
+    for name in ("forward", "reversed"):
+        path = write_json(tmp_path / f"{name}.json", doc)
+        assert main(["run", path, "--mode", mode]) == 0
+        head, *digests = capsys.readouterr().out.splitlines()
+        runs.append((head.split(" ", 2)[2], digests))   # drop the program id
+        doc["edges"].reverse()
+    assert runs[0] == runs[1]
+    assert "status=quiescent" in runs[0][0]
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])

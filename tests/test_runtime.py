@@ -46,6 +46,23 @@ def test_binding_must_live_where_the_consumer_runs():
         c.submit("rest", bindings={"n0": handle})
 
 
+@pytest.mark.parametrize("case", ["unknown", "other client", "released"])
+def test_binding_must_be_a_live_result_of_the_same_client(case):
+    sys_, c = make_system()
+    other = sys_.add_client("c1")
+    sys_.register_traced("maker", chain_program([fn()]))
+    sys_.register_traced("rest", chain_program([fn()], arg_handle="x"))
+    owner = other if case == "other client" else c
+    inst = owner.submit("maker")
+    handle = "bogus" if case == "unknown" else owner.handles[inst][0]
+    if case == "released":
+        c.release_results(inst)
+    with pytest.raises(ValidationError, match="not a live result of client.c0"):
+        c.submit("rest", bindings={"n0": handle})
+    mine = c.submit("maker")            # its own unreleased result binds
+    c.submit("rest", bindings={"n0": c.handles[mine][0]})
+
+
 def test_unknown_mode_rejected():
     sys_, c = make_system()
     sys_.register_traced("p", chain_program([fn()]))
@@ -168,6 +185,7 @@ def test_client_dead_before_dispatch_runs_nothing():
     stats = sys_.run()
     assert stats.status == "quiescent", stats.blocked
     assert c.dead and not job.done
+    assert c.failed == set(job.instances)
     assert [t for t in sys_.sim.trace if t.category == "kernel"] == []
     assert "c0" in sys_.scheds[0]._dead_clients
     assert audit_no_double_free(sys_.audit) == []
