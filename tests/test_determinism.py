@@ -8,13 +8,20 @@ moved it.
 Each `COMPLETION_PINS` entry is the sha256 of the same run's
 `completion_series()`: when and how much work finished. A change that only
 drops or merges control messages may move `PINS` but must leave these alone.
+
+`DISPATCH_DOC_PIN` is the sha256 of the `flowpath bench dispatch` document
+at `configs/workloads/dispatch.json`, the one suite that runs sequential
+dispatch: a change that moves it moves a published number.
 """
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from flowpath import (CompiledFunction, StreamJob, System, chain_program,
                       small_cluster)
+from flowpath.bench import run_benchmark, write_results
+from flowpath.config import load_workload
 
 PINS = {
     "parallel":
@@ -33,6 +40,10 @@ COMPLETION_PINS = {
     "auto":
         "63ad342807942ae109863ff0595d56cb58cb2cc17b993f6a805ae10b41d9433e",
 }
+
+DISPATCH_DOC_PIN = \
+    "2a9f886a4640eaba7f8a658488cb459cbd6b0da355cb934644d5fcadc5c6a70e"
+WORKLOADS = Path(__file__).resolve().parent.parent / "configs" / "workloads"
 
 
 def run_chain(mode: str) -> System:
@@ -61,3 +72,12 @@ def test_event_log_matches_pin(mode, tmp_path):
 def test_completion_series_matches_pin(mode):
     series = repr(run_chain(mode).completion_series()).encode()
     assert hashlib.sha256(series).hexdigest() == COMPLETION_PINS[mode]
+
+
+def test_dispatch_document_matches_pin(tmp_path):
+    doc = run_benchmark("dispatch", load_workload(
+        str(WORKLOADS / "dispatch.json")))
+    doc.pop("_system")
+    path = tmp_path / "dispatch.json"
+    write_results(doc, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DISPATCH_DOC_PIN
