@@ -1,15 +1,16 @@
 """Dataflow coordination: destination-tagged tuples, punctuation, batching.
 
 Data moving along a sharded edge is announced with per-destination tuples;
-each source shard closes its contribution with a single punctuation carrying
-a sparse {dst shard: tuple count} map (absent means zero). Each destination
-shard expects punctuations from a declared number of source shards per
-edge: on most hosts only the sources its reshard pairs read from, so
-progress messages flow only where data does; on a node's home host every
-source shard, which makes its readiness an all-sources gate before the gang
-is submitted. A destination shard becomes ready exactly once, when every
-expected source has punctuated and the received tuple counts match the
-punctuated counts. State exists only for shards with pending input.
+each source shard closes its contribution to a host with a single
+punctuation carrying a sparse {dst shard: tuple count} map (absent means
+zero). Each host of a host-gated node waits for a static number of
+(edge, source shard) punctuations, `NodeInfo.waits`: on most hosts only the
+sources its reshard pairs read from, so progress messages flow only where
+data does; on the node's home host every source shard, which makes its
+readiness an all-sources gate before the gang is submitted. A node becomes
+ready on a host exactly once, when every expected source has punctuated
+and the tuples each declared for that host have arrived. State exists only
+for nodes with pending input.
 
 Control messages between hosts either bypass batching (critical path) or
 are coalesced per destination host and flushed when the batch reaches
@@ -44,124 +45,103 @@ class Punctuation:
 
 
 @dataclass
-class _EdgeState:
-    expected_srcs: int
-    received: dict[int, int] = field(default_factory=dict)      # src -> tuples seen
-    punctuated: dict[int, int] = field(default_factory=dict)    # src -> declared count
-
-
-@dataclass
-class _ShardState:
+class _NodeState:
     # expected punctuations not yet received, plus punctuated sources whose
-    # tuples have not all arrived; the shard is ready when this reaches 0
+    # tuples have not all arrived; the node is ready when this reaches 0
     outstanding: int
-    edges: dict[str, _EdgeState] = field(default_factory=dict)
+    expected: int
+    received: dict = field(default_factory=dict)    # (edge, src) -> tuples
+    declared: dict = field(default_factory=dict)    # (edge, src) -> count
 
 
 class ProgressTracker:
-    """Exactly-once readiness for (instance, node, dst shard) triples.
+    """Exactly-once readiness for (instance, node) pairs on one host.
 
-    expect() declares, per edge id, how many source shards will punctuate
-    each destination shard: an int means that many for every shard (a
-    node's home host expects every source, its all-sources gate), a dict
-    maps a shard to its own count (absent means none), as the static
-    reshard pairs give it on other hosts. A shard keeps a count of what is
-    still outstanding, so each event costs O(1) beyond its own bookkeeping.
-    ready_cb fires once per shard with (instance, node, shard).
+    sources(instance, node) gives how many (edge, source shard)
+    punctuations the node waits for here (0: none, so any traffic for it
+    is a violation). The node's first tuple or punctuation opens its count
+    through expect(); each event then costs O(1). ready_cb fires once per
+    node with (instance, node); forget() drops an instance.
     """
 
-    def __init__(self, ready_cb=None):
+    def __init__(self, ready_cb, sources):
         self.ready_cb = ready_cb
-        self._pending: dict[tuple[str, str], dict[int, _ShardState]] = {}
-        self._fired: dict[tuple[str, str], set[int]] = {}
-        self._expected: dict[tuple[str, str], dict[str, int | dict]] = {}
+        self.sources = sources
+        self._pending: dict[str, dict[str, _NodeState]] = {}
+        self._fired: dict[str, set[str]] = {}
 
     # -- registration ------------------------------------------------------
 
-    def expect(self, instance: str, node: str, edge: str,
-               src_shards: int | dict[int, int]) -> None:
-        """Declare an inbound edge for a node before any tuple can arrive."""
-        self._expected.setdefault((instance, node), {})[edge] = src_shards
+    def expect(self, instance: str, node: str, sources: int) -> _NodeState:
+        """Open the count of a node that waits for `sources` punctuations."""
+        st = _NodeState(sources, sources)
+        self._pending.setdefault(instance, {})[node] = st
+        return st
 
-    def forget(self, instance: str, node: str) -> None:
-        self._expected.pop((instance, node), None)
-        self._fired.pop((instance, node), None)
-        self._pending.pop((instance, node), None)
+    def forget(self, instance: str) -> None:
+        self._pending.pop(instance, None)
+        self._fired.pop(instance, None)
 
-    def _state(self, instance: str, node: str, shard: int,
-               edge: str) -> tuple[_ShardState, _EdgeState]:
-        key = (instance, node)
-        if shard in self._fired.get(key, ()):
-            raise ProtocolViolation(f"traffic on {edge} for completed shard {shard}")
-        shards = self._pending.setdefault(key, {})
-        st = shards.get(shard)
-        if st is None:
-            st = _ShardState(0)
-            for eid, n in self._expected.get(key, {}).items():
-                n = n if isinstance(n, int) else n.get(shard, 0)
-                st.edges[eid] = _EdgeState(n)
-                st.outstanding += n
-            shards[shard] = st
-        es = st.edges.get(edge)
-        if es is None:
-            raise ProtocolViolation(f"traffic on undeclared edge {edge}")
-        return st, es
+    def _state(self, instance: str, node: str, edge: str) -> _NodeState:
+        st = self._pending.get(instance, {}).get(node)
+        if st is not None:
+            return st
+        if node in self._fired.get(instance, ()):
+            raise ProtocolViolation(f"traffic on {edge} for ready node {node}")
+        n = self.sources(instance, node)
+        if not n:
+            raise ProtocolViolation(
+                f"traffic on {edge} for undeclared node {node}")
+        return self.expect(instance, node, n)
 
     # -- protocol events ---------------------------------------------------
 
     def on_tuple(self, node: str, t: DataTuple) -> None:
-        st, es = self._state(t.instance, node, t.dst_shard, t.edge)
-        seen = es.received.get(t.src_shard, 0) + 1
-        declared = es.punctuated.get(t.src_shard)
+        st = self._state(t.instance, node, t.edge)
+        src = (t.edge, t.src_shard)
+        seen = st.received.get(src, 0) + 1
+        declared = st.declared.get(src)
         if declared is not None and seen > declared:
             raise ProtocolViolation(
                 f"tuple on {t.edge} src {t.src_shard} after punctuation count "
                 f"{declared} exhausted")
-        es.received[t.src_shard] = seen
+        st.received[src] = seen
         if seen == declared:
-            self._settle(t.instance, node, t.dst_shard, st)
+            self._settle(t.instance, node, st)
 
-    def on_punctuation(self, node: str, p: Punctuation,
-                       local_shards: list[int]) -> None:
-        """Apply one source shard's punctuation to the given local dst shards."""
-        for shard in local_shards:
-            st, es = self._state(p.instance, node, shard, p.edge)
-            if p.src_shard in es.punctuated:
-                raise ProtocolViolation(
-                    f"duplicate punctuation {p.edge} src {p.src_shard}")
-            if len(es.punctuated) == es.expected_srcs:
-                raise ProtocolViolation(
-                    f"{p.edge} src {p.src_shard}: shard {shard} expects "
-                    f"{es.expected_srcs} punctuating sources")
-            declared = p.counts.get(shard, p.counts.get(str(shard), 0))
-            got = es.received.get(p.src_shard, 0)
-            if got > declared:
-                raise ProtocolViolation(
-                    f"{p.edge} src {p.src_shard}: received {got} > "
-                    f"declared {declared}")
-            es.punctuated[p.src_shard] = declared
-            if got == declared:
-                self._settle(p.instance, node, shard, st)
+    def on_punctuation(self, node: str, p: Punctuation) -> None:
+        st = self._state(p.instance, node, p.edge)
+        src = (p.edge, p.src_shard)
+        if src in st.declared:
+            raise ProtocolViolation(
+                f"duplicate punctuation {p.edge} src {p.src_shard}")
+        if len(st.declared) == st.expected:
+            raise ProtocolViolation(
+                f"{p.edge} src {p.src_shard}: node {node} expects "
+                f"{st.expected} punctuating sources")
+        declared = sum(p.counts.values())
+        got = st.received.get(src, 0)
+        if got > declared:
+            raise ProtocolViolation(
+                f"{p.edge} src {p.src_shard}: received {got} > "
+                f"declared {declared}")
+        st.declared[src] = declared
+        if got == declared:
+            self._settle(p.instance, node, st)
 
-    def _settle(self, instance: str, node: str, shard: int,
-                st: _ShardState) -> None:
-        """One expected source of the shard is complete."""
+    def _settle(self, instance: str, node: str, st: _NodeState) -> None:
+        """One expected source of the node is complete."""
         st.outstanding -= 1
         if st.outstanding:
             return
-        key = (instance, node)
-        self._fired.setdefault(key, set()).add(shard)
-        shards = self._pending[key]
-        del shards[shard]
-        if not shards:
-            del self._pending[key]
-        if self.ready_cb:
-            self.ready_cb(instance, node, shard)
+        del self._pending[instance][node]
+        self._fired.setdefault(instance, set()).add(node)
+        self.ready_cb(instance, node)
 
     # -- introspection -----------------------------------------------------
 
     def pending_count(self) -> int:
-        """Number of shard states held: memory is O(shards with pending input)."""
+        """Number of node states held: memory is O(nodes with pending input)."""
         return sum(len(v) for v in self._pending.values())
 
 

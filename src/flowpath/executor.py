@@ -26,8 +26,10 @@ Dispatch triggers per node come from the instance plan:
           its output futures (sequential dispatch of a regular node),
   "dat" - same, but gated on predecessor data completion (irregular node).
 For both, a producer host sends its update to the consumer hosts its
-reshard pairs feed, plus the node's home host; a non-home host waits only
-for the source shards paired with its own shards, the home host for all.
+reshard pairs feed, plus the node's home host. Each host preps the node
+once the (edge, source shard) punctuations it waits for are in,
+`NodeInfo.waits`: a non-home host only those of the source shards paired
+with its own shards, the home host all of them.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ class EdgeInfo:
     to_result: bool
     pairs_by_chost: dict[int, tuple[ShardPair, ...]]   # by consumer host
     pairs_by_shost: dict[int, tuple[ShardPair, ...]]   # by producer host
-    srcs_per_dst: dict[int, int]                 # dst shard -> src shards paired
     ext_arg: bool                                 # source is a handle-bound arg
     from_arg: bool                                # source is any arg node
 
@@ -73,6 +74,7 @@ class NodeInfo:
     input_sources: dict[int, tuple[int, ...]]    # shard -> producer per arrival
     recv_bytes: dict[int, int]                   # shard -> landing bytes
     args_created: tuple[str, ...]
+    waits: dict[int, int]                        # host -> gating punctuations
     hbm_by_device: dict[int, int] = field(default_factory=dict)  # gang ask
 
 
@@ -191,14 +193,11 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         ext = isinstance(src_n, ArgNode) and src_n.handle is not None
         by_chost: dict[int, list[ShardPair]] = {}
         by_shost: dict[int, list[ShardPair]] = {}
-        nsrc: dict[int, int] = {}
         srcs = sources.setdefault(e.dst, {})
         landing = recv.setdefault(e.dst, {})
         for pr in le.reshard.pairs:
             by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
             by_shost.setdefault(host_of[pr.src_dev], []).append(pr)
-            # pairs are distinct (src, dst) block overlaps
-            nsrc[pr.dst_shard] = nsrc.get(pr.dst_shard, 0) + 1
             # bound args are resident already, held by the client
             if pr.src_dev != pr.dst_dev and not ext:
                 s = pr.dst_shard
@@ -210,7 +209,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             to_result=isinstance(p.node(e.dst), ResultNode),
             pairs_by_chost={h: tuple(v) for h, v in sorted(by_chost.items())},
             pairs_by_shost={h: tuple(v) for h, v in sorted(by_shost.items())},
-            srcs_per_dst=nsrc, ext_arg=ext,
+            ext_arg=ext,
             from_arg=isinstance(src_n, ArgNode))
         in_eids.setdefault(e.dst, []).append(eid)
         out_eids.setdefault(e.src, []).append(eid)
@@ -235,15 +234,29 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             continue
         devs = lp.placement[n.id]
         local = _by_host(devs, host_of)
+        home = host_of[devs[0]]
+        # host-gated readiness: the home host hears every source shard of
+        # each edge a predecessor gang feeds, another host only the source
+        # shards paired with its own shards
+        waits: dict[int, int] = {}
+        for eid in in_eids.get(n.id, ()):
+            ei = edges[eid]
+            if ei.from_arg:
+                continue
+            for h, prs in ei.pairs_by_chost.items():
+                if h != home:
+                    waits[h] = waits.get(h, 0) + len({pr.src_shard
+                                                      for pr in prs})
+            waits[home] = waits.get(home, 0) + ei.src_shards
         nodes[n.id] = NodeInfo(
             nid=n.id, fn=n.fn, devices=devs, hosts=tuple(local),
-            home_host=host_of[devs[0]], local_shards=local,
+            home_host=home, local_shards=local,
             in_edges=tuple(in_eids.get(n.id, ())),
             out_edges=tuple(out_eids.get(n.id, ())),
             input_sources={s: tuple(v)
                            for s, v in sorted(sources.get(n.id, {}).items())},
             recv_bytes=recv.get(n.id, {}),
-            args_created=tuple(created.get(n.id, ())))
+            args_created=tuple(created.get(n.id, ())), waits=waits)
 
     results = []
     nshards = 0
@@ -289,7 +302,6 @@ class _InstState:
     meta: InstanceMeta
     prep: dict[str, str] = field(default_factory=dict)    # node -> queued/done
     ticket: dict[str, int] = field(default_factory=dict)
-    ready_shards: dict[str, int] = field(default_factory=dict)
     kdone: dict[str, int] = field(default_factory=dict)   # node -> local done
     src_done: dict[str, set] = field(default_factory=dict)      # eid -> shards
     addr: dict[str, dict] = field(default_factory=dict)   # eid -> {(s,d): ...}
@@ -311,7 +323,7 @@ class HostExecutor(Process):
         self.runtime = runtime
         self.store = HostStore(host_id, cluster, audit)
         self.batcher = MessageBatcher(sim, self.pid, batching, control_latency_ns)
-        self.tracker = ProgressTracker(ready_cb=self._on_shard_ready)
+        self.tracker = ProgressTracker(self._on_ready, self._waits)
         self.inst: dict[str, _InstState] = {}
         self._tasks: list[tuple] = []
         self._working = False
@@ -322,19 +334,6 @@ class HostExecutor(Process):
     def install(self, meta: InstanceMeta) -> None:
         """Out-of-band instance registration (program metadata is resident)."""
         self.inst[meta.instance] = _InstState(meta)
-        info = meta.program
-        for nid, ni in info.nodes.items():
-            mode = meta.modes[nid]
-            if mode in ("fut", "dat") and self.host_id in ni.hosts:
-                home = self.host_id == ni.home_host
-                for eid in ni.in_edges:
-                    ei = info.edges[eid]
-                    # arg-fed edges cannot gate dispatch: no predecessor gang
-                    # hands their futures over
-                    if not ei.from_arg:
-                        self.tracker.expect(
-                            meta.instance, nid, f"{mode}:{eid}",
-                            ei.src_shards if home else ei.srcs_per_dst)
 
     def _send(self, dst: str, kind: str, payload: dict, critical: bool) -> None:
         self.stats["ctrl_msgs"] += 1
@@ -386,10 +385,8 @@ class HostExecutor(Process):
             self._on_go(payload)
         elif kind == "task_done":
             self._finish_task(payload)
-        elif kind == "edge_fut":
-            self._on_edge_update("fut", payload)
-        elif kind == "edge_dat":
-            self._on_edge_update("dat", payload)
+        elif kind in ("edge_fut", "edge_dat"):
+            self._on_edge_update(payload)
         elif kind == "addr":
             self._on_addr(payload)
         elif kind == "kernel_done":
@@ -429,12 +426,16 @@ class HostExecutor(Process):
             self._push_task(("prep", instance, nid))
         self._push_task(("enqueue", instance, nid))
 
-    def _on_shard_ready(self, instance: str, nid: str, shard: int) -> None:
+    def _waits(self, instance: str, nid: str) -> int:
+        """Gating punctuations this host expects for a host-gated node."""
+        meta = self.inst[instance].meta
+        if meta.modes[nid] == "go":
+            return 0
+        return meta.program.nodes[nid].waits.get(self.host_id, 0)
+
+    def _on_ready(self, instance: str, nid: str) -> None:
         st = self.inst[instance]
-        ni = st.meta.program.nodes[nid]
-        st.ready_shards[nid] = st.ready_shards.get(nid, 0) + 1
-        if st.ready_shards[nid] < len(ni.local_shards[self.host_id]):
-            return
+        # a node already prepped on `go` ignores its inputs' announcement
         if st.prep.get(nid) is None:
             st.prep[nid] = "queued"
             self._push_task(("prep", instance, nid))
@@ -557,22 +558,17 @@ class HostExecutor(Process):
                        {"instance": instance, "edge": eid,
                         "tuples": tuples, "puncts": puncts}, critical=True)
 
-    def _on_edge_update(self, cls: str, payload: dict) -> None:
+    def _on_edge_update(self, payload: dict) -> None:
         instance, eid = payload["instance"], payload["edge"]
         st = self.inst.get(instance)
         if st is None:
             return
-        info = st.meta.program
-        nid = info.edges[eid].dst
-        ni = info.nodes[nid]
-        teid = f"{cls}:{eid}"
+        nid = st.meta.program.edges[eid].dst
         for s, d in payload["tuples"]:
-            self.tracker.on_tuple(nid, DataTuple(teid, instance, s, d))
-        home = self.host_id == ni.home_host
+            self.tracker.on_tuple(nid, DataTuple(eid, instance, s, d))
         for s, counts in payload["puncts"].items():
             self.tracker.on_punctuation(
-                nid, Punctuation(teid, instance, s, counts),
-                ni.local_shards[self.host_id] if home else list(counts))
+                nid, Punctuation(eid, instance, s, counts))
 
     # -- producer-side data movement ---------------------------------------
 
@@ -673,9 +669,8 @@ class HostExecutor(Process):
 
     def _drop(self, instance: str) -> None:
         """Forget an instance here and free the buffers it owns."""
-        st = self.inst.pop(instance)
-        for nid in st.meta.program.nodes:
-            self.tracker.forget(instance, nid)
+        del self.inst[instance]
+        self.tracker.forget(instance)
         self.store.gc_owner(instance)
 
     def _on_client_failed(self, payload: dict) -> None:

@@ -27,117 +27,91 @@ def punct(s, counts):
     return Punctuation(E, "i1", s, counts)
 
 
-def make_tracker(src_shards=2):
+def make_tracker(sources=2):
+    """A host on which node b of i1 waits for `sources` punctuations."""
     fired = []
-    tr = ProgressTracker(lambda inst, node, shard: fired.append(shard))
-    tr.expect("i1", "b", E, src_shards)
+    tr = ProgressTracker(lambda inst, node: fired.append((inst, node)),
+                         lambda inst, node: sources if node == "b" else 0)
     return tr, fired
 
 
-def deliver(tr, msg, local_shards=(0, 1)):
+def deliver(tr, msg):
     if isinstance(msg, DataTuple):
         tr.on_tuple("b", msg)
     else:
-        tr.on_punctuation("b", msg, list(local_shards))
+        tr.on_punctuation("b", msg)
 
 
-def oracle_fire_positions(msgs, n_src=2, n_dst=2):
-    """Independent readiness computation: shard d fires at the first prefix
-    holding all punctuations and all tuples destined for d."""
-    need = {d: set() for d in range(n_dst)}
-    for i, m in enumerate(msgs):
-        if isinstance(m, DataTuple):
-            need[m.dst_shard].add(i)
-        else:
-            for d in range(n_dst):
-                need[d].add(i)
-    out = {}
-    for d, idxs in need.items():
-        out[d] = max(idxs)
-    return out       # dst shard -> message index at which it becomes ready
+def oracle_fire_position(msgs, n_src=2):
+    """Independent readiness computation: the node fires at the first
+    prefix holding a punctuation from every source and, for each, as many
+    tuples as it declared."""
+    for i in range(len(msgs)):
+        prefix = msgs[:i + 1]
+        puncts = {m.src_shard: sum(m.counts.values()) for m in prefix
+                  if isinstance(m, Punctuation)}
+        tuples = [m.src_shard for m in prefix if isinstance(m, DataTuple)]
+        if len(puncts) == n_src and all(
+                tuples.count(s) == n for s, n in puncts.items()):
+            return i
+    return None
 
 
 def test_all_delivery_orders_fire_exactly_once_after_punctuation():
+    # the home host of a 2 -> 2 all-to-all edge: every message is needed
     base = [tup(0, 0), tup(0, 1), tup(1, 0), tup(1, 1),
             punct(0, {0: 1, 1: 1}), punct(1, {0: 1, 1: 1})]
     for perm in itertools.permutations(base):
-        tr, fired = make_tracker()
-        events = []
-        orig_cb = tr.ready_cb
-
-        def cb(inst, node, shard, events=events, tr=tr):
-            events.append((shard, tr._idx))
-        tr.ready_cb = cb
+        tr, _ = make_tracker()
+        at = []
+        tr.ready_cb = lambda inst, node, at=at, tr=tr: at.append(tr._idx)
         for i, m in enumerate(perm):
             tr._idx = i
             deliver(tr, m)
-        expect = oracle_fire_positions(perm)
-        assert sorted(events) == sorted((d, i) for d, i in expect.items())
-        assert tr.pending_count() == 0
-
-
-def test_per_shard_expectations_fire_each_shard_exactly_once():
-    # pairs 0->0, 0->1, 1->1: shard 0 hears only from source 0, shard 1
-    # from both; a punctuation goes only to the shards its counts name
-    base = [tup(0, 0), tup(0, 1), tup(1, 1),
-            punct(0, {0: 1, 1: 1}), punct(1, {1: 1})]
-    needs = {0: {0, 3}, 1: {1, 2, 3, 4}}      # shard -> message indices
-    for perm in itertools.permutations(range(len(base))):
-        fired = []
-        tr = ProgressTracker(lambda inst, node, shard: fired.append(shard))
-        tr.expect("i1", "b", E, {0: 1, 1: 2})
-        at = {}
-        for i, k in enumerate(perm):
-            m = base[k]
-            deliver(tr, m, () if isinstance(m, DataTuple) else list(m.counts))
-            for shard in fired:
-                at.setdefault(shard, i)
-        assert sorted(fired) == [0, 1]
-        for shard, idxs in needs.items():
-            assert at[shard] == max(perm.index(k) for k in idxs)
+        assert at == [oracle_fire_position(perm)] == [len(perm) - 1]
         assert tr.pending_count() == 0
 
 
 def test_more_punctuating_sources_than_expected_rejected():
-    tr, _ = make_tracker()
-    tr.expect("i1", "b", E, {0: 1})
-    deliver(tr, punct(0, {0: 1}), local_shards=[0])
+    tr, _ = make_tracker(sources=1)
+    deliver(tr, punct(0, {0: 1}))
     with pytest.raises(ProtocolViolation, match="expects 1 punctuating"):
-        deliver(tr, punct(1, {}), local_shards=[0])
+        deliver(tr, punct(1, {}))
 
 
 def test_duplicate_punctuation_rejected_per_shard():
+    # a source punctuates a host once, whichever shards its counts name
     tr, fired = make_tracker()
-    tr.expect("i1", "b", E, {0: 2})
-    deliver(tr, punct(0, {0: 1}), local_shards=[0])
+    deliver(tr, punct(0, {0: 1}))
     with pytest.raises(ProtocolViolation, match="duplicate punctuation"):
-        deliver(tr, punct(0, {0: 1}), local_shards=[0])
+        deliver(tr, punct(0, {1: 1}))
     assert fired == []
 
 
 def test_shard_without_expected_sources_rejects_traffic():
-    tr, _ = make_tracker()
-    tr.expect("i1", "b", E, {0: 1})         # shard 1 expects no source
-    with pytest.raises(ProtocolViolation, match="expects 0 punctuating"):
-        deliver(tr, punct(0, {}), local_shards=[1])
+    # this host's shards of b are paired with no source: it waits for none
+    tr, _ = make_tracker(sources=0)
+    with pytest.raises(ProtocolViolation, match="undeclared node b"):
+        deliver(tr, punct(0, {}))
+    with pytest.raises(ProtocolViolation, match="undeclared node b"):
+        deliver(tr, tup(0, 1))
 
 
 def test_sparse_counts_mean_zero():
     tr, fired = make_tracker()
     deliver(tr, punct(0, {0: 1}))           # src 0 sends nothing to shard 1
-    deliver(tr, punct(1, {0: 1}))
-    assert fired == [1]                     # shard 1 needed no tuples at all
+    deliver(tr, punct(1, {}))               # src 1 sends nothing here
+    assert fired == []                      # src 0's tuple is still out
     deliver(tr, tup(0, 0))
-    deliver(tr, tup(1, 0))
-    assert fired == [1, 0]
+    assert fired == [("i1", "b")]
 
 
 def test_string_count_keys_accepted():
     # counts maps survive JSON round trips, where int keys become strings
-    tr, fired = make_tracker(src_shards=1)
+    tr, fired = make_tracker(sources=1)
     deliver(tr, punct(0, {"0": 1, "1": 0}))
     deliver(tr, tup(0, 0))
-    assert sorted(fired) == [0, 1]
+    assert fired == [("i1", "b")]
 
 
 def test_duplicate_punctuation_rejected():
@@ -149,7 +123,7 @@ def test_duplicate_punctuation_rejected():
 
 def test_tuple_beyond_declared_count_rejected():
     tr, _ = make_tracker()
-    deliver(tr, punct(0, {0: 1}), local_shards=[0])
+    deliver(tr, punct(0, {0: 1}))
     deliver(tr, tup(0, 0))
     with pytest.raises(ProtocolViolation, match="exhausted"):
         deliver(tr, tup(0, 0))
@@ -160,35 +134,38 @@ def test_received_more_than_declared_rejected():
     deliver(tr, tup(0, 0))
     deliver(tr, tup(0, 0))
     with pytest.raises(ProtocolViolation, match="received 2 > declared 1"):
-        deliver(tr, punct(0, {0: 1}), local_shards=[0])
+        deliver(tr, punct(0, {0: 1}))
 
 
 def test_undeclared_edge_rejected():
+    # an edge into a node this host does not wait on
     tr, _ = make_tracker()
-    with pytest.raises(ProtocolViolation, match="undeclared edge"):
-        tr.on_tuple("b", DataTuple(edge_id("x", "b"), "i1", 0, 0))
-    with pytest.raises(ProtocolViolation, match="undeclared edge"):
-        tr.on_punctuation("b", Punctuation(edge_id("x", "b"), "i1", 0, {}), [0])
+    x = edge_id("x", "c")
+    with pytest.raises(ProtocolViolation, match="undeclared node c"):
+        tr.on_tuple("c", DataTuple(x, "i1", 0, 0))
+    with pytest.raises(ProtocolViolation, match="undeclared node c"):
+        tr.on_punctuation("c", Punctuation(x, "i1", 0, {}))
 
 
-def test_traffic_for_completed_shard_rejected():
-    tr, fired = make_tracker(src_shards=1)
+def test_traffic_after_ready_rejected():
+    tr, fired = make_tracker(sources=1)
     deliver(tr, punct(0, {0: 1, 1: 1}))
     deliver(tr, tup(0, 0))
-    assert fired == [0]
-    with pytest.raises(ProtocolViolation, match="completed shard"):
+    deliver(tr, tup(0, 1))
+    assert fired == [("i1", "b")]
+    with pytest.raises(ProtocolViolation, match="ready node b"):
         deliver(tr, tup(0, 0))
-    with pytest.raises(ProtocolViolation, match="completed shard"):
-        tr.on_punctuation("b", Punctuation(E, "i1", 1, {}), [0])
+    with pytest.raises(ProtocolViolation, match="ready node b"):
+        deliver(tr, punct(1, {}))
 
 
 def test_state_exists_only_while_input_pending():
     tr, _ = make_tracker()
     assert tr.pending_count() == 0
     deliver(tr, tup(0, 0))
-    assert tr.pending_count() == 1          # only shard 0 has state
+    assert tr.pending_count() == 1          # one state for the node
     deliver(tr, tup(0, 1))
-    assert tr.pending_count() == 2
+    assert tr.pending_count() == 1
     deliver(tr, punct(0, {0: 1, 1: 1}))
     deliver(tr, punct(1, {}))
     assert tr.pending_count() == 0
@@ -197,22 +174,23 @@ def test_state_exists_only_while_input_pending():
 def test_forget_drops_instance_state():
     tr, fired = make_tracker()
     deliver(tr, tup(0, 0))
-    tr.forget("i1", "b")
+    tr.forget("i1")
     assert tr.pending_count() == 0
-    # nothing is expected any more, so traffic is rejected
-    with pytest.raises(ProtocolViolation):
-        deliver(tr, tup(0, 1))
+    # a forgotten instance starts over: the count opens again
+    deliver(tr, punct(0, {}))
+    deliver(tr, punct(1, {}))
+    assert fired == [("i1", "b")]
 
 
 def test_instances_are_independent():
-    fired = []
-    tr = ProgressTracker(lambda inst, node, shard: fired.append((inst, shard)))
-    for inst in ("i1", "i2"):
-        tr.expect(inst, "b", E, 1)
-    tr.on_punctuation("b", Punctuation(E, "i1", 0, {0: 0}), [0])
-    assert fired == [("i1", 0)]
-    tr.on_punctuation("b", Punctuation(E, "i2", 0, {0: 0}), [0])
-    assert fired == [("i1", 0), ("i2", 0)]
+    tr, fired = make_tracker(sources=1)
+    tr.on_punctuation("b", Punctuation(E, "i1", 0, {0: 0}))
+    assert fired == [("i1", "b")]
+    tr.on_punctuation("b", Punctuation(E, "i2", 0, {0: 0}))
+    assert fired == [("i1", "b"), ("i2", "b")]
+    tr.forget("i1")
+    with pytest.raises(ProtocolViolation, match="ready node b"):
+        tr.on_punctuation("b", Punctuation(E, "i2", 1, {}))
 
 
 # -- message batching ------------------------------------------------------

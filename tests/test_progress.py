@@ -3,10 +3,12 @@ buffer lifetimes across reshard shapes.
 
 A producer host sends its edge updates only to the consumer hosts its
 reshard pairs feed, plus the consumer node's home host, so control traffic
-grows with pairs and hosts, not with hosts squared. Generated reshard edges,
-in every dispatch mode and with or without a client failure, check that
-the run's invariants hold and that a finished or failed instance leaves no
-state on hosts or devices. Each (consuming edge, consumer host) holds one
+grows with pairs and hosts, not with hosts squared. Each consumer host
+counts down a static number of (edge, source shard) punctuations,
+`NodeInfo.waits`, and the node becomes ready there once. Generated reshard
+edges, in every dispatch mode and with or without a client failure, check
+that the run's invariants hold and that a finished or failed instance
+leaves no state on hosts or devices. Each (consuming edge, consumer host) holds one
 ref on the producer's buffer, so a fanned-out output is freed by the drain
 of the last consumer host.
 """
@@ -43,6 +45,24 @@ def test_sequential_events_grow_about_linearly_in_hosts():
     # dense punctuation made this ratio 8.7: each producer host told every
     # consumer host about every source shard
     assert sequential_chain_events(64) < 4.5 * sequential_chain_events(16)
+
+
+def test_waits_count_paired_sources_per_host():
+    # a 4 -> 2 gather over 2 hosts x 2 devices: the tail's home host (0)
+    # hears every head shard, host 1 only the two its shard reads from;
+    # the head, fed by an arg alone, waits for nothing
+    t = Tracer()
+    head_s, tail_s = t.virtual_slice([4]), t.virtual_slice([2])
+    x = t.arg(4, 4096)
+    h = t.call(CompiledFunction("head", 4, (4096,), (4096,), 20.0), x,
+               slice_id=head_s)
+    o = t.call(CompiledFunction("tail", 2, (8192,), (8192,), 20.0), h,
+               slice_id=tail_s)
+    system = System(small_cluster(hosts=2, devices_per_host=2))
+    info = system.register_program("g", lower(t.finish(results=[o]), {
+        head_s: (0, 1, 2, 3), tail_s: (1, 2)}))
+    assert info.nodes[h.node].waits == {}
+    assert info.nodes[o.node].waits == {0: 4, 1: 2}
 
 
 def run_reshard_chain(src: int, dst: int, total: int, hosts: int, dph: int,
