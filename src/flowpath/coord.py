@@ -25,7 +25,7 @@ from .simcore import Simulator
 
 
 class ProtocolViolation(Exception):
-    """A tuple arrived after its source shard's punctuation was exhausted."""
+    """Progress traffic broke the tuple and punctuation protocol."""
 
 
 @dataclass(frozen=True)

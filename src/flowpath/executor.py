@@ -150,7 +150,8 @@ class ProgramInfo:
 
     def _refs(self, out_edges: tuple[str, ...], port: int) -> tuple[int, bool]:
         """Each (consuming edge, consumer host) holds one ref, released by
-        that host's drain; a result edge is one client hold instead."""
+        that host's drain; the client holds one more, however many results
+        name the buffer, and releases its handle once."""
         rc = 0
         held = False
         for eid in out_edges:
@@ -158,11 +159,10 @@ class ProgramInfo:
             if ei.src_port != port:
                 continue
             if ei.to_result:
-                rc += 1
                 held = True
             else:
                 rc += len(ei.pairs_by_chost)
-        return max(rc, 1), held
+        return max(rc + held, 1), held
 
 
 def _by_host(devs, host_of) -> dict[int, tuple[int, ...]]:
@@ -325,6 +325,7 @@ class HostExecutor(Process):
         self.batcher = MessageBatcher(sim, self.pid, batching, control_latency_ns)
         self.tracker = ProgressTracker(self._on_ready, self._waits)
         self.inst: dict[str, _InstState] = {}
+        self.failed_clients: set[str] = set()       # client pids
         self._tasks: list[tuple] = []
         self._working = False
         self.stats = {"ctrl_msgs": 0, "preps": 0, "enqueues": 0}
@@ -396,7 +397,10 @@ class HostExecutor(Process):
         elif kind == "drain":
             self._on_drain(payload)
         elif kind == "release":
-            self.store.release(payload["handle"])
+            # a dead client's last releases may land after its buffers were
+            # collected; a batch carries its sender's pid as src
+            if src not in self.failed_clients:
+                self.store.release(payload["handle"])
         elif kind == "instance_done":
             self._on_instance_done(payload)
         elif kind == "client_failed":
@@ -675,6 +679,7 @@ class HostExecutor(Process):
 
     def _on_client_failed(self, payload: dict) -> None:
         client = payload["client"]
+        self.failed_clients.add(f"client.{client}")
         for instance in sorted(self.inst):
             if self.inst[instance].meta.client == client:
                 self._fail_instance(instance)

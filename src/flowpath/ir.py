@@ -470,10 +470,20 @@ def deserialize(text: str) -> TracedProgram:
 
 def _validate_graph(p: TracedProgram) -> None:
     inbound: dict[str, int] = {}
+    producers: dict[str, list[str]] = {}
     for e in p.edges:
         if e.src not in p.nodes or e.dst not in p.nodes:
             raise TraceError(f"edge {e} references unknown node")
         inbound[e.dst] = inbound.get(e.dst, 0) + 1
+        producers.setdefault(e.dst, []).append(e.src)
+    # plans, instance state and digests walk the nodes in list order
+    listed: set[str] = set()
+    for nid in p.nodes:
+        for src in producers.get(nid, ()):
+            if src not in listed:
+                raise TraceError(
+                    f"node {nid} is listed before its producer {src}")
+        listed.add(nid)
     for rid in p.results:
         if rid not in p.nodes or not isinstance(p.node(rid), ResultNode):
             raise TraceError(f"results entry {rid} is not a result node")

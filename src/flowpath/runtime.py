@@ -81,7 +81,6 @@ class ClientProcess(Process):
         self.jobs: dict[str, object] = {}
         self.inst_job: dict[str, str] = {}
         self.results_seen: dict[str, set] = {}
-        self.handles: dict[str, list[str]] = {}
         # unreleased result handle -> devices: what this client may bind
         self.live: dict[str, tuple[int, ...]] = {}
         self.submitted_at: dict[str, int] = {}
@@ -102,7 +101,8 @@ class ClientProcess(Process):
 
     def release_results(self, inst: str) -> None:
         info = self.system.instances[inst].program
-        for h, (_rid, src, _port) in zip(self.handles[inst], info.results):
+        for _rid, src, port in info.results:
+            h = info.out_handle(inst, src, port)
             if self.live.pop(h, None) is not None:
                 self.batcher.send(f"host{info.nodes[src].home_host}",
                                   "release", {"handle": h}, critical=False)
@@ -241,7 +241,8 @@ class SerialChainJob:
     def on_handles(self, client: ClientProcess, inst: str) -> None:
         if self.submitted >= self.count:
             return
-        prev_handle = client.handles[inst][0]
+        info = client.system.instances[inst].program
+        prev_handle = info.result_handles(inst)[0]
         nxt = client.submit(self.rest_pid, bindings={self.arg_id: prev_handle},
                             job=self)
         self.instances.append(nxt)
@@ -420,8 +421,8 @@ class System:
             self.hosts[h].install(meta)
         for nid, ni in info.nodes.items():
             self.gang_left[(inst, nid)] = len(ni.devices)
-        client.handles[inst] = info.result_handles(inst)
-        for h, (_rid, srcn, _port) in zip(client.handles[inst], info.results):
+        for _rid, srcn, port in info.results:
+            h = info.out_handle(inst, srcn, port)
             client.live[h] = info.nodes[srcn].devices
         self.submit_next_stage(inst)
         return inst

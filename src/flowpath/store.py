@@ -49,7 +49,6 @@ class HostStore:
         self.cluster = cluster
         self.buffers: dict[str, LogicalBuffer] = {}
         self._n = 0
-        self._released: set[str] = set()   # dead handles, tolerated in release
         # audit rows: (op, handle, shard, device, bytes, t_ns)
         self.audit = audit if audit is not None else []
 
@@ -99,8 +98,6 @@ class HostStore:
 
     def release(self, handle: str) -> bool:
         """Drop one logical reference; free all shards at zero."""
-        if handle in self._released:
-            return False           # owner was garbage-collected already
         buf = self.buffers.get(handle)
         if buf is None:
             raise UnknownHandleError(f"release of unknown handle {handle}")
@@ -119,7 +116,6 @@ class HostStore:
             self.audit.append(("free", buf.handle, loc.shard, loc.device,
                                loc.nbytes, self._now()))
         del self.buffers[buf.handle]
-        self._released.add(buf.handle)
 
     # -- ownership GC ------------------------------------------------------
 

@@ -53,6 +53,17 @@ def test_run_with_undersized_hbm_exits_two(tmp_path, capsys, mode):
     assert "deadlock" not in err
 
 
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+def test_run_with_nodes_out_of_order_exits_two(tmp_path, capsys, mode):
+    doc = json.loads(Path(CHAIN4).read_text())
+    doc["nodes"].reverse()
+    path = write_json(tmp_path / "reversed.json", doc)
+    assert main(["run", path, "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert "node n5 is listed before its producer n4" in err
+    assert "incomplete" not in err
+
+
 def test_bench_rejects_unknown_workload_keys(tmp_path, capsys):
     wl = write_json(tmp_path / "typo.json", {
         "benchmark": "dispatch", "duraton_us": 5,

@@ -13,7 +13,8 @@ from flowpath.hardware import transfer_ns
 from flowpath.ir import CompiledFunction, Tracer, chain_program
 from flowpath.runtime import SerialChainJob, StreamJob, System, steady_rate
 from flowpath.simcore import us
-from flowpath.store import StoreError, audit_leaks, audit_no_double_free
+from flowpath.store import (StoreError, UnknownHandleError, audit_leaks,
+                            audit_no_double_free)
 
 MB = 1 << 20
 
@@ -174,6 +175,24 @@ def test_client_failure_leaves_every_store_clean(fail_at_us):
     assert audit_leaks(sys_.cluster) == {}
 
 
+def test_host_drops_a_failed_clients_late_release():
+    # a release batched before the client died lands after client_failed
+    # collected the client's buffers: the host drops it; the same release
+    # from a live client would be a double free
+    sys_ = System(small_cluster(hosts=1, devices_per_host=1))
+    host = sys_.hosts[0]
+    buf = host.store.put([(0, MB)], owner="c0", handle="o.i1.n1.0")
+    host.handle("client_failed", {"client": "c0"}, None)
+    assert host.store.buffers == {}
+    late = {"messages": [{"kind": "release",
+                          "payload": {"handle": buf.handle}}]}
+    host.handle("batch", late, "client.c0")
+    with pytest.raises(UnknownHandleError):
+        host.handle("batch", late, "client.c1")
+    assert audit_no_double_free(sys_.audit) == []
+    assert audit_leaks(sys_.cluster) == {}
+
+
 def test_surviving_client_is_untouched_by_anothers_failure():
     sys_ = System(small_cluster(hosts=1, devices_per_host=2))
     f = CompiledFunction("f0", 1, (MB,), (MB,), 60)
@@ -187,6 +206,22 @@ def test_surviving_client_is_untouched_by_anothers_failure():
     stats = sys_.run()
     assert stats.status == "quiescent", stats.blocked
     assert jg.done and jg.completed == 4
+    assert audit_no_double_free(sys_.audit) == []
+    assert audit_leaks(sys_.cluster) == {}
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+def test_value_returned_twice_is_freed_by_its_one_release(mode):
+    # both results name one buffer; the client releases each handle once
+    t = Tracer()
+    a = t.call(CompiledFunction("f0", 1, (4096,), (4096,), 20.0),
+               t.arg(1, 4096))
+    sys_ = System(small_cluster(hosts=1, devices_per_host=1))
+    sys_.register_traced("p", t.finish(results=[a, a]))
+    c = sys_.add_client("c0")
+    sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=3, mode=mode))
+    assert sys_.run().status == "quiescent"
+    assert len(c.completed_at) == 3
     assert audit_no_double_free(sys_.audit) == []
     assert audit_leaks(sys_.cluster) == {}
 

@@ -41,7 +41,7 @@ def test_binding_must_live_where_the_consumer_runs():
     sys_.register_traced("maker", chain_program([fn()]))          # device 0
     sys_.register_traced("rest", chain_program([fn()], arg_handle="x"))
     inst = c.submit("maker")
-    handle = c.handles[inst][0]
+    handle = sys_.programs["maker"].result_handles(inst)[0]
     with pytest.raises(ValidationError, match="lives on devices"):
         c.submit("rest", bindings={"n0": handle})
 
@@ -54,13 +54,14 @@ def test_binding_must_be_a_live_result_of_the_same_client(case):
     sys_.register_traced("rest", chain_program([fn()], arg_handle="x"))
     owner = other if case == "other client" else c
     inst = owner.submit("maker")
-    handle = "bogus" if case == "unknown" else owner.handles[inst][0]
+    maker = sys_.programs["maker"]
+    handle = "bogus" if case == "unknown" else maker.result_handles(inst)[0]
     if case == "released":
         c.release_results(inst)
     with pytest.raises(ValidationError, match="not a live result of client.c0"):
         c.submit("rest", bindings={"n0": handle})
     mine = c.submit("maker")            # its own unreleased result binds
-    c.submit("rest", bindings={"n0": c.handles[mine][0]})
+    c.submit("rest", bindings={"n0": maker.result_handles(mine)[0]})
 
 
 def test_unknown_mode_rejected():

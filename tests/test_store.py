@@ -75,12 +75,12 @@ def test_release_frees_at_zero():
     assert ("free", buf.handle, 0, 0, 2 * MB, 0) in store.audit
 
 
-def test_release_after_free_is_tolerated():
+def test_release_after_free_raises():
     _, store = make_store()
     buf = store.put([(0, MB)], owner="c0")
     assert store.release(buf.handle) is True
-    assert store.release(buf.handle) is False
-    assert store.release(buf.handle) is False
+    with pytest.raises(UnknownHandleError):
+        store.release(buf.handle)
 
 
 def test_release_unknown_handle_raises():
@@ -115,8 +115,9 @@ def test_gc_owner_frees_everything_and_fails_waiters():
     assert cl.device(0).free_bytes == 63 * MB      # only keep remains
     assert cl.device(1).free_bytes == 64 * MB
     assert list(store.buffers) == [keep.handle]
-    # releases racing with the sweep resolve quietly
-    assert store.release(a.handle) is False
+    # a release racing with the sweep is the host's to drop, not the store's
+    with pytest.raises(UnknownHandleError):
+        store.release(a.handle)
 
 
 def test_gc_owner_with_nothing_returns_empty():
