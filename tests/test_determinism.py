@@ -12,6 +12,9 @@ drops or merges control messages may move `PINS` but must leave these alone.
 `DISPATCH_DOC_PIN` is the sha256 of the `flowpath bench dispatch` document
 at `configs/workloads/dispatch.json`, the one suite that runs sequential
 dispatch: a change that moves it moves a published number.
+`UTILIZATION_DOC_PIN` does the same for the `utilization` suite, whose
+event log is mostly kernel enqueues, kernel completions and per-shard
+results: a change that only merges those messages must leave it alone.
 """
 import hashlib
 from pathlib import Path
@@ -43,6 +46,8 @@ COMPLETION_PINS = {
 
 DISPATCH_DOC_PIN = \
     "2a9f886a4640eaba7f8a658488cb459cbd6b0da355cb934644d5fcadc5c6a70e"
+UTILIZATION_DOC_PIN = \
+    "047a1d52644e1472891076c90d3eeb96ebe37d7eae1453f7a8c0aa1178f0de69"
 WORKLOADS = Path(__file__).resolve().parent.parent / "configs" / "workloads"
 
 
@@ -74,10 +79,17 @@ def test_completion_series_matches_pin(mode):
     assert hashlib.sha256(series).hexdigest() == COMPLETION_PINS[mode]
 
 
-def test_dispatch_document_matches_pin(tmp_path):
-    doc = run_benchmark("dispatch", load_workload(
-        str(WORKLOADS / "dispatch.json")))
+def document_sha(name: str, tmp_path) -> str:
+    doc = run_benchmark(name, load_workload(str(WORKLOADS / f"{name}.json")))
     doc.pop("_system")
-    path = tmp_path / "dispatch.json"
+    path = tmp_path / f"{name}.json"
     write_results(doc, str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DISPATCH_DOC_PIN
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_dispatch_document_matches_pin(tmp_path):
+    assert document_sha("dispatch", tmp_path) == DISPATCH_DOC_PIN
+
+
+def test_utilization_document_matches_pin(tmp_path):
+    assert document_sha("utilization", tmp_path) == UTILIZATION_DOC_PIN
