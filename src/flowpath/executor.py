@@ -5,6 +5,11 @@ a time), mirrors its slice of every running program instance, launches DMA
 transfers once it holds both the producer data and the consumer addresses,
 and keeps the store's logical refcounts honest via drain reports.
 
+Device traffic is per host: one PCIe message enqueues a gang's kernels on
+the host's devices, and one `kernel_done` lists the shards of a collective
+on the host, which it marks done in one pass (a result's shards reach the
+client in one `result` per host).
+
 What a node allocates where is stated once, by `ProgramInfo.buffers`: its
 outputs on its home host, a landing buffer for inbound transfers on each of
 its hosts, and the args it creates on their home host. The gang's HBM ask,
@@ -75,6 +80,8 @@ class NodeInfo:
     recv_bytes: dict[int, int]                   # shard -> landing bytes
     args_created: tuple[str, ...]
     waits: dict[int, int]                        # host -> gating punctuations
+    # (in-edge, dst shard -> pairs read in place), drained by its kernels
+    local_drains: tuple[tuple[str, dict[int, int]], ...]
     hbm_by_device: dict[int, int] = field(default_factory=dict)  # gang ask
 
 
@@ -185,12 +192,15 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     # per consumer node, over its remote arrivals in edge order
     sources: dict[str, dict[int, list[int]]] = {}
     recv: dict[str, dict[int, int]] = {}
+    drains: dict[str, list[tuple[str, dict[int, int]]]] = {}
 
     for le in lp.edges:
         e = le.edge
         eid = edge_id(e.src, e.dst, e.dst_port)
         src_n = p.node(e.src)
         ext = isinstance(src_n, ArgNode) and src_n.handle is not None
+        to_result = isinstance(p.node(e.dst), ResultNode)
+        same: dict[int, int] = {}        # dst shard -> pairs read in place
         by_chost: dict[int, list[ShardPair]] = {}
         by_shost: dict[int, list[ShardPair]] = {}
         srcs = sources.setdefault(e.dst, {})
@@ -203,10 +213,15 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
                 s = pr.dst_shard
                 srcs.setdefault(s, []).append(pr.src_dev)
                 landing[s] = landing.get(s, 0) + pr.nbytes
+            elif not ext and not to_result:
+                same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
+        if same:
+            # drained once the consumer's kernel has run, on the shard's host
+            drains.setdefault(e.dst, []).append((eid, same))
         edges[eid] = EdgeInfo(
             eid=eid, src=e.src, dst=e.dst, src_port=e.src_port,
             dst_port=e.dst_port, src_shards=len(lp.placement[e.src]),
-            to_result=isinstance(p.node(e.dst), ResultNode),
+            to_result=to_result,
             pairs_by_chost={h: tuple(v) for h, v in sorted(by_chost.items())},
             pairs_by_shost={h: tuple(v) for h, v in sorted(by_shost.items())},
             ext_arg=ext,
@@ -256,7 +271,8 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             input_sources={s: tuple(v)
                            for s, v in sorted(sources.get(n.id, {}).items())},
             recv_bytes=recv.get(n.id, {}),
-            args_created=tuple(created.get(n.id, ())), waits=waits)
+            args_created=tuple(created.get(n.id, ())), waits=waits,
+            local_drains=tuple(drains.get(n.id, ())))
 
     results = []
     nshards = 0
@@ -494,10 +510,9 @@ class HostExecutor(Process):
                                    nid: str) -> None:
         """Give back the part of a gang reservation that this host's prep
         would have turned into store rows."""
-        for _h, shards, _rc, _held in info.buffers(instance, nid, self.host_id):
-            for dev, nbytes in shards:
-                if nbytes:
-                    self.cluster.device(dev).hbm_release(nbytes)
+        self.cluster.release_hbm(
+            shard for _h, shards, _rc, _held
+            in info.buffers(instance, nid, self.host_id) for shard in shards)
 
     # -- enqueue: kernels to devices, future handoff downstream -------------
 
@@ -507,19 +522,22 @@ class HostExecutor(Process):
         ni = info.nodes[nid]
         self.stats["enqueues"] += 1
         collective = ni.fn.collective and len(ni.devices) > 1
-        pcie = self.cluster.spec.pcie.latency_ns
-        for s in ni.local_shards[self.host_id]:
+        key = f"{instance}/{nid}" if collective else None
+        group = ni.devices if collective else ()
+        mine = ni.local_shards[self.host_id]
+        kernels = []
+        for s in mine:
             srcs = ni.input_sources.get(s, ())
-            k = KernelExec(
+            kernels.append((ni.devices[s], KernelExec(
                 instance=instance, node=nid, shard=s,
                 duration_ns=ni.fn.duration_ns, expected_inputs=len(srcs),
-                collective_key=f"{instance}/{nid}" if collective else None,
-                group=ni.devices if collective else (), input_sources=srcs)
-            self.sim.send(self.pid, f"dev{ni.devices[s]}",
-                          "enqueue_kernel", {"kernel": k}, latency=pcie)
+                collective_key=key, group=group, input_sources=srcs)))
+        # one PCIe message carries the kernels of all this host's devices
+        self.sim.send(self.pid, f"dev{kernels[0][0]}", "enqueue_kernel",
+                      {"kernels": kernels},
+                      latency=self.cluster.spec.pcie.latency_ns)
         for eid in ni.out_edges:
-            self._emit_edge_update(instance, eid,
-                                   ni.local_shards[self.host_id], "fut")
+            self._emit_edge_update(instance, eid, mine, "fut")
         if st.meta.modes[nid] == "dat" and self.host_id == ni.home_host:
             # irregular boundary passed: the next statically plannable stage
             # can be submitted now
@@ -530,17 +548,17 @@ class HostExecutor(Process):
     # -- edge updates (tuples plus punctuation in one message) --------------
 
     def _emit_edge_update(self, instance: str, eid: str,
-                          src_shards: tuple[int, ...], cls: str) -> None:
+                          src_shards: tuple[int, ...] | list[int],
+                          cls: str) -> None:
         st = self.inst[instance]
         info = st.meta.program
         ei = info.edges[eid]
         if ei.to_result:
             if cls == "dat":
-                for s in src_shards:
-                    self.sim.send(self.pid, f"client.{st.meta.client}",
-                                  "result", {"instance": instance,
-                                             "edge": eid, "shard": s},
-                                  latency=self.costs.client_rpc_ns)
+                self.sim.send(self.pid, f"client.{st.meta.client}", "result",
+                              {"instance": instance, "edge": eid,
+                               "shards": src_shards},
+                              latency=self.costs.client_rpc_ns)
             return
         if ei.from_arg or st.meta.modes[ei.dst] != cls:
             return
@@ -577,7 +595,7 @@ class HostExecutor(Process):
     # -- producer-side data movement ---------------------------------------
 
     def _mark_src_ready(self, instance: str, eid: str,
-                        shards: tuple[int, ...]) -> None:
+                        shards: tuple[int, ...] | list[int]) -> None:
         st = self.inst[instance]
         st.src_done.setdefault(eid, set()).update(shards)
         self._launch_ready(instance, eid)
@@ -615,21 +633,18 @@ class HostExecutor(Process):
     # -- completions -------------------------------------------------------
 
     def _on_kernel_done(self, payload: dict) -> None:
-        instance, nid, shard = payload["instance"], payload["node"], payload["shard"]
+        instance, nid, shards = (payload["instance"], payload["node"],
+                                 payload["shards"])
         st = self.inst.get(instance)
         if st is None:
             return
         info = st.meta.program
         ni = info.nodes[nid]
-        st.kdone[nid] = st.kdone.get(nid, 0) + 1
+        st.kdone[nid] = st.kdone.get(nid, 0) + len(shards)
         for eid in ni.out_edges:
-            self._mark_src_ready(instance, eid, (shard,))
-        for eid in ni.in_edges:
-            ei = info.edges[eid]
-            if ei.ext_arg:
-                continue
-            n_local = sum(1 for pr in ei.pairs_by_chost.get(self.host_id, ())
-                          if pr.dst_shard == shard and pr.src_dev == pr.dst_dev)
+            self._mark_src_ready(instance, eid, shards)
+        for eid, same in ni.local_drains:
+            n_local = sum(same.get(s, 0) for s in shards)
             if n_local:
                 self._drain(instance, eid, n_local)
         if st.kdone[nid] == len(ni.local_shards[self.host_id]):

@@ -1,14 +1,17 @@
 """Accelerator island model: devices, links, kernel queues, HBM.
 
 Devices execute kernels from a FIFO queue, one at a time, non-preemptible.
-A collective kernel blocks its device at the head of the queue until every
-member of the group has reached the matching kernel; all members then
-complete at the same virtual instant. Data transfers ride DMA paths and
+One `enqueue_kernel` message carries a host's kernels for its devices. A
+collective kernel blocks its device at the head of the queue until every
+member of the group has reached the matching kernel; one `collective_done`
+event then completes all members at the same virtual instant, and the
+cluster hook hears the group once. Data transfers ride DMA paths and
 overlap compute. HBM is a per-device byte budget that the gang scheduler
 reserves from.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .config import ClusterSpec, LinkSpec
@@ -79,22 +82,27 @@ class DeviceProcess(Process):
         self.executing: KernelExec | None = None
         self._exec_start = 0
         self._arrivals: dict[tuple[str, str, int], int] = {}
-        self._blocked_on_collective = False
         self.busy_ns = 0  # accumulated kernel time, for utilization audits
 
     # -- kernel queue ------------------------------------------------------
 
     def handle(self, kind: str, payload: dict, src: str | None) -> None:
         if kind == "enqueue_kernel":
-            self.queue.append(payload["kernel"])
-            self._try_start()
+            devices = self.cluster.devices
+            for device_id, k in payload["kernels"]:
+                dev = devices[device_id]
+                dev.queue.append(k)
+                dev._try_start()
         elif kind == "transfer_arrive":
             key = (payload["instance"], payload["node"], payload["shard"])
             self._arrivals[key] = self._arrivals.get(key, 0) + 1
             self.cluster.on_transfer_arrive(self, payload)
             self._try_start()
         elif kind == "kernel_done":
-            self._finish(payload)
+            self.cluster.finish_kernels([self])
+        elif kind == "collective_done":
+            devices = self.cluster.devices
+            self.cluster.finish_kernels([devices[d] for d in payload["members"]])
         elif kind == "abort_kernel":
             self._abort(payload)
         else:
@@ -120,38 +128,35 @@ class DeviceProcess(Process):
         if head.collective_key is None:
             self.sim.schedule_in(head.duration_ns, self.pid, "kernel_done", {})
         else:
-            self._blocked_on_collective = True
             self.cluster.collective_arrive(self, head)
 
-    def collective_release(self, complete_at: int) -> None:
-        """All group members arrived; complete together at complete_at."""
-        self._blocked_on_collective = False
-        self.sim.schedule_at(complete_at, self.pid, "kernel_done", {})
+    def _at_rendezvous(self) -> bool:
+        """Executing a collective whose group has not all arrived yet."""
+        ex = self.executing
+        return ex is not None and ex.collective_key in self.cluster._rendezvous
 
-    def _finish(self, payload: dict) -> None:
+    def _finish(self, end: int) -> KernelExec:
         k = self.executing
         assert k is not None
         self.executing = None
         self.queue.pop(0)
         self._arrivals.pop(k.key, None)
-        start, end = self._exec_start, self.sim.now()
+        start = self._exec_start
         self.busy_ns += end - start
         self.sim.trace_span(self.host_id, self.device_id,
                             f"{k.node}[{k.shard}]", start, end, "kernel",
                             k.instance)
-        self.cluster.on_kernel_done(self, k, start, end)
-        self._try_start()
+        return k
 
     def _abort(self, payload: dict) -> None:
         """Drop a failed instance's kernel and the inputs landed for it."""
         key = (payload["instance"], payload["node"], payload["shard"])
         self._arrivals.pop(key, None)
         ex = self.executing
-        if ex is not None and ex.key == key and self._blocked_on_collective:
+        if ex is not None and ex.key == key and self._at_rendezvous():
             # still waiting at the rendezvous, so nothing ran yet; a kernel
             # already past the rendezvous is non-preemptible and finishes
             self.cluster.rendezvous_cancel(self, ex)
-            self._blocked_on_collective = False
             self.executing = None
             self.queue.pop(0)
             ex.aborted = True
@@ -175,12 +180,11 @@ class DeviceProcess(Process):
         return False
 
     def hbm_release(self, nbytes: int) -> None:
-        """Return bytes; the cluster hook lets waiting gangs retry."""
+        """Return bytes; `Cluster.release_hbm` tells waiting gangs."""
         self.free_bytes += nbytes
         if self.free_bytes > self.hbm_capacity:
             raise HBMError(f"dev{self.device_id}: free {self.free_bytes} "
                            f"exceeds capacity (double free?)")
-        self.cluster.on_hbm_freed(self)
 
     # -- introspection -----------------------------------------------------
 
@@ -194,7 +198,7 @@ class DeviceProcess(Process):
 
     def wait_edges(self) -> list[tuple[str, str]]:
         edges = []
-        if self.executing is not None and self._blocked_on_collective:
+        if self._at_rendezvous():
             missing = self.cluster.collective_missing(self.executing)
             edges += [(self.pid, f"dev{d}") for d in missing]
         elif self.queue and not self._inputs_ready(self.queue[0]):
@@ -207,7 +211,7 @@ class DeviceProcess(Process):
 class Cluster:
     """Topology container: islands, hosts, devices, link pricing, collectives.
 
-    Hooks (on_kernel_done and friends) are filled in by the runtime layer;
+    Hooks (on_kernels_done and friends) are filled in by the runtime layer;
     they default to no-ops so hardware can be unit-tested standalone.
     """
 
@@ -236,9 +240,9 @@ class Cluster:
         self.host_count = hid
 
     # hooks, overridden by the runtime layer
-    def on_kernel_done(self, dev: DeviceProcess, k: KernelExec,
-                       start: int, end: int) -> None:
-        self.sim.note_completion(k.instance, k.node)
+    def on_kernels_done(self, devs: list[DeviceProcess],
+                        kernels: list[KernelExec]) -> None:
+        """Kernels finished now: a collective group, or one kernel."""
 
     def on_kernel_aborted(self, dev: DeviceProcess, k: KernelExec) -> None:
         pass
@@ -248,6 +252,27 @@ class Cluster:
 
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
         pass
+
+    def finish_kernels(self, devs: list[DeviceProcess]) -> None:
+        """Complete the kernel each of devs executes, report them once, and
+        let each device start its next kernel."""
+        end = self.sim.now()
+        kernels = [dev._finish(end) for dev in devs]
+        self.on_kernels_done(devs, kernels)
+        for dev in devs:
+            dev._try_start()
+
+    def release_hbm(self, shards: Iterable[tuple[int, int]]) -> None:
+        """Return (device, bytes) per shard; each island whose devices got
+        bytes back hears once, so its waiting gangs retry."""
+        freed: dict[int, DeviceProcess] = {}      # island -> a device
+        for device_id, nbytes in shards:
+            if nbytes:
+                dev = self.devices[device_id]
+                dev.hbm_release(nbytes)
+                freed[dev.island_id] = dev
+        for dev in freed.values():
+            self.on_hbm_freed(dev)
 
     # -- links -------------------------------------------------------------
 
@@ -293,9 +318,10 @@ class Cluster:
             self._rendezvous[key] = r
         r.arrived.append((dev.device_id, self.sim.now()))
         if len(r.arrived) == r.expected:
+            # every member is at the rendezvous; one event finishes them all
             complete_at = max(t for _d, t in r.arrived) + r.duration_ns
-            for d, _t in r.arrived:
-                self.devices[d].collective_release(complete_at)
+            self.sim.schedule_at(complete_at, dev.pid, "collective_done",
+                                 {"members": [d for d, _t in r.arrived]})
             del self._rendezvous[key]
 
     def rendezvous_cancel(self, dev: DeviceProcess, k: KernelExec) -> None:
@@ -316,5 +342,5 @@ class Cluster:
 def enqueue_kernel(sim: Simulator, device_id: int, kernel: KernelExec,
                    at: int | None = None) -> None:
     """Low-level enqueue, for driving devices without a host executor."""
-    sim.schedule_at(at if at is not None else sim.now(),
-                    f"dev{device_id}", "enqueue_kernel", {"kernel": kernel})
+    sim.schedule_at(at if at is not None else sim.now(), f"dev{device_id}",
+                    "enqueue_kernel", {"kernels": [(device_id, kernel)]})

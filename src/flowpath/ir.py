@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .simcore import us
 
@@ -51,6 +52,8 @@ class CompiledFunction:
             raise TraceError(f"{self.name}: shard_count must be >= 1")
         if any(b < 0 for b in self.in_bytes + self.out_bytes):
             raise TraceError(f"{self.name}: negative byte size")
+        if self.us_per_shard < 0:
+            raise TraceError(f"{self.name}: negative duration")
         if not self.in_layouts:
             object.__setattr__(self, "in_layouts", ("row",) * len(self.in_bytes))
         if not self.out_layouts:
@@ -60,7 +63,7 @@ class CompiledFunction:
         if len(self.out_layouts) != len(self.out_bytes):
             raise TraceError(f"{self.name}: out_layouts/out_bytes length mismatch")
 
-    @property
+    @cached_property
     def duration_ns(self) -> int:
         return us(self.us_per_shard)
 
@@ -439,6 +442,8 @@ def deserialize(text: str) -> TracedProgram:
     try:
         for row in doc["nodes"]:
             nid, kind = row["id"], row["kind"]
+            if nid in nodes:
+                raise TraceError(f"duplicate node id {nid}")
             if kind == "arg":
                 nodes[nid] = ArgNode(nid, row["shards"], row["bytes_per_shard"],
                                      row.get("layout", "row"), row.get("handle"))
@@ -468,22 +473,49 @@ def deserialize(text: str) -> TracedProgram:
     return p
 
 
+def _ports(n) -> tuple[int, int]:
+    """(input ports, output ports) of a node."""
+    if isinstance(n, ComputeNode):
+        return len(n.fn.in_bytes), len(n.fn.out_bytes)
+    return (0, 1) if isinstance(n, ArgNode) else (1, 0)
+
+
 def _validate_graph(p: TracedProgram) -> None:
-    inbound: dict[str, int] = {}
+    fed: dict[str, dict[int, int]] = {}      # node -> input port -> edges
     producers: dict[str, list[str]] = {}
     for e in p.edges:
         if e.src not in p.nodes or e.dst not in p.nodes:
             raise TraceError(f"edge {e} references unknown node")
-        inbound[e.dst] = inbound.get(e.dst, 0) + 1
+        if not (isinstance(e.src_port, int) and isinstance(e.dst_port, int)):
+            raise TraceError(f"edge {e}: ports must be integers")
+        if not 0 <= e.src_port < _ports(p.nodes[e.src])[1]:
+            raise TraceError(
+                f"node {e.dst}: edge from {e.src} reads output port "
+                f"{e.src_port}, which {e.src} does not have")
+        ports = fed.setdefault(e.dst, {})
+        ports[e.dst_port] = ports.get(e.dst_port, 0) + 1
         producers.setdefault(e.dst, []).append(e.src)
     # plans, instance state and digests walk the nodes in list order
     listed: set[str] = set()
-    for nid in p.nodes:
+    for nid, n in p.nodes.items():
         for src in producers.get(nid, ()):
             if src not in listed:
                 raise TraceError(
                     f"node {nid} is listed before its producer {src}")
         listed.add(nid)
+        # every input port fed by exactly one edge
+        ports = fed.get(nid, {})
+        n_in = _ports(n)[0]
+        for port in sorted(ports):
+            if not 0 <= port < n_in:
+                raise TraceError(
+                    f"node {nid}: an edge feeds input port {port}, which "
+                    f"does not exist ({n_in} inputs)")
+        for port in range(n_in):
+            if ports.get(port, 0) != 1:
+                raise TraceError(
+                    f"node {nid}: input port {port} is fed by "
+                    f"{ports.get(port, 0)} edges, not 1")
     for rid in p.results:
         if rid not in p.nodes or not isinstance(p.node(rid), ResultNode):
             raise TraceError(f"results entry {rid} is not a result node")
@@ -495,10 +527,6 @@ def _validate_graph(p: TracedProgram) -> None:
             raise TraceError(
                 f"node {n.id}: {n.fn.shard_count} shards on slice of "
                 f"{req.device_count} devices")
-        seen = inbound.get(n.id, 0)
-        if seen != len(n.fn.in_bytes):
-            raise TraceError(
-                f"node {n.id}: {seen} inbound edges for {len(n.fn.in_bytes)} inputs")
 
 
 def digest(p: TracedProgram) -> str:

@@ -41,18 +41,23 @@ class _SysCluster(Cluster):
         super().__init__(sim, spec)
         self.system = system
 
-    def on_kernel_done(self, dev: DeviceProcess, k: KernelExec,
-                       start: int, end: int) -> None:
+    def on_kernels_done(self, devs: list[DeviceProcess],
+                        kernels: list[KernelExec]) -> None:
         sys = self.system
+        # one message per member host: a device of it, then its shards
+        by_host: dict[int, list] = {}
+        for dev, k in zip(devs, kernels):
+            by_host.setdefault(dev.host_id, [dev.pid]).append(k.shard)
+        k = kernels[0]
         pcie = self.spec.pcie.latency_ns
-        self.sim.send(dev.pid, f"host{dev.host_id}", "kernel_done",
-                      {"instance": k.instance, "node": k.node,
-                       "shard": k.shard, "device": dev.device_id},
-                      latency=pcie)
+        for host, (src, *shards) in by_host.items():
+            self.sim.send(src, f"host{host}", "kernel_done",
+                          {"instance": k.instance, "node": k.node,
+                           "shards": shards}, latency=pcie)
         key = (k.instance, k.node)
         left = sys.gang_left.get(key)
         if left is not None:
-            left -= 1
+            left -= len(kernels)
             if left == 0:
                 del sys.gang_left[key]
                 self.sim.note_completion(k.instance, k.node)
@@ -137,7 +142,9 @@ class ClientProcess(Process):
         if inst in self.completed_at:
             return
         seen = self.results_seen.setdefault(inst, set())
-        seen.add((payload["edge"], payload["shard"]))
+        eid = payload["edge"]
+        for s in payload["shards"]:
+            seen.add((eid, s))
         info = self.system.instances[inst].program
         if len(seen) < info.result_shards:
             return
@@ -573,9 +580,10 @@ class _McCluster(Cluster):
         self._left: dict[str, int] = {}
         self.group_n = 0
 
-    def on_kernel_done(self, dev: DeviceProcess, k: KernelExec,
-                       start: int, end: int) -> None:
-        left = self._left.get(k.node, self.group_n) - 1
+    def on_kernels_done(self, devs: list[DeviceProcess],
+                        kernels: list[KernelExec]) -> None:
+        k = kernels[0]
+        left = self._left.get(k.node, self.group_n) - len(kernels)
         if left == 0:
             self._left.pop(k.node, None)
             self.sim.note_completion(k.instance, k.node)
@@ -598,6 +606,7 @@ class MCHost(Process):
         self.cluster = cluster
         self.host_id = host_id
         self.local = local_devs
+        self.shards = [group.index(d) for d in local_devs]
         self.group = group
         self.count = count
         self.duration_ns = duration_ns
@@ -614,15 +623,17 @@ class MCHost(Process):
         self.sim.trace_span(self.host_id, 100_000 + self.host_id,
                             f"enqueue c{i}", payload["start"], self.sim.now(),
                             "enqueue", "mc")
-        pcie = self.cluster.spec.pcie.latency_ns
-        for d in self.local:
-            k = KernelExec(
-                instance="mc", node=f"c{i}", shard=self.group.index(d),
-                duration_ns=self.duration_ns,
-                collective_key=f"mc/c{i}" if len(self.group) > 1 else None,
-                group=self.group if len(self.group) > 1 else ())
-            self.sim.send(self.pid, f"dev{d}", "enqueue_kernel",
-                          {"kernel": k}, latency=pcie)
+        collective = len(self.group) > 1
+        kernels = [(d, KernelExec(
+            instance="mc", node=f"c{i}", shard=s,
+            duration_ns=self.duration_ns,
+            collective_key=f"mc/c{i}" if collective else None,
+            group=self.group if collective else ()))
+            for d, s in zip(self.local, self.shards)]
+        # one PCIe message per host carries the kernels of all its devices
+        self.sim.send(self.pid, f"dev{self.local[0]}", "enqueue_kernel",
+                      {"kernels": kernels},
+                      latency=self.cluster.spec.pcie.latency_ns)
         self._emitted = i + 1
         if i + 1 < self.count:
             self.sim.schedule_in(self.costs.pcie_enqueue_ns * len(self.local),

@@ -74,9 +74,9 @@ class HostStore:
         for i, (dev, nbytes) in enumerate(shard_sizes):
             if reserve and nbytes > 0:
                 if not self.cluster.device(dev).hbm_try_take(nbytes):
-                    for s in shards:   # roll back partial
-                        if s.nbytes > 0:
-                            self.cluster.device(s.device).hbm_release(s.nbytes)
+                    # roll back partial
+                    self.cluster.release_hbm([(s.device, s.nbytes)
+                                              for s in shards])
                     raise StoreError(
                         f"device {dev} lacks {nbytes} free bytes for {h}")
             shards.append(ShardLoc(i, dev, nbytes))
@@ -110,11 +110,12 @@ class HostStore:
         return False
 
     def _free(self, buf: LogicalBuffer) -> None:
+        self.cluster.release_hbm([(loc.device, loc.nbytes)
+                                  for loc in buf.shards])
+        now = self._now()
         for loc in buf.shards:
-            if loc.nbytes > 0:
-                self.cluster.device(loc.device).hbm_release(loc.nbytes)
             self.audit.append(("free", buf.handle, loc.shard, loc.device,
-                               loc.nbytes, self._now()))
+                               loc.nbytes, now))
         del self.buffers[buf.handle]
 
     # -- ownership GC ------------------------------------------------------

@@ -64,6 +64,68 @@ def test_run_with_nodes_out_of_order_exits_two(tmp_path, capsys, mode):
     assert "incomplete" not in err
 
 
+def join_program() -> dict:
+    """n0 arg -> n1, n2 -> n3 joins them on input ports 0 and 1 -> n4."""
+    t = Tracer()
+    x = t.arg(4, 4096)
+    a = t.call(CompiledFunction("a", 4, (4096,), (4096,), 20.0), x)
+    b = t.call(CompiledFunction("b", 4, (4096,), (4096,), 30.0), x)
+    j = t.call(CompiledFunction("join", 4, (4096, 4096), (4096,), 10.0), a, b)
+    return json.loads(serialize(t.finish(results=[j])))
+
+
+def edge(doc: dict, src: str, dst: str) -> dict:
+    return next(e for e in doc["edges"] if (e["src"], e["dst"]) == (src, dst))
+
+
+# case -> (change to join_program's document, reason printed)
+MISWIRED = {
+    "dst_port_out_of_range": (
+        lambda doc: edge(doc, "n2", "n3").update(dst_port=7),
+        "node n3: an edge feeds input port 7, which does not exist "
+        "(2 inputs)"),
+    "port_fed_twice": (
+        lambda doc: edge(doc, "n2", "n3").update(dst_port=0),
+        "node n3: input port 0 is fed by 2 edges, not 1"),
+    "src_port_out_of_range": (
+        lambda doc: edge(doc, "n1", "n3").update(src_port=1),
+        "node n3: edge from n1 reads output port 1, which n1 does not have"),
+    "port_not_an_integer": (
+        lambda doc: edge(doc, "n2", "n3").update(dst_port="1"),
+        "ports must be integers"),
+    "result_fed_twice": (
+        lambda doc: doc["edges"].append(
+            {"src": "n1", "dst": "n4", "src_port": 0, "dst_port": 0}),
+        "node n4: input port 0 is fed by 2 edges, not 1"),
+    "result_not_fed": (
+        lambda doc: doc["edges"].remove(edge(doc, "n3", "n4")),
+        "node n4: input port 0 is fed by 0 edges, not 1"),
+}
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+@pytest.mark.parametrize("case", sorted(MISWIRED))
+def test_run_with_miswired_ports_exits_two(tmp_path, capsys, mode, case):
+    doc = join_program()
+    assert main(["run", write_json(tmp_path / "ok.json", doc),
+                 "--mode", mode]) == 0
+    capsys.readouterr()
+    change, reason = MISWIRED[case]
+    change(doc)
+    path = write_json(tmp_path / f"{case}.json", doc)
+    assert main(["run", path, "--mode", mode]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+def test_run_with_duplicate_node_id_exits_two(tmp_path, capsys, mode):
+    doc = json.loads(Path(CHAIN4).read_text())
+    doc["nodes"].append(dict(next(n for n in doc["nodes"] if n["id"] == "n2")))
+    path = write_json(tmp_path / "twice.json", doc)
+    assert main(["run", path, "--mode", mode]) == 2
+    assert "duplicate node id n2" in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_workload_keys(tmp_path, capsys):
     wl = write_json(tmp_path / "typo.json", {
         "benchmark": "dispatch", "duraton_us": 5,

@@ -28,11 +28,11 @@ from flowpath.config import load_workload
 
 PINS = {
     "parallel":
-        "6dd13fae75f5a64e5849019b98991118e8f7b9eb15d25ca4929a8ce8406daf00",
+        "afe669081f3b216ab26aae004b853db49943b8aca994f05989d6cea3d0699326",
     "sequential":
-        "43eb080135e359eb651f5052f541eb546b38f7288b6b2fcd99aad3e34d2f9eb6",
+        "b8420296e03d740712da920e0aaa5e132e4fe54e6fa43bca286676a8ff93e428",
     "auto":
-        "d8a83f98e87f5ea07496af3991718e11f2bbcb8eccd23ad5efe374ebef2c2541",
+        "41bc7ff29ce74ff60a9edb64c13ac71d421f175283a6d40dc6ce4ea21499baee",
 }
 
 COMPLETION_PINS = {

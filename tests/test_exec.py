@@ -111,6 +111,27 @@ def test_collective_gang_finishes_in_lockstep():
     assert len(sys_.sim.completions) == 1
 
 
+
+def test_paper_scale_collective_chain_costs_per_gang():
+    # the paper's 2048-device SPMD scale: 512 hosts x 4 devices run a
+    # 4-node chain of collectives; a gang's enqueue and completion cost per
+    # host and per group, not per device
+    n = 512 * 4
+    sys_ = System(small_cluster(hosts=512, devices_per_host=4),
+                  record_trace=False)
+    fns = [CompiledFunction(f"f{i}", n, (1024,), (1024,), 150.0,
+                            collective=True) for i in range(4)]
+    sys_.register_traced("chain", chain_program(fns))
+    sys_.start_job(sys_.add_client("c0"), StreamJob(
+        sys_.new_job_id(), "chain", count=4, window=2))
+    stats = sys_.run()
+    assert stats.status == "quiescent", stats.blocked
+    assert stats.clock_ns == 42_955_000
+    assert len(sys_.sim.completions) == 16
+    assert stats.events <= 2.5 * 16 * n          # events per device-kernel
+    assert audit_leaks(sys_.cluster) == {}
+
+
 # -- content digests -------------------------------------------------------
 
 def test_all_dispatch_modes_compute_the_same_value():

@@ -7,6 +7,8 @@ from flowpath.config import small_cluster
 from flowpath.hardware import (Cluster, HBMError, KernelExec,
                                PermanentAllocationError, enqueue_kernel,
                                transfer_ns)
+from flowpath.ir import CompiledFunction, chain_program
+from flowpath.runtime import StreamJob, System
 from flowpath.simcore import Simulator, find_wait_cycle, us
 
 
@@ -102,6 +104,55 @@ def test_collective_completes_together_at_last_arrival():
     assert sim.run_until_quiescent().status == "quiescent"
     ends = sorted((t.tid, t.end_ns) for t in sim.trace)
     assert ends == [(0, us(17)), (1, us(17))]   # last arrival 7us + 10us
+
+
+def test_collective_finishes_every_member_in_one_event():
+    """Staggered arrivals over 2 hosts x 2 devices: one completion event
+    ends the group, each member keeps its own span and busy time, and the
+    cluster hook hears the group once."""
+    sim = Simulator(record_log=True)
+    cl = Cluster(sim, small_cluster(hosts=2, devices_per_host=2))
+    reports = []
+    cl.on_kernels_done = lambda devs, ks: reports.append(
+        [(d.device_id, kk.shard) for d, kk in zip(devs, ks)])
+    group = (0, 1, 2, 3)
+    for d, at in ((2, us(1)), (0, us(3)), (3, us(4)), (1, us(6))):
+        enqueue_kernel(sim, d, k("i", "c", d, us(10), key="g", group=group),
+                       at=at)
+    assert sim.run_until_quiescent().status == "quiescent"
+    done = [(t, target, kind) for t, _seq, target, kind, _p in sim.log
+            if kind in ("kernel_done", "collective_done")]
+    assert done == [(us(16), "dev1", "collective_done")]
+    assert reports == [[(2, 2), (0, 0), (3, 3), (1, 1)]]   # arrival order
+    spans = sorted((t.tid, t.start_ns, t.end_ns) for t in sim.trace)
+    assert spans == [(0, us(3), us(16)), (1, us(6), us(16)),
+                     (2, us(1), us(16)), (3, us(4), us(16))]
+    assert [d.busy_ns for d in cl.devices] == [us(13), us(10), us(15), us(12)]
+    assert all(d.executing is None and not d.queue for d in cl.devices)
+
+
+def test_collective_tells_each_member_host_once_with_its_shards():
+    sys_ = System(small_cluster(hosts=2, devices_per_host=2), record_log=True)
+    f = CompiledFunction("allreduce", 4, (1024,), (1024,), 10.0,
+                         collective=True)
+    sys_.register_traced("p", chain_program([f]))
+    sys_.start_job(sys_.add_client("c0"),
+                   StreamJob(sys_.new_job_id(), "p", count=1))
+    assert sys_.run().status == "quiescent"
+    rows = [(target, kind, p) for _t, _seq, target, kind, p in sys_.sim.log]
+    kinds = [kind for _target, kind, _p in rows]
+    assert kinds.count("collective_done") == 1
+    assert [(target, p["shards"]) for target, kind, p in rows
+            if kind == "kernel_done"] == [("host0", [0, 1]), ("host1", [2, 3])]
+    assert [target for target, kind, _p in rows
+            if kind == "enqueue_kernel"] == ["dev0", "dev2"]   # one per host
+    assert sorted(len(p["shards"]) for _target, kind, p in rows
+                  if kind == "result") == [2, 2]
+    spans = sorted((t.tid, t.end_ns - t.start_ns) for t in sys_.sim.trace
+                   if t.category == "kernel")
+    assert spans == [(d, us(10)) for d in range(4)]
+    assert [d.busy_ns for d in sys_.cluster.devices] == [us(10)] * 4
+    assert len(sys_.sim.completions) == 1
 
 
 def test_crossed_collectives_deadlock_and_cycle_is_found():

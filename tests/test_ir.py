@@ -57,6 +57,11 @@ def test_shard_count_must_match_slice():
         t.call(fn(shards=4), a, slice_id=s)
 
 
+def test_negative_duration_rejected():
+    with pytest.raises(TraceError, match="negative duration"):
+        CompiledFunction("f", 4, (64,), (64,), -1.0)
+
+
 def test_arity_checked():
     t = Tracer()
     a = t.arg(4, 64)
