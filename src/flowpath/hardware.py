@@ -99,10 +99,16 @@ class DeviceProcess(Process):
             self.cluster.on_transfer_arrive(self, payload)
             self._try_start()
         elif kind == "kernel_done":
-            self.cluster.finish_kernels([self])
+            self.cluster.on_kernels_done([self], [self._finish(self.sim.now())])
+            self._try_start()
         elif kind == "collective_done":
-            devices = self.cluster.devices
-            self.cluster.finish_kernels([devices[d] for d in payload["members"]])
+            # finish every member, report the group once, then start each
+            # member's next kernel
+            devs = [self.cluster.devices[d] for d in payload["members"]]
+            end = self.sim.now()
+            self.cluster.on_kernels_done(devs, [d._finish(end) for d in devs])
+            for dev in devs:
+                dev._try_start()
         elif kind == "abort_kernel":
             self._abort(payload)
         else:
@@ -253,26 +259,17 @@ class Cluster:
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
         pass
 
-    def finish_kernels(self, devs: list[DeviceProcess]) -> None:
-        """Complete the kernel each of devs executes, report them once, and
-        let each device start its next kernel."""
-        end = self.sim.now()
-        kernels = [dev._finish(end) for dev in devs]
-        self.on_kernels_done(devs, kernels)
-        for dev in devs:
-            dev._try_start()
-
     def release_hbm(self, shards: Iterable[tuple[int, int]]) -> None:
-        """Return (device, bytes) per shard; each island whose devices got
-        bytes back hears once, so its waiting gangs retry."""
-        freed: dict[int, DeviceProcess] = {}      # island -> a device
+        """Return (device, bytes) per shard, then tell the island of the
+        devices that got bytes back once, so its waiting gangs retry."""
+        island = None
         for device_id, nbytes in shards:
             if nbytes:
                 dev = self.devices[device_id]
                 dev.hbm_release(nbytes)
-                freed[dev.island_id] = dev
-        for dev in freed.values():
-            self.on_hbm_freed(dev)
+                if dev.island_id != island:     # the hook is idempotent
+                    island = dev.island_id
+                    self.on_hbm_freed(dev)
 
     # -- links -------------------------------------------------------------
 

@@ -44,13 +44,17 @@ class _SysCluster(Cluster):
     def on_kernels_done(self, devs: list[DeviceProcess],
                         kernels: list[KernelExec]) -> None:
         sys = self.system
-        # one message per member host: a device of it, then its shards
-        by_host: dict[int, list] = {}
-        for dev, k in zip(devs, kernels):
-            by_host.setdefault(dev.host_id, [dev.pid]).append(k.shard)
         k = kernels[0]
+        # one message per member host, from a device of it: its shards
+        if len(devs) == 1:
+            by_host = {devs[0].host_id: (devs[0].pid, [k.shard])}
+        else:
+            by_host = {}
+            for dev, kk in zip(devs, kernels):
+                by_host.setdefault(dev.host_id, (dev.pid, []))[1].append(
+                    kk.shard)
         pcie = self.spec.pcie.latency_ns
-        for host, (src, *shards) in by_host.items():
+        for host, (src, shards) in by_host.items():
             self.sim.send(src, f"host{host}", "kernel_done",
                           {"instance": k.instance, "node": k.node,
                            "shards": shards}, latency=pcie)
