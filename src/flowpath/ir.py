@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -495,6 +496,7 @@ def _validate_graph(p: TracedProgram) -> None:
         ports = fed.setdefault(e.dst, {})
         ports[e.dst_port] = ports.get(e.dst_port, 0) + 1
         producers.setdefault(e.dst, []).append(e.src)
+    returned = Counter(p.results)
     # plans, instance state and digests walk the nodes in list order
     listed: set[str] = set()
     for nid, n in p.nodes.items():
@@ -516,7 +518,10 @@ def _validate_graph(p: TracedProgram) -> None:
                 raise TraceError(
                     f"node {nid}: input port {port} is fed by "
                     f"{ports.get(port, 0)} edges, not 1")
-    for rid in p.results:
+        if isinstance(n, ResultNode) and returned[nid] != 1:
+            raise TraceError(f"result node {nid} is listed {returned[nid]} "
+                             "times in results, not once")
+    for rid in returned:
         if rid not in p.nodes or not isinstance(p.node(rid), ResultNode):
             raise TraceError(f"results entry {rid} is not a result node")
     for n in p.compute_nodes:

@@ -79,7 +79,7 @@ def edge(doc: dict, src: str, dst: str) -> dict:
 
 
 # case -> (change to join_program's document, reason printed)
-MISWIRED = {
+MALFORMED = {
     "dst_port_out_of_range": (
         lambda doc: edge(doc, "n2", "n3").update(dst_port=7),
         "node n3: an edge feeds input port 7, which does not exist "
@@ -100,17 +100,23 @@ MISWIRED = {
     "result_not_fed": (
         lambda doc: doc["edges"].remove(edge(doc, "n3", "n4")),
         "node n4: input port 0 is fed by 0 edges, not 1"),
+    "result_not_returned": (
+        lambda doc: doc["results"].clear(),
+        "result node n4 is listed 0 times in results, not once"),
+    "result_returned_twice": (
+        lambda doc: doc["results"].append("n4"),
+        "result node n4 is listed 2 times in results, not once"),
 }
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])
-@pytest.mark.parametrize("case", sorted(MISWIRED))
-def test_run_with_miswired_ports_exits_two(tmp_path, capsys, mode, case):
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_run_with_malformed_graph_exits_two(tmp_path, capsys, mode, case):
     doc = join_program()
     assert main(["run", write_json(tmp_path / "ok.json", doc),
                  "--mode", mode]) == 0
     capsys.readouterr()
-    change, reason = MISWIRED[case]
+    change, reason = MALFORMED[case]
     change(doc)
     path = write_json(tmp_path / f"{case}.json", doc)
     assert main(["run", path, "--mode", mode]) == 2
