@@ -15,6 +15,8 @@ dispatch: a change that moves it moves a published number.
 `UTILIZATION_DOC_PIN` does the same for the `utilization` suite, whose
 event log is mostly kernel enqueues, kernel completions and per-shard
 results: a change that only merges those messages must leave it alone.
+`CROSSOVER_DOC_PIN` pins the `crossover` suite at 2, 4 and 8 hosts, the one
+suite that runs the coordinator-free reference (`multicontroller_baseline`).
 """
 import hashlib
 from pathlib import Path
@@ -48,6 +50,8 @@ DISPATCH_DOC_PIN = \
     "2a9f886a4640eaba7f8a658488cb459cbd6b0da355cb934644d5fcadc5c6a70e"
 UTILIZATION_DOC_PIN = \
     "047a1d52644e1472891076c90d3eeb96ebe37d7eae1453f7a8c0aa1178f0de69"
+CROSSOVER_DOC_PIN = \
+    "baaf17fbd2ebf9c302c28a35999b797e726ff9c01ef32cb9b8710c777b6043df"
 WORKLOADS = Path(__file__).resolve().parent.parent / "configs" / "workloads"
 
 
@@ -79,9 +83,11 @@ def test_completion_series_matches_pin(mode):
     assert hashlib.sha256(series).hexdigest() == COMPLETION_PINS[mode]
 
 
-def document_sha(name: str, tmp_path) -> str:
-    doc = run_benchmark(name, load_workload(str(WORKLOADS / f"{name}.json")))
-    doc.pop("_system")
+def document_sha(name: str, tmp_path, workload: dict | None = None) -> str:
+    if workload is None:
+        workload = load_workload(str(WORKLOADS / f"{name}.json"))
+    doc = run_benchmark(name, workload)
+    doc.pop("_system", None)
     path = tmp_path / f"{name}.json"
     write_results(doc, str(path))
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -93,3 +99,8 @@ def test_dispatch_document_matches_pin(tmp_path):
 
 def test_utilization_document_matches_pin(tmp_path):
     assert document_sha("utilization", tmp_path) == UTILIZATION_DOC_PIN
+
+
+def test_crossover_document_matches_pin(tmp_path):
+    sha = document_sha("crossover", tmp_path, {"host_counts": [2, 4, 8]})
+    assert sha == CROSSOVER_DOC_PIN

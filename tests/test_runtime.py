@@ -245,3 +245,13 @@ def test_baseline_device_subset():
     assert len(run.completions) == 8
     # single host drives 4 devices: 20us enqueue loop, 5us pcie, then serial
     assert run.completions[0][0] == us(55)
+
+
+def test_baseline_one_device_runs_lone_kernels():
+    spec = small_cluster(hosts=2, devices_per_host=4)
+    run = multicontroller_baseline(spec, count=6, duration_ns=us(30),
+                                   devices=[5])
+    # no rendezvous: 5us enqueue, 5us pcie, then one kernel after another
+    assert [t for t, _i, _n in run.completions] == [
+        us(40 + 30 * i) for i in range(6)]
+    assert run.makespan_ns == us(190)

@@ -257,3 +257,61 @@ def test_scheduler_end_to_end_proportional_counts():
     sim.run_until_quiescent()
     first = [c for _seq, _t, c, _i, _n in s.dispatched[:40]]
     assert abs(first.count("b") / 40 - 0.75) < 0.05
+
+
+# -- generated gang mixes --------------------------------------------------
+
+class GiveBack(Process):
+    """host0: gives a gang's bytes back `duration_ns` after its `go`."""
+
+    def __init__(self, sim, cluster, sched, gangs):
+        super().__init__(sim, "host0")
+        self.cluster, self.sched, self.gangs = cluster, sched, gangs
+
+    def handle(self, kind, payload, src):
+        if kind == "go":
+            g = self.gangs[payload["instance"]]
+            self.sim.schedule_in(g.duration_ns, self.pid, "done",
+                                 {"instance": g.instance})
+        else:
+            for d, nbytes in self.gangs[payload["instance"]].hbm.items():
+                self.cluster.device(d).hbm_release(nbytes)
+            self.sched.notify_hbm_freed()
+
+
+gang_specs = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]),
+              st.sets(st.integers(0, 3), min_size=1),
+              st.integers(0, 8), st.integers(1, 1000), st.integers(0, 100)),
+    min_size=1, max_size=12)
+
+
+@given(gang_specs, st.sampled_from(["fifo", "proportional"]),
+       st.one_of(st.none(), st.tuples(st.sampled_from(["a", "b", "c"]),
+                                      st.integers(0, 400))))
+@settings(max_examples=150, deadline=None)
+def test_generated_gangs_keep_ticket_order_and_return_memory(
+        specs, kind, failure):
+    pol = Policy(kind=kind, weights={"a": 1, "b": 2, "c": 3})
+    sim, cl, s = make_sched(policy=pol, hbm=8 * MB, devices_per_host=4)
+    gangs = {}
+    for i, (client, devs, mb, dur_us, at_us) in enumerate(specs):
+        g = gang(f"g{i}", client=client, devices=sorted(devs),
+                 hbm_each=mb * MB, dur=us(dur_us))
+        gangs[g.instance] = g
+        s.submit([g], f"client.{client}", latency_ns=us(at_us))
+    GiveBack(sim, cl, s, gangs)
+    if failure is not None:
+        sim.schedule_at(us(failure[1]), s.pid, "client_failed",
+                        {"client": failure[0]})
+    sim.run_until_quiescent()
+    assert s.obligations() == []
+    for d in range(4):
+        seqs = [seq for seq, _t, _c, inst, _n in s.dispatched
+                if d in gangs[inst].devices]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+        assert cl.device(d).free_bytes == 8 * MB
+    if failure is not None:
+        dead, at = failure
+        assert all(t <= us(at) for _seq, t, c, _i, _n in s.dispatched
+                   if c == dead)
