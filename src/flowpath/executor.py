@@ -320,8 +320,8 @@ class _InstState:
     ticket: dict[str, int] = field(default_factory=dict)
     kdone: dict[str, int] = field(default_factory=dict)   # node -> local done
     src_done: dict[str, set] = field(default_factory=dict)      # eid -> shards
-    addr: dict[str, dict] = field(default_factory=dict)   # eid -> {(s,d): ...}
-    launched: dict[str, set] = field(default_factory=dict)
+    # eid -> {(s,d): ...}, the addresses of pairs not yet launched
+    addr: dict[str, dict] = field(default_factory=dict)
     drain_pending: dict[str, int] = field(default_factory=dict)
 
 
@@ -354,11 +354,7 @@ class HostExecutor(Process):
 
     def _send(self, dst: str, kind: str, payload: dict, critical: bool) -> None:
         self.stats["ctrl_msgs"] += 1
-        lat = None
-        if dst == self.pid:
-            lat = 0                              # local handoff, no wire
-        elif dst.startswith("client"):
-            lat = self.costs.client_rpc_ns
+        lat = 0 if dst == self.pid else None     # local handoff, no wire
         self.batcher.send(dst, kind, payload, critical, latency_ns=lat)
 
     # -- serialized host work ----------------------------------------------
@@ -619,13 +615,12 @@ class HostExecutor(Process):
         ei = info.edges[eid]
         src_devs = info.lowered.placement[ei.src]
         done = st.src_done.get(eid, set())
-        launched = st.launched.setdefault(eid, set())
-        for (src_shard, dst_shard), (dst_dev, nbytes) in sorted(
-                st.addr.get(eid, {}).items()):
-            if (src_shard, dst_shard) in launched or src_shard not in done:
+        amap = st.addr.get(eid, {})
+        for (src_shard, dst_shard), (dst_dev, nbytes) in sorted(amap.items()):
+            if src_shard not in done:
                 continue
             src_dev = src_devs[src_shard]       # on this host: addr came here
-            launched.add((src_shard, dst_shard))
+            del amap[(src_shard, dst_shard)]
             self.cluster.transfer(src_dev, dst_dev, nbytes, instance,
                                   ei.dst, dst_shard,
                                   extra={"edge": eid, "src_shard": src_shard})

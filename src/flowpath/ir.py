@@ -434,6 +434,23 @@ def serialize(p: TracedProgram) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+# the type of each count, size, duration and flag in a program's rows
+_FIELD_TYPES = {"shards": "int", "bytes_per_shard": "int", "apply_count": "int",
+                "us_per_shard": "number", "regular": "bool", "collective": "bool",
+                "in_bytes": "int list", "out_bytes": "int list", "shape": "int list"}
+_IS = {"int": lambda v: type(v) is int, "bool": lambda v: type(v) is bool,
+       "number": lambda v: type(v) in (int, float),     # a bool is no number
+       "int list": lambda v: type(v) is list and all(type(x) is int for x in v)}
+
+
+def _check_types(row: dict, where: str) -> dict:
+    for key, v in row.items():
+        kind = _FIELD_TYPES.get(key)
+        if kind and not _IS[kind](v):
+            raise TraceError(f"{where}: {key!r} must be of type {kind}, not {v!r}")
+    return row
+
+
 def deserialize(text: str) -> TracedProgram:
     try:
         doc = json.loads(text)
@@ -446,10 +463,11 @@ def deserialize(text: str) -> TracedProgram:
             if nid in nodes:
                 raise TraceError(f"duplicate node id {nid}")
             if kind == "arg":
+                _check_types(row, f"node {nid}")
                 nodes[nid] = ArgNode(nid, row["shards"], row["bytes_per_shard"],
                                      row.get("layout", "row"), row.get("handle"))
             elif kind == "compute":
-                f = row["fn"]
+                f = _check_types(row["fn"], f"node {nid}")
                 nodes[nid] = ComputeNode(nid, CompiledFunction(
                     name=f["name"], shard_count=f["shards"],
                     in_bytes=tuple(f["in_bytes"]), out_bytes=tuple(f["out_bytes"]),
@@ -464,11 +482,15 @@ def deserialize(text: str) -> TracedProgram:
                 raise TraceError(f"unknown node kind {kind!r}")
         edges = [Edge(e["src"], e["dst"], e.get("src_port", 0), e.get("dst_port", 0))
                  for e in doc["edges"]]
-        slices = {sid: SliceRequirement(tuple(s["shape"]), s.get("island"))
+        slices = {sid: SliceRequirement(
+                      tuple(_check_types(s, f"slice {sid}")["shape"]),
+                      s.get("island"))
                   for sid, s in doc.get("slices", {}).items()}
         results = list(doc["results"])
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise TraceError(f"bad program JSON: missing field {e}") from e
+    except TypeError as e:
+        raise TraceError(f"bad program JSON: {e}") from e
     p = TracedProgram(nodes=nodes, edges=edges, results=results, slices=slices)
     _validate_graph(p)
     return p
@@ -487,7 +509,7 @@ def _validate_graph(p: TracedProgram) -> None:
     for e in p.edges:
         if e.src not in p.nodes or e.dst not in p.nodes:
             raise TraceError(f"edge {e} references unknown node")
-        if not (isinstance(e.src_port, int) and isinstance(e.dst_port, int)):
+        if not (_IS["int"](e.src_port) and _IS["int"](e.dst_port)):
             raise TraceError(f"edge {e}: ports must be integers")
         if not 0 <= e.src_port < _ports(p.nodes[e.src])[1]:
             raise TraceError(

@@ -391,8 +391,6 @@ class System:
                     pending_trigger.add(nid)
             if cur:
                 stages.append(cur)
-            if not stages:
-                stages, triggers = [[]], [set()]
             return modes, stages, triggers
         raise ValidationError(f"unknown dispatch mode {mode!r}")
 
@@ -439,26 +437,20 @@ class System:
         return inst
 
     def submit_next_stage(self, inst: str, ready_node: str | None = None) -> None:
+        """Submit each next stage whose triggers have all reported in; a
+        later stage's triggers may report first. No stage is empty: the
+        first compute node reads only args, so it is static."""
         meta = self.instances[inst]
         if ready_node is not None:
             meta.stage_seen.add(ready_node)
-        while True:
+        while (meta.stage_idx < len(meta.stages)
+               and meta.triggers[meta.stage_idx] <= meta.stage_seen):
             idx = meta.stage_idx
-            if idx >= len(meta.stages):
-                return
-            if not meta.triggers[idx] <= meta.stage_seen:
-                return
             meta.stage_idx = idx + 1
-            nids = meta.stages[idx]
-            if not nids:
-                continue
-            last_stage = idx == len(meta.stages) - 1
             self.submit_gangs(
-                inst, nids, src_pid=f"client.{meta.client}",
+                inst, meta.stages[idx], src_pid=f"client.{meta.client}",
                 latency_ns=self.costs.client_rpc_ns,
-                reply_last=meta.reply_to_client and last_stage)
-            if not last_stage:
-                return
+                reply_last=meta.reply_to_client and idx == len(meta.stages) - 1)
 
     def submit_gangs(self, inst: str, nids: list[str], src_pid: str,
                      latency_ns: int | None = None,
@@ -578,78 +570,6 @@ def steady_rate(series: list[tuple[int, int]], lo: float = 0.25,
 
 # -- multicontroller reference ------------------------------------------------
 
-class _McCluster(Cluster):
-    def __init__(self, sim: Simulator, spec: ClusterSpec):
-        super().__init__(sim, spec)
-        self._left: dict[str, int] = {}
-        self.group_n = 0
-
-    def on_kernels_done(self, devs: list[DeviceProcess],
-                        kernels: list[KernelExec]) -> None:
-        k = kernels[0]
-        left = self._left.get(k.node, self.group_n) - len(kernels)
-        if left == 0:
-            self._left.pop(k.node, None)
-            self.sim.note_completion(k.instance, k.node)
-        else:
-            self._left[k.node] = left
-
-
-class MCHost(Process):
-    """Per-host enqueue loop of the coordinator-free reference runtime.
-
-    Each host drives only its own devices over PCIe; computations still
-    rendezvous as collectives across the whole device group. There is no
-    client, no scheduler, and no cross-host control traffic.
-    """
-
-    def __init__(self, sim: Simulator, cluster: Cluster, host_id: int,
-                 local_devs: list[int], group: tuple[int, ...],
-                 count: int, duration_ns: int, costs: CostModel):
-        super().__init__(sim, f"mc{host_id}")
-        self.cluster = cluster
-        self.host_id = host_id
-        self.local = local_devs
-        self.shards = [group.index(d) for d in local_devs]
-        self.group = group
-        self.count = count
-        self.duration_ns = duration_ns
-        self.costs = costs
-        self._emitted = 0
-
-    def start(self) -> None:
-        self.sim.schedule_in(self.costs.pcie_enqueue_ns * len(self.local),
-                             self.pid, "emit", {"i": 0, "start": self.sim.now()})
-
-    def handle(self, kind: str, payload: dict, src: str | None) -> None:
-        assert kind == "emit"
-        i = payload["i"]
-        self.sim.trace_span(self.host_id, 100_000 + self.host_id,
-                            f"enqueue c{i}", payload["start"], self.sim.now(),
-                            "enqueue", "mc")
-        collective = len(self.group) > 1
-        kernels = [(d, KernelExec(
-            instance="mc", node=f"c{i}", shard=s,
-            duration_ns=self.duration_ns,
-            collective_key=f"mc/c{i}" if collective else None,
-            group=self.group if collective else ()))
-            for d, s in zip(self.local, self.shards)]
-        # one PCIe message per host carries the kernels of all its devices
-        self.sim.send(self.pid, f"dev{self.local[0]}", "enqueue_kernel",
-                      {"kernels": kernels},
-                      latency=self.cluster.spec.pcie.latency_ns)
-        self._emitted = i + 1
-        if i + 1 < self.count:
-            self.sim.schedule_in(self.costs.pcie_enqueue_ns * len(self.local),
-                                 self.pid, "emit",
-                                 {"i": i + 1, "start": self.sim.now()})
-
-    def obligations(self) -> list[str]:
-        if self._emitted < self.count:
-            return [f"{self.count - self._emitted} computations not yet enqueued"]
-        return []
-
-
 @dataclass
 class BaselineRun:
     sim: Simulator
@@ -662,22 +582,37 @@ class BaselineRun:
 
 
 def multicontroller_baseline(spec: ClusterSpec, count: int, duration_ns: int,
-                             devices: list[int] | None = None,
-                             record_trace: bool = False) -> BaselineRun:
-    """Reference: every host enqueues its own kernels, nobody coordinates."""
-    costs = CostModel()
-    sim = Simulator(record_trace=record_trace)
-    cluster = _McCluster(sim, spec)
+                             devices: list[int] | None = None) -> BaselineRun:
+    """Reference: every host enqueues its own kernels, nobody coordinates.
+
+    Each host drives only its own devices, with no client, scheduler or
+    cross-host traffic: it sends computation i at (i + 1) x `pcie_enqueue_ns`
+    x (its device count), one PCIe message for all its devices, so every
+    enqueue is known before the run. A computation is one collective over
+    the whole group (a lone kernel on a one-device group) and finishes
+    whole, so each `on_kernels_done` call is one completion.
+    """
+    sim = Simulator(record_trace=False)
+    cluster = Cluster(sim, spec)
+    cluster.on_kernels_done = lambda _devs, kernels: sim.note_completion(
+        kernels[0].instance, kernels[0].node)
     group = (tuple(devices) if devices is not None
              else tuple(d.device_id for d in cluster.devices))
-    cluster.group_n = len(group)
+    members = group if len(group) > 1 else ()
+    shard = {d: s for s, d in enumerate(group)}
     by_host: dict[int, list[int]] = {}
     for d in group:
         by_host.setdefault(cluster.device(d).host_id, []).append(d)
-    hosts = [MCHost(sim, cluster, h, devs, group, count, duration_ns, costs)
-             for h, devs in sorted(by_host.items())]
-    for hp in hosts:
-        hp.start()
+    step, pcie = CostModel().pcie_enqueue_ns, spec.pcie.latency_ns
+    for i in range(count):
+        key = f"mc/c{i}" if members else None
+        for _h, local in sorted(by_host.items()):
+            kernels = [(d, KernelExec("mc", f"c{i}", shard[d], duration_ns,
+                                      collective_key=key, group=members))
+                       for d in local]
+            sim.schedule_at((i + 1) * step * len(local) + pcie,
+                            f"dev{local[0]}", "enqueue_kernel",
+                            {"kernels": kernels})
     r = sim.run_until_quiescent()
     if r.status != "quiescent":
         raise RuntimeError(f"baseline run deadlocked: {r.blocked}")

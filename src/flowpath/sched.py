@@ -8,7 +8,9 @@ consistent order is what makes concurrent collectives deadlock-free.
 
 Device memory for a gang is reserved atomically, all devices or none, in
 ticket order. A gang that cannot reserve parks without holding anything;
-later gangs may overtake it only on devices it does not touch.
+later gangs may overtake it only on devices it does not touch. A gang gets
+its ticket only once no parked gang shares a device with it, so each device
+has at most one ticket waiting and needs no line to keep ticket order.
 
 Policies: FIFO, or proportional share via stride scheduling. The stride
 charge is the gang's estimated device busy time over the client weight, in
@@ -125,7 +127,6 @@ class IslandScheduler(Process):
         else:
             self.policy = _FifoPolicy()
         self._seq = 0
-        self._rsv_q: dict[int, list[int]] = {}       # device -> ticket seqs
         self._parked: dict[int, GangRequest] = {}    # ticket seq -> gang
         self._tasks: list[tuple] = []                # serialized work items
         self._working = False
@@ -162,9 +163,9 @@ class IslandScheduler(Process):
     # -- serialized work loop ----------------------------------------------
 
     def _blocked_devices(self) -> set[int]:
-        """Devices with a parked gang: their line must drain before more
-        work is ordered onto them, so later arrivals wait in the policy
-        queue where arrival order does not outrank the policy."""
+        """Devices with a parked gang: it must be granted before more work
+        is ordered onto them, so later arrivals wait in the policy queue
+        where arrival order does not outrank the policy."""
         out: set[int] = set()
         for gang in self._parked.values():
             out.update(gang.devices)
@@ -196,7 +197,8 @@ class IslandScheduler(Process):
             # except when a client death emptied the queue; then skip
             gang = self.policy.pop(self._blocked_devices())
             if gang is not None:
-                self._parked[self._issue_ticket(gang)] = gang
+                self._seq += 1
+                self._parked[self._seq] = gang
                 self._try_grants()
         else:
             _kind, _nsends, sends = task
@@ -207,36 +209,24 @@ class IslandScheduler(Process):
         self._working = False
         self._start_next_task()
 
-    def _issue_ticket(self, gang: GangRequest) -> int:
-        self._seq += 1
-        for d in gang.devices:
-            self._rsv_q.setdefault(d, []).append(self._seq)
-        return self._seq
-
     # -- reservations ------------------------------------------------------
 
     def _try_grants(self) -> None:
-        """Grant every parked gang that is at the head everywhere with room."""
-        progress = True
-        while progress:
-            progress = False
-            for seq in sorted(self._parked):
-                gang = self._parked[seq]
-                if not all(self._rsv_q[d][0] == seq for d in gang.devices):
-                    continue
-                if not all(self.cluster.device(d).free_bytes >= gang.hbm.get(d, 0)
-                           for d in gang.devices):
-                    continue
-                for d in gang.devices:   # atomic: all checked, now take all
-                    need = gang.hbm.get(d, 0)
-                    if need:
-                        taken = self.cluster.device(d).hbm_try_take(need)
-                        assert taken
-                    self._rsv_q[d].pop(0)
-                del self._parked[seq]
-                self._grant(seq, gang)
-                progress = True
-                break
+        """Grant, in ticket order, each parked gang whose devices have room.
+        Parked gangs share no device, so one grant cannot make room for
+        another: one pass suffices."""
+        for seq in sorted(self._parked):
+            gang = self._parked[seq]
+            if not all(self.cluster.device(d).free_bytes >= gang.hbm.get(d, 0)
+                       for d in gang.devices):
+                continue
+            for d in gang.devices:   # atomic: all checked, now take all
+                need = gang.hbm.get(d, 0)
+                if need:
+                    taken = self.cluster.device(d).hbm_try_take(need)
+                    assert taken
+            del self._parked[seq]
+            self._grant(seq, gang)
 
     def _grant(self, seq: int, gang: GangRequest) -> None:
         self.dispatched.append((seq, self.sim.now(), gang.client,
@@ -264,10 +254,7 @@ class IslandScheduler(Process):
         self._dead_clients.add(client)
         self.policy.drop_client(client)
         for seq in sorted(self._parked):
-            gang = self._parked[seq]
-            if gang.client == client:
-                for d in gang.devices:
-                    self._rsv_q[d].remove(seq)
+            if self._parked[seq].client == client:
                 del self._parked[seq]
         self._try_grants()
         self._pump()           # removing parked gangs can unblock devices

@@ -132,6 +132,55 @@ def test_run_with_duplicate_node_id_exits_two(tmp_path, capsys, mode):
     assert "duplicate node id n2" in capsys.readouterr().err
 
 
+def node(doc: dict, nid: str) -> dict:
+    return next(n for n in doc["nodes"] if n["id"] == nid)
+
+
+# case -> (change to chain4's document, reason printed)
+WRONG_TYPES = {
+    "us_per_shard_str": (
+        lambda doc: node(doc, "n1")["fn"].update(us_per_shard="50"),
+        "node n1: 'us_per_shard' must be of type number, not '50'"),
+    "in_bytes_strs": (
+        lambda doc: node(doc, "n2")["fn"].update(in_bytes=["1048576"]),
+        "node n2: 'in_bytes' must be of type int list, not ['1048576']"),
+    "arg_shards_str": (
+        lambda doc: node(doc, "n0").update(shards="4"),
+        "node n0: 'shards' must be of type int, not '4'"),
+    "arg_shards_float": (
+        lambda doc: node(doc, "n0").update(shards=4.0),
+        "node n0: 'shards' must be of type int, not 4.0"),
+    "apply_count_str": (
+        lambda doc: node(doc, "n3")["fn"].update(apply_count="2"),
+        "node n3: 'apply_count' must be of type int, not '2'"),
+    "bytes_per_shard_str": (
+        lambda doc: node(doc, "n0").update(bytes_per_shard="1048576"),
+        "node n0: 'bytes_per_shard' must be of type int, not '1048576'"),
+    "regular_str": (
+        lambda doc: node(doc, "n4")["fn"].update(regular="no"),
+        "node n4: 'regular' must be of type bool, not 'no'"),
+    "collective_int": (
+        lambda doc: node(doc, "n1")["fn"].update(collective=1),
+        "node n1: 'collective' must be of type bool, not 1"),
+    "fn_shards_bool": (
+        lambda doc: node(doc, "n2")["fn"].update(shards=True),
+        "node n2: 'shards' must be of type int, not True"),
+    "slice_shape_strs": (
+        lambda doc: doc["slices"]["s2"].update(shape=["4"]),
+        "slice s2: 'shape' must be of type int list, not ['4']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_run_with_wrong_typed_field_exits_two(tmp_path, capsys, case):
+    doc = json.loads(Path(CHAIN4).read_text())
+    change, reason = WRONG_TYPES[case]
+    change(doc)
+    path = write_json(tmp_path / f"{case}.json", doc)
+    assert main(["run", path]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_workload_keys(tmp_path, capsys):
     wl = write_json(tmp_path / "typo.json", {
         "benchmark": "dispatch", "duraton_us": 5,

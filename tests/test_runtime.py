@@ -139,6 +139,31 @@ def test_auto_runs_irregular_programs_to_the_same_answer():
     assert out["sequential"] == out["auto"]
 
 
+def test_auto_submits_a_stage_whose_trigger_reported_first():
+    # stage 2 waits on d2, stage 1 on d1; d2 reads only a and reports long
+    # before d1, which also waits on the slow s
+    out = {}
+    for mode in ("sequential", "auto"):
+        sys_, c = make_system(devices_per_host=2)
+        t = Tracer()
+        x = t.arg(2, MB)
+        a = t.call(fn("a", 2, 10.0), x)
+        s = t.call(fn("s", 2, 500.0), x)
+        d1 = t.call(CompiledFunction("d1", 2, (MB, MB), (MB,), 10.0,
+                                     regular=False), a, s)
+        b = t.call(fn("b", 2, 10.0), d1)
+        d2 = t.call(fn("d2", 2, 10.0, regular=False), a)
+        c2 = t.call(fn("c", 2, 10.0), d2)
+        info = sys_.register_traced("p", t.finish(results=[b, c2]))
+        if mode == "auto":
+            assert sys_._plan(info, mode)[2] == [set(), {"n3"}, {"n5"}]
+        sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", 1, mode=mode))
+        stats = sys_.run()
+        assert stats.status == "quiescent", stats.blocked
+        out[mode] = sys_.inst_digests["i1"]
+    assert out["sequential"] == out["auto"]
+
+
 # -- client jobs -----------------------------------------------------------
 
 def test_handles_trigger_submits_at_grant_time():
