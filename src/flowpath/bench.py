@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .config import ClusterSpec, Policy, ValidationError, small_cluster
+from .config import (ClusterSpec, Policy, ValidationError, check_keys,
+                     small_cluster)
 from .ir import CompiledFunction, Tracer, chain_program
 from .runtime import (StreamJob, System, multicontroller_baseline, steady_rate)
 from .simcore import Simulator, us
@@ -37,11 +38,10 @@ def write_results(doc: dict, path: str) -> None:
         f.write("\n")
 
 
-def _recheck_rate(series: list[tuple[int, int]], reported: float,
-                  lo: float = 0.25, hi: float = 0.95) -> dict:
-    """Independent recomputation of a steady-state rate from completions."""
-    a = int(len(series) * lo)
-    b = max(a + 2, int(len(series) * hi))
+def _recheck_rate(series: list[tuple[int, int]], reported: float) -> dict:
+    """Independent recomputation of `steady_rate` from completions."""
+    a = int(len(series) * 0.25)
+    b = max(a + 2, int(len(series) * 0.95))
     b = min(b, len(series))
     t0 = series[a - 1][0] if a > 0 else 0
     units = 0
@@ -159,21 +159,20 @@ def _baseline_rate(spec: ClusterSpec, t_us: int, count: int) -> float:
 
 
 def crossover_point(hosts: int, devices_per_host: int = 2, count: int = 40,
-                    window: int = 32, lo_us: int = 1, hi_us: int = 4096,
-                    threshold: float = 0.99) -> int:
-    """Smallest per-kernel duration (us) at which coordinated dispatch
-    sustains the coordinator-free rate, by bisection on the ratio."""
+                    window: int = 32) -> int:
+    """Smallest per-kernel duration (us, 1 to 4096) at which coordinated
+    dispatch sustains 99% of the coordinator-free rate, by bisection."""
     spec = small_cluster(hosts=hosts, devices_per_host=devices_per_host)
     n_dev = hosts * devices_per_host
 
     def ratio_ok(t_us: int) -> bool:
         r_sys = _stream_rate(spec, n_dev, t_us, count, window)
         r_mc = _baseline_rate(spec, t_us, count)
-        return r_sys >= threshold * r_mc
+        return r_sys >= 0.99 * r_mc
 
-    if not ratio_ok(hi_us):
-        raise RuntimeError(f"no crossover below {hi_us}us at {hosts} hosts")
-    lo, hi = lo_us, hi_us
+    lo, hi = 1, 4096
+    if not ratio_ok(hi):
+        raise RuntimeError(f"no crossover below {hi}us at {hosts} hosts")
     while lo < hi:
         mid = (lo + hi) // 2
         if ratio_ok(mid):
@@ -212,19 +211,18 @@ def bench_crossover(host_counts=(2, 4, 8, 16, 32, 64),
 # -- staged pipeline ----------------------------------------------------------
 
 def pipeline_program(stages: int, micro: int, stage_us: float,
-                     micro_kb: int = 1, islands: int = 1):
-    """stages x micro grid: microbatch m flows through every stage in order."""
+                     islands: int = 1):
+    """stages x micro grid: 1 KB microbatch m flows through every stage."""
     t = Tracer()
     slices = []
     for s in range(stages):
         island = None if islands == 1 else s * islands // stages
         slices.append(t.virtual_slice([1], island=island))
-    fns = [CompiledFunction(f"st{s}", 1, (micro_kb * 1024,),
-                            (micro_kb * 1024,), stage_us)
+    fns = [CompiledFunction(f"st{s}", 1, (1024,), (1024,), stage_us)
            for s in range(stages)]
     outs = []
     for _m in range(micro):
-        v = t.arg(shards=1, bytes_per_shard=micro_kb * 1024)
+        v = t.arg(shards=1, bytes_per_shard=1024)
         for s in range(stages):
             v = t.call(fns[s], v, slice_id=slices[s])
         outs.append(v)
@@ -232,15 +230,14 @@ def pipeline_program(stages: int, micro: int, stage_us: float,
 
 
 def run_pipeline(stages: int, micro: int, stage_us: float = 1000.0,
-                 micro_kb: int = 1, islands: int = 1,
-                 record_log: bool = False) -> dict:
+                 islands: int = 1, record_log: bool = False) -> dict:
     if stages % islands:
         raise ValidationError(f"{stages} stages do not split over "
                               f"{islands} islands")
     spec = small_cluster(hosts=max(1, stages // (4 * islands)),
                          devices_per_host=4, islands=islands)
     sys = System(spec, record_log=record_log)
-    prog = pipeline_program(stages, micro, stage_us, micro_kb, islands)
+    prog = pipeline_program(stages, micro, stage_us, islands)
     sys.register_traced("pipe", prog, None)
     c = sys.add_client("c0")
     job = StreamJob(sys.new_job_id(), "pipe", 1, mode="parallel")
@@ -404,10 +401,7 @@ def run_benchmark(name: str, workload: dict | None = None,
         raise ValidationError(f"unknown benchmark {name!r}")
     w = dict(workload or {})
     w.pop("benchmark", None)
-    unknown = sorted(set(w) - set(WORKLOAD_KEYS[name]))
-    if unknown:
-        raise ValidationError(
-            f"workload for {name!r} has unknown keys: {', '.join(unknown)}")
+    check_keys(w, WORKLOAD_KEYS[name], f"workload for {name!r}")
     if name in ("dispatch", "crossover", "pipeline") and spec is not None:
         raise ValidationError(
             f"benchmark {name!r} sweeps its own cluster shapes; "

@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Chrome trace of the last system the suite ran")
     b.add_argument("--event-log", metavar="FILE",
                    help="NDJSON event log of the last system the suite ran")
-    b.add_argument("--seed", type=int, default=0,
-                   help="recorded in the results; runs are deterministic")
     b.set_defaults(fn=_bench)
 
     r = sub.add_parser("run", help="execute one serialized program")
@@ -68,7 +66,6 @@ def _bench(args) -> int:
     doc = run_benchmark(args.name, workload, spec=spec,
                         record_log=bool(args.event_log))
     system = doc.pop("_system", None)
-    doc["params"]["seed"] = args.seed
     write_results(doc, args.out)
     wrote = [args.out]
     if args.trace_out:

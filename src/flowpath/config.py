@@ -2,21 +2,22 @@
 
 The cluster document is JSON:
 
-    {"islands": [{"devices_per_host": 4, "hosts": 2, "mesh": [8],
+    {"islands": [{"devices_per_host": 4, "hosts": 2,
                   "ici": {"latency_ns": 1000, "gbps": 100.0}}, ...],
      "dcn": {"latency_ns": 50000, "gbps": 10.0},
      "pcie": {"latency_ns": 5000, "gbps": 16.0},
      "hbm_bytes": 17179869184}
 
-gbps means gigabytes per second. No document sets the cost-model constants
-or the batching limits; the CLI and the benchmark suites run with the
-defaults below. The scheduling policy is built by the driver that needs
+gbps means gigabytes per second. An island's device count is hosts x
+devices_per_host, and its ICI is one flat link. Any other key is rejected,
+so a typo cannot silently run the default. No document sets the cost-model
+constants or the batching limits; the CLI and the benchmark suites run with
+the defaults below. The scheduling policy is built by the driver that needs
 one; the fairness suite takes its weights from the workload document.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .simcore import us
@@ -40,7 +41,6 @@ class LinkSpec:
 class IslandSpec:
     devices_per_host: int
     hosts: int
-    mesh: tuple[int, ...]
     ici: LinkSpec
 
     @property
@@ -55,10 +55,6 @@ class ClusterSpec:
     pcie: LinkSpec
     hbm_bytes: int
 
-    @property
-    def device_count(self) -> int:
-        return sum(i.device_count for i in self.islands)
-
 
 DEFAULT_ICI = LinkSpec(latency_ns=1_000, gbps=100.0)
 DEFAULT_DCN = LinkSpec(latency_ns=50_000, gbps=10.0)
@@ -66,11 +62,19 @@ DEFAULT_PCIE = LinkSpec(latency_ns=5_000, gbps=16.0)
 DEFAULT_HBM = 16 * 1000**3  # per-device capacity, bytes
 
 
+def check_keys(doc, known, where: str) -> None:
+    """Reject a document row that is no object or has a key outside known."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: expected object")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys: {', '.join(unknown)}")
+
+
 def _link(doc: dict | None, default: LinkSpec, where: str) -> LinkSpec:
     if doc is None:
         return default
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where}: expected object")
+    check_keys(doc, ("latency_ns", "gbps"), where)
     lat = doc.get("latency_ns", default.latency_ns)
     gbps = doc.get("gbps", default.gbps)
     if not isinstance(lat, int) or lat < 0:
@@ -81,23 +85,20 @@ def _link(doc: dict | None, default: LinkSpec, where: str) -> LinkSpec:
 
 
 def cluster_from_dict(doc: dict) -> ClusterSpec:
-    if not isinstance(doc, dict) or "islands" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("islands"), list):
         raise ValidationError("cluster config: 'islands' list required")
+    check_keys(doc, ("islands", "dcn", "pcie", "hbm_bytes"), "cluster config")
     islands = []
     for i, isl in enumerate(doc["islands"]):
+        check_keys(isl, ("devices_per_host", "hosts", "ici"), f"islands[{i}]")
         dph = isl.get("devices_per_host")
         hosts = isl.get("hosts")
         if not isinstance(dph, int) or dph < 1:
             raise ValidationError(f"islands[{i}].devices_per_host: positive int required")
         if not isinstance(hosts, int) or hosts < 1:
             raise ValidationError(f"islands[{i}].hosts: positive int required")
-        mesh = tuple(isl.get("mesh", [dph * hosts]))
-        if math.prod(mesh) != dph * hosts:
-            raise ValidationError(
-                f"islands[{i}].mesh {list(mesh)}: product must equal device count "
-                f"{dph * hosts}")
         islands.append(IslandSpec(
-            devices_per_host=dph, hosts=hosts, mesh=mesh,
+            devices_per_host=dph, hosts=hosts,
             ici=_link(isl.get("ici"), DEFAULT_ICI, f"islands[{i}].ici")))
     hbm = doc.get("hbm_bytes", DEFAULT_HBM)
     if not isinstance(hbm, int) or hbm <= 0:
@@ -123,8 +124,7 @@ def small_cluster(hosts: int = 2, devices_per_host: int = 4,
                   ici: LinkSpec = DEFAULT_ICI, dcn: LinkSpec = DEFAULT_DCN,
                   pcie: LinkSpec = DEFAULT_PCIE) -> ClusterSpec:
     """Convenience builder used by tests and benchmark sweeps."""
-    isl = IslandSpec(devices_per_host=devices_per_host, hosts=hosts,
-                     mesh=(devices_per_host * hosts,), ici=ici)
+    isl = IslandSpec(devices_per_host=devices_per_host, hosts=hosts, ici=ici)
     return ClusterSpec(islands=(isl,) * islands, dcn=dcn, pcie=pcie,
                        hbm_bytes=hbm_bytes)
 

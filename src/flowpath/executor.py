@@ -53,7 +53,6 @@ from .store import HostStore
 
 @dataclass
 class EdgeInfo:
-    eid: str
     src: str
     dst: str
     src_port: int
@@ -87,7 +86,6 @@ class NodeInfo:
 
 @dataclass
 class ArgInfo:
-    nid: str
     shards: int
     bytes_per_shard: int
     placement: tuple[int, ...]
@@ -205,7 +203,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         by_shost: dict[int, list[ShardPair]] = {}
         srcs = sources.setdefault(e.dst, {})
         landing = recv.setdefault(e.dst, {})
-        for pr in le.reshard.pairs:
+        for pr in le.pairs:
             by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
             by_shost.setdefault(host_of[pr.src_dev], []).append(pr)
             # bound args are resident already, held by the client
@@ -213,13 +211,13 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
                 s = pr.dst_shard
                 srcs.setdefault(s, []).append(pr.src_dev)
                 landing[s] = landing.get(s, 0) + pr.nbytes
-            elif not ext and not to_result:
+            elif not ext:
                 same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
         if same:
             # drained once the consumer's kernel has run, on the shard's host
             drains.setdefault(e.dst, []).append((eid, same))
         edges[eid] = EdgeInfo(
-            eid=eid, src=e.src, dst=e.dst, src_port=e.src_port,
+            src=e.src, dst=e.dst, src_port=e.src_port,
             dst_port=e.dst_port, src_shards=len(lp.placement[e.src]),
             to_result=to_result,
             pairs_by_chost={h: tuple(v) for h, v in sorted(by_chost.items())},
@@ -237,7 +235,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         outs = tuple(out_eids.get(n.id, ()))
         placement = lp.placement[n.id]
         args[n.id] = ArgInfo(
-            nid=n.id, shards=n.shards, bytes_per_shard=n.bytes_per_shard,
+            shards=n.shards, bytes_per_shard=n.bytes_per_shard,
             placement=placement, home_host=host_of[placement[0]],
             local_shards=_by_host(placement, host_of),
             out_edges=outs, ext=n.handle is not None)

@@ -3,8 +3,8 @@
 A traced program is a compact DAG: one Arg node per program input, one
 Compute node per call (regardless of how many shards the call runs on), one
 Result node per returned value. Lowering binds Compute nodes to physical
-devices and attaches a resharding spec to every edge; it is a pure function
-of (program, device map).
+devices and attaches its reshard pairs to every edge that moves data; it is
+a pure function of (program, device map).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .simcore import us
@@ -44,8 +44,6 @@ class CompiledFunction:
     us_per_shard: float
     regular: bool = True
     collective: bool = False
-    in_layouts: tuple[str, ...] = ()
-    out_layouts: tuple[str, ...] = ()
     apply_count: int = 1
 
     def __post_init__(self):
@@ -55,14 +53,6 @@ class CompiledFunction:
             raise TraceError(f"{self.name}: negative byte size")
         if self.us_per_shard < 0:
             raise TraceError(f"{self.name}: negative duration")
-        if not self.in_layouts:
-            object.__setattr__(self, "in_layouts", ("row",) * len(self.in_bytes))
-        if not self.out_layouts:
-            object.__setattr__(self, "out_layouts", ("row",) * len(self.out_bytes))
-        if len(self.in_layouts) != len(self.in_bytes):
-            raise TraceError(f"{self.name}: in_layouts/in_bytes length mismatch")
-        if len(self.out_layouts) != len(self.out_bytes):
-            raise TraceError(f"{self.name}: out_layouts/out_bytes length mismatch")
 
     @cached_property
     def duration_ns(self) -> int:
@@ -93,9 +83,7 @@ class ArgNode:
     id: str
     shards: int
     bytes_per_shard: int
-    layout: str = "row"
     handle: str | None = None   # bind to an existing store handle
-    kind: str = "arg"
 
 
 @dataclass
@@ -103,13 +91,11 @@ class ComputeNode:
     id: str
     fn: CompiledFunction
     slice_id: str
-    kind: str = "compute"
 
 
 @dataclass
 class ResultNode:
     id: str
-    kind: str = "result"
 
 
 @dataclass(frozen=True)
@@ -129,26 +115,11 @@ class ShardPair:
     dst_dev: int = -1
 
 
-@dataclass(frozen=True)
-class ReshardingSpec:
-    """Block redistribution of a 1-D logical byte range from M to N shards."""
-
-    mapping: str                     # one_to_one | scatter | gather | all_to_all
-    src_shards: int
-    dst_shards: int
-    logical_bytes: int
-    pairs: tuple[ShardPair, ...]
-
-    @property
-    def transfer_bytes(self) -> int:
-        """Bytes that actually cross devices."""
-        return sum(p.nbytes for p in self.pairs if p.src_dev != p.dst_dev)
-
-
 def plan_reshard(src_shards: int, src_bytes_per_shard: int,
-                 dst_shards: int, dst_bytes_per_shard: int,
-                 src_layout: str = "row", dst_layout: str = "row") -> ReshardingSpec:
-    """Compute the contiguous-block overlap pairs between two shardings."""
+                 dst_shards: int, dst_bytes_per_shard: int
+                 ) -> tuple[ShardPair, ...]:
+    """The contiguous-block overlap pairs that redistribute a 1-D logical
+    byte range from M to N shards."""
     total = src_shards * src_bytes_per_shard
     if total != dst_shards * dst_bytes_per_shard:
         raise LowerError(
@@ -167,15 +138,7 @@ def plan_reshard(src_shards: int, src_bytes_per_shard: int,
                 overlap = min(hi, s_hi) - max(lo, s_lo)
                 if overlap > 0:
                     pairs.append(ShardPair(i, j, overlap))
-    if src_shards == dst_shards and src_layout == dst_layout:
-        mapping = "one_to_one"
-    elif dst_shards > src_shards and dst_shards % src_shards == 0:
-        mapping = "scatter"
-    elif src_shards > dst_shards and src_shards % dst_shards == 0:
-        mapping = "gather"
-    else:
-        mapping = "all_to_all"
-    return ReshardingSpec(mapping, src_shards, dst_shards, total, tuple(pairs))
+    return tuple(pairs)
 
 
 @dataclass
@@ -196,9 +159,9 @@ class TracedProgram:
 class Tracer:
     """Builds a TracedProgram call by call.
 
-    Values are opaque ValueRefs; using a ref from another tracer, or
-    finishing with no calls, is a trace error. Node ids record trace order,
-    which is by construction a topological order.
+    Values are opaque ValueRefs; using a ref from another tracer is a trace
+    error, and `finish` checks the program as `deserialize` does. Node ids
+    record trace order, which is by construction a topological order.
     """
 
     _ids = 0
@@ -209,7 +172,7 @@ class Tracer:
         self._nodes: dict[str, object] = {}
         self._edges: list[Edge] = []
         self._slices: dict[str, SliceRequirement] = {}
-        self._producers: dict[tuple[str, int], tuple[int, str]] = {}
+        self._producers: set[tuple[str, int]] = set()
         self._results: list[ValueRef] = []
         self._n = 0
         self._finished = False
@@ -225,12 +188,12 @@ class Tracer:
         self._slices[sid] = SliceRequirement(tuple(shape), island)
         return sid
 
-    def arg(self, shards: int, bytes_per_shard: int, layout: str = "row",
+    def arg(self, shards: int, bytes_per_shard: int,
             handle: str | None = None) -> ValueRef:
         self._check_open()
         nid = self._next("n")
-        self._nodes[nid] = ArgNode(nid, shards, bytes_per_shard, layout, handle)
-        self._producers[(nid, 0)] = (shards, layout)
+        self._nodes[nid] = ArgNode(nid, shards, bytes_per_shard, handle)
+        self._producers.add((nid, 0))
         return ValueRef(nid, 0, self._tid)
 
     def call(self, fn: CompiledFunction, *inputs: ValueRef,
@@ -253,8 +216,7 @@ class Tracer:
             self._check_ref(ref)
             self._edges.append(Edge(ref.node, nid, ref.port, port))
         self._nodes[nid] = ComputeNode(nid, fn, slice_id)
-        for p in range(len(fn.out_bytes)):
-            self._producers[(nid, p)] = (fn.shard_count, fn.out_layouts[p])
+        self._producers.update((nid, p) for p in range(len(fn.out_bytes)))
         if len(fn.out_bytes) == 1:
             return ValueRef(nid, 0, self._tid)
         return tuple(ValueRef(nid, p, self._tid) for p in range(len(fn.out_bytes)))
@@ -269,18 +231,18 @@ class Tracer:
         if results:
             for r in results:
                 self.result(r)
-        if not any(isinstance(n, ComputeNode) for n in self._nodes.values()):
-            raise TraceError("empty program: no calls traced")
         for ref in self._results:
             nid = self._next("n")
             self._nodes[nid] = ResultNode(nid)
             self._edges.append(Edge(ref.node, nid, ref.port, 0))
         self._finished = True
-        return TracedProgram(
+        p = TracedProgram(
             nodes=self._nodes, edges=self._edges,
             results=[n.id for n in self._nodes.values()
                      if isinstance(n, ResultNode)],
             slices=self._slices)
+        _validate_graph(p)
+        return p
 
     def _check_open(self):
         if self._finished:
@@ -309,28 +271,22 @@ def validate_regularity(p: TracedProgram) -> RegularityReport:
 @dataclass(frozen=True)
 class LoweredEdge:
     edge: Edge
-    reshard: ReshardingSpec
+    pairs: tuple[ShardPair, ...]             # none on an edge into a result
 
 
 @dataclass
 class LoweredProgram:
     program: TracedProgram
-    placement: dict[str, tuple[int, ...]]    # node id -> devices, shard order
+    placement: dict[str, tuple[int, ...]]    # arg/compute id -> devices
     edges: list[LoweredEdge]
-    device_map: dict[str, tuple[int, ...]]   # slice id -> devices
 
 
-def _shard_geometry(p: TracedProgram, placement: dict[str, tuple[int, ...]],
-                    nid: str, port: int, side: str) -> tuple[int, int, str, tuple[int, ...]]:
-    """(shards, bytes_per_shard, layout, devices) for one side of an edge."""
-    n = p.node(nid)
+def _shard_geometry(n, port: int, side: str) -> tuple[int, int]:
+    """(shards, bytes_per_shard) for one side of an edge."""
     if isinstance(n, ArgNode):
-        return n.shards, n.bytes_per_shard, n.layout, placement[nid]
-    assert isinstance(n, ComputeNode)
-    fn = n.fn
-    if side == "out":
-        return fn.shard_count, fn.out_bytes[port], fn.out_layouts[port], placement[nid]
-    return fn.shard_count, fn.in_bytes[port], fn.in_layouts[port], placement[nid]
+        return n.shards, n.bytes_per_shard
+    sizes = n.fn.out_bytes if side == "out" else n.fn.in_bytes
+    return n.fn.shard_count, sizes[port]
 
 
 def arg_consumers(p: TracedProgram) -> dict[str, str]:
@@ -352,8 +308,10 @@ def lower(p: TracedProgram,
 
     device_map assigns each virtual slice an ordered device list (shard i of
     a node runs on devices[i]). Arg shards are placed round-robin over the
-    first consumer's devices; Result nodes mirror their producer. Pure:
-    lowering the same inputs twice gives identical output.
+    first consumer's devices. Results are read in place, where their
+    producer wrote them, so result nodes get no placement and the edges
+    into them no pairs. Pure: lowering the same inputs twice gives
+    identical output.
     """
     dmap = {sid: tuple(devs) for sid, devs in device_map.items()}
     for sid, req in p.slices.items():
@@ -365,9 +323,6 @@ def lower(p: TracedProgram,
                 f"{len(dmap[sid])}")
 
     consumer = arg_consumers(p)
-    producer: dict[str, str] = {}
-    for e in p.edges:
-        producer.setdefault(e.dst, e.src)
     placement: dict[str, tuple[int, ...]] = {}
     for n in p.nodes.values():
         if isinstance(n, ComputeNode):
@@ -378,25 +333,20 @@ def lower(p: TracedProgram,
                 raise LowerError(f"arg {n.id} has no consumer")
             devs = placement[consumer[n.id]]
             placement[n.id] = tuple(devs[i % len(devs)] for i in range(n.shards))
-    for n in p.nodes.values():
-        if isinstance(n, ResultNode):
-            placement[n.id] = placement[producer[n.id]]
 
     lowered_edges: list[LoweredEdge] = []
     for e in p.edges:
-        sm, sb, sl, sdevs = _shard_geometry(p, placement, e.src, e.src_port, "out")
         dst = p.node(e.dst)
         if isinstance(dst, ResultNode):
-            dm, db, dl, ddevs = sm, sb, sl, sdevs   # results stay in place
-        else:
-            dm, db, dl, ddevs = _shard_geometry(p, placement, e.dst, e.dst_port, "in")
-        spec = plan_reshard(sm, sb, dm, db, sl, dl)
-        pairs = tuple(replace(pr, src_dev=sdevs[pr.src_shard],
-                              dst_dev=ddevs[pr.dst_shard])
-                      for pr in spec.pairs)
-        lowered_edges.append(LoweredEdge(e, replace(spec, pairs=pairs)))
-    return LoweredProgram(program=p, placement=placement, edges=lowered_edges,
-                          device_map=dmap)
+            lowered_edges.append(LoweredEdge(e, ()))
+            continue
+        sdevs, ddevs = placement[e.src], placement[e.dst]
+        pairs = plan_reshard(*_shard_geometry(p.node(e.src), e.src_port, "out"),
+                             *_shard_geometry(dst, e.dst_port, "in"))
+        lowered_edges.append(LoweredEdge(e, tuple(
+            replace(pr, src_dev=sdevs[pr.src_shard], dst_dev=ddevs[pr.dst_shard])
+            for pr in pairs)))
+    return LoweredProgram(program=p, placement=placement, edges=lowered_edges)
 
 
 # -- serialization ----------------------------------------------------------
@@ -406,7 +356,7 @@ def serialize(p: TracedProgram) -> str:
     for n in p.nodes.values():
         if isinstance(n, ArgNode):
             row = {"id": n.id, "kind": "arg", "shards": n.shards,
-                   "bytes_per_shard": n.bytes_per_shard, "layout": n.layout}
+                   "bytes_per_shard": n.bytes_per_shard}
             if n.handle is not None:
                 row["handle"] = n.handle
         elif isinstance(n, ComputeNode):
@@ -417,8 +367,6 @@ def serialize(p: TracedProgram) -> str:
                           "out_bytes": list(fn.out_bytes),
                           "us_per_shard": fn.us_per_shard,
                           "regular": fn.regular, "collective": fn.collective,
-                          "in_layouts": list(fn.in_layouts),
-                          "out_layouts": list(fn.out_layouts),
                           "apply_count": fn.apply_count}}
         else:
             row = {"id": n.id, "kind": "result"}
@@ -437,17 +385,34 @@ def serialize(p: TracedProgram) -> str:
 # the type of each count, size, duration and flag in a program's rows
 _FIELD_TYPES = {"shards": "int", "bytes_per_shard": "int", "apply_count": "int",
                 "us_per_shard": "number", "regular": "bool", "collective": "bool",
-                "in_bytes": "int list", "out_bytes": "int list", "shape": "int list"}
+                "in_bytes": "int list", "out_bytes": "int list", "shape": "int list",
+                "island": "int or null"}
 _IS = {"int": lambda v: type(v) is int, "bool": lambda v: type(v) is bool,
        "number": lambda v: type(v) in (int, float),     # a bool is no number
-       "int list": lambda v: type(v) is list and all(type(x) is int for x in v)}
+       "int list": lambda v: type(v) is list and all(type(x) is int for x in v),
+       "int or null": lambda v: v is None or type(v) is int}
+# the keys each kind of row may carry; any other key is rejected, so a typo
+# cannot silently run the default
+_KEYS = {"program": {"nodes", "edges", "results", "slices"},
+         "arg": {"id", "kind", "shards", "bytes_per_shard", "handle"},
+         "compute": {"id", "kind", "slice", "fn"},
+         "fn": {"name", "shards", "in_bytes", "out_bytes", "us_per_shard",
+                "regular", "collective", "apply_count"},
+         "result": {"id", "kind"},
+         "edge": {"src", "dst", "src_port", "dst_port"},
+         "slice": {"shape", "island"}}
 
 
-def _check_types(row: dict, where: str) -> dict:
+def _check_row(row: dict, kind: str, where: str) -> dict:
+    if type(row) is not dict:
+        raise TraceError(f"{where}: expected an object, not {row!r}")
+    unknown = sorted(set(row) - _KEYS[kind])
+    if unknown:
+        raise TraceError(f"{where}: unknown keys: {', '.join(unknown)}")
     for key, v in row.items():
-        kind = _FIELD_TYPES.get(key)
-        if kind and not _IS[kind](v):
-            raise TraceError(f"{where}: {key!r} must be of type {kind}, not {v!r}")
+        t = _FIELD_TYPES.get(key)
+        if t and not _IS[t](v):
+            raise TraceError(f"{where}: {key!r} must be of type {t}, not {v!r}")
     return row
 
 
@@ -458,41 +423,43 @@ def deserialize(text: str) -> TracedProgram:
         raise TraceError(f"bad program JSON: {e}") from e
     nodes: dict[str, object] = {}
     try:
+        _check_row(doc, "program", "program")
         for row in doc["nodes"]:
             nid, kind = row["id"], row["kind"]
             if nid in nodes:
                 raise TraceError(f"duplicate node id {nid}")
+            if kind not in ("arg", "compute", "result"):
+                raise TraceError(f"unknown node kind {kind!r}")
+            _check_row(row, kind, f"node {nid}")
             if kind == "arg":
-                _check_types(row, f"node {nid}")
                 nodes[nid] = ArgNode(nid, row["shards"], row["bytes_per_shard"],
-                                     row.get("layout", "row"), row.get("handle"))
+                                     row.get("handle"))
             elif kind == "compute":
-                f = _check_types(row["fn"], f"node {nid}")
+                f = _check_row(row["fn"], "fn", f"node {nid}")
                 nodes[nid] = ComputeNode(nid, CompiledFunction(
                     name=f["name"], shard_count=f["shards"],
                     in_bytes=tuple(f["in_bytes"]), out_bytes=tuple(f["out_bytes"]),
                     us_per_shard=f["us_per_shard"], regular=f.get("regular", True),
                     collective=f.get("collective", False),
-                    in_layouts=tuple(f.get("in_layouts", ())),
-                    out_layouts=tuple(f.get("out_layouts", ())),
                     apply_count=f.get("apply_count", 1)), row["slice"])
-            elif kind == "result":
-                nodes[nid] = ResultNode(nid)
             else:
-                raise TraceError(f"unknown node kind {kind!r}")
-        edges = [Edge(e["src"], e["dst"], e.get("src_port", 0), e.get("dst_port", 0))
-                 for e in doc["edges"]]
+                nodes[nid] = ResultNode(nid)
+        edges = []
+        for i, e in enumerate(doc["edges"]):
+            _check_row(e, "edge", f"edges[{i}]")
+            edges.append(Edge(e["src"], e["dst"], e.get("src_port", 0),
+                              e.get("dst_port", 0)))
         slices = {sid: SliceRequirement(
-                      tuple(_check_types(s, f"slice {sid}")["shape"]),
+                      tuple(_check_row(s, "slice", f"slice {sid}")["shape"]),
                       s.get("island"))
                   for sid, s in doc.get("slices", {}).items()}
-        results = list(doc["results"])
+        p = TracedProgram(nodes=nodes, edges=edges, results=list(doc["results"]),
+                          slices=slices)
+        _validate_graph(p)       # an id of the wrong type raises TypeError
     except KeyError as e:
         raise TraceError(f"bad program JSON: missing field {e}") from e
-    except TypeError as e:
+    except (TypeError, AttributeError) as e:
         raise TraceError(f"bad program JSON: {e}") from e
-    p = TracedProgram(nodes=nodes, edges=edges, results=results, slices=slices)
-    _validate_graph(p)
     return p
 
 
@@ -515,6 +482,10 @@ def _validate_graph(p: TracedProgram) -> None:
             raise TraceError(
                 f"node {e.dst}: edge from {e.src} reads output port "
                 f"{e.src_port}, which {e.src} does not have")
+        if (isinstance(p.nodes[e.src], ArgNode)
+                and isinstance(p.nodes[e.dst], ResultNode)):
+            raise TraceError(f"result node {e.dst} returns arg {e.src}; "
+                             "only a computed value can be returned")
         ports = fed.setdefault(e.dst, {})
         ports[e.dst_port] = ports.get(e.dst_port, 0) + 1
         producers.setdefault(e.dst, []).append(e.src)
@@ -543,6 +514,8 @@ def _validate_graph(p: TracedProgram) -> None:
         if isinstance(n, ResultNode) and returned[nid] != 1:
             raise TraceError(f"result node {nid} is listed {returned[nid]} "
                              "times in results, not once")
+    if not p.compute_nodes:
+        raise TraceError("program has no compute node")
     for rid in returned:
         if rid not in p.nodes or not isinstance(p.node(rid), ResultNode):
             raise TraceError(f"results entry {rid} is not a result node")

@@ -552,13 +552,12 @@ class System:
         return busy / (len(devs) * (t1 - t0)) if t1 > t0 else 0.0
 
 
-def steady_rate(series: list[tuple[int, int]], lo: float = 0.25,
-                hi: float = 0.95) -> float:
-    """Units per second over the middle completions of a long run."""
+def steady_rate(series: list[tuple[int, int]]) -> float:
+    """Units per second over the middle completions (25% to 95%) of a run."""
     if len(series) < 4:
         raise ValueError("not enough completions for a steady-state window")
-    a = int(len(series) * lo)
-    b = max(a + 2, int(len(series) * hi))
+    a = int(len(series) * 0.25)
+    b = max(a + 2, int(len(series) * 0.95))
     b = min(b, len(series))
     t0 = series[a - 1][0] if a > 0 else 0
     t1 = series[b - 1][0]
@@ -577,8 +576,8 @@ class BaselineRun:
     completions: list[tuple[int, str, str]]
     makespan_ns: int
 
-    def rate(self, lo: float = 0.25, hi: float = 0.95) -> float:
-        return steady_rate([(t, 1) for t, _i, _n in self.completions], lo, hi)
+    def rate(self) -> float:
+        return steady_rate([(t, 1) for t, _i, _n in self.completions])
 
 
 def multicontroller_baseline(spec: ClusterSpec, count: int, duration_ns: int,

@@ -108,9 +108,6 @@ class Simulator:
             raise SimError(f"duplicate process id {proc.pid!r}")
         self._procs[proc.pid] = proc
 
-    def process(self, pid: str) -> Process:
-        return self._procs[pid]
-
     def now(self) -> int:
         return self.clock
 

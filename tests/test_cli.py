@@ -1,12 +1,16 @@
 """Command-line exit codes: 0 for a clean run, 2 for bad input with a reason."""
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from flowpath import CompiledFunction, Tracer
+from flowpath import CompiledFunction, System, Tracer, small_cluster
+from flowpath.bench import WORKLOAD_KEYS
 from flowpath.cli import main
-from flowpath.ir import serialize
+from flowpath.config import load_cluster
+from flowpath.ir import deserialize, serialize
+from flowpath.runtime import StreamJob
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CHAIN4 = str(CONFIGS / "programs" / "chain4.json")
@@ -168,6 +172,12 @@ WRONG_TYPES = {
     "slice_shape_strs": (
         lambda doc: doc["slices"]["s2"].update(shape=["4"]),
         "slice s2: 'shape' must be of type int list, not ['4']"),
+    "slice_id_list": (
+        lambda doc: node(doc, "n1").update(slice=["s0"]),
+        "bad program JSON: unhashable type: 'list'"),
+    "slice_island_str": (
+        lambda doc: doc["slices"]["s1"].update(island="0"),
+        "slice s1: 'island' must be of type int or null, not '0'"),
 }
 
 
@@ -179,6 +189,150 @@ def test_run_with_wrong_typed_field_exits_two(tmp_path, capsys, case):
     path = write_json(tmp_path / f"{case}.json", doc)
     assert main(["run", path]) == 2
     assert reason in capsys.readouterr().err
+
+
+# case -> (change to chain4's document, reason printed)
+RETURNS_AN_ARG = {
+    "chain4_also_returns_its_arg": (
+        lambda doc: (doc["nodes"].append({"id": "n6", "kind": "result"}),
+                     doc["edges"].append({"src": "n0", "dst": "n6"}),
+                     doc["results"].append("n6")),
+        "result node n6 returns arg n0"),
+    "no_compute_node": (
+        lambda doc: doc.update(
+            nodes=[node(doc, "n0"), {"id": "n1", "kind": "result"}],
+            edges=[{"src": "n0", "dst": "n1"}], results=["n1"], slices={}),
+        "result node n1 returns arg n0"),
+}
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+@pytest.mark.parametrize("case", sorted(RETURNS_AN_ARG))
+def test_run_returning_an_arg_exits_two(tmp_path, capsys, mode, case):
+    doc = json.loads(Path(CHAIN4).read_text())
+    change, reason = RETURNS_AN_ARG[case]
+    change(doc)
+    path = write_json(tmp_path / f"{case}.json", doc)
+    assert main(["run", path, "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+
+
+# case -> (change to chain4's document, reason printed)
+UNKNOWN_PROGRAM_KEYS = {
+    "top": (lambda doc: doc.update(result=["n5"]),
+            "program: unknown keys: result"),
+    "arg_layout": (lambda doc: node(doc, "n0").update(layout="row"),
+                   "node n0: unknown keys: layout"),
+    "compute": (lambda doc: node(doc, "n2").update(slic="s0"),
+                "node n2: unknown keys: slic"),
+    "fn": (lambda doc: node(doc, "n1")["fn"].update(colective=True),
+           "node n1: unknown keys: colective"),
+    "fn_layouts": (lambda doc: node(doc, "n1")["fn"].update(
+                       in_layouts=["row"], out_layouts=["col"]),
+                   "node n1: unknown keys: in_layouts, out_layouts"),
+    "result": (lambda doc: node(doc, "n5").update(port=0),
+               "node n5: unknown keys: port"),
+    "edge": (lambda doc: doc["edges"][2].update(dst_prt=0),
+             "edges[2]: unknown keys: dst_prt"),
+    "slice": (lambda doc: doc["slices"]["s3"].update(mesh=[2, 2]),
+              "slice s3: unknown keys: mesh"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_PROGRAM_KEYS))
+def test_run_with_unknown_program_key_exits_two(tmp_path, capsys, case):
+    doc = json.loads(Path(CHAIN4).read_text())
+    change, reason = UNKNOWN_PROGRAM_KEYS[case]
+    change(doc)
+    path = write_json(tmp_path / f"{case}.json", doc)
+    assert main(["run", path]) == 2
+    assert reason in capsys.readouterr().err
+
+
+# case -> (change to cluster_small.json, reason printed)
+UNKNOWN_CLUSTER_KEYS = {
+    "top": (lambda doc: doc.update(hbm_byte=1000),
+            "cluster config: unknown keys: hbm_byte"),
+    "island_mesh": (lambda doc: doc["islands"][0].update(mesh=[2, 4]),
+                    "islands[0]: unknown keys: mesh"),
+    "ici": (lambda doc: doc["islands"][0].update(ici={"latency": 5}),
+            "islands[0].ici: unknown keys: latency"),
+    "dcn": (lambda doc: doc["dcn"].update(gpbs=1.0),
+            "dcn: unknown keys: gpbs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_CLUSTER_KEYS))
+def test_run_with_unknown_cluster_key_exits_two(tmp_path, capsys, case):
+    doc = json.loads((CONFIGS / "cluster_small.json").read_text())
+    change, reason = UNKNOWN_CLUSTER_KEYS[case]
+    change(doc)
+    cfg = write_json(tmp_path / f"{case}.json", doc)
+    assert main(["run", CHAIN4, "--config", cfg]) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_auto_mode_with_irregular_first_node_exits_two(tmp_path, capsys):
+    doc = json.loads(Path(CHAIN4).read_text())
+    node(doc, "n1")["fn"]["regular"] = False
+    path = write_json(tmp_path / "irregular.json", doc)
+    assert main(["run", path, "--mode", "auto"]) == 2
+    assert "n1: data-dependent source node" in capsys.readouterr().err
+
+
+# -- trace export ------------------------------------------------------------
+
+def test_run_writes_a_sorted_chrome_trace(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    assert main(["run", CHAIN4, "--trace-out", str(out)]) == 0
+    events = json.loads(out.read_text())
+    assert isinstance(events, list) and events
+    assert {e["ph"] for e in events} == {"X"}
+    kernels = [e for e in events if re.fullmatch(r"n\d+\[\d+\]", e["name"])]
+    assert len(kernels) == 16                    # 4 nodes x 4 shards
+    assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
+
+
+def test_bench_without_a_trace_rejects_trace_out(tmp_path, capsys):
+    wl = write_json(tmp_path / "tiny.json", {
+        "benchmark": "fairness", "total_gangs": 40, "window": 4})
+    assert main(["bench", "fairness", "--workload", wl,
+                 "--out", str(tmp_path / "r.json"),
+                 "--trace-out", str(tmp_path / "t.json")]) == 2
+    assert "keeps no execution trace" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_bench_crossover_rejects_event_log(tmp_path, capsys):
+    assert main(["bench", "crossover", "--out", str(tmp_path / "r.json"),
+                 "--event-log", str(tmp_path / "log.ndjson")]) == 2
+    assert "no event log is kept" in capsys.readouterr().err
+
+
+# -- shipped documents -------------------------------------------------------
+
+def test_every_shipped_document_loads():
+    clusters = sorted(CONFIGS.glob("cluster_*.json"))
+    programs = sorted((CONFIGS / "programs").glob("*.json"))
+    workloads = sorted((CONFIGS / "workloads").glob("*.json"))
+    assert clusters and programs and workloads
+    for path in clusters:
+        assert load_cluster(str(path)).islands, path
+    for path in programs:
+        text = path.read_text().strip()
+        prog = deserialize(text)
+        assert serialize(prog) == text, path
+        sys_ = System(small_cluster())
+        sys_.register_traced("p", prog)
+        c = sys_.add_client("c0")
+        sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=1))
+        assert sys_.run().status == "quiescent", path
+        assert len(c.completed_at) == 1, path
+    for path in workloads:
+        doc = json.loads(path.read_text())
+        name = doc.pop("benchmark")
+        assert set(doc) <= set(WORKLOAD_KEYS[name]), path
 
 
 def test_bench_rejects_unknown_workload_keys(tmp_path, capsys):

@@ -9,6 +9,7 @@ reaches an idle device at 580us; see the per-test derivations.
 import pytest
 
 from flowpath.config import small_cluster
+from flowpath.executor import HostExecutor
 from flowpath.hardware import transfer_ns
 from flowpath.ir import CompiledFunction, Tracer, chain_program
 from flowpath.runtime import SerialChainJob, StreamJob, System, steady_rate
@@ -245,6 +246,89 @@ def test_value_returned_twice_is_freed_by_its_one_release(mode):
     assert len(c.completed_at) == 3
     assert audit_no_double_free(sys_.audit) == []
     assert audit_leaks(sys_.cluster) == {}
+
+
+def test_client_failure_sweep_reaches_late_landings_and_unprepped_grants(
+        monkeypatch):
+    # a cross-host chain, slices (0,1) (2,3) (0,1) on 2 hosts x 2 devices,
+    # with the client dying every 7us: some deaths catch a transfer in
+    # flight (it lands after the instance is gone, so the host tells the
+    # device to drop it) and some a granted gang not yet prepped (its
+    # grant-time reservation is given back)
+    hits = {"late_landing": 0, "unprepped_grant": 0}
+    failing = []
+    on_xfer = HostExecutor._on_xfer_arrived
+    fail_instance = HostExecutor._fail_instance
+    give_back = HostExecutor._release_grant_reservation
+
+    def count_late(self, payload):
+        hits["late_landing"] += payload["instance"] not in self.inst
+        return on_xfer(self, payload)
+
+    def mark_failing(self, instance):
+        failing.append(instance)
+        try:
+            return fail_instance(self, instance)
+        finally:
+            failing.pop()
+
+    def count_give_back(self, *args):
+        hits["unprepped_grant"] += bool(failing)
+        return give_back(self, *args)
+
+    monkeypatch.setattr(HostExecutor, "_on_xfer_arrived", count_late)
+    monkeypatch.setattr(HostExecutor, "_fail_instance", mark_failing)
+    monkeypatch.setattr(HostExecutor, "_release_grant_reservation",
+                        count_give_back)
+    for mode in ("parallel", "sequential"):
+        for fail_at_us in range(0, 3001, 7):
+            t = Tracer()
+            slices = [t.virtual_slice([2]) for _ in range(3)]
+            v = t.arg(2, MB)
+            for i, sid in enumerate(slices):
+                v = t.call(CompiledFunction(f"f{i}", 2, (MB,), (MB,), 120), v,
+                           slice_id=sid)
+            sys_ = System(small_cluster(hosts=2, devices_per_host=2),
+                          record_trace=False)
+            sys_.register_traced("p", t.finish([v]), dict(
+                zip(slices, [(0, 1), (2, 3), (0, 1)])))
+            c = sys_.add_client("c0")
+            sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=4,
+                                        window=2, mode=mode))
+            sys_.fail_client(c, at_ns=us(fail_at_us))
+            stats = sys_.run()
+            where = (mode, fail_at_us)
+            assert stats.status == "quiescent", (where, stats.blocked)
+            assert audit_no_double_free(sys_.audit) == [], where
+            assert audit_leaks(sys_.cluster) == {}, where
+            assert not any(d._arrivals for d in sys_.cluster.devices), where
+    assert hits["late_landing"] > 0 and hits["unprepped_grant"] > 0, hits
+
+
+def test_output_both_consumed_and_returned_agrees_across_modes():
+    # split's port 1 feeds join and is returned: its buffer holds one ref
+    # per consuming host plus the client's, and port 0 is counted apart
+    t = Tracer()
+    left, right = t.call(CompiledFunction("split", 2, (4096,), (2048, 2048),
+                                          20.0), t.arg(2, 4096))
+    v = t.call(CompiledFunction("left", 2, (2048,), (2048,), 30.0), left)
+    j = t.call(CompiledFunction("join", 2, (2048, 2048), (4096,), 10.0),
+               v, right)
+    prog = t.finish([j, right])
+    digests = {}
+    for mode in ("parallel", "sequential", "auto"):
+        sys_ = System(small_cluster(hosts=2, devices_per_host=2))
+        sys_.register_traced("p", prog)
+        c = sys_.add_client("c0")
+        sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=3,
+                                    mode=mode))
+        assert sys_.run().status == "quiescent", mode
+        assert len(c.completed_at) == 3, mode
+        assert audit_no_double_free(sys_.audit) == [], mode
+        assert audit_leaks(sys_.cluster) == {}, mode
+        digests[mode] = {tuple(d) for d in sys_.inst_digests.values()}
+    assert digests["parallel"] == digests["sequential"] == digests["auto"]
+    assert len(digests["parallel"]) == 1
 
 
 # -- known defect: host-gated prep under HBM pressure ----------------------

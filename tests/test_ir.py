@@ -77,6 +77,14 @@ def test_empty_program_rejected():
         t.finish([])
 
 
+def test_traced_result_returning_an_arg_rejected():
+    t = Tracer()
+    a = t.arg(4, 64)
+    v = t.call(fn(), a)
+    with pytest.raises(TraceError, match="result node n3 returns arg n0"):
+        t.finish([v, a])
+
+
 def test_finished_tracer_is_closed():
     t = Tracer()
     v = t.call(fn(), t.arg(4, 64))
@@ -113,26 +121,23 @@ def oracle_pairs(src, sb, dst, db):
 
 def test_scatter_2_to_4_of_8mb():
     mb = 2 ** 20
-    spec = plan_reshard(2, 4 * mb, 4, 2 * mb)
-    assert spec.mapping == "scatter"
-    assert [(p.src_shard, p.dst_shard, p.nbytes) for p in spec.pairs] == \
+    pairs = plan_reshard(2, 4 * mb, 4, 2 * mb)
+    assert [(p.src_shard, p.dst_shard, p.nbytes) for p in pairs] == \
         [(0, 0, 2 * mb), (0, 1, 2 * mb), (1, 2, 2 * mb), (1, 3, 2 * mb)]
 
 
 def test_gather_4_to_1():
-    spec = plan_reshard(4, 256, 1, 1024)
-    assert spec.mapping == "gather"
-    assert sorted((p.src_shard, p.dst_shard, p.nbytes) for p in spec.pairs) == \
+    pairs = plan_reshard(4, 256, 1, 1024)
+    assert sorted((p.src_shard, p.dst_shard, p.nbytes) for p in pairs) == \
         oracle_pairs(4, 256, 1, 1024)
 
 
 def test_all_to_all_3_to_2():
-    spec = plan_reshard(3, 200, 2, 300)
-    assert spec.mapping == "all_to_all"
-    assert sorted((p.src_shard, p.dst_shard, p.nbytes) for p in spec.pairs) == \
+    pairs = plan_reshard(3, 200, 2, 300)
+    assert sorted((p.src_shard, p.dst_shard, p.nbytes) for p in pairs) == \
         oracle_pairs(3, 200, 2, 300)
     # middle source shard splits across both destinations
-    assert (1, 0, 100) in [(p.src_shard, p.dst_shard, p.nbytes) for p in spec.pairs]
+    assert (1, 0, 100) in [(p.src_shard, p.dst_shard, p.nbytes) for p in pairs]
 
 
 def test_reshard_total_mismatch_raises():
@@ -145,8 +150,8 @@ def test_reshard_total_mismatch_raises():
 def test_reshard_pairs_match_interval_oracle(src, unit, dst):
     # pick sizes with a common total
     total = src * dst * unit
-    spec = plan_reshard(src, total // src, dst, total // dst)
-    got = sorted((p.src_shard, p.dst_shard, p.nbytes) for p in spec.pairs)
+    pairs = plan_reshard(src, total // src, dst, total // dst)
+    got = sorted((p.src_shard, p.dst_shard, p.nbytes) for p in pairs)
     assert got == oracle_pairs(src, total // src, dst, total // dst)
     # conservation: every destination shard receives exactly its size
     per_dst = {}
@@ -169,7 +174,7 @@ def test_lower_places_args_on_first_consumer():
     assert lp.placement["n0"] == (0, 1)          # arg follows first consumer
     assert lp.placement["n1"] == (0, 1)
     assert lp.placement["n2"] == (4, 5)
-    assert lp.placement["n3"] == (4, 5)          # result mirrors producer
+    assert "n3" not in lp.placement              # the result is read in place
 
 
 def test_lower_rejects_wrong_device_count():
@@ -182,9 +187,10 @@ def test_lower_computes_cross_device_pairs():
     p = chain_program([fn("a", shards=2), fn("b", shards=2)])
     lp = lower(p, {"s0": (0, 1), "s1": (4, 5)})
     le = next(e for e in lp.edges if e.edge.src == "n1" and e.edge.dst == "n2")
-    assert [(pr.src_dev, pr.dst_dev) for pr in le.reshard.pairs] == \
-        [(0, 4), (1, 5)]
-    assert le.reshard.transfer_bytes == 2048
+    assert [(pr.src_dev, pr.dst_dev) for pr in le.pairs] == [(0, 4), (1, 5)]
+    assert sum(pr.nbytes for pr in le.pairs if pr.src_dev != pr.dst_dev) == 2048
+    result = next(e for e in lp.edges if e.edge.dst == "n3")
+    assert result.pairs == ()                    # results are read in place
 
 
 # -- serialization -----------------------------------------------------------
