@@ -342,9 +342,10 @@ def bench_fairness(weights: dict[str, float], total_gangs: int = 10400,
     gang_bytes = 1024 + out_kb * 1024
     spec = spec or small_cluster(hosts=1, devices_per_host=1,
                                  hbm_bytes=resident * gang_bytes + 4096)
-    wsum = sum(weights.values())
+    # the policy validates the weights before they are summed
     sys = System(spec, policy=Policy(kind="proportional", weights=weights),
                  record_trace=False, record_log=record_log)
+    wsum = sum(weights.values())
     prog = one_gang_program(1, duration_us, out_kb=out_kb, collective=False)
     sys.register_traced("g", prog, {sid: (0,) for sid in prog.slices})
     for name in sorted(weights):
@@ -363,7 +364,6 @@ def bench_fairness(weights: dict[str, float], total_gangs: int = 10400,
     for _seq, _t, client, _i, _n in mid:
         counts[client] = counts.get(client, 0) + 1
     total = sum(counts.values())
-    wsum = sum(weights.values())
     rows = []
     for name in sorted(weights):
         share = counts.get(name, 0) / total
@@ -422,6 +422,8 @@ def run_benchmark(name: str, workload: dict | None = None,
     if name == "utilization":
         return bench_utilization(spec=spec, record_log=record_log, **_kwargs(w))
     weights = w.pop("weights", {"c0": 1, "c1": 1, "c2": 1, "c3": 1})
+    if not isinstance(weights, dict) or not weights:
+        raise ValidationError("weights: object of client weights required")
     return bench_fairness(weights={str(k): v for k, v in weights.items()},
                           spec=spec, record_log=record_log, **_kwargs(w))
 

@@ -21,6 +21,8 @@ from .runtime import StreamJob, System
 
 BENCHMARKS = tuple(WORKLOAD_KEYS)
 _USER_ERRORS = (ValidationError, AllocationError, TraceError, LowerError)
+# suites whose last system records no execution trace, or that keep none
+_UNTRACED = ("crossover", "fairness")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,15 +65,15 @@ def _bench(args) -> int:
             f"workload file is for {workload['benchmark']!r}, "
             f"not {args.name!r}")
     spec = load_cluster(args.config) if args.config else None
+    if args.trace_out and args.name in _UNTRACED:
+        raise ValidationError(
+            f"benchmark {args.name!r} keeps no execution trace")
     doc = run_benchmark(args.name, workload, spec=spec,
                         record_log=bool(args.event_log))
     system = doc.pop("_system", None)
     write_results(doc, args.out)
     wrote = [args.out]
     if args.trace_out:
-        if system is None or not system.sim.record_trace:
-            raise ValidationError(
-                f"benchmark {args.name!r} keeps no execution trace")
         export_chrome_trace(system.sim, args.trace_out)
         wrote.append(args.trace_out)
     if args.event_log:

@@ -18,6 +18,7 @@ one; the fairness suite takes its weights from the workload document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .simcore import us
@@ -77,9 +78,10 @@ def _link(doc: dict | None, default: LinkSpec, where: str) -> LinkSpec:
     check_keys(doc, ("latency_ns", "gbps"), where)
     lat = doc.get("latency_ns", default.latency_ns)
     gbps = doc.get("gbps", default.gbps)
-    if not isinstance(lat, int) or lat < 0:
+    if type(lat) is not int or lat < 0:
         raise ValidationError(f"{where}.latency_ns: non-negative int required")
-    if not isinstance(gbps, (int, float)) or gbps <= 0:
+    # a bool is no number; nan and infinity are no rate
+    if type(gbps) not in (int, float) or not 0 < gbps < math.inf:
         raise ValidationError(f"{where}.gbps: positive number required")
     return LinkSpec(latency_ns=lat, gbps=float(gbps))
 
@@ -93,15 +95,15 @@ def cluster_from_dict(doc: dict) -> ClusterSpec:
         check_keys(isl, ("devices_per_host", "hosts", "ici"), f"islands[{i}]")
         dph = isl.get("devices_per_host")
         hosts = isl.get("hosts")
-        if not isinstance(dph, int) or dph < 1:
+        if type(dph) is not int or dph < 1:
             raise ValidationError(f"islands[{i}].devices_per_host: positive int required")
-        if not isinstance(hosts, int) or hosts < 1:
+        if type(hosts) is not int or hosts < 1:
             raise ValidationError(f"islands[{i}].hosts: positive int required")
         islands.append(IslandSpec(
             devices_per_host=dph, hosts=hosts,
             ici=_link(isl.get("ici"), DEFAULT_ICI, f"islands[{i}].ici")))
     hbm = doc.get("hbm_bytes", DEFAULT_HBM)
-    if not isinstance(hbm, int) or hbm <= 0:
+    if type(hbm) is not int or hbm <= 0:
         raise ValidationError("hbm_bytes: positive int required")
     return ClusterSpec(
         islands=tuple(islands),

@@ -194,6 +194,7 @@ class MessageBatcher:
     def on_timeout(self, payload: dict) -> None:
         dst = payload["dst"]
         if payload["gen"] == self._gen.get(dst):
+            del self._timer[dst]        # this timer has fired: no cancel
             self.flush(dst)
 
     def flush(self, dst_pid: str) -> None:

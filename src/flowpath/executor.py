@@ -107,6 +107,8 @@ class ProgramInfo:
     result_shards: int
     all_hosts: tuple[int, ...]
     plans: dict = field(default_factory=dict)     # dispatch mode -> plan
+    # bound-arg digests -> result digests: values are a pure function of them
+    digests: dict = field(default_factory=dict)
 
     def out_handle(self, instance: str, nid: str, port: int) -> str:
         return f"o.{instance}.{nid}.{port}"

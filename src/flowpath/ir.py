@@ -382,12 +382,14 @@ def serialize(p: TracedProgram) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-# the type of each count, size, duration and flag in a program's rows
-_FIELD_TYPES = {"shards": "int", "bytes_per_shard": "int", "apply_count": "int",
-                "us_per_shard": "number", "regular": "bool", "collective": "bool",
-                "in_bytes": "int list", "out_bytes": "int list", "shape": "int list",
-                "island": "int or null"}
+# the type of each name, count, size, duration and flag in a program's rows
+_FIELD_TYPES = {"name": "string", "shards": "int", "bytes_per_shard": "int",
+                "apply_count": "int", "us_per_shard": "number",
+                "regular": "bool", "collective": "bool",
+                "in_bytes": "int list", "out_bytes": "int list",
+                "shape": "int list", "island": "int or null"}
 _IS = {"int": lambda v: type(v) is int, "bool": lambda v: type(v) is bool,
+       "string": lambda v: type(v) is str,
        "number": lambda v: type(v) in (int, float),     # a bool is no number
        "int list": lambda v: type(v) is list and all(type(x) is int for x in v),
        "int or null": lambda v: v is None or type(v) is int}

@@ -34,6 +34,28 @@ def _h(*parts) -> str:
     return m.hexdigest()[:16]
 
 
+def _value_digests(info: ProgramInfo, bound) -> list[str]:
+    """Result digests, from the digests of the bound args in arg order."""
+    dig: dict[tuple[str, int], str] = {}
+    for aid, a in info.args.items():
+        dig[(aid, 0)] = (next(bound) if a.ext else
+                         _h("arg", aid, a.shards, a.bytes_per_shard))
+    for nid in info.order:
+        ni = info.nodes[nid]
+        ins = []
+        for eid in sorted(ni.in_edges,
+                          key=lambda e: info.edges[e].dst_port):
+            ei = info.edges[eid]
+            ins.append(dig[(ei.src, ei.src_port)])
+        d = ins[0] if len(ins) == 1 else _h("tuple", *ins)
+        nout = len(ni.fn.out_bytes)
+        for _ in range(ni.fn.apply_count):
+            d = _h("apply", ni.fn.name, d)
+        for port in range(nout):
+            dig[(nid, port)] = d if nout == 1 else _h(d, port)
+    return [dig[(srcn, port)] for _rid, srcn, port in info.results]
+
+
 class _SysCluster(Cluster):
     """Cluster with its hooks routed into the control plane."""
 
@@ -482,30 +504,13 @@ class System:
     def finish_instance(self, inst: str) -> None:
         meta = self.instances[inst]
         info = meta.program
-        dig: dict[tuple[str, int], str] = {}
-        for aid, a in info.args.items():
-            if a.ext:
-                dig[(aid, 0)] = self.handle_digests[meta.arg_bindings[aid]]
-            else:
-                dig[(aid, 0)] = _h("arg", aid, a.shards, a.bytes_per_shard)
-        for nid in info.order:
-            ni = info.nodes[nid]
-            ins = []
-            for eid in sorted(ni.in_edges,
-                              key=lambda e: info.edges[e].dst_port):
-                ei = info.edges[eid]
-                ins.append(dig[(ei.src, ei.src_port)])
-            d = ins[0] if len(ins) == 1 else _h("tuple", *ins)
-            nout = len(ni.fn.out_bytes)
-            for _ in range(ni.fn.apply_count):
-                d = _h("apply", ni.fn.name, d)
-            for port in range(nout):
-                dig[(nid, port)] = d if nout == 1 else _h(d, port)
-        out = []
-        for _rid, srcn, port in info.results:
-            h = info.out_handle(inst, srcn, port)
-            self.handle_digests[h] = dig[(srcn, port)]
-            out.append(dig[(srcn, port)])
+        bound = tuple(self.handle_digests[meta.arg_bindings[aid]]
+                      for aid, a in info.args.items() if a.ext)
+        out = info.digests.get(bound)
+        if out is None:
+            out = info.digests[bound] = _value_digests(info, iter(bound))
+        for h, d in zip(info.result_handles(inst), out):
+            self.handle_digests[h] = d
         self.inst_digests[inst] = out
 
     # -- drivers -----------------------------------------------------------

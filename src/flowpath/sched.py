@@ -13,15 +13,19 @@ its ticket only once no parked gang shares a device with it, so each device
 has at most one ticket waiting and needs no line to keep ticket order.
 
 Policies: FIFO, or proportional share via stride scheduling. The stride
-charge is the gang's estimated device busy time over the client weight, in
-exact fractions, so long-run busy-time shares converge to the weights.
+charge is the gang's estimated device busy time over the client weight, so
+long-run busy-time shares converge to the weights. Passes are integers: each
+weight is read as a fraction p/q, and every charge is scaled by the lcm of
+the weights' numerators, which keeps the exact order of fractional passes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 
-from .config import CostModel, Policy
+from .config import CostModel, Policy, ValidationError
 from .hardware import Cluster
 from .simcore import Process, Simulator
 
@@ -72,34 +76,43 @@ class _StridePolicy:
     """Stride scheduling over per-client FIFO queues."""
 
     def __init__(self, weights: dict[str, float]):
-        self.weights = weights
+        fracs = {c: _weight(c, w) for c, w in weights.items()}
+        # busy / (p/q), scaled by the lcm of all p (1 for the default weight)
+        scale = math.lcm(1, *(f.numerator for f in fracs.values()))
+        self.default_stride = scale
+        self.strides = {c: scale // f.numerator * f.denominator
+                        for c, f in fracs.items()}
         self.queues: dict[str, list[GangRequest]] = {}
-        self.passes: dict[str, Fraction] = {}
-        self.global_pass = Fraction(0)
+        self.clients: list[str] = []          # sorted keys of queues
+        self.passes: dict[str, int] = {}
+        self.global_pass = 0
 
     def push(self, g: GangRequest) -> None:
+        if g.client not in self.queues:
+            self.clients = sorted([*self.queues, g.client])
         q = self.queues.setdefault(g.client, [])
         if not q:
             # a client joining (or rejoining) starts at the current virtual
             # pass so idle periods are not banked as credit
             self.passes[g.client] = max(
-                self.passes.get(g.client, Fraction(0)), self.global_pass)
+                self.passes.get(g.client, 0), self.global_pass)
         q.append(g)
 
     def _eligible(self, blocked: set[int]) -> list[str]:
         # per-client order is FIFO, so a client competes with its head gang
-        return [c for c in sorted(self.queues) if self.queues[c]
+        return [c for c in self.clients if self.queues[c]
                 and not blocked.intersection(self.queues[c][0].devices)]
 
     def pop(self, blocked: set[int]) -> GangRequest | None:
         cands = self._eligible(blocked)
         if not cands:
             return None
-        client = min(cands, key=lambda c: (self.passes[c], c))
+        # cands are sorted, so min breaks a tie by client name
+        client = min(cands, key=self.passes.__getitem__)
         g = self.queues[client].pop(0)
         self.global_pass = self.passes[client]
-        weight = Fraction(self.weights.get(client, 1)).limit_denominator(10**6)
-        self.passes[client] += Fraction(g.busy_estimate) / weight
+        self.passes[client] += g.busy_estimate * self.strides.get(
+            client, self.default_stride)
         return g
 
     def has_eligible(self, blocked: set[int]) -> bool:
@@ -110,6 +123,18 @@ class _StridePolicy:
 
     def drop_client(self, client: str) -> None:
         self.queues.pop(client, None)
+        self.clients = sorted(self.queues)
+
+
+def _weight(client: str, w) -> Fraction:
+    """A client's weight as the fraction the policy charges with."""
+    if isinstance(w, Real) and not isinstance(w, bool) and math.isfinite(w):
+        f = Fraction(w).limit_denominator(10**6)
+        if f > 0:
+            return f
+    raise ValidationError(
+        f"client {client!r}: weight {w!r} is not a positive number at "
+        "1e-6 resolution")
 
 
 class IslandScheduler(Process):
@@ -128,6 +153,10 @@ class IslandScheduler(Process):
             self.policy = _FifoPolicy()
         self._seq = 0
         self._parked: dict[int, GangRequest] = {}    # ticket seq -> gang
+        # devices with a parked gang: it must be granted before more work is
+        # ordered onto them, so later arrivals wait in the policy queue where
+        # arrival order does not outrank the policy
+        self._blocked: set[int] = set()
         self._tasks: list[tuple] = []                # serialized work items
         self._working = False
         self._retry_queued = False
@@ -162,24 +191,15 @@ class IslandScheduler(Process):
 
     # -- serialized work loop ----------------------------------------------
 
-    def _blocked_devices(self) -> set[int]:
-        """Devices with a parked gang: it must be granted before more work
-        is ordered onto them, so later arrivals wait in the policy queue
-        where arrival order does not outrank the policy."""
-        out: set[int] = set()
-        for gang in self._parked.values():
-            out.update(gang.devices)
-        return out
-
     def _pump(self) -> None:
         if not self._working and (
-                self._tasks or self.policy.has_eligible(self._blocked_devices())):
+                self._tasks or self.policy.has_eligible(self._blocked)):
             self._start_next_task()
 
     def _start_next_task(self) -> None:
         if self._tasks:
             task = self._tasks.pop(0)
-        elif self.policy.has_eligible(self._blocked_devices()):
+        elif self.policy.has_eligible(self._blocked):
             task = ("decide",)
         else:
             self._working = False
@@ -195,10 +215,11 @@ class IslandScheduler(Process):
         if task[0] == "decide":
             # eligibility can only widen while the decision was in flight,
             # except when a client death emptied the queue; then skip
-            gang = self.policy.pop(self._blocked_devices())
+            gang = self.policy.pop(self._blocked)
             if gang is not None:
                 self._seq += 1
                 self._parked[self._seq] = gang
+                self._blocked.update(gang.devices)
                 self._try_grants()
         else:
             _kind, _nsends, sends = task
@@ -226,6 +247,7 @@ class IslandScheduler(Process):
                     taken = self.cluster.device(d).hbm_try_take(need)
                     assert taken
             del self._parked[seq]
+            self._blocked.difference_update(gang.devices)
             self._grant(seq, gang)
 
     def _grant(self, seq: int, gang: GangRequest) -> None:
@@ -255,7 +277,7 @@ class IslandScheduler(Process):
         self.policy.drop_client(client)
         for seq in sorted(self._parked):
             if self._parked[seq].client == client:
-                del self._parked[seq]
+                self._blocked.difference_update(self._parked.pop(seq).devices)
         self._try_grants()
         self._pump()           # removing parked gangs can unblock devices
 

@@ -89,8 +89,10 @@ class Simulator:
     def __init__(self, record_log: bool = False, record_trace: bool = True):
         self.clock: int = 0
         self._seq = 0
-        self._heap: list[tuple[int, int]] = []
-        self._events: dict[int, tuple[str, str, dict, str | None]] = {}
+        # (fire_at, seq, target, kind, payload, src); seq is unique, so the
+        # heap never compares past it
+        self._heap: list[tuple[int, int, str, str, dict, str | None]] = []
+        self._cancelled: set[int] = set()    # ids of pending events only
         self._procs: dict[str, Process] = {}
         # per (sender, receiver) channel: last delivery timestamp, so a
         # channel never reorders (FIFO per sender/receiver pair)
@@ -120,8 +122,8 @@ class Simulator:
                 f"fire_at {fire_at} < clock {self.clock} for {kind} -> {target}")
         self._seq += 1
         eid = self._seq
-        self._events[eid] = (target, kind, payload or {}, src)
-        heapq.heappush(self._heap, (fire_at, eid))
+        heapq.heappush(self._heap,
+                       (fire_at, eid, target, kind, payload or {}, src))
         return eid
 
     def schedule_in(self, delay: int, target: str, kind: str,
@@ -137,7 +139,8 @@ class Simulator:
         return self.schedule_at(deliver, dst, kind, payload, src)
 
     def cancel(self, eid: int) -> None:
-        self._events.pop(eid, None)
+        """Drop an event that has not fired yet."""
+        self._cancelled.add(eid)
 
     # -- observability -----------------------------------------------------
 
@@ -171,11 +174,10 @@ class Simulator:
         """
         n = 0
         while self._heap:
-            fire_at, eid = heapq.heappop(self._heap)
-            entry = self._events.pop(eid, None)
-            if entry is None:
-                continue  # cancelled
-            target, kind, payload, src = entry
+            fire_at, eid, target, kind, payload, src = heapq.heappop(self._heap)
+            if eid in self._cancelled:
+                self._cancelled.discard(eid)
+                continue
             self.clock = fire_at
             if self.record_log:
                 self.log.append((fire_at, eid, target, kind, payload))

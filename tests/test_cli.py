@@ -11,6 +11,7 @@ from flowpath.cli import main
 from flowpath.config import load_cluster
 from flowpath.ir import deserialize, serialize
 from flowpath.runtime import StreamJob
+from flowpath.simcore import Simulator
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CHAIN4 = str(CONFIGS / "programs" / "chain4.json")
@@ -25,6 +26,12 @@ def test_run_with_defaults_exits_zero(capsys):
     assert main(["run", CHAIN4]) == 0
     out = capsys.readouterr().out
     assert "status=quiescent" in out and "results" in out
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+def test_chain4_value_digest_is_pinned(capsys, mode):
+    assert main(["run", CHAIN4, "--mode", mode]) == 0
+    assert "i1 results 591f348e2045cf61\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
@@ -178,6 +185,9 @@ WRONG_TYPES = {
     "slice_island_str": (
         lambda doc: doc["slices"]["s1"].update(island="0"),
         "slice s1: 'island' must be of type int or null, not '0'"),
+    "fn_name_int": (
+        lambda doc: node(doc, "n1")["fn"].update(name=7),
+        "node n1: 'name' must be of type string, not 7"),
 }
 
 
@@ -273,6 +283,32 @@ def test_run_with_unknown_cluster_key_exits_two(tmp_path, capsys, case):
     assert reason in capsys.readouterr().err
 
 
+# field set to true -> (change to cluster_small.json, reason printed)
+BOOL_CLUSTER_FIELDS = {
+    "devices_per_host": (
+        lambda doc: doc["islands"][0].update(devices_per_host=True),
+        "islands[0].devices_per_host: positive int required"),
+    "hosts": (lambda doc: doc["islands"][0].update(hosts=True),
+              "islands[0].hosts: positive int required"),
+    "hbm_bytes": (lambda doc: doc.update(hbm_bytes=True),
+                  "hbm_bytes: positive int required"),
+    "latency_ns": (lambda doc: doc["dcn"].update(latency_ns=True),
+                   "dcn.latency_ns: non-negative int required"),
+    "gbps": (lambda doc: doc["pcie"].update(gbps=True),
+             "pcie.gbps: positive number required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_CLUSTER_FIELDS))
+def test_run_with_a_bool_cluster_field_exits_two(tmp_path, capsys, case):
+    doc = json.loads((CONFIGS / "cluster_small.json").read_text())
+    change, reason = BOOL_CLUSTER_FIELDS[case]
+    change(doc)
+    cfg = write_json(tmp_path / f"{case}.json", doc)
+    assert main(["run", CHAIN4, "--config", cfg]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_auto_mode_with_irregular_first_node_exits_two(tmp_path, capsys):
     doc = json.loads(Path(CHAIN4).read_text())
     node(doc, "n1")["fn"]["regular"] = False
@@ -302,6 +338,47 @@ def test_bench_without_a_trace_rejects_trace_out(tmp_path, capsys):
                  "--trace-out", str(tmp_path / "t.json")]) == 2
     assert "keeps no execution trace" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
+    assert not (tmp_path / "r.json").exists()
+
+
+def refuse_to_run(*_args, **_kwargs):
+    raise AssertionError("a suite ran although its input was rejected")
+
+
+def test_bench_crossover_rejects_trace_out_before_running(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Simulator, "run_until_quiescent", refuse_to_run)
+    assert main(["bench", "crossover", "--out", str(tmp_path / "r.json"),
+                 "--trace-out", str(tmp_path / "t.json")]) == 2
+    assert "keeps no execution trace" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+# case -> (fairness weights, reason printed)
+BAD_WEIGHTS = {
+    "zero": ({"a": 1, "b": 0}, "client 'b': weight 0 "),
+    "negative": ({"a": 1, "b": -1}, "client 'b': weight -1 "),
+    "string": ({"a": 1, "b": "2"}, "client 'b': weight '2' "),
+    "tiny": ({"a": 1, "b": 1e-9}, "client 'b': weight 1e-09 "),
+    "bool": ({"a": 1, "b": True}, "client 'b': weight True "),
+    "list": ([1, 2], "weights: object of client weights required"),
+    "empty": ({}, "weights: object of client weights required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+def test_bench_fairness_rejects_bad_weights(tmp_path, capsys, monkeypatch,
+                                            case):
+    monkeypatch.setattr(Simulator, "run_until_quiescent", refuse_to_run)
+    weights, reason = BAD_WEIGHTS[case]
+    wl = write_json(tmp_path / "w.json", {
+        "benchmark": "fairness", "total_gangs": 40, "window": 4,
+        "weights": weights})
+    out = tmp_path / "r.json"
+    assert main(["bench", "fairness", "--workload", wl,
+                 "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_crossover_rejects_event_log(tmp_path, capsys):

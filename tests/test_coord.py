@@ -1,12 +1,18 @@
 """Readiness tracking against a brute-force oracle; control-message batching."""
 import itertools
+from pathlib import Path
 
 import pytest
 
+from flowpath import System, small_cluster
 from flowpath.config import BatchingConfig
 from flowpath.coord import (DataTuple, MessageBatcher, ProgressTracker,
                             ProtocolViolation, Punctuation, edge_id)
+from flowpath.ir import deserialize
+from flowpath.runtime import StreamJob
 from flowpath.simcore import Process, Simulator, us
+
+CHAIN4 = Path(__file__).resolve().parent.parent / "configs/programs/chain4.json"
 
 
 def test_edge_id_format():
@@ -333,3 +339,18 @@ def test_self_batch_is_a_local_handoff():
     b.send("src", "urgent", {}, critical=True, latency_ns=0)
     sim.run_until_quiescent()
     assert [(t, k) for t, k, _ in owner.seen] == [(0, "batch"), (0, "urgent")]
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+def test_timeout_flushes_leave_no_cancelled_event_ids(mode):
+    # a timer that fired is not cancelled by the flush it triggers, so the
+    # simulator's set of cancelled ids drains with the queue
+    system = System(small_cluster(hosts=2, devices_per_host=4),
+                    record_log=True)
+    system.register_traced("main", deserialize(CHAIN4.read_text()))
+    client = system.add_client("c")
+    system.start_job(client, StreamJob(system.new_job_id(), "main", count=4,
+                                       mode=mode))
+    assert system.run().status == "quiescent"
+    assert any(kind == "batch_timeout" for *_, kind, _p in system.sim.log)
+    assert system.sim._cancelled == set()

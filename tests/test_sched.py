@@ -171,31 +171,71 @@ def test_dead_client_submissions_are_ignored():
 
 # -- proportional share ----------------------------------------------------
 
-def stride_reference(weights, order, busy):
-    """Reference stride loop in exact fractions, same rejoin rule."""
-    passes = {c: Fraction(0) for c in weights}
-    out = []
-    queues = {c: n for c, n in order.items()}
-    while any(queues.values()):
-        live = sorted(c for c in queues if queues[c])
-        c = min(live, key=lambda c: (passes[c], c))
-        out.append(c)
-        queues[c] -= 1
-        passes[c] += Fraction(busy) / Fraction(weights[c])
-    return out
+class FractionStride:
+    """Stride scheduling in exact fractions: push, pop and the rejoin rule,
+    with weights read as _StridePolicy reads them (1 when unnamed)."""
+
+    def __init__(self, weights):
+        self.weights = {c: Fraction(w).limit_denominator(10**6)
+                        for c, w in weights.items()}
+        self.queues, self.passes = {}, {}
+        self.global_pass = Fraction(0)
+
+    def push(self, client, busy):
+        q = self.queues.setdefault(client, [])
+        if not q:
+            self.passes[client] = max(self.passes.get(client, Fraction(0)),
+                                      self.global_pass)
+        q.append(busy)
+
+    def pop(self):
+        live = sorted(c for c, q in self.queues.items() if q)
+        client = min(live, key=lambda c: (self.passes[c], c))
+        busy = self.queues[client].pop(0)
+        self.global_pass = self.passes[client]
+        self.passes[client] += busy / self.weights.get(client, Fraction(1))
+        return client
 
 
 def test_stride_matches_fraction_reference():
     weights = {"a": 1, "b": 2, "c": 4}
-    pol = _StridePolicy(weights)
+    pol, ref = _StridePolicy(weights), FractionStride(weights)
     n_each = 40
     for client in sorted(weights):
         for i in range(n_each):
-            pol.push(gang(f"{client}{i}", client=client, dur=us(100)))
+            g = gang(f"{client}{i}", client=client, dur=us(100))
+            pol.push(g)
+            ref.push(client, g.busy_estimate)
     got = [pol.pop(set()).client for _ in range(3 * n_each)]
-    want = stride_reference(weights, {c: n_each for c in weights},
-                            gang("x", dur=us(100)).busy_estimate)
+    assert got == [ref.pop() for _ in range(3 * n_each)]
+
+
+fractional_weights = st.one_of(
+    st.sampled_from([0.1, Fraction(1, 3), 1 / 3, 2.5, 7, 1, 0.3]),
+    st.floats(min_value=0.001, max_value=1000))
+
+
+# rounds of (pushes as (client, busy us), pops); "d" has no named weight
+@given(st.fixed_dictionaries({c: fractional_weights for c in "abc"}),
+       st.lists(st.tuples(
+           st.lists(st.tuples(st.sampled_from("abcd"),
+                              st.integers(1, 1000)), max_size=8),
+           st.integers(0, 8)), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_integer_passes_match_fraction_reference(weights, rounds):
+    pol, ref = _StridePolicy(weights), FractionStride(weights)
+    got, want = [], []
+    for i, (pushes, pops) in enumerate(rounds + [([], 10**6)]):
+        for j, (client, dur_us) in enumerate(pushes):
+            g = gang(f"{client}{i}.{j}", client=client, dur=us(dur_us))
+            pol.push(g)
+            ref.push(client, g.busy_estimate)
+        # a round may drain a client, which later rounds rejoin
+        for _ in range(min(pops, len(pol))):
+            got.append(pol.pop(set()).client)
+            want.append(ref.pop())
     assert got == want
+    assert len(pol) == 0
 
 
 def test_backlogged_shares_track_weights():

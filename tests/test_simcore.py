@@ -92,6 +92,7 @@ def test_cancel_drops_event():
     sim.cancel(eid)
     sim.run_until_quiescent()
     assert [k for _, k, _ in r.seen] == ["kept"]
+    assert sim._cancelled == set()
 
 
 def test_duplicate_pid_rejected():
