@@ -17,6 +17,8 @@ event log is mostly kernel enqueues, kernel completions and per-shard
 results: a change that only merges those messages must leave it alone.
 `CROSSOVER_DOC_PIN` pins the `crossover` suite at 2, 4 and 8 hosts, the one
 suite that runs the coordinator-free reference (`multicontroller_baseline`).
+`PIPELINE_DOC_PIN` pins the `pipeline` suite on two small cases, the one
+suite whose numbers are read from the execution trace's kernel spans.
 """
 import hashlib
 from pathlib import Path
@@ -52,6 +54,8 @@ UTILIZATION_DOC_PIN = \
     "047a1d52644e1472891076c90d3eeb96ebe37d7eae1453f7a8c0aa1178f0de69"
 CROSSOVER_DOC_PIN = \
     "baaf17fbd2ebf9c302c28a35999b797e726ff9c01ef32cb9b8710c777b6043df"
+PIPELINE_DOC_PIN = \
+    "675d81ef66659a0a95c37a52e279efab44cb84e303bcea3c0b6cf0c45b90097e"
 WORKLOADS = Path(__file__).resolve().parent.parent / "configs" / "workloads"
 
 
@@ -104,3 +108,8 @@ def test_utilization_document_matches_pin(tmp_path):
 def test_crossover_document_matches_pin(tmp_path):
     sha = document_sha("crossover", tmp_path, {"host_counts": [2, 4, 8]})
     assert sha == CROSSOVER_DOC_PIN
+
+
+def test_pipeline_document_matches_pin(tmp_path):
+    sha = document_sha("pipeline", tmp_path, {"cases": [[4, 8], [8, 16]]})
+    assert sha == PIPELINE_DOC_PIN
