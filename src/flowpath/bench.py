@@ -8,6 +8,7 @@ reporting bug cannot silently disagree with the simulation.
 from __future__ import annotations
 
 import json
+import math
 
 from .config import (ClusterSpec, Policy, ValidationError, check_keys,
                      small_cluster)
@@ -118,7 +119,7 @@ def bench_dispatch(host_counts=(1, 2, 4), devices_per_host: int = 2,
             inst = job.instances[0]
             makespan = c.completed_at[inst] - c.submitted_at[inst]
 
-            sys2 = System(spec, record_log=record_log)
+            sys2 = System(spec, record_log=record_log, record_trace=True)
             sys2.register_traced("chain", prog,
                                  {sid: devs for sid in prog.slices})
             c2 = sys2.add_client("c0")
@@ -236,7 +237,7 @@ def run_pipeline(stages: int, micro: int, stage_us: float = 1000.0,
                               f"{islands} islands")
     spec = small_cluster(hosts=max(1, stages // (4 * islands)),
                          devices_per_host=4, islands=islands)
-    sys = System(spec, record_log=record_log)
+    sys = System(spec, record_log=record_log, record_trace=True)
     prog = pipeline_program(stages, micro, stage_us, islands)
     sys.register_traced("pipe", prog, None)
     c = sys.add_client("c0")
@@ -344,7 +345,7 @@ def bench_fairness(weights: dict[str, float], total_gangs: int = 10400,
                                  hbm_bytes=resident * gang_bytes + 4096)
     # the policy validates the weights before they are summed
     sys = System(spec, policy=Policy(kind="proportional", weights=weights),
-                 record_trace=False, record_log=record_log)
+                 record_log=record_log)
     wsum = sum(weights.values())
     prog = one_gang_program(1, duration_us, out_kb=out_kb, collective=False)
     sys.register_traced("g", prog, {sid: (0,) for sid in prog.slices})
@@ -381,16 +382,43 @@ def bench_fairness(weights: dict[str, float], total_gangs: int = 10400,
 
 # -- registry used by the command line ----------------------------------------
 
-# the workload keys each suite reads; any other key is rejected, so a typo
-# cannot silently run (and record) the defaults
+# the workload keys each suite reads and the kind of value each takes; any
+# other key is rejected, so a typo cannot silently run (and record) the
+# defaults, and a bad value exits 2 before any system is built
 WORKLOAD_KEYS = {
-    "dispatch": ("host_counts", "devices_per_host", "chain_len",
-                 "duration_us", "count"),
-    "crossover": ("host_counts", "devices_per_host", "count", "window"),
-    "pipeline": ("cases", "stage_us", "cross_island"),
-    "utilization": ("client_counts", "duration_us", "per_client", "devices"),
-    "fairness": ("weights", "total_gangs", "duration_us", "window", "out_kb",
-                 "resident"),
+    "dispatch": {"host_counts": "ints", "devices_per_host": "int",
+                 "chain_len": "int", "duration_us": "num", "count": "count"},
+    "crossover": {"host_counts": "ints", "devices_per_host": "int",
+                  "count": "count", "window": "int"},
+    "pipeline": {"cases": "pairs", "stage_us": "num", "cross_island": "flag"},
+    "utilization": {"client_counts": "ints", "duration_us": "num",
+                    "per_client": "count", "devices": "int"},
+    "fairness": {"weights": "weights", "total_gangs": "count",
+                 "duration_us": "num", "window": "int", "out_kb": "int",
+                 "resident": "int"},
+}
+
+
+def _pos_int(v, least: int = 1) -> bool:
+    return type(v) is int and v >= least     # a bool is no int here
+
+
+# kind -> (what the value must be, its check)
+_KINDS = {
+    "int": ("positive int", _pos_int),
+    # a steady rate or a grant share is measured over the middle of a run
+    "count": ("int of at least 4", lambda v: _pos_int(v, 4)),
+    "num": ("finite positive number",
+            lambda v: type(v) in (int, float) and 0 < v < math.inf),
+    "flag": ("true or false", lambda v: type(v) is bool),
+    "ints": ("non-empty list of positive ints",
+             lambda v: type(v) is list and v != [] and all(map(_pos_int, v))),
+    "pairs": ("non-empty list of [stages, micro] pairs of positive ints",
+              lambda v: type(v) is list and v != [] and all(
+                  type(p) is list and len(p) == 2 and all(map(_pos_int, p))
+                  for p in v)),
+    "weights": ("object of client weights",
+                lambda v: type(v) is dict and v != {}),
 }
 
 
@@ -401,7 +429,13 @@ def run_benchmark(name: str, workload: dict | None = None,
         raise ValidationError(f"unknown benchmark {name!r}")
     w = dict(workload or {})
     w.pop("benchmark", None)
-    check_keys(w, WORKLOAD_KEYS[name], f"workload for {name!r}")
+    where = f"workload for {name!r}"
+    check_keys(w, WORKLOAD_KEYS[name], where)
+    for key, v in sorted(w.items()):
+        what, ok = _KINDS[WORKLOAD_KEYS[name][key]]
+        if not ok(v):
+            raise ValidationError(f"{where}: {key}: {what} required, "
+                                  f"got {v!r}")
     if name in ("dispatch", "crossover", "pipeline") and spec is not None:
         raise ValidationError(
             f"benchmark {name!r} sweeps its own cluster shapes; "
@@ -422,8 +456,6 @@ def run_benchmark(name: str, workload: dict | None = None,
     if name == "utilization":
         return bench_utilization(spec=spec, record_log=record_log, **_kwargs(w))
     weights = w.pop("weights", {"c0": 1, "c1": 1, "c2": 1, "c3": 1})
-    if not isinstance(weights, dict) or not weights:
-        raise ValidationError("weights: object of client weights required")
     return bench_fairness(weights={str(k): v for k, v in weights.items()},
                           spec=spec, record_log=record_log, **_kwargs(w))
 

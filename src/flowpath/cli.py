@@ -94,7 +94,8 @@ def _run(args) -> int:
         raise ValidationError(f"program {args.program}: {e}") from e
     prog = deserialize(text)
     spec = load_cluster(args.config) if args.config else small_cluster()
-    system = System(spec, record_log=bool(args.event_log))
+    system = System(spec, record_log=bool(args.event_log),
+                    record_trace=bool(args.trace_out))
     system.register_traced("main", prog)
     client = system.add_client("cli")
     job = StreamJob(system.new_job_id(), "main", count=1, mode=args.mode)

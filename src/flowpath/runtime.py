@@ -296,8 +296,19 @@ class SerialChainJob:
 # -- the system --------------------------------------------------------------
 
 class System:
+    """One simulated fleet: clients, schedulers, hosts and devices on one clock.
+
+    `record_trace` keeps the execution trace (kernel, prep and transfer
+    spans in `sim.trace`). It is off by default: the trace grows with the
+    run's length and changes no simulated result. The callers that read it
+    turn it on: `flowpath run --trace-out`, `run_pipeline` (its busy
+    fractions come from the kernel spans), `run_stream` by default
+    (`device_busy_fraction` reads the spans) and the streamed system of
+    `bench_dispatch` (exported by `flowpath bench --trace-out`).
+    """
+
     def __init__(self, spec: ClusterSpec, policy: Policy | None = None,
-                 record_log: bool = False, record_trace: bool = True):
+                 record_log: bool = False, record_trace: bool = False):
         self.spec = spec
         self.costs = CostModel()
         self.policy = policy or Policy()

@@ -5,6 +5,12 @@ Reference counts act on the logical buffer: one op per producer/consumer
 regardless of shard count. Ownership labels (client or program instance)
 allow a garbage collection sweep that frees everything an owner left behind:
 a finished or failed instance, or a dead client.
+
+The audit trail follows the same rule: one row per logical buffer per
+operation, `(op, handle, shards, bytes, host, t_ns)`, where `op` is "alloc"
+or "free", `shards` is the shard count and `bytes` the buffer's total size.
+A buffer's shards are allocated together in `put` and freed together in
+`_free`, so a per-shard row would add nothing but its length.
 """
 from __future__ import annotations
 
@@ -49,11 +55,15 @@ class HostStore:
         self.cluster = cluster
         self.buffers: dict[str, LogicalBuffer] = {}
         self._n = 0
-        # audit rows: (op, handle, shard, device, bytes, t_ns)
+        # audit rows, one per buffer op: (op, handle, shards, bytes, host, t_ns)
         self.audit = audit if audit is not None else []
 
-    def _now(self) -> int:
-        return self.cluster.sim.now()
+    def _log(self, op: str, handle: str, shards: list[ShardLoc]) -> None:
+        # most buffers have one shard; their row shares the shard's int
+        n = len(shards)
+        self.audit.append((op, handle, n, shards[0].nbytes if n == 1 else
+                           sum(loc.nbytes for loc in shards), self.host_id,
+                           self.cluster.sim.now()))
 
     # -- allocation --------------------------------------------------------
 
@@ -80,7 +90,7 @@ class HostStore:
                     raise StoreError(
                         f"device {dev} lacks {nbytes} free bytes for {h}")
             shards.append(ShardLoc(i, dev, nbytes))
-            self.audit.append(("alloc", h, i, dev, nbytes, self._now()))
+        self._log("alloc", h, shards)
         buf = LogicalBuffer(h, owner, refcount, shards)
         self.buffers[h] = buf
         return buf
@@ -112,10 +122,7 @@ class HostStore:
     def _free(self, buf: LogicalBuffer) -> None:
         self.cluster.release_hbm([(loc.device, loc.nbytes)
                                   for loc in buf.shards])
-        now = self._now()
-        for loc in buf.shards:
-            self.audit.append(("free", buf.handle, loc.shard, loc.device,
-                               loc.nbytes, now))
+        self._log("free", buf.handle, buf.shards)
         del self.buffers[buf.handle]
 
     # -- ownership GC ------------------------------------------------------
@@ -138,16 +145,16 @@ class HostStore:
 
 
 def audit_no_double_free(audit_rows: list) -> list[tuple[str, int]]:
-    """Return (handle, shard) pairs freed more than once (should be empty)."""
-    seen: set[tuple[str, int]] = set()
+    """Return (handle, t_ns) for each free of an already freed handle
+    (should be empty)."""
+    seen: set[str] = set()
     dups = []
-    for op, handle, shard, _dev, _nbytes, _t in audit_rows:
+    for op, handle, _shards, _nbytes, _host, t_ns in audit_rows:
         if op != "free":
             continue
-        key = (handle, shard)
-        if key in seen:
-            dups.append(key)
-        seen.add(key)
+        if handle in seen:
+            dups.append((handle, t_ns))
+        seen.add(handle)
     return dups
 
 

@@ -330,6 +330,25 @@ def test_run_writes_a_sorted_chrome_trace(tmp_path, capsys):
     assert [e["ts"] for e in events] == sorted(e["ts"] for e in events)
 
 
+# suite -> a small workload; each suite's last system keeps its trace
+TRACED_WORKLOADS = {
+    "dispatch": {"host_counts": [1], "chain_len": 2, "count": 8},
+    "pipeline": {"cases": [[4, 8]], "cross_island": False},
+    "utilization": {"client_counts": [1, 2], "per_client": 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_WORKLOADS))
+def test_bench_trace_out_writes_kernel_spans(tmp_path, capsys, name):
+    wl = write_json(tmp_path / "w.json", TRACED_WORKLOADS[name])
+    out = tmp_path / "trace.json"
+    assert main(["bench", name, "--workload", wl,
+                 "--out", str(tmp_path / "r.json"),
+                 "--trace-out", str(out)]) == 0
+    events = json.loads(out.read_text())
+    assert [e for e in events if re.fullmatch(r"n\d+\[\d+\]", e["name"])]
+
+
 def test_bench_without_a_trace_rejects_trace_out(tmp_path, capsys):
     wl = write_json(tmp_path / "tiny.json", {
         "benchmark": "fairness", "total_gangs": 40, "window": 4})
@@ -379,6 +398,61 @@ def test_bench_fairness_rejects_bad_weights(tmp_path, capsys, monkeypatch,
                  "--out", str(out)]) == 2
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+# kind -> (suite, workload values, reason printed); every key of every
+# suite has one of these kinds (the weights kind is BAD_WEIGHTS above)
+BAD_VALUES = {
+    "count-string": ("dispatch", {"count": "3"},
+                     "count: int of at least 4 required, got '3'"),
+    "count-zero": ("utilization", {"per_client": 0},
+                   "per_client: int of at least 4 required, got 0"),
+    "count-small": ("crossover", {"count": 3},
+                    "count: int of at least 4 required, got 3"),
+    "int-zero": ("dispatch", {"chain_len": 0},
+                 "chain_len: positive int required, got 0"),
+    "int-window": ("crossover", {"window": 0},
+                   "window: positive int required, got 0"),
+    "int-bool": ("fairness", {"window": True},
+                 "window: positive int required, got True"),
+    "int-fairness-zero": ("fairness", {"window": 0},
+                          "window: positive int required, got 0"),
+    "num-string": ("pipeline", {"stage_us": "x"},
+                   "stage_us: finite positive number required, got 'x'"),
+    "num-infinite": ("dispatch", {"duration_us": float("inf")},
+                     "duration_us: finite positive number required, got inf"),
+    "num-negative": ("utilization", {"duration_us": -1.5},
+                     "duration_us: finite positive number required"),
+    "ints-empty": ("crossover", {"host_counts": []},
+                   "host_counts: non-empty list of positive ints required"),
+    "ints-empty-rows": ("utilization", {"client_counts": []},
+                        "client_counts: non-empty list of positive ints"),
+    "ints-zero": ("dispatch", {"host_counts": [2, 0]},
+                  "host_counts: non-empty list of positive ints required"),
+    "pairs-short": ("pipeline", {"cases": [[4]]},
+                    "cases: non-empty list of [stages, micro] pairs"),
+    "pairs-string": ("pipeline", {"cases": [[4, "8"]]},
+                     "cases: non-empty list of [stages, micro] pairs"),
+    "flag-int": ("pipeline", {"cross_island": 1},
+                 "cross_island: true or false required, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bench_rejects_bad_workload_values(tmp_path, capsys, monkeypatch,
+                                           case):
+    name, values, reason = BAD_VALUES[case]
+    monkeypatch.setattr(Simulator, "__init__", refuse_to_run)
+    wl = write_json(tmp_path / "w.json", {"benchmark": name, **values})
+    out = tmp_path / "r.json"
+    assert main(["bench", name, "--workload", wl, "--out", str(out)]) == 2
+    assert f"workload for {name!r}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_workload_key_has_a_checked_kind():
+    kinds = {kind for keys in WORKLOAD_KEYS.values() for kind in keys.values()}
+    assert kinds == {case.split("-")[0] for case in BAD_VALUES} | {"weights"}
 
 
 def test_bench_crossover_rejects_event_log(tmp_path, capsys):

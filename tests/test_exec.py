@@ -23,7 +23,8 @@ MB = 1 << 20
 def run_chain(k, t_us, mode, hosts=1, devices_per_host=1, apply_count=1,
               fn_name=None):
     sys_ = System(small_cluster(hosts=hosts,
-                                devices_per_host=devices_per_host))
+                                devices_per_host=devices_per_host),
+                  record_trace=True)
     fns = [CompiledFunction(fn_name or f"f{i}", 1, (MB,), (MB,), t_us,
                             apply_count=apply_count) for i in range(k)]
     sys_.register_traced("p", chain_program(fns, arg_bytes=MB))
@@ -83,7 +84,7 @@ def test_client_learns_completion_one_rpc_after_last_kernel():
 
 def test_cross_host_hop_pays_drain_and_transfer():
     spec = small_cluster(hosts=2, devices_per_host=1)
-    sys_ = System(spec)
+    sys_ = System(spec, record_trace=True)
     fns = [CompiledFunction(f"f{i}", 1, (MB,), (MB,), 100) for i in range(2)]
     sys_.register_traced("p", chain_program(fns, arg_bytes=MB))
     c = sys_.add_client("c0")
@@ -100,7 +101,8 @@ def test_cross_host_hop_pays_drain_and_transfer():
 
 
 def test_collective_gang_finishes_in_lockstep():
-    sys_ = System(small_cluster(hosts=1, devices_per_host=4))
+    sys_ = System(small_cluster(hosts=1, devices_per_host=4),
+                  record_trace=True)
     f = CompiledFunction("allreduce", 4, (MB,), (MB,), 80, collective=True)
     sys_.register_traced("p", chain_program([f], arg_bytes=MB))
     c = sys_.add_client("c0")

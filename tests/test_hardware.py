@@ -132,7 +132,8 @@ def test_collective_finishes_every_member_in_one_event():
 
 
 def test_collective_tells_each_member_host_once_with_its_shards():
-    sys_ = System(small_cluster(hosts=2, devices_per_host=2), record_log=True)
+    sys_ = System(small_cluster(hosts=2, devices_per_host=2), record_log=True,
+                  record_trace=True)
     f = CompiledFunction("allreduce", 4, (1024,), (1024,), 10.0,
                          collective=True)
     sys_.register_traced("p", chain_program([f]))

@@ -16,7 +16,9 @@ def fn(name="f0", shards=1, t=100.0, **kw):
 
 
 def make_system(**kw):
-    sys_ = System(small_cluster(**{"hosts": 1, "devices_per_host": 1, **kw}))
+    # the failure tests count the kernels that ran in the trace
+    sys_ = System(small_cluster(**{"hosts": 1, "devices_per_host": 1, **kw}),
+                  record_trace=True)
     return sys_, sys_.add_client("c0")
 
 
@@ -232,6 +234,16 @@ def test_failure_detection_lag_lets_inflight_work_finish():
     assert len(spans) == 1
     assert audit_no_double_free(sys_.audit) == []
     assert audit_leaks(sys_.cluster) == {}
+
+
+def test_default_system_keeps_no_trace():
+    sys_ = System(small_cluster(hosts=2, devices_per_host=2))
+    sys_.register_traced("p", chain_program([fn(shards=4), fn("f1", 4)]))
+    job = StreamJob(sys_.new_job_id(), "p", count=3, window=2)
+    sys_.start_job(sys_.add_client("c0"), job)
+    assert sys_.run().status == "quiescent"
+    assert job.done and len(sys_.sim.completions) == 6
+    assert sys_.sim.trace == []
 
 
 # -- measurement helpers ---------------------------------------------------

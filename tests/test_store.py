@@ -27,7 +27,8 @@ def test_put_reserves_bytes_and_audits():
     buf = store.put([(0, 2 * MB), (1, 3 * MB)], owner="c0")
     assert cl.device(0).free_bytes == 62 * MB
     assert cl.device(1).free_bytes == 61 * MB
-    assert [r[:2] for r in store.audit] == [("alloc", buf.handle)] * 2
+    # one row for the buffer: (op, handle, shards, bytes, host, t_ns)
+    assert store.audit == [("alloc", buf.handle, 2, 5 * MB, 0, 0)]
     assert store.live_bytes() == 5 * MB
 
 
@@ -37,6 +38,7 @@ def test_put_rolls_back_on_partial_failure():
         store.put([(0, 2 * MB), (0, 3 * MB)], owner="c0")
     assert cl.device(0).free_bytes == 4 * MB
     assert store.buffers == {}
+    assert store.audit == []
 
 
 def test_put_without_reserve_leaves_hbm_alone():
@@ -70,9 +72,10 @@ def test_release_frees_at_zero():
     buf = store.put([(0, 2 * MB)], owner="c0", refcount=2)
     assert store.release(buf.handle) is False
     assert cl.device(0).free_bytes == 62 * MB
+    assert [r[0] for r in store.audit] == ["alloc"]
     assert store.release(buf.handle) is True
     assert cl.device(0).free_bytes == 64 * MB
-    assert ("free", buf.handle, 0, 0, 2 * MB, 0) in store.audit
+    assert store.audit[-1] == ("free", buf.handle, 1, 2 * MB, 0, 0)
 
 
 def test_release_after_free_raises():
@@ -115,6 +118,8 @@ def test_gc_owner_frees_everything_and_fails_waiters():
     assert cl.device(0).free_bytes == 63 * MB      # only keep remains
     assert cl.device(1).free_bytes == 64 * MB
     assert list(store.buffers) == [keep.handle]
+    assert sorted(r[1] for r in store.audit if r[0] == "free") == \
+        sorted(victims)
     # a release racing with the sweep is the host's to drop, not the store's
     with pytest.raises(UnknownHandleError):
         store.release(a.handle)
@@ -129,11 +134,13 @@ def test_gc_owner_with_nothing_returns_empty():
 # -- audits ----------------------------------------------------------------
 
 def test_double_free_detector_flags_planted_rows():
-    rows = [("alloc", "h", 0, 0, 10, 0),
-            ("free", "h", 0, 0, 10, 5),
-            ("free", "h", 0, 0, 10, 9)]
-    assert audit_no_double_free(rows) == [("h", 0)]
-    assert audit_no_double_free(rows[:2]) == []
+    rows = [("alloc", "h", 2, 20, 0, 0),
+            ("alloc", "g", 1, 10, 1, 0),
+            ("free", "h", 2, 20, 0, 5),
+            ("free", "g", 1, 10, 1, 7),
+            ("free", "h", 2, 20, 0, 9)]
+    assert audit_no_double_free(rows) == [("h", 9)]
+    assert audit_no_double_free(rows[:4]) == []
 
 
 def test_leak_detector_reports_outstanding_bytes():
