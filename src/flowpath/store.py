@@ -33,7 +33,6 @@ class RefcountError(StoreError):
 
 @dataclass
 class ShardLoc:
-    shard: int
     device: int
     nbytes: int
     resolved: bool = False      # data physically present
@@ -81,7 +80,7 @@ class HostStore:
         if h in self.buffers:
             raise StoreError(f"duplicate handle {h}")
         shards = []
-        for i, (dev, nbytes) in enumerate(shard_sizes):
+        for dev, nbytes in shard_sizes:
             if reserve and nbytes > 0:
                 if not self.cluster.device(dev).hbm_try_take(nbytes):
                     # roll back partial
@@ -89,7 +88,7 @@ class HostStore:
                                               for s in shards])
                     raise StoreError(
                         f"device {dev} lacks {nbytes} free bytes for {h}")
-            shards.append(ShardLoc(i, dev, nbytes))
+            shards.append(ShardLoc(dev, nbytes))
         self._log("alloc", h, shards)
         buf = LogicalBuffer(h, owner, refcount, shards)
         self.buffers[h] = buf
