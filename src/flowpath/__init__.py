@@ -26,8 +26,7 @@ from .config import (BatchingConfig, ClusterSpec, CostModel, IslandSpec,
 from .ir import (CompiledFunction, LowerError, TraceError, Tracer,
                  chain_program, deserialize, lower, serialize)
 from .resman import AllocationError, ResourceManager
-from .runtime import (SerialChainJob, StreamJob, System,
-                      multicontroller_baseline)
+from .runtime import SerialChainJob, StreamJob, System
 from .simcore import Process, Simulator
 
 __version__ = "0.1.0"
@@ -38,6 +37,5 @@ __all__ = [
     "ResourceManager", "SerialChainJob", "Simulator", "StreamJob", "System",
     "TraceError", "Tracer", "ValidationError", "chain_program", "deserialize",
     "export_chrome_trace", "load_cluster", "load_workload", "lower",
-    "multicontroller_baseline", "run_benchmark", "serialize", "small_cluster",
-    "write_results",
+    "run_benchmark", "serialize", "small_cluster", "write_results",
 ]

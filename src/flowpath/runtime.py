@@ -12,7 +12,6 @@ plans for the same computation must agree digest for digest.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .config import (BatchingConfig, ClusterSpec, CostModel, Policy,
                      ValidationError)
@@ -582,53 +581,3 @@ def steady_rate(series: list[tuple[int, int]]) -> float:
         raise ValueError("degenerate steady-state window")
     return units * 1e9 / (t1 - t0)
 
-
-# -- multicontroller reference ------------------------------------------------
-
-@dataclass
-class BaselineRun:
-    sim: Simulator
-    cluster: Cluster
-    completions: list[tuple[int, str, str]]
-    makespan_ns: int
-
-    def rate(self) -> float:
-        return steady_rate([(t, 1) for t, _i, _n in self.completions])
-
-
-def multicontroller_baseline(spec: ClusterSpec, count: int, duration_ns: int,
-                             devices: list[int] | None = None) -> BaselineRun:
-    """Reference: every host enqueues its own kernels, nobody coordinates.
-
-    Each host drives only its own devices, with no client, scheduler or
-    cross-host traffic: it sends computation i at (i + 1) x `pcie_enqueue_ns`
-    x (its device count), one PCIe message for all its devices, so every
-    enqueue is known before the run. A computation is one collective over
-    the whole group (a lone kernel on a one-device group) and finishes
-    whole, so each `on_kernels_done` call is one completion.
-    """
-    sim = Simulator(record_trace=False)
-    cluster = Cluster(sim, spec)
-    cluster.on_kernels_done = lambda _devs, kernels: sim.note_completion(
-        kernels[0].instance, kernels[0].node)
-    group = (tuple(devices) if devices is not None
-             else tuple(d.device_id for d in cluster.devices))
-    members = group if len(group) > 1 else ()
-    shard = {d: s for s, d in enumerate(group)}
-    by_host: dict[int, list[int]] = {}
-    for d in group:
-        by_host.setdefault(cluster.device(d).host_id, []).append(d)
-    step, pcie = CostModel().pcie_enqueue_ns, spec.pcie.latency_ns
-    for i in range(count):
-        key = f"mc/c{i}" if members else None
-        for _h, local in sorted(by_host.items()):
-            kernels = [(d, KernelExec("mc", f"c{i}", shard[d], duration_ns,
-                                      collective_key=key, group=members))
-                       for d in local]
-            sim.schedule_at((i + 1) * step * len(local) + pcie,
-                            f"dev{local[0]}", "enqueue_kernel",
-                            {"kernels": kernels})
-    r = sim.run_until_quiescent()
-    if r.status != "quiescent":
-        raise RuntimeError(f"baseline run deadlocked: {r.blocked}")
-    return BaselineRun(sim, cluster, list(sim.completions), r.clock_ns)

@@ -16,7 +16,8 @@ dispatch: a change that moves it moves a published number.
 event log is mostly kernel enqueues, kernel completions and per-shard
 results: a change that only merges those messages must leave it alone.
 `CROSSOVER_DOC_PIN` pins the `crossover` suite at 2, 4 and 8 hosts, the one
-suite that runs the coordinator-free reference (`multicontroller_baseline`).
+suite whose rows come from a search over kernel durations, each compared with
+the closed-form coordinator-free `reference_rate`.
 `PIPELINE_DOC_PIN` pins the `pipeline` suite on two small cases, the one
 suite whose numbers are read from the execution trace's kernel spans.
 """
@@ -27,8 +28,10 @@ import pytest
 
 from flowpath import (CompiledFunction, StreamJob, System, chain_program,
                       small_cluster)
+from flowpath import bench
 from flowpath.bench import run_benchmark, write_results
 from flowpath.config import load_workload
+from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
@@ -105,9 +108,26 @@ def test_utilization_document_matches_pin(tmp_path):
     assert document_sha("utilization", tmp_path) == UTILIZATION_DOC_PIN
 
 
-def test_crossover_document_matches_pin(tmp_path):
+def test_crossover_document_matches_pin(tmp_path, monkeypatch):
+    # the search is seeded at the scheduler charge and each row reuses its
+    # probe at t*, so 8 + 6 + 6 runs of one coordinated system each; the
+    # reference is a closed form and builds no system at all
+    probes, sims = [], []
+    stream_rate, sim_init = bench._stream_rate, Simulator.__init__
+
+    def counted_rate(*a):
+        probes.append(a)
+        return stream_rate(*a)
+
+    def counted_init(self, *a, **k):
+        sims.append(self)
+        sim_init(self, *a, **k)
+
+    monkeypatch.setattr(bench, "_stream_rate", counted_rate)
+    monkeypatch.setattr(Simulator, "__init__", counted_init)
     sha = document_sha("crossover", tmp_path, {"host_counts": [2, 4, 8]})
     assert sha == CROSSOVER_DOC_PIN
+    assert len(probes) == len(sims) == 20
 
 
 def test_pipeline_document_matches_pin(tmp_path):

@@ -1,10 +1,10 @@
-"""Submission validation, dispatch planning, client jobs, baseline runtime."""
+"""Submission validation, dispatch planning, client jobs, the reference rate."""
 import pytest
 
-from flowpath.config import ValidationError, small_cluster
+from flowpath.bench import reference_rate
+from flowpath.config import CostModel, ValidationError, small_cluster
 from flowpath.ir import CompiledFunction, Tracer, chain_program
-from flowpath.runtime import (StreamJob, System, multicontroller_baseline,
-                              steady_rate)
+from flowpath.runtime import StreamJob, System, steady_rate
 from flowpath.simcore import us
 from flowpath.store import audit_leaks, audit_no_double_free
 
@@ -265,30 +265,21 @@ def test_steady_rate_rejects_degenerate_window():
 
 # -- coordinator-free reference --------------------------------------------
 
-def test_baseline_runs_lockstep_collectives():
+def test_reference_rate_is_duration_bound():
+    # 50us kernels outlast the 4 x 5us enqueue loop of a 4-device host
     spec = small_cluster(hosts=2, devices_per_host=4)
-    run = multicontroller_baseline(spec, count=20, duration_ns=us(50))
-    assert len(run.completions) == 20          # one per collective, not per shard
-    assert run.makespan_ns == us(1025)
-    ends = [t for t, _i, _n in run.completions]
-    assert all(b - a == us(50) for a, b in zip(ends[1:], ends[2:]))
-    assert run.rate() == pytest.approx(20000.0)
+    assert reference_rate(spec, 50) == 20000.0
 
 
-def test_baseline_device_subset():
+def test_reference_rate_is_pcie_bound():
+    # 5us kernels wait on the host: 4 enqueues of 5us per computation
     spec = small_cluster(hosts=2, devices_per_host=4)
-    run = multicontroller_baseline(spec, count=8, duration_ns=us(30),
-                                   devices=[0, 1, 2, 3])
-    assert len(run.completions) == 8
-    # single host drives 4 devices: 20us enqueue loop, 5us pcie, then serial
-    assert run.completions[0][0] == us(55)
+    assert reference_rate(spec, 5) == 1e9 / us(20) == 50000.0
 
 
-def test_baseline_one_device_runs_lone_kernels():
-    spec = small_cluster(hosts=2, devices_per_host=4)
-    run = multicontroller_baseline(spec, count=6, duration_ns=us(30),
-                                   devices=[5])
-    # no rendezvous: 5us enqueue, 5us pcie, then one kernel after another
-    assert [t for t, _i, _n in run.completions] == [
-        us(40 + 30 * i) for i in range(6)]
-    assert run.makespan_ns == us(190)
+def test_reference_rate_ties_at_enqueue_occupancy():
+    spec = small_cluster(hosts=3, devices_per_host=4)
+    tie = CostModel().pcie_enqueue_ns * 4 // 1000
+    assert reference_rate(spec, tie) == reference_rate(spec, tie - 1) \
+        == 1e9 / us(tie)
+    assert reference_rate(spec, tie + 1) == 1e9 / us(tie + 1)
