@@ -196,9 +196,9 @@ def smallest_passing(passes, seed: int) -> int:
 
 
 def crossover_point(hosts: int, devices_per_host: int = 2, count: int = 40,
-                    window: int = 32) -> tuple[int, dict[int, float]]:
+                    window: int = 32) -> tuple[int, dict]:
     """Smallest kernel duration t* (us) at which coordinated dispatch keeps
-    99% of `reference_rate`, and the coordinated rate at each duration probed.
+    99% of `reference_rate`, and each probe's coordinated rate and verdict.
 
     The search starts at the scheduler's charge per gang (one decision and
     one send per host, in whole us): shorter kernels leave the scheduler
@@ -208,40 +208,48 @@ def crossover_point(hosts: int, devices_per_host: int = 2, count: int = 40,
     n_dev = hosts * devices_per_host
     cost = CostModel()
     seed = -(-(cost.sched_decision_ns + cost.sched_send_ns * hosts) // 1000)
-    rates: dict[int, float] = {}
+    probes: dict[int, tuple[float, bool]] = {}
 
     def ratio_ok(t_us: int) -> bool:
-        rates[t_us] = _stream_rate(spec, n_dev, t_us, count, window)
-        return rates[t_us] >= 0.99 * reference_rate(spec, t_us)
+        r_sys = _stream_rate(spec, n_dev, t_us, count, window)
+        probes[t_us] = r_sys, r_sys >= 0.99 * reference_rate(spec, t_us)
+        return probes[t_us][1]
 
     try:
         t_star = smallest_passing(ratio_ok, seed)
     except RuntimeError as e:
         raise RuntimeError(f"{e} at {hosts} hosts") from e
-    return t_star, rates
+    return t_star, probes
 
 
 def bench_crossover(host_counts=(2, 4, 8, 16, 32, 64),
                     devices_per_host: int = 2, count: int = 40,
                     window: int = 32) -> dict:
     """Crossover t* per host count (see `crossover_point`); each row reuses
-    the search's probe at t* and runs no system again."""
-    rows = []
+    the search's probe at t* and runs no system again. One audit entry per
+    row reads the same probes: t* - 1 failed (or t* is 1us) and t* passed."""
+    rows, neighbours = [], []
     for hosts in host_counts:
-        t_star, rates = crossover_point(hosts, devices_per_host, count,
-                                        window)
+        t_star, probes = crossover_point(hosts, devices_per_host, count,
+                                         window)
         spec = small_cluster(hosts=hosts, devices_per_host=devices_per_host)
-        r_sys = rates[t_star]
+        r_sys, passed = probes[t_star]
         r_mc = reference_rate(spec, t_star)
         rows.append({"hosts": hosts, "crossover_us": t_star,
                      "rate_per_s": r_sys, "baseline_per_s": r_mc,
                      "ratio": r_sys / r_mc})
+        r_below, below_passed = probes.get(t_star - 1, (None, False))
+        neighbours.append({
+            "check": "fails 1us below the crossover, passes at it",
+            "hosts": hosts, "ok": passed and not below_passed,
+            "below_ratio": r_below if r_below is None else
+            r_below / reference_rate(spec, t_star - 1)})
     points = [r["crossover_us"] for r in rows]
     audit = [{"check": "nondecreasing in host count",
               "ok": all(b >= a for a, b in zip(points, points[1:]))},
              {"check": "growth across sweep",
               "ok": points[-1] >= 5 * points[0],
-              "factor": points[-1] / points[0]}]
+              "factor": points[-1] / points[0]}, *neighbours]
     return {"benchmark": "crossover",
             "params": {"host_counts": list(host_counts),
                        "devices_per_host": devices_per_host, "count": count,

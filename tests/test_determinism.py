@@ -56,7 +56,7 @@ DISPATCH_DOC_PIN = \
 UTILIZATION_DOC_PIN = \
     "047a1d52644e1472891076c90d3eeb96ebe37d7eae1453f7a8c0aa1178f0de69"
 CROSSOVER_DOC_PIN = \
-    "baaf17fbd2ebf9c302c28a35999b797e726ff9c01ef32cb9b8710c777b6043df"
+    "1242b9cbf1924d74cb221da3498d06ad0feda86876d6c8f710e8020b034466fa"
 PIPELINE_DOC_PIN = \
     "675d81ef66659a0a95c37a52e279efab44cb84e303bcea3c0b6cf0c45b90097e"
 WORKLOADS = Path(__file__).resolve().parent.parent / "configs" / "workloads"
