@@ -283,7 +283,8 @@ def run_pipeline(stages: int, micro: int, stage_us: float = 1000.0,
     if stages % islands:
         raise ValidationError(f"{stages} stages do not split over "
                               f"{islands} islands")
-    spec = small_cluster(hosts=max(1, stages // (4 * islands)),
+    # one device per stage: round the hosts up, or stages share devices
+    spec = small_cluster(hosts=-(-stages // (4 * islands)),
                          devices_per_host=4, islands=islands)
     sys = System(spec, record_log=record_log, record_trace=True)
     prog = pipeline_program(stages, micro, stage_us, islands)
