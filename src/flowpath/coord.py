@@ -210,6 +210,3 @@ class MessageBatcher:
         self.sim.send(self.src_pid, dst_pid, "batch",
                       {"messages": [{"kind": k, "payload": p} for k, p in buf]},
                       latency=lat)
-
-    def pending(self, dst_pid: str) -> int:
-        return len(self._buf.get(dst_pid, []))

@@ -5,10 +5,13 @@ a time), mirrors its slice of every running program instance, launches DMA
 transfers once it holds both the producer data and the consumer addresses,
 and keeps the store's logical refcounts honest via drain reports.
 
-Device traffic is per host: one PCIe message enqueues a gang's kernels on
-the host's devices, and one `kernel_done` lists the shards of a collective
-on the host, which it marks done in one pass (a result's shards reach the
-client in one `result` per host).
+Device traffic is per host: a host's share of a gang is one `KernelExec`
+record, whose shards, devices and input sources are static per (node,
+host) in `NodeInfo`. One PCIe message enqueues it on the host's devices, and
+one `kernel_done` lists the shards of a collective on the host, which it
+marks done in one pass (a result's shards reach the client in one `result`
+per host). The host keeps the record until its kernels are done, so a
+failure can name it in each device's abort.
 
 What a node allocates where is stated once, by `ProgramInfo.buffers`: its
 outputs on its home host, a landing buffer for inbound transfers on each of
@@ -73,9 +76,10 @@ class NodeInfo:
     hosts: tuple[int, ...]
     home_host: int
     local_shards: dict[int, tuple[int, ...]]     # host -> shard indices
+    local_devices: dict[int, tuple[int, ...]]    # host -> their devices
     in_edges: tuple[str, ...]
     out_edges: tuple[str, ...]
-    input_sources: dict[int, tuple[int, ...]]    # shard -> producer per arrival
+    input_sources: dict[int, tuple[int, ...]]    # device -> producer per arrival
     recv_bytes: dict[int, int]                   # shard -> landing bytes
     args_created: tuple[str, ...]
     waits: dict[int, int]                        # host -> gating punctuations
@@ -249,6 +253,9 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             continue
         devs = lp.placement[n.id]
         local = _by_host(devs, host_of)
+        # a node on one host shares its devices tuple
+        local_devs = ({h: devs for h in local} if len(local) == 1 else
+                      {h: tuple(devs[s] for s in ss) for h, ss in local.items()})
         home = host_of[devs[0]]
         # host-gated readiness: the home host hears every source shard of
         # each edge a predecessor gang feeds, another host only the source
@@ -265,10 +272,10 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             waits[home] = waits.get(home, 0) + ei.src_shards
         nodes[n.id] = NodeInfo(
             nid=n.id, fn=n.fn, devices=devs, hosts=tuple(local),
-            home_host=home, local_shards=local,
+            home_host=home, local_shards=local, local_devices=local_devs,
             in_edges=tuple(in_eids.get(n.id, ())),
             out_edges=tuple(out_eids.get(n.id, ())),
-            input_sources={s: tuple(v)
+            input_sources={devs[s]: tuple(v)
                            for s, v in sorted(sources.get(n.id, {}).items())},
             recv_bytes=recv.get(n.id, {}),
             args_created=tuple(created.get(n.id, ())), waits=waits,
@@ -319,6 +326,8 @@ class _InstState:
     prep: dict[str, str] = field(default_factory=dict)    # node -> queued/done
     ticket: dict[str, int] = field(default_factory=dict)
     kdone: dict[str, int] = field(default_factory=dict)   # node -> local done
+    # node -> the record enqueued here, until its kernels are done
+    kernels: dict[str, KernelExec] = field(default_factory=dict)
     src_done: dict[str, set] = field(default_factory=dict)      # eid -> shards
     # eid -> {(s,d): ...}, the addresses of pairs not yet launched
     addr: dict[str, dict] = field(default_factory=dict)
@@ -381,9 +390,10 @@ class HostExecutor(Process):
 
     def _finish_task(self, payload: dict) -> None:
         kind, instance, nid = self._tasks.pop(0)
-        self.sim.trace_span(self.host_id, 100_000 + self.host_id,
-                            f"{kind} {nid}", payload["start"], self.sim.now(),
-                            kind, instance)
+        if self.sim.record_trace:
+            self.sim.trace_span(self.host_id, 100_000 + self.host_id,
+                                f"{kind} {nid}", payload["start"],
+                                self.sim.now(), kind, instance)
         if instance in self.inst:
             if kind == "prep":
                 self._prep_effects(instance, nid)
@@ -518,20 +528,15 @@ class HostExecutor(Process):
         ni = info.nodes[nid]
         self.stats["enqueues"] += 1
         collective = ni.fn.collective and len(ni.devices) > 1
-        key = f"{instance}/{nid}" if collective else None
-        group = ni.devices if collective else ()
         mine = ni.local_shards[self.host_id]
-        kernels = []
-        for s in mine:
-            srcs = ni.input_sources.get(s, ())
-            kernels.append((ni.devices[s], KernelExec(
-                instance=instance, node=nid, shard=s,
-                duration_ns=ni.fn.duration_ns, expected_inputs=len(srcs),
-                collective_key=key, group=group, input_sources=srcs)))
-        # one PCIe message carries the kernels of all this host's devices
-        self.sim.send(self.pid, f"dev{kernels[0][0]}", "enqueue_kernel",
-                      {"kernels": kernels},
-                      latency=self.cluster.spec.pcie.latency_ns)
+        k = st.kernels[nid] = KernelExec(
+            instance, nid, mine, ni.local_devices[self.host_id],
+            ni.fn.duration_ns, ni.input_sources,
+            collective_key=f"{instance}/{nid}" if collective else None,
+            group=ni.devices if collective else ())
+        # one PCIe message carries the record to all this host's devices
+        self.sim.send(self.pid, f"dev{k.devices[0]}", "enqueue_kernel",
+                      {"kernel": k}, latency=self.cluster.spec.pcie.latency_ns)
         for eid in ni.out_edges:
             self._emit_edge_update(instance, eid, mine, "fut")
         if st.meta.modes[nid] == "dat" and self.host_id == ni.home_host:
@@ -643,6 +648,7 @@ class HostExecutor(Process):
             if n_local:
                 self._drain(instance, eid, n_local)
         if st.kdone[nid] == len(ni.local_shards[self.host_id]):
+            del st.kernels[nid]
             recv = info.recv_handle(instance, nid, self.host_id)
             if recv in self.store.buffers:
                 self.store.release(recv)
@@ -672,8 +678,8 @@ class HostExecutor(Process):
         if instance in self.inst:
             self._drain(instance, payload["edge"], 1)
         else:   # landed after the instance failed: the device drops it
-            self._abort(self.runtime.instances[instance].program, instance,
-                        nid, payload["shard"])
+            ni = self.runtime.instances[instance].program.nodes[nid]
+            self._abort(instance, nid, ni.devices[payload["shard"]], None)
 
     # -- teardown ----------------------------------------------------------
 
@@ -711,16 +717,18 @@ class HostExecutor(Process):
                 continue
             # once prepped, a granted shard may have its kernel on the device
             # and a shard with remote inputs may have inputs landing there
-            for s in mine:
-                if nid in st.ticket or s in ni.input_sources:
-                    self._abort(info, instance, nid, s)
+            k = st.kernels.get(nid)
+            for dev in ni.local_devices[self.host_id]:
+                if nid in st.ticket or dev in ni.input_sources:
+                    self._abort(instance, nid, dev, k)
         self._drop(instance)
 
-    def _abort(self, info: ProgramInfo, instance: str, nid: str,
-               shard: int) -> None:
-        self.sim.send(self.pid, f"dev{info.nodes[nid].devices[shard]}",
-                      "abort_kernel",
-                      {"instance": instance, "node": nid, "shard": shard},
+    def _abort(self, instance: str, nid: str, device: int,
+               k: KernelExec | None) -> None:
+        """Tell a device to drop the node's record `k`, if one was enqueued
+        here, and the inputs landed for it."""
+        self.sim.send(self.pid, f"dev{device}", "abort_kernel",
+                      {"instance": instance, "node": nid, "kernel": k},
                       latency=self.cluster.spec.pcie.latency_ns)
 
     # -- introspection -----------------------------------------------------

@@ -1,18 +1,22 @@
 """Accelerator island model: devices, links, kernel queues, HBM.
 
 Devices execute kernels from a FIFO queue, one at a time, non-preemptible.
-One `enqueue_kernel` message carries a host's kernels for its devices. A
-collective kernel blocks its device at the head of the queue until every
-member of the group has reached the matching kernel; one `collective_done`
-event then completes all members at the same virtual instant, and the
-cluster hook hears the group once. Data transfers ride DMA paths and
-overlap compute. HBM is a per-device byte budget that the gang scheduler
-reserves from.
+A host's share of a gang is one `KernelExec` record: one `enqueue_kernel`
+message carries it, and each of the host's devices appends it to its own
+queue (gangs of different programs interleave per device) and runs its
+shard when the record reaches its head. A collective kernel blocks its
+device at the head of the queue until every member of the group has
+reached the matching kernel. The rendezvous keeps the member device ids;
+the last arrival schedules one `collective_done` event, which completes all
+members at the same virtual instant, and the cluster hook hears each member
+host's record once. Data transfers ride DMA paths and overlap compute. HBM
+is a per-device byte budget that the gang scheduler reserves from.
 """
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ClusterSpec, LinkSpec
 from .simcore import NS_PER_S, Process, Simulator
@@ -36,34 +40,32 @@ def transfer_ns(link: LinkSpec, nbytes: int) -> int:
     return link.latency_ns + (nbytes * NS_PER_S + bps - 1) // bps
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class KernelExec:
-    """One enqueued unit of device work."""
+    """A host's share of one gang: the kernel of each of its shards.
+
+    Shard `shards[i]` runs on device `devices[i]`, and every one of those
+    devices queues this same record. Compared by identity.
+    """
 
     instance: str
     node: str
-    shard: int
+    shards: tuple[int, ...]
+    devices: tuple[int, ...]
     duration_ns: int
-    expected_inputs: int = 0            # pending inbound transfers
+    # device -> producer device per inbound transfer it waits for; a device
+    # not named waits for none
+    input_sources: dict[int, tuple[int, ...]]
     collective_key: str | None = None   # rendezvous id; None = independent
     group: tuple[int, ...] = ()         # a collective's member devices
-    input_sources: tuple[int, ...] = ()  # producer devices, for the wait graph
-    aborted: bool = False
+    aborted: tuple[int, ...] = ()       # devices told to drop it
 
-    @property
-    def key(self) -> tuple[str, str, int]:
-        return (self.instance, self.node, self.shard)
+    def shard_on(self, device: int) -> int:
+        return self.shards[self.devices.index(device)]
 
     @property
     def group_size(self) -> int:
         return len(self.group)
-
-
-@dataclass
-class _Rendezvous:
-    expected: int
-    duration_ns: int
-    arrived: list[tuple[int, int]] = field(default_factory=list)  # (device, t)
 
 
 class DeviceProcess(Process):
@@ -78,35 +80,40 @@ class DeviceProcess(Process):
         self.island_id = island_id
         self.hbm_capacity = hbm_capacity
         self.free_bytes = hbm_capacity
-        self.queue: list[KernelExec] = []
+        self.queue: deque[KernelExec] = deque()
         self.executing: KernelExec | None = None
         self._exec_start = 0
-        self._arrivals: dict[tuple[str, str, int], int] = {}
+        # (instance, node) -> inputs landed; a node has one shard per device
+        self._arrivals: dict[tuple[str, str], int] = {}
         self.busy_ns = 0  # accumulated kernel time, for utilization audits
 
     # -- kernel queue ------------------------------------------------------
 
     def handle(self, kind: str, payload: dict, src: str | None) -> None:
         if kind == "enqueue_kernel":
+            k = payload["kernel"]
             devices = self.cluster.devices
-            for device_id, k in payload["kernels"]:
+            for device_id in k.devices:
                 dev = devices[device_id]
                 dev.queue.append(k)
-                dev._try_start()
+                if dev.executing is None:
+                    dev._try_start()
         elif kind == "transfer_arrive":
-            key = (payload["instance"], payload["node"], payload["shard"])
+            key = (payload["instance"], payload["node"])
             self._arrivals[key] = self._arrivals.get(key, 0) + 1
             self.cluster.on_transfer_arrive(self, payload)
             self._try_start()
         elif kind == "kernel_done":
-            self.cluster.on_kernels_done([self], [self._finish(self.sim.now())])
+            k = self._finish(self.sim.now())
+            self.cluster.on_kernels_done(k, [k.shard_on(self.device_id)])
             self._try_start()
         elif kind == "collective_done":
-            # finish every member, report the group once, then start each
-            # member's next kernel
+            # finish every member, report each member host's record once,
+            # then start each member's next kernel
             devs = [self.cluster.devices[d] for d in payload["members"]]
             end = self.sim.now()
-            self.cluster.on_kernels_done(devs, [d._finish(end) for d in devs])
+            for k in dict.fromkeys([d._finish(end) for d in devs]):
+                self.cluster.on_kernels_done(k, list(k.shards))
             for dev in devs:
                 dev._try_start()
         elif kind == "abort_kernel":
@@ -115,26 +122,27 @@ class DeviceProcess(Process):
             raise ValueError(f"device {self.device_id}: unknown message {kind}")
 
     def _inputs_ready(self, k: KernelExec) -> bool:
-        return self._arrivals.get(k.key, 0) >= k.expected_inputs
+        srcs = k.input_sources.get(self.device_id)
+        return (srcs is None
+                or self._arrivals.get((k.instance, k.node), 0) >= len(srcs))
 
     def _try_start(self) -> None:
-        if self.executing is not None or not self.queue:
-            return
-        head = self.queue[0]
-        if head.aborted:
-            self.queue.pop(0)
-            self._arrivals.pop(head.key, None)
-            self.cluster.on_kernel_aborted(self, head)
-            self._try_start()
-            return
-        if not self._inputs_ready(head):
-            return
-        self.executing = head
-        self._exec_start = self.sim.now()
-        if head.collective_key is None:
-            self.sim.schedule_in(head.duration_ns, self.pid, "kernel_done", {})
-        else:
-            self.cluster.collective_arrive(self, head)
+        queue = self.queue
+        while self.executing is None and queue:
+            head = queue[0]
+            if self.device_id in head.aborted:
+                queue.popleft()
+                self._arrivals.pop((head.instance, head.node), None)
+                self.cluster.on_kernel_aborted(self, head)
+                continue
+            if not self._inputs_ready(head):
+                return
+            self.executing = head
+            self._exec_start = self.sim.now()
+            if head.collective_key is None:
+                self.sim.schedule_in(head.duration_ns, self.pid, "kernel_done")
+            else:
+                self.cluster.collective_arrive(self, head)
 
     def _at_rendezvous(self) -> bool:
         """Executing a collective whose group has not all arrived yet."""
@@ -145,31 +153,33 @@ class DeviceProcess(Process):
         k = self.executing
         assert k is not None
         self.executing = None
-        self.queue.pop(0)
-        self._arrivals.pop(k.key, None)
+        self.queue.popleft()
+        if self._arrivals:
+            self._arrivals.pop((k.instance, k.node), None)
         start = self._exec_start
         self.busy_ns += end - start
-        self.sim.trace_span(self.host_id, self.device_id,
-                            f"{k.node}[{k.shard}]", start, end, "kernel",
-                            k.instance)
+        if self.sim.record_trace:
+            self.sim.trace_span(self.host_id, self.device_id,
+                                f"{k.node}[{k.shard_on(self.device_id)}]",
+                                start, end, "kernel", k.instance)
         return k
 
     def _abort(self, payload: dict) -> None:
-        """Drop a failed instance's kernel and the inputs landed for it."""
-        key = (payload["instance"], payload["node"], payload["shard"])
-        self._arrivals.pop(key, None)
-        ex = self.executing
-        if ex is not None and ex.key == key and self._at_rendezvous():
-            # still waiting at the rendezvous, so nothing ran yet; a kernel
-            # already past the rendezvous is non-preemptible and finishes
-            self.cluster.rendezvous_cancel(self, ex)
-            self.executing = None
-            self.queue.pop(0)
-            ex.aborted = True
-            self.cluster.on_kernel_aborted(self, ex)
-        for k in self.queue:
-            if k.key == key and k is not self.executing:
-                k.aborted = True
+        """Drop a failed instance's record here (`payload["kernel"]`, None
+        if its host enqueued none) and the inputs landed for it."""
+        self._arrivals.pop((payload["instance"], payload["node"]), None)
+        k = payload["kernel"]
+        if k is not None and k is self.executing:
+            if self._at_rendezvous():
+                # still waiting at the rendezvous, so nothing ran yet; a
+                # kernel already past it is non-preemptible and finishes
+                self.cluster.rendezvous_cancel(self, k)
+                self.executing = None
+                self.queue.popleft()
+                self.cluster.on_kernel_aborted(self, k)
+        elif k is not None:
+            # dropped when it reaches the head of this device's queue
+            k.aborted += (self.device_id,)
         self._try_start()
 
     # -- HBM ---------------------------------------------------------------
@@ -197,7 +207,9 @@ class DeviceProcess(Process):
     def obligations(self) -> list[str]:
         out = []
         if self.executing is not None:
-            out.append(f"incomplete kernel {self.executing.key}")
+            k = self.executing
+            out.append(f"incomplete kernel {k.instance}/{k.node}"
+                       f"[{k.shard_on(self.device_id)}]")
         elif self.queue:
             out.append(f"{len(self.queue)} queued kernels")
         return out
@@ -208,8 +220,8 @@ class DeviceProcess(Process):
             missing = self.cluster.collective_missing(self.executing)
             edges += [(self.pid, f"dev{d}") for d in missing]
         elif self.queue and not self._inputs_ready(self.queue[0]):
-            head = self.queue[0]
-            edges += [(self.pid, f"dev{d}") for d in head.input_sources
+            srcs = self.queue[0].input_sources[self.device_id]
+            edges += [(self.pid, f"dev{d}") for d in srcs
                       if d != self.device_id]
         return edges
 
@@ -228,7 +240,8 @@ class Cluster:
         self.island_devices: dict[int, list[int]] = {}
         self.host_devices: dict[int, list[int]] = {}
         self.host_island: dict[int, int] = {}
-        self._rendezvous: dict[str, _Rendezvous] = {}
+        # collective key -> member devices arrived so far, in arrival order
+        self._rendezvous: dict[str, list[int]] = {}
         did = 0
         hid = 0
         for iid, isl in enumerate(spec.islands):
@@ -246,9 +259,9 @@ class Cluster:
         self.host_count = hid
 
     # hooks, overridden by the runtime layer
-    def on_kernels_done(self, devs: list[DeviceProcess],
-                        kernels: list[KernelExec]) -> None:
-        """Kernels finished now: a collective group, or one kernel."""
+    def on_kernels_done(self, k: KernelExec, shards: list[int]) -> None:
+        """These shards of one host's record finished now: all of them for
+        a collective (called once per member host), else one."""
 
     def on_kernel_aborted(self, dev: DeviceProcess, k: KernelExec) -> None:
         pass
@@ -297,7 +310,7 @@ class Cluster:
             payload.update(extra)
         arrive = self.sim.now() + dur
         self.sim.schedule_at(arrive, f"dev{dst_dev}", "transfer_arrive", payload)
-        if dur > 0:
+        if dur > 0 and self.sim.record_trace:
             dst = self.devices[dst_dev]
             self.sim.trace_span(dst.host_id, 200_000 + dst_dev,
                                 f"xfer {node}[{shard}]", self.sim.now(), arrive,
@@ -307,37 +320,36 @@ class Cluster:
     # -- collectives -------------------------------------------------------
 
     def collective_arrive(self, dev: DeviceProcess, k: KernelExec) -> None:
+        """One member device reached the rendezvous, now."""
         key = k.collective_key
         assert key is not None
-        r = self._rendezvous.get(key)
-        if r is None:
-            r = _Rendezvous(expected=k.group_size, duration_ns=k.duration_ns)
-            self._rendezvous[key] = r
-        r.arrived.append((dev.device_id, self.sim.now()))
-        if len(r.arrived) == r.expected:
-            # every member is at the rendezvous; one event finishes them all
-            complete_at = max(t for _d, t in r.arrived) + r.duration_ns
-            self.sim.schedule_at(complete_at, dev.pid, "collective_done",
-                                 {"members": [d for d, _t in r.arrived]})
+        arrived = self._rendezvous.get(key)
+        if arrived is None:
+            arrived = self._rendezvous[key] = []
+        arrived.append(dev.device_id)
+        if len(arrived) == k.group_size:
+            # this is the last arrival: one event finishes every member
             del self._rendezvous[key]
+            self.sim.schedule_in(k.duration_ns, dev.pid, "collective_done",
+                                 {"members": arrived})
 
     def rendezvous_cancel(self, dev: DeviceProcess, k: KernelExec) -> None:
-        r = self._rendezvous.get(k.collective_key or "")
-        if r is not None:
-            r.arrived = [(d, t) for d, t in r.arrived if d != dev.device_id]
-            if not r.arrived:
+        arrived = self._rendezvous.get(k.collective_key or "")
+        if arrived is not None:
+            arrived.remove(dev.device_id)
+            if not arrived:
                 del self._rendezvous[k.collective_key]
 
     def collective_missing(self, k: KernelExec) -> list[int]:
-        r = self._rendezvous.get(k.collective_key or "")
-        if r is None:
+        arrived = self._rendezvous.get(k.collective_key or "")
+        if arrived is None:
             return []
-        here = {d for d, _t in r.arrived}
-        return sorted(set(k.group) - here)
+        return sorted(set(k.group).difference(arrived))
 
 
-def enqueue_kernel(sim: Simulator, device_id: int, kernel: KernelExec,
+def enqueue_kernel(sim: Simulator, kernel: KernelExec,
                    at: int | None = None) -> None:
     """Low-level enqueue, for driving devices without a host executor."""
-    sim.schedule_at(at if at is not None else sim.now(), f"dev{device_id}",
-                    "enqueue_kernel", {"kernels": [(device_id, kernel)]})
+    sim.schedule_at(at if at is not None else sim.now(),
+                    f"dev{kernel.devices[0]}", "enqueue_kernel",
+                    {"kernel": kernel})

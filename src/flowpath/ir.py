@@ -321,6 +321,9 @@ def lower(p: TracedProgram,
             raise LowerError(
                 f"slice {sid}: requirement {req.device_count} devices, map has "
                 f"{len(dmap[sid])}")
+        if len(set(dmap[sid])) != len(dmap[sid]):
+            # a device runs one shard of a node
+            raise LowerError(f"slice {sid}: a device is mapped twice")
 
     consumer = arg_consumers(p)
     placement: dict[str, tuple[int, ...]] = {}

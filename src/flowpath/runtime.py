@@ -62,27 +62,17 @@ class _SysCluster(Cluster):
         super().__init__(sim, spec)
         self.system = system
 
-    def on_kernels_done(self, devs: list[DeviceProcess],
-                        kernels: list[KernelExec]) -> None:
+    def on_kernels_done(self, k: KernelExec, shards: list[int]) -> None:
         sys = self.system
-        k = kernels[0]
-        # one message per member host, from a device of it: its shards
-        if len(devs) == 1:
-            by_host = {devs[0].host_id: (devs[0].pid, [k.shard])}
-        else:
-            by_host = {}
-            for dev, kk in zip(devs, kernels):
-                by_host.setdefault(dev.host_id, (dev.pid, []))[1].append(
-                    kk.shard)
-        pcie = self.spec.pcie.latency_ns
-        for host, (src, shards) in by_host.items():
-            self.sim.send(src, f"host{host}", "kernel_done",
-                          {"instance": k.instance, "node": k.node,
-                           "shards": shards}, latency=pcie)
+        # one message to the record's host, from a device of it
+        dev = self.devices[k.devices[0]]
+        self.sim.send(dev.pid, f"host{dev.host_id}", "kernel_done",
+                      {"instance": k.instance, "node": k.node,
+                       "shards": shards}, latency=self.spec.pcie.latency_ns)
         key = (k.instance, k.node)
         left = sys.gang_left.get(key)
         if left is not None:
-            left -= len(kernels)
+            left -= len(shards)
             if left == 0:
                 del sys.gang_left[key]
                 self.sim.note_completion(k.instance, k.node)

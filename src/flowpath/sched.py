@@ -236,15 +236,15 @@ class IslandScheduler(Process):
         """Grant, in ticket order, each parked gang whose devices have room.
         Parked gangs share no device, so one grant cannot make room for
         another: one pass suffices."""
+        devices = self.cluster.devices
         for seq in sorted(self._parked):
             gang = self._parked[seq]
-            if not all(self.cluster.device(d).free_bytes >= gang.hbm.get(d, 0)
-                       for d in gang.devices):
+            if not all(devices[d].free_bytes >= need
+                       for d, need in gang.hbm.items()):
                 continue
-            for d in gang.devices:   # atomic: all checked, now take all
-                need = gang.hbm.get(d, 0)
+            for d, need in gang.hbm.items():   # atomic: all checked, take all
                 if need:
-                    taken = self.cluster.device(d).hbm_try_take(need)
+                    taken = devices[d].hbm_try_take(need)
                     assert taken
             del self._parked[seq]
             self._blocked.difference_update(gang.devices)

@@ -1,7 +1,9 @@
 """Per-host sharded object store.
 
 A logical buffer is one handle covering N shards that live in device HBM.
-Reference counts act on the logical buffer: one op per producer/consumer
+It keeps its shards as the `(device, bytes)` pairs it was created from,
+the rows `ProgramInfo.buffers` yields, with no object per shard. Reference
+counts act on the logical buffer: one op per producer/consumer
 regardless of shard count. Ownership labels (client or program instance)
 allow a garbage collection sweep that frees everything an owner left behind:
 a finished or failed instance, or a dead client.
@@ -31,19 +33,13 @@ class RefcountError(StoreError):
     """Release below zero: fatal accounting bug."""
 
 
-@dataclass
-class ShardLoc:
-    device: int
-    nbytes: int
-    resolved: bool = False      # data physically present
-
-
-@dataclass
+@dataclass(slots=True)
 class LogicalBuffer:
     handle: str
     owner: str
     refcount: int
-    shards: list[ShardLoc]
+    shards: list[tuple[int, int]]          # (device, bytes) per shard
+    resolved: tuple[int, ...] = ()         # shards whose data is present
 
 
 class HostStore:
@@ -57,11 +53,11 @@ class HostStore:
         # audit rows, one per buffer op: (op, handle, shards, bytes, host, t_ns)
         self.audit = audit if audit is not None else []
 
-    def _log(self, op: str, handle: str, shards: list[ShardLoc]) -> None:
+    def _log(self, op: str, handle: str, shards: list[tuple[int, int]]) -> None:
         # most buffers have one shard; their row shares the shard's int
         n = len(shards)
-        self.audit.append((op, handle, n, shards[0].nbytes if n == 1 else
-                           sum(loc.nbytes for loc in shards), self.host_id,
+        self.audit.append((op, handle, n, shards[0][1] if n == 1 else
+                           sum(nb for _d, nb in shards), self.host_id,
                            self.cluster.sim.now()))
 
     # -- allocation --------------------------------------------------------
@@ -69,7 +65,8 @@ class HostStore:
     def put(self, shard_sizes: list[tuple[int, int]], owner: str,
             refcount: int = 1, reserve: bool = True,
             handle: str | None = None) -> LogicalBuffer:
-        """Create a logical buffer from (device, nbytes) per shard.
+        """Create a logical buffer from (device, nbytes) per shard; the
+        buffer keeps that list.
 
         reserve=False means the bytes were already taken out of device HBM
         by a gang reservation; reserve=True draws them here and raises if a
@@ -79,18 +76,15 @@ class HostStore:
         h = handle or f"b{self.host_id}.{self._n}"
         if h in self.buffers:
             raise StoreError(f"duplicate handle {h}")
-        shards = []
-        for dev, nbytes in shard_sizes:
-            if reserve and nbytes > 0:
-                if not self.cluster.device(dev).hbm_try_take(nbytes):
-                    # roll back partial
-                    self.cluster.release_hbm([(s.device, s.nbytes)
-                                              for s in shards])
+        if reserve:
+            for i, (dev, nbytes) in enumerate(shard_sizes):
+                if nbytes > 0 and not self.cluster.device(dev).hbm_try_take(
+                        nbytes):
+                    self.cluster.release_hbm(shard_sizes[:i])   # roll back
                     raise StoreError(
                         f"device {dev} lacks {nbytes} free bytes for {h}")
-            shards.append(ShardLoc(dev, nbytes))
-        self._log("alloc", h, shards)
-        buf = LogicalBuffer(h, owner, refcount, shards)
+        self._log("alloc", h, shard_sizes)
+        buf = LogicalBuffer(h, owner, refcount, shard_sizes)
         self.buffers[h] = buf
         return buf
 
@@ -101,7 +95,11 @@ class HostStore:
         return buf
 
     def resolve_shard(self, handle: str, shard: int) -> None:
-        self.get(handle).shards[shard].resolved = True
+        buf = self.get(handle)
+        if not 0 <= shard < len(buf.shards):
+            raise IndexError(f"{handle} has no shard {shard}")
+        if shard not in buf.resolved:
+            buf.resolved += (shard,)
 
     # -- reference counting ------------------------------------------------
 
@@ -119,8 +117,7 @@ class HostStore:
         return False
 
     def _free(self, buf: LogicalBuffer) -> None:
-        self.cluster.release_hbm([(loc.device, loc.nbytes)
-                                  for loc in buf.shards])
+        self.cluster.release_hbm(buf.shards)
         self._log("free", buf.handle, buf.shards)
         del self.buffers[buf.handle]
 
@@ -140,7 +137,7 @@ class HostStore:
     # -- audits ------------------------------------------------------------
 
     def live_bytes(self) -> int:
-        return sum(loc.nbytes for b in self.buffers.values() for loc in b.shards)
+        return sum(nb for b in self.buffers.values() for _d, nb in b.shards)
 
 
 def audit_no_double_free(audit_rows: list) -> list[tuple[str, int]]:

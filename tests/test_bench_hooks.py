@@ -59,6 +59,9 @@ def test_layer_metrics_cover_the_benchmark_and_restore_is_exact(spans):
                  "coord.batcher_send_calls", "hardware.transfers",
                  "store.put_calls"):
         assert metrics[name] > 0, name
+    # each member device arrives once, so each of the two collectives
+    # tallies to one
+    assert metrics["hardware.collectives"] == 2
 
 
 @pytest.fixture

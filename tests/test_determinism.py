@@ -35,11 +35,11 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "afe669081f3b216ab26aae004b853db49943b8aca994f05989d6cea3d0699326",
+        "55005038d9f468cde9cd1c679ad5b7cead9b98965d39bad809bcf26fd75ba840",
     "sequential":
-        "b8420296e03d740712da920e0aaa5e132e4fe54e6fa43bca286676a8ff93e428",
+        "4efd32c5f2a82a3bc41f6c442f3e925785fffb6830433581e4b9b87646393547",
     "auto":
-        "41bc7ff29ce74ff60a9edb64c13ac71d421f175283a6d40dc6ce4ea21499baee",
+        "31c2bafe6f4b420768852ee446d19231c73195846dc976224e0444612f5266af",
 }
 
 COMPLETION_PINS = {

@@ -8,9 +8,11 @@ reaches an idle device at 580us; see the per-test derivations.
 """
 import pytest
 
+from flowpath import executor
+from flowpath.bench import one_gang_program
 from flowpath.config import small_cluster
 from flowpath.executor import HostExecutor
-from flowpath.hardware import transfer_ns
+from flowpath.hardware import KernelExec, transfer_ns
 from flowpath.ir import CompiledFunction, Tracer, chain_program
 from flowpath.runtime import SerialChainJob, StreamJob, System, steady_rate
 from flowpath.simcore import us
@@ -115,10 +117,18 @@ def test_collective_gang_finishes_in_lockstep():
 
 
 
-def test_paper_scale_collective_chain_costs_per_gang():
+def test_paper_scale_collective_chain_costs_per_gang(monkeypatch):
     # the paper's 2048-device SPMD scale: 512 hosts x 4 devices run a
     # 4-node chain of collectives; a gang's enqueue and completion cost per
-    # host and per group, not per device
+    # host and per group, not per device: one kernel record per gang and host
+    records = 0
+
+    def counted(*args, **kwargs):
+        nonlocal records
+        records += 1
+        return KernelExec(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "KernelExec", counted)
     n = 512 * 4
     sys_ = System(small_cluster(hosts=512, devices_per_host=4),
                   record_trace=False)
@@ -132,6 +142,7 @@ def test_paper_scale_collective_chain_costs_per_gang():
     assert stats.clock_ns == 42_955_000
     assert len(sys_.sim.completions) == 16
     assert stats.events <= 2.5 * 16 * n          # events per device-kernel
+    assert records == 16 * 512
     assert audit_leaks(sys_.cluster) == {}
 
 
@@ -197,6 +208,27 @@ def test_client_failure_leaves_every_store_clean(fail_at_us):
     assert stats.status == "quiescent", stats.blocked
     assert audit_no_double_free(sys_.audit) == []
     assert audit_leaks(sys_.cluster) == {}
+
+
+def test_client_failure_with_thousands_of_queued_kernels():
+    # 3,000 one-device gangs are in flight when the client dies, about 1,850
+    # of them queued on the one device: it drops them in one pass and finds
+    # each aborted record without scanning its queue (dropping them once
+    # recursed per aborted head, past Python's stack limit)
+    sys_ = System(small_cluster(hosts=1, devices_per_host=1,
+                                hbm_bytes=1 << 40))
+    sys_.register_traced("g", one_gang_program(1, 50.0, out_kb=1,
+                                               collective=False))
+    c = sys_.add_client("c0")
+    sys_.start_job(c, StreamJob(sys_.new_job_id(), "g", count=3000,
+                                window=3000))
+    sys_.fail_client(c, at_ns=us(40000))
+    stats = sys_.run()
+    assert stats.status == "quiescent", stats.blocked
+    assert c.failed and c.completed_at
+    assert audit_leaks(sys_.cluster) == {}
+    assert audit_no_double_free(sys_.audit) == []
+    assert not any(d._arrivals for d in sys_.cluster.devices)
 
 
 def test_host_drops_a_failed_clients_late_release():

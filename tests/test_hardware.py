@@ -7,9 +7,12 @@ from flowpath.config import small_cluster
 from flowpath.hardware import (Cluster, HBMError, KernelExec,
                                PermanentAllocationError, enqueue_kernel,
                                transfer_ns)
-from flowpath.ir import CompiledFunction, chain_program
+from flowpath.ir import CompiledFunction, Tracer, chain_program
 from flowpath.runtime import StreamJob, System
 from flowpath.simcore import Simulator, find_wait_cycle, us
+from flowpath.store import audit_leaks, audit_no_double_free
+
+MB = 1 << 20
 
 
 def make_cluster(**kw):
@@ -17,19 +20,22 @@ def make_cluster(**kw):
     return sim, Cluster(sim, small_cluster(**kw))
 
 
-def k(inst, node, shard=0, dur=us(10), key=None, group=(), inputs=0, srcs=()):
-    return KernelExec(instance=inst, node=node, shard=shard, duration_ns=dur,
-                      expected_inputs=inputs, collective_key=key,
-                      group=group, input_sources=srcs)
+def k(inst, node, devices=(0,), dur=us(10), key=None, group=(), srcs=None,
+      shards=None):
+    """One record over `devices`; shard d runs on device d unless `shards`
+    says otherwise."""
+    return KernelExec(inst, node, devices if shards is None else shards,
+                      devices, dur, srcs or {}, collective_key=key,
+                      group=group)
 
 
 # -- kernel queue ------------------------------------------------------------
 
 def test_kernels_run_serially_in_fifo_order():
     sim, cl = make_cluster(hosts=1, devices_per_host=1)
-    enqueue_kernel(sim, 0, k("i", "a", dur=us(10)), at=0)
-    enqueue_kernel(sim, 0, k("i", "b", dur=us(5)), at=0)
-    enqueue_kernel(sim, 0, k("i", "c", dur=us(1)), at=0)
+    enqueue_kernel(sim, k("i", "a", dur=us(10)), at=0)
+    enqueue_kernel(sim, k("i", "b", dur=us(5)), at=0)
+    enqueue_kernel(sim, k("i", "c", dur=us(1)), at=0)
     assert sim.run_until_quiescent().status == "quiescent"
     spans = [(t.name, t.start_ns, t.end_ns) for t in sim.trace]
     assert spans == [("a[0]", 0, us(10)), ("b[0]", us(10), us(15)),
@@ -38,7 +44,7 @@ def test_kernels_run_serially_in_fifo_order():
 
 def test_kernel_waits_for_expected_inputs():
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    enqueue_kernel(sim, 1, k("i", "n", inputs=1, srcs=(0,)), at=0)
+    enqueue_kernel(sim, k("i", "n", (1,), shards=(0,), srcs={1: (0,)}), at=0)
     sim.schedule_at(us(3), "dev0", "noop_probe", {})  # placeholder time marker
 
     # without the transfer the run deadlocks on the queued kernel
@@ -55,7 +61,7 @@ def test_kernel_waits_for_expected_inputs():
 
 def test_missing_input_is_deadlock_with_wait_edge():
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    enqueue_kernel(sim, 1, k("i", "n", inputs=1, srcs=(0,)), at=0)
+    enqueue_kernel(sim, k("i", "n", (1,), shards=(0,), srcs={1: (0,)}), at=0)
     res = sim.run_until_quiescent()
     assert res.status == "deadlock"
     assert ("dev1", "dev0") in [(a, b) for a, e in sim.wait_for_graph().items()
@@ -89,7 +95,7 @@ def test_same_device_transfer_is_instant():
 
 def test_transfers_overlap_compute():
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    enqueue_kernel(sim, 0, k("i", "busy", dur=us(100)), at=0)
+    enqueue_kernel(sim, k("i", "busy", dur=us(100)), at=0)
     arrive = cl.transfer(0, 1, 10**6, "i", "other", 0)
     assert arrive < us(100)   # did not wait for the kernel
     sim.run_until_quiescent()
@@ -99,31 +105,34 @@ def test_transfers_overlap_compute():
 
 def test_collective_completes_together_at_last_arrival():
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    enqueue_kernel(sim, 0, k("i", "c", 0, us(10), key="g", group=(0, 1)), at=0)
-    enqueue_kernel(sim, 1, k("i", "c", 1, us(10), key="g", group=(0, 1)), at=us(7))
+    enqueue_kernel(sim, k("i", "c", (0,), us(10), key="g", group=(0, 1)), at=0)
+    enqueue_kernel(sim, k("i", "c", (1,), us(10), key="g", group=(0, 1)),
+                   at=us(7))
     assert sim.run_until_quiescent().status == "quiescent"
     ends = sorted((t.tid, t.end_ns) for t in sim.trace)
     assert ends == [(0, us(17)), (1, us(17))]   # last arrival 7us + 10us
 
 
 def test_collective_finishes_every_member_in_one_event():
-    """Staggered arrivals over 2 hosts x 2 devices: one completion event
-    ends the group, each member keeps its own span and busy time, and the
-    cluster hook hears the group once."""
+    """Staggered arrivals over 2 hosts x 2 devices, one record per device:
+    one completion event ends the group, each member keeps its own span and
+    busy time, and the cluster hook hears each record once, in arrival
+    order."""
     sim = Simulator(record_log=True)
     cl = Cluster(sim, small_cluster(hosts=2, devices_per_host=2))
     reports = []
-    cl.on_kernels_done = lambda devs, ks: reports.append(
-        [(d.device_id, kk.shard) for d, kk in zip(devs, ks)])
+    cl.on_kernels_done = lambda kk, shards: reports.append(
+        (kk.devices, shards))
     group = (0, 1, 2, 3)
     for d, at in ((2, us(1)), (0, us(3)), (3, us(4)), (1, us(6))):
-        enqueue_kernel(sim, d, k("i", "c", d, us(10), key="g", group=group),
+        enqueue_kernel(sim, k("i", "c", (d,), us(10), key="g", group=group),
                        at=at)
     assert sim.run_until_quiescent().status == "quiescent"
     done = [(t, target, kind) for t, _seq, target, kind, _p in sim.log
             if kind in ("kernel_done", "collective_done")]
     assert done == [(us(16), "dev1", "collective_done")]
-    assert reports == [[(2, 2), (0, 0), (3, 3), (1, 1)]]   # arrival order
+    assert reports == [((2,), [2]), ((0,), [0]), ((3,), [3]),
+                       ((1,), [1])]                       # arrival order
     spans = sorted((t.tid, t.start_ns, t.end_ns) for t in sim.trace)
     assert spans == [(0, us(3), us(16)), (1, us(6), us(16)),
                      (2, us(1), us(16)), (3, us(4), us(16))]
@@ -156,13 +165,78 @@ def test_collective_tells_each_member_host_once_with_its_shards():
     assert len(sys_.sim.completions) == 1
 
 
+def test_host_record_runs_each_device_when_it_is_free():
+    """One host's record over devices 0 and 1 while device 1 still runs an
+    earlier kernel: device 0 starts at once and waits at the rendezvous,
+    device 1 starts when it is free, the group finishes 10us after that last
+    arrival, and the host hears one report with both shards."""
+    sim = Simulator(record_log=True)
+    cl = Cluster(sim, small_cluster(hosts=1, devices_per_host=2))
+    reports = []
+    cl.on_kernels_done = lambda kk, shards: reports.append((kk.node, shards))
+    enqueue_kernel(sim, k("i", "busy", (1,), dur=us(4)), at=0)
+    enqueue_kernel(sim, k("i", "c", (0, 1), us(10), key="g", group=(0, 1)),
+                   at=0)
+    assert sim.run_until_quiescent().status == "quiescent"
+    spans = sorted((t.name, t.start_ns, t.end_ns) for t in sim.trace)
+    assert spans == [("busy[1]", 0, us(4)), ("c[0]", 0, us(14)),
+                     ("c[1]", us(4), us(14))]
+    assert reports == [("busy", [1]), ("c", [0, 1])]
+    assert [kind for _t, _seq, _target, kind, _p in sim.log
+            if kind == "collective_done"] == ["collective_done"]
+    assert [d.busy_ns for d in cl.devices] == [us(14), us(14)]
+
+
+def one_slice_program(name: str, devices: int, t_us: float,
+                      collective: bool = False):
+    t = Tracer()
+    sid = t.virtual_slice([devices])
+    fn = CompiledFunction(name, devices, (MB,), (MB,), t_us,
+                          collective=collective)
+    return t.finish([t.call(fn, t.arg(devices, MB), slice_id=sid)]), sid
+
+
+def test_failure_drops_a_record_queued_behind_a_busy_kernel():
+    """Client b's collective record reaches device 0, which waits at the
+    rendezvous, and queues on device 1 behind client a's 1ms kernel; b dies
+    meanwhile. Device 0 drops the record when it hears, device 1 once its
+    kernel ends, each once, and a's run is untouched."""
+    sys_ = System(small_cluster(hosts=1, devices_per_host=2),
+                  record_trace=True)
+    dropped = []
+    sys_.cluster.on_kernel_aborted = lambda dev, kk: dropped.append(
+        (dev.device_id, kk.node, sys_.sim.now()))
+    prog_a, sid_a = one_slice_program("long", 1, 1000.0)
+    prog_b, sid_b = one_slice_program("ar", 2, 50.0, collective=True)
+    sys_.register_traced("a", prog_a, {sid_a: (1,)})
+    info_b = sys_.register_traced("b", prog_b, {sid_b: (0, 1)})
+    a, b = sys_.add_client("a"), sys_.add_client("b")
+    job_a = StreamJob(sys_.new_job_id(), "a", count=1)
+    sys_.start_job(a, job_a)
+    sys_.start_job(b, StreamJob(sys_.new_job_id(), "b", count=1),
+                   at_ns=us(100))
+    sys_.fail_client(b, at_ns=us(900))
+    stats = sys_.run()
+    assert stats.status == "quiescent", stats.blocked
+    (long_span,) = [t for t in sys_.sim.trace if t.category == "kernel"]
+    assert long_span.tid == 1 and long_span.instance in a.completed_at
+    node_b = info_b.order[0]
+    assert [(d, n) for d, n, _t in dropped] == [(0, node_b), (1, node_b)]
+    assert dropped[0][2] < long_span.end_ns == dropped[1][2]
+    assert job_a.done and b.completed_at == {}
+    assert audit_leaks(sys_.cluster) == {}
+    assert audit_no_double_free(sys_.audit) == []
+    assert not any(d._arrivals or d.queue for d in sys_.cluster.devices)
+    assert sys_.cluster._rendezvous == {}
+
+
 def test_crossed_collectives_deadlock_and_cycle_is_found():
     """dev0 queues A then B; dev1 queues B then A: classic rendezvous wedge."""
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    enqueue_kernel(sim, 0, k("i", "A", 0, key="A", group=(0, 1)), at=0)
-    enqueue_kernel(sim, 0, k("i", "B", 0, key="B", group=(0, 1)), at=0)
-    enqueue_kernel(sim, 1, k("i", "B", 1, key="B", group=(0, 1)), at=0)
-    enqueue_kernel(sim, 1, k("i", "A", 1, key="A", group=(0, 1)), at=0)
+    enqueue_kernel(sim, k("i", "A", (0,), key="A", group=(0, 1)), at=0)
+    enqueue_kernel(sim, k("i", "B", (0,), key="B", group=(0, 1)), at=0)
+    enqueue_kernel(sim, k("i", "B", (1,), key="B", group=(0, 1)), at=0)
+    enqueue_kernel(sim, k("i", "A", (1,), key="A", group=(0, 1)), at=0)
     res = sim.run_until_quiescent()
     assert res.status == "deadlock"
     cycle = find_wait_cycle(sim.wait_for_graph())
@@ -172,8 +246,8 @@ def test_crossed_collectives_deadlock_and_cycle_is_found():
 def test_identically_ordered_collectives_run_clean():
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
     for d in (0, 1):
-        enqueue_kernel(sim, d, k("i", "A", d, key="A", group=(0, 1)), at=0)
-        enqueue_kernel(sim, d, k("i", "B", d, key="B", group=(0, 1)), at=0)
+        enqueue_kernel(sim, k("i", "A", (d,), key="A", group=(0, 1)), at=0)
+        enqueue_kernel(sim, k("i", "B", (d,), key="B", group=(0, 1)), at=0)
     res = sim.run_until_quiescent()
     assert res.status == "quiescent"
     assert len([t for t in sim.trace if t.category == "kernel"]) == 4
@@ -185,10 +259,11 @@ def test_abort_releases_a_parked_rendezvous():
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
     aborted = []
     cl.on_kernel_aborted = lambda dev, kk: aborted.append((dev.device_id, kk.node))
-    enqueue_kernel(sim, 0, k("i", "A", 0, key="A", group=(0, 1)), at=0)
-    enqueue_kernel(sim, 0, k("i", "tail", 0, dur=us(3)), at=0)
+    parked = k("i", "A", (0,), key="A", group=(0, 1))
+    enqueue_kernel(sim, parked, at=0)
+    enqueue_kernel(sim, k("i", "tail", dur=us(3)), at=0)
     sim.schedule_at(us(10), "dev0", "abort_kernel",
-                    {"instance": "i", "node": "A", "shard": 0})
+                    {"instance": "i", "node": "A", "kernel": parked})
     res = sim.run_until_quiescent()
     assert res.status == "quiescent"
     assert [(t.name, t.start_ns, t.end_ns) for t in sim.trace] == \
@@ -200,11 +275,12 @@ def test_abort_skips_a_still_queued_kernel():
     sim, cl = make_cluster(hosts=1, devices_per_host=1)
     aborted = []
     cl.on_kernel_aborted = lambda dev, kk: aborted.append(kk.node)
-    enqueue_kernel(sim, 0, k("i", "busy", dur=us(20)), at=0)
-    enqueue_kernel(sim, 0, k("i", "doomed", dur=us(5)), at=0)
-    enqueue_kernel(sim, 0, k("i", "after", dur=us(5)), at=0)
+    doomed = k("i", "doomed", dur=us(5))
+    enqueue_kernel(sim, k("i", "busy", dur=us(20)), at=0)
+    enqueue_kernel(sim, doomed, at=0)
+    enqueue_kernel(sim, k("i", "after", dur=us(5)), at=0)
     sim.schedule_at(us(5), "dev0", "abort_kernel",
-                    {"instance": "i", "node": "doomed", "shard": 0})
+                    {"instance": "i", "node": "doomed", "kernel": doomed})
     res = sim.run_until_quiescent()
     assert res.status == "quiescent"
     names = [t.name for t in sim.trace if t.category == "kernel"]
@@ -258,6 +334,6 @@ def test_single_global_order_never_deadlocks(n_dev, n_gang, data):
     group = tuple(range(n_dev))
     for d in range(n_dev):
         for g in order:
-            enqueue_kernel(sim, d, k("i", f"g{g}", d, key=f"g{g}", group=group),
-                           at=0)
+            enqueue_kernel(sim, k("i", f"g{g}", (d,), key=f"g{g}",
+                                  group=group), at=0)
     assert sim.run_until_quiescent().status == "quiescent"

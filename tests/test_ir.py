@@ -181,6 +181,8 @@ def test_lower_rejects_wrong_device_count():
     p = chain_program([fn("a", shards=2)])
     with pytest.raises(LowerError):
         lower(p, {"s0": (0, 1, 2)})
+    with pytest.raises(LowerError, match="mapped twice"):
+        lower(p, {"s0": (1, 1)})        # two devices, but one of them twice
 
 
 def test_lower_computes_cross_device_pairs():

@@ -103,7 +103,7 @@ def test_resolve_shard_marks_only_that_shard():
     _, store = make_store()
     buf = store.put([(0, MB), (1, MB)], owner="c0")
     store.resolve_shard(buf.handle, 0)
-    assert buf.shards[0].resolved and not buf.shards[1].resolved
+    assert buf.resolved == (0,)
 
 
 # -- ownership GC ----------------------------------------------------------
