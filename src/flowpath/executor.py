@@ -13,6 +13,11 @@ marks done in one pass (a result's shards reach the client in one `result`
 per host). The host keeps the record until its kernels are done, so a
 failure can name it in each device's abort.
 
+The static tables are built once per distinct shape: edges with one pairs
+tuple, and nodes with one placement and in-edges, share them, so a program
+of many nodes of few shapes costs the few in setup time and memory. They
+are read-only once built.
+
 What a node allocates where is stated once, by `ProgramInfo.buffers`: its
 outputs on its home host, a landing buffer for inbound transfers on each of
 its hosts, and the args it creates on their home host. The gang's HBM ask,
@@ -54,13 +59,12 @@ from .store import HostStore
 
 # -- static program tables ---------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class EdgeInfo:
     src: str
     dst: str
     src_port: int
     dst_port: int
-    src_shards: int
     to_result: bool
     pairs_by_chost: dict[int, tuple[ShardPair, ...]]   # by consumer host
     pairs_by_shost: dict[int, tuple[ShardPair, ...]]   # by producer host
@@ -68,7 +72,7 @@ class EdgeInfo:
     from_arg: bool                                # source is any arg node
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeInfo:
     nid: str
     fn: CompiledFunction
@@ -88,7 +92,7 @@ class NodeInfo:
     hbm_by_device: dict[int, int] = field(default_factory=dict)  # gang ask
 
 
-@dataclass
+@dataclass(slots=True)
 class ArgInfo:
     shards: int
     bytes_per_shard: int
@@ -101,6 +105,14 @@ class ArgInfo:
 
 @dataclass
 class ProgramInfo:
+    """A program's static facts, read by every instance and host.
+
+    Nodes and edges of one shape share the same tables (the dicts and
+    tuples in `NodeInfo`, `EdgeInfo` and `ArgInfo`), so they are read-only
+    once `build_program_info` returns: `submit_gangs` copies the HBM ask it
+    hands on. Only `plans` and `digests` fill in as instances run.
+    """
+
     pid: str
     lowered: LoweredProgram
     order: tuple[str, ...]                        # compute nodes, trace order
@@ -176,12 +188,87 @@ class ProgramInfo:
         return max(rc + held, 1), held
 
 
-def _by_host(devs, host_of) -> dict[int, tuple[int, ...]]:
-    """host -> indices of the shards placed on it."""
+def _shared(memo: dict, key, build, *args):
+    """memo[key], built by build(*args) on first use: every node or edge of
+    one shape gets the same table."""
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = build(*args)
+    return table
+
+
+def _by_host(devs: tuple[int, ...], host_of) -> tuple[dict, dict, tuple]:
+    """A placement's shard indices by host, their devices by host, and its
+    hosts."""
     out: dict[int, list[int]] = {}
     for shard, dev in enumerate(devs):
         out.setdefault(host_of[dev], []).append(shard)
-    return {h: tuple(v) for h, v in sorted(out.items())}
+    local = {h: tuple(v) for h, v in sorted(out.items())}
+    # a node on one host shares its devices tuple
+    local_devs = ({h: devs for h in local} if len(local) == 1 else
+                  {h: tuple(devs[s] for s in ss) for h, ss in local.items()})
+    return local, local_devs, tuple(local)
+
+
+def _pair_tables(pairs: tuple[ShardPair, ...], host_of) -> tuple[dict, dict, dict]:
+    """An edge's pairs by consumer host and by producer host, and dst shard
+    -> pairs read in place (on one device)."""
+    by_chost: dict[int, list[ShardPair]] = {}
+    by_shost: dict[int, list[ShardPair]] = {}
+    same: dict[int, int] = {}
+    for pr in pairs:
+        by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
+        by_shost.setdefault(host_of[pr.src_dev], []).append(pr)
+        if pr.src_dev == pr.dst_dev:
+            same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
+    return ({h: tuple(v) for h, v in sorted(by_chost.items())},
+            {h: tuple(v) for h, v in sorted(by_shost.items())}, same)
+
+
+def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
+            pair_tables: dict) -> tuple[dict, dict, dict]:
+    """What a node's devices and in-edges fix about its inputs: device ->
+    producer device per inbound transfer, shard -> landing bytes, and host
+    -> gating punctuations.
+
+    `ins` has one (pairs, source shards, from an arg, from a bound arg) per
+    in-edge, in edge order.
+    """
+    home = host_of[devs[0]]
+    sources: dict[tuple[int, int], list[int]] = {}   # (shard, device) -> srcs
+    landing: dict[int, int] = {}
+    waits: dict[int, int] = {}
+    for pairs, src_shards, from_arg, ext in ins:
+        if not ext:        # bound args are resident already, held by the client
+            for pr in pairs:
+                if pr.src_dev != pr.dst_dev:
+                    sources.setdefault((pr.dst_shard, pr.dst_dev), []).append(
+                        pr.src_dev)
+                    landing[pr.dst_shard] = (landing.get(pr.dst_shard, 0)
+                                             + pr.nbytes)
+        if from_arg:
+            continue
+        # host-gated readiness: the home host hears every source shard of
+        # each edge a predecessor gang feeds, another host only the source
+        # shards paired with its own shards
+        for h, prs in pair_tables[pairs][0].items():
+            if h != home:
+                waits[h] = waits.get(h, 0) + len({pr.src_shard for pr in prs})
+        waits[home] = waits.get(home, 0) + src_shards
+    return ({d: tuple(v) for (_s, d), v in sorted(sources.items())},
+            landing, waits)
+
+
+def _hbm_ask(info: ProgramInfo, ni: NodeInfo) -> dict[int, int]:
+    """The gang's HBM ask: every row any host creates for the node (the
+    handles, named for no instance here, go unused)."""
+    hbm = dict.fromkeys(ni.devices, 0)
+    makers = {*ni.hosts, *(info.args[a].home_host for a in ni.args_created)}
+    for host in sorted(makers):
+        for _h, shards, _rc, _held in info.buffers("", ni.nid, host):
+            for dev, nbytes in shards:
+                hbm[dev] = hbm.get(dev, 0) + nbytes
+    return hbm
 
 
 def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> ProgramInfo:
@@ -193,45 +280,37 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     order = tuple(n.id for n in p.nodes.values() if isinstance(n, ComputeNode))
     in_eids: dict[str, list[str]] = {}
     out_eids: dict[str, list[str]] = {}
-    # per consumer node, over its remote arrivals in edge order
-    sources: dict[str, dict[int, list[int]]] = {}
-    recv: dict[str, dict[int, int]] = {}
+    # per consumer node, one (pairs, source shards, from arg, ext) per in-edge
+    ins: dict[str, list[tuple]] = {}
     drains: dict[str, list[tuple[str, dict[int, int]]]] = {}
+    # one table per distinct pairs tuple, placement, (placement, in-edges)
+    # and HBM shape, shared by every edge, arg or node of that shape
+    pair_tables: dict[tuple[ShardPair, ...], tuple] = {}
+    placed: dict[tuple[int, ...], tuple] = {}
+    inputs: dict[tuple, tuple] = {}
+    asks: dict[tuple, dict[int, int]] = {}
+    shape: dict[str, tuple] = {}          # node -> its key in inputs
 
     for le in lp.edges:
         e = le.edge
         eid = edge_id(e.src, e.dst, e.dst_port)
         src_n = p.node(e.src)
-        ext = isinstance(src_n, ArgNode) and src_n.handle is not None
-        to_result = isinstance(p.node(e.dst), ResultNode)
-        same: dict[int, int] = {}        # dst shard -> pairs read in place
-        by_chost: dict[int, list[ShardPair]] = {}
-        by_shost: dict[int, list[ShardPair]] = {}
-        srcs = sources.setdefault(e.dst, {})
-        landing = recv.setdefault(e.dst, {})
-        for pr in le.pairs:
-            by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
-            by_shost.setdefault(host_of[pr.src_dev], []).append(pr)
-            # bound args are resident already, held by the client
-            if pr.src_dev != pr.dst_dev and not ext:
-                s = pr.dst_shard
-                srcs.setdefault(s, []).append(pr.src_dev)
-                landing[s] = landing.get(s, 0) + pr.nbytes
-            elif not ext:
-                same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
-        if same:
+        from_arg = isinstance(src_n, ArgNode)
+        ext = from_arg and src_n.handle is not None
+        by_chost, by_shost, same = _shared(pair_tables, le.pairs, _pair_tables,
+                                           le.pairs, host_of)
+        if same and not ext:
             # drained once the consumer's kernel has run, on the shard's host
             drains.setdefault(e.dst, []).append((eid, same))
         edges[eid] = EdgeInfo(
-            src=e.src, dst=e.dst, src_port=e.src_port,
-            dst_port=e.dst_port, src_shards=len(lp.placement[e.src]),
-            to_result=to_result,
-            pairs_by_chost={h: tuple(v) for h, v in sorted(by_chost.items())},
-            pairs_by_shost={h: tuple(v) for h, v in sorted(by_shost.items())},
-            ext_arg=ext,
-            from_arg=isinstance(src_n, ArgNode))
+            src=e.src, dst=e.dst, src_port=e.src_port, dst_port=e.dst_port,
+            to_result=isinstance(p.node(e.dst), ResultNode),
+            pairs_by_chost=by_chost, pairs_by_shost=by_shost,
+            ext_arg=ext, from_arg=from_arg)
         in_eids.setdefault(e.dst, []).append(eid)
         out_eids.setdefault(e.src, []).append(eid)
+        ins.setdefault(e.dst, []).append(
+            (le.pairs, len(lp.placement[e.src]), from_arg, ext))
 
     creator = arg_consumers(p)
     created: dict[str, list[str]] = {}
@@ -243,7 +322,8 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         args[n.id] = ArgInfo(
             shards=n.shards, bytes_per_shard=n.bytes_per_shard,
             placement=placement, home_host=host_of[placement[0]],
-            local_shards=_by_host(placement, host_of),
+            local_shards=_shared(placed, placement, _by_host, placement,
+                                 host_of)[0],
             out_edges=outs, ext=n.handle is not None)
         if n.handle is None:
             created.setdefault(creator[n.id], []).append(n.id)
@@ -252,32 +332,17 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         if not isinstance(n, ComputeNode):
             continue
         devs = lp.placement[n.id]
-        local = _by_host(devs, host_of)
-        # a node on one host shares its devices tuple
-        local_devs = ({h: devs for h in local} if len(local) == 1 else
-                      {h: tuple(devs[s] for s in ss) for h, ss in local.items()})
-        home = host_of[devs[0]]
-        # host-gated readiness: the home host hears every source shard of
-        # each edge a predecessor gang feeds, another host only the source
-        # shards paired with its own shards
-        waits: dict[int, int] = {}
-        for eid in in_eids.get(n.id, ()):
-            ei = edges[eid]
-            if ei.from_arg:
-                continue
-            for h, prs in ei.pairs_by_chost.items():
-                if h != home:
-                    waits[h] = waits.get(h, 0) + len({pr.src_shard
-                                                      for pr in prs})
-            waits[home] = waits.get(home, 0) + ei.src_shards
+        local, local_devs, hosts = _shared(placed, devs, _by_host, devs, host_of)
+        key = shape[n.id] = (devs, tuple(ins.get(n.id, ())))
+        input_sources, recv_bytes, waits = _shared(
+            inputs, key, _inputs, *key, host_of, pair_tables)
         nodes[n.id] = NodeInfo(
-            nid=n.id, fn=n.fn, devices=devs, hosts=tuple(local),
-            home_host=home, local_shards=local, local_devices=local_devs,
+            nid=n.id, fn=n.fn, devices=devs, hosts=hosts,
+            home_host=host_of[devs[0]], local_shards=local,
+            local_devices=local_devs,
             in_edges=tuple(in_eids.get(n.id, ())),
             out_edges=tuple(out_eids.get(n.id, ())),
-            input_sources={devs[s]: tuple(v)
-                           for s, v in sorted(sources.get(n.id, {}).items())},
-            recv_bytes=recv.get(n.id, {}),
+            input_sources=input_sources, recv_bytes=recv_bytes,
             args_created=tuple(created.get(n.id, ())), waits=waits,
             local_drains=tuple(drains.get(n.id, ())))
 
@@ -291,16 +356,13 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     info = ProgramInfo(
         pid=pid, lowered=lp, order=order, nodes=nodes, args=args, edges=edges,
         results=tuple(results), result_shards=nshards, all_hosts=all_hosts)
-    # the gang's HBM ask: every row any host creates for the node (the
-    # handles, named for no instance here, go unused)
+    # the ask is fixed by the node's shape, its output sizes and the shapes
+    # of the args it creates
     for ni in nodes.values():
-        hbm = dict.fromkeys(ni.devices, 0)
-        makers = {*ni.hosts, *(args[a].home_host for a in ni.args_created)}
-        for host in sorted(makers):
-            for _h, shards, _rc, _held in info.buffers("", ni.nid, host):
-                for dev, nbytes in shards:
-                    hbm[dev] = hbm.get(dev, 0) + nbytes
-        ni.hbm_by_device = hbm
+        made = tuple((args[a].placement, args[a].bytes_per_shard)
+                     for a in ni.args_created)
+        ni.hbm_by_device = _shared(asks, (shape[ni.nid], ni.fn.out_bytes, made),
+                                   _hbm_ask, info, ni)
     return info
 
 
@@ -713,11 +775,17 @@ class HostExecutor(Process):
                 self._release_grant_reservation(info, instance, nid)
         for nid, ni in info.nodes.items():
             mine = ni.local_shards.get(self.host_id, ())
-            if st.prep.get(nid) != "done" or st.kdone.get(nid, 0) >= len(mine):
+            if st.kdone.get(nid, 0) >= len(mine):
+                continue
+            k = st.kernels.get(nid)
+            if k is None:
+                # a shard never enqueued here never runs, so its gang
+                # cannot complete; an enqueued one completes or is aborted
+                self.runtime.gang_left.pop((instance, nid), None)
+            if st.prep.get(nid) != "done":
                 continue
             # once prepped, a granted shard may have its kernel on the device
             # and a shard with remote inputs may have inputs landing there
-            k = st.kernels.get(nid)
             for dev in ni.local_devices[self.host_id]:
                 if nid in st.ticket or dev in ni.input_sources:
                     self._abort(instance, nid, dev, k)

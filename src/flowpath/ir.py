@@ -310,8 +310,9 @@ def lower(p: TracedProgram,
     a node runs on devices[i]). Arg shards are placed round-robin over the
     first consumer's devices. Results are read in place, where their
     producer wrote them, so result nodes get no placement and the edges
-    into them no pairs. Pure: lowering the same inputs twice gives
-    identical output.
+    into them no pairs. Edges of one shape (placements and shard
+    geometries at both ends) share one read-only pairs tuple, planned
+    once. Pure: lowering the same inputs twice gives identical output.
     """
     dmap = {sid: tuple(devs) for sid, devs in device_map.items()}
     for sid, req in p.slices.items():
@@ -338,17 +339,24 @@ def lower(p: TracedProgram,
             placement[n.id] = tuple(devs[i % len(devs)] for i in range(n.shards))
 
     lowered_edges: list[LoweredEdge] = []
+    # edges of one shape (placements and geometries) share one pairs tuple
+    shapes: dict[tuple, tuple[ShardPair, ...]] = {}
     for e in p.edges:
         dst = p.node(e.dst)
         if isinstance(dst, ResultNode):
             lowered_edges.append(LoweredEdge(e, ()))
             continue
         sdevs, ddevs = placement[e.src], placement[e.dst]
-        pairs = plan_reshard(*_shard_geometry(p.node(e.src), e.src_port, "out"),
-                             *_shard_geometry(dst, e.dst_port, "in"))
-        lowered_edges.append(LoweredEdge(e, tuple(
-            replace(pr, src_dev=sdevs[pr.src_shard], dst_dev=ddevs[pr.dst_shard])
-            for pr in pairs)))
+        sgeo = _shard_geometry(p.node(e.src), e.src_port, "out")
+        dgeo = _shard_geometry(dst, e.dst_port, "in")
+        key = (sdevs, ddevs, sgeo, dgeo)
+        pairs = shapes.get(key)
+        if pairs is None:
+            pairs = shapes[key] = tuple(
+                replace(pr, src_dev=sdevs[pr.src_shard],
+                        dst_dev=ddevs[pr.dst_shard])
+                for pr in plan_reshard(*sgeo, *dgeo))
+        lowered_edges.append(LoweredEdge(e, pairs))
     return LoweredProgram(program=p, placement=placement, edges=lowered_edges)
 
 

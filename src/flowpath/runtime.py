@@ -79,6 +79,10 @@ class _SysCluster(Cluster):
             else:
                 sys.gang_left[key] = left
 
+    def on_kernel_aborted(self, dev: DeviceProcess, k: KernelExec) -> None:
+        # a gang with an aborted shard never completes
+        self.system.gang_left.pop((k.instance, k.node), None)
+
     def on_transfer_arrive(self, dev: DeviceProcess, payload: dict) -> None:
         self.sim.send(dev.pid, f"host{dev.host_id}", "xfer_arrived",
                       dict(payload), latency=self.spec.pcie.latency_ns)
@@ -319,6 +323,8 @@ class System:
         self.clients: dict[str, ClientProcess] = {}
         self.programs: dict[str, ProgramInfo] = {}
         self.instances: dict[str, InstanceMeta] = {}
+        # (instance, node) -> shards left to finish; dropped when the gang
+        # completes or can no longer complete
         self.gang_left: dict[tuple[str, str], int] = {}
         self.handle_digests: dict[str, str] = {}
         self.inst_digests: dict[str, list[str]] = {}

@@ -49,6 +49,8 @@ class HostStore:
         self.host_id = host_id
         self.cluster = cluster
         self.buffers: dict[str, LogicalBuffer] = {}
+        # owner -> its live handles, in put order: what gc_owner frees
+        self._owned: dict[str, dict[str, None]] = {}
         self._n = 0
         # audit rows, one per buffer op: (op, handle, shards, bytes, host, t_ns)
         self.audit = audit if audit is not None else []
@@ -86,6 +88,7 @@ class HostStore:
         self._log("alloc", h, shard_sizes)
         buf = LogicalBuffer(h, owner, refcount, shard_sizes)
         self.buffers[h] = buf
+        self._owned.setdefault(owner, {})[h] = None
         return buf
 
     def get(self, handle: str) -> LogicalBuffer:
@@ -120,6 +123,11 @@ class HostStore:
         self.cluster.release_hbm(buf.shards)
         self._log("free", buf.handle, buf.shards)
         del self.buffers[buf.handle]
+        owned = self._owned[buf.owner]
+        if len(owned) == 1:             # its last buffer: forget the owner
+            del self._owned[buf.owner]
+        else:
+            del owned[buf.handle]
 
     # -- ownership GC ------------------------------------------------------
 
@@ -129,7 +137,7 @@ class HostStore:
         Returns the freed handles. Only the owner's own instances could
         still read them, and they are finished or failed with it.
         """
-        victims = [h for h, b in self.buffers.items() if b.owner == owner]
+        victims = list(self._owned.get(owner, ()))
         for h in victims:
             self._free(self.buffers[h])
         return victims

@@ -6,19 +6,24 @@ scheduler decision 10us, scheduler send 5us, control hop 50us, host prep
 5us, enqueue 5us per kernel, pcie 5us. First kernel of a submitted chain
 reaches an idle device at 580us; see the per-test derivations.
 """
+import copy
+
 import pytest
 
-from flowpath import executor
-from flowpath.bench import one_gang_program
+from flowpath import executor, ir
+from flowpath.bench import one_gang_program, pipeline_program
 from flowpath.config import small_cluster
+from flowpath.coord import edge_id
 from flowpath.executor import HostExecutor
 from flowpath.hardware import KernelExec, transfer_ns
-from flowpath.ir import CompiledFunction, Tracer, chain_program
+from flowpath.ir import (ArgNode, CompiledFunction, Tracer, arg_consumers,
+                         chain_program, lower)
 from flowpath.runtime import SerialChainJob, StreamJob, System, steady_rate
 from flowpath.simcore import us
 from flowpath.store import (StoreError, UnknownHandleError, audit_leaks,
                             audit_no_double_free)
 
+KB = 1 << 10
 MB = 1 << 20
 
 
@@ -208,6 +213,7 @@ def test_client_failure_leaves_every_store_clean(fail_at_us):
     assert stats.status == "quiescent", stats.blocked
     assert audit_no_double_free(sys_.audit) == []
     assert audit_leaks(sys_.cluster) == {}
+    assert sys_.gang_left == {}
 
 
 def test_client_failure_with_thousands_of_queued_kernels():
@@ -229,6 +235,8 @@ def test_client_failure_with_thousands_of_queued_kernels():
     assert audit_leaks(sys_.cluster) == {}
     assert audit_no_double_free(sys_.audit) == []
     assert not any(d._arrivals for d in sys_.cluster.devices)
+    # no gang of a failed instance stays behind
+    assert sys_.gang_left == {}
 
 
 def test_host_drops_a_failed_clients_late_release():
@@ -336,6 +344,7 @@ def test_client_failure_sweep_reaches_late_landings_and_unprepped_grants(
             assert audit_no_double_free(sys_.audit) == [], where
             assert audit_leaks(sys_.cluster) == {}, where
             assert not any(d._arrivals for d in sys_.cluster.devices), where
+            assert sys_.gang_left == {}, where
     assert hits["late_landing"] > 0 and hits["unprepped_grant"] > 0, hits
 
 
@@ -363,6 +372,134 @@ def test_output_both_consumed_and_returned_agrees_across_modes():
         digests[mode] = {tuple(d) for d in sys_.inst_digests.values()}
     assert digests["parallel"] == digests["sequential"] == digests["auto"]
     assert len(digests["parallel"]) == 1
+
+
+# -- static program tables, one per distinct shape -------------------------
+
+def test_setup_works_once_per_distinct_shape(monkeypatch):
+    # 32 stages x 128 microbatches over 4 islands: 4,096 compute nodes, but
+    # 32 edge shapes and 32 node placements
+    planned, placed = [], []
+    plan, by_host = ir.plan_reshard, executor._by_host
+    monkeypatch.setattr(ir, "plan_reshard",
+                        lambda *a: planned.append(a) or plan(*a))
+    monkeypatch.setattr(executor, "_by_host",
+                        lambda devs, host_of: placed.append(devs)
+                        or by_host(devs, host_of))
+    sys_ = System(small_cluster(hosts=2, devices_per_host=4, islands=4))
+    prog = pipeline_program(32, 128, 100.0, islands=4)
+    lp = lower(prog, sys_.allocate_for(prog))
+    assert len(planned) == 32
+    assert len({id(le.pairs) for le in lp.edges if le.pairs}) == 32
+    info = sys_.register_program("pipe", lp)
+    placements = {lp.placement[n.id] for n in prog.compute_nodes}
+    assert len(placements) == 32
+    assert sorted(placed) == sorted(placements)
+    assert len({id(ni.local_shards) for ni in info.nodes.values()}) == 32
+
+
+def _gather_program():
+    # 4 shards on 2 hosts gathered into 2 shards placed across both hosts,
+    # which read the arg too (every pair crosses a host), then scattered
+    # back. f, e and h share a placement: e reads the arg as f does, but f
+    # creates it; h reads other inputs
+    t = Tracer()
+    a = t.arg(4, KB)
+    s4, s2 = t.virtual_slice([4]), t.virtual_slice([2])
+    f = t.call(CompiledFunction("f", 4, (KB,), (KB,), 20.0), a, slice_id=s4)
+    e = t.call(CompiledFunction("e", 4, (KB,), (KB,), 20.0), a, slice_id=s4)
+    g = t.call(CompiledFunction("g", 2, (2 * KB, 2 * KB), (2 * KB,), 20.0),
+               f, a, slice_id=s2)
+    h = t.call(CompiledFunction("h", 4, (KB,), (KB,), 20.0), g, slice_id=s4)
+    return t.finish([h, e]), {s4: (0, 1, 2, 3), s2: (2, 0)}
+
+
+def _naive_tables(lp, cluster):
+    """Each edge's pair groupings and each node's tables, recomputed from
+    the lowered edges and the placement alone."""
+    p = lp.program
+    host_of = {d.device_id: d.host_id for d in cluster.devices}
+
+    def grouped(pairs, side):
+        out = {}
+        for pr in pairs:
+            out.setdefault(host_of[getattr(pr, side)], []).append(pr)
+        return {h: tuple(v) for h, v in out.items()}
+
+    edges = {edge_id(le.edge.src, le.edge.dst, le.edge.dst_port):
+             (grouped(le.pairs, "dst_dev"), grouped(le.pairs, "src_dev"))
+             for le in lp.edges}
+    creator = arg_consumers(p)
+    nodes = {}
+    for n in p.compute_nodes:
+        devs = lp.placement[n.id]
+        home = host_of[devs[0]]
+        local = {}
+        for s, d in enumerate(devs):
+            local.setdefault(host_of[d], []).append(s)
+        waits, sources, recv = {}, {}, {}
+        for le in lp.edges:
+            if le.edge.dst != n.id:
+                continue
+            src = p.nodes[le.edge.src]
+            if not isinstance(src, ArgNode):
+                waits[home] = waits.get(home, 0) + len(lp.placement[src.id])
+                for h in local:
+                    heard = {pr.src_shard for pr in le.pairs
+                             if host_of[pr.dst_dev] == h}
+                    if h != home and heard:
+                        waits[h] = waits.get(h, 0) + len(heard)
+            if isinstance(src, ArgNode) and src.handle is not None:
+                continue
+            for pr in le.pairs:
+                if pr.src_dev != pr.dst_dev:
+                    sources.setdefault(pr.dst_dev, []).append(pr.src_dev)
+                    recv[pr.dst_shard] = recv.get(pr.dst_shard, 0) + pr.nbytes
+        hbm = {d: sum(n.fn.out_bytes) for d in devs}
+        for s, nbytes in recv.items():
+            hbm[devs[s]] += nbytes
+        for aid, first in creator.items():
+            if first == n.id and p.nodes[aid].handle is None:
+                for d in lp.placement[aid]:
+                    hbm[d] += p.nodes[aid].bytes_per_shard
+        nodes[n.id] = {
+            "local_shards": {h: tuple(ss) for h, ss in local.items()},
+            "local_devices": {h: tuple(devs[s] for s in ss)
+                              for h, ss in local.items()},
+            "waits": waits,
+            "input_sources": {d: tuple(v) for d, v in sources.items()},
+            "recv_bytes": recv, "hbm_by_device": hbm}
+    return edges, nodes
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+@pytest.mark.parametrize("case", ["pipeline", "gather"])
+def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
+    if case == "pipeline":
+        sys_ = System(small_cluster(hosts=1, devices_per_host=4, islands=2))
+        prog = pipeline_program(8, 4, 100.0, islands=2)
+        dmap, fail_us = sys_.allocate_for(prog), 3000
+    else:
+        sys_ = System(small_cluster(hosts=2, devices_per_host=2))
+        (prog, dmap), fail_us = _gather_program(), 2400
+    lp = lower(prog, dmap)
+    info = sys_.register_program("p", lp)
+    edges, nodes = _naive_tables(lp, sys_.cluster)
+    for eid, ei in info.edges.items():
+        assert (ei.pairs_by_chost, ei.pairs_by_shost) == edges[eid], eid
+    for nid, ni in info.nodes.items():
+        assert {k: getattr(ni, k) for k in nodes[nid]} == nodes[nid], nid
+    # the tables are shared between nodes and instances: a run in which
+    # the client dies midway writes none of them
+    before = copy.deepcopy((info.nodes, info.edges, info.args))
+    c = sys_.add_client("c0")
+    sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=6, window=2,
+                                mode=mode))
+    sys_.fail_client(c, at_ns=us(fail_us))
+    assert sys_.run().status == "quiescent"
+    assert c.failed and c.completed_at
+    assert audit_leaks(sys_.cluster) == {}
+    assert (info.nodes, info.edges, info.args) == before
 
 
 # -- known defect: host-gated prep under HBM pressure ----------------------

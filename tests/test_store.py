@@ -131,6 +131,20 @@ def test_gc_owner_with_nothing_returns_empty():
     assert store.gc_owner("nobody") == []
 
 
+def test_gc_owner_frees_in_put_order_and_forgets_freed_buffers():
+    _, store = make_store()
+    a = store.put([(0, MB)], owner="victim")
+    store.put([(1, MB)], owner="other")
+    b = store.put([(1, MB)], owner="victim")
+    c = store.put([(0, MB)], owner="victim")
+    store.release(b.handle)              # freed already: not swept again
+    d = store.put([(1, MB)], owner="victim")
+    assert store.gc_owner("victim") == [a.handle, c.handle, d.handle]
+    assert [r[1] for r in store.audit if r[0] == "free"] == [
+        b.handle, a.handle, c.handle, d.handle]
+    assert store.gc_owner("victim") == []
+
+
 # -- audits ----------------------------------------------------------------
 
 def test_double_free_detector_flags_planted_rows():
@@ -182,7 +196,11 @@ def test_hbm_is_conserved_under_random_op_sequences(ops):
             if store.release(h):
                 live = [x for x in live if x != h]
         elif action == "gc":
-            gone = store.gc_owner(f"o{pick % 3}")
+            owner = f"o{pick % 3}"
+            # the owner's live buffers, in put order: audit rows keep it
+            owned = [h for h, b in store.buffers.items() if b.owner == owner]
+            gone = store.gc_owner(owner)
+            assert gone == owned
             live = [x for x in live if x not in gone]
         free = cl.device(0).free_bytes + cl.device(1).free_bytes
         assert free + store.live_bytes() == cap
