@@ -13,8 +13,8 @@ and the tuples each declared for that host have arrived. State exists only
 for nodes with pending input.
 
 Control messages between hosts either bypass batching (critical path) or
-are coalesced per destination host and flushed when the batch reaches
-max_messages or has waited max_delay.
+are coalesced per destination host into one event, scheduled when the batch
+opens and sent early only if the batch reaches max_messages.
 """
 from __future__ import annotations
 
@@ -152,13 +152,16 @@ def edge_id(src: str, dst: str, dst_port: int = 0) -> str:
 class MessageBatcher:
     """Coalesces non-critical control messages per destination host.
 
-    A batch is sent as one network message (one latency charge); a batch
-    addressed to the sender itself is a local handoff and pays no wire
-    latency, so an in-flight self-batch can never delay later critical
-    messages behind the pair's FIFO channel. Critical messages bypass
-    coalescing entirely but share the ordered channel, so a flush never
-    reorders against them. Flush triggers: size reaches max_messages, or
-    age reaches max_delay.
+    A destination's first message opens a batch and schedules its one
+    `batch` event at once, due at the close instant (open + max_delay) plus
+    latency; a batch to the sender itself is a local handoff and pays none.
+    Messages sent before the close instant join it; one sent at or after it
+    opens a new batch. A batch that reaches max_messages closes now.
+    The batcher sees every send on its channels and keeps them FIFO: a
+    critical message landing no earlier than an open batch moves the batch
+    behind it, and the first send at or after the close instant raises the
+    channel's last delivery to the batch's (not earlier: that would hold
+    back critical messages sent while the batch is open).
     """
 
     def __init__(self, sim: Simulator, src_pid: str, cfg: BatchingConfig,
@@ -167,46 +170,62 @@ class MessageBatcher:
         self.src_pid = src_pid
         self.cfg = cfg
         self.latency_ns = latency_ns
-        self._buf: dict[str, list[tuple[str, dict]]] = {}
-        self._timer: dict[str, int] = {}        # dst -> event id
-        self._gen: dict[str, int] = {}
+        # dst -> [close ns, delivery ns, event id, messages] of its last
+        # batch, kept past the close instant until the next send to dst
+        self._batch: dict[str, list] = {}
         self.flushes = 0
         self.batched_sent = 0
 
     def send(self, dst_pid: str, kind: str, payload: dict,
              critical: bool, latency_ns: int | None = None) -> None:
+        chan = (self.src_pid, dst_pid)
+        b = self._batch.get(dst_pid)
+        if b is not None and self.sim.clock >= b[0]:
+            # b has closed: whatever is sent from now on lands after it
+            del self._batch[dst_pid]
+            self.sim._chan_last[chan] = b[1]
+            b = None
         if critical:
-            lat = self.latency_ns if latency_ns is None else latency_ns
-            self.sim.send(self.src_pid, dst_pid, kind, payload, latency=lat)
+            if latency_ns is None:
+                latency_ns = 0 if dst_pid == self.src_pid else self.latency_ns
+            self.sim.send(self.src_pid, dst_pid, kind, payload, latency_ns)
+            if b is not None and self.sim._chan_last[chan] >= b[1]:
+                self._schedule(dst_pid, b)
             return
-        buf = self._buf.setdefault(dst_pid, [])
-        buf.append((kind, payload))
         self.batched_sent += 1
-        if len(buf) >= self.cfg.max_messages:
+        if b is None:
+            b = self._batch[dst_pid] = [
+                self.sim.clock + self.cfg.max_delay_ns, 0, 0, []]
+            self._schedule(dst_pid, b)
+            self.flushes += 1
+        b[3].append({"kind": kind, "payload": payload})
+        if len(b[3]) >= self.cfg.max_messages:
             self.flush(dst_pid)
-        elif len(buf) == 1:
-            gen = self._gen.get(dst_pid, 0) + 1
-            self._gen[dst_pid] = gen
-            self._timer[dst_pid] = self.sim.schedule_in(
-                self.cfg.max_delay_ns, self.src_pid, "batch_timeout",
-                {"dst": dst_pid, "gen": gen})
+
+    def _schedule(self, dst_pid: str, b: list) -> None:
+        """(Re)schedule b at close + latency, never ahead of the channel."""
+        if b[2]:
+            self.sim.cancel(b[2])
+        lat = 0 if dst_pid == self.src_pid else self.latency_ns
+        b[1] = max(b[0] + lat,
+                   self.sim._chan_last.get((self.src_pid, dst_pid), 0))
+        b[2] = self.sim.schedule_at(b[1], dst_pid, "batch",
+                                    {"messages": b[3]}, self.src_pid)
 
     def on_timeout(self, payload: dict) -> None:
-        dst = payload["dst"]
-        if payload["gen"] == self._gen.get(dst):
-            del self._timer[dst]        # this timer has fired: no cancel
-            self.flush(dst)
+        """No-op: batches have no timer. perfbench still wraps this method by
+        name; ROADMAP item 1 deletes the two together."""
 
     def flush(self, dst_pid: str) -> None:
-        buf = self._buf.pop(dst_pid, None)
-        if not buf:
-            return
-        eid = self._timer.pop(dst_pid, None)
-        if eid is not None:
-            self.sim.cancel(eid)
-        self._gen[dst_pid] = self._gen.get(dst_pid, 0) + 1
-        self.flushes += 1
-        lat = 0 if dst_pid == self.src_pid else self.latency_ns
-        self.sim.send(self.src_pid, dst_pid, "batch",
-                      {"messages": [{"kind": k, "payload": p} for k, p in buf]},
-                      latency=lat)
+        """Close dst's open batch now and send it without waiting."""
+        b = self._batch.get(dst_pid)
+        if b is not None and self.sim.clock < b[0]:
+            b[0] = self.sim.clock
+            self._schedule(dst_pid, b)
+
+    def cancel_open(self) -> None:
+        """The sender died: its open batches are never sent nor counted."""
+        for dst in [d for d, b in self._batch.items()
+                    if b[0] > self.sim.clock]:
+            self.sim.cancel(self._batch.pop(dst)[2])
+            self.flushes -= 1

@@ -425,8 +425,7 @@ class HostExecutor(Process):
 
     def _send(self, dst: str, kind: str, payload: dict, critical: bool) -> None:
         self.stats["ctrl_msgs"] += 1
-        lat = 0 if dst == self.pid else None     # local handoff, no wire
-        self.batcher.send(dst, kind, payload, critical, latency_ns=lat)
+        self.batcher.send(dst, kind, payload, critical)
 
     # -- serialized host work ----------------------------------------------
 
@@ -492,8 +491,6 @@ class HostExecutor(Process):
         elif kind == "batch":
             for m in payload["messages"]:
                 self.handle(m["kind"], m["payload"], src)
-        elif kind == "batch_timeout":
-            self.batcher.on_timeout(payload)
         else:
             raise ValueError(f"host{self.host_id}: unknown message {kind}")
 

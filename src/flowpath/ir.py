@@ -160,8 +160,9 @@ class Tracer:
     """Builds a TracedProgram call by call.
 
     Values are opaque ValueRefs; using a ref from another tracer is a trace
-    error, and `finish` checks the program as `deserialize` does. Node ids
-    record trace order, which is by construction a topological order.
+    error. Node ids record trace order, which is by construction a
+    topological order. `call` and `result` check each step, so `finish`
+    checks only that a compute node exists and no result returns an arg.
     """
 
     _ids = 0
@@ -231,18 +232,20 @@ class Tracer:
         if results:
             for r in results:
                 self.result(r)
+        self._finished = True
+        rids = []
         for ref in self._results:
             nid = self._next("n")
+            if isinstance(self._nodes[ref.node], ArgNode):
+                raise TraceError(f"result node {nid} returns arg {ref.node}; "
+                                 "only a computed value can be returned")
             self._nodes[nid] = ResultNode(nid)
             self._edges.append(Edge(ref.node, nid, ref.port, 0))
-        self._finished = True
-        p = TracedProgram(
-            nodes=self._nodes, edges=self._edges,
-            results=[n.id for n in self._nodes.values()
-                     if isinstance(n, ResultNode)],
-            slices=self._slices)
-        _validate_graph(p)
-        return p
+            rids.append(nid)
+        if not any(isinstance(n, ComputeNode) for n in self._nodes.values()):
+            raise TraceError("program has no compute node")
+        return TracedProgram(nodes=self._nodes, edges=self._edges,
+                             results=rids, slices=self._slices)
 
     def _check_open(self):
         if self._finished:

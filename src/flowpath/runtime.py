@@ -138,10 +138,8 @@ class ClientProcess(Process):
             self.dead = True
             self.failed.update(i for i in self.submitted_at
                                if i not in self.completed_at)
+            self.batcher.cancel_open()
         if self.dead:
-            return
-        if kind == "batch_timeout":
-            self.batcher.on_timeout(payload)
             return
         if kind == "handles":
             self._job_of(payload["instance"], "on_handles")

@@ -205,29 +205,48 @@ class Host(Process):
     def __init__(self, sim, pid):
         super().__init__(sim, pid)
         self.seen = []
-        self.batcher = None
 
     def handle(self, kind, payload, src):
-        if kind == "batch_timeout" and self.batcher is not None:
-            self.batcher.on_timeout(payload)
-        else:
-            self.seen.append((self.sim.now(), kind, payload))
+        self.seen.append((self.sim.now(), kind, payload))
+
+
+class Sender(Process):
+    """Sends through its batcher when each scheduled "send" event fires."""
+
+    def __init__(self, sim, pid, batcher):
+        super().__init__(sim, pid)
+        self.batcher = batcher
+
+    def at(self, t_ns, dst, kind, payload, critical=False, latency_ns=None):
+        self.sim.schedule_at(t_ns, self.pid, "send", {
+            "dst": dst, "kind": kind, "payload": payload,
+            "critical": critical, "latency_ns": latency_ns})
+
+    def handle(self, kind, p, src):
+        self.batcher.send(p["dst"], p["kind"], p["payload"], p["critical"],
+                          latency_ns=p["latency_ns"])
 
 
 def make_batcher(max_messages=3, max_delay_us=100, latency_us=50):
     sim = Simulator()
-    owner = Host(sim, "src")
-    dst = Host(sim, "h0")
     b = MessageBatcher(sim, "src", BatchingConfig(max_messages,
                                                   us(max_delay_us)),
                        us(latency_us))
-    owner.batcher = b
+    Sender(sim, "src", b)
+    dst = Host(sim, "h0")
     return sim, b, dst
 
 
 def pending(b: MessageBatcher, dst: str) -> int:
-    """Messages held for dst, not yet flushed."""
-    return len(b._buf.get(dst, ()))
+    """Messages held for dst in a batch that is still open."""
+    batch = b._batch.get(dst)
+    return len(batch[3]) if batch and b.sim.now() < batch[0] else 0
+
+
+def seen(dst: Host) -> list:
+    """(t, kind, [message payload "i"s] or payload) per delivery."""
+    return [(t, k, [m["payload"].get("i") for m in p["messages"]]
+             if k == "batch" else p) for t, k, p in dst.seen]
 
 
 def test_critical_messages_bypass_batching():
@@ -257,37 +276,85 @@ def test_size_flush_sends_one_message_in_order():
 
 
 def test_timeout_flush_counts_from_first_message():
+    # the second message, 4us in, joins the batch and does not push its
+    # delivery out: one batch event, at close (10us) + latency
     sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
-    b.send("h0", "note", {"i": 0}, critical=False)
-
-    def second(kind, payload, src):
-        pass
-    # second message 4us later must not push the deadline out
-    sim.schedule_in(us(4), "src", "noop")
-    orig = b.sim
-    sim.run_until_quiescent()
-    assert len(dst.seen) == 1
-    t, kind, payload = dst.seen[0]
-    assert kind == "batch" and t == us(10) + us(50)
-    assert len(payload["messages"]) == 1
+    src = sim._procs["src"]
+    src.at(0, "h0", "note", {"i": 0})
+    src.at(us(4), "h0", "note", {"i": 1})
+    res = sim.run_until_quiescent()
+    assert seen(dst) == [(us(60), "batch", [0, 1])]
+    assert res.events == 3 and b.flushes == 1
 
 
 def test_second_send_does_not_rearm_timer():
     sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
-    b.send("h0", "note", {"i": 0}, critical=False)
-
-    fired = {}
-
-    def later():
-        b.send("h0", "note", {"i": 1}, critical=False)
-    sim.call_at(us(6), later) if hasattr(sim, "call_at") else None
-    # no call_at helper: emulate by sending now; both share the t=0 deadline
-    if not hasattr(sim, "call_at"):
-        b.send("h0", "note", {"i": 1}, critical=False)
+    src = sim._procs["src"]
+    for i, t in enumerate((0, us(4), us(6))):
+        src.at(t, "h0", "note", {"i": i})
     sim.run_until_quiescent()
-    (t, kind, payload), = dst.seen
-    assert t == us(10) + us(50)
-    assert [m["payload"]["i"] for m in payload["messages"]] == [0, 1]
+    assert seen(dst) == [(us(60), "batch", [0, 1, 2])]
+    assert b.flushes == 1 and b.batched_sent == 3
+
+
+@pytest.mark.parametrize("t_us", [10, 12])
+def test_send_at_or_after_close_instant_opens_a_new_batch(t_us):
+    # the batch opened at 0 closes at 10us and is still in flight until
+    # 60us; a message sent at or after 10us waits for its own batch
+    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
+    src = sim._procs["src"]
+    src.at(0, "h0", "note", {"i": 0})
+    src.at(us(t_us), "h0", "note", {"i": 1})
+    sim.run_until_quiescent()
+    assert seen(dst) == [(us(60), "batch", [0]),
+                         (us(t_us + 60), "batch", [1])]
+    assert b.flushes == 2
+
+
+@pytest.mark.parametrize("lat_us", [56, 90])
+def test_critical_landing_no_earlier_than_an_open_batch_moves_it_behind(
+        lat_us):
+    # sent at 4us while the batch (due at 60us) is open; the batch must
+    # not overtake the critical message on the channel, even at a tie
+    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
+    src = sim._procs["src"]
+    src.at(0, "h0", "note", {"i": 0})
+    src.at(us(4), "h0", "urgent", {}, critical=True, latency_ns=us(lat_us))
+    src.at(us(6), "h0", "note", {"i": 1})
+    sim.run_until_quiescent()
+    t = us(4 + lat_us)
+    assert seen(dst) == [(t, "urgent", {}), (t, "batch", [0, 1])]
+    assert sim._cancelled == set()
+
+
+def test_batch_opened_behind_a_slow_critical_message_lands_after_it():
+    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
+    src = sim._procs["src"]
+    src.at(0, "h0", "urgent", {}, critical=True, latency_ns=us(100))
+    src.at(us(1), "h0", "note", {"i": 0})
+    sim.run_until_quiescent()
+    assert seen(dst) == [(us(100), "urgent", {}), (us(100), "batch", [0])]
+
+
+def test_critical_sent_while_a_batch_is_open_is_not_held_back():
+    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
+    src = sim._procs["src"]
+    src.at(0, "h0", "note", {"i": 0})
+    src.at(us(4), "h0", "urgent", {}, critical=True, latency_ns=us(5))
+    sim.run_until_quiescent()
+    assert seen(dst) == [(us(9), "urgent", {}), (us(60), "batch", [0])]
+
+
+@pytest.mark.parametrize("t_us", [10, 12])
+def test_critical_sent_at_or_after_close_instant_lands_after_the_batch(t_us):
+    # the closed batch is still in flight (due at 60us): a critical message
+    # sent now with a short latency is held behind it on the channel
+    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
+    src = sim._procs["src"]
+    src.at(0, "h0", "note", {"i": 0})
+    src.at(us(t_us), "h0", "urgent", {}, critical=True, latency_ns=us(5))
+    sim.run_until_quiescent()
+    assert seen(dst) == [(us(60), "batch", [0]), (us(60), "urgent", {})]
 
 
 def test_size_flush_cancels_timer():
@@ -297,16 +364,7 @@ def test_size_flush_cancels_timer():
     res = sim.run_until_quiescent()
     assert len(dst.seen) == 1
     assert dst.seen[0][0] == us(50)          # flushed at t=0, not at timeout
-
-
-def test_stale_timeout_is_ignored():
-    sim, b, dst = make_batcher(max_messages=2)
-    b.send("h0", "a", {}, critical=False)
-    b.send("h0", "b", {}, critical=False)   # size flush; gen advanced
-    b.on_timeout({"dst": "h0", "gen": 1})   # stale generation
-    assert b.flushes == 1
-    sim.run_until_quiescent()
-    assert len(dst.seen) == 1
+    assert res.events == 1 and sim._cancelled == set()
 
 
 def test_destinations_batch_independently():
@@ -338,7 +396,6 @@ def test_self_batch_is_a_local_handoff():
     sim = Simulator()
     owner = Host(sim, "src")
     b = MessageBatcher(sim, "src", BatchingConfig(2, us(100)), us(50))
-    owner.batcher = b
     b.send("src", "note", {}, critical=False)
     b.send("src", "note", {}, critical=False)       # size flush at t=0
     b.send("src", "urgent", {}, critical=True, latency_ns=0)
@@ -348,8 +405,8 @@ def test_self_batch_is_a_local_handoff():
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])
 def test_timeout_flushes_leave_no_cancelled_event_ids(mode):
-    # a timer that fired is not cancelled by the flush it triggers, so the
-    # simulator's set of cancelled ids drains with the queue
+    # a batch costs one event and no timer, and a size flush's cancelled
+    # delivery is dropped when popped: the set of cancelled ids drains
     system = System(small_cluster(hosts=2, devices_per_host=4),
                     record_log=True)
     system.register_traced("main", deserialize(CHAIN4.read_text()))
@@ -357,5 +414,6 @@ def test_timeout_flushes_leave_no_cancelled_event_ids(mode):
     system.start_job(client, StreamJob(system.new_job_id(), "main", count=4,
                                        mode=mode))
     assert system.run().status == "quiescent"
-    assert any(kind == "batch_timeout" for *_, kind, _p in system.sim.log)
+    kinds = {kind for *_, kind, _p in system.sim.log}
+    assert "batch" in kinds and "batch_timeout" not in kinds
     assert system.sim._cancelled == set()

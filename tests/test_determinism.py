@@ -35,11 +35,11 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "55005038d9f468cde9cd1c679ad5b7cead9b98965d39bad809bcf26fd75ba840",
+        "3c6a90bd1fe94a8bec593b732bbf41687990ec2edb436b2018c3931e3e3ad3e5",
     "sequential":
-        "4efd32c5f2a82a3bc41f6c442f3e925785fffb6830433581e4b9b87646393547",
+        "6f228ee902184afa052b07c8f64773209e6281dd43270714617b30aa4edd6b03",
     "auto":
-        "31c2bafe6f4b420768852ee446d19231c73195846dc976224e0444612f5266af",
+        "a729f02e89a279d9d799ed416030d8f73b931d158485073ca3a6265ab751c17e",
 }
 
 COMPLETION_PINS = {

@@ -18,7 +18,8 @@ from flowpath.executor import HostExecutor
 from flowpath.hardware import KernelExec, transfer_ns
 from flowpath.ir import (ArgNode, CompiledFunction, Tracer, arg_consumers,
                          chain_program, lower)
-from flowpath.runtime import SerialChainJob, StreamJob, System, steady_rate
+from flowpath.runtime import (ClientProcess, SerialChainJob, StreamJob, System,
+                              steady_rate)
 from flowpath.simcore import us
 from flowpath.store import (StoreError, UnknownHandleError, audit_leaks,
                             audit_no_double_free)
@@ -236,6 +237,53 @@ def test_client_failure_with_thousands_of_queued_kernels():
     assert audit_no_double_free(sys_.audit) == []
     assert not any(d._arrivals for d in sys_.cluster.devices)
     # no gang of a failed instance stays behind
+    assert sys_.gang_left == {}
+
+
+def test_dead_client_sends_nothing_from_its_open_batch(monkeypatch):
+    # the client dies 1us after its first completion, while the batch of
+    # that instance's instance_done messages is open: the batch is dropped,
+    # as a dead client's timer was ignored, and the fleet still cleans up
+    def fleet():
+        sys_ = System(small_cluster(hosts=2, devices_per_host=2))
+        fns = [CompiledFunction(f"f{i}", 2, (MB,), (MB,), 120)
+               for i in range(3)]
+        sys_.register_traced("p", chain_program(fns))
+        c = sys_.add_client("c0")
+        sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=6,
+                                    window=2))
+        return sys_, c
+
+    ref, c = fleet()
+    assert ref.run().status == "quiescent"
+    die_ns = min(c.completed_at.values()) + us(1)
+    held, from_client = [], []
+    client_handle, host_handle = ClientProcess.handle, HostExecutor.handle
+
+    def on_client(self, kind, payload, src):
+        if kind == "die":
+            held.extend(m["kind"] for b in self.batcher._batch.values()
+                        if b[0] > self.sim.now() for m in b[3])
+        return client_handle(self, kind, payload, src)
+
+    def on_host(self, kind, payload, src):
+        if src == "client.c0":
+            from_client.append((self.sim.now(), kind))
+        return host_handle(self, kind, payload, src)
+
+    monkeypatch.setattr(ClientProcess, "handle", on_client)
+    monkeypatch.setattr(HostExecutor, "handle", on_host)
+    sys_, c = fleet()
+    sys_.fail_client(c, at_ns=die_ns)
+    stats = sys_.run()
+    assert stats.status == "quiescent", stats.blocked
+    assert c.dead and len(c.completed_at) == 1
+    assert sorted(held) == ["instance_done", "instance_done", "release"]
+    assert [t for t, _ in from_client if t >= die_ns] == []
+    assert c.batcher.flushes == 0
+    assert sys_.sim._cancelled == set()
+    assert audit_no_double_free(sys_.audit) == []
+    assert audit_leaks(sys_.cluster) == {}
     assert sys_.gang_left == {}
 
 

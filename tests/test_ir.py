@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowpath import ir
+from flowpath.bench import pipeline_program
 from flowpath.config import small_cluster
 from flowpath.hardware import Cluster
 from flowpath.ir import (CompiledFunction, LowerError, ShardPair, TraceError,
@@ -83,6 +85,35 @@ def test_traced_result_returning_an_arg_rejected():
     v = t.call(fn(), a)
     with pytest.raises(TraceError, match="result node n3 returns arg n0"):
         t.finish([v, a])
+
+
+def test_finish_checks_only_what_tracing_cannot(monkeypatch):
+    # call and result check each step, so finish skips the full graph check
+    # and still rejects the two whole-program faults
+    def no_full_check(p):
+        raise AssertionError("finish ran the full graph check")
+
+    monkeypatch.setattr(ir, "_validate_graph", no_full_check)
+    t = Tracer()
+    t.arg(4, 64)
+    with pytest.raises(TraceError, match="no compute node"):
+        t.finish([])
+    t = Tracer()
+    a = t.arg(4, 64)
+    v = t.call(fn(), a)
+    with pytest.raises(TraceError, match="result node n3 returns arg n0"):
+        t.finish([v, a])
+    t = Tracer()
+    v = t.call(fn(), t.arg(4, 64))
+    assert t.finish([v]).results == ["n2"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pipeline_program(4, 3, 100.0, islands=2),
+    lambda: chain_program([fn("a"), fn("b")]),
+])
+def test_traced_programs_pass_the_full_graph_check(build):
+    ir._validate_graph(build())
 
 
 def test_finished_tracer_is_closed():
