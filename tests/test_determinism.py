@@ -5,6 +5,11 @@ change that moves the simulation (timing, event order, message payloads)
 changes a pin; such a change must update the pin and say which model change
 moved it.
 
+Each `SCHEDULE_PINS` entry is the sha256 of the same event log with
+`payload_digest` dropped: one (t_ns, seq, target, kind) row per event. A
+change that reshapes only message payloads moves `PINS` but must leave
+these alone, so such a change shows itself mechanically.
+
 Each `COMPLETION_PINS` entry is the sha256 of the same run's
 `completion_series()`: when and how much work finished. A change that only
 drops or merges control messages may move `PINS` but must leave these alone.
@@ -22,6 +27,7 @@ the closed-form coordinator-free `reference_rate`.
 suite whose numbers are read from the execution trace's kernel spans.
 """
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -40,6 +46,15 @@ PINS = {
         "6f228ee902184afa052b07c8f64773209e6281dd43270714617b30aa4edd6b03",
     "auto":
         "a729f02e89a279d9d799ed416030d8f73b931d158485073ca3a6265ab751c17e",
+}
+
+SCHEDULE_PINS = {
+    "parallel":
+        "ac288a2fe2b0e6827d25a5b9ffb75495e7ad2d759a3ad85140a3244fe13bc94e",
+    "sequential":
+        "dc19ed8dad56dc6cb73684ea12c1c2be6e5e14db6bbf26865ae0e6edf20526b8",
+    "auto":
+        "7ff4f6268da82dfdb3b2c1d77b0e88900ff51ede1b99f8d580b5163457d95783",
 }
 
 COMPLETION_PINS = {
@@ -82,6 +97,19 @@ def test_event_log_matches_pin(mode, tmp_path):
     path = tmp_path / f"{mode}.ndjson"
     run_chain(mode).sim.dump_event_log(str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(SCHEDULE_PINS))
+def test_event_schedule_matches_pin(mode, tmp_path):
+    path = tmp_path / f"{mode}.ndjson"
+    run_chain(mode).sim.dump_event_log(str(path))
+    rows = []
+    for line in path.read_text().splitlines():
+        row = json.loads(line)
+        del row["payload_digest"]
+        rows.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
+    sha = hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
+    assert sha == SCHEDULE_PINS[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(COMPLETION_PINS))
