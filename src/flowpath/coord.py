@@ -1,16 +1,17 @@
-"""Dataflow coordination: destination-tagged tuples, punctuation, batching.
+"""Dataflow coordination: host-gated readiness per message, batching.
 
-Data moving along a sharded edge is announced with per-destination tuples;
-each source shard closes its contribution to a host with a single
-punctuation carrying a sparse {dst shard: tuple count} map (absent means
-zero). Each host of a host-gated node waits for a static number of
-(edge, source shard) punctuations, `NodeInfo.waits`: on most hosts only the
-sources its reshard pairs read from, so progress messages flow only where
-data does; on the node's home host every source shard, which makes its
-readiness an all-sources gate before the gang is submitted. A node becomes
-ready on a host exactly once, when every expected source has punctuated
-and the tuples each declared for that host have arrived. State exists only
-for nodes with pending input.
+An edge update is one critical message per (edge, source host, destination
+host). It names, sorted, the source shards whose output it closes on the
+destination host: their futures in sequential dispatch, their data when the
+consumer is data-dependent. The device gates each kernel on its landed
+inputs, so the message carries no tuples and no per-shard counts. Each host
+of a host-gated node waits for a static number of (edge, source shard)
+closes, `NodeInfo.waits`: on most hosts only the sources its reshard pairs
+read from, so progress messages flow only where data does; on the node's
+home host every source shard, which makes its readiness an all-sources gate
+before the gang is submitted. A node becomes ready on a host exactly once,
+when its last expected source shard closes. State exists only for nodes
+with pending input.
 
 Control messages between hosts either bypass batching (critical path) or
 are coalesced per destination host into one event, scheduled when the batch
@@ -18,63 +19,36 @@ opens and sent early only if the batch reaches max_messages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .config import BatchingConfig
 from .simcore import Simulator
 
 
 class ProtocolViolation(Exception):
-    """Progress traffic broke the tuple and punctuation protocol."""
-
-
-@dataclass(frozen=True)
-class DataTuple:
-    edge: str          # edge id: "<src>-><dst>#<dst_port>"
-    instance: str
-    src_shard: int
-    dst_shard: int
-
-
-@dataclass(frozen=True)
-class Punctuation:
-    edge: str
-    instance: str
-    src_shard: int
-    counts: dict       # dst shard -> tuple count; absent key means 0
-
-
-@dataclass
-class _NodeState:
-    # expected punctuations not yet received, plus punctuated sources whose
-    # tuples have not all arrived; the node is ready when this reaches 0
-    outstanding: int
-    expected: int
-    received: dict = field(default_factory=dict)    # (edge, src) -> tuples
-    declared: dict = field(default_factory=dict)    # (edge, src) -> count
+    """Progress traffic closed a source shard it should not have."""
 
 
 class ProgressTracker:
     """Exactly-once readiness for (instance, node) pairs on one host.
 
-    sources(instance, node) gives how many (edge, source shard)
-    punctuations the node waits for here (0: none, so any traffic for it
-    is a violation). The node's first tuple or punctuation opens its count
-    through expect(); each event then costs O(1). ready_cb fires once per
-    node with (instance, node); forget() drops an instance.
+    sources(instance, node) gives how many (edge, source shard) closes the
+    node waits for here (0: none, so any traffic for it is a violation).
+    The node's first message opens its state through expect(): the count of
+    source shards still to close and the set of (edge, source shard) pairs
+    closed so far. Each message then costs O(its shards) and is checked
+    whole before it changes the state. ready_cb fires once per node with
+    (instance, node); forget() drops an instance.
     """
 
     def __init__(self, ready_cb, sources):
         self.ready_cb = ready_cb
         self.sources = sources
-        self._pending: dict[str, dict[str, _NodeState]] = {}
+        # instance -> node -> [shards still to close, closed (edge, shard)]
+        self._pending: dict[str, dict[str, list]] = {}
         self._fired: dict[str, set[str]] = {}
 
-    # -- registration ------------------------------------------------------
-
-    def expect(self, instance: str, node: str, sources: int) -> _NodeState:
-        """Open the count of a node that waits for `sources` punctuations."""
-        st = _NodeState(sources, sources)
+    def expect(self, instance: str, node: str, sources: int) -> list:
+        """Open the state of a node that waits for `sources` closes."""
+        st = [sources, set()]
         self._pending.setdefault(instance, {})[node] = st
         return st
 
@@ -82,63 +56,45 @@ class ProgressTracker:
         self._pending.pop(instance, None)
         self._fired.pop(instance, None)
 
-    def _state(self, instance: str, node: str, edge: str) -> _NodeState:
+    def on_punctuation(self, node: str, instance: str, edge: str,
+                       srcs: list[int]) -> None:
+        """One edge message: close the source shards `srcs` of `edge` for
+        `node` here."""
         st = self._pending.get(instance, {}).get(node)
-        if st is not None:
-            return st
-        if node in self._fired.get(instance, ()):
-            raise ProtocolViolation(f"traffic on {edge} for ready node {node}")
-        n = self.sources(instance, node)
-        if not n:
+        if st is None:
+            if node in self._fired.get(instance, ()):
+                raise ProtocolViolation(
+                    f"traffic on {edge} for ready node {node}")
+            left = self.sources(instance, node)
+            if not left:
+                raise ProtocolViolation(
+                    f"traffic on {edge} for undeclared node {node}")
+            closed = ()
+        else:
+            left, closed = st
+        new = {(edge, s) for s in srcs}
+        if len(new) < len(srcs) or not new.isdisjoint(closed):
             raise ProtocolViolation(
-                f"traffic on {edge} for undeclared node {node}")
-        return self.expect(instance, node, n)
-
-    # -- protocol events ---------------------------------------------------
-
-    def on_tuple(self, node: str, t: DataTuple) -> None:
-        st = self._state(t.instance, node, t.edge)
-        src = (t.edge, t.src_shard)
-        seen = st.received.get(src, 0) + 1
-        declared = st.declared.get(src)
-        if declared is not None and seen > declared:
+                f"source shard of {edge} closed twice: {srcs}")
+        if len(new) > left:
             raise ProtocolViolation(
-                f"tuple on {t.edge} src {t.src_shard} after punctuation count "
-                f"{declared} exhausted")
-        st.received[src] = seen
-        if seen == declared:
-            self._settle(t.instance, node, st)
-
-    def on_punctuation(self, node: str, p: Punctuation) -> None:
-        st = self._state(p.instance, node, p.edge)
-        src = (p.edge, p.src_shard)
-        if src in st.declared:
-            raise ProtocolViolation(
-                f"duplicate punctuation {p.edge} src {p.src_shard}")
-        if len(st.declared) == st.expected:
-            raise ProtocolViolation(
-                f"{p.edge} src {p.src_shard}: node {node} expects "
-                f"{st.expected} punctuating sources")
-        declared = sum(p.counts.values())
-        got = st.received.get(src, 0)
-        if got > declared:
-            raise ProtocolViolation(
-                f"{p.edge} src {p.src_shard}: received {got} > "
-                f"declared {declared}")
-        st.declared[src] = declared
-        if got == declared:
-            self._settle(p.instance, node, st)
-
-    def _settle(self, instance: str, node: str, st: _NodeState) -> None:
-        """One expected source of the node is complete."""
-        st.outstanding -= 1
-        if st.outstanding:
+                f"{edge} closes {len(new)} source shards: node {node} has "
+                f"{left} left to close")
+        if len(new) < left:
+            if st is None:
+                st = self.expect(instance, node, left)
+            st[0] -= len(new)
+            st[1] |= new
             return
-        del self._pending[instance][node]
+        if st is not None:
+            del self._pending[instance][node]
         self._fired.setdefault(instance, set()).add(node)
         self.ready_cb(instance, node)
 
-    # -- introspection -----------------------------------------------------
+    def on_tuple(self, *_args) -> None:
+        """No-op: an edge message closes its source shards in one
+        on_punctuation call. perfbench still wraps this method by name;
+        ROADMAP item 1 deletes the two together."""
 
     def pending_count(self) -> int:
         """Number of node states held: memory is O(nodes with pending input)."""
@@ -227,5 +183,7 @@ class MessageBatcher:
         """The sender died: its open batches are never sent nor counted."""
         for dst in [d for d, b in self._batch.items()
                     if b[0] > self.sim.clock]:
-            self.sim.cancel(self._batch.pop(dst)[2])
+            b = self._batch.pop(dst)
+            self.sim.cancel(b[2])
             self.flushes -= 1
+            self.batched_sent -= len(b[3])

@@ -38,18 +38,18 @@ Dispatch triggers per node come from the instance plan:
   "fut" - home host submits the gang after every predecessor shard announced
           its output futures (sequential dispatch of a regular node),
   "dat" - same, but gated on predecessor data completion (irregular node).
-For both, a producer host sends its update to the consumer hosts its
-reshard pairs feed, plus the node's home host. Each host preps the node
-once the (edge, source shard) punctuations it waits for are in,
-`NodeInfo.waits`: a non-home host only those of the source shards paired
-with its own shards, the home host all of them.
+For both, a producer host sends one update per edge to each consumer host
+its reshard pairs feed, plus the node's home host, naming the source shards
+it closes there. Each host preps the node once every (edge, source shard)
+it waits for is closed, `NodeInfo.waits`: a non-home host only the source
+shards paired with its own shards, the home host all of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .config import BatchingConfig, CostModel
-from .coord import DataTuple, MessageBatcher, ProgressTracker, Punctuation, edge_id
+from .coord import MessageBatcher, ProgressTracker, edge_id
 from .hardware import Cluster, KernelExec
 from .ir import (ArgNode, CompiledFunction, ComputeNode, LoweredProgram,
                  ResultNode, ShardPair, arg_consumers)
@@ -67,7 +67,7 @@ class EdgeInfo:
     dst_port: int
     to_result: bool
     pairs_by_chost: dict[int, tuple[ShardPair, ...]]   # by consumer host
-    pairs_by_shost: dict[int, tuple[ShardPair, ...]]   # by producer host
+    chosts_by_src: dict[int, tuple[int, ...]]   # src shard -> consumer hosts
     ext_arg: bool                                 # source is a handle-bound arg
     from_arg: bool                                # source is any arg node
 
@@ -86,7 +86,7 @@ class NodeInfo:
     input_sources: dict[int, tuple[int, ...]]    # device -> producer per arrival
     recv_bytes: dict[int, int]                   # shard -> landing bytes
     args_created: tuple[str, ...]
-    waits: dict[int, int]                        # host -> gating punctuations
+    waits: dict[int, int]                        # host -> gating source shards
     # (in-edge, dst shard -> pairs read in place), drained by its kernels
     local_drains: tuple[tuple[str, dict[int, int]], ...]
     hbm_by_device: dict[int, int] = field(default_factory=dict)  # gang ask
@@ -211,25 +211,25 @@ def _by_host(devs: tuple[int, ...], host_of) -> tuple[dict, dict, tuple]:
 
 
 def _pair_tables(pairs: tuple[ShardPair, ...], host_of) -> tuple[dict, dict, dict]:
-    """An edge's pairs by consumer host and by producer host, and dst shard
-    -> pairs read in place (on one device)."""
+    """An edge's pairs by consumer host, source shard -> its sorted consumer
+    hosts, and dst shard -> pairs read in place (on one device)."""
     by_chost: dict[int, list[ShardPair]] = {}
-    by_shost: dict[int, list[ShardPair]] = {}
+    chosts: dict[int, set[int]] = {}
     same: dict[int, int] = {}
     for pr in pairs:
         by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
-        by_shost.setdefault(host_of[pr.src_dev], []).append(pr)
+        chosts.setdefault(pr.src_shard, set()).add(host_of[pr.dst_dev])
         if pr.src_dev == pr.dst_dev:
             same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
     return ({h: tuple(v) for h, v in sorted(by_chost.items())},
-            {h: tuple(v) for h, v in sorted(by_shost.items())}, same)
+            {s: tuple(sorted(hs)) for s, hs in sorted(chosts.items())}, same)
 
 
 def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
             pair_tables: dict) -> tuple[dict, dict, dict]:
     """What a node's devices and in-edges fix about its inputs: device ->
     producer device per inbound transfer, shard -> landing bytes, and host
-    -> gating punctuations.
+    -> gating source shards.
 
     `ins` has one (pairs, source shards, from an arg, from a bound arg) per
     in-edge, in edge order.
@@ -297,15 +297,15 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         src_n = p.node(e.src)
         from_arg = isinstance(src_n, ArgNode)
         ext = from_arg and src_n.handle is not None
-        by_chost, by_shost, same = _shared(pair_tables, le.pairs, _pair_tables,
-                                           le.pairs, host_of)
+        by_chost, chosts, same = _shared(pair_tables, le.pairs, _pair_tables,
+                                         le.pairs, host_of)
         if same and not ext:
             # drained once the consumer's kernel has run, on the shard's host
             drains.setdefault(e.dst, []).append((eid, same))
         edges[eid] = EdgeInfo(
             src=e.src, dst=e.dst, src_port=e.src_port, dst_port=e.dst_port,
             to_result=isinstance(p.node(e.dst), ResultNode),
-            pairs_by_chost=by_chost, pairs_by_shost=by_shost,
+            pairs_by_chost=by_chost, chosts_by_src=chosts,
             ext_arg=ext, from_arg=from_arg)
         in_eids.setdefault(e.dst, []).append(eid)
         out_eids.setdefault(e.src, []).append(eid)
@@ -512,7 +512,7 @@ class HostExecutor(Process):
         self._push_task(("enqueue", instance, nid))
 
     def _waits(self, instance: str, nid: str) -> int:
-        """Gating punctuations this host expects for a host-gated node."""
+        """Gating source shards this host expects for a host-gated node."""
         meta = self.inst[instance].meta
         if meta.modes[nid] == "go":
             return 0
@@ -605,11 +605,13 @@ class HostExecutor(Process):
                           {"instance": instance, "node": nid},
                           latency=self.costs.client_rpc_ns)
 
-    # -- edge updates (tuples plus punctuation in one message) --------------
+    # -- edge updates (the source shards each message closes) ---------------
 
     def _emit_edge_update(self, instance: str, eid: str,
                           src_shards: tuple[int, ...] | list[int],
                           cls: str) -> None:
+        """Announce this host's sorted `src_shards` of `eid` to the hosts
+        that wait for them."""
         st = self.inst[instance]
         info = st.meta.program
         ei = info.edges[eid]
@@ -623,34 +625,25 @@ class HostExecutor(Process):
         if ei.from_arg or st.meta.modes[ei.dst] != cls:
             return
         # the home host hears from every source shard, other consumer hosts
-        # only about the pairs that feed them
+        # only from those paired with their shards
         home = info.nodes[ei.dst].home_host
-        out: dict[int, tuple[list, dict]] = {
-            home: ([], {s: {} for s in src_shards})}
-        for pr in ei.pairs_by_shost.get(self.host_id, ()):
-            if pr.src_shard in src_shards:
-                tuples, puncts = out.setdefault(
-                    self.cluster.device(pr.dst_dev).host_id, ([], {}))
-                tuples.append((pr.src_shard, pr.dst_shard))
-                c = puncts.setdefault(pr.src_shard, {})
-                c[pr.dst_shard] = c.get(pr.dst_shard, 0) + 1
+        out: dict[int, list[int]] = {home: list(src_shards)}
+        for s in src_shards:
+            for ch in ei.chosts_by_src.get(s, ()):
+                if ch != home:
+                    out.setdefault(ch, []).append(s)
         for ch in sorted(out):
-            tuples, puncts = out[ch]
             self._send(f"host{ch}", f"edge_{cls}",
-                       {"instance": instance, "edge": eid,
-                        "tuples": tuples, "puncts": puncts}, critical=True)
+                       {"instance": instance, "edge": eid, "srcs": out[ch]},
+                       critical=True)
 
     def _on_edge_update(self, payload: dict) -> None:
         instance, eid = payload["instance"], payload["edge"]
         st = self.inst.get(instance)
         if st is None:
             return
-        nid = st.meta.program.edges[eid].dst
-        for s, d in payload["tuples"]:
-            self.tracker.on_tuple(nid, DataTuple(eid, instance, s, d))
-        for s, counts in payload["puncts"].items():
-            self.tracker.on_punctuation(
-                nid, Punctuation(eid, instance, s, counts))
+        self.tracker.on_punctuation(st.meta.program.edges[eid].dst,
+                                    instance, eid, payload["srcs"])
 
     # -- producer-side data movement ---------------------------------------
 

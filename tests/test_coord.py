@@ -1,13 +1,14 @@
-"""Readiness tracking against a brute-force oracle; control-message batching."""
-import itertools
+"""Readiness tracking over generated deliveries; control-message batching."""
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowpath import System, small_cluster
 from flowpath.config import BatchingConfig
-from flowpath.coord import (DataTuple, MessageBatcher, ProgressTracker,
-                            ProtocolViolation, Punctuation, edge_id)
+from flowpath.coord import (MessageBatcher, ProgressTracker, ProtocolViolation,
+                            edge_id)
 from flowpath.ir import deserialize
 from flowpath.runtime import StreamJob
 from flowpath.simcore import Process, Simulator, us
@@ -21,76 +22,100 @@ def test_edge_id_format():
 
 
 # -- progress tracker ------------------------------------------------------
+#
+# One edge message closes some source shards of one edge for node b on one
+# host; b waits for a fixed number of (edge, source shard) closes there.
 
 E = edge_id("a", "b")
 
 
-def tup(s, d):
-    return DataTuple(E, "i1", s, d)
-
-
-def punct(s, counts):
-    return Punctuation(E, "i1", s, counts)
-
-
 def make_tracker(sources=2):
-    """A host on which node b of i1 waits for `sources` punctuations."""
+    """A host on which node b of i1 waits for `sources` source shards."""
     fired = []
     tr = ProgressTracker(lambda inst, node: fired.append((inst, node)),
                          lambda inst, node: sources if node == "b" else 0)
     return tr, fired
 
 
-def deliver(tr, msg):
-    if isinstance(msg, DataTuple):
-        tr.on_tuple("b", msg)
-    else:
-        tr.on_punctuation("b", msg)
+def close(tr, srcs, edge=E, instance="i1", node="b"):
+    tr.on_punctuation(node, instance, edge, srcs)
 
 
-def oracle_fire_position(msgs, n_src=2):
-    """Independent readiness computation: the node fires at the first
-    prefix holding a punctuation from every source and, for each, as many
-    tuples as it declared."""
-    for i in range(len(msgs)):
-        prefix = msgs[:i + 1]
-        puncts = {m.src_shard: sum(m.counts.values()) for m in prefix
-                  if isinstance(m, Punctuation)}
-        tuples = [m.src_shard for m in prefix if isinstance(m, DataTuple)]
-        if len(puncts) == n_src and all(
-                tuples.count(s) == n for s, n in puncts.items()):
-            return i
-    return None
+@st.composite
+def deliveries(draw):
+    """Every source shard of 1-3 edges into b, each edge's shards split
+    into messages of sorted shards, all messages in any order."""
+    msgs = []
+    for e in range(draw(st.integers(1, 3))):
+        shards = draw(st.permutations(range(draw(st.integers(1, 4)))))
+        cuts = draw(st.sets(st.integers(1, len(shards) - 1))) \
+            if len(shards) > 1 else set()
+        bounds = [0, *sorted(cuts), len(shards)]
+        msgs += [(edge_id(f"s{e}", "b"), sorted(shards[lo:hi]))
+                 for lo, hi in zip(bounds, bounds[1:])]
+    return draw(st.permutations(msgs))
 
 
-def test_all_delivery_orders_fire_exactly_once_after_punctuation():
-    # the home host of a 2 -> 2 all-to-all edge: every message is needed
-    base = [tup(0, 0), tup(0, 1), tup(1, 0), tup(1, 1),
-            punct(0, {0: 1, 1: 1}), punct(1, {0: 1, 1: 1})]
-    for perm in itertools.permutations(base):
-        tr, _ = make_tracker()
-        at = []
-        tr.ready_cb = lambda inst, node, at=at, tr=tr: at.append(tr._idx)
-        for i, m in enumerate(perm):
-            tr._idx = i
-            deliver(tr, m)
-        assert at == [oracle_fire_position(perm)] == [len(perm) - 1]
-        assert tr.pending_count() == 0
+@given(deliveries())
+def test_all_delivery_orders_fire_exactly_once_after_punctuation(msgs):
+    # any partition of the expected closes into messages, in any order,
+    # fires once, after the last message
+    tr, fired = make_tracker(sources=sum(len(srcs) for _e, srcs in msgs))
+    for edge, srcs in msgs:
+        assert fired == []
+        close(tr, srcs, edge)
+    assert fired == [("i1", "b")]
+    assert tr.pending_count() == 0
+
+
+@given(deliveries(), st.data())
+def test_a_repeated_source_shard_raises_and_changes_nothing(msgs, data):
+    # a shard of message i is closed again, in message i itself or in a
+    # later message (after b fired, too): that message raises, and the
+    # state is as if it had never arrived
+    tr, fired = make_tracker(sources=sum(len(srcs) for _e, srcs in msgs))
+    i = data.draw(st.integers(0, len(msgs) - 1), label="first close")
+    edge, srcs = msgs[i]
+    s = data.draw(st.sampled_from(srcs), label="shard")
+    at = data.draw(st.integers(i, len(msgs)), label="repeat at")
+    bad = (edge, sorted([*srcs, s]) if at == i else [s])
+    for m in [*msgs[:at], bad, *msgs[at:]]:
+        if m is bad:
+            with pytest.raises(ProtocolViolation):
+                close(tr, m[1], m[0])
+        else:
+            close(tr, m[1], m[0])
+    assert fired == [("i1", "b")]
+    assert tr.pending_count() == 0
 
 
 def test_more_punctuating_sources_than_expected_rejected():
-    tr, _ = make_tracker(sources=1)
-    deliver(tr, punct(0, {0: 1}))
-    with pytest.raises(ProtocolViolation, match="expects 1 punctuating"):
-        deliver(tr, punct(1, {}))
+    tr, fired = make_tracker(sources=3)
+    close(tr, [0])
+    with pytest.raises(ProtocolViolation, match="2 left to close"):
+        close(tr, [1, 2, 3])
+    close(tr, [1, 2])
+    assert fired == [("i1", "b")]
 
 
 def test_duplicate_punctuation_rejected_per_shard():
-    # a source punctuates a host once, whichever shards its counts name
-    tr, fired = make_tracker()
-    deliver(tr, punct(0, {0: 1}))
-    with pytest.raises(ProtocolViolation, match="duplicate punctuation"):
-        deliver(tr, punct(0, {1: 1}))
+    # a message naming one closed shard is rejected whole, with its others
+    tr, fired = make_tracker(sources=3)
+    close(tr, [0])
+    with pytest.raises(ProtocolViolation, match="closed twice"):
+        close(tr, [0, 1])
+    with pytest.raises(ProtocolViolation, match="closed twice"):
+        close(tr, [1, 1])
+    close(tr, [1])
+    close(tr, [0], edge_id("x", "b"))       # another edge's shard 0
+    assert fired == [("i1", "b")]
+
+
+def test_duplicate_punctuation_rejected():
+    tr, fired = make_tracker(sources=4)
+    close(tr, [0, 1])
+    with pytest.raises(ProtocolViolation, match="closed twice"):
+        close(tr, [0, 1])
     assert fired == []
 
 
@@ -98,105 +123,57 @@ def test_shard_without_expected_sources_rejects_traffic():
     # this host's shards of b are paired with no source: it waits for none
     tr, _ = make_tracker(sources=0)
     with pytest.raises(ProtocolViolation, match="undeclared node b"):
-        deliver(tr, punct(0, {}))
-    with pytest.raises(ProtocolViolation, match="undeclared node b"):
-        deliver(tr, tup(0, 1))
-
-
-def test_sparse_counts_mean_zero():
-    tr, fired = make_tracker()
-    deliver(tr, punct(0, {0: 1}))           # src 0 sends nothing to shard 1
-    deliver(tr, punct(1, {}))               # src 1 sends nothing here
-    assert fired == []                      # src 0's tuple is still out
-    deliver(tr, tup(0, 0))
-    assert fired == [("i1", "b")]
-
-
-def test_string_count_keys_accepted():
-    # counts maps survive JSON round trips, where int keys become strings
-    tr, fired = make_tracker(sources=1)
-    deliver(tr, punct(0, {"0": 1, "1": 0}))
-    deliver(tr, tup(0, 0))
-    assert fired == [("i1", "b")]
-
-
-def test_duplicate_punctuation_rejected():
-    tr, _ = make_tracker()
-    deliver(tr, punct(0, {0: 1, 1: 1}))
-    with pytest.raises(ProtocolViolation, match="duplicate punctuation"):
-        deliver(tr, punct(0, {0: 1, 1: 1}))
-
-
-def test_tuple_beyond_declared_count_rejected():
-    tr, _ = make_tracker()
-    deliver(tr, punct(0, {0: 1}))
-    deliver(tr, tup(0, 0))
-    with pytest.raises(ProtocolViolation, match="exhausted"):
-        deliver(tr, tup(0, 0))
-
-
-def test_received_more_than_declared_rejected():
-    tr, _ = make_tracker()
-    deliver(tr, tup(0, 0))
-    deliver(tr, tup(0, 0))
-    with pytest.raises(ProtocolViolation, match="received 2 > declared 1"):
-        deliver(tr, punct(0, {0: 1}))
+        close(tr, [0])
+    assert tr.pending_count() == 0
 
 
 def test_undeclared_edge_rejected():
     # an edge into a node this host does not wait on
     tr, _ = make_tracker()
-    x = edge_id("x", "c")
     with pytest.raises(ProtocolViolation, match="undeclared node c"):
-        tr.on_tuple("c", DataTuple(x, "i1", 0, 0))
-    with pytest.raises(ProtocolViolation, match="undeclared node c"):
-        tr.on_punctuation("c", Punctuation(x, "i1", 0, {}))
+        close(tr, [0], edge_id("x", "c"), node="c")
 
 
 def test_traffic_after_ready_rejected():
     tr, fired = make_tracker(sources=1)
-    deliver(tr, punct(0, {0: 1, 1: 1}))
-    deliver(tr, tup(0, 0))
-    deliver(tr, tup(0, 1))
+    close(tr, [0])
     assert fired == [("i1", "b")]
     with pytest.raises(ProtocolViolation, match="ready node b"):
-        deliver(tr, tup(0, 0))
-    with pytest.raises(ProtocolViolation, match="ready node b"):
-        deliver(tr, punct(1, {}))
+        close(tr, [1])
+    assert fired == [("i1", "b")]
 
 
 def test_state_exists_only_while_input_pending():
-    tr, _ = make_tracker()
+    tr, _ = make_tracker(sources=3)
     assert tr.pending_count() == 0
-    deliver(tr, tup(0, 0))
+    close(tr, [0])
     assert tr.pending_count() == 1          # one state for the node
-    deliver(tr, tup(0, 1))
+    close(tr, [1])
     assert tr.pending_count() == 1
-    deliver(tr, punct(0, {0: 1, 1: 1}))
-    deliver(tr, punct(1, {}))
+    close(tr, [2])
     assert tr.pending_count() == 0
 
 
 def test_forget_drops_instance_state():
     tr, fired = make_tracker()
-    deliver(tr, tup(0, 0))
+    close(tr, [0])
     tr.forget("i1")
     assert tr.pending_count() == 0
     # a forgotten instance starts over: the count opens again
-    deliver(tr, punct(0, {}))
-    deliver(tr, punct(1, {}))
+    close(tr, [0])
+    close(tr, [1])
     assert fired == [("i1", "b")]
 
 
 def test_instances_are_independent():
     tr, fired = make_tracker(sources=1)
-    tr.on_punctuation("b", Punctuation(E, "i1", 0, {0: 0}))
+    close(tr, [0])
     assert fired == [("i1", "b")]
-    tr.on_punctuation("b", Punctuation(E, "i2", 0, {0: 0}))
+    close(tr, [0], instance="i2")
     assert fired == [("i1", "b"), ("i2", "b")]
     tr.forget("i1")
     with pytest.raises(ProtocolViolation, match="ready node b"):
-        tr.on_punctuation("b", Punctuation(E, "i2", 1, {}))
+        close(tr, [1], instance="i2")
 
 
 # -- message batching ------------------------------------------------------

@@ -43,9 +43,9 @@ PINS = {
     "parallel":
         "3c6a90bd1fe94a8bec593b732bbf41687990ec2edb436b2018c3931e3e3ad3e5",
     "sequential":
-        "6f228ee902184afa052b07c8f64773209e6281dd43270714617b30aa4edd6b03",
+        "0a1a1bdda81a6ea801a9d6cff4f50e83497e7becbeee081d1f2f820d3b9d3b6e",
     "auto":
-        "a729f02e89a279d9d799ed416030d8f73b931d158485073ca3a6265ab751c17e",
+        "8cd41694f5a093e66b1b1cb3ef5d9b090f3c330533ea7340b77b3139be0c9df9",
 }
 
 SCHEDULE_PINS = {

@@ -280,7 +280,7 @@ def test_dead_client_sends_nothing_from_its_open_batch(monkeypatch):
     assert c.dead and len(c.completed_at) == 1
     assert sorted(held) == ["instance_done", "instance_done", "release"]
     assert [t for t, _ in from_client if t >= die_ns] == []
-    assert c.batcher.flushes == 0
+    assert c.batcher.flushes == 0 and c.batcher.batched_sent == 0
     assert sys_.sim._cancelled == set()
     assert audit_no_double_free(sys_.audit) == []
     assert audit_leaks(sys_.cluster) == {}
@@ -468,14 +468,19 @@ def _naive_tables(lp, cluster):
     p = lp.program
     host_of = {d.device_id: d.host_id for d in cluster.devices}
 
-    def grouped(pairs, side):
+    def by_chost(pairs):
         out = {}
         for pr in pairs:
-            out.setdefault(host_of[getattr(pr, side)], []).append(pr)
+            out.setdefault(host_of[pr.dst_dev], []).append(pr)
         return {h: tuple(v) for h, v in out.items()}
 
+    def chosts_by_src(pairs):
+        return {s: tuple(sorted({host_of[pr.dst_dev] for pr in pairs
+                                 if pr.src_shard == s}))
+                for s in {pr.src_shard for pr in pairs}}
+
     edges = {edge_id(le.edge.src, le.edge.dst, le.edge.dst_port):
-             (grouped(le.pairs, "dst_dev"), grouped(le.pairs, "src_dev"))
+             (by_chost(le.pairs), chosts_by_src(le.pairs))
              for le in lp.edges}
     creator = arg_consumers(p)
     nodes = {}
@@ -534,7 +539,13 @@ def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
     info = sys_.register_program("p", lp)
     edges, nodes = _naive_tables(lp, sys_.cluster)
     for eid, ei in info.edges.items():
-        assert (ei.pairs_by_chost, ei.pairs_by_shost) == edges[eid], eid
+        assert (ei.pairs_by_chost, ei.chosts_by_src) == edges[eid], eid
+    # edges with equal pairs share one table
+    by_shape = {}
+    for le in lp.edges:
+        ei = info.edges[edge_id(le.edge.src, le.edge.dst, le.edge.dst_port)]
+        assert by_shape.setdefault(le.pairs, ei.chosts_by_src) is ei.chosts_by_src
+    assert len(by_shape) < len(lp.edges)
     for nid, ni in info.nodes.items():
         assert {k: getattr(ni, k) for k in nodes[nid]} == nodes[nid], nid
     # the tables are shared between nodes and instances: a run in which

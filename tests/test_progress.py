@@ -3,9 +3,10 @@ buffer lifetimes across reshard shapes.
 
 A producer host sends its edge updates only to the consumer hosts its
 reshard pairs feed, plus the consumer node's home host, so control traffic
-grows with pairs and hosts, not with hosts squared. Each consumer host
-counts down a static number of (edge, source shard) punctuations,
-`NodeInfo.waits`, and the node becomes ready there once. Generated reshard
+grows with pairs and hosts, not with hosts squared. Each message names the
+sorted source shards it closes on its host; each consumer host counts down
+a static number of (edge, source shard) closes, `NodeInfo.waits`, and the
+node becomes ready there once. Generated reshard
 edges, in every dispatch mode and with or without a client failure, check
 that the run's invariants hold and that a finished or failed instance
 leaves no state on hosts or devices. Each (consuming edge, consumer host) holds one
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from flowpath import (CompiledFunction, StreamJob, System, Tracer,
                       chain_program, small_cluster)
+from flowpath.coord import ProgressTracker
 from flowpath.ir import lower
 from flowpath.simcore import us
 from flowpath.store import audit_leaks, audit_no_double_free
@@ -63,6 +65,58 @@ def test_waits_count_paired_sources_per_host():
         head_s: (0, 1, 2, 3), tail_s: (1, 2)}))
     assert info.nodes[h.node].waits == {}
     assert info.nodes[o.node].waits == {0: 4, 1: 2}
+
+
+@pytest.mark.parametrize("mode", ["sequential", "auto"])
+def test_each_edge_message_closes_its_sorted_source_shards_once(
+        mode, monkeypatch):
+    # the same 4 -> 2 gather: its tail runs on futures in sequential
+    # dispatch and on data in auto dispatch (where it is data-dependent)
+    calls = []
+    on_punctuation = ProgressTracker.on_punctuation
+
+    def counted(self, *a):
+        calls.append(a)
+        return on_punctuation(self, *a)
+
+    monkeypatch.setattr(ProgressTracker, "on_punctuation", counted)
+    t = Tracer()
+    head_s, tail_s = t.virtual_slice([4]), t.virtual_slice([2])
+    x = t.arg(4, 4096)
+    h = t.call(CompiledFunction("head", 4, (4096,), (4096,), 20.0), x,
+               slice_id=head_s)
+    o = t.call(CompiledFunction("tail", 2, (8192,), (8192,), 20.0,
+                                regular=(mode == "sequential")), h,
+               slice_id=tail_s)
+    system = System(small_cluster(hosts=2, devices_per_host=2),
+                    record_log=True)
+    info = system.register_program("g", lower(t.finish(results=[o]), {
+        head_s: (0, 1, 2, 3), tail_s: (1, 2)}))
+    system.start_job(system.add_client("c0"), StreamJob(
+        system.new_job_id(), "g", 3, window=2, mode=mode))
+    assert system.run().status == "quiescent"
+    kind = "edge_fut" if mode == "sequential" else "edge_dat"
+    closed: dict[tuple, list] = {}
+    n_msgs = 0
+    for _t, _seq, target, k, payload in system.sim.log:
+        if k not in ("edge_fut", "edge_dat"):
+            continue
+        assert k == kind
+        assert set(payload) == {"instance", "edge", "srcs"}
+        assert payload["srcs"] == sorted(payload["srcs"])
+        n_msgs += 1
+        dst = info.edges[payload["edge"]].dst
+        closed.setdefault((int(target[4:]), payload["instance"], dst),
+                          []).extend((payload["edge"], s)
+                                     for s in payload["srcs"])
+    assert sorted(closed) == [(host, inst, o.node) for host in (0, 1)
+                              for inst in ("i1", "i2", "i3")]
+    for (host, _inst, nid), pairs in closed.items():
+        assert len(pairs) == len(set(pairs)) == info.nodes[nid].waits[host]
+    # per instance: a sequential host announces its head shards' futures at
+    # once, to home host 0 and (from host 1) to host 1: 3 messages; in auto
+    # each head kernel's data goes to host 0 and, from host 1, to host 1: 6
+    assert len(calls) == n_msgs == 3 * (3 if mode == "sequential" else 6)
 
 
 def run_reshard_chain(src: int, dst: int, total: int, hosts: int, dph: int,
