@@ -4,12 +4,12 @@ An edge update is one critical message per (edge, source host, destination
 host). It names, sorted, the source shards whose output it closes on the
 destination host: their futures in sequential dispatch, their data when the
 consumer is data-dependent. The device gates each kernel on its landed
-inputs, so the message carries no tuples and no per-shard counts. Each host
-of a host-gated node waits for a static number of (edge, source shard)
-closes, `NodeInfo.waits`: on most hosts only the sources its reshard pairs
-read from, so progress messages flow only where data does; on the node's
-home host every source shard, which makes its readiness an all-sources gate
-before the gang is submitted. A node becomes ready on a host exactly once,
+inputs, so readiness needs only which sources are done, not what they
+sent. Each host of a host-gated node waits for a static number of (edge,
+source shard) closes, `NodeInfo.waits`: on most hosts only the sources its
+reshard pairs read from, so progress messages flow only where data does; on
+the node's home host every source shard, which makes its readiness an
+all-sources gate before the gang is submitted. A node becomes ready on a host exactly once,
 when its last expected source shard closes. State exists only for nodes
 with pending input.
 

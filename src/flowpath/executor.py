@@ -214,15 +214,19 @@ def _pair_tables(pairs: tuple[ShardPair, ...], host_of) -> tuple[dict, dict, dic
     """An edge's pairs by consumer host, source shard -> its sorted consumer
     hosts, and dst shard -> pairs read in place (on one device)."""
     by_chost: dict[int, list[ShardPair]] = {}
-    chosts: dict[int, set[int]] = {}
     same: dict[int, int] = {}
     for pr in pairs:
         by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
-        chosts.setdefault(pr.src_shard, set()).add(host_of[pr.dst_dev])
         if pr.src_dev == pr.dst_dev:
             same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
-    return ({h: tuple(v) for h, v in sorted(by_chost.items())},
-            {s: tuple(sorted(hs)) for s, hs in sorted(chosts.items())}, same)
+    chosts: dict[int, list[int]] = {}
+    for h in sorted(by_chost):          # each shard's hosts come out sorted
+        for pr in by_chost[h]:
+            hs = chosts.setdefault(pr.src_shard, [])
+            if not hs or hs[-1] != h:
+                hs.append(h)
+    return ({h: tuple(by_chost[h]) for h in sorted(by_chost)},
+            {s: tuple(hs) for s, hs in chosts.items()}, same)
 
 
 def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
@@ -610,8 +614,7 @@ class HostExecutor(Process):
     def _emit_edge_update(self, instance: str, eid: str,
                           src_shards: tuple[int, ...] | list[int],
                           cls: str) -> None:
-        """Announce this host's sorted `src_shards` of `eid` to the hosts
-        that wait for them."""
+        """Tell whoever waits on this host's sorted `src_shards` of `eid`."""
         st = self.inst[instance]
         info = st.meta.program
         ei = info.edges[eid]
