@@ -49,22 +49,29 @@ def test_sequential_events_grow_about_linearly_in_hosts():
     assert sequential_chain_events(64) < 4.5 * sequential_chain_events(16)
 
 
-def test_waits_count_paired_sources_per_host():
-    # a 4 -> 2 gather over 2 hosts x 2 devices: the tail's home host (0)
-    # hears every head shard, host 1 only the two its shard reads from;
-    # the head, fed by an arg alone, waits for nothing
+def gather_system(tail_regular: bool = True, record_log: bool = False):
+    """A 4 -> 2 gather over 2 hosts x 2 devices: head shards on devices
+    0-3, tail shards on devices 1 and 2 (home host 0)."""
     t = Tracer()
     head_s, tail_s = t.virtual_slice([4]), t.virtual_slice([2])
     x = t.arg(4, 4096)
     h = t.call(CompiledFunction("head", 4, (4096,), (4096,), 20.0), x,
                slice_id=head_s)
-    o = t.call(CompiledFunction("tail", 2, (8192,), (8192,), 20.0), h,
-               slice_id=tail_s)
-    system = System(small_cluster(hosts=2, devices_per_host=2))
+    o = t.call(CompiledFunction("tail", 2, (8192,), (8192,), 20.0,
+                                regular=tail_regular), h, slice_id=tail_s)
+    system = System(small_cluster(hosts=2, devices_per_host=2),
+                    record_log=record_log)
     info = system.register_program("g", lower(t.finish(results=[o]), {
         head_s: (0, 1, 2, 3), tail_s: (1, 2)}))
-    assert info.nodes[h.node].waits == {}
-    assert info.nodes[o.node].waits == {0: 4, 1: 2}
+    return system, info, h.node, o.node
+
+
+def test_waits_count_paired_sources_per_host():
+    # the tail's home host (0) hears every head shard, host 1 only the two
+    # its shard reads from; the head, fed by an arg alone, waits for nothing
+    _system, info, head, tail = gather_system()
+    assert info.nodes[head].waits == {}
+    assert info.nodes[tail].waits == {0: 4, 1: 2}
 
 
 @pytest.mark.parametrize("mode", ["sequential", "auto"])
@@ -80,18 +87,8 @@ def test_each_edge_message_closes_its_sorted_source_shards_once(
         return on_punctuation(self, *a)
 
     monkeypatch.setattr(ProgressTracker, "on_punctuation", counted)
-    t = Tracer()
-    head_s, tail_s = t.virtual_slice([4]), t.virtual_slice([2])
-    x = t.arg(4, 4096)
-    h = t.call(CompiledFunction("head", 4, (4096,), (4096,), 20.0), x,
-               slice_id=head_s)
-    o = t.call(CompiledFunction("tail", 2, (8192,), (8192,), 20.0,
-                                regular=(mode == "sequential")), h,
-               slice_id=tail_s)
-    system = System(small_cluster(hosts=2, devices_per_host=2),
-                    record_log=True)
-    info = system.register_program("g", lower(t.finish(results=[o]), {
-        head_s: (0, 1, 2, 3), tail_s: (1, 2)}))
+    system, info, _head, tail = gather_system(
+        tail_regular=(mode == "sequential"), record_log=True)
     system.start_job(system.add_client("c0"), StreamJob(
         system.new_job_id(), "g", 3, window=2, mode=mode))
     assert system.run().status == "quiescent"
@@ -109,7 +106,7 @@ def test_each_edge_message_closes_its_sorted_source_shards_once(
         closed.setdefault((int(target[4:]), payload["instance"], dst),
                           []).extend((payload["edge"], s)
                                      for s in payload["srcs"])
-    assert sorted(closed) == [(host, inst, o.node) for host in (0, 1)
+    assert sorted(closed) == [(host, inst, tail) for host in (0, 1)
                               for inst in ("i1", "i2", "i3")]
     for (host, _inst, nid), pairs in closed.items():
         assert len(pairs) == len(set(pairs)) == info.nodes[nid].waits[host]
