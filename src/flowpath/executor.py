@@ -3,7 +3,10 @@
 A host serializes its control work (prep and kernel enqueue run one task at
 a time), mirrors its slice of every running program instance, launches DMA
 transfers once it holds both the producer data and the consumer addresses,
-and keeps the store's logical refcounts honest via drain reports.
+and keeps the store's logical refcounts honest via drain reports. The prep
+and enqueue of a granted gang are one task, which costs both and applies
+the prep effects, then the enqueue effects, when it ends; a node prepped on
+its inputs (host-gated) enqueues in a task of its own once granted.
 
 Device traffic is per host: a host's share of a gang is one `KernelExec`
 record, whose shards, devices and input sources are static per (node,
@@ -16,7 +19,9 @@ failure can name it in each device's abort.
 The static tables are built once per distinct shape: edges with one pairs
 tuple, and nodes with one placement and in-edges, share them, so a program
 of many nodes of few shapes costs the few in setup time and memory. They
-are read-only once built.
+are read-only once built. They hold what prep reads per host, such as each
+consumer host's addr rows; the (device, bytes) rows of outputs and args are
+shared per shape too, in `ProgramInfo.rows`.
 
 What a node allocates where is stated once, by `ProgramInfo.buffers`: its
 outputs on its home host, a landing buffer for inbound transfers on each of
@@ -66,8 +71,11 @@ class EdgeInfo:
     src_port: int
     dst_port: int
     to_result: bool
-    pairs_by_chost: dict[int, tuple[ShardPair, ...]]   # by consumer host
+    # consumer host -> (its pair count, its addr rows by sorted source host)
+    inbound: dict[int, tuple[int, tuple[tuple[int, tuple], ...]]]
     chosts_by_src: dict[int, tuple[int, ...]]   # src shard -> consumer hosts
+    addr_hosts: frozenset[int]                    # source hosts sent addr rows
+    src_home: int                                 # host holding the source
     ext_arg: bool                                 # source is a handle-bound arg
     from_arg: bool                                # source is any arg node
 
@@ -84,7 +92,7 @@ class NodeInfo:
     in_edges: tuple[str, ...]
     out_edges: tuple[str, ...]
     input_sources: dict[int, tuple[int, ...]]    # device -> producer per arrival
-    recv_bytes: dict[int, int]                   # shard -> landing bytes
+    recv_rows: dict[int, tuple[tuple[int, int], ...]]   # host -> landing rows
     args_created: tuple[str, ...]
     waits: dict[int, int]                        # host -> gating source shards
     # (in-edge, dst shard -> pairs read in place), drained by its kernels
@@ -110,7 +118,7 @@ class ProgramInfo:
     Nodes and edges of one shape share the same tables (the dicts and
     tuples in `NodeInfo`, `EdgeInfo` and `ArgInfo`), so they are read-only
     once `build_program_info` returns: `submit_gangs` copies the HBM ask it
-    hands on. Only `plans` and `digests` fill in as instances run.
+    hands on. Only `plans`, `digests` and `rows` fill in as instances run.
     """
 
     pid: str
@@ -125,6 +133,8 @@ class ProgramInfo:
     plans: dict = field(default_factory=dict)     # dispatch mode -> plan
     # bound-arg digests -> result digests: values are a pure function of them
     digests: dict = field(default_factory=dict)
+    # (placement, bytes per shard) -> its (device, bytes) row per shard
+    rows: dict = field(default_factory=dict)
 
     def out_handle(self, instance: str, nid: str, port: int) -> str:
         return f"o.{instance}.{nid}.{port}"
@@ -139,37 +149,35 @@ class ProgramInfo:
         return [self.out_handle(instance, src, port)
                 for _rid, src, port in self.results]
 
-    def source(self, instance: str, ei: EdgeInfo) -> tuple[str, int]:
-        """The buffer an edge reads and the host whose store holds it."""
-        if ei.src in self.args:
-            return (self.arg_handle(instance, ei.src),
-                    self.args[ei.src].home_host)
-        return (self.out_handle(instance, ei.src, ei.src_port),
-                self.nodes[ei.src].home_host)
-
     def buffers(self, instance: str, nid: str, host: int):
         """The store rows `host` creates when it preps `nid`.
 
         Yields (handle, [(device, bytes)] per shard, refcount, client-held).
         This is the one statement of what a node allocates where: the gang's
         HBM ask, prep and the give-back of an unused grant all read it.
+        The rows are built once per shape and shared; only handles are new.
         """
         ni = self.nodes[nid]
         if host == ni.home_host:
             for port, nbytes in enumerate(ni.fn.out_bytes):
                 rc, held = self._refs(ni.out_edges, port)
                 yield (self.out_handle(instance, nid, port),
-                       [(d, nbytes) for d in ni.devices], rc, held)
-        recv = [(ni.devices[s], ni.recv_bytes.get(s, 0))
-                for s in ni.local_shards.get(host, ())]
-        if any(nb for _d, nb in recv):
+                       self._rows(ni.devices, nbytes), rc, held)
+        recv = ni.recv_rows.get(host)
+        if recv is not None:
             yield self.recv_handle(instance, nid, host), recv, 1, False
         for aid in ni.args_created:
             a = self.args[aid]
             if host == a.home_host:
                 rc, held = self._refs(a.out_edges, 0)
                 yield (self.arg_handle(instance, aid),
-                       [(d, a.bytes_per_shard) for d in a.placement], rc, held)
+                       self._rows(a.placement, a.bytes_per_shard), rc, held)
+
+    def _rows(self, devs: tuple[int, ...], nbytes: int) -> tuple:
+        rows = self.rows.get((devs, nbytes))
+        if rows is None:
+            rows = self.rows[devs, nbytes] = tuple((d, nbytes) for d in devs)
+        return rows
 
     def _refs(self, out_edges: tuple[str, ...], port: int) -> tuple[int, bool]:
         """Each (consuming edge, consumer host) holds one ref, released by
@@ -184,7 +192,7 @@ class ProgramInfo:
             if ei.to_result:
                 held = True
             else:
-                rc += len(ei.pairs_by_chost)
+                rc += len(ei.inbound)
         return max(rc + held, 1), held
 
 
@@ -210,30 +218,42 @@ def _by_host(devs: tuple[int, ...], host_of) -> tuple[dict, dict, tuple]:
     return local, local_devs, tuple(local)
 
 
-def _pair_tables(pairs: tuple[ShardPair, ...], host_of) -> tuple[dict, dict, dict]:
-    """An edge's pairs by consumer host, source shard -> its sorted consumer
-    hosts, and dst shard -> pairs read in place (on one device)."""
+def _pair_tables(pairs: tuple[ShardPair, ...],
+                 host_of) -> tuple[dict, dict, dict, frozenset]:
+    """An edge's tables: consumer host -> (its pair count, the addr rows of
+    its remote pairs grouped by sorted source host), source shard -> its
+    sorted consumer hosts, dst shard -> pairs read in place (on one device),
+    and the source hosts that get addr rows."""
     by_chost: dict[int, list[ShardPair]] = {}
-    same: dict[int, int] = {}
     for pr in pairs:
         by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
-        if pr.src_dev == pr.dst_dev:
-            same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
+    same: dict[int, int] = {}
+    inbound: dict[int, tuple] = {}
     chosts: dict[int, list[int]] = {}
     for h in sorted(by_chost):          # each shard's hosts come out sorted
+        rows: dict[int, list[tuple]] = {}
         for pr in by_chost[h]:
             hs = chosts.setdefault(pr.src_shard, [])
             if not hs or hs[-1] != h:
                 hs.append(h)
-    return ({h: tuple(by_chost[h]) for h in sorted(by_chost)},
-            {s: tuple(hs) for s, hs in chosts.items()}, same)
+            if pr.src_dev == pr.dst_dev:
+                same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
+            else:
+                rows.setdefault(host_of[pr.src_dev], []).append(
+                    (pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes))
+        inbound[h] = (len(by_chost[h]),
+                      tuple((sh, tuple(rows[sh])) for sh in sorted(rows)))
+    return (inbound, {s: tuple(hs) for s, hs in chosts.items()}, same,
+            frozenset(sh for _n, by_src in inbound.values()
+                      for sh, _rows in by_src))
 
 
 def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
             pair_tables: dict) -> tuple[dict, dict, dict]:
     """What a node's devices and in-edges fix about its inputs: device ->
-    producer device per inbound transfer, shard -> landing bytes, and host
-    -> gating source shards.
+    producer device per inbound transfer, host -> the (device, landing
+    bytes) rows of its shards where any lands, and host -> gating source
+    shards.
 
     `ins` has one (pairs, source shards, from an arg, from a bound arg) per
     in-edge, in edge order.
@@ -255,12 +275,17 @@ def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
         # host-gated readiness: the home host hears every source shard of
         # each edge a predecessor gang feeds, another host only the source
         # shards paired with its own shards
-        for h, prs in pair_tables[pairs][0].items():
-            if h != home:
-                waits[h] = waits.get(h, 0) + len({pr.src_shard for pr in prs})
+        for hs in pair_tables[pairs][1].values():
+            for h in hs:
+                if h != home:
+                    waits[h] = waits.get(h, 0) + 1
         waits[home] = waits.get(home, 0) + src_shards
+    recv: dict[int, list[tuple[int, int]]] = {}
+    for shard, dev in enumerate(devs):
+        recv.setdefault(host_of[dev], []).append((dev, landing.get(shard, 0)))
     return ({d: tuple(v) for (_s, d), v in sorted(sources.items())},
-            landing, waits)
+            {h: tuple(rows) for h, rows in recv.items()
+             if any(nb for _d, nb in rows)}, waits)
 
 
 def _hbm_ask(info: ProgramInfo, ni: NodeInfo) -> dict[int, int]:
@@ -301,15 +326,16 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         src_n = p.node(e.src)
         from_arg = isinstance(src_n, ArgNode)
         ext = from_arg and src_n.handle is not None
-        by_chost, chosts, same = _shared(pair_tables, le.pairs, _pair_tables,
-                                         le.pairs, host_of)
+        inbound, chosts, same, addr_hosts = _shared(
+            pair_tables, le.pairs, _pair_tables, le.pairs, host_of)
         if same and not ext:
             # drained once the consumer's kernel has run, on the shard's host
             drains.setdefault(e.dst, []).append((eid, same))
         edges[eid] = EdgeInfo(
             src=e.src, dst=e.dst, src_port=e.src_port, dst_port=e.dst_port,
             to_result=isinstance(p.node(e.dst), ResultNode),
-            pairs_by_chost=by_chost, chosts_by_src=chosts,
+            inbound=inbound, chosts_by_src=chosts, addr_hosts=addr_hosts,
+            src_home=host_of[lp.placement[e.src][0]],
             ext_arg=ext, from_arg=from_arg)
         in_eids.setdefault(e.dst, []).append(eid)
         out_eids.setdefault(e.src, []).append(eid)
@@ -338,7 +364,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         devs = lp.placement[n.id]
         local, local_devs, hosts = _shared(placed, devs, _by_host, devs, host_of)
         key = shape[n.id] = (devs, tuple(ins.get(n.id, ())))
-        input_sources, recv_bytes, waits = _shared(
+        input_sources, recv_rows, waits = _shared(
             inputs, key, _inputs, *key, host_of, pair_tables)
         nodes[n.id] = NodeInfo(
             nid=n.id, fn=n.fn, devices=devs, hosts=hosts,
@@ -346,7 +372,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             local_devices=local_devs,
             in_edges=tuple(in_eids.get(n.id, ())),
             out_edges=tuple(out_eids.get(n.id, ())),
-            input_sources=input_sources, recv_bytes=recv_bytes,
+            input_sources=input_sources, recv_rows=recv_rows,
             args_created=tuple(created.get(n.id, ())), waits=waits,
             local_drains=tuple(drains.get(n.id, ())))
 
@@ -433,8 +459,10 @@ class HostExecutor(Process):
 
     # -- serialized host work ----------------------------------------------
 
-    def _push_task(self, task: tuple) -> None:
-        self._tasks.append(task)
+    def _push_task(self, instance: str, nid: str, *steps: tuple) -> None:
+        """Queue one task of back-to-back ("prep" | "enqueue", ns) steps;
+        its cost, their sum, is fixed now."""
+        self._tasks.append((instance, nid, steps, sum(ns for _k, ns in steps)))
         if not self._working:
             self._start_next()
 
@@ -443,27 +471,21 @@ class HostExecutor(Process):
             self._working = False
             return
         self._working = True
-        kind, instance, nid = self._tasks[0]
-        if kind == "prep":
-            cost = self.costs.host_prep_ns
-        else:
-            # the instance may have left this host since the task was queued
-            ni = self.runtime.instances[instance].program.nodes[nid]
-            cost = self.costs.pcie_enqueue_ns * len(ni.local_shards[self.host_id])
-        self.sim.schedule_in(cost, self.pid, "task_done",
-                             {"start": self.sim.now()})
+        self.sim.schedule_in(self._tasks[0][3], self.pid, "task_done")
 
-    def _finish_task(self, payload: dict) -> None:
-        kind, instance, nid = self._tasks.pop(0)
-        if self.sim.record_trace:
-            self.sim.trace_span(self.host_id, 100_000 + self.host_id,
-                                f"{kind} {nid}", payload["start"],
-                                self.sim.now(), kind, instance)
-        if instance in self.inst:
-            if kind == "prep":
-                self._prep_effects(instance, nid)
-            else:
-                self._enqueue_effects(instance, nid)
+    def _finish_task(self) -> None:
+        instance, nid, steps, cost = self._tasks.pop(0)
+        t = self.sim.now() - cost
+        for kind, ns in steps:
+            if self.sim.record_trace:
+                self.sim.trace_span(self.host_id, 100_000 + self.host_id,
+                                    f"{kind} {nid}", t, t + ns, kind, instance)
+            t += ns
+            if instance in self.inst:
+                if kind == "prep":
+                    self._prep_effects(instance, nid)
+                else:
+                    self._enqueue_effects(instance, nid)
         self._start_next()
 
     # -- dispatch triggers -------------------------------------------------
@@ -472,7 +494,7 @@ class HostExecutor(Process):
         if kind == "go":
             self._on_go(payload)
         elif kind == "task_done":
-            self._finish_task(payload)
+            self._finish_task()
         elif kind in ("edge_fut", "edge_dat"):
             self._on_edge_update(payload)
         elif kind == "addr":
@@ -510,10 +532,16 @@ class HostExecutor(Process):
                 self._release_grant_reservation(meta.program, instance, nid)
             return
         st.ticket[nid] = payload["ticket"]
+        ni = st.meta.program.nodes[nid]
+        enqueue = ("enqueue", self.costs.pcie_enqueue_ns
+                   * len(ni.local_shards[self.host_id]))
         if st.prep.get(nid) is None:
+            # a granted gang preps and enqueues in one task
             st.prep[nid] = "queued"
-            self._push_task(("prep", instance, nid))
-        self._push_task(("enqueue", instance, nid))
+            self._push_task(instance, nid, ("prep", self.costs.host_prep_ns),
+                            enqueue)
+        else:       # prepped, or queued to prep, by its inputs (host-gated)
+            self._push_task(instance, nid, enqueue)
 
     def _waits(self, instance: str, nid: str) -> int:
         """Gating source shards this host expects for a host-gated node."""
@@ -527,7 +555,7 @@ class HostExecutor(Process):
         # a node already prepped on `go` ignores its inputs' announcement
         if st.prep.get(nid) is None:
             st.prep[nid] = "queued"
-            self._push_task(("prep", instance, nid))
+            self._push_task(instance, nid, ("prep", self.costs.host_prep_ns))
 
     # -- prep: allocate buffers, exchange addresses, maybe submit ----------
 
@@ -552,22 +580,14 @@ class HostExecutor(Process):
 
         for eid in ni.in_edges:
             ei = info.edges[eid]
-            if ei.ext_arg:
+            mine = ei.inbound.get(self.host_id)
+            if ei.ext_arg or mine is None:
                 continue
-            my_pairs = ei.pairs_by_chost.get(self.host_id, ())
-            if my_pairs:
-                st.drain_pending[eid] = st.drain_pending.get(eid, 0) + len(my_pairs)
-            by_src_host: dict[int, list] = {}
-            for pr in my_pairs:
-                if pr.src_dev == pr.dst_dev:
-                    continue
-                sh = self.cluster.device(pr.src_dev).host_id
-                by_src_host.setdefault(sh, []).append(
-                    [pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes])
-            for sh in sorted(by_src_host):
+            npairs, by_src_host = mine
+            st.drain_pending[eid] = st.drain_pending.get(eid, 0) + npairs
+            for sh, rows in by_src_host:
                 self._send(f"host{sh}", "addr",
-                           {"instance": instance, "edge": eid,
-                            "pairs": by_src_host[sh],
+                           {"instance": instance, "edge": eid, "pairs": rows,
                             "from_host": self.host_id}, critical=True)
 
         if (st.meta.modes[nid] in ("fut", "dat")
@@ -579,9 +599,8 @@ class HostExecutor(Process):
                                    nid: str) -> None:
         """Give back the part of a gang reservation that this host's prep
         would have turned into store rows."""
-        self.cluster.release_hbm(
-            shard for _h, shards, _rc, _held
-            in info.buffers(instance, nid, self.host_id) for shard in shards)
+        for _h, shards, _rc, _held in info.buffers(instance, nid, self.host_id):
+            self.cluster.release_hbm(shards)
 
     # -- enqueue: kernels to devices, future handoff downstream -------------
 
@@ -653,8 +672,10 @@ class HostExecutor(Process):
     def _mark_src_ready(self, instance: str, eid: str,
                         shards: tuple[int, ...] | list[int]) -> None:
         st = self.inst[instance]
-        st.src_done.setdefault(eid, set()).update(shards)
-        self._launch_ready(instance, eid)
+        # only a host that holds a source of a remote pair hears its address
+        if self.host_id in st.meta.program.edges[eid].addr_hosts:
+            st.src_done.setdefault(eid, set()).update(shards)
+            self._launch_ready(instance, eid)
         if shards:
             self._emit_edge_update(instance, eid, shards, "dat")
 
@@ -704,16 +725,15 @@ class HostExecutor(Process):
                 self._drain(instance, eid, n_local)
         if st.kdone[nid] == len(ni.local_shards[self.host_id]):
             del st.kernels[nid]
-            recv = info.recv_handle(instance, nid, self.host_id)
-            if recv in self.store.buffers:
-                self.store.release(recv)
+            if self.host_id in ni.recv_rows:
+                self.store.release(info.recv_handle(instance, nid,
+                                                    self.host_id))
 
     def _drain(self, instance: str, eid: str, n: int) -> None:
         st = self.inst[instance]
         st.drain_pending[eid] = st.drain_pending.get(eid, 0) - n
         if st.drain_pending[eid] == 0:
-            info = st.meta.program
-            _handle, home = info.source(instance, info.edges[eid])
+            home = st.meta.program.edges[eid].src_home
             self._send(f"host{home}", "drain",
                        {"instance": instance, "edge": eid,
                         "from_host": self.host_id}, critical=False)
@@ -723,9 +743,11 @@ class HostExecutor(Process):
         st = self.inst.get(instance)
         if st is None:
             return
+        # the buffer the edge reads, which this host (`src_home`) holds
         info = st.meta.program
-        handle, _home = info.source(instance, info.edges[eid])
-        self.store.release(handle)
+        ei = info.edges[eid]
+        self.store.release(info.arg_handle(instance, ei.src) if ei.from_arg
+                           else info.out_handle(instance, ei.src, ei.src_port))
 
     def _on_xfer_arrived(self, payload: dict) -> None:
         # the device counts arrivals to gate the kernel; the host only drains

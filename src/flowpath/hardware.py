@@ -6,11 +6,12 @@ message carries it, and each of the host's devices appends it to its own
 queue (gangs of different programs interleave per device) and runs its
 shard when the record reaches its head. A collective kernel blocks its
 device at the head of the queue until every member of the group has
-reached the matching kernel. The rendezvous keeps the member device ids;
-the last arrival schedules one `collective_done` event, which completes all
-members at the same virtual instant, and the cluster hook hears each member
-host's record once. Data transfers ride DMA paths and overlap compute. HBM
-is a per-device byte budget that the gang scheduler reserves from.
+reached the matching kernel. The rendezvous keeps the member hosts'
+records, each with a count of its devices arrived so far; the last arrival
+schedules one `collective_done` event, which finishes the records one by
+one at the same virtual instant, and the cluster hook hears each record
+once. Data transfers ride DMA paths and overlap compute. HBM is a
+per-device byte budget that the gang scheduler reserves from.
 """
 from __future__ import annotations
 
@@ -108,14 +109,18 @@ class DeviceProcess(Process):
             self.cluster.on_kernels_done(k, [k.shard_on(self.device_id)])
             self._try_start()
         elif kind == "collective_done":
-            # finish every member, report each member host's record once,
+            # finish each member record on its devices and report it once,
             # then start each member's next kernel
-            devs = [self.cluster.devices[d] for d in payload["members"]]
+            devices = self.cluster.devices
             end = self.sim.now()
-            for k in dict.fromkeys([d._finish(end) for d in devs]):
+            records = payload["records"]
+            for k in records:
+                for d in k.devices:
+                    devices[d]._finish(end)
                 self.cluster.on_kernels_done(k, list(k.shards))
-            for dev in devs:
-                dev._try_start()
+            for k in records:
+                for d in k.devices:
+                    devices[d]._try_start()
         elif kind == "abort_kernel":
             self._abort(payload)
         else:
@@ -217,8 +222,14 @@ class DeviceProcess(Process):
     def wait_edges(self) -> list[tuple[str, str]]:
         edges = []
         if self._at_rendezvous():
-            missing = self.cluster.collective_missing(self.executing)
-            edges += [(self.pid, f"dev{d}") for d in missing]
+            # a member device not executing a record of this rendezvous
+            # has not reached it
+            key = self.executing.collective_key
+            devices = self.cluster.devices
+            edges += [(self.pid, f"dev{d}")
+                      for d in sorted(self.executing.group)
+                      if getattr(devices[d].executing, "collective_key",
+                                 None) != key]
         elif self.queue and not self._inputs_ready(self.queue[0]):
             srcs = self.queue[0].input_sources[self.device_id]
             edges += [(self.pid, f"dev{d}") for d in srcs
@@ -240,8 +251,9 @@ class Cluster:
         self.island_devices: dict[int, list[int]] = {}
         self.host_devices: dict[int, list[int]] = {}
         self.host_island: dict[int, int] = {}
-        # collective key -> member devices arrived so far, in arrival order
-        self._rendezvous: dict[str, list[int]] = {}
+        # collective key -> [member devices still to arrive, {record: its
+        # devices arrived}], records in order of their first arrival
+        self._rendezvous: dict[str, list] = {}
         did = 0
         hid = 0
         for iid, isl in enumerate(spec.islands):
@@ -323,28 +335,28 @@ class Cluster:
         """One member device reached the rendezvous, now."""
         key = k.collective_key
         assert key is not None
-        arrived = self._rendezvous.get(key)
-        if arrived is None:
-            arrived = self._rendezvous[key] = []
-        arrived.append(dev.device_id)
-        if len(arrived) == k.group_size:
-            # this is the last arrival: one event finishes every member
+        rv = self._rendezvous.get(key)
+        if rv is None:
+            rv = self._rendezvous[key] = [k.group_size, {}]
+        records = rv[1]
+        records[k] = records.get(k, 0) + 1
+        rv[0] -= 1
+        if rv[0] == 0:
+            # this is the last arrival: one event finishes every record
             del self._rendezvous[key]
             self.sim.schedule_in(k.duration_ns, dev.pid, "collective_done",
-                                 {"members": arrived})
+                                 {"records": list(records)})
 
     def rendezvous_cancel(self, dev: DeviceProcess, k: KernelExec) -> None:
-        arrived = self._rendezvous.get(k.collective_key or "")
-        if arrived is not None:
-            arrived.remove(dev.device_id)
-            if not arrived:
-                del self._rendezvous[k.collective_key]
-
-    def collective_missing(self, k: KernelExec) -> list[int]:
-        arrived = self._rendezvous.get(k.collective_key or "")
-        if arrived is None:
-            return []
-        return sorted(set(k.group).difference(arrived))
+        rv = self._rendezvous.get(k.collective_key or "")
+        if rv is not None:
+            records = rv[1]
+            rv[0] += 1
+            records[k] -= 1
+            if not records[k]:
+                del records[k]
+                if not records:
+                    del self._rendezvous[k.collective_key]
 
 
 def enqueue_kernel(sim: Simulator, kernel: KernelExec,

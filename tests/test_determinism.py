@@ -41,20 +41,20 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "3c6a90bd1fe94a8bec593b732bbf41687990ec2edb436b2018c3931e3e3ad3e5",
+        "30ed98f325c4ac0fb064b84bf89456dd51fbfb87e287d8c20cb980547d2c8e1f",
     "sequential":
-        "0a1a1bdda81a6ea801a9d6cff4f50e83497e7becbeee081d1f2f820d3b9d3b6e",
+        "e293457c9f1e6818d1672a0f8a9b192685019ae712d8d55ddd785744a231a2c2",
     "auto":
-        "8cd41694f5a093e66b1b1cb3ef5d9b090f3c330533ea7340b77b3139be0c9df9",
+        "de338557a9da31d5b7189c753c24ea8f6b9d152927b9948765a6da4fe0286e4d",
 }
 
 SCHEDULE_PINS = {
     "parallel":
-        "ac288a2fe2b0e6827d25a5b9ffb75495e7ad2d759a3ad85140a3244fe13bc94e",
+        "a5e77412abea0c4bcd3003b3d8fec153c0eca4e58b501b1c9820c199edbd2c17",
     "sequential":
-        "dc19ed8dad56dc6cb73684ea12c1c2be6e5e14db6bbf26865ae0e6edf20526b8",
+        "b8c688b1d6b1ee3d0faa24dd4b5c98681d142cf7a78eea7c95d30791dbed40ec",
     "auto":
-        "7ff4f6268da82dfdb3b2c1d77b0e88900ff51ede1b99f8d580b5163457d95783",
+        "5b2e10ab2de4d7332b7229171b52fbedfc3573aa0da329c5f97b78a2f1fdf6b3",
 }
 
 COMPLETION_PINS = {

@@ -7,6 +7,7 @@ scheduler decision 10us, scheduler send 5us, control hop 50us, host prep
 reaches an idle device at 580us; see the per-test derivations.
 """
 import copy
+from collections import Counter
 
 import pytest
 
@@ -16,8 +17,8 @@ from flowpath.config import small_cluster
 from flowpath.coord import edge_id
 from flowpath.executor import HostExecutor
 from flowpath.hardware import KernelExec, transfer_ns
-from flowpath.ir import (ArgNode, CompiledFunction, Tracer, arg_consumers,
-                         chain_program, lower)
+from flowpath.ir import (ArgNode, CompiledFunction, ResultNode, Tracer,
+                         arg_consumers, chain_program, lower)
 from flowpath.runtime import (ClientProcess, SerialChainJob, StreamJob, System,
                               steady_rate)
 from flowpath.simcore import us
@@ -150,6 +151,113 @@ def test_paper_scale_collective_chain_costs_per_gang(monkeypatch):
     assert stats.events <= 2.5 * 16 * n          # events per device-kernel
     assert records == 16 * 512
     assert audit_leaks(sys_.cluster) == {}
+
+
+# -- host tasks: a granted gang preps and enqueues in one task --------------
+
+def small_chain(mode, **kw):
+    """A 3-node chain of 4 shards on 2 hosts x 2 devices, 3 instances with
+    window 2; outside parallel mode its middle node is data-dependent."""
+    fns = [CompiledFunction(name, 4, (4 * KB,), (4 * KB,), 20.0,
+                            regular=(name != "mid" or mode == "parallel"))
+           for name in ("head", "mid", "tail")]
+    sys_ = System(small_cluster(hosts=2, devices_per_host=2), **kw)
+    sys_.register_traced("chain", chain_program(fns))
+    c = sys_.add_client("c0")
+    sys_.start_job(c, StreamJob(sys_.new_job_id(), "chain", 3, window=2,
+                                mode=mode))
+    return sys_, c
+
+
+def delivered(sys_, kind):
+    """(t_ns, target, payload) of each `kind` message delivered, batched or
+    not."""
+    out = []
+    for t, _seq, target, k, p in sys_.sim.log:
+        msgs = p["messages"] if k == "batch" else [{"kind": k, "payload": p}]
+        out += [(t, target, m["payload"]) for m in msgs if m["kind"] == kind]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+def test_one_host_task_per_granted_gang(mode):
+    sys_, _c = small_chain(mode, record_log=True)
+    assert sys_.run().status == "quiescent"
+    gangs = [(target, p["instance"], p["node"])
+             for _t, target, p in delivered(sys_, "go")]
+    assert len(set(gangs)) == len(gangs) == 2 * 9
+    # a host-gated node preps when its inputs are announced, before its
+    # grant, and enqueues on the grant: two tasks on each of its hosts
+    gated = Counter(f"host{h}" for meta in sys_.instances.values()
+                    for nid, how in meta.modes.items() if how != "go"
+                    for h in meta.program.nodes[nid].hosts)
+    assert bool(gated) == (mode != "parallel")
+    tasks = Counter(target for _t, _seq, target, kind, _p in sys_.sim.log
+                    if kind == "task_done")
+    assert tasks == Counter(target for target, _i, _n in gangs) + gated
+    for h in sys_.hosts.values():
+        assert h.stats["preps"] == h.stats["enqueues"] == 9
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+def test_granted_gang_lane_keeps_prep_then_enqueue(mode):
+    sys_, _c = small_chain(mode, record_log=True, record_trace=True)
+    assert sys_.run().status == "quiescent"
+    lanes = {}
+    for t in sys_.sim.trace:
+        if t.category in ("prep", "enqueue"):
+            assert t.tid == 100_000 + t.pid
+            lanes.setdefault(t.pid, []).append(t)
+    prep_ns, enqueue_ns = sys_.costs.host_prep_ns, 2 * sys_.costs.pcie_enqueue_ns
+    for host, spans in lanes.items():
+        spans.sort(key=lambda t: t.start_ns)
+        assert all(a.end_ns <= b.start_ns for a, b in zip(spans, spans[1:]))
+        by = {(t.category, t.instance, t.name.split()[1]): t for t in spans}
+        assert len(by) == len(spans) == 2 * 9
+        for (cat, inst, nid), t in by.items():
+            if cat == "prep":
+                assert t.end_ns - t.start_ns == prep_ns
+                continue
+            assert t.end_ns - t.start_ns == enqueue_ns
+            if sys_.instances[inst].modes[nid] == "go":
+                assert by["prep", inst, nid].end_ns == t.start_ns
+        # the first grant lands at 570us on an idle host, as it always did
+        assert [(t.name, t.start_ns, t.end_ns) for t in spans[:2]] == [
+            ("prep n1", us(570), us(575)), ("enqueue n1", us(575), us(585))]
+
+
+def test_client_death_during_a_merged_host_task(monkeypatch):
+    """Both hosts start i1/n1's merged task when its grant lands at 570us
+    (prep 5us, then 2 enqueues of 5us); the client dies and the fleet hears
+    at 580us, before the task ends. Its effects are skipped, and each
+    host gives the grant back exactly once."""
+    given = []
+    give_back = HostExecutor._release_grant_reservation
+
+    def spy(self, info, instance, nid):
+        given.append((self.host_id, instance, nid))
+        return give_back(self, info, instance, nid)
+
+    monkeypatch.setattr(HostExecutor, "_release_grant_reservation", spy)
+    sys_, c = small_chain("parallel", record_log=True)
+    sys_.fail_client(c, at_ns=us(580), detect_ns=0)
+    stats = sys_.run()
+    assert stats.status == "quiescent", stats.blocked
+    for h in (0, 1):
+        host = f"host{h}"
+        rows = [(t, kind) for t, _seq, target, kind, _p in sys_.sim.log
+                if target == host and kind in ("go", "client_failed",
+                                                "task_done")]
+        assert rows[:3] == [(us(570), "go"), (us(580), "client_failed"),
+                            (us(585), "task_done")]
+        assert sys_.hosts[h].stats == {"ctrl_msgs": 0, "preps": 0,
+                                       "enqueues": 0}
+        assert (h, "i1", "n1") in given
+    assert len(set(given)) == len(given)
+    assert audit_leaks(sys_.cluster) == {}
+    assert audit_no_double_free(sys_.audit) == []
+    assert sys_.gang_left == {} and sys_.cluster._rendezvous == {}
+    assert not any(d.queue or d._arrivals for d in sys_.cluster.devices)
 
 
 # -- content digests -------------------------------------------------------
@@ -468,11 +576,16 @@ def _naive_tables(lp, cluster):
     p = lp.program
     host_of = {d.device_id: d.host_id for d in cluster.devices}
 
-    def by_chost(pairs):
+    def inbound(pairs):
         out = {}
-        for pr in pairs:
-            out.setdefault(host_of[pr.dst_dev], []).append(pr)
-        return {h: tuple(v) for h, v in out.items()}
+        for h in {host_of[pr.dst_dev] for pr in pairs}:
+            mine = [pr for pr in pairs if host_of[pr.dst_dev] == h]
+            remote = [pr for pr in mine if pr.src_dev != pr.dst_dev]
+            out[h] = (len(mine), tuple(
+                (sh, tuple((pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes)
+                           for pr in remote if host_of[pr.src_dev] == sh))
+                for sh in sorted({host_of[pr.src_dev] for pr in remote})))
+        return out
 
     def chosts_by_src(pairs):
         return {s: tuple(sorted({host_of[pr.dst_dev] for pr in pairs
@@ -480,8 +593,29 @@ def _naive_tables(lp, cluster):
                 for s in {pr.src_shard for pr in pairs}}
 
     edges = {edge_id(le.edge.src, le.edge.dst, le.edge.dst_port):
-             (by_chost(le.pairs), chosts_by_src(le.pairs))
+             (inbound(le.pairs), chosts_by_src(le.pairs),
+              {host_of[pr.src_dev] for pr in le.pairs
+               if pr.src_dev != pr.dst_dev},
+              host_of[lp.placement[le.edge.src][0]])
              for le in lp.edges}
+
+    def refs(nid, port):
+        """(refcount, client-held) of one output buffer."""
+        rc, held = 0, False
+        for le in lp.edges:
+            if (le.edge.src, le.edge.src_port) != (nid, port):
+                continue
+            if isinstance(p.nodes[le.edge.dst], ResultNode):
+                held = True
+            else:
+                rc += len({host_of[pr.dst_dev] for pr in le.pairs})
+        return max(rc + held, 1), held
+
+    args = {}
+    for aid, a in p.nodes.items():
+        if isinstance(a, ArgNode):
+            args[aid] = (tuple((d, a.bytes_per_shard)
+                               for d in lp.placement[aid]), *refs(aid, 0))
     creator = arg_consumers(p)
     nodes = {}
     for n in p.compute_nodes:
@@ -521,8 +655,13 @@ def _naive_tables(lp, cluster):
                               for h, ss in local.items()},
             "waits": waits,
             "input_sources": {d: tuple(v) for d, v in sources.items()},
-            "recv_bytes": recv, "hbm_by_device": hbm}
-    return edges, nodes
+            "recv_rows": {h: tuple((devs[s], recv.get(s, 0)) for s in ss)
+                          for h, ss in local.items()
+                          if any(recv.get(s) for s in ss)},
+            "outputs": tuple((tuple((d, nb) for d in devs), *refs(n.id, port))
+                             for port, nb in enumerate(n.fn.out_bytes)),
+            "hbm_by_device": hbm}
+    return edges, nodes, args
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])
@@ -537,17 +676,35 @@ def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
         (prog, dmap), fail_us = _gather_program(), 2400
     lp = lower(prog, dmap)
     info = sys_.register_program("p", lp)
-    edges, nodes = _naive_tables(lp, sys_.cluster)
+    edges, nodes, args = _naive_tables(lp, sys_.cluster)
     for eid, ei in info.edges.items():
-        assert (ei.pairs_by_chost, ei.chosts_by_src) == edges[eid], eid
+        assert (ei.inbound, ei.chosts_by_src, ei.addr_hosts,
+                ei.src_home) == edges[eid], eid
     # edges with equal pairs share one table
     by_shape = {}
     for le in lp.edges:
         ei = info.edges[edge_id(le.edge.src, le.edge.dst, le.edge.dst_port)]
-        assert by_shape.setdefault(le.pairs, ei.chosts_by_src) is ei.chosts_by_src
+        tables = (ei.inbound, ei.chosts_by_src, ei.addr_hosts)
+        shared = by_shape.setdefault(le.pairs, tables)
+        assert all(a is b for a, b in zip(shared, tables))
     assert len(by_shape) < len(lp.edges)
+    made = {}      # handle -> (rows, refcount, client-held), at instance "x"
     for nid, ni in info.nodes.items():
-        assert {k: getattr(ni, k) for k in nodes[nid]} == nodes[nid], nid
+        want = dict(nodes[nid])
+        outputs = want.pop("outputs")
+        assert {k: getattr(ni, k) for k in want} == want, nid
+        makers = {*ni.hosts, *(info.args[a].home_host for a in ni.args_created)}
+        for h in makers:
+            made.update((b[0], b[1:]) for b in info.buffers("x", nid, h))
+        assert tuple(made[info.out_handle("x", nid, port)]
+                     for port in range(len(outputs))) == outputs, nid
+    for aid, want in args.items():
+        if not info.args[aid].ext:       # a bound arg is never created
+            assert made[info.arg_handle("x", aid)] == want, aid
+    # output and arg rows: one table per (placement, bytes per shard)
+    for h, (rows, _rc, _held) in made.items():
+        if not h.startswith("r."):
+            assert rows is info.rows[tuple(d for d, _nb in rows), rows[0][1]]
     # the tables are shared between nodes and instances: a run in which
     # the client dies midway writes none of them
     before = copy.deepcopy((info.nodes, info.edges, info.args))

@@ -9,7 +9,7 @@ from flowpath.hardware import (Cluster, HBMError, KernelExec,
                                transfer_ns)
 from flowpath.ir import CompiledFunction, Tracer, chain_program
 from flowpath.runtime import StreamJob, System
-from flowpath.simcore import Simulator, find_wait_cycle, us
+from flowpath.simcore import Process, Simulator, find_wait_cycle, us
 from flowpath.store import audit_leaks, audit_no_double_free
 
 MB = 1 << 20
@@ -228,6 +228,72 @@ def test_failure_drops_a_record_queued_behind_a_busy_kernel():
     assert audit_no_double_free(sys_.audit) == []
     assert not any(d._arrivals or d.queue for d in sys_.cluster.devices)
     assert sys_.cluster._rendezvous == {}
+
+
+class Probe(Process):
+    """Calls `look` whenever an event reaches it."""
+
+    def __init__(self, sim, look):
+        super().__init__(sim, "probe")
+        self.look = look
+
+    def handle(self, kind, payload, src):
+        self.look()
+
+
+def rendezvous_state(cl):
+    """key -> (devices still to arrive, [(record devices, arrived)])."""
+    return {key: (missing, [(r.devices, n) for r, n in records.items()])
+            for key, (missing, records) in cl._rendezvous.items()}
+
+
+def test_failure_with_a_host_record_partly_at_the_rendezvous():
+    """Client b's collective spans 2 hosts x 2 devices. Host 0's record
+    reaches the rendezvous on device 0 only, because device 1 runs client
+    a's 1ms kernel; host 1's record arrives on both devices. b dies then:
+    each arrival is cancelled and no rendezvous is left behind."""
+    sys_ = System(small_cluster(hosts=2, devices_per_host=2))
+    prog_a, sid_a = one_slice_program("long", 1, 1000.0)
+    prog_b, sid_b = one_slice_program("ar", 4, 50.0, collective=True)
+    sys_.register_traced("a", prog_a, {sid_a: (1,)})
+    info_b = sys_.register_traced("b", prog_b, {sid_b: (0, 1, 2, 3)})
+    a, b = sys_.add_client("a"), sys_.add_client("b")
+    job_a = StreamJob(sys_.new_job_id(), "a", count=1)
+    sys_.start_job(a, job_a)
+    sys_.start_job(b, StreamJob(sys_.new_job_id(), "b", count=1),
+                   at_ns=us(100))
+    sys_.fail_client(b, at_ns=us(900))
+    seen = []
+    Probe(sys_.sim, lambda: seen.append(rendezvous_state(sys_.cluster)))
+    sys_.sim.schedule_at(us(850), "probe", "look")
+    stats = sys_.run()
+    assert stats.status == "quiescent", stats.blocked
+    (inst_b,) = [i for i, m in sys_.instances.items() if m.client == "b"]
+    assert seen == [{f"{inst_b}/{info_b.order[0]}":
+                     (1, [((0, 1), 1), ((2, 3), 2)])}]
+    assert sys_.cluster._rendezvous == {}
+    assert job_a.done and b.completed_at == {}
+    assert audit_leaks(sys_.cluster) == {}
+    assert audit_no_double_free(sys_.audit) == []
+    assert not any(d.queue or d._arrivals or d.executing
+                   for d in sys_.cluster.devices)
+
+
+def test_deadlocked_collective_names_its_missing_member_devices():
+    """Host records (0, 1) and (2, 3) of one collective; device 3 first
+    queues a kernel whose input never comes, so host 1's record is at the
+    rendezvous on device 2 only, and every arrived member waits on dev3."""
+    sim, cl = make_cluster(hosts=2, devices_per_host=2)
+    group = (0, 1, 2, 3)
+    enqueue_kernel(sim, k("i", "stuck", (3,), shards=(0,), srcs={3: (0,)}),
+                   at=0)
+    enqueue_kernel(sim, k("i", "ar", (0, 1), key="ar", group=group), at=0)
+    enqueue_kernel(sim, k("i", "ar", (2, 3), key="ar", group=group), at=0)
+    assert sim.run_until_quiescent().status == "deadlock"
+    assert rendezvous_state(cl) == {"ar": (1, [((0, 1), 2), ((2, 3), 1)])}
+    graph = {p: e for p, e in sim.wait_for_graph().items() if e}
+    assert graph == {"dev0": {"dev3"}, "dev1": {"dev3"}, "dev2": {"dev3"},
+                     "dev3": {"dev0"}}
 
 
 def test_crossed_collectives_deadlock_and_cycle_is_found():
