@@ -59,7 +59,7 @@ from .hardware import Cluster, KernelExec
 from .ir import (ArgNode, CompiledFunction, ComputeNode, LoweredProgram,
                  ResultNode, ShardPair, arg_consumers)
 from .simcore import Process, Simulator
-from .store import HostStore
+from .store import HostStore, ShardRows
 
 
 # -- static program tables ---------------------------------------------------
@@ -117,8 +117,9 @@ class ProgramInfo:
 
     Nodes and edges of one shape share the same tables (the dicts and
     tuples in `NodeInfo`, `EdgeInfo` and `ArgInfo`), so they are read-only
-    once `build_program_info` returns: `submit_gangs` copies the HBM ask it
-    hands on. Only `plans`, `digests` and `rows` fill in as instances run.
+    once `build_program_info` returns: `submit_gangs` shares the HBM ask
+    with the scheduler, which only reads it. Only `plans`, `digests` and
+    `rows` fill in as instances run.
     """
 
     pid: str
@@ -134,7 +135,7 @@ class ProgramInfo:
     # bound-arg digests -> result digests: values are a pure function of them
     digests: dict = field(default_factory=dict)
     # (placement, bytes per shard) -> its (device, bytes) row per shard
-    rows: dict = field(default_factory=dict)
+    rows: dict[tuple, ShardRows] = field(default_factory=dict)
 
     def out_handle(self, instance: str, nid: str, port: int) -> str:
         return f"o.{instance}.{nid}.{port}"
@@ -173,10 +174,10 @@ class ProgramInfo:
                 yield (self.arg_handle(instance, aid),
                        self._rows(a.placement, a.bytes_per_shard), rc, held)
 
-    def _rows(self, devs: tuple[int, ...], nbytes: int) -> tuple:
+    def _rows(self, devs: tuple[int, ...], nbytes: int) -> ShardRows:
         rows = self.rows.get((devs, nbytes))
         if rows is None:
-            rows = self.rows[devs, nbytes] = tuple((d, nbytes) for d in devs)
+            rows = self.rows[devs, nbytes] = ShardRows((d, nbytes) for d in devs)
         return rows
 
     def _refs(self, out_edges: tuple[str, ...], port: int) -> tuple[int, bool]:
@@ -284,7 +285,7 @@ def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
     for shard, dev in enumerate(devs):
         recv.setdefault(host_of[dev], []).append((dev, landing.get(shard, 0)))
     return ({d: tuple(v) for (_s, d), v in sorted(sources.items())},
-            {h: tuple(rows) for h, rows in recv.items()
+            {h: ShardRows(rows) for h, rows in recv.items()
              if any(nb for _d, nb in rows)}, waits)
 
 
@@ -396,7 +397,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     return info
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceMeta:
     instance: str
     client: str
@@ -412,7 +413,7 @@ class InstanceMeta:
 
 # -- the host process --------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _InstState:
     meta: InstanceMeta
     prep: dict[str, str] = field(default_factory=dict)    # node -> queued/done
@@ -491,16 +492,20 @@ class HostExecutor(Process):
     # -- dispatch triggers -------------------------------------------------
 
     def handle(self, kind: str, payload: dict, src: str | None) -> None:
-        if kind == "go":
-            self._on_go(payload)
-        elif kind == "task_done":
+        # the kinds in order of how often they arrive
+        if kind == "task_done":
             self._finish_task()
+        elif kind == "go":
+            self._on_go(payload)
+        elif kind == "kernel_done":
+            self._on_kernel_done(payload)
+        elif kind == "batch":
+            for m in payload["messages"]:
+                self.handle(m["kind"], m["payload"], src)
         elif kind in ("edge_fut", "edge_dat"):
             self._on_edge_update(payload)
         elif kind == "addr":
             self._on_addr(payload)
-        elif kind == "kernel_done":
-            self._on_kernel_done(payload)
         elif kind == "xfer_arrived":
             self._on_xfer_arrived(payload)
         elif kind == "drain":
@@ -514,9 +519,6 @@ class HostExecutor(Process):
             self._on_instance_done(payload)
         elif kind == "client_failed":
             self._on_client_failed(payload)
-        elif kind == "batch":
-            for m in payload["messages"]:
-                self.handle(m["kind"], m["payload"], src)
         else:
             raise ValueError(f"host{self.host_id}: unknown message {kind}")
 

@@ -200,13 +200,6 @@ class DeviceProcess(Process):
             return True
         return False
 
-    def hbm_release(self, nbytes: int) -> None:
-        """Return bytes; `Cluster.release_hbm` tells waiting gangs."""
-        self.free_bytes += nbytes
-        if self.free_bytes > self.hbm_capacity:
-            raise HBMError(f"dev{self.device_id}: free {self.free_bytes} "
-                           f"exceeds capacity (double free?)")
-
     # -- introspection -----------------------------------------------------
 
     def obligations(self) -> list[str]:
@@ -286,12 +279,17 @@ class Cluster:
 
     def release_hbm(self, shards: Iterable[tuple[int, int]]) -> None:
         """Return (device, bytes) per shard, then tell the island of the
-        devices that got bytes back once, so its waiting gangs retry."""
+        devices that got bytes back once, so its waiting gangs retry. A
+        device left with more free bytes than it has (a double free) raises."""
         island = None
+        devices = self.devices
         for device_id, nbytes in shards:
             if nbytes:
-                dev = self.devices[device_id]
-                dev.hbm_release(nbytes)
+                dev = devices[device_id]
+                dev.free_bytes += nbytes
+                if dev.free_bytes > dev.hbm_capacity:
+                    raise HBMError(f"dev{device_id}: free {dev.free_bytes} "
+                                   "exceeds capacity (double free?)")
                 if dev.island_id != island:     # the hook is idempotent
                     island = dev.island_id
                     self.on_hbm_freed(dev)

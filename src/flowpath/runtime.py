@@ -158,14 +158,16 @@ class ClientProcess(Process):
         inst = payload["instance"]
         if inst in self.completed_at:
             return
-        seen = self.results_seen.setdefault(inst, set())
-        eid = payload["edge"]
-        for s in payload["shards"]:
-            seen.add((eid, s))
         info = self.system.instances[inst].program
-        if len(seen) < info.result_shards:
-            return
-        del self.results_seen[inst]
+        shards = payload["shards"]
+        # a host's shards are distinct: a message with as many as the
+        # results have, and none before it, carries them all
+        if len(shards) < info.result_shards or inst in self.results_seen:
+            seen = self.results_seen.setdefault(inst, set())
+            seen.update((payload["edge"], s) for s in shards)
+            if len(seen) < info.result_shards:
+                return
+            del self.results_seen[inst]
         self.completed_at[inst] = self.sim.now()
         self.system.finish_instance(inst)
         for h in info.all_hosts:
@@ -432,7 +434,7 @@ class System:
         modes, stages, triggers = info.plans[mode]
         self._inst_seq += 1
         inst = f"i{self._inst_seq}"
-        bindings = dict(bindings or {})
+        bindings = dict(bindings) if bindings else {}
         for aid, a in info.args.items():
             if a.ext and aid not in bindings:
                 raise ValidationError(f"arg {aid} needs a handle binding")
@@ -489,8 +491,9 @@ class System:
             ni = info.nodes[nid]
             island = self.cluster.device(ni.devices[0]).island_id
             # host-paced nodes allocate at prep time, so their grant carries
-            # no memory ask; "go" gangs reserve atomically at grant
-            hbm = dict(ni.hbm_by_device) if meta.modes[nid] == "go" else {}
+            # no memory ask; "go" gangs reserve atomically at grant, reading
+            # the node's shared ask
+            hbm = ni.hbm_by_device if meta.modes[nid] == "go" else {}
             g = GangRequest(
                 instance=inst, node=nid, client=meta.client,
                 devices=ni.devices, hosts=ni.hosts,

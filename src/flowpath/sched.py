@@ -11,6 +11,9 @@ ticket order. A gang that cannot reserve parks without holding anything;
 later gangs may overtake it only on devices it does not touch. A gang gets
 its ticket only once no parked gang shares a device with it, so each device
 has at most one ticket waiting and needs no line to keep ticket order.
+Freed bytes schedule one coalesced retry, and only while a gang is parked:
+a gang parks only in a decide task, whose own grant attempt already sees
+every byte freed before it.
 
 Policies: FIFO, or proportional share via stride scheduling. The stride
 charge is the gang's estimated device busy time over the client weight, so
@@ -30,7 +33,7 @@ from .hardware import Cluster
 from .simcore import Process, Simulator
 
 
-@dataclass
+@dataclass(slots=True)
 class GangRequest:
     """One gang: the shard kernels of one node of one program instance."""
 
@@ -58,12 +61,12 @@ class _FifoPolicy:
 
     def pop(self, blocked: set[int]) -> GangRequest | None:
         for i, g in enumerate(self.queue):
-            if not blocked.intersection(g.devices):
+            if blocked.isdisjoint(g.devices):
                 return self.queue.pop(i)
         return None
 
     def has_eligible(self, blocked: set[int]) -> bool:
-        return any(not blocked.intersection(g.devices) for g in self.queue)
+        return any(blocked.isdisjoint(g.devices) for g in self.queue)
 
     def __len__(self):
         return len(self.queue)
@@ -86,6 +89,7 @@ class _StridePolicy:
         self.clients: list[str] = []          # sorted keys of queues
         self.passes: dict[str, int] = {}
         self.global_pass = 0
+        self.queued = 0                       # gangs in all queues
 
     def push(self, g: GangRequest) -> None:
         if g.client not in self.queues:
@@ -97,32 +101,38 @@ class _StridePolicy:
             self.passes[g.client] = max(
                 self.passes.get(g.client, 0), self.global_pass)
         q.append(g)
-
-    def _eligible(self, blocked: set[int]) -> list[str]:
-        # per-client order is FIFO, so a client competes with its head gang
-        return [c for c in self.clients if self.queues[c]
-                and not blocked.intersection(self.queues[c][0].devices)]
+        self.queued += 1
 
     def pop(self, blocked: set[int]) -> GangRequest | None:
-        cands = self._eligible(blocked)
-        if not cands:
+        # a client competes with its head gang (its queue is FIFO); clients
+        # are sorted and only a lower pass wins, so a tie goes to the first
+        client, best = None, 0
+        passes, queues = self.passes, self.queues
+        for c in self.clients:
+            q = queues[c]
+            if (q and (client is None or passes[c] < best)
+                    and blocked.isdisjoint(q[0].devices)):
+                client, best = c, passes[c]
+        if client is None:
             return None
-        # cands are sorted, so min breaks a tie by client name
-        client = min(cands, key=self.passes.__getitem__)
-        g = self.queues[client].pop(0)
-        self.global_pass = self.passes[client]
-        self.passes[client] += g.busy_estimate * self.strides.get(
+        g = queues[client].pop(0)
+        self.queued -= 1
+        self.global_pass = best
+        passes[client] = best + g.busy_estimate * self.strides.get(
             client, self.default_stride)
         return g
 
     def has_eligible(self, blocked: set[int]) -> bool:
-        return bool(self._eligible(blocked))
+        if not self.queued or not blocked:
+            return self.queued > 0
+        return any(q and blocked.isdisjoint(q[0].devices)
+                   for q in self.queues.values())
 
     def __len__(self):
-        return sum(len(q) for q in self.queues.values())
+        return self.queued
 
     def drop_client(self, client: str) -> None:
-        self.queues.pop(client, None)
+        self.queued -= len(self.queues.pop(client, ()))
         self.clients = sorted(self.queues)
 
 
@@ -192,17 +202,14 @@ class IslandScheduler(Process):
     # -- serialized work loop ----------------------------------------------
 
     def _pump(self) -> None:
-        if not self._working and (
-                self._tasks or self.policy.has_eligible(self._blocked)):
-            self._start_next_task()
-
-    def _start_next_task(self) -> None:
+        """Start the next task, if idle and there is one."""
+        if self._working:
+            return
         if self._tasks:
             task = self._tasks.pop(0)
         elif self.policy.has_eligible(self._blocked):
             task = ("decide",)
         else:
-            self._working = False
             return
         self._working = True
         self._current = task
@@ -228,27 +235,31 @@ class IslandScheduler(Process):
                        else self.control_latency_ns)
                 self.sim.send(self.pid, dst, mkind, payload, latency=lat)
         self._working = False
-        self._start_next_task()
+        self._pump()
 
     # -- reservations ------------------------------------------------------
 
     def _try_grants(self) -> None:
         """Grant, in ticket order, each parked gang whose devices have room.
         Parked gangs share no device, so one grant cannot make room for
-        another: one pass suffices."""
+        another: one pass suffices. Tickets are parked in increasing order,
+        so the dict's order is ticket order."""
+        parked = self._parked
+        if not parked:
+            return
         devices = self.cluster.devices
-        for seq in sorted(self._parked):
-            gang = self._parked[seq]
-            if not all(devices[d].free_bytes >= need
-                       for d, need in gang.hbm.items()):
-                continue
-            for d, need in gang.hbm.items():   # atomic: all checked, take all
-                if need:
-                    taken = devices[d].hbm_try_take(need)
-                    assert taken
-            del self._parked[seq]
-            self._blocked.difference_update(gang.devices)
-            self._grant(seq, gang)
+        for seq, gang in list(parked.items()):
+            for d, need in gang.hbm.items():
+                if devices[d].free_bytes < need:
+                    break
+            else:
+                for d, need in gang.hbm.items():   # atomic: all fit, take all
+                    if need:
+                        taken = devices[d].hbm_try_take(need)
+                        assert taken
+                del parked[seq]
+                self._blocked.difference_update(gang.devices)
+                self._grant(seq, gang)
 
     def _grant(self, seq: int, gang: GangRequest) -> None:
         self.dispatched.append((seq, self.sim.now(), gang.client,
@@ -267,15 +278,16 @@ class IslandScheduler(Process):
         self._pump()
 
     def notify_hbm_freed(self) -> None:
-        """Called (via runtime hook) when device bytes return; coalesced."""
-        if not self._retry_queued:
+        """Called (via runtime hook) when device bytes return; coalesced,
+        and a no-op while no gang is parked."""
+        if self._parked and not self._retry_queued:
             self._retry_queued = True
             self.sim.schedule_in(0, self.pid, "hbm_freed", {})
 
     def _drop_client(self, client: str) -> None:
         self._dead_clients.add(client)
         self.policy.drop_client(client)
-        for seq in sorted(self._parked):
+        for seq in list(self._parked):
             if self._parked[seq].client == client:
                 self._blocked.difference_update(self._parked.pop(seq).devices)
         self._try_grants()

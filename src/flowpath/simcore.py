@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import sys
 from dataclasses import dataclass, field
 
 NS_PER_US = 1_000
@@ -117,26 +118,31 @@ class Simulator:
 
     def schedule_at(self, fire_at: int, target: str, kind: str,
                     payload: dict | None = None, src: str | None = None) -> int:
-        if fire_at < self.clock:
-            raise ScheduleInPastError(
-                f"fire_at {fire_at} < clock {self.clock} for {kind} -> {target}")
-        self._seq += 1
-        eid = self._seq
-        heapq.heappush(self._heap,
-                       (fire_at, eid, target, kind, payload or {}, src))
-        return eid
+        return self.schedule_in(fire_at - self.clock, target, kind, payload, src)
 
     def schedule_in(self, delay: int, target: str, kind: str,
                     payload: dict | None = None, src: str | None = None) -> int:
-        return self.schedule_at(self.clock + delay, target, kind, payload, src)
+        if delay < 0:
+            raise ScheduleInPastError(f"fire_at {self.clock + delay} < clock "
+                                      f"{self.clock} for {kind} -> {target}")
+        self._seq += 1
+        eid = self._seq
+        heapq.heappush(self._heap, (self.clock + delay, eid, target, kind,
+                                    payload or {}, src))
+        return eid
 
     def send(self, src: str, dst: str, kind: str, payload: dict | None = None,
              latency: int = 0) -> int:
         """Channel send: per (src, dst) pair deliveries never reorder."""
+        if latency < 0:
+            raise ScheduleInPastError(f"latency {latency}: {kind} -> {dst}")
         chan = (src, dst)
         deliver = max(self.clock + latency, self._chan_last.get(chan, 0))
         self._chan_last[chan] = deliver
-        return self.schedule_at(deliver, dst, kind, payload, src)
+        self._seq += 1
+        eid = self._seq
+        heapq.heappush(self._heap, (deliver, eid, dst, kind, payload or {}, src))
+        return eid
 
     def cancel(self, eid: int) -> None:
         """Drop an event that has not fired yet."""
@@ -173,17 +179,21 @@ class Simulator:
         arrive.
         """
         n = 0
-        while self._heap:
-            fire_at, eid, target, kind, payload, src = heapq.heappop(self._heap)
-            if eid in self._cancelled:
-                self._cancelled.discard(eid)
+        limit = sys.maxsize if max_events is None else max_events
+        heap, pop, procs = self._heap, heapq.heappop, self._procs
+        cancelled = self._cancelled
+        log = self.log if self.record_log else None
+        while heap:
+            fire_at, eid, target, kind, payload, src = pop(heap)
+            if eid in cancelled:
+                cancelled.discard(eid)
                 continue
             self.clock = fire_at
-            if self.record_log:
-                self.log.append((fire_at, eid, target, kind, payload))
-            self._procs[target].handle(kind, payload, src)
+            if log is not None:
+                log.append((fire_at, eid, target, kind, payload))
+            procs[target].handle(kind, payload, src)
             n += 1
-            if max_events is not None and n >= max_events:
+            if n >= limit:
                 raise SimError(f"exceeded max_events={max_events}")
         blocked = []
         for pid in self._procs:

@@ -16,6 +16,7 @@ A buffer's shards are allocated together in `put` and freed together in
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .hardware import Cluster
@@ -31,6 +32,16 @@ class UnknownHandleError(StoreError):
 
 class RefcountError(StoreError):
     """Release below zero: fatal accounting bug."""
+
+
+class ShardRows(tuple):
+    """(device, bytes) per shard, with their `total` bytes known once: the
+    rows a program's tables share between the buffers of one shape."""
+
+    def __new__(cls, rows: Iterable[tuple[int, int]]) -> ShardRows:
+        self = super().__new__(cls, rows)
+        self.total = sum(nb for _d, nb in self)
+        return self
 
 
 @dataclass(slots=True)
@@ -56,10 +67,11 @@ class HostStore:
         self.audit = audit if audit is not None else []
 
     def _log(self, op: str, handle: str, shards: list[tuple[int, int]]) -> None:
-        # most buffers have one shard; their row shares the shard's int
-        n = len(shards)
-        self.audit.append((op, handle, n, shards[0][1] if n == 1 else
-                           sum(nb for _d, nb in shards), self.host_id,
+        # rows from a program's tables share their total: no int per row
+        total = getattr(shards, "total", None)
+        if total is None:
+            total = sum(nb for _d, nb in shards)
+        self.audit.append((op, handle, len(shards), total, self.host_id,
                            self.cluster.sim.now()))
 
     # -- allocation --------------------------------------------------------

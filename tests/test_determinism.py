@@ -41,20 +41,20 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "30ed98f325c4ac0fb064b84bf89456dd51fbfb87e287d8c20cb980547d2c8e1f",
+        "388fb9fdc79cfe8c2e8fda3f50094e66a6b3f1f3a36de15659c77e4358cba5ae",
     "sequential":
-        "e293457c9f1e6818d1672a0f8a9b192685019ae712d8d55ddd785744a231a2c2",
+        "6174e8cfa5df3af70e1b2fbeb439a28763afde15f1f3d71ed11d48ba20b86733",
     "auto":
-        "de338557a9da31d5b7189c753c24ea8f6b9d152927b9948765a6da4fe0286e4d",
+        "4ffc2600ba2b49b26b1e43a2a292812a1440e6c4c43201008629bbdd467ccda8",
 }
 
 SCHEDULE_PINS = {
     "parallel":
-        "a5e77412abea0c4bcd3003b3d8fec153c0eca4e58b501b1c9820c199edbd2c17",
+        "7e4382f78fd9d882c8036f04f6bb1842a17c14b070c047e4af7729b8580262fe",
     "sequential":
-        "b8c688b1d6b1ee3d0faa24dd4b5c98681d142cf7a78eea7c95d30791dbed40ec",
+        "45025a1f8d82885024d9a94b16f4a2b0758228103bf0e61c7e001d90e3962ac9",
     "auto":
-        "5b2e10ab2de4d7332b7229171b52fbedfc3573aa0da329c5f97b78a2f1fdf6b3",
+        "02d8d15df9209fcba846add291871cf4669233a8df0adca34baf8833e2df0489",
 }
 
 COMPLETION_PINS = {

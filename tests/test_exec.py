@@ -13,9 +13,9 @@ import pytest
 
 from flowpath import executor, ir
 from flowpath.bench import one_gang_program, pipeline_program
-from flowpath.config import small_cluster
+from flowpath.config import Policy, small_cluster
 from flowpath.coord import edge_id
-from flowpath.executor import HostExecutor
+from flowpath.executor import HostExecutor, build_program_info
 from flowpath.hardware import KernelExec, transfer_ns
 from flowpath.ir import (ArgNode, CompiledFunction, ResultNode, Tracer,
                          arg_consumers, chain_program, lower)
@@ -717,6 +717,69 @@ def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
     assert c.failed and c.completed_at
     assert audit_leaks(sys_.cluster) == {}
     assert (info.nodes, info.edges, info.args) == before
+
+
+def _two_source_program():
+    # p's 2 shards sit on hosts 0 and 1; c's one shard, on host 2, gathers
+    # both, so host 2 sends one addr to each source host
+    t = Tracer()
+    a = t.arg(2, KB)
+    s2, s1 = t.virtual_slice([2]), t.virtual_slice([1])
+    p = t.call(CompiledFunction("p", 2, (KB,), (KB,), 20.0), a, slice_id=s2)
+    c = t.call(CompiledFunction("c", 1, (2 * KB,), (2 * KB,), 20.0), p,
+               slice_id=s1)
+    return t.finish([c]), {s2: (0, 2), s1: (4,)}
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+def test_addr_sends_go_out_by_sorted_source_host(mode):
+    prog, dmap = _two_source_program()
+    sys_ = System(small_cluster(hosts=3, devices_per_host=2), record_log=True)
+    sys_.register_program("p", lower(prog, dmap))
+    sys_.start_job(sys_.add_client("c0"), StreamJob(
+        sys_.new_job_id(), "p", count=1, mode=mode))
+    assert sys_.run().status == "quiescent"
+    sent = [(target, p["pairs"]) for _t, target, p in delivered(sys_, "addr")
+            if p["from_host"] == 2]
+    # (src shard, dst shard, dst device, bytes) per remote pair
+    assert sent == [("host0", ((0, 0, 4, KB),)), ("host1", ((1, 0, 4, KB),))]
+
+
+def _tenants(record_log=False):
+    """Four weighted clients stream one-device gangs onto a device whose
+    HBM fits two of them, so gangs park at the scheduler."""
+    gang_bytes = KB + 64 * KB
+    sys_ = System(small_cluster(hosts=1, devices_per_host=1,
+                                hbm_bytes=2 * gang_bytes + 4 * KB),
+                  policy=Policy(kind="proportional",
+                                weights={"a": 1, "b": 2, "c": 4, "d": 8}),
+                  record_log=record_log)
+    sys_.register_traced("g", one_gang_program(1, 50.0, out_kb=64,
+                                               collective=False))
+    for name in "abcd":
+        sys_.start_job(sys_.add_client(name), StreamJob(
+            sys_.new_job_id(), "g", 12, window=3))
+    assert sys_.run().status == "quiescent"
+    return sys_
+
+
+def test_a_tenants_run_leaves_the_shared_hbm_asks_as_built():
+    sys_ = _tenants(record_log=True)
+    assert "hbm_freed" in {k for _t, _s, _tgt, k, _p in sys_.sim.log}
+    assert all(len(c.completed_at) == 12 for c in sys_.clients.values())
+    info = sys_.programs["g"]
+    fresh = build_program_info("g", info.lowered, sys_.cluster)
+    for nid, ni in info.nodes.items():
+        assert ni.hbm_by_device == fresh.nodes[nid].hbm_by_device, nid
+    assert audit_leaks(sys_.cluster) == {}
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
+def test_no_memory_retry_without_memory_pressure(mode):
+    sys_, _c = small_chain(mode, record_log=True)
+    assert sys_.run().status == "quiescent"
+    kinds = Counter(k for _t, _s, _tgt, k, _p in sys_.sim.log)
+    assert kinds["task_done"] and not kinds["hbm_freed"]
 
 
 # -- known defect: host-gated prep under HBM pressure ----------------------

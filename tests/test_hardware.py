@@ -362,14 +362,14 @@ def test_hbm_try_take_and_release():
     assert dev.hbm_try_take(600)
     assert not dev.hbm_try_take(600)
     assert dev.free_bytes == 400
-    dev.hbm_release(600)
+    cl.release_hbm([(0, 600)])
     assert dev.free_bytes == 1000
 
 
 def test_hbm_release_above_capacity_raises():
     sim, cl = make_cluster(hosts=1, devices_per_host=1, hbm_bytes=1000)
     with pytest.raises(HBMError):
-        cl.device(0).hbm_release(1)
+        cl.release_hbm([(0, 1)])
 
 
 def test_hbm_request_exceeding_capacity_raises():

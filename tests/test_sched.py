@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from flowpath.config import CostModel, Policy, small_cluster
 from flowpath.hardware import Cluster
-from flowpath.sched import GangRequest, IslandScheduler, _StridePolicy
+from flowpath.sched import (GangRequest, IslandScheduler, _FifoPolicy,
+                            _StridePolicy)
 from flowpath.simcore import Process, Simulator, us
 
 MB = 1 << 20
@@ -97,7 +98,7 @@ def test_reservation_is_all_devices_or_none():
     assert s.dispatched == []
     assert cl.device(0).free_bytes == 10 * MB
     assert s.obligations() == ["1 gangs parked on memory"]
-    cl.device(1).hbm_release(9 * MB)
+    cl.release_hbm([(1, 9 * MB)])
     s.notify_hbm_freed()
     sim.run_until_quiescent()
     assert [i for _, i, _ in s.ticket_log()] == ["i1"]
@@ -114,7 +115,7 @@ def test_no_overtaking_on_shared_device():
     sim.run_until_quiescent()
     # small would fit, but it is behind big in device 0's reservation queue
     assert s.dispatched == []
-    cl.device(0).hbm_release(9 * MB)
+    cl.release_hbm([(0, 9 * MB)])
     s.notify_hbm_freed()
     sim.run_until_quiescent()
     assert [i for _, i, _ in s.ticket_log()] == ["big", "small"]
@@ -129,6 +130,27 @@ def test_disjoint_devices_overtake_parked_gang():
     sim.run_until_quiescent()
     assert [i for _, i, _ in s.ticket_log()] == ["free"]
     assert s.obligations() == ["1 gangs parked on memory"]
+
+
+def test_memory_retry_only_while_a_gang_is_parked():
+    sim, cl, s = make_sched(hbm=10 * MB)
+    sim.record_log = True
+    cl.on_hbm_freed = lambda dev: s.notify_hbm_freed()
+    Sink(sim, "host0")
+    cl.device(0).hbm_try_take(9 * MB)
+    cl.release_hbm([(0, 1 * MB)])          # nothing parked: no retry
+    s.submit([gang("w", devices=(0,), hbm_each=4 * MB)], "h", latency_ns=0)
+    sim.run_until_quiescent()
+    assert s.obligations() == ["1 gangs parked on memory"]
+    cl.release_hbm([(0, 1 * MB)])          # parked, but still 1 MB short
+    sim.run_until_quiescent()
+    assert s.dispatched == []
+    cl.release_hbm([(0, 1 * MB)])          # makes room: its retry grants
+    t_free = sim.now()
+    sim.run_until_quiescent()
+    assert [(i, t) for _seq, t, _c, i, _n in s.dispatched] == [("w", t_free)]
+    assert [k for _t, _seq, _tgt, k, _p in sim.log].count("hbm_freed") == 2
+    assert cl.device(0).free_bytes == 0
 
 
 def test_parked_gang_holds_nothing_while_waiting():
@@ -269,20 +291,31 @@ def test_rejoining_client_gets_no_banked_credit():
     assert run.count("a") == run.count("b") == 4
 
 
-@given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=30),
-       st.integers(min_value=1, max_value=9),
-       st.integers(min_value=1, max_value=9),
-       st.integers(min_value=1, max_value=9))
-@settings(max_examples=60, deadline=None)
-def test_stride_pop_always_picks_lowest_pass(pushes, wa, wb, wc):
-    weights = {"a": wa, "b": wb, "c": wc}
-    pol = _StridePolicy(weights)
-    for i, c in enumerate(pushes):
-        pol.push(gang(f"{c}{i}", client=c))
-    while len(pol):
-        live = sorted(c for c, q in pol.queues.items() if q)
-        best = min(live, key=lambda c: (pol.passes[c], c))
-        assert pol.pop(set()).client == best
+@given(st.lists(st.tuples(st.sampled_from("abc"),
+                          st.sets(st.integers(0, 3), min_size=1)),
+                min_size=1, max_size=30),
+       st.lists(st.sets(st.integers(0, 3)), max_size=30),
+       st.fixed_dictionaries({c: st.integers(1, 9) for c in "abc"}),
+       st.sampled_from(["fifo", "proportional"]))
+@settings(max_examples=100, deadline=None)
+def test_stride_pop_always_picks_lowest_pass(pushes, blocks, weights, kind):
+    # each pop sees a blocked device set; the empty sets that end the list
+    # drain the queues
+    pol = _StridePolicy(weights) if kind == "proportional" else _FifoPolicy()
+    for i, (c, devs) in enumerate(pushes):
+        pol.push(gang(f"{c}{i}", client=c, devices=sorted(devs)))
+    for blocked in blocks + [set()] * len(pushes):
+        if kind == "fifo":
+            want = next((g for g in pol.queue
+                         if not blocked & set(g.devices)), None)
+        else:
+            live = sorted(c for c, q in pol.queues.items()
+                          if q and not blocked & set(q[0].devices))
+            best = min(live, key=lambda c: (pol.passes[c], c), default=None)
+            want = pol.queues[best][0] if live else None
+        assert pol.has_eligible(blocked) == (want is not None)
+        assert pol.pop(blocked) is want
+    assert len(pol) == 0
 
 
 def test_scheduler_end_to_end_proportional_counts():
@@ -314,8 +347,8 @@ class GiveBack(Process):
             self.sim.schedule_in(g.duration_ns, self.pid, "done",
                                  {"instance": g.instance})
         else:
-            for d, nbytes in self.gangs[payload["instance"]].hbm.items():
-                self.cluster.device(d).hbm_release(nbytes)
+            g = self.gangs[payload["instance"]]
+            self.cluster.release_hbm(g.hbm.items())
             self.sched.notify_hbm_freed()
 
 

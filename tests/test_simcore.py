@@ -61,6 +61,18 @@ def test_schedule_in_past_raises():
         sim.schedule_at(10, "r", "y")
 
 
+def test_negative_delay_or_latency_raises():
+    sim = Simulator()
+    Recorder(sim, "r")
+    sim.send("s", "r", "slow", latency=100)
+    with pytest.raises(ScheduleInPastError):
+        sim.schedule_in(-1, "r", "x")
+    # the channel's later delivery must not hide a negative latency
+    with pytest.raises(ScheduleInPastError):
+        sim.send("s", "r", "y", latency=-1)
+    assert len(sim._heap) == 1
+
+
 def test_channel_never_reorders():
     """A message sent later on the same channel cannot arrive earlier."""
     sim = Simulator()
@@ -124,6 +136,19 @@ def test_max_events_guard():
     sim.schedule_at(0, "p", "ping")
     with pytest.raises(SimError):
         sim.run_until_quiescent(max_events=100)
+
+
+def test_max_events_raises_after_exactly_that_many():
+    sim = Simulator()
+    r = Recorder(sim, "r")
+    for t in (1, 2, 3):
+        sim.schedule_at(t, "r", "x")
+    with pytest.raises(SimError, match="max_events=1"):
+        sim.run_until_quiescent(max_events=1)
+    assert [t for t, _k, _p in r.seen] == [1]
+    # each run counts from zero, and a run below the guard ends cleanly
+    assert sim.run_until_quiescent(max_events=3).events == 2
+    assert [t for t, _k, _p in r.seen] == [1, 2, 3]
 
 
 def test_event_log_ndjson(tmp_path):

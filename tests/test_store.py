@@ -162,7 +162,7 @@ def test_leak_detector_reports_outstanding_bytes():
     assert audit_leaks(cl) == {}
     cl.device(1).hbm_try_take(3 * MB)
     assert audit_leaks(cl) == {1: 3 * MB}
-    cl.device(1).hbm_release(3 * MB)
+    cl.release_hbm([(1, 3 * MB)])
     assert audit_leaks(cl) == {}
 
 
