@@ -25,6 +25,9 @@ suite whose rows come from a search over kernel durations, each compared with
 the closed-form coordinator-free `reference_rate`.
 `PIPELINE_DOC_PIN` pins the `pipeline` suite on two small cases, the one
 suite whose numbers are read from the execution trace's kernel spans.
+`FAIRNESS_DOC_PIN` pins the `fairness` suite on two weighted clients, the
+one suite whose rows come from the scheduler's grant log under memory
+pressure. With it, every `flowpath bench` suite has a document pin.
 """
 import hashlib
 import json
@@ -74,6 +77,8 @@ CROSSOVER_DOC_PIN = \
     "1242b9cbf1924d74cb221da3498d06ad0feda86876d6c8f710e8020b034466fa"
 PIPELINE_DOC_PIN = \
     "675d81ef66659a0a95c37a52e279efab44cb84e303bcea3c0b6cf0c45b90097e"
+FAIRNESS_DOC_PIN = \
+    "71c2f9e6e5e2a0bb4311d4e324005518c50c4149b395a729013201248cbadd5e"
 WORKLOADS = Path(__file__).resolve().parent.parent / "configs" / "workloads"
 
 
@@ -161,3 +166,9 @@ def test_crossover_document_matches_pin(tmp_path, monkeypatch):
 def test_pipeline_document_matches_pin(tmp_path):
     sha = document_sha("pipeline", tmp_path, {"cases": [[4, 8], [8, 16]]})
     assert sha == PIPELINE_DOC_PIN
+
+
+def test_fairness_document_matches_pin(tmp_path):
+    sha = document_sha("fairness", tmp_path, {
+        "weights": {"c0": 1, "c1": 3}, "total_gangs": 800, "window": 8})
+    assert sha == FAIRNESS_DOC_PIN
