@@ -26,7 +26,7 @@ from .config import (BatchingConfig, ClusterSpec, CostModel, IslandSpec,
 from .ir import (CompiledFunction, LowerError, TraceError, Tracer,
                  chain_program, deserialize, lower, serialize)
 from .resman import AllocationError, ResourceManager
-from .runtime import SerialChainJob, StreamJob, System
+from .runtime import StreamJob, System
 from .simcore import Process, Simulator
 
 __version__ = "0.1.0"
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationError", "BatchingConfig", "ClusterSpec", "CompiledFunction",
     "CostModel", "IslandSpec", "LinkSpec", "LowerError", "Policy", "Process",
-    "ResourceManager", "SerialChainJob", "Simulator", "StreamJob", "System",
-    "TraceError", "Tracer", "ValidationError", "chain_program", "deserialize",
+    "ResourceManager", "Simulator", "StreamJob", "System", "TraceError",
+    "Tracer", "ValidationError", "chain_program", "deserialize",
     "export_chrome_trace", "load_cluster", "load_workload", "lower",
     "run_benchmark", "serialize", "small_cluster", "write_results",
 ]

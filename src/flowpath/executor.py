@@ -76,7 +76,6 @@ class EdgeInfo:
     chosts_by_src: dict[int, tuple[int, ...]]   # src shard -> consumer hosts
     addr_hosts: frozenset[int]                    # source hosts sent addr rows
     src_home: int                                 # host holding the source
-    ext_arg: bool                                 # source is a handle-bound arg
     from_arg: bool                                # source is any arg node
 
 
@@ -108,7 +107,6 @@ class ArgInfo:
     home_host: int
     local_shards: dict[int, tuple[int, ...]]     # host -> shard indices
     out_edges: tuple[str, ...]
-    ext: bool
 
 
 @dataclass
@@ -119,7 +117,7 @@ class ProgramInfo:
     tuples in `NodeInfo`, `EdgeInfo` and `ArgInfo`), so they are read-only
     once `build_program_info` returns: `submit_gangs` shares the HBM ask
     with the scheduler, which only reads it. Only `plans`, `digests` and
-    `rows` fill in as instances run.
+    `rows` fill in as instances run; `digests` on the first finish.
     """
 
     pid: str
@@ -129,11 +127,14 @@ class ProgramInfo:
     args: dict[str, ArgInfo]
     edges: dict[str, EdgeInfo]
     results: tuple[tuple[str, str, int], ...]     # (result id, src node, port)
+    # the distinct (src node, port) of the results: one client hold each
+    result_bufs: tuple[tuple[str, int], ...]
     result_shards: int
     all_hosts: tuple[int, ...]
     plans: dict = field(default_factory=dict)     # dispatch mode -> plan
-    # bound-arg digests -> result digests: values are a pure function of them
-    digests: dict = field(default_factory=dict)
+    # result digests, the same for every instance: a value is a pure
+    # function of the program graph
+    digests: list[str] | None = None
     # (placement, bytes per shard) -> its (device, bytes) row per shard
     rows: dict[tuple, ShardRows] = field(default_factory=dict)
 
@@ -145,10 +146,6 @@ class ProgramInfo:
 
     def recv_handle(self, instance: str, nid: str, host: int) -> str:
         return f"r.{instance}.{nid}.h{host}"
-
-    def result_handles(self, instance: str) -> list[str]:
-        return [self.out_handle(instance, src, port)
-                for _rid, src, port in self.results]
 
     def buffers(self, instance: str, nid: str, host: int):
         """The store rows `host` creates when it preps `nid`.
@@ -256,21 +253,20 @@ def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
     bytes) rows of its shards where any lands, and host -> gating source
     shards.
 
-    `ins` has one (pairs, source shards, from an arg, from a bound arg) per
-    in-edge, in edge order.
+    `ins` has one (pairs, source shards, from an arg) per in-edge, in edge
+    order.
     """
     home = host_of[devs[0]]
     sources: dict[tuple[int, int], list[int]] = {}   # (shard, device) -> srcs
     landing: dict[int, int] = {}
     waits: dict[int, int] = {}
-    for pairs, src_shards, from_arg, ext in ins:
-        if not ext:        # bound args are resident already, held by the client
-            for pr in pairs:
-                if pr.src_dev != pr.dst_dev:
-                    sources.setdefault((pr.dst_shard, pr.dst_dev), []).append(
-                        pr.src_dev)
-                    landing[pr.dst_shard] = (landing.get(pr.dst_shard, 0)
-                                             + pr.nbytes)
+    for pairs, src_shards, from_arg in ins:
+        for pr in pairs:
+            if pr.src_dev != pr.dst_dev:
+                sources.setdefault((pr.dst_shard, pr.dst_dev), []).append(
+                    pr.src_dev)
+                landing[pr.dst_shard] = (landing.get(pr.dst_shard, 0)
+                                         + pr.nbytes)
         if from_arg:
             continue
         # host-gated readiness: the home host hears every source shard of
@@ -310,7 +306,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     order = tuple(n.id for n in p.nodes.values() if isinstance(n, ComputeNode))
     in_eids: dict[str, list[str]] = {}
     out_eids: dict[str, list[str]] = {}
-    # per consumer node, one (pairs, source shards, from arg, ext) per in-edge
+    # per consumer node, one (pairs, source shards, from arg) per in-edge
     ins: dict[str, list[tuple]] = {}
     drains: dict[str, list[tuple[str, dict[int, int]]]] = {}
     # one table per distinct pairs tuple, placement, (placement, in-edges)
@@ -324,24 +320,21 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     for le in lp.edges:
         e = le.edge
         eid = edge_id(e.src, e.dst, e.dst_port)
-        src_n = p.node(e.src)
-        from_arg = isinstance(src_n, ArgNode)
-        ext = from_arg and src_n.handle is not None
+        from_arg = isinstance(p.node(e.src), ArgNode)
         inbound, chosts, same, addr_hosts = _shared(
             pair_tables, le.pairs, _pair_tables, le.pairs, host_of)
-        if same and not ext:
+        if same:
             # drained once the consumer's kernel has run, on the shard's host
             drains.setdefault(e.dst, []).append((eid, same))
         edges[eid] = EdgeInfo(
             src=e.src, dst=e.dst, src_port=e.src_port, dst_port=e.dst_port,
             to_result=isinstance(p.node(e.dst), ResultNode),
             inbound=inbound, chosts_by_src=chosts, addr_hosts=addr_hosts,
-            src_home=host_of[lp.placement[e.src][0]],
-            ext_arg=ext, from_arg=from_arg)
+            src_home=host_of[lp.placement[e.src][0]], from_arg=from_arg)
         in_eids.setdefault(e.dst, []).append(eid)
         out_eids.setdefault(e.src, []).append(eid)
         ins.setdefault(e.dst, []).append(
-            (le.pairs, len(lp.placement[e.src]), from_arg, ext))
+            (le.pairs, len(lp.placement[e.src]), from_arg))
 
     creator = arg_consumers(p)
     created: dict[str, list[str]] = {}
@@ -355,9 +348,8 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             placement=placement, home_host=host_of[placement[0]],
             local_shards=_shared(placed, placement, _by_host, placement,
                                  host_of)[0],
-            out_edges=outs, ext=n.handle is not None)
-        if n.handle is None:
-            created.setdefault(creator[n.id], []).append(n.id)
+            out_edges=outs)
+        created.setdefault(creator[n.id], []).append(n.id)
 
     for n in p.nodes.values():
         if not isinstance(n, ComputeNode):
@@ -386,7 +378,9 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     all_hosts = tuple(sorted({h for ni in nodes.values() for h in ni.hosts}))
     info = ProgramInfo(
         pid=pid, lowered=lp, order=order, nodes=nodes, args=args, edges=edges,
-        results=tuple(results), result_shards=nshards, all_hosts=all_hosts)
+        results=tuple(results),
+        result_bufs=tuple(dict.fromkeys((s, port) for _r, s, port in results)),
+        result_shards=nshards, all_hosts=all_hosts)
     # the ask is fixed by the node's shape, its output sizes and the shapes
     # of the args it creates
     for ni in nodes.values():
@@ -405,7 +399,6 @@ class InstanceMeta:
     modes: dict[str, str]                        # node -> go | fut | dat
     stages: list[list[str]]                      # client-submitted groups
     triggers: list[set[str]]                     # nodes each stage waits on
-    arg_bindings: dict[str, str] = field(default_factory=dict)  # arg -> handle
     reply_to_client: bool = True
     stage_idx: int = 0                           # next stage to submit
     stage_seen: set[str] = field(default_factory=set)  # triggers reported
@@ -583,7 +576,7 @@ class HostExecutor(Process):
         for eid in ni.in_edges:
             ei = info.edges[eid]
             mine = ei.inbound.get(self.host_id)
-            if ei.ext_arg or mine is None:
+            if mine is None:
                 continue
             npairs, by_src_host = mine
             st.drain_pending[eid] = st.drain_pending.get(eid, 0) + npairs

@@ -83,7 +83,6 @@ class ArgNode:
     id: str
     shards: int
     bytes_per_shard: int
-    handle: str | None = None   # bind to an existing store handle
 
 
 @dataclass
@@ -189,11 +188,10 @@ class Tracer:
         self._slices[sid] = SliceRequirement(tuple(shape), island)
         return sid
 
-    def arg(self, shards: int, bytes_per_shard: int,
-            handle: str | None = None) -> ValueRef:
+    def arg(self, shards: int, bytes_per_shard: int) -> ValueRef:
         self._check_open()
         nid = self._next("n")
-        self._nodes[nid] = ArgNode(nid, shards, bytes_per_shard, handle)
+        self._nodes[nid] = ArgNode(nid, shards, bytes_per_shard)
         self._producers.add((nid, 0))
         return ValueRef(nid, 0, self._tid)
 
@@ -371,8 +369,6 @@ def serialize(p: TracedProgram) -> str:
         if isinstance(n, ArgNode):
             row = {"id": n.id, "kind": "arg", "shards": n.shards,
                    "bytes_per_shard": n.bytes_per_shard}
-            if n.handle is not None:
-                row["handle"] = n.handle
         elif isinstance(n, ComputeNode):
             fn = n.fn
             row = {"id": n.id, "kind": "compute", "slice": n.slice_id,
@@ -410,7 +406,7 @@ _IS = {"int": lambda v: type(v) is int, "bool": lambda v: type(v) is bool,
 # the keys each kind of row may carry; any other key is rejected, so a typo
 # cannot silently run the default
 _KEYS = {"program": {"nodes", "edges", "results", "slices"},
-         "arg": {"id", "kind", "shards", "bytes_per_shard", "handle"},
+         "arg": {"id", "kind", "shards", "bytes_per_shard"},
          "compute": {"id", "kind", "slice", "fn"},
          "fn": {"name", "shards", "in_bytes", "out_bytes", "us_per_shard",
                 "regular", "collective", "apply_count"},
@@ -448,8 +444,7 @@ def deserialize(text: str) -> TracedProgram:
                 raise TraceError(f"unknown node kind {kind!r}")
             _check_row(row, kind, f"node {nid}")
             if kind == "arg":
-                nodes[nid] = ArgNode(nid, row["shards"], row["bytes_per_shard"],
-                                     row.get("handle"))
+                nodes[nid] = ArgNode(nid, row["shards"], row["bytes_per_shard"])
             elif kind == "compute":
                 f = _check_row(row["fn"], "fn", f"node {nid}")
                 nodes[nid] = ComputeNode(nid, CompiledFunction(
@@ -552,14 +547,12 @@ def digest(p: TracedProgram) -> str:
 # -- convenience builders ---------------------------------------------------
 
 def chain_program(fns: list[CompiledFunction], arg_bytes: int | None = None,
-                  slices: list[str] | None = None,
-                  arg_handle: str | None = None) -> TracedProgram:
+                  slices: list[str] | None = None) -> TracedProgram:
     """Arg -> fn1 -> fn2 -> ... -> Result, one slice per node unless given."""
     t = Tracer()
     first = fns[0]
     v = t.arg(shards=first.shard_count,
-              bytes_per_shard=first.in_bytes[0] if arg_bytes is None else arg_bytes,
-              handle=arg_handle)
+              bytes_per_shard=first.in_bytes[0] if arg_bytes is None else arg_bytes)
     for i, fn in enumerate(fns):
         sid = slices[i] if slices else None
         v = t.call(fn, v, slice_id=sid)

@@ -5,9 +5,9 @@ scheduler per island, one executor per host, a resource manager, and any
 number of clients. Programs are registered out of band; submitting an
 instance costs one client RPC and everything after that is message driven.
 
-Value identity is tracked structurally: every buffer gets a digest that is
-a pure function of the program graph and its bound inputs, so two dispatch
-plans for the same computation must agree digest for digest.
+Value identity is tracked structurally: every result gets a digest that is
+a pure function of the program graph, so two dispatch plans for the same
+computation must agree digest for digest.
 """
 from __future__ import annotations
 
@@ -33,12 +33,11 @@ def _h(*parts) -> str:
     return m.hexdigest()[:16]
 
 
-def _value_digests(info: ProgramInfo, bound) -> list[str]:
-    """Result digests, from the digests of the bound args in arg order."""
+def _value_digests(info: ProgramInfo) -> list[str]:
+    """Result digests, in result order."""
     dig: dict[tuple[str, int], str] = {}
     for aid, a in info.args.items():
-        dig[(aid, 0)] = (next(bound) if a.ext else
-                         _h("arg", aid, a.shards, a.bytes_per_shard))
+        dig[(aid, 0)] = _h("arg", aid, a.shards, a.bytes_per_shard)
     for nid in info.order:
         ni = info.nodes[nid]
         ins = []
@@ -105,8 +104,6 @@ class ClientProcess(Process):
         self.jobs: dict[str, object] = {}
         self.inst_job: dict[str, str] = {}
         self.results_seen: dict[str, set] = {}
-        # unreleased result handle -> devices: what this client may bind
-        self.live: dict[str, tuple[int, ...]] = {}
         self.submitted_at: dict[str, int] = {}
         self.completed_at: dict[str, int] = {}
         self.failed: set[str] = set()      # unfinished when the client died
@@ -115,9 +112,8 @@ class ClientProcess(Process):
     # -- submission --------------------------------------------------------
 
     def submit(self, program_id: str, mode: str = "parallel",
-               bindings: dict[str, str] | None = None,
                job: object | None = None, reply: bool = True) -> str:
-        inst = self.system.submit(self, program_id, mode, bindings, reply)
+        inst = self.system.submit(self, program_id, mode, reply)
         self.submitted_at[inst] = self.sim.now()
         if job is not None:
             self.inst_job[inst] = job.job_id
@@ -125,11 +121,10 @@ class ClientProcess(Process):
 
     def release_results(self, inst: str) -> None:
         info = self.system.instances[inst].program
-        for _rid, src, port in info.results:
-            h = info.out_handle(inst, src, port)
-            if self.live.pop(h, None) is not None:
-                self.batcher.send(f"host{info.nodes[src].home_host}",
-                                  "release", {"handle": h}, critical=False)
+        for src, port in info.result_bufs:
+            self.batcher.send(f"host{info.nodes[src].home_host}", "release",
+                              {"handle": info.out_handle(inst, src, port)},
+                              critical=False)
 
     # -- messages ----------------------------------------------------------
 
@@ -239,53 +234,6 @@ class StreamJob:
             self.done = True
 
 
-class SerialChainJob:
-    """One computation per call, each consuming the previous call's result.
-
-    The next call goes out as soon as the previous one is granted (its
-    result handles are already known), so device work from consecutive
-    calls can overlap; the data dependency is enforced by ticket order.
-    """
-
-    def __init__(self, job_id: str, first_pid: str, rest_pid: str,
-                 count: int, arg_id: str = "n0"):
-        self.job_id = job_id
-        self.first_pid = first_pid
-        self.rest_pid = rest_pid
-        self.arg_id = arg_id
-        self.count = count
-        self.submitted = 0
-        self.completed = 0
-        self.instances: list[str] = []
-        self.done = False
-
-    def start(self, client: ClientProcess) -> None:
-        inst = client.submit(self.first_pid, job=self)
-        self.instances.append(inst)
-        self.submitted = 1
-
-    def on_handles(self, client: ClientProcess, inst: str) -> None:
-        if self.submitted >= self.count:
-            return
-        info = client.system.instances[inst].program
-        prev_handle = info.result_handles(inst)[0]
-        nxt = client.submit(self.rest_pid, bindings={self.arg_id: prev_handle},
-                            job=self)
-        self.instances.append(nxt)
-        self.submitted += 1
-
-    def on_complete(self, client: ClientProcess, inst: str) -> None:
-        self.completed += 1
-        k = self.instances.index(inst)
-        if k > 0:
-            # the input of call k was call k-1's result; it is consumed now
-            client.release_results(self.instances[k - 1])
-        if k == self.count - 1:
-            client.release_results(inst)
-        if self.completed == self.count:
-            self.done = True
-
-
 # -- the system --------------------------------------------------------------
 
 class System:
@@ -326,7 +274,6 @@ class System:
         # (instance, node) -> shards left to finish; dropped when the gang
         # completes or can no longer complete
         self.gang_left: dict[tuple[str, str], int] = {}
-        self.handle_digests: dict[str, str] = {}
         self.inst_digests: dict[str, list[str]] = {}
         self._inst_seq = 0
         self._job_seq = 0
@@ -425,7 +372,7 @@ class System:
     # -- instance lifecycle ------------------------------------------------
 
     def submit(self, client: ClientProcess, program_id: str, mode: str,
-               bindings: dict[str, str] | None, reply: bool) -> str:
+               reply: bool) -> str:
         info = self.programs[program_id]
         # planned once per (program, mode); a mode that fails to plan
         # raises again on every submit
@@ -434,33 +381,13 @@ class System:
         modes, stages, triggers = info.plans[mode]
         self._inst_seq += 1
         inst = f"i{self._inst_seq}"
-        bindings = dict(bindings) if bindings else {}
-        for aid, a in info.args.items():
-            if a.ext and aid not in bindings:
-                raise ValidationError(f"arg {aid} needs a handle binding")
-        for aid, handle in bindings.items():
-            a = info.args.get(aid)
-            if a is None or not a.ext:
-                raise ValidationError(f"arg {aid} does not take a binding")
-            # only the client's own unreleased results: no other death frees them
-            devs = client.live.get(handle)
-            if devs is None:
-                raise ValidationError(
-                    f"arg {aid}: {handle!r} is not a live result of {client.pid}")
-            if devs != a.placement:
-                raise ValidationError(
-                    f"arg {aid}: bound buffer lives on devices {devs}, "
-                    f"consumer expects {a.placement}")
         meta = InstanceMeta(inst, client.name, info, modes, stages, triggers,
-                            bindings, reply)
+                            reply)
         self.instances[inst] = meta
         for h in info.all_hosts:
             self.hosts[h].install(meta)
         for nid, ni in info.nodes.items():
             self.gang_left[(inst, nid)] = len(ni.devices)
-        for _rid, srcn, port in info.results:
-            h = info.out_handle(inst, srcn, port)
-            client.live[h] = info.nodes[srcn].devices
         self.submit_next_stage(inst)
         return inst
 
@@ -502,23 +429,16 @@ class System:
             last_gang = g
         if reply_last and last_gang is not None:
             last_gang.reply_to = f"client.{meta.client}"
-            last_gang.reply_payload = {"handles": info.result_handles(inst)}
         for island in sorted(by_island):
             self.scheds[island].submit(by_island[island], src_pid, latency_ns)
 
     # -- value identity ----------------------------------------------------
 
     def finish_instance(self, inst: str) -> None:
-        meta = self.instances[inst]
-        info = meta.program
-        bound = tuple(self.handle_digests[meta.arg_bindings[aid]]
-                      for aid, a in info.args.items() if a.ext)
-        out = info.digests.get(bound)
-        if out is None:
-            out = info.digests[bound] = _value_digests(info, iter(bound))
-        for h, d in zip(info.result_handles(inst), out):
-            self.handle_digests[h] = d
-        self.inst_digests[inst] = out
+        info = self.instances[inst].program
+        if info.digests is None:
+            info.digests = _value_digests(info)
+        self.inst_digests[inst] = info.digests
 
     # -- drivers -----------------------------------------------------------
 

@@ -24,7 +24,7 @@ the weights' numerators, which keeps the exact order of fractional passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
@@ -44,8 +44,7 @@ class GangRequest:
     hosts: tuple[int, ...]
     hbm: dict[int, int]                  # device -> bytes to reserve
     duration_ns: int
-    reply_to: str | None = None          # send handles here once ordered
-    reply_payload: dict = field(default_factory=dict)
+    reply_to: str | None = None          # told "handles" once ordered
 
     @property
     def busy_estimate(self) -> int:
@@ -270,10 +269,9 @@ class IslandScheduler(Process):
                           {"instance": gang.instance, "node": gang.node,
                            "ticket": seq, "client": gang.client}))
         if gang.reply_to:
-            reply = {"instance": gang.instance, "node": gang.node,
-                     "ticket": seq}
-            reply.update(gang.reply_payload)
-            sends.append((gang.reply_to, "handles", reply))
+            sends.append((gang.reply_to, "handles",
+                          {"instance": gang.instance, "node": gang.node,
+                           "ticket": seq}))
         self._tasks.append(("dispatch", len(sends), sends))
         self._pump()
 

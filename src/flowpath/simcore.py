@@ -177,6 +177,9 @@ class Simulator:
         queue is empty. Otherwise the run ended in deadlock: some device holds
         an incomplete kernel or some process awaits a message that can never
         arrive.
+
+        `max_events` bounds the events handled: the run raises when one more
+        is due, and that event stays queued for a later run.
         """
         n = 0
         limit = sys.maxsize if max_events is None else max_events
@@ -188,13 +191,14 @@ class Simulator:
             if eid in cancelled:
                 cancelled.discard(eid)
                 continue
+            if n >= limit:
+                heapq.heappush(heap, (fire_at, eid, target, kind, payload, src))
+                raise SimError(f"exceeded max_events={max_events}")
             self.clock = fire_at
             if log is not None:
                 log.append((fire_at, eid, target, kind, payload))
             procs[target].handle(kind, payload, src)
             n += 1
-            if n >= limit:
-                raise SimError(f"exceeded max_events={max_events}")
         blocked = []
         for pid in self._procs:
             for reason in self._procs[pid].obligations():

@@ -232,6 +232,8 @@ def test_run_returning_an_arg_exits_two(tmp_path, capsys, mode, case):
 UNKNOWN_PROGRAM_KEYS = {
     "top": (lambda doc: doc.update(result=["n5"]),
             "program: unknown keys: result"),
+    "arg_handle": (lambda doc: node(doc, "n0").update(handle="x"),
+                   "node n0: unknown keys: handle"),
     "arg_layout": (lambda doc: node(doc, "n0").update(layout="row"),
                    "node n0: unknown keys: layout"),
     "compute": (lambda doc: node(doc, "n2").update(slic="s0"),

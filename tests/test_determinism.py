@@ -44,11 +44,11 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "388fb9fdc79cfe8c2e8fda3f50094e66a6b3f1f3a36de15659c77e4358cba5ae",
+        "8e2791cfd66228ca40d3ba73ffa86b16cf53f01ed63f4f404a868599e1e5fee5",
     "sequential":
-        "6174e8cfa5df3af70e1b2fbeb439a28763afde15f1f3d71ed11d48ba20b86733",
+        "121ad947d0289eff940907372bd34e6b37b62b04970986e7e528dbfe1e1dd529",
     "auto":
-        "4ffc2600ba2b49b26b1e43a2a292812a1440e6c4c43201008629bbdd467ccda8",
+        "42097df969892cd6cc79ddfa218e4e12f13837ee2ce5e6dbebf3a5b92636fd19",
 }
 
 SCHEDULE_PINS = {

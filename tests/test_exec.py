@@ -19,8 +19,7 @@ from flowpath.executor import HostExecutor, build_program_info
 from flowpath.hardware import KernelExec, transfer_ns
 from flowpath.ir import (ArgNode, CompiledFunction, ResultNode, Tracer,
                          arg_consumers, chain_program, lower)
-from flowpath.runtime import (ClientProcess, SerialChainJob, StreamJob, System,
-                              steady_rate)
+from flowpath.runtime import ClientProcess, StreamJob, System, steady_rate
 from flowpath.simcore import us
 from flowpath.store import (StoreError, UnknownHandleError, audit_leaks,
                             audit_no_double_free)
@@ -277,23 +276,6 @@ def test_fused_chain_matches_op_by_op():
     sys_b, _, _ = run_chain(1, 200, "parallel", apply_count=4,
                             fn_name="step")
     assert sys_a.inst_digests["i1"] == sys_b.inst_digests["i1"]
-
-
-def test_serial_calls_thread_results_through_bindings():
-    sys_ = System(small_cluster(hosts=1, devices_per_host=1))
-    step = CompiledFunction("f0", 1, (MB,), (MB,), 50)
-    sys_.register_traced("first", chain_program([step], arg_bytes=MB))
-    sys_.register_traced("rest", chain_program([step], arg_bytes=MB,
-                                               arg_handle="bound"))
-    c = sys_.add_client("c0")
-    job = SerialChainJob(sys_.new_job_id(), "first", "rest", count=4)
-    sys_.start_job(c, job)
-    assert sys_.run().status == "quiescent"
-    assert job.completed == 4
-    per_call = [sys_.inst_digests[i][0] for i in job.instances]
-    assert len(set(per_call)) == 4                # value evolves every call
-    chained, _, _ = run_chain(4, 50, "parallel", fn_name="f0")
-    assert per_call[-1] == chained.inst_digests["i1"][0]
 
 
 def test_chain_name_changes_the_digest():
@@ -637,8 +619,6 @@ def _naive_tables(lp, cluster):
                              if host_of[pr.dst_dev] == h}
                     if h != home and heard:
                         waits[h] = waits.get(h, 0) + len(heard)
-            if isinstance(src, ArgNode) and src.handle is not None:
-                continue
             for pr in le.pairs:
                 if pr.src_dev != pr.dst_dev:
                     sources.setdefault(pr.dst_dev, []).append(pr.src_dev)
@@ -647,7 +627,7 @@ def _naive_tables(lp, cluster):
         for s, nbytes in recv.items():
             hbm[devs[s]] += nbytes
         for aid, first in creator.items():
-            if first == n.id and p.nodes[aid].handle is None:
+            if first == n.id:
                 for d in lp.placement[aid]:
                     hbm[d] += p.nodes[aid].bytes_per_shard
         nodes[n.id] = {
@@ -700,8 +680,7 @@ def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
         assert tuple(made[info.out_handle("x", nid, port)]
                      for port in range(len(outputs))) == outputs, nid
     for aid, want in args.items():
-        if not info.args[aid].ext:       # a bound arg is never created
-            assert made[info.arg_handle("x", aid)] == want, aid
+        assert made[info.arg_handle("x", aid)] == want, aid
     # output and arg rows: one table per (placement, bytes per shard)
     for h, (rows, _rc, _held) in made.items():
         if not h.startswith("r."):

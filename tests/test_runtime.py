@@ -24,48 +24,6 @@ def make_system(**kw):
 
 # -- submission validation -------------------------------------------------
 
-def test_external_arg_requires_binding():
-    sys_, c = make_system()
-    sys_.register_traced("p", chain_program([fn()], arg_handle="x"))
-    with pytest.raises(ValidationError, match="needs a handle binding"):
-        c.submit("p")
-
-
-def test_internal_arg_rejects_binding():
-    sys_, c = make_system()
-    sys_.register_traced("p", chain_program([fn()]))
-    with pytest.raises(ValidationError, match="does not take a binding"):
-        c.submit("p", bindings={"n0": "whatever"})
-
-
-def test_binding_must_live_where_the_consumer_runs():
-    sys_, c = make_system(devices_per_host=2)
-    sys_.register_traced("maker", chain_program([fn()]))          # device 0
-    sys_.register_traced("rest", chain_program([fn()], arg_handle="x"))
-    inst = c.submit("maker")
-    handle = sys_.programs["maker"].result_handles(inst)[0]
-    with pytest.raises(ValidationError, match="lives on devices"):
-        c.submit("rest", bindings={"n0": handle})
-
-
-@pytest.mark.parametrize("case", ["unknown", "other client", "released"])
-def test_binding_must_be_a_live_result_of_the_same_client(case):
-    sys_, c = make_system()
-    other = sys_.add_client("c1")
-    sys_.register_traced("maker", chain_program([fn()]))
-    sys_.register_traced("rest", chain_program([fn()], arg_handle="x"))
-    owner = other if case == "other client" else c
-    inst = owner.submit("maker")
-    maker = sys_.programs["maker"]
-    handle = "bogus" if case == "unknown" else maker.result_handles(inst)[0]
-    if case == "released":
-        c.release_results(inst)
-    with pytest.raises(ValidationError, match="not a live result of client.c0"):
-        c.submit("rest", bindings={"n0": handle})
-    mine = c.submit("maker")            # its own unreleased result binds
-    c.submit("rest", bindings={"n0": maker.result_handles(mine)[0]})
-
-
 def test_unknown_mode_rejected():
     sys_, c = make_system()
     sys_.register_traced("p", chain_program([fn()]))

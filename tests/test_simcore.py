@@ -149,6 +149,14 @@ def test_max_events_raises_after_exactly_that_many():
     # each run counts from zero, and a run below the guard ends cleanly
     assert sim.run_until_quiescent(max_events=3).events == 2
     assert [t for t, _k, _p in r.seen] == [1, 2, 3]
+    # exactly that many ends cleanly: a cancelled event left over is no
+    # further event
+    sim.schedule_at(4, "r", "x")
+    sim.schedule_at(5, "r", "x")
+    sim.cancel(sim.schedule_at(6, "r", "x"))
+    res = sim.run_until_quiescent(max_events=2)
+    assert (res.status, res.events) == ("quiescent", 2)
+    assert [t for t, _k, _p in r.seen] == [1, 2, 3, 4, 5]
 
 
 def test_event_log_ndjson(tmp_path):
