@@ -489,6 +489,9 @@ def run_benchmark(name: str, workload: dict | None = None,
         raise ValidationError(
             f"benchmark {name!r} sweeps its own cluster shapes; "
             "--config does not apply")
+    sized = {"utilization": "devices", "fairness": "resident"}.get(name)
+    if spec is not None and sized in w:
+        raise ValidationError(f"{where}: {sized}: --config sizes the cluster")
     if name == "dispatch":
         return bench_dispatch(record_log=record_log, **_kwargs(w))
     if name == "crossover":

@@ -825,4 +825,8 @@ class HostExecutor(Process):
                 if done < len(mine):
                     out.append(f"{instance}/{nid}: {done} of {len(mine)} "
                                "kernels done")
+        if self.inst:
+            out.append(f"{len(self.inst)} instances still installed")
+        if n := self.tracker.pending_count():
+            out.append(f"readiness state of {n} nodes left behind")
         return out

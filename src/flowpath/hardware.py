@@ -210,6 +210,10 @@ class DeviceProcess(Process):
                        f"[{k.shard_on(self.device_id)}]")
         elif self.queue:
             out.append(f"{len(self.queue)} queued kernels")
+        if self._arrivals:
+            out.append(f"stray inputs landed for {len(self._arrivals)} nodes")
+        if self.free_bytes != self.hbm_capacity:
+            out.append(f"{self.hbm_capacity - self.free_bytes} HBM bytes leaked")
         return out
 
     def wait_edges(self) -> list[tuple[str, str]]:
@@ -243,7 +247,6 @@ class Cluster:
         self.devices: list[DeviceProcess] = []
         self.island_devices: dict[int, list[int]] = {}
         self.host_devices: dict[int, list[int]] = {}
-        self.host_island: dict[int, int] = {}
         # collective key -> [member devices still to arrive, {record: its
         # devices arrived}], records in order of their first arrival
         self._rendezvous: dict[str, list] = {}
@@ -253,7 +256,6 @@ class Cluster:
             self.island_devices[iid] = []
             for _h in range(isl.hosts):
                 self.host_devices[hid] = []
-                self.host_island[hid] = iid
                 for _d in range(isl.devices_per_host):
                     dev = DeviceProcess(sim, self, did, hid, iid, spec.hbm_bytes)
                     self.devices.append(dev)
@@ -261,7 +263,6 @@ class Cluster:
                     self.host_devices[hid].append(did)
                     did += 1
                 hid += 1
-        self.host_count = hid
 
     # hooks, overridden by the runtime layer
     def on_kernels_done(self, k: KernelExec, shards: list[int]) -> None:

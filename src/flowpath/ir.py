@@ -53,6 +53,11 @@ class CompiledFunction:
             raise TraceError(f"{self.name}: negative byte size")
         if self.us_per_shard < 0:
             raise TraceError(f"{self.name}: negative duration")
+        if not math.isfinite(self.us_per_shard):
+            raise TraceError(f"{self.name}: duration {self.us_per_shard!r} "
+                             "is not finite")
+        if self.apply_count < 1:
+            raise TraceError(f"{self.name}: apply_count must be >= 1")
 
     @cached_property
     def duration_ns(self) -> int:

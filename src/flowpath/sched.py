@@ -64,9 +64,6 @@ class _FifoPolicy:
                 return self.queue.pop(i)
         return None
 
-    def has_eligible(self, blocked: set[int]) -> bool:
-        return any(blocked.isdisjoint(g.devices) for g in self.queue)
-
     def __len__(self):
         return len(self.queue)
 
@@ -88,7 +85,6 @@ class _StridePolicy:
         self.clients: list[str] = []          # sorted keys of queues
         self.passes: dict[str, int] = {}
         self.global_pass = 0
-        self.queued = 0                       # gangs in all queues
 
     def push(self, g: GangRequest) -> None:
         if g.client not in self.queues:
@@ -100,7 +96,6 @@ class _StridePolicy:
             self.passes[g.client] = max(
                 self.passes.get(g.client, 0), self.global_pass)
         q.append(g)
-        self.queued += 1
 
     def pop(self, blocked: set[int]) -> GangRequest | None:
         # a client competes with its head gang (its queue is FIFO); clients
@@ -115,23 +110,16 @@ class _StridePolicy:
         if client is None:
             return None
         g = queues[client].pop(0)
-        self.queued -= 1
         self.global_pass = best
         passes[client] = best + g.busy_estimate * self.strides.get(
             client, self.default_stride)
         return g
 
-    def has_eligible(self, blocked: set[int]) -> bool:
-        if not self.queued or not blocked:
-            return self.queued > 0
-        return any(q and blocked.isdisjoint(q[0].devices)
-                   for q in self.queues.values())
-
     def __len__(self):
-        return self.queued
+        return sum(map(len, self.queues.values()))
 
     def drop_client(self, client: str) -> None:
-        self.queued -= len(self.queues.pop(client, ()))
+        self.queues.pop(client, None)
         self.clients = sorted(self.queues)
 
 
@@ -167,7 +155,7 @@ class IslandScheduler(Process):
         # arrival order does not outrank the policy
         self._blocked: set[int] = set()
         self._tasks: list[tuple] = []                # serialized work items
-        self._working = False
+        self._current: tuple | None = None           # the task in flight
         self._retry_queued = False
         self._dead_clients: set[str] = set()
         self.dispatched: list[tuple[int, int, str, str, str]] = []
@@ -201,28 +189,28 @@ class IslandScheduler(Process):
     # -- serialized work loop ----------------------------------------------
 
     def _pump(self) -> None:
-        """Start the next task, if idle and there is one."""
-        if self._working:
+        """Start the next task, if idle and there is one. A decision takes
+        its gang from the policy when it starts."""
+        if self._current is not None:
             return
         if self._tasks:
             task = self._tasks.pop(0)
-        elif self.policy.has_eligible(self._blocked):
-            task = ("decide",)
+            cost = self.costs.sched_send_ns * task[1]
         else:
-            return
-        self._working = True
+            gang = self.policy.pop(self._blocked)
+            if gang is None:
+                return
+            task = ("decide", gang)
+            cost = self.costs.sched_decision_ns
         self._current = task
-        cost = (self.costs.sched_decision_ns if task[0] == "decide"
-                else self.costs.sched_send_ns * task[1])
         self.sim.schedule_in(cost, self.pid, "sched_task_done", {})
 
     def _finish_task(self) -> None:
-        task = self._current
+        task, self._current = self._current, None
         if task[0] == "decide":
-            # eligibility can only widen while the decision was in flight,
-            # except when a client death emptied the queue; then skip
-            gang = self.policy.pop(self._blocked)
-            if gang is not None:
+            gang = task[1]
+            # a client that died during the decision has no gang to park
+            if gang.client not in self._dead_clients:
                 self._seq += 1
                 self._parked[self._seq] = gang
                 self._blocked.update(gang.devices)
@@ -233,7 +221,6 @@ class IslandScheduler(Process):
                 lat = (self.costs.client_rpc_ns if dst.startswith("client")
                        else self.control_latency_ns)
                 self.sim.send(self.pid, dst, mkind, payload, latency=lat)
-        self._working = False
         self._pump()
 
     # -- reservations ------------------------------------------------------
@@ -300,6 +287,3 @@ class IslandScheduler(Process):
         if self._parked:
             out.append(f"{len(self._parked)} gangs parked on memory")
         return out
-
-    def ticket_log(self) -> list[tuple[int, str, str]]:
-        return [(seq, inst, node) for seq, _t, _c, inst, node in self.dispatched]

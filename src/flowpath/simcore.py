@@ -71,6 +71,12 @@ class TraceRecord:
 
 @dataclass
 class RunResult:
+    """How a run ended. "quiescent": the queue drained and no process
+    reports an obligation. "deadlock": `blocked` names each one left, such
+    as an incomplete or queued kernel, a message awaited that can never
+    arrive, or state a finished run must not keep: HBM not returned, inputs
+    landed for no kernel, readiness state or an instance still installed."""
+
     clock_ns: int
     status: str              # "quiescent" | "deadlock"
     events: int
@@ -171,12 +177,7 @@ class Simulator:
     # -- main loop ---------------------------------------------------------
 
     def run_until_quiescent(self, max_events: int | None = None) -> RunResult:
-        """Drain the event queue; classify the end state.
-
-        Quiescent means no process reports outstanding obligations once the
-        queue is empty. Otherwise the run ended in deadlock: some device holds
-        an incomplete kernel or some process awaits a message that can never
-        arrive.
+        """Drain the event queue; classify the end state (see RunResult).
 
         `max_events` bounds the events handled: the run raises when one more
         is due, and that event stays queued for a later run.

@@ -201,6 +201,33 @@ def test_run_with_wrong_typed_field_exits_two(tmp_path, capsys, case):
     assert reason in capsys.readouterr().err
 
 
+# case -> (node, fn key, JSON literal written for it, reason printed)
+BAD_FN_VALUES = {
+    "us_per_shard_nan": ("n1", "us_per_shard", "NaN",
+                         "layer0: duration nan is not finite"),
+    "us_per_shard_infinity": ("n2", "us_per_shard", "Infinity",
+                              "layer1: duration inf is not finite"),
+    "us_per_shard_1e400": ("n3", "us_per_shard", "1e400",
+                           "layer2: duration inf is not finite"),
+    "apply_count_zero": ("n3", "apply_count", "0",
+                         "layer2: apply_count must be >= 1"),
+    "apply_count_negative": ("n4", "apply_count", "-3",
+                             "layer3: apply_count must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FN_VALUES))
+def test_run_with_bad_fn_value_exits_two(tmp_path, capsys, case):
+    nid, key, literal, reason = BAD_FN_VALUES[case]
+    doc = json.loads(Path(CHAIN4).read_text())
+    node(doc, nid)["fn"][key] = "@literal@"
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc).replace('"@literal@"', literal))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+
+
 # case -> (change to chain4's document, reason printed)
 RETURNS_AN_ARG = {
     "chain4_also_returns_its_arg": (
@@ -517,4 +544,18 @@ def test_bench_dispatch_rejects_a_cluster_config(tmp_path, capsys):
     assert main(["bench", "dispatch", "--config",
                  str(CONFIGS / "cluster_small.json"), "--out", str(out)]) == 2
     assert "--config does not apply" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,key,value", [("utilization", "devices", 2),
+                                            ("fairness", "resident", 3)])
+def test_bench_rejects_a_cluster_key_next_to_a_cluster_config(
+        tmp_path, capsys, monkeypatch, name, key, value):
+    monkeypatch.setattr(Simulator, "__init__", refuse_to_run)
+    wl = write_json(tmp_path / "w.json", {"benchmark": name, key: value})
+    out = tmp_path / "results.json"
+    assert main(["bench", name, "--workload", wl, "--config",
+                 str(CONFIGS / "cluster_small.json"), "--out", str(out)]) == 2
+    assert (f"workload for {name!r}: {key}: --config sizes the cluster"
+            in capsys.readouterr().err)
     assert not out.exists()

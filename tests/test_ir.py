@@ -64,6 +64,18 @@ def test_negative_duration_rejected():
         CompiledFunction("f", 4, (64,), (64,), -1.0)
 
 
+@pytest.mark.parametrize("us_", [float("nan"), float("inf")])
+def test_non_finite_duration_rejected(us_):
+    with pytest.raises(TraceError, match="f: "):
+        CompiledFunction("f", 4, (64,), (64,), us_)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_apply_count_below_one_rejected(count):
+    with pytest.raises(TraceError, match="f: apply_count must be >= 1"):
+        fn(apply_count=count)
+
+
 def test_arity_checked():
     t = Tracer()
     a = t.arg(4, 64)

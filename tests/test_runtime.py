@@ -194,6 +194,28 @@ def test_failure_detection_lag_lets_inflight_work_finish():
     assert audit_leaks(sys_.cluster) == {}
 
 
+def test_state_left_behind_is_no_quiescent_run():
+    sys_, c = make_system()
+    sys_.register_traced("p", chain_program([fn(t=100)]))
+    job = StreamJob(sys_.new_job_id(), "p", count=1)
+    sys_.start_job(c, job)
+    assert sys_.run().status == "quiescent"
+    (inst,) = job.instances
+    dev, host = sys_.cluster.device(0), sys_.hosts[0]
+    dev.hbm_try_take(4096)                       # bytes nobody gives back
+    dev._arrivals[(inst, "n9")] = 1              # an input no kernel reads
+    host.tracker.expect(inst, "n9", 2)           # a node that never fires
+    host.install(sys_.instances[inst])           # an instance never dropped
+    stats = sys_.run()
+    assert stats.status == "deadlock"
+    assert stats.blocked == [
+        "dev0: stray inputs landed for 1 nodes",
+        "dev0: 4096 HBM bytes leaked",
+        f"host0: {inst}/n1: 0 of 1 kernels done",
+        "host0: 1 instances still installed",
+        "host0: readiness state of 1 nodes left behind"]
+
+
 def test_default_system_keeps_no_trace():
     sys_ = System(small_cluster(hosts=2, devices_per_host=2))
     sys_.register_traced("p", chain_program([fn(shards=4), fn("f1", 4)]))

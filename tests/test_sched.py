@@ -31,6 +31,11 @@ def gang(inst, client="c0", devices=(0,), hbm_each=0, dur=us(100), hosts=(0,),
                        reply_to=reply_to)
 
 
+def tickets(s):
+    """(ticket, instance, node) per grant, in grant order."""
+    return [(seq, inst, node) for seq, _t, _c, inst, node in s.dispatched]
+
+
 class Sink(Process):
     def __init__(self, sim, pid):
         super().__init__(sim, pid)
@@ -48,7 +53,7 @@ def test_fifo_orders_by_submission():
     s.submit([gang("i1"), gang("i2"), gang("i3")], "client.c0",
              latency_ns=us(500))
     sim.run_until_quiescent()
-    assert s.ticket_log() == [(1, "i1", "n"), (2, "i2", "n"), (3, "i3", "n")]
+    assert tickets(s) == [(1, "i1", "n"), (2, "i2", "n"), (3, "i3", "n")]
 
 
 def test_decision_and_send_occupancy_serialize_grants():
@@ -70,7 +75,7 @@ def test_shared_devices_get_one_consistent_order():
     s.submit([gang("i1", devices=(0, 1)), gang("i2", devices=(1, 0))],
              "client.c0", latency_ns=0)
     sim.run_until_quiescent()
-    rows = {seq: inst for seq, inst, _ in s.ticket_log()}
+    rows = {seq: inst for seq, inst, _ in tickets(s)}
     assert rows == {1: "i1", 2: "i2"}
 
 
@@ -101,7 +106,7 @@ def test_reservation_is_all_devices_or_none():
     cl.release_hbm([(1, 9 * MB)])
     s.notify_hbm_freed()
     sim.run_until_quiescent()
-    assert [i for _, i, _ in s.ticket_log()] == ["i1"]
+    assert [i for _, i, _ in tickets(s)] == ["i1"]
     assert cl.device(0).free_bytes == 8 * MB
     assert cl.device(1).free_bytes == 8 * MB
 
@@ -118,7 +123,7 @@ def test_no_overtaking_on_shared_device():
     cl.release_hbm([(0, 9 * MB)])
     s.notify_hbm_freed()
     sim.run_until_quiescent()
-    assert [i for _, i, _ in s.ticket_log()] == ["big", "small"]
+    assert [i for _, i, _ in tickets(s)] == ["big", "small"]
 
 
 def test_disjoint_devices_overtake_parked_gang():
@@ -128,7 +133,7 @@ def test_disjoint_devices_overtake_parked_gang():
     s.submit([gang("stuck", devices=(0,), hbm_each=4 * MB),
               gang("free", devices=(1,), hbm_each=1 * MB)], "h", latency_ns=0)
     sim.run_until_quiescent()
-    assert [i for _, i, _ in s.ticket_log()] == ["free"]
+    assert [i for _, i, _ in tickets(s)] == ["free"]
     assert s.obligations() == ["1 gangs parked on memory"]
 
 
@@ -163,6 +168,19 @@ def test_parked_gang_holds_nothing_while_waiting():
     assert cl.device(1).free_bytes == 10 * MB
 
 
+def test_decision_picks_from_the_queue_as_it_starts():
+    # b's gang starts the first decision alone; a's, arriving mid-decision,
+    # waits for the next one even though the tie would go to a
+    pol = Policy(kind="proportional", weights={"a": 1, "b": 1})
+    sim, _, s = make_sched(policy=pol)
+    Sink(sim, "host0")
+    s.submit([gang("from_b", client="b")], "client.b", latency_ns=0)
+    s.submit([gang("from_a", client="a")], "client.a", latency_ns=us(5))
+    sim.run_until_quiescent()
+    assert [(seq, t, i) for seq, t, _c, i, _n in s.dispatched] == [
+        (1, us(10), "from_b"), (2, us(25), "from_a")]
+
+
 # -- client failure --------------------------------------------------------
 
 def test_dead_client_releases_queue_positions():
@@ -177,7 +195,7 @@ def test_dead_client_releases_queue_positions():
     sim.send("ctl", s.pid, "client_failed", {"client": "bad"})
     sim.run_until_quiescent()
     # dropping the dead head unblocks the gang behind it
-    assert [i for _, i, _ in s.ticket_log()] == ["next"]
+    assert [i for _, i, _ in tickets(s)] == ["next"]
 
 
 def test_dead_client_submissions_are_ignored():
@@ -188,7 +206,21 @@ def test_dead_client_submissions_are_ignored():
     s.submit([gang("x", client="bad"), gang("y", client="ok")], "h",
              latency_ns=0)
     sim.run_until_quiescent()
-    assert [i for _, i, _ in s.ticket_log()] == ["y"]
+    assert [i for _, i, _ in tickets(s)] == ["y"]
+
+
+def test_client_dying_mid_decision_drops_its_gang_then_decides_again():
+    # a's gang holds the first decision (0-10us); a dies at 5us, so the
+    # decision ends with nothing to park and b's gang takes a second one
+    sim, _, s = make_sched()
+    Sink(sim, "host0")
+    s.submit([gang("doomed", client="a"), gang("next", client="b")], "h",
+             latency_ns=0)
+    sim.schedule_at(us(5), s.pid, "client_failed", {"client": "a"})
+    sim.run_until_quiescent()
+    assert [(seq, t, i) for seq, t, _c, i, _n in s.dispatched] == [
+        (1, us(20), "next")]
+    assert s.obligations() == []
 
 
 # -- proportional share ----------------------------------------------------
@@ -313,7 +345,6 @@ def test_stride_pop_always_picks_lowest_pass(pushes, blocks, weights, kind):
                           if q and not blocked & set(q[0].devices))
             best = min(live, key=lambda c: (pol.passes[c], c), default=None)
             want = pol.queues[best][0] if live else None
-        assert pol.has_eligible(blocked) == (want is not None)
         assert pol.pop(blocked) is want
     assert len(pol) == 0
 
