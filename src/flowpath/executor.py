@@ -649,7 +649,7 @@ class HostExecutor(Process):
             for ch in ei.chosts_by_src.get(s, ()):
                 if ch != home:
                     out.setdefault(ch, []).append(s)
-        for ch in sorted(out):
+        for ch in out:
             self._send(f"host{ch}", f"edge_{cls}",
                        {"instance": instance, "edge": eid, "srcs": out[ch]},
                        critical=True)
@@ -692,7 +692,7 @@ class HostExecutor(Process):
         src_devs = info.lowered.placement[ei.src]
         done = st.src_done.get(eid, set())
         amap = st.addr.get(eid, {})
-        for (src_shard, dst_shard), (dst_dev, nbytes) in sorted(amap.items()):
+        for (src_shard, dst_shard), (dst_dev, nbytes) in list(amap.items()):
             if src_shard not in done:
                 continue
             src_dev = src_devs[src_shard]       # on this host: addr came here

@@ -279,10 +279,11 @@ class Cluster:
         pass
 
     def release_hbm(self, shards: Iterable[tuple[int, int]]) -> None:
-        """Return (device, bytes) per shard, then tell the island of the
-        devices that got bytes back once, so its waiting gangs retry. A
-        device left with more free bytes than it has (a double free) raises."""
-        island = None
+        """Return (device, bytes) per shard. Once every shard is back, tell
+        each island that got bytes, once, so its parked gangs retry with
+        all of them. A device left with more free bytes than it has (a
+        double free) raises."""
+        freed = {}                              # island -> a device of it
         devices = self.devices
         for device_id, nbytes in shards:
             if nbytes:
@@ -291,9 +292,9 @@ class Cluster:
                 if dev.free_bytes > dev.hbm_capacity:
                     raise HBMError(f"dev{device_id}: free {dev.free_bytes} "
                                    "exceeds capacity (double free?)")
-                if dev.island_id != island:     # the hook is idempotent
-                    island = dev.island_id
-                    self.on_hbm_freed(dev)
+                freed.setdefault(dev.island_id, dev)
+        for dev in freed.values():
+            self.on_hbm_freed(dev)
 
     # -- links -------------------------------------------------------------
 

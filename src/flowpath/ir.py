@@ -56,6 +56,9 @@ class CompiledFunction:
         if not math.isfinite(self.us_per_shard):
             raise TraceError(f"{self.name}: duration {self.us_per_shard!r} "
                              "is not finite")
+        if self.duration_ns >= 2**63:        # the clock is a 64-bit integer
+            raise TraceError(f"{self.name}: duration {self.us_per_shard!r} "
+                             "us is 2**63 ns or more")
         if self.apply_count < 1:
             raise TraceError(f"{self.name}: apply_count must be >= 1")
 

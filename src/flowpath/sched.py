@@ -7,13 +7,13 @@ sharing a device are ordered the same way everywhere they overlap: that
 consistent order is what makes concurrent collectives deadlock-free.
 
 Device memory for a gang is reserved atomically, all devices or none, in
-ticket order. A gang that cannot reserve parks without holding anything;
-later gangs may overtake it only on devices it does not touch. A gang gets
-its ticket only once no parked gang shares a device with it, so each device
-has at most one ticket waiting and needs no line to keep ticket order.
-Freed bytes schedule one coalesced retry, and only while a gang is parked:
-a gang parks only in a decide task, whose own grant attempt already sees
-every byte freed before it.
+ticket order on each device. A gang that cannot reserve parks without
+holding anything; later gangs may overtake it only on devices it does not
+touch. A gang gets its ticket only once no parked gang shares a device with
+it, so each device has at most one ticket waiting and needs no line to keep
+ticket order. A parked gang is tried when it parks, and again inside each
+event that gives bytes back to its island, at that instant: there is no
+retry event.
 
 Policies: FIFO, or proportional share via stride scheduling. The stride
 charge is the gang's estimated device busy time over the client weight, so
@@ -156,7 +156,6 @@ class IslandScheduler(Process):
         self._blocked: set[int] = set()
         self._tasks: list[tuple] = []                # serialized work items
         self._current: tuple | None = None           # the task in flight
-        self._retry_queued = False
         self._dead_clients: set[str] = set()
         self.dispatched: list[tuple[int, int, str, str, str]] = []
         # rows: (ticket seq, t_ns, client, instance, node)
@@ -172,9 +171,6 @@ class IslandScheduler(Process):
             self._pump()
         elif kind == "sched_task_done":
             self._finish_task()
-        elif kind == "hbm_freed":
-            self._retry_queued = False
-            self._try_grants()
         elif kind == "client_failed":
             self._drop_client(payload["client"])
         else:
@@ -214,7 +210,7 @@ class IslandScheduler(Process):
                 self._seq += 1
                 self._parked[self._seq] = gang
                 self._blocked.update(gang.devices)
-                self._try_grants()
+                self.notify_hbm_freed()
         else:
             _kind, _nsends, sends = task
             for dst, mkind, payload in sends:
@@ -225,11 +221,12 @@ class IslandScheduler(Process):
 
     # -- reservations ------------------------------------------------------
 
-    def _try_grants(self) -> None:
+    def notify_hbm_freed(self) -> None:
         """Grant, in ticket order, each parked gang whose devices have room.
-        Parked gangs share no device, so one grant cannot make room for
-        another: one pass suffices. Tickets are parked in increasing order,
-        so the dict's order is ticket order."""
+        Run when a gang parks, and (via the cluster hook) once all bytes of
+        a free are back. Parked gangs share no device, so one grant cannot
+        make room for another: one pass suffices. Tickets are parked in
+        increasing order, so the dict's order is ticket order."""
         parked = self._parked
         if not parked:
             return
@@ -262,20 +259,12 @@ class IslandScheduler(Process):
         self._tasks.append(("dispatch", len(sends), sends))
         self._pump()
 
-    def notify_hbm_freed(self) -> None:
-        """Called (via runtime hook) when device bytes return; coalesced,
-        and a no-op while no gang is parked."""
-        if self._parked and not self._retry_queued:
-            self._retry_queued = True
-            self.sim.schedule_in(0, self.pid, "hbm_freed", {})
-
     def _drop_client(self, client: str) -> None:
         self._dead_clients.add(client)
         self.policy.drop_client(client)
         for seq in list(self._parked):
             if self._parked[seq].client == client:
                 self._blocked.difference_update(self._parked.pop(seq).devices)
-        self._try_grants()
         self._pump()           # removing parked gangs can unblock devices
 
     # -- introspection -----------------------------------------------------

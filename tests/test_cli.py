@@ -209,6 +209,8 @@ BAD_FN_VALUES = {
                               "layer1: duration inf is not finite"),
     "us_per_shard_1e400": ("n3", "us_per_shard", "1e400",
                            "layer2: duration inf is not finite"),
+    "us_per_shard_1e300": ("n2", "us_per_shard", "1e300",
+                           "layer1: duration 1e+300 us is 2**63 ns or more"),
     "apply_count_zero": ("n3", "apply_count", "0",
                          "layer2: apply_count must be >= 1"),
     "apply_count_negative": ("n4", "apply_count", "-3",

@@ -28,9 +28,18 @@ suite whose numbers are read from the execution trace's kernel spans.
 `FAIRNESS_DOC_PIN` pins the `fairness` suite on two weighted clients, the
 one suite whose rows come from the scheduler's grant log under memory
 pressure. With it, every `flowpath bench` suite has a document pin.
+
+`TENANTS_PINS` pin the memory-pressure path, which none of the runs above
+reaches: four weighted clients on one device that holds two gangs, so
+gangs park at the scheduler. Its "grant" entry is the sha256 of the
+scheduler's grant log and the completion series, its "schedule" entry the
+sha256 of the event schedule, as in `SCHEDULE_PINS`.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,8 +47,8 @@ import pytest
 from flowpath import (CompiledFunction, StreamJob, System, chain_program,
                       small_cluster)
 from flowpath import bench
-from flowpath.bench import run_benchmark, write_results
-from flowpath.config import load_workload
+from flowpath.bench import one_gang_program, run_benchmark, write_results
+from flowpath.config import Policy, load_workload
 from flowpath.simcore import Simulator
 
 PINS = {
@@ -79,6 +88,12 @@ PIPELINE_DOC_PIN = \
     "675d81ef66659a0a95c37a52e279efab44cb84e303bcea3c0b6cf0c45b90097e"
 FAIRNESS_DOC_PIN = \
     "71c2f9e6e5e2a0bb4311d4e324005518c50c4149b395a729013201248cbadd5e"
+TENANTS_PINS = {
+    "grant":
+        "e632997bd6b48f2f73f10b70528ca8f1a40ad286eded2567c77338a046a6de25",
+    "schedule":
+        "c0ec118d7ecfc963d979f0e2cfe18881d93450159e4cdce91fe9d898c1752ca2",
+}
 WORKLOADS = Path(__file__).resolve().parent.parent / "configs" / "workloads"
 
 
@@ -104,16 +119,20 @@ def test_event_log_matches_pin(mode, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINS[mode]
 
 
-@pytest.mark.parametrize("mode", sorted(SCHEDULE_PINS))
-def test_event_schedule_matches_pin(mode, tmp_path):
-    path = tmp_path / f"{mode}.ndjson"
-    run_chain(mode).sim.dump_event_log(str(path))
+def schedule_sha(system: System, path: Path) -> str:
+    """sha256 of the event log with each row's payload digest dropped."""
+    system.sim.dump_event_log(str(path))
     rows = []
     for line in path.read_text().splitlines():
         row = json.loads(line)
         del row["payload_digest"]
         rows.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
-    sha = hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
+    return hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(SCHEDULE_PINS))
+def test_event_schedule_matches_pin(mode, tmp_path):
+    sha = schedule_sha(run_chain(mode), tmp_path / f"{mode}.ndjson")
     assert sha == SCHEDULE_PINS[mode]
 
 
@@ -121,6 +140,48 @@ def test_event_schedule_matches_pin(mode, tmp_path):
 def test_completion_series_matches_pin(mode):
     series = repr(run_chain(mode).completion_series()).encode()
     assert hashlib.sha256(series).hexdigest() == COMPLETION_PINS[mode]
+
+
+def test_event_log_pin_holds_under_another_hash_seed(tmp_path):
+    # str hashes differ per PYTHONHASHSEED: set and dict order built from
+    # them must never reach the event log
+    path = tmp_path / "sequential.ndjson"
+    script = ("import sys, test_determinism as t; "
+              "t.run_chain('sequential').sim.dump_event_log(sys.argv[1])")
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                   check=True)
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sha == PINS["sequential"]
+
+
+def run_tenants() -> System:
+    """The shape of `_tenants` in test_exec: 4 weighted clients stream
+    one-device gangs onto a device whose HBM holds two of them."""
+    gang_bytes = 65 * 1024
+    system = System(small_cluster(hosts=1, devices_per_host=1,
+                                  hbm_bytes=2 * gang_bytes + 4 * 1024),
+                    policy=Policy(kind="proportional",
+                                  weights={"a": 1, "b": 2, "c": 4, "d": 8}),
+                    record_log=True)
+    system.register_traced("g", one_gang_program(1, 50.0, out_kb=64,
+                                                 collective=False))
+    for name in "abcd":
+        system.start_job(system.add_client(name), StreamJob(
+            system.new_job_id(), "g", 12, window=3))
+    assert system.run().status == "quiescent"
+    return system
+
+
+def test_tenants_grants_and_schedule_match_pins(tmp_path):
+    system = run_tenants()
+    grants = repr((system.scheds[0].dispatched, system.completion_series()))
+    assert hashlib.sha256(grants.encode()).hexdigest() == TENANTS_PINS["grant"]
+    sha = schedule_sha(system, tmp_path / "tenants.ndjson")
+    assert sha == TENANTS_PINS["schedule"]
 
 
 def document_sha(name: str, tmp_path, workload: dict | None = None) -> str:

@@ -70,6 +70,14 @@ def test_non_finite_duration_rejected(us_):
         CompiledFunction("f", 4, (64,), (64,), us_)
 
 
+def test_duration_past_the_64_bit_clock_rejected():
+    assert CompiledFunction("f", 4, (64,), (64,), 9.2e15).duration_ns < 2**63
+    with pytest.raises(TraceError, match=r"f: duration .* 2\*\*63 ns"):
+        CompiledFunction("f", 4, (64,), (64,), 2**63 / 1000)
+    with pytest.raises(TraceError, match=r"f: duration 1e\+300 us"):
+        CompiledFunction("f", 4, (64,), (64,), 1e300)
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_apply_count_below_one_rejected(count):
     with pytest.raises(TraceError, match="f: apply_count must be >= 1"):

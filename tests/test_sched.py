@@ -138,24 +138,78 @@ def test_disjoint_devices_overtake_parked_gang():
 
 
 def test_memory_retry_only_while_a_gang_is_parked():
+    # the free that makes room grants at that instant, inside its own event
     sim, cl, s = make_sched(hbm=10 * MB)
     sim.record_log = True
     cl.on_hbm_freed = lambda dev: s.notify_hbm_freed()
     Sink(sim, "host0")
     cl.device(0).hbm_try_take(9 * MB)
-    cl.release_hbm([(0, 1 * MB)])          # nothing parked: no retry
+    cl.release_hbm([(0, 1 * MB)])          # nothing parked: schedules nothing
+    assert sim.run_until_quiescent().events == 0
     s.submit([gang("w", devices=(0,), hbm_each=4 * MB)], "h", latency_ns=0)
     sim.run_until_quiescent()
     assert s.obligations() == ["1 gangs parked on memory"]
     cl.release_hbm([(0, 1 * MB)])          # parked, but still 1 MB short
-    sim.run_until_quiescent()
+    assert sim.run_until_quiescent().events == 0
     assert s.dispatched == []
-    cl.release_hbm([(0, 1 * MB)])          # makes room: its retry grants
-    t_free = sim.now()
+    cl.release_hbm([(0, 1 * MB)])          # makes room: granted right here
+    assert [(i, t) for _seq, t, _c, i, _n in s.dispatched] == [("w", us(10))]
     sim.run_until_quiescent()
-    assert [(i, t) for _seq, t, _c, i, _n in s.dispatched] == [("w", t_free)]
-    assert [k for _t, _seq, _tgt, k, _p in sim.log].count("hbm_freed") == 2
+    # decide, dispatch, go: no scheduler event beyond the gang's own tasks
+    assert [k for _t, _seq, _tgt, k, _p in sim.log] == [
+        "submit", "sched_task_done", "sched_task_done", "go"]
     assert cl.device(0).free_bytes == 0
+
+
+class Frees(Process):
+    """Each `free` event makes one `release_hbm` call per shard list."""
+
+    def __init__(self, sim, cluster):
+        super().__init__(sim, "frees")
+        self.cluster = cluster
+
+    def handle(self, kind, payload, src):
+        for shards in payload["calls"]:
+            self.cluster.release_hbm(shards)
+
+
+def test_one_free_over_two_devices_grants_a_gang_parked_on_both():
+    sim, cl, s = make_sched(hbm=10 * MB)
+    cl.on_hbm_freed = lambda dev: s.notify_hbm_freed()
+    Sink(sim, "host0")
+    Frees(sim, cl)
+    cl.device(0).hbm_try_take(9 * MB)
+    cl.device(1).hbm_try_take(9 * MB)
+    s.submit([gang("w", devices=(0, 1), hbm_each=4 * MB)], "h", latency_ns=0)
+    sim.run_until_quiescent()
+    assert s.obligations() == ["1 gangs parked on memory"]
+    # the hook runs once every shard is back, so the gang sees both devices
+    sim.schedule_at(us(30), "frees", "free",
+                    {"calls": [[(0, 3 * MB), (1, 3 * MB)]]})
+    sim.run_until_quiescent()
+    assert [(i, t) for _seq, t, _c, i, _n in s.dispatched] == [("w", us(30))]
+    assert [cl.device(d).free_bytes for d in (0, 1)] == [0, 0]
+
+
+def test_frees_in_one_event_grant_in_the_order_memory_returns():
+    # gangs parked on different devices are granted as their bytes come
+    # back, even against ticket order; each device keeps its ticket order
+    sim, cl, s = make_sched(hbm=10 * MB)
+    cl.on_hbm_freed = lambda dev: s.notify_hbm_freed()
+    host = Sink(sim, "host0")
+    Frees(sim, cl)
+    cl.device(0).hbm_try_take(9 * MB)
+    cl.device(1).hbm_try_take(9 * MB)
+    s.submit([gang("first", devices=(0,), hbm_each=4 * MB),
+              gang("second", devices=(1,), hbm_each=4 * MB)], "h",
+             latency_ns=0)
+    sim.run_until_quiescent()
+    assert s.obligations() == ["2 gangs parked on memory"]
+    sim.schedule_at(us(30), "frees", "free",
+                    {"calls": [[(1, 3 * MB)], [(0, 3 * MB)]]})
+    sim.run_until_quiescent()
+    assert tickets(s) == [(2, "second", "n"), (1, "first", "n")]
+    assert [p["ticket"] for _t, k, p in host.seen if k == "go"] == [2, 1]
 
 
 def test_parked_gang_holds_nothing_while_waiting():
