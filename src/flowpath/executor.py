@@ -437,8 +437,7 @@ class HostExecutor(Process):
         self.tracker = ProgressTracker(self._on_ready, self._waits)
         self.inst: dict[str, _InstState] = {}
         self.failed_clients: set[str] = set()       # client pids
-        self._tasks: list[tuple] = []
-        self._working = False
+        self._tasks: list[tuple] = []   # the running task is the first
         self.stats = {"ctrl_msgs": 0, "preps": 0, "enqueues": 0}
 
     # -- plumbing ----------------------------------------------------------
@@ -457,18 +456,15 @@ class HostExecutor(Process):
         """Queue one task of back-to-back ("prep" | "enqueue", ns) steps;
         its cost, their sum, is fixed now."""
         self._tasks.append((instance, nid, steps, sum(ns for _k, ns in steps)))
-        if not self._working:
+        if len(self._tasks) == 1:
             self._start_next()
 
     def _start_next(self) -> None:
-        if not self._tasks:
-            self._working = False
-            return
-        self._working = True
-        self.sim.schedule_in(self._tasks[0][3], self.pid, "task_done")
+        if self._tasks:
+            self.sim.schedule_in(self._tasks[0][3], self.pid, "task_done")
 
     def _finish_task(self) -> None:
-        instance, nid, steps, cost = self._tasks.pop(0)
+        instance, nid, steps, cost = self._tasks[0]
         t = self.sim.now() - cost
         for kind, ns in steps:
             if self.sim.record_trace:
@@ -480,6 +476,8 @@ class HostExecutor(Process):
                     self._prep_effects(instance, nid)
                 else:
                     self._enqueue_effects(instance, nid)
+        # popped only now, so a task its effects push waits its turn
+        self._tasks.pop(0)
         self._start_next()
 
     # -- dispatch triggers -------------------------------------------------

@@ -15,11 +15,15 @@ ticket order. A parked gang is tried when it parks, and again inside each
 event that gives bytes back to its island, at that instant: there is no
 retry event.
 
-Policies: FIFO, or proportional share via stride scheduling. The stride
-charge is the gang's estimated device busy time over the client weight, so
-long-run busy-time shares converge to the weights. Passes are integers: each
-weight is read as a fraction p/q, and every charge is scaled by the lcm of
-the weights' numerators, which keeps the exact order of fractional passes.
+Policies: one pick rule, stride scheduling over FIFO queues. FIFO is one
+queue that every client shares; proportional share is one queue per client.
+Each queue offers its first gang that touches no blocked device, so a gang
+behind a parked one never holds back later gangs on free devices, and the
+queue with the lowest pass wins. The stride charge is the gang's estimated
+device busy time over the client weight, so long-run busy-time shares
+converge to the weights. Passes are integers: each weight is read as a
+fraction p/q, and every charge is scaled by the lcm of the weights'
+numerators, which keeps the exact order of fractional passes.
 """
 from __future__ import annotations
 
@@ -51,31 +55,16 @@ class GangRequest:
         return max(1, self.duration_ns * len(self.devices))
 
 
-class _FifoPolicy:
-    def __init__(self):
-        self.queue: list[GangRequest] = []
-
-    def push(self, g: GangRequest) -> None:
-        self.queue.append(g)
-
-    def pop(self, blocked: set[int]) -> GangRequest | None:
-        for i, g in enumerate(self.queue):
-            if blocked.isdisjoint(g.devices):
-                return self.queue.pop(i)
-        return None
-
-    def __len__(self):
-        return len(self.queue)
-
-    def drop_client(self, client: str) -> None:
-        self.queue = [g for g in self.queue if g.client != client]
-
-
 class _StridePolicy:
-    """Stride scheduling over per-client FIFO queues."""
+    """Stride scheduling over FIFO queues. Proportional share keeps one
+    queue per client; FIFO (`weights` None) is one queue that every client
+    shares. Each queue offers its first gang that touches no blocked device,
+    and of those the queue with the lowest pass wins, a tie going to the
+    first name."""
 
-    def __init__(self, weights: dict[str, float]):
-        fracs = {c: _weight(c, w) for c, w in weights.items()}
+    def __init__(self, weights: dict[str, float] | None):
+        self.shared = weights is None
+        fracs = {c: _weight(c, w) for c, w in (weights or {}).items()}
         # busy / (p/q), scaled by the lcm of all p (1 for the default weight)
         scale = math.lcm(1, *(f.numerator for f in fracs.values()))
         self.default_stride = scale
@@ -87,29 +76,31 @@ class _StridePolicy:
         self.global_pass = 0
 
     def push(self, g: GangRequest) -> None:
-        if g.client not in self.queues:
-            self.clients = sorted([*self.queues, g.client])
-        q = self.queues.setdefault(g.client, [])
+        key = "" if self.shared else g.client
+        if key not in self.queues:
+            self.clients = sorted([*self.queues, key])
+        q = self.queues.setdefault(key, [])
         if not q:
             # a client joining (or rejoining) starts at the current virtual
             # pass so idle periods are not banked as credit
-            self.passes[g.client] = max(
-                self.passes.get(g.client, 0), self.global_pass)
+            self.passes[key] = max(self.passes.get(key, 0), self.global_pass)
         q.append(g)
 
     def pop(self, blocked: set[int]) -> GangRequest | None:
-        # a client competes with its head gang (its queue is FIFO); clients
-        # are sorted and only a lower pass wins, so a tie goes to the first
-        client, best = None, 0
+        # keys are sorted and only a lower pass wins, so a tie goes to the
+        # first; a queue whose pass cannot win is not scanned
+        client, best, index = None, 0, 0
         passes, queues = self.passes, self.queues
         for c in self.clients:
-            q = queues[c]
-            if (q and (client is None or passes[c] < best)
-                    and blocked.isdisjoint(q[0].devices)):
-                client, best = c, passes[c]
+            if client is not None and passes[c] >= best:
+                continue
+            for i, g in enumerate(queues[c]):
+                if blocked.isdisjoint(g.devices):
+                    client, best, index = c, passes[c], i
+                    break
         if client is None:
             return None
-        g = queues[client].pop(0)
+        g = queues[client].pop(index)
         self.global_pass = best
         passes[client] = best + g.busy_estimate * self.strides.get(
             client, self.default_stride)
@@ -119,8 +110,8 @@ class _StridePolicy:
         return sum(map(len, self.queues.values()))
 
     def drop_client(self, client: str) -> None:
-        self.queues.pop(client, None)
-        self.clients = sorted(self.queues)
+        for q in self.queues.values():
+            q[:] = [g for g in q if g.client != client]
 
 
 def _weight(client: str, w) -> Fraction:
@@ -144,10 +135,9 @@ class IslandScheduler(Process):
         self.island = island
         self.costs = costs
         self.control_latency_ns = control_latency_ns
-        if policy.kind == "proportional":
-            self.policy = _StridePolicy(dict(policy.weights))
-        else:
-            self.policy = _FifoPolicy()
+        self.policy = _StridePolicy(dict(policy.weights)
+                                    if policy.kind == "proportional" else None)
+        self._devices = frozenset(cluster.island_devices[island])
         self._seq = 0
         self._parked: dict[int, GangRequest] = {}    # ticket seq -> gang
         # devices with a parked gang: it must be granted before more work is
@@ -192,6 +182,8 @@ class IslandScheduler(Process):
         if self._tasks:
             task = self._tasks.pop(0)
             cost = self.costs.sched_send_ns * task[1]
+        elif self._blocked >= self._devices:
+            return             # no gang can be picked past the parked ones
         else:
             gang = self.policy.pop(self._blocked)
             if gang is None:

@@ -75,7 +75,9 @@ class RunResult:
     reports an obligation. "deadlock": `blocked` names each one left, such
     as an incomplete or queued kernel, a message awaited that can never
     arrive, or state a finished run must not keep: HBM not returned, inputs
-    landed for no kernel, readiness state or an instance still installed."""
+    landed for no kernel, readiness state or an instance still installed.
+    When the processes' wait edges close a cycle, its last line names it,
+    as in "wait-for cycle: dev1 -> dev0 -> dev1"."""
 
     clock_ns: int
     status: str              # "quiescent" | "deadlock"
@@ -204,6 +206,9 @@ class Simulator:
         for pid in self._procs:
             for reason in self._procs[pid].obligations():
                 blocked.append(f"{pid}: {reason}")
+        cycle = blocked and find_wait_cycle(self.wait_for_graph())
+        if cycle:
+            blocked.append("wait-for cycle: " + " -> ".join(cycle + cycle[:1]))
         status = "quiescent" if not blocked else "deadlock"
         return RunResult(self.clock, status, n, blocked)
 

@@ -117,6 +117,19 @@ MALFORMED = {
     "result_returned_twice": (
         lambda doc: doc["results"].append("n4"),
         "result node n4 is listed 2 times in results, not once"),
+    "results_entry_not_a_result": (
+        lambda doc: doc["results"].append("n1"),
+        "results entry n1 is not a result node"),
+    "unknown_slice": (
+        lambda doc: node(doc, "n1").update(slice="zz"),
+        "node n1 references unknown slice zz"),
+    "shards_off_the_slice": (
+        lambda doc: node(doc, "n1")["fn"].update(shards=5),
+        "node n1: 5 shards on slice of 4 devices"),
+    "no_compute_node": (
+        lambda doc: doc.update(nodes=[node(doc, "n0")], edges=[], results=[],
+                               slices={}),
+        "program has no compute node"),
 }
 
 

@@ -112,11 +112,15 @@ def run_chain(mode: str) -> System:
     return system
 
 
+def log_sha(system: System, path: Path) -> str:
+    """sha256 of the event log."""
+    system.sim.dump_event_log(str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("mode", sorted(PINS))
 def test_event_log_matches_pin(mode, tmp_path):
-    path = tmp_path / f"{mode}.ndjson"
-    run_chain(mode).sim.dump_event_log(str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINS[mode]
+    assert log_sha(run_chain(mode), tmp_path / f"{mode}.ndjson") == PINS[mode]
 
 
 def schedule_sha(system: System, path: Path) -> str:
@@ -142,20 +146,27 @@ def test_completion_series_matches_pin(mode):
     assert hashlib.sha256(series).hexdigest() == COMPLETION_PINS[mode]
 
 
-def test_event_log_pin_holds_under_another_hash_seed(tmp_path):
+@pytest.mark.parametrize("case", ["sequential", "tenants"])
+def test_event_log_pin_holds_under_another_hash_seed(case, tmp_path):
     # str hashes differ per PYTHONHASHSEED: set and dict order built from
-    # them must never reach the event log
-    path = tmp_path / "sequential.ndjson"
-    script = ("import sys, test_determinism as t; "
-              "t.run_chain('sequential').sim.dump_event_log(sys.argv[1])")
+    # them must never reach the event log. The tenants run keys the
+    # proportional-share queues by client name.
+    sha, pin = {
+        "sequential": ("t.log_sha(t.run_chain('sequential'), p)",
+                       PINS["sequential"]),
+        "tenants": ("t.schedule_sha(t.run_tenants(), p)",
+                    TENANTS_PINS["schedule"]),
+    }[case]
+    script = ("import sys, pathlib, test_determinism as t; "
+              f"p = pathlib.Path(sys.argv[1]); print({sha})")
     env = dict(os.environ, PYTHONHASHSEED="1")
     here = Path(__file__).resolve().parent
     env["PYTHONPATH"] = os.pathsep.join(
         [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")])
-    subprocess.run([sys.executable, "-c", script, str(path)], env=env,
-                   check=True)
-    sha = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert sha == PINS["sequential"]
+    out = subprocess.run([sys.executable, "-c", script,
+                          str(tmp_path / f"{case}.ndjson")], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == pin
 
 
 def run_tenants() -> System:

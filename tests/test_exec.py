@@ -805,6 +805,34 @@ def test_no_memory_retry_without_memory_pressure(mode):
     assert set(kinds) == {"submit", "sched_task_done"}
 
 
+def test_proportional_share_picks_past_a_head_on_a_parked_device():
+    """A (device 0) writes 1 MB that B (device 1) reads; HBM fits two of
+    each. Once a later A parks on device 0, the next A heads the client's
+    queue on that blocked device, and only the B gangs queued behind it
+    free A's outputs: the queue must offer its first gang on a free device,
+    as FIFO does, or the run wedges after two completions."""
+    t = Tracer()
+    v = t.arg(shards=1, bytes_per_shard=KB)
+    a = t.call(CompiledFunction("A", 1, (KB,), (MB,), 50), v)
+    b = t.call(CompiledFunction("B", 1, (MB,), (KB,), 50), a)
+    program = t.finish(results=[a, b])
+    dispatched = {}
+    for policy in (Policy(), Policy(kind="proportional", weights={"c0": 1})):
+        sys_ = System(small_cluster(hosts=2, devices_per_host=1,
+                                    hbm_bytes=2 * (MB + KB) + 512),
+                      policy=policy, record_trace=False)
+        info = sys_.register_traced("p", program)
+        assert [info.nodes[n].devices for n in ("n1", "n2")] == [(0,), (1,)]
+        c = sys_.add_client("c0")
+        sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=8,
+                                    window=4, mode="sequential"))
+        res = sys_.run()
+        assert res.status == "quiescent", res.blocked
+        assert len(sys_.sim.completions) == 16
+        dispatched[policy.kind] = sys_.scheds[0].dispatched
+    assert dispatched["proportional"] == dispatched["fifo"]
+
+
 # -- known defect: host-gated prep under HBM pressure ----------------------
 
 @pytest.mark.parametrize("mode", [

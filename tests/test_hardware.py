@@ -307,6 +307,8 @@ def test_crossed_collectives_deadlock_and_cycle_is_found():
     assert res.status == "deadlock"
     cycle = find_wait_cycle(sim.wait_for_graph())
     assert cycle is not None and set(cycle) == {"dev0", "dev1"}
+    # the verdict names the cycle too
+    assert res.blocked[-1] == "wait-for cycle: dev1 -> dev0 -> dev1"
 
 
 def test_identically_ordered_collectives_run_clean():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from flowpath.config import CostModel, Policy, small_cluster
 from flowpath.hardware import Cluster
-from flowpath.sched import (GangRequest, IslandScheduler, _FifoPolicy,
-                            _StridePolicy)
+from flowpath.sched import GangRequest, IslandScheduler, _StridePolicy
 from flowpath.simcore import Process, Simulator, us
 
 MB = 1 << 20
@@ -386,20 +385,17 @@ def test_rejoining_client_gets_no_banked_credit():
 @settings(max_examples=100, deadline=None)
 def test_stride_pop_always_picks_lowest_pass(pushes, blocks, weights, kind):
     # each pop sees a blocked device set; the empty sets that end the list
-    # drain the queues
-    pol = _StridePolicy(weights) if kind == "proportional" else _FifoPolicy()
+    # drain the queues. FIFO is one queue that every client shares.
+    pol = _StridePolicy(weights if kind == "proportional" else None)
     for i, (c, devs) in enumerate(pushes):
         pol.push(gang(f"{c}{i}", client=c, devices=sorted(devs)))
     for blocked in blocks + [set()] * len(pushes):
-        if kind == "fifo":
-            want = next((g for g in pol.queue
-                         if not blocked & set(g.devices)), None)
-        else:
-            live = sorted(c for c, q in pol.queues.items()
-                          if q and not blocked & set(q[0].devices))
-            best = min(live, key=lambda c: (pol.passes[c], c), default=None)
-            want = pol.queues[best][0] if live else None
-        assert pol.pop(blocked) is want
+        # each queue offers its first gang clear of the blocked devices
+        offers = {c: next((g for g in q if not blocked & set(g.devices)), None)
+                  for c, q in pol.queues.items()}
+        live = sorted(c for c, g in offers.items() if g is not None)
+        best = min(live, key=lambda c: (pol.passes[c], c), default=None)
+        assert pol.pop(blocked) is offers.get(best)
     assert len(pol) == 0
 
 
@@ -473,3 +469,24 @@ def test_generated_gangs_keep_ticket_order_and_return_memory(
         dead, at = failure
         assert all(t <= us(at) for _seq, t, c, _i, _n in s.dispatched
                    if c == dead)
+
+
+@given(gang_specs)
+@settings(max_examples=150, deadline=None)
+def test_one_client_grants_the_same_under_either_policy(specs):
+    # one client's queue is the one FIFO queue, so both policies offer the
+    # same first gang on a free device at every pick
+    logs = []
+    for pol in (Policy(), Policy(kind="proportional", weights={"a": 1})):
+        sim, cl, s = make_sched(policy=pol, hbm=8 * MB, devices_per_host=4)
+        gangs = {}
+        for i, (_client, devs, mb, dur_us, at_us) in enumerate(specs):
+            g = gang(f"g{i}", client="a", devices=sorted(devs),
+                     hbm_each=mb * MB, dur=us(dur_us))
+            gangs[g.instance] = g
+            s.submit([g], "client.a", latency_ns=us(at_us))
+        GiveBack(sim, cl, s, gangs)
+        sim.run_until_quiescent()
+        assert s.obligations() == []
+        logs.append(s.dispatched)
+    assert logs[0] == logs[1]
