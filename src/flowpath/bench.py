@@ -1,9 +1,11 @@
 """Benchmark drivers and their reporting.
 
-Every driver builds fresh systems from a spec, runs to quiescence, and
-returns a plain dict: {"benchmark", "params", "rows", "audit"}. The audit
-block re-derives the headline numbers from the raw completion records so a
-reporting bug cannot silently disagree with the simulation.
+Every suite, and `flowpath run`, builds each System itself and starts its
+program and clients through the one builder, `start_streams`; a suite then
+runs it with `run_to_quiescence`. Each suite returns a plain dict:
+{"benchmark", "params", "rows", "audit"}. The audit block re-derives the
+headline numbers from the raw completion records so a reporting bug cannot
+silently disagree with the simulation.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import math
 
 from .config import (ClusterSpec, CostModel, Policy, ValidationError,
                      check_keys, small_cluster)
-from .ir import CompiledFunction, Tracer, chain_program
+from .ir import CompiledFunction, TracedProgram, Tracer, chain_program
 from .runtime import StreamJob, System, steady_rate
 from .simcore import Simulator, us
 
@@ -68,26 +70,27 @@ def one_gang_program(n_devices: int, duration_us: float, out_kb: int = 1,
     return t.finish([v])
 
 
-def run_stream(spec: ClusterSpec, n_devices: int, duration_us: float,
-               count: int, window: int, trigger: str = "complete",
-               clients: int = 1, record_trace: bool = True,
-               record_log: bool = False) -> tuple[System, list[StreamJob]]:
-    """Stream `count` instances per client over one shared device group."""
-    sys = System(spec, record_trace=record_trace, record_log=record_log)
-    prog = one_gang_program(n_devices, duration_us)
-    devs = tuple(range(n_devices))
-    sys.register_traced("g", prog, {sid: devs for sid in prog.slices})
-    jobs = []
-    for i in range(clients):
-        c = sys.add_client(f"c{i}")
-        job = StreamJob(sys.new_job_id(), "g", count, window=window,
-                        trigger=trigger)
-        sys.start_job(c, job)
-        jobs.append(job)
-    r = sys.run()
+def start_streams(system: System, program: TracedProgram,
+                  clients: list[tuple[str, int, int, str, str]],
+                  placement: tuple[int, ...] | None = None) -> list[StreamJob]:
+    """Register `program` on `system` as "main" and start one `StreamJob`
+    per client entry (name, count, window, trigger, mode), in order, at
+    t = 0. With `placement` None the resource manager places every slice;
+    otherwise every slice runs on the `placement` devices.
+    """
+    system.register_traced("main", program, None if placement is None else
+                           {sid: placement for sid in program.slices})
+    return [system.start_job(system.add_client(name), StreamJob(
+                system.new_job_id(), "main", count, window=window,
+                trigger=trigger, mode=mode))
+            for name, count, window, trigger, mode in clients]
+
+
+def run_to_quiescence(system: System) -> None:
+    """Run `system`; a run that is not quiescent raises what is blocked."""
+    r = system.run()
     if r.status != "quiescent":
-        raise RuntimeError(f"stream run wedged: {r.blocked}")
-    return sys, jobs
+        raise RuntimeError(f"run wedged: {r.blocked}")
 
 
 # -- dispatch throughput and latency -----------------------------------------
@@ -101,34 +104,22 @@ def bench_dispatch(host_counts=(1, 2, 4), devices_per_host: int = 2,
     last_sys = None
     for hosts in host_counts:
         spec = small_cluster(hosts=hosts, devices_per_host=devices_per_host)
-        n_dev = hosts * devices_per_host
-        fns = [CompiledFunction(f"f{i}", n_dev, (1024,), (1024,), duration_us)
-               for i in range(chain_len)]
+        devs = tuple(range(hosts * devices_per_host))
+        prog = chain_program([
+            CompiledFunction(f"f{i}", len(devs), (1024,), (1024,), duration_us)
+            for i in range(chain_len)])
         for mode in ("sequential", "parallel"):
-            prog = chain_program(fns)
             sys = System(spec)
-            devs = tuple(range(n_dev))
-            sys.register_traced("chain", prog,
-                                {sid: devs for sid in prog.slices})
-            c = sys.add_client("c0")
-            job = StreamJob(sys.new_job_id(), "chain", 1, mode=mode)
-            sys.start_job(c, job)
-            one = sys.run()
-            if one.status != "quiescent":
-                raise RuntimeError(f"dispatch run wedged: {one.blocked}")
-            inst = job.instances[0]
+            job, = start_streams(sys, prog, [("c0", 1, 1, "complete", mode)],
+                                 devs)
+            run_to_quiescence(sys)
+            inst, c = job.instances[0], sys.clients["c0"]
             makespan = c.completed_at[inst] - c.submitted_at[inst]
 
             sys2 = System(spec, record_log=record_log, record_trace=True)
-            sys2.register_traced("chain", prog,
-                                 {sid: devs for sid in prog.slices})
-            c2 = sys2.add_client("c0")
-            job2 = StreamJob(sys2.new_job_id(), "chain", count, window=4,
-                             trigger="complete", mode=mode)
-            sys2.start_job(c2, job2)
-            rr = sys2.run()
-            if rr.status != "quiescent":
-                raise RuntimeError(f"dispatch stream wedged: {rr.blocked}")
+            start_streams(sys2, prog, [("c0", count, 4, "complete", mode)],
+                          devs)
+            run_to_quiescence(sys2)
             series = sys2.completion_series()
             rate = steady_rate(series)
             rows.append({"hosts": hosts, "mode": mode,
@@ -149,8 +140,11 @@ def bench_dispatch(host_counts=(1, 2, 4), devices_per_host: int = 2,
 
 def _stream_rate(spec: ClusterSpec, n_dev: int, t_us: int, count: int,
                  window: int) -> float:
-    sys, _ = run_stream(spec, n_dev, float(t_us), count, window,
-                        trigger="handles", record_trace=False)
+    sys = System(spec)
+    start_streams(sys, one_gang_program(n_dev, float(t_us)),
+                  [("c0", count, window, "handles", "parallel")],
+                  tuple(range(n_dev)))
+    run_to_quiescence(sys)
     return steady_rate(sys.completion_series())
 
 
@@ -287,14 +281,9 @@ def run_pipeline(stages: int, micro: int, stage_us: float = 1000.0,
     spec = small_cluster(hosts=-(-stages // (4 * islands)),
                          devices_per_host=4, islands=islands)
     sys = System(spec, record_log=record_log, record_trace=True)
-    prog = pipeline_program(stages, micro, stage_us, islands)
-    sys.register_traced("pipe", prog, None)
-    c = sys.add_client("c0")
-    job = StreamJob(sys.new_job_id(), "pipe", 1, mode="parallel")
-    sys.start_job(c, job)
-    r = sys.run()
-    if r.status != "quiescent":
-        raise RuntimeError(f"pipeline run wedged: {r.blocked}")
+    start_streams(sys, pipeline_program(stages, micro, stage_us, islands),
+                  [("c0", 1, 1, "complete", "parallel")])
+    run_to_quiescence(sys)
     kernels = [t for t in sys.sim.trace if t.category == "kernel"]
     t0 = min(k.start_ns for k in kernels)
     t1 = max(k.end_ns for k in kernels)
@@ -354,9 +343,11 @@ def bench_utilization(client_counts=(1, 2, 4, 8, 16), duration_us: float = 330.0
     audit = []
     last_sys = None
     for k in client_counts:
-        sys, _jobs = run_stream(spec, devices, duration_us, per_client,
-                                window=1, trigger="complete", clients=k,
-                                record_log=record_log)
+        sys = System(spec, record_log=record_log, record_trace=True)
+        start_streams(sys, one_gang_program(devices, duration_us),
+                      [(f"c{i}", per_client, 1, "complete", "parallel")
+                       for i in range(k)], tuple(range(devices)))
+        run_to_quiescence(sys)
         series = sys.completion_series()
         a = int(len(series) * 0.25)
         b = max(a + 2, int(len(series) * 0.95))
@@ -396,17 +387,11 @@ def bench_fairness(weights: dict[str, float], total_gangs: int = 10400,
     sys = System(spec, policy=Policy(kind="proportional", weights=weights),
                  record_log=record_log)
     wsum = sum(weights.values())
-    prog = one_gang_program(1, duration_us, out_kb=out_kb, collective=False)
-    sys.register_traced("g", prog, {sid: (0,) for sid in prog.slices})
-    for name in sorted(weights):
-        c = sys.add_client(name)
-        count = max(window, round(total_gangs * weights[name] / wsum))
-        job = StreamJob(sys.new_job_id(), "g", count, window=window,
-                        trigger="complete")
-        sys.start_job(c, job)
-    r = sys.run()
-    if r.status != "quiescent":
-        raise RuntimeError(f"fairness run wedged: {r.blocked}")
+    start_streams(
+        sys, one_gang_program(1, duration_us, out_kb=out_kb, collective=False),
+        [(name, max(window, round(total_gangs * weights[name] / wsum)),
+          window, "complete", "parallel") for name in sorted(weights)], (0,))
+    run_to_quiescence(sys)
     log = sys.scheds[0].dispatched
     a, b = int(len(log) * 0.2), int(len(log) * 0.9)
     mid = log[a:b]
@@ -500,11 +485,7 @@ def run_benchmark(name: str, workload: dict | None = None,
                 "crossover runs many short systems; no event log is kept")
         return bench_crossover(**_kwargs(w))
     if name == "pipeline":
-        cases = w.pop("cases", None)
-        return bench_pipeline(
-            cases=tuple(tuple(c) for c in cases) if cases else
-            ((4, 16), (8, 32), (16, 64)),
-            record_log=record_log, **_kwargs(w))
+        return bench_pipeline(record_log=record_log, **_kwargs(w))
     if name == "utilization":
         return bench_utilization(spec=spec, record_log=record_log, **_kwargs(w))
     weights = w.pop("weights", {"c0": 1, "c1": 1, "c2": 1, "c3": 1})

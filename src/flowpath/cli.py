@@ -12,12 +12,12 @@ import argparse
 import sys
 
 from .bench import (WORKLOAD_KEYS, export_chrome_trace, run_benchmark,
-                    write_results)
+                    start_streams, write_results)
 from .config import ValidationError, load_cluster, load_workload, small_cluster
 from .ir import LowerError, TraceError, deserialize
 from .ir import digest as program_digest
 from .resman import AllocationError
-from .runtime import StreamJob, System
+from .runtime import System
 
 BENCHMARKS = tuple(WORKLOAD_KEYS)
 _USER_ERRORS = (ValidationError, AllocationError, TraceError, LowerError)
@@ -96,11 +96,9 @@ def _run(args) -> int:
     spec = load_cluster(args.config) if args.config else small_cluster()
     system = System(spec, record_log=bool(args.event_log),
                     record_trace=bool(args.trace_out))
-    system.register_traced("main", prog)
-    client = system.add_client("cli")
-    job = StreamJob(system.new_job_id(), "main", count=1, mode=args.mode)
-    system.start_job(client, job)
+    start_streams(system, prog, [("cli", 1, 1, "complete", args.mode)])
     stats = system.run()
+    client = system.clients["cli"]
     if args.trace_out:
         export_chrome_trace(system.sim, args.trace_out)
     if args.event_log:

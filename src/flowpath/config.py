@@ -78,11 +78,14 @@ def _link(doc: dict | None, default: LinkSpec, where: str) -> LinkSpec:
     check_keys(doc, ("latency_ns", "gbps"), where)
     lat = doc.get("latency_ns", default.latency_ns)
     gbps = doc.get("gbps", default.gbps)
-    if type(lat) is not int or lat < 0:
-        raise ValidationError(f"{where}.latency_ns: non-negative int required")
-    # a bool is no number; nan and infinity are no rate
-    if type(gbps) not in (int, float) or not 0 < gbps < math.inf:
-        raise ValidationError(f"{where}.gbps: positive number required")
+    if type(lat) is not int or not 0 <= lat < 2**63:   # a 64-bit clock
+        raise ValidationError(f"{where}.latency_ns: non-negative int "
+                              "required, below 2**63")
+    # a bool is no number; nan and infinity are no rate, and neither is
+    # one below 1 byte/s, at which a transfer never finishes
+    if type(gbps) not in (int, float) or not 1e-9 <= gbps < math.inf:
+        raise ValidationError(f"{where}.gbps: positive number required, "
+                              "at least 1e-9 (1 byte/s)")
     return LinkSpec(latency_ns=lat, gbps=float(gbps))
 
 
@@ -122,13 +125,12 @@ def load_cluster(path: str) -> ClusterSpec:
 
 
 def small_cluster(hosts: int = 2, devices_per_host: int = 4,
-                  islands: int = 1, hbm_bytes: int = DEFAULT_HBM,
-                  ici: LinkSpec = DEFAULT_ICI, dcn: LinkSpec = DEFAULT_DCN,
-                  pcie: LinkSpec = DEFAULT_PCIE) -> ClusterSpec:
+                  islands: int = 1, hbm_bytes: int = DEFAULT_HBM) -> ClusterSpec:
     """Convenience builder used by tests and benchmark sweeps."""
-    isl = IslandSpec(devices_per_host=devices_per_host, hosts=hosts, ici=ici)
-    return ClusterSpec(islands=(isl,) * islands, dcn=dcn, pcie=pcie,
-                       hbm_bytes=hbm_bytes)
+    isl = IslandSpec(devices_per_host=devices_per_host, hosts=hosts,
+                     ici=DEFAULT_ICI)
+    return ClusterSpec(islands=(isl,) * islands, dcn=DEFAULT_DCN,
+                       pcie=DEFAULT_PCIE, hbm_bytes=hbm_bytes)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,11 @@ class SliceRequirement:
     shape: tuple[int, ...]
     island: int | None = None
 
+    def __post_init__(self):
+        if any(d < 1 for d in self.shape):
+            raise TraceError(f"slice shape {list(self.shape)}: a dimension "
+                             "is below 1")
+
     @property
     def device_count(self) -> int:
         return math.prod(self.shape)

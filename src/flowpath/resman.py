@@ -79,6 +79,3 @@ class ResourceManager:
         return (f"cannot place slice of {n} devices"
                 f"{'' if island is None else f' on island {island}'}: "
                 f"eligible per island {per}")
-
-    def assignment_counts(self) -> dict[int, int]:
-        return {d: info.assigned for d, info in sorted(self.devices.items())}

@@ -241,11 +241,11 @@ class System:
 
     `record_trace` keeps the execution trace (kernel, prep and transfer
     spans in `sim.trace`). It is off by default: the trace grows with the
-    run's length and changes no simulated result. The callers that read it
-    turn it on: `flowpath run --trace-out`, `run_pipeline` (its busy
-    fractions come from the kernel spans), `run_stream` by default
-    (`device_busy_fraction` reads the spans) and the streamed system of
-    `bench_dispatch` (exported by `flowpath bench --trace-out`).
+    run's length and changes no simulated result. Each caller that reads
+    it turns it on when it builds the System it hands to
+    `bench.start_streams`: `flowpath run --trace-out`, `run_pipeline` and
+    `bench_utilization` (busy fractions come from the kernel spans) and
+    `bench_dispatch` (`flowpath bench --trace-out` exports its last system).
     """
 
     def __init__(self, spec: ClusterSpec, policy: Policy | None = None,

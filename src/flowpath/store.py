@@ -154,11 +154,6 @@ class HostStore:
             self._free(self.buffers[h])
         return victims
 
-    # -- audits ------------------------------------------------------------
-
-    def live_bytes(self) -> int:
-        return sum(nb for b in self.buffers.values() for _d, nb in b.shards)
-
 
 def audit_no_double_free(audit_rows: list) -> list[tuple[str, int]]:
     """Return (handle, t_ns) for each free of an already freed handle

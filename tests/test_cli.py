@@ -126,6 +126,9 @@ MALFORMED = {
     "shards_off_the_slice": (
         lambda doc: node(doc, "n1")["fn"].update(shards=5),
         "node n1: 5 shards on slice of 4 devices"),
+    "slice_dimension_below_1": (
+        lambda doc: doc["slices"]["s0"].update(shape=[-2, -2]),
+        "slice shape [-2, -2]: a dimension is below 1"),
     "no_compute_node": (
         lambda doc: doc.update(nodes=[node(doc, "n0")], edges=[], results=[],
                                slices={}),
@@ -347,6 +350,28 @@ BOOL_CLUSTER_FIELDS = {
 def test_run_with_a_bool_cluster_field_exits_two(tmp_path, capsys, case):
     doc = json.loads((CONFIGS / "cluster_small.json").read_text())
     change, reason = BOOL_CLUSTER_FIELDS[case]
+    change(doc)
+    cfg = write_json(tmp_path / f"{case}.json", doc)
+    assert main(["run", CHAIN4, "--config", cfg]) == 2
+    assert reason in capsys.readouterr().err
+
+
+# case -> (change to cluster_small.json, reason printed)
+LINKS_OUT_OF_RANGE = {
+    # 1e-10 GB/s is 0 bytes/s: a transfer would divide by zero
+    "ici_rate": (lambda doc: doc["islands"][0].update(ici={"gbps": 1e-10}),
+                 "islands[0].ici.gbps: positive number required, "
+                 "at least 1e-9 (1 byte/s)"),
+    "dcn_latency": (lambda doc: doc["dcn"].update(latency_ns=2**63),
+                    "dcn.latency_ns: non-negative int required, "
+                    "below 2**63"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINKS_OUT_OF_RANGE))
+def test_run_with_a_link_out_of_range_exits_two(tmp_path, capsys, case):
+    doc = json.loads((CONFIGS / "cluster_small.json").read_text())
+    change, reason = LINKS_OUT_OF_RANGE[case]
     change(doc)
     cfg = write_json(tmp_path / f"{case}.json", doc)
     assert main(["run", CHAIN4, "--config", cfg]) == 2

@@ -29,6 +29,10 @@ suite whose numbers are read from the execution trace's kernel spans.
 one suite whose rows come from the scheduler's grant log under memory
 pressure. With it, every `flowpath bench` suite has a document pin.
 
+`RUN_LOG_PINS` are the sha256 of `flowpath run --event-log` for
+`configs/programs/chain4.json` in each mode: the one pin of the command
+line's own run. Every node of chain4 is regular, so auto runs as parallel.
+
 `TENANTS_PINS` pin the memory-pressure path, which none of the runs above
 reaches: four weighted clients on one device that holds two gangs, so
 gangs park at the scheduler. Its "grant" entry is the sha256 of the
@@ -48,6 +52,7 @@ from flowpath import (CompiledFunction, StreamJob, System, chain_program,
                       small_cluster)
 from flowpath import bench
 from flowpath.bench import one_gang_program, run_benchmark, write_results
+from flowpath.cli import main
 from flowpath.config import Policy, load_workload
 from flowpath.simcore import Simulator
 
@@ -94,7 +99,16 @@ TENANTS_PINS = {
     "schedule":
         "c0ec118d7ecfc963d979f0e2cfe18881d93450159e4cdce91fe9d898c1752ca2",
 }
-WORKLOADS = Path(__file__).resolve().parent.parent / "configs" / "workloads"
+RUN_LOG_PINS = {
+    "parallel":
+        "91a04343628ca5d8f8623d921ec825abf274805ecb01e0d7a8496bfc0abc6e0b",
+    "sequential":
+        "588aa3cfff76305bb7e404d88ee3175ea705b9d49e23d23d21594f86d9810698",
+    "auto":
+        "91a04343628ca5d8f8623d921ec825abf274805ecb01e0d7a8496bfc0abc6e0b",
+}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WORKLOADS = CONFIGS / "workloads"
 
 
 def run_chain(mode: str) -> System:
@@ -167,6 +181,14 @@ def test_event_log_pin_holds_under_another_hash_seed(case, tmp_path):
                           str(tmp_path / f"{case}.ndjson")], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == pin
+
+
+@pytest.mark.parametrize("mode", sorted(RUN_LOG_PINS))
+def test_cli_run_event_log_matches_pin(mode, tmp_path, capsys):
+    path = tmp_path / f"{mode}.ndjson"
+    assert main(["run", str(CONFIGS / "programs" / "chain4.json"),
+                 "--mode", mode, "--event-log", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RUN_LOG_PINS[mode]
 
 
 def run_tenants() -> System:

@@ -59,6 +59,12 @@ def test_shard_count_must_match_slice():
         t.call(fn(shards=4), a, slice_id=s)
 
 
+@pytest.mark.parametrize("shape", [(-2, -2), (4, 1, -1, -1), (4, 0)])
+def test_slice_dimension_below_one_rejected(shape):
+    with pytest.raises(TraceError, match="a dimension is below 1"):
+        Tracer().virtual_slice(shape)
+
+
 def test_negative_duration_rejected():
     with pytest.raises(TraceError, match="negative duration"):
         CompiledFunction("f", 4, (64,), (64,), -1.0)

@@ -46,7 +46,8 @@ def test_devices_can_be_shared():
     a = rm.allocate_slice((2,))
     b = rm.allocate_slice((2,))
     assert a.devices == b.devices == (0, 1)
-    assert rm.assignment_counts() == {0: 2, 1: 2}
+    counts = {d: info.assigned for d, info in rm.devices.items()}
+    assert counts == {0: 2, 1: 2}
 
 
 def test_least_assigned_devices_win_within_island():

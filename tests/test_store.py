@@ -20,6 +20,10 @@ def make_store(hbm=64 * MB):
     return cl, HostStore(0, cl)
 
 
+def live_bytes(store: HostStore) -> int:
+    return sum(nb for b in store.buffers.values() for _d, nb in b.shards)
+
+
 # -- allocation ------------------------------------------------------------
 
 def test_put_reserves_bytes_and_audits():
@@ -29,7 +33,7 @@ def test_put_reserves_bytes_and_audits():
     assert cl.device(1).free_bytes == 61 * MB
     # one row for the buffer: (op, handle, shards, bytes, host, t_ns)
     assert store.audit == [("alloc", buf.handle, 2, 5 * MB, 0, 0)]
-    assert store.live_bytes() == 5 * MB
+    assert live_bytes(store) == 5 * MB
 
 
 def test_put_rolls_back_on_partial_failure():
@@ -203,5 +207,5 @@ def test_hbm_is_conserved_under_random_op_sequences(ops):
             assert gone == owned
             live = [x for x in live if x not in gone]
         free = cl.device(0).free_bytes + cl.device(1).free_bytes
-        assert free + store.live_bytes() == cap
+        assert free + live_bytes(store) == cap
     assert audit_no_double_free(store.audit) == []
