@@ -14,6 +14,11 @@ Each `COMPLETION_PINS` entry is the sha256 of the same run's
 `completion_series()`: when and how much work finished. A change that only
 drops or merges control messages may move `PINS` but must leave these alone.
 
+`COLLECTIVE_COMPLETION_PINS` do the same for the chain run with every node
+collective, the one pinned run in which a gang spans hosts in one
+rendezvous. In this chain no member waits at the rendezvous, so its series
+equals the non-collective one.
+
 `DISPATCH_DOC_PIN` is the sha256 of the `flowpath bench dispatch` document
 at `configs/workloads/dispatch.json`, the one suite that runs sequential
 dispatch: a change that moves it moves a published number.
@@ -83,6 +88,13 @@ COMPLETION_PINS = {
         "63ad342807942ae109863ff0595d56cb58cb2cc17b993f6a805ae10b41d9433e",
 }
 
+COLLECTIVE_COMPLETION_PINS = {
+    "parallel":
+        "cdc8011f81ab354c32526cd14648d92f94fe1971f8f9c3788f57b2a02947da60",
+    "sequential":
+        "a4f2c3b425d502cf7b3fb312e0c33d1cca9aa1e3b3c0ba589c3764c106517a2b",
+}
+
 DISPATCH_DOC_PIN = \
     "2a9f886a4640eaba7f8a658488cb459cbd6b0da355cb934644d5fcadc5c6a70e"
 UTILIZATION_DOC_PIN = \
@@ -111,11 +123,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS / "workloads"
 
 
-def run_chain(mode: str) -> System:
+def run_chain(mode: str, collective: bool = False) -> System:
     # parallel dispatch needs every node's sizes up front; the other two
     # modes run the middle node as data-dependent, so auto splits stages
     fns = [CompiledFunction(name, 4, (4096,), (4096,), 20.0,
-                            regular=(name != "mid" or mode == "parallel"))
+                            regular=(name != "mid" or mode == "parallel"),
+                            collective=collective)
            for name in ("head", "mid", "tail")]
     system = System(small_cluster(hosts=2, devices_per_host=2),
                     record_log=True)
@@ -158,6 +171,13 @@ def test_event_schedule_matches_pin(mode, tmp_path):
 def test_completion_series_matches_pin(mode):
     series = repr(run_chain(mode).completion_series()).encode()
     assert hashlib.sha256(series).hexdigest() == COMPLETION_PINS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(COLLECTIVE_COMPLETION_PINS))
+def test_collective_completion_series_matches_pin(mode):
+    series = repr(run_chain(mode, collective=True).completion_series())
+    pin = COLLECTIVE_COMPLETION_PINS[mode]
+    assert hashlib.sha256(series.encode()).hexdigest() == pin
 
 
 @pytest.mark.parametrize("case", ["sequential", "tenants"])
