@@ -12,16 +12,17 @@ Device traffic is per host: a host's share of a gang is one `KernelExec`
 record, whose shards, devices and input sources are static per (node,
 host) in `NodeInfo`. One PCIe message enqueues it on the host's devices, and
 one `kernel_done` lists the shards of a collective on the host, which it
-marks done in one pass (a result's shards reach the client in one `result`
-per host). The host keeps the record until its kernels are done, so a
-failure can name it in each device's abort.
+marks done in one pass. A result's shards reach the client in one `result`
+per host, a collective's in one from its home host. The host keeps the
+record until its kernels are done, so a failure can name it in each
+device's abort.
 
 The static tables are built once per distinct shape: edges with one pairs
-tuple, and nodes with one placement and in-edges, share them, so a program
-of many nodes of few shapes costs the few in setup time and memory. They
-are read-only once built. They hold what prep reads per host, such as each
-consumer host's addr rows; the (device, bytes) rows of outputs and args are
-shared per shape too, in `ProgramInfo.rows`.
+tuple and consumer kind, and nodes with one placement and in-edges, share
+them, so a program of many nodes of few shapes costs the few in setup time
+and memory. They are read-only once built. They hold what prep reads per
+host, such as each consumer host's addr rows; the (device, bytes) rows of
+outputs and args are shared per shape too, in `ProgramInfo.rows`.
 
 What a node allocates where is stated once, by `ProgramInfo.buffers`: its
 outputs on its home host, a landing buffer for inbound transfers on each of
@@ -30,7 +31,9 @@ prep and the give-back of an unused grant all read it. Each (consuming
 edge, consumer host) holds one ref on the source buffer, a result edge one
 client hold. A consumer host sends one `drain` per edge once each pair it
 receives has landed (or, on the same device, been read by its kernel); the
-source's home host turns each drain into one release.
+source's home host turns each drain into one release. A collective's
+kernels all end in one event, so its home host drains every pair that any
+member reads in place; a host left with no pair to drain holds no ref.
 
 An instance fails only with its client. Each host then aborts what its
 unfinished shards may have on a device (kernel, landed inputs), gives back
@@ -71,7 +74,8 @@ class EdgeInfo:
     src_port: int
     dst_port: int
     to_result: bool
-    # consumer host -> (its pair count, its addr rows by sorted source host)
+    # consumer host -> (the pairs it drains, its addr rows by sorted source
+    # host); a collective consumer's home host drains every in-place pair
     inbound: dict[int, tuple[int, tuple[tuple[int, tuple], ...]]]
     chosts_by_src: dict[int, tuple[int, ...]]   # src shard -> consumer hosts
     addr_hosts: frozenset[int]                    # source hosts sent addr rows
@@ -96,6 +100,7 @@ class NodeInfo:
     waits: dict[int, int]                        # host -> gating source shards
     # (in-edge, dst shard -> pairs read in place), drained by its kernels
     local_drains: tuple[tuple[str, dict[int, int]], ...]
+    collective: bool                 # `fn.collective`, on 2 or more devices
     hbm_by_device: dict[int, int] = field(default_factory=dict)  # gang ask
 
 
@@ -178,9 +183,9 @@ class ProgramInfo:
         return rows
 
     def _refs(self, out_edges: tuple[str, ...], port: int) -> tuple[int, bool]:
-        """Each (consuming edge, consumer host) holds one ref, released by
-        that host's drain; the client holds one more, however many results
-        name the buffer, and releases its handle once."""
+        """Each (consuming edge, host in its `inbound`) holds one ref,
+        released by that host's drain; the client holds one more, however
+        many results name the buffer, and releases its handle once."""
         rc = 0
         held = False
         for eid in out_edges:
@@ -216,12 +221,13 @@ def _by_host(devs: tuple[int, ...], host_of) -> tuple[dict, dict, tuple]:
     return local, local_devs, tuple(local)
 
 
-def _pair_tables(pairs: tuple[ShardPair, ...],
-                 host_of) -> tuple[dict, dict, dict, frozenset]:
-    """An edge's tables: consumer host -> (its pair count, the addr rows of
-    its remote pairs grouped by sorted source host), source shard -> its
-    sorted consumer hosts, dst shard -> pairs read in place (on one device),
-    and the source hosts that get addr rows."""
+def _pair_tables(pairs: tuple[ShardPair, ...], host_of,
+                 collective: bool) -> tuple[dict, dict, dict, frozenset]:
+    """An edge's tables: consumer host -> (the pairs it drains, the addr
+    rows of its remote pairs grouped by sorted source host), source shard ->
+    its sorted consumer hosts, dst shard -> pairs read in place (on one
+    device), and the source hosts that get addr rows. A collective
+    consumer's home host drains all its pairs read in place, on shard 0."""
     by_chost: dict[int, list[ShardPair]] = {}
     for pr in pairs:
         by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
@@ -230,24 +236,32 @@ def _pair_tables(pairs: tuple[ShardPair, ...],
     chosts: dict[int, list[int]] = {}
     for h in sorted(by_chost):          # each shard's hosts come out sorted
         rows: dict[int, list[tuple]] = {}
+        n = len(by_chost[h])
         for pr in by_chost[h]:
             hs = chosts.setdefault(pr.src_shard, [])
             if not hs or hs[-1] != h:
                 hs.append(h)
             if pr.src_dev == pr.dst_dev:
-                same[pr.dst_shard] = same.get(pr.dst_shard, 0) + 1
+                shard = 0 if collective else pr.dst_shard
+                same[shard] = same.get(shard, 0) + 1
+                n -= collective             # its home host drains it
             else:
                 rows.setdefault(host_of[pr.src_dev], []).append(
                     (pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes))
-        inbound[h] = (len(by_chost[h]),
-                      tuple((sh, tuple(rows[sh])) for sh in sorted(rows)))
+        if n:
+            inbound[h] = (n, tuple((sh, tuple(rows[sh]))
+                                   for sh in sorted(rows)))
+    if collective and same:
+        home = host_of[pairs[0].dst_dev]       # dst shard 0's pairs come first
+        n, rows = inbound.get(home, (0, ()))
+        inbound[home] = (n + same[0], rows)
     return (inbound, {s: tuple(hs) for s, hs in chosts.items()}, same,
             frozenset(sh for _n, by_src in inbound.values()
                       for sh, _rows in by_src))
 
 
-def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
-            pair_tables: dict) -> tuple[dict, dict, dict]:
+def _inputs(devs: tuple[int, ...], ins: tuple,
+            host_of) -> tuple[dict, dict, dict]:
     """What a node's devices and in-edges fix about its inputs: device ->
     producer device per inbound transfer, host -> the (device, landing
     bytes) rows of its shards where any lands, and host -> gating source
@@ -272,10 +286,9 @@ def _inputs(devs: tuple[int, ...], ins: tuple, host_of,
         # host-gated readiness: the home host hears every source shard of
         # each edge a predecessor gang feeds, another host only the source
         # shards paired with its own shards
-        for hs in pair_tables[pairs][1].values():
-            for h in hs:
-                if h != home:
-                    waits[h] = waits.get(h, 0) + 1
+        for _s, h in {(pr.src_shard, host_of[pr.dst_dev]) for pr in pairs}:
+            if h != home:
+                waits[h] = waits.get(h, 0) + 1
         waits[home] = waits.get(home, 0) + src_shards
     recv: dict[int, list[tuple[int, int]]] = {}
     for shard, dev in enumerate(devs):
@@ -304,14 +317,18 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     args: dict[str, ArgInfo] = {}
     edges: dict[str, EdgeInfo] = {}
     order = tuple(n.id for n in p.nodes.values() if isinstance(n, ComputeNode))
+    # a collective's kernels on all its hosts end in one event (`hardware`)
+    collective = {nid for nid in order if p.node(nid).fn.collective
+                  and len(lp.placement[nid]) > 1}
     in_eids: dict[str, list[str]] = {}
     out_eids: dict[str, list[str]] = {}
     # per consumer node, one (pairs, source shards, from arg) per in-edge
     ins: dict[str, list[tuple]] = {}
     drains: dict[str, list[tuple[str, dict[int, int]]]] = {}
-    # one table per distinct pairs tuple, placement, (placement, in-edges)
-    # and HBM shape, shared by every edge, arg or node of that shape
-    pair_tables: dict[tuple[ShardPair, ...], tuple] = {}
+    # one table per distinct (pairs tuple, collective consumer), placement,
+    # (placement, in-edges) and HBM shape, shared by every edge, arg or node
+    # of that shape
+    pair_tables: dict[tuple, tuple] = {}
     placed: dict[tuple[int, ...], tuple] = {}
     inputs: dict[tuple, tuple] = {}
     asks: dict[tuple, dict[int, int]] = {}
@@ -321,10 +338,12 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         e = le.edge
         eid = edge_id(e.src, e.dst, e.dst_port)
         from_arg = isinstance(p.node(e.src), ArgNode)
+        key = (le.pairs, e.dst in collective)
         inbound, chosts, same, addr_hosts = _shared(
-            pair_tables, le.pairs, _pair_tables, le.pairs, host_of)
+            pair_tables, key, _pair_tables, le.pairs, host_of, key[1])
         if same:
-            # drained once the consumer's kernel has run, on the shard's host
+            # drained once the consumer's kernel has run, on the shard's
+            # host (a collective's home host)
             drains.setdefault(e.dst, []).append((eid, same))
         edges[eid] = EdgeInfo(
             src=e.src, dst=e.dst, src_port=e.src_port, dst_port=e.dst_port,
@@ -358,7 +377,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         local, local_devs, hosts = _shared(placed, devs, _by_host, devs, host_of)
         key = shape[n.id] = (devs, tuple(ins.get(n.id, ())))
         input_sources, recv_rows, waits = _shared(
-            inputs, key, _inputs, *key, host_of, pair_tables)
+            inputs, key, _inputs, *key, host_of)
         nodes[n.id] = NodeInfo(
             nid=n.id, fn=n.fn, devices=devs, hosts=hosts,
             home_host=host_of[devs[0]], local_shards=local,
@@ -367,7 +386,8 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             out_edges=tuple(out_eids.get(n.id, ())),
             input_sources=input_sources, recv_rows=recv_rows,
             args_created=tuple(created.get(n.id, ())), waits=waits,
-            local_drains=tuple(drains.get(n.id, ())))
+            local_drains=tuple(drains.get(n.id, ())),
+            collective=n.id in collective)
 
     results = []
     nshards = 0
@@ -401,7 +421,8 @@ class InstanceMeta:
     triggers: list[set[str]]                     # nodes each stage waits on
     reply_to_client: bool = True
     stage_idx: int = 0                           # next stage to submit
-    stage_seen: set[str] = field(default_factory=set)  # triggers reported
+    # the triggers reported; shared and empty until one reports
+    stage_seen: frozenset[str] = frozenset()
 
 
 # -- the host process --------------------------------------------------------
@@ -602,13 +623,12 @@ class HostExecutor(Process):
         info = st.meta.program
         ni = info.nodes[nid]
         self.stats["enqueues"] += 1
-        collective = ni.fn.collective and len(ni.devices) > 1
         mine = ni.local_shards[self.host_id]
         k = st.kernels[nid] = KernelExec(
             instance, nid, mine, ni.local_devices[self.host_id],
             ni.fn.duration_ns, ni.input_sources,
-            collective_key=f"{instance}/{nid}" if collective else None,
-            group=ni.devices if collective else ())
+            collective_key=f"{instance}/{nid}" if ni.collective else None,
+            group=ni.devices if ni.collective else ())
         # one PCIe message carries the record to all this host's devices
         self.sim.send(self.pid, f"dev{k.devices[0]}", "enqueue_kernel",
                       {"kernel": k}, latency=self.cluster.spec.pcie.latency_ns)
@@ -632,6 +652,12 @@ class HostExecutor(Process):
         ei = info.edges[eid]
         if ei.to_result:
             if cls == "dat":
+                src = info.nodes.get(ei.src)        # None for an arg
+                if src is not None and src.collective:
+                    # all its kernels ended at once: its home host reports
+                    if self.host_id != src.home_host:
+                        return
+                    src_shards = list(range(len(src.devices)))
                 self.sim.send(self.pid, f"client.{st.meta.client}", "result",
                               {"instance": instance, "edge": eid,
                                "shards": src_shards},

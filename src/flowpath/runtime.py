@@ -171,7 +171,9 @@ class ClientProcess(Process):
         self._job_of(inst, "on_complete")
 
     def _job_of(self, inst: str, event: str) -> None:
-        jid = self.inst_job.get(inst)
+        # nothing asks for an instance's job once it has completed
+        jid = (self.inst_job.pop(inst, None) if event == "on_complete"
+               else self.inst_job.get(inst))
         if jid is None:
             return
         getattr(self.jobs[jid], event)(self, inst)
@@ -397,7 +399,7 @@ class System:
         first compute node reads only args, so it is static."""
         meta = self.instances[inst]
         if ready_node is not None:
-            meta.stage_seen.add(ready_node)
+            meta.stage_seen = meta.stage_seen | {ready_node}
         while (meta.stage_idx < len(meta.stages)
                and meta.triggers[meta.stage_idx] <= meta.stage_seen):
             idx = meta.stage_idx

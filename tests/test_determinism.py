@@ -17,7 +17,10 @@ drops or merges control messages may move `PINS` but must leave these alone.
 `COLLECTIVE_COMPLETION_PINS` do the same for the chain run with every node
 collective, the one pinned run in which a gang spans hosts in one
 rendezvous. In this chain no member waits at the rendezvous, so its series
-equals the non-collective one.
+equals the non-collective one. `COLLECTIVE_SCHEDULE_PINS` pin that run's
+event schedule, as `SCHEDULE_PINS` do. Its home host alone drains each
+in-place edge and reports the result: 113 events in parallel and 155 in
+sequential dispatch, where each member host doing so took 119 and 164.
 
 `DISPATCH_DOC_PIN` is the sha256 of the `flowpath bench dispatch` document
 at `configs/workloads/dispatch.json`, the one suite that runs sequential
@@ -93,6 +96,12 @@ COLLECTIVE_COMPLETION_PINS = {
         "cdc8011f81ab354c32526cd14648d92f94fe1971f8f9c3788f57b2a02947da60",
     "sequential":
         "a4f2c3b425d502cf7b3fb312e0c33d1cca9aa1e3b3c0ba589c3764c106517a2b",
+}
+COLLECTIVE_SCHEDULE_PINS = {
+    "parallel":
+        "88e2ed134eeb9462f1109de2b7c6e7dada2b134b204c4dc198d1977e1ea2a4a6",
+    "sequential":
+        "00221ac5532a886b804be3bd8b6f3caae862af0c76a1aa14117f10c7da35612c",
 }
 
 DISPATCH_DOC_PIN = \
@@ -178,6 +187,13 @@ def test_collective_completion_series_matches_pin(mode):
     series = repr(run_chain(mode, collective=True).completion_series())
     pin = COLLECTIVE_COMPLETION_PINS[mode]
     assert hashlib.sha256(series.encode()).hexdigest() == pin
+
+
+@pytest.mark.parametrize("mode", sorted(COLLECTIVE_SCHEDULE_PINS))
+def test_collective_event_schedule_matches_pin(mode, tmp_path):
+    system = run_chain(mode, collective=True)
+    sha = schedule_sha(system, tmp_path / f"{mode}.ndjson")
+    assert sha == COLLECTIVE_SCHEDULE_PINS[mode]
 
 
 @pytest.mark.parametrize("case", ["sequential", "tenants"])

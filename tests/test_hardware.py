@@ -141,13 +141,24 @@ def test_collective_finishes_every_member_in_one_event():
 
 
 def test_collective_tells_each_member_host_once_with_its_shards():
+    """Each member host hears its shards' end once; the home host alone
+    reports the result, naming every shard, and drains the in-place arg
+    edge for all members."""
     sys_ = System(small_cluster(hosts=2, devices_per_host=2), record_log=True,
                   record_trace=True)
     f = CompiledFunction("allreduce", 4, (1024,), (1024,), 10.0,
                          collective=True)
     sys_.register_traced("p", chain_program([f]))
-    sys_.start_job(sys_.add_client("c0"),
-                   StreamJob(sys_.new_job_id(), "p", count=1))
+    c = sys_.add_client("c0")
+    results = []
+
+    def spy(kind, p, src, handle=c.handle):
+        if kind == "result":
+            results.append((src, p["shards"]))
+        handle(kind, p, src)
+
+    c.handle = spy
+    sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=1))
     assert sys_.run().status == "quiescent"
     rows = [(target, kind, p) for _t, _seq, target, kind, p in sys_.sim.log]
     kinds = [kind for _target, kind, _p in rows]
@@ -156,13 +167,18 @@ def test_collective_tells_each_member_host_once_with_its_shards():
             if kind == "kernel_done"] == [("host0", [0, 1]), ("host1", [2, 3])]
     assert [target for target, kind, _p in rows
             if kind == "enqueue_kernel"] == ["dev0", "dev2"]   # one per host
-    assert sorted(len(p["shards"]) for _target, kind, p in rows
-                  if kind == "result") == [2, 2]
+    assert results == [("host0", [0, 1, 2, 3])]
+    # the arg edge is read in place on all 4 devices: one drain, home to
+    # home, for the instance
+    assert [(target, m["payload"]["from_host"])
+            for _t, _seq, target, kind, p in sys_.sim.log if kind == "batch"
+            for m in p["messages"] if m["kind"] == "drain"] == [("host0", 0)]
     spans = sorted((t.tid, t.end_ns - t.start_ns) for t in sys_.sim.trace
                    if t.category == "kernel")
     assert spans == [(d, us(10)) for d in range(4)]
     assert [d.busy_ns for d in sys_.cluster.devices] == [us(10)] * 4
     assert len(sys_.sim.completions) == 1
+    assert audit_leaks(sys_.cluster) == {}
 
 
 def test_host_record_runs_each_device_when_it_is_free():

@@ -117,12 +117,14 @@ def test_each_edge_message_closes_its_sorted_source_shards_once(
 
 
 def run_reshard_chain(src: int, dst: int, total: int, hosts: int, dph: int,
-                      mode: str, fail_us: int | None = None) -> System:
+                      mode: str, fail_us: int | None = None,
+                      collective: bool = False) -> System:
     """head (src shards) -> mid (dst shards) -> tail (src shards)."""
     a, b = total // src, total // dst
     fns = [CompiledFunction("head", src, (a,), (a,), 20.0),
            CompiledFunction("mid", dst, (b,), (b,), 30.0,
-                            regular=(mode == "parallel")),
+                            regular=(mode == "parallel"),
+                            collective=collective),
            CompiledFunction("tail", src, (a,), (a,), 25.0)]
     system = System(small_cluster(hosts=hosts, devices_per_host=dph),
                     record_trace=False)
@@ -141,19 +143,21 @@ def run_reshard_chain(src: int, dst: int, total: int, hosts: int, dph: int,
        total=st.sampled_from(TOTALS), hosts=st.integers(1, 4),
        dph=st.integers(1, 2),
        mode=st.sampled_from(["parallel", "sequential", "auto"]),
-       fail_us=st.none() | st.integers(400, 2400))
+       fail_us=st.none() | st.integers(400, 2400), collective=st.booleans())
 # a failure that lands after the tail's prep sent its addresses but before
 # the head's kernel finished: its inputs must not stay on a device
 @example(src=1, dst=1, total=4096 * 12, hosts=2, dph=2, mode="sequential",
-         fail_us=700)
+         fail_us=700, collective=False)
 def test_reshard_edges_keep_invariants(src, dst, total, hosts, dph, mode,
-                                       fail_us):
+                                       fail_us, collective):
     # identity (src == dst), gather, scatter and all-to-all edges, each
     # spread over as many hosts as the cluster allows; a run takes about
     # 2-3 ms, so a failure lands anywhere from before the first grant to
-    # after the last result
+    # after the last result. A collective mid drains its in-place pairs
+    # from its home host alone.
     assume(max(src, dst) <= hosts * dph)
-    system = run_reshard_chain(src, dst, total, hosts, dph, mode, fail_us)
+    system = run_reshard_chain(src, dst, total, hosts, dph, mode, fail_us,
+                               collective)
     assert audit_leaks(system.cluster) == {}
     assert audit_no_double_free(system.audit) == []
     for h in system.hosts.values():
@@ -161,7 +165,8 @@ def test_reshard_edges_keep_invariants(src, dst, total, hosts, dph, mode,
         assert h.inst == {}
     assert [d._arrivals for d in system.cluster.devices if d._arrivals] == []
     if fail_us is None:
-        ref = run_reshard_chain(src, dst, total, hosts, dph, "parallel")
+        ref = run_reshard_chain(src, dst, total, hosts, dph, "parallel",
+                                collective=collective)
         assert system.inst_digests == ref.inst_digests
 
 
