@@ -632,9 +632,13 @@ class HostExecutor(Process):
         # one PCIe message carries the record to all this host's devices
         self.sim.send(self.pid, f"dev{k.devices[0]}", "enqueue_kernel",
                       {"kernel": k}, latency=self.cluster.spec.pcie.latency_ns)
+        modes = st.meta.modes
         for eid in ni.out_edges:
-            self._emit_edge_update(instance, eid, mine, "fut")
-        if st.meta.modes[nid] == "dat" and self.host_id == ni.home_host:
+            ei = info.edges[eid]
+            # only a consumer gated on futures hears of them
+            if not ei.to_result and modes[ei.dst] == "fut":
+                self._emit_edge_update(instance, eid, mine, "fut")
+        if modes[nid] == "dat" and self.host_id == ni.home_host:
             # irregular boundary passed: the next statically plannable stage
             # can be submitted now
             self.sim.send(self.pid, f"client.{st.meta.client}", "stage_ready",
@@ -736,10 +740,18 @@ class HostExecutor(Process):
         info = st.meta.program
         ni = info.nodes[nid]
         st.kdone[nid] = st.kdone.get(nid, 0) + len(shards)
+        modes = st.meta.modes
         for eid in ni.out_edges:
-            self._mark_src_ready(instance, eid, shards)
+            ei = info.edges[eid]
+            # an edge whose data this host ships, the client or a consumer
+            # gated on data waits for it
+            if (ei.to_result or self.host_id in ei.addr_hosts
+                    or modes[ei.dst] == "dat"):
+                self._mark_src_ready(instance, eid, shards)
+        # one shard, or a collective's shards on this host; a collective's
+        # in-place count is keyed on shard 0, which is its home host's first
         for eid, same in ni.local_drains:
-            n_local = sum(same.get(s, 0) for s in shards)
+            n_local = same.get(shards[0], 0)
             if n_local:
                 self._drain(instance, eid, n_local)
         if st.kdone[nid] == len(ni.local_shards[self.host_id]):

@@ -9,8 +9,8 @@ device at the head of the queue until every member of the group has
 reached the matching kernel. The rendezvous keeps the member hosts'
 records, each with a count of its devices arrived so far; the last arrival
 schedules one `collective_done` event, which finishes the records one by
-one at the same virtual instant, and the cluster hook hears each record
-once. Data transfers ride DMA paths and overlap compute. HBM is a
+one at the same virtual instant, and the cluster hook hears them all in one
+call. Data transfers ride DMA paths and overlap compute. HBM is a
 per-device byte budget that the gang scheduler reserves from.
 """
 from __future__ import annotations
@@ -109,15 +109,15 @@ class DeviceProcess(Process):
             self.cluster.on_kernels_done(k, [k.shard_on(self.device_id)])
             self._try_start()
         elif kind == "collective_done":
-            # finish each member record on its devices and report it once,
-            # then start each member's next kernel
+            # finish each member record on its devices, report them all at
+            # once, then start each member's next kernel
             devices = self.cluster.devices
             end = self.sim.now()
             records = payload["records"]
             for k in records:
                 for d in k.devices:
                     devices[d]._finish(end)
-                self.cluster.on_kernels_done(k, list(k.shards))
+            self.cluster.on_collective_done(records)
             for k in records:
                 for d in k.devices:
                     devices[d]._try_start()
@@ -266,8 +266,14 @@ class Cluster:
 
     # hooks, overridden by the runtime layer
     def on_kernels_done(self, k: KernelExec, shards: list[int]) -> None:
-        """These shards of one host's record finished now: all of them for
-        a collective (called once per member host), else one."""
+        """These shards of one host's record finished now: one, or all of a
+        collective member's (from on_collective_done's default)."""
+
+    def on_collective_done(self, records: list[KernelExec]) -> None:
+        """Every shard of a collective's member records finished now; by
+        default each record is reported to on_kernels_done, in order."""
+        for k in records:
+            self.on_kernels_done(k, list(k.shards))
 
     def on_kernel_aborted(self, dev: DeviceProcess, k: KernelExec) -> None:
         pass

@@ -27,6 +27,7 @@ numerators, which keeps the exact order of fractional passes.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,7 @@ class GangRequest:
     hosts: tuple[int, ...]
     hbm: dict[int, int]                  # device -> bytes to reserve
     duration_ns: int
-    reply_to: str | None = None          # told "handles" once ordered
+    reply_to: str | None = None          # client told "handles" once ordered
 
     @property
     def busy_estimate(self) -> int:
@@ -78,7 +79,7 @@ class _StridePolicy:
     def push(self, g: GangRequest) -> None:
         key = "" if self.shared else g.client
         if key not in self.queues:
-            self.clients = sorted([*self.queues, key])
+            bisect.insort(self.clients, key)
         q = self.queues.setdefault(key, [])
         if not q:
             # a client joining (or rejoining) starts at the current virtual
@@ -147,6 +148,7 @@ class IslandScheduler(Process):
         self._tasks: list[tuple] = []                # serialized work items
         self._current: tuple | None = None           # the task in flight
         self._dead_clients: set[str] = set()
+        self._host_pids: dict[tuple[int, ...], list[str]] = {}
         self.dispatched: list[tuple[int, int, str, str, str]] = []
         # rows: (ticket seq, t_ns, client, instance, node)
 
@@ -204,11 +206,21 @@ class IslandScheduler(Process):
                 self._blocked.update(gang.devices)
                 self.notify_hbm_freed()
         else:
-            _kind, _nsends, sends = task
-            for dst, mkind, payload in sends:
-                lat = (self.costs.client_rpc_ns if dst.startswith("client")
-                       else self.control_latency_ns)
-                self.sim.send(self.pid, dst, mkind, payload, latency=lat)
+            _kind, _nsends, seq, gang = task
+            # one fan-out to the gang's hosts, which share one payload
+            go = {"instance": gang.instance, "node": gang.node,
+                  "ticket": seq, "client": gang.client}
+            pids = self._host_pids.get(gang.hosts)
+            if pids is None:
+                pids = self._host_pids[gang.hosts] = [
+                    f"host{h}" for h in gang.hosts]
+            self.sim.send_many("go", [(self.pid, h, go) for h in pids],
+                               self.control_latency_ns)
+            if gang.reply_to:
+                self.sim.send(self.pid, gang.reply_to, "handles",
+                              {"instance": gang.instance, "node": gang.node,
+                               "ticket": seq},
+                              latency=self.costs.client_rpc_ns)
         self._pump()
 
     # -- reservations ------------------------------------------------------
@@ -239,16 +251,9 @@ class IslandScheduler(Process):
     def _grant(self, seq: int, gang: GangRequest) -> None:
         self.dispatched.append((seq, self.sim.now(), gang.client,
                                 gang.instance, gang.node))
-        sends = []
-        for h in gang.hosts:
-            sends.append((f"host{h}", "go",
-                          {"instance": gang.instance, "node": gang.node,
-                           "ticket": seq, "client": gang.client}))
-        if gang.reply_to:
-            sends.append((gang.reply_to, "handles",
-                          {"instance": gang.instance, "node": gang.node,
-                           "ticket": seq}))
-        self._tasks.append(("dispatch", len(sends), sends))
+        # a `go` per host and the reply, sent when the task ends
+        nsends = len(gang.hosts) + bool(gang.reply_to)
+        self._tasks.append(("dispatch", nsends, seq, gang))
         self._pump()
 
     def _drop_client(self, client: str) -> None:

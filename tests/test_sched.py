@@ -376,6 +376,20 @@ def test_rejoining_client_gets_no_banked_credit():
     assert run.count("a") == run.count("b") == 4
 
 
+@given(st.permutations(["c0", "c1", "c2", "c3", "c4"]))
+@settings(max_examples=30, deadline=None)
+def test_clients_joining_in_any_order_tie_toward_the_first_name(joins):
+    # equal weights and equal gangs: every pass ties, so each round goes
+    # to the clients in name order, whatever order they joined in
+    pol = _StridePolicy(dict.fromkeys(joins, 1))
+    for i, c in enumerate(joins):
+        pol.push(gang(f"{c}-a", client=c))
+        pol.push(gang(f"{c}-b", client=c))
+        assert pol.clients == sorted(joins[:i + 1])
+    got = [pol.pop(set()).client for _ in range(2 * len(joins))]
+    assert got == sorted(joins) * 2
+
+
 @given(st.lists(st.tuples(st.sampled_from("abc"),
                           st.sets(st.integers(0, 3), min_size=1)),
                 min_size=1, max_size=30),

@@ -238,3 +238,105 @@ def test_channel_delivery_times_are_monotone(latencies):
     times = [t for t, _, _ in r.seen]
     assert times == sorted(times)
     assert len(times) == len(latencies)
+
+
+# -- fan-out sends -------------------------------------------------------------
+
+class Hopper(Recorder):
+    """Records each delivery; a payload with hops left is passed on to the
+    next receiver at zero latency, so events land at the fan-out's instant
+    while it is being delivered."""
+
+    def handle(self, kind, payload, src):
+        super().handle(kind, payload, src)
+        if payload.get("hop"):
+            nxt = f"r{(int(self.pid[1:]) + 1) % 4}"
+            self.sim.send(self.pid, nxt, kind,
+                          dict(payload, hop=payload["hop"] - 1))
+
+
+class Driver(Process):
+    """Runs step i of its script on each `tick`: a plain send or a fan-out
+    from one of two senders, either through `send_many` or as the same
+    sends made one by one."""
+
+    def __init__(self, sim, script, fan_out):
+        super().__init__(sim, "drv")
+        self.script, self.fan_out = script, fan_out
+
+    def handle(self, kind, payload, src):
+        i = payload["i"]
+        sender, dsts, latency, hop = self.script[i]
+        src = f"s{sender}"
+        msg = {"step": i, "hop": hop}
+        sends = [(src, f"r{d}", msg) for d in dsts]
+        if self.fan_out:
+            self.sim.send_many("m", sends, latency)
+        else:
+            for s, d, p in sends:
+                self.sim.send(s, d, "m", p, latency)
+
+
+def run_script(ticks, script, fan_out, max_events=None):
+    sim = Simulator(record_log=True)
+    rs = [Hopper(sim, f"r{d}") for d in range(4)]
+    Driver(sim, script, fan_out)
+    for i, t in enumerate(ticks):
+        sim.schedule_at(t, "drv", "tick", {"i": i})
+    if max_events is not None:
+        with pytest.raises(SimError, match=f"max_events={max_events}"):
+            sim.run_until_quiescent(max_events=max_events)
+        assert len(sim.log) == max_events
+    sim.run_until_quiescent()
+    log = [(t, seq, target, kind, payload_digest(p))
+           for t, seq, target, kind, p in sim.log]
+    order = [(r.pid, t, p["step"], p["hop"]) for r in rs for t, _k, p in r.seen]
+    return log, order
+
+
+STEPS = st.tuples(st.integers(0, 1),                         # sender
+                  st.lists(st.integers(0, 3), min_size=1, max_size=4,
+                           unique=True),                     # destinations
+                  st.sampled_from([0, 0, 5, 40]),            # latency
+                  st.integers(0, 2))                         # hops
+
+
+@given(st.lists(st.tuples(st.integers(0, 60), STEPS), min_size=1,
+                max_size=25))
+@settings(max_examples=80, deadline=None)
+def test_fan_out_delivers_as_the_same_sends_one_by_one(steps):
+    """Same (t, seq, target, kind, payload digest) log and the same delivery
+    order per receiver, with fan-outs landing among plain sends, zero-latency
+    follow-ups and channels that hold a later delivery."""
+    ticks = [t for t, _s in steps]
+    script = [s for _t, s in steps]
+    assert run_script(ticks, script, True) == run_script(ticks, script, False)
+
+
+def test_fan_out_sends_a_destination_behind_its_channel_on_its_own():
+    sim = Simulator(record_log=True)
+    rs = {p: Recorder(sim, p) for p in ("a", "b", "c")}
+    sim.send("s", "b", "slow", latency=100)
+    msg = {"n": 1}
+    sim.send_many("m", [("s", d, msg) for d in "abc"], latency=10)
+    sim.run_until_quiescent()
+    assert [(t, seq, target, kind) for t, seq, target, kind, _p in sim.log] == [
+        (10, 2, "a", "m"), (10, 4, "c", "m"), (100, 1, "b", "slow"),
+        (100, 3, "b", "m")]
+    assert all(p is msg for r in rs.values() for _t, k, p in r.seen if k == "m")
+
+
+@given(st.integers(0, 3), st.integers(2, 4), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_max_events_inside_a_fan_out_resumes_in_order(before, fan, inside):
+    """A limit that falls inside a fan-out raises after exactly that many
+    deliveries; the next run delivers the rest in seq order."""
+    # `before` plain sends and their ticks, the fan-out's tick, then the
+    # fan-out; the limit stops it after `inside` of its deliveries
+    ticks = [0] * before + [1]
+    script = [(0, [0], 0, 0)] * before + [(1, list(range(fan)), 3, 0)]
+    limit = 2 * before + 1 + min(inside, fan - 1)
+    full = run_script(ticks, script, True)
+    assert len(full[0]) == 2 * before + 1 + fan
+    assert run_script(ticks, script, True, max_events=limit) == full
+    assert full == run_script(ticks, script, False)
