@@ -1,17 +1,17 @@
 """Dataflow coordination: host-gated readiness per message, batching.
 
 An edge update is one critical message per (edge, source host, destination
-host). It names, sorted, the source shards whose output it closes on the
-destination host: their futures in sequential dispatch, their data when the
-consumer is data-dependent. The device gates each kernel on its landed
-inputs, so readiness needs only which sources are done, not what they
-sent. Each host of a host-gated node waits for a static number of (edge,
-source shard) closes, `NodeInfo.waits`: on most hosts only the sources its
-reshard pairs read from, so progress messages flow only where data does; on
-the node's home host every source shard, which makes its readiness an
-all-sources gate before the gang is submitted. A node becomes ready on a host exactly once,
-when its last expected source shard closes. State exists only for nodes
-with pending input.
+host), or a call when the two are one host. It names, sorted, the source
+shards whose output it closes on the destination host: their futures in
+sequential dispatch, their data when the consumer is data-dependent. The
+device gates each kernel on its landed inputs, so readiness needs only which
+sources are done, not what they sent. Each host of a host-gated node waits
+for a static number of (edge, source shard) closes, `NodeInfo.waits`: on
+most hosts only the sources its reshard pairs read from, so progress flows
+only where data does; on the node's home host every source shard, which
+makes its readiness an all-sources gate before the gang is submitted. A node
+becomes ready on a host exactly once, when its last expected source shard
+closes. State exists only for nodes with pending input.
 
 Control messages between hosts either bypass batching (critical path) or
 are coalesced per destination host into one event, scheduled when the batch

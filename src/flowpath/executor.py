@@ -46,11 +46,11 @@ Dispatch triggers per node come from the instance plan:
   "fut" - home host submits the gang after every predecessor shard announced
           its output futures (sequential dispatch of a regular node),
   "dat" - same, but gated on predecessor data completion (irregular node).
-For both, a producer host sends one update per edge to each consumer host
-its reshard pairs feed, plus the node's home host, naming the source shards
-it closes there. Each host preps the node once every (edge, source shard)
-it waits for is closed, `NodeInfo.waits`: a non-home host only the source
-shards paired with its own shards, the home host all of them.
+For both, a producer host tells each consumer host its reshard pairs feed,
+and the node's home host, which source shards of an edge it closes there:
+in one message, or in a call to itself, as with its own addr rows. A host
+preps the node once each (edge, source shard) it waits for is closed,
+`NodeInfo.waits`: the home host all of them, another only its pairs'.
 """
 from __future__ import annotations
 
@@ -468,6 +468,8 @@ class HostExecutor(Process):
         self.inst[meta.instance] = _InstState(meta)
 
     def _send(self, dst: str, kind: str, payload: dict, critical: bool) -> None:
+        if critical and dst == self.pid:    # it lands now: a call, no event
+            return self.handle(kind, payload, self.pid)
         self.stats["ctrl_msgs"] += 1
         self.batcher.send(dst, kind, payload, critical)
 
@@ -632,13 +634,10 @@ class HostExecutor(Process):
         # one PCIe message carries the record to all this host's devices
         self.sim.send(self.pid, f"dev{k.devices[0]}", "enqueue_kernel",
                       {"kernel": k}, latency=self.cluster.spec.pcie.latency_ns)
-        modes = st.meta.modes
-        for eid in ni.out_edges:
-            ei = info.edges[eid]
-            # only a consumer gated on futures hears of them
-            if not ei.to_result and modes[ei.dst] == "fut":
+        for eid in ni.out_edges:        # a result node has no mode
+            if st.meta.modes.get(info.edges[eid].dst) == "fut":
                 self._emit_edge_update(instance, eid, mine, "fut")
-        if modes[nid] == "dat" and self.host_id == ni.home_host:
+        if st.meta.modes[nid] == "dat" and self.host_id == ni.home_host:
             # irregular boundary passed: the next statically plannable stage
             # can be submitted now
             self.sim.send(self.pid, f"client.{st.meta.client}", "stage_ready",
@@ -654,18 +653,17 @@ class HostExecutor(Process):
         st = self.inst[instance]
         info = st.meta.program
         ei = info.edges[eid]
-        if ei.to_result:
-            if cls == "dat":
-                src = info.nodes.get(ei.src)        # None for an arg
-                if src is not None and src.collective:
-                    # all its kernels ended at once: its home host reports
-                    if self.host_id != src.home_host:
-                        return
-                    src_shards = list(range(len(src.devices)))
-                self.sim.send(self.pid, f"client.{st.meta.client}", "result",
-                              {"instance": instance, "edge": eid,
-                               "shards": src_shards},
-                              latency=self.costs.client_rpc_ns)
+        if ei.to_result:            # only data reaches a result
+            src = info.nodes.get(ei.src)            # None for an arg
+            if src is not None and src.collective:
+                # all its kernels ended at once: its home host reports
+                if self.host_id != src.home_host:
+                    return
+                src_shards = list(range(len(src.devices)))
+            self.sim.send(self.pid, f"client.{st.meta.client}", "result",
+                          {"instance": instance, "edge": eid,
+                           "shards": src_shards},
+                          latency=self.costs.client_rpc_ns)
             return
         if ei.from_arg or st.meta.modes[ei.dst] != cls:
             return
@@ -740,18 +738,14 @@ class HostExecutor(Process):
         info = st.meta.program
         ni = info.nodes[nid]
         st.kdone[nid] = st.kdone.get(nid, 0) + len(shards)
-        modes = st.meta.modes
         for eid in ni.out_edges:
             ei = info.edges[eid]
-            # an edge whose data this host ships, the client or a consumer
-            # gated on data waits for it
+            # data this host ships, or the client or a `dat` node awaits
             if (ei.to_result or self.host_id in ei.addr_hosts
-                    or modes[ei.dst] == "dat"):
+                    or st.meta.modes[ei.dst] == "dat"):
                 self._mark_src_ready(instance, eid, shards)
-        # one shard, or a collective's shards on this host; a collective's
-        # in-place count is keyed on shard 0, which is its home host's first
         for eid, same in ni.local_drains:
-            n_local = same.get(shards[0], 0)
+            n_local = same.get(shards[0], 0)   # a collective's: on shard 0
             if n_local:
                 self._drain(instance, eid, n_local)
         if st.kdone[nid] == len(ni.local_shards[self.host_id]):

@@ -106,19 +106,19 @@ class DeviceProcess(Process):
             self._try_start()
         elif kind == "kernel_done":
             k = self._finish(self.sim.now())
-            self.cluster.on_kernels_done(k, [k.shard_on(self.device_id)])
+            self.cluster.on_kernels_done([k], [[k.shard_on(self.device_id)]])
             self._try_start()
         elif kind == "collective_done":
             # finish each member record on its devices, report them all at
             # once, then start each member's next kernel
             devices = self.cluster.devices
             end = self.sim.now()
-            records = payload["records"]
-            for k in records:
+            recs = payload["records"]
+            for k in recs:
                 for d in k.devices:
                     devices[d]._finish(end)
-            self.cluster.on_collective_done(records)
-            for k in records:
+            self.cluster.on_kernels_done(recs, [list(k.shards) for k in recs])
+            for k in recs:
                 for d in k.devices:
                     devices[d]._try_start()
         elif kind == "abort_kernel":
@@ -263,17 +263,11 @@ class Cluster:
                     self.host_devices[hid].append(did)
                     did += 1
                 hid += 1
+        self.host_pids = [f"host{h}" for h in range(hid)]   # host -> its pid
 
     # hooks, overridden by the runtime layer
-    def on_kernels_done(self, k: KernelExec, shards: list[int]) -> None:
-        """These shards of one host's record finished now: one, or all of a
-        collective member's (from on_collective_done's default)."""
-
-    def on_collective_done(self, records: list[KernelExec]) -> None:
-        """Every shard of a collective's member records finished now; by
-        default each record is reported to on_kernels_done, in order."""
-        for k in records:
-            self.on_kernels_done(k, list(k.shards))
+    def on_kernels_done(self, records: list[KernelExec], shards: list) -> None:
+        """These shards of each record ended now: one, or a collective's."""
 
     def on_kernel_aborted(self, dev: DeviceProcess, k: KernelExec) -> None:
         pass

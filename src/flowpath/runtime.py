@@ -61,34 +61,20 @@ class _SysCluster(Cluster):
         super().__init__(sim, spec)
         self.system = system
 
-    def on_kernels_done(self, k: KernelExec, shards: list[int]) -> None:
-        # one message to the record's host, from a device of it
-        dev = self.devices[k.devices[0]]
-        self.sim.send(dev.pid, f"host{dev.host_id}", "kernel_done",
-                      {"instance": k.instance, "node": k.node,
-                       "shards": shards}, latency=self.spec.pcie.latency_ns)
-        self._gang_done(k, len(shards))
-
-    def on_collective_done(self, records: list[KernelExec]) -> None:
-        # one fan-out: a message to each record's host, from a device of it
-        devices = self.devices
-        sends = []
-        for k in records:
-            dev = devices[k.devices[0]]
-            sends.append((dev.pid, f"host{dev.host_id}",
-                          {"instance": k.instance, "node": k.node,
-                           "shards": list(k.shards)}))
-        self.sim.send_many("kernel_done", sends, self.spec.pcie.latency_ns)
-        self._gang_done(records[0], sum(len(k.shards) for k in records))
-
-    def _gang_done(self, k: KernelExec, nshards: int) -> None:
-        """Count `nshards` of k's gang done; note the gang when none is
-        left."""
+    def on_kernels_done(self, records: list[KernelExec], shards: list) -> None:
         sys = self.system
+        # one fan-out: a message to each record's host, from a device of it
+        sends = []
+        for k, done in zip(records, shards):
+            dev = self.devices[k.devices[0]]
+            sends.append((dev.pid, self.host_pids[dev.host_id],
+                          {"instance": k.instance, "node": k.node,
+                           "shards": done}))
+        self.sim.send_many("kernel_done", sends, self.spec.pcie.latency_ns)
         key = (k.instance, k.node)
         left = sys.gang_left.get(key)
         if left is not None:
-            left -= nshards
+            left -= sum(map(len, shards))
             if left == 0:
                 del sys.gang_left[key]
                 self.sim.note_completion(k.instance, k.node)

@@ -148,7 +148,6 @@ class IslandScheduler(Process):
         self._tasks: list[tuple] = []                # serialized work items
         self._current: tuple | None = None           # the task in flight
         self._dead_clients: set[str] = set()
-        self._host_pids: dict[tuple[int, ...], list[str]] = {}
         self.dispatched: list[tuple[int, int, str, str, str]] = []
         # rows: (ticket seq, t_ns, client, instance, node)
 
@@ -207,20 +206,17 @@ class IslandScheduler(Process):
                 self.notify_hbm_freed()
         else:
             _kind, _nsends, seq, gang = task
-            # one fan-out to the gang's hosts, which share one payload
+            # one fan-out: the gang's hosts share one payload
             go = {"instance": gang.instance, "node": gang.node,
                   "ticket": seq, "client": gang.client}
-            pids = self._host_pids.get(gang.hosts)
-            if pids is None:
-                pids = self._host_pids[gang.hosts] = [
-                    f"host{h}" for h in gang.hosts]
-            self.sim.send_many("go", [(self.pid, h, go) for h in pids],
+            pids = self.cluster.host_pids
+            self.sim.send_many("go", [(self.pid, pids[h], go)
+                                      for h in gang.hosts],
                                self.control_latency_ns)
             if gang.reply_to:
                 self.sim.send(self.pid, gang.reply_to, "handles",
                               {"instance": gang.instance, "node": gang.node,
-                               "ticket": seq},
-                              latency=self.costs.client_rpc_ns)
+                               "ticket": seq}, self.costs.client_rpc_ns)
         self._pump()
 
     # -- reservations ------------------------------------------------------
@@ -251,7 +247,6 @@ class IslandScheduler(Process):
     def _grant(self, seq: int, gang: GangRequest) -> None:
         self.dispatched.append((seq, self.sim.now(), gang.client,
                                 gang.instance, gang.node))
-        # a `go` per host and the reply, sent when the task ends
         nsends = len(gang.hosts) + bool(gang.reply_to)
         self._tasks.append(("dispatch", nsends, seq, gang))
         self._pump()

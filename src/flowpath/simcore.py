@@ -5,12 +5,8 @@ single Simulator. Processes exchange timestamped messages; virtual time is
 integer nanoseconds. Given the same inputs, a run produces a bit-identical
 event sequence: the event queue is ordered by (fire_at, seq) where seq is a
 global counter assigned at schedule time, and message payloads are restricted
-to plain JSON-able data so the event log can be digested stably.
-
-A fan-out (`send_many`) is one heap entry for several deliveries due at one
-instant. Each keeps its own seq and its own channel, and their seqs are taken
-together, so no other event can fall between them: they are delivered, and
-logged, exactly as the same sends made one by one.
+to plain JSON-able data so the event log can be digested stably. A fan-out
+(`send_many`) keeps a seq and channel per delivery, so it logs as single sends.
 """
 from __future__ import annotations
 
@@ -104,8 +100,7 @@ class Simulator:
         self.clock: int = 0
         self._seq = 0
         # (fire_at, seq, target, kind, payload, src); seq is unique, so the
-        # heap never compares past it. A fan-out has target None and, as its
-        # payload, a list of (seq, target, payload, src) from its first seq.
+        # heap never compares past it
         self._heap: list[tuple[int, int, str, str, dict, str | None]] = []
         self._cancelled: set[int] = set()    # ids of pending events only
         self._procs: dict[str, Process] = {}
@@ -160,27 +155,22 @@ class Simulator:
 
     def send_many(self, kind: str, sends: list[tuple[str, str, dict]],
                   latency: int = 0) -> None:
-        """Channel sends of one kind, (src, dst, payload) each, in order,
-        all due `latency` from now, in one heap entry. A destination whose
-        channel already holds a later delivery is sent on its own."""
-        if len(sends) == 1:
-            self.send(sends[0][0], sends[0][1], kind, sends[0][2], latency)
-            return
-        if latency < 0:
-            raise ScheduleInPastError(f"latency {latency}: {kind} fan-out")
+        """Sends (src, dst, payload) of one kind due `latency` from now, in
+        one heap entry: target None, payload its (seq, dst, payload, src)
+        rows. A lone send, or one whose channel holds a later delivery, is
+        sent on its own; so is a negative latency, which send refuses."""
         at = self.clock + latency
-        chan_last, heap = self._chan_last, self._heap
-        group = []
+        rows = []           # seqs taken together: no event falls between them
         for src, dst, payload in sends:
-            self._seq += 1
-            last = chan_last.get((src, dst), 0)
-            if last > at:
-                heapq.heappush(heap, (last, self._seq, dst, kind, payload, src))
+            if (len(sends) == 1 or latency < 0
+                    or self._chan_last.get((src, dst), 0) > at):
+                self.send(src, dst, kind, payload, latency)
             else:
-                chan_last[src, dst] = at
-                group.append((self._seq, dst, payload, src))
-        if group:
-            heapq.heappush(heap, (at, group[0][0], None, kind, group, None))
+                self._seq += 1
+                self._chan_last[src, dst] = at
+                rows.append((self._seq, dst, payload, src))
+        if rows:
+            heapq.heappush(self._heap, (at, rows[0][0], None, kind, rows, None))
 
     def cancel(self, eid: int) -> None:
         """Drop an event that has not fired yet."""
@@ -224,23 +214,21 @@ class Simulator:
             if eid in cancelled:
                 cancelled.discard(eid)
                 continue
-            if target is None:
-                # a fan-out: its deliveries in seq order, each an event
-                for i, (eid, target, p, src) in enumerate(payload):
-                    if n >= limit:
-                        heapq.heappush(heap, (fire_at, eid, None, kind,
-                                              payload[i:], None))
-                        raise SimError(f"exceeded max_events={max_events}")
-                    self.clock = fire_at
-                    if log is not None:
-                        log.append((fire_at, eid, target, kind, p))
-                    procs[target].handle(kind, p, src)
-                    n += 1
-                continue
             if n >= limit:
                 heapq.heappush(heap, (fire_at, eid, target, kind, payload, src))
                 raise SimError(f"exceeded max_events={max_events}")
             self.clock = fire_at
+            if target is None:      # a fan-out: an event per row, in seq order
+                rows, rest = payload[:limit - n], payload[limit - n:]
+                if rest:            # past the limit: popped next, it raises
+                    heapq.heappush(heap, (fire_at, rest[0][0], None, kind,
+                                          rest, None))
+                for eid, target, p, src in rows:
+                    if log is not None:
+                        log.append((fire_at, eid, target, kind, p))
+                    procs[target].handle(kind, p, src)
+                n += len(rows)
+                continue
             if log is not None:
                 log.append((fire_at, eid, target, kind, payload))
             procs[target].handle(kind, payload, src)

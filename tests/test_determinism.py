@@ -19,8 +19,13 @@ collective, the one pinned run in which a gang spans hosts in one
 rendezvous. In this chain no member waits at the rendezvous, so its series
 equals the non-collective one. `COLLECTIVE_SCHEDULE_PINS` pin that run's
 event schedule, as `SCHEDULE_PINS` do. Its home host alone drains each
-in-place edge and reports the result: 113 events in parallel and 155 in
+in-place edge and reports the result: 113 events in parallel and 143 in
 sequential dispatch, where each member host doing so took 119 and 164.
+
+A host closes its own source shards by a call, not a message to itself,
+so the sequential and auto runs log no `edge_fut`/`edge_dat` event from a
+host to itself: the sequential chain runs 206 events (224 with those
+messages), auto 197 (209) and the sequential collective chain 143 (155).
 
 `DISPATCH_DOC_PIN` is the sha256 of the `flowpath bench dispatch` document
 at `configs/workloads/dispatch.json`, the one suite that runs sequential
@@ -68,18 +73,18 @@ PINS = {
     "parallel":
         "8e2791cfd66228ca40d3ba73ffa86b16cf53f01ed63f4f404a868599e1e5fee5",
     "sequential":
-        "121ad947d0289eff940907372bd34e6b37b62b04970986e7e528dbfe1e1dd529",
+        "e05033f13367fcdf5352f8d083fd5b2ec1d63c6af2fa3bf6d8b364ef8045d541",
     "auto":
-        "42097df969892cd6cc79ddfa218e4e12f13837ee2ce5e6dbebf3a5b92636fd19",
+        "1f25a2b4d03db7b8f4d012d2f02a13949f251aa057422df9a895eb04c0d2af11",
 }
 
 SCHEDULE_PINS = {
     "parallel":
         "7e4382f78fd9d882c8036f04f6bb1842a17c14b070c047e4af7729b8580262fe",
     "sequential":
-        "45025a1f8d82885024d9a94b16f4a2b0758228103bf0e61c7e001d90e3962ac9",
+        "09295f86be048c3291978607c386ce2b8f1f093170b099cfaedf961796f4b494",
     "auto":
-        "02d8d15df9209fcba846add291871cf4669233a8df0adca34baf8833e2df0489",
+        "604412fda08eb16c281a175cd8751efd6d9ec64a0e2e279d2103f0f6dfbb54cb",
 }
 
 COMPLETION_PINS = {
@@ -101,7 +106,7 @@ COLLECTIVE_SCHEDULE_PINS = {
     "parallel":
         "88e2ed134eeb9462f1109de2b7c6e7dada2b134b204c4dc198d1977e1ea2a4a6",
     "sequential":
-        "00221ac5532a886b804be3bd8b6f3caae862af0c76a1aa14117f10c7da35612c",
+        "4953e63201dcd1a3aa6bf4a6fed1c95a5bf4baac6d1cda8c18f9ed01e970b686",
 }
 
 DISPATCH_DOC_PIN = \
@@ -194,6 +199,23 @@ def test_collective_event_schedule_matches_pin(mode, tmp_path):
     system = run_chain(mode, collective=True)
     sha = schedule_sha(system, tmp_path / f"{mode}.ndjson")
     assert sha == COLLECTIVE_SCHEDULE_PINS[mode]
+
+
+@pytest.mark.parametrize("mode,collective", [
+    *((m, False) for m in sorted(PINS)),
+    *((m, True) for m in sorted(COLLECTIVE_SCHEDULE_PINS))])
+def test_no_pinned_run_logs_a_host_messaging_itself(mode, collective):
+    # a host closes its own source shards and reads its own addr rows by a
+    # call: no `addr` goes to its sender, no edge update to its srcs' host
+    system = run_chain(mode, collective)
+    host_of = [d.host_id for d in system.cluster.devices]
+    info = system.programs["chain"]
+    for _t, _seq, target, kind, p in system.sim.log:
+        if kind == "addr":
+            assert target != f"host{p['from_host']}"
+        elif kind in ("edge_fut", "edge_dat"):
+            src = info.lowered.placement[info.edges[p["edge"]].src]
+            assert all(target != f"host{host_of[src[s]]}" for s in p["srcs"])
 
 
 @pytest.mark.parametrize("case", ["sequential", "tenants"])

@@ -116,13 +116,13 @@ def test_collective_completes_together_at_last_arrival():
 def test_collective_finishes_every_member_in_one_event():
     """Staggered arrivals over 2 hosts x 2 devices, one record per device:
     one completion event ends the group, each member keeps its own span and
-    busy time, and the cluster hook hears each record once, in arrival
-    order."""
+    busy time, and the cluster hook hears every record in one call, in
+    arrival order."""
     sim = Simulator(record_log=True)
     cl = Cluster(sim, small_cluster(hosts=2, devices_per_host=2))
     reports = []
-    cl.on_kernels_done = lambda kk, shards: reports.append(
-        (kk.devices, shards))
+    cl.on_kernels_done = lambda ks, shards: reports.append(
+        [(kk.devices, s) for kk, s in zip(ks, shards)])
     group = (0, 1, 2, 3)
     for d, at in ((2, us(1)), (0, us(3)), (3, us(4)), (1, us(6))):
         enqueue_kernel(sim, k("i", "c", (d,), us(10), key="g", group=group),
@@ -131,8 +131,8 @@ def test_collective_finishes_every_member_in_one_event():
     done = [(t, target, kind) for t, _seq, target, kind, _p in sim.log
             if kind in ("kernel_done", "collective_done")]
     assert done == [(us(16), "dev1", "collective_done")]
-    assert reports == [((2,), [2]), ((0,), [0]), ((3,), [3]),
-                       ((1,), [1])]                       # arrival order
+    assert reports == [[((2,), [2]), ((0,), [0]), ((3,), [3]),
+                        ((1,), [1])]]               # one call, arrival order
     spans = sorted((t.tid, t.start_ns, t.end_ns) for t in sim.trace)
     assert spans == [(0, us(3), us(16)), (1, us(6), us(16)),
                      (2, us(1), us(16)), (3, us(4), us(16))]
@@ -189,7 +189,8 @@ def test_host_record_runs_each_device_when_it_is_free():
     sim = Simulator(record_log=True)
     cl = Cluster(sim, small_cluster(hosts=1, devices_per_host=2))
     reports = []
-    cl.on_kernels_done = lambda kk, shards: reports.append((kk.node, shards))
+    cl.on_kernels_done = lambda ks, shards: reports.extend(
+        (kk.node, s) for kk, s in zip(ks, shards))
     enqueue_kernel(sim, k("i", "busy", (1,), dur=us(4)), at=0)
     enqueue_kernel(sim, k("i", "c", (0, 1), us(10), key="g", group=(0, 1)),
                    at=0)

@@ -83,37 +83,47 @@ def test_each_edge_message_closes_its_sorted_source_shards_once(
     on_punctuation = ProgressTracker.on_punctuation
 
     def counted(self, *a):
-        calls.append(a)
+        calls.append((self.ready_cb.__self__.host_id, *a))
         return on_punctuation(self, *a)
 
     monkeypatch.setattr(ProgressTracker, "on_punctuation", counted)
-    system, info, _head, tail = gather_system(
+    system, info, head, tail = gather_system(
         tail_regular=(mode == "sequential"), record_log=True)
     system.start_job(system.add_client("c0"), StreamJob(
         system.new_job_id(), "g", 3, window=2, mode=mode))
     assert system.run().status == "quiescent"
-    kind = "edge_fut" if mode == "sequential" else "edge_dat"
     closed: dict[tuple, list] = {}
-    n_msgs = 0
-    for _t, _seq, target, k, payload in system.sim.log:
-        if k not in ("edge_fut", "edge_dat"):
-            continue
-        assert k == kind
-        assert set(payload) == {"instance", "edge", "srcs"}
-        assert payload["srcs"] == sorted(payload["srcs"])
-        n_msgs += 1
-        dst = info.edges[payload["edge"]].dst
-        closed.setdefault((int(target[4:]), payload["instance"], dst),
-                          []).extend((payload["edge"], s)
-                                     for s in payload["srcs"])
+    for host, nid, inst, eid, srcs in calls:
+        assert srcs == sorted(srcs)
+        closed.setdefault((host, inst, nid), []).extend(
+            (eid, s) for s in srcs)
     assert sorted(closed) == [(host, inst, tail) for host in (0, 1)
                               for inst in ("i1", "i2", "i3")]
     for (host, _inst, nid), pairs in closed.items():
         assert len(pairs) == len(set(pairs)) == info.nodes[nid].waits[host]
     # per instance: a sequential host announces its head shards' futures at
-    # once, to home host 0 and (from host 1) to host 1: 3 messages; in auto
+    # once, to home host 0 and (from host 1) to host 1: 3 closes; in auto
     # each head kernel's data goes to host 0 and, from host 1, to host 1: 6
-    assert len(calls) == n_msgs == 3 * (3 if mode == "sequential" else 6)
+    assert len(calls) == 3 * (3 if mode == "sequential" else 6)
+    # a host closes its own shards by a call: only host 1's shards reach
+    # host 0 by message, one per instance in sequential dispatch and one per
+    # head kernel in auto; no host sends itself the addr rows of its pairs
+    kind = "edge_fut" if mode == "sequential" else "edge_dat"
+    head_host = [system.cluster.devices[d].host_id
+                 for d in info.lowered.placement[head]]
+    logged = {"edge_fut": 0, "edge_dat": 0, "addr": 0}
+    for _t, _seq, target, k, payload in system.sim.log:
+        if k in logged:
+            logged[k] += 1
+            frm = (payload["from_host"] if k == "addr"
+                   else head_host[payload["srcs"][0]])
+            assert target != f"host{frm}"
+        if k == kind:
+            assert set(payload) == {"instance", "edge", "srcs"}
+            assert target == "host0"
+            assert {head_host[s] for s in payload["srcs"]} == {1}
+    assert logged == {"edge_fut": 0, "edge_dat": 0, "addr": 0,
+                      kind: 3 * (1 if mode == "sequential" else 2)}
 
 
 def run_reshard_chain(src: int, dst: int, total: int, hosts: int, dph: int,

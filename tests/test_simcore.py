@@ -240,7 +240,7 @@ def test_channel_delivery_times_are_monotone(latencies):
     assert len(times) == len(latencies)
 
 
-# -- fan-out sends -------------------------------------------------------------
+# -- fan-out sends -----------------------------------------------------------
 
 class Hopper(Recorder):
     """Records each delivery; a payload with hops left is passed on to the
