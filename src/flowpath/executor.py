@@ -35,11 +35,12 @@ source's home host turns each drain into one release. A collective's
 kernels all end in one event, so its home host drains every pair that any
 member reads in place; a host left with no pair to drain holds no ref.
 
-An instance fails only with its client. Each host then aborts what its
-unfinished shards may have on a device (kernel, landed inputs), gives back
-grants it never prepped, and drops the instance as `instance_done` drops a
-finished one. Later messages for it are ignored, except a transfer that
-lands late: its device is told to drop it too.
+A host drops an instance at the last event of its part, `ProgramInfo.ends`;
+a client's `release` reads no instance state. An instance fails only with
+its client. Each host then aborts what its unfinished shards may have on a
+device (kernel, landed inputs), gives back grants it never prepped, and
+drops the instance. Later messages for it are ignored, except a transfer
+that lands late: its device is told to drop it too.
 
 Dispatch triggers per node come from the instance plan:
   "go"  - enqueue when the scheduler grants (parallel dispatch),
@@ -135,7 +136,9 @@ class ProgramInfo:
     # the distinct (src node, port) of the results: one client hold each
     result_bufs: tuple[tuple[str, int], ...]
     result_shards: int
-    all_hosts: tuple[int, ...]
+    # host -> the events of its part of an instance, sorted by host: its
+    # kernel shards, and the drains and addr messages it receives
+    ends: dict[int, int]
     plans: dict = field(default_factory=dict)     # dispatch mode -> plan
     # result digests, the same for every instance: a value is a pure
     # function of the program graph
@@ -333,6 +336,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     inputs: dict[tuple, tuple] = {}
     asks: dict[tuple, dict[int, int]] = {}
     shape: dict[str, tuple] = {}          # node -> its key in inputs
+    ends: dict[int, int] = {}
 
     for le in lp.edges:
         e = le.edge
@@ -345,11 +349,17 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             # drained once the consumer's kernel has run, on the shard's
             # host (a collective's home host)
             drains.setdefault(e.dst, []).append((eid, same))
+        home = host_of[lp.placement[e.src][0]]
         edges[eid] = EdgeInfo(
             src=e.src, dst=e.dst, src_port=e.src_port, dst_port=e.dst_port,
             to_result=isinstance(p.node(e.dst), ResultNode),
             inbound=inbound, chosts_by_src=chosts, addr_hosts=addr_hosts,
-            src_home=host_of[lp.placement[e.src][0]], from_arg=from_arg)
+            src_home=home, from_arg=from_arg)
+        # a drain per consumer host, an addr per (consumer, source) host
+        ends[home] = ends.get(home, 0) + len(inbound)
+        for _n, by_src in inbound.values():
+            for sh, _rows in by_src:
+                ends[sh] = ends.get(sh, 0) + 1
         in_eids.setdefault(e.dst, []).append(eid)
         out_eids.setdefault(e.src, []).append(eid)
         ins.setdefault(e.dst, []).append(
@@ -375,6 +385,8 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             continue
         devs = lp.placement[n.id]
         local, local_devs, hosts = _shared(placed, devs, _by_host, devs, host_of)
+        for h, mine in local.items():
+            ends[h] = ends.get(h, 0) + len(mine)
         key = shape[n.id] = (devs, tuple(ins.get(n.id, ())))
         input_sources, recv_rows, waits = _shared(
             inputs, key, _inputs, *key, host_of)
@@ -395,12 +407,11 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         e = edges[in_eids[rid][0]]
         results.append((rid, e.src, e.src_port))
         nshards += len(lp.placement[e.src])
-    all_hosts = tuple(sorted({h for ni in nodes.values() for h in ni.hosts}))
     info = ProgramInfo(
         pid=pid, lowered=lp, order=order, nodes=nodes, args=args, edges=edges,
         results=tuple(results),
         result_bufs=tuple(dict.fromkeys((s, port) for _r, s, port in results)),
-        result_shards=nshards, all_hosts=all_hosts)
+        result_shards=nshards, ends=dict(sorted(ends.items())))
     # the ask is fixed by the node's shape, its output sizes and the shapes
     # of the args it creates
     for ni in nodes.values():
@@ -430,6 +441,7 @@ class InstanceMeta:
 @dataclass(slots=True)
 class _InstState:
     meta: InstanceMeta
+    left: int               # events of this host's part still to come (`ends`)
     prep: dict[str, str] = field(default_factory=dict)    # node -> queued/done
     ticket: dict[str, int] = field(default_factory=dict)
     kdone: dict[str, int] = field(default_factory=dict)   # node -> local done
@@ -465,7 +477,8 @@ class HostExecutor(Process):
 
     def install(self, meta: InstanceMeta) -> None:
         """Out-of-band instance registration (program metadata is resident)."""
-        self.inst[meta.instance] = _InstState(meta)
+        self.inst[meta.instance] = _InstState(
+            meta, meta.program.ends[self.host_id])
 
     def _send(self, dst: str, kind: str, payload: dict, critical: bool) -> None:
         if critical and dst == self.pid:    # it lands now: a call, no event
@@ -529,8 +542,6 @@ class HostExecutor(Process):
             # collected; a batch carries its sender's pid as src
             if src not in self.failed_clients:
                 self.store.release(payload["handle"])
-        elif kind == "instance_done":
-            self._on_instance_done(payload)
         elif kind == "client_failed":
             self._on_client_failed(payload)
         else:
@@ -709,6 +720,7 @@ class HostExecutor(Process):
         for src_shard, dst_shard, dst_dev, nbytes in payload["pairs"]:
             amap[(src_shard, dst_shard)] = (dst_dev, nbytes)
         self._launch_ready(instance, eid)
+        self._count_down(instance, st, 1)
 
     def _launch_ready(self, instance: str, eid: str) -> None:
         """Start every pair whose data exists and whose address is known."""
@@ -753,6 +765,7 @@ class HostExecutor(Process):
             if self.host_id in ni.recv_rows:
                 self.store.release(info.recv_handle(instance, nid,
                                                     self.host_id))
+        self._count_down(instance, st, len(shards))
 
     def _drain(self, instance: str, eid: str, n: int) -> None:
         st = self.inst[instance]
@@ -773,6 +786,7 @@ class HostExecutor(Process):
         ei = info.edges[eid]
         self.store.release(info.arg_handle(instance, ei.src) if ei.from_arg
                            else info.out_handle(instance, ei.src, ei.src_port))
+        self._count_down(instance, st, 1)
 
     def _on_xfer_arrived(self, payload: dict) -> None:
         # the device counts arrivals to gate the kernel; the host only drains
@@ -785,9 +799,10 @@ class HostExecutor(Process):
 
     # -- teardown ----------------------------------------------------------
 
-    def _on_instance_done(self, payload: dict) -> None:
-        if payload["instance"] in self.inst:
-            self._drop(payload["instance"])
+    def _count_down(self, instance: str, st: _InstState, n: int) -> None:
+        st.left -= n                    # the part's last event drops it
+        if not st.left:
+            self._drop(instance)
 
     def _drop(self, instance: str) -> None:
         """Forget an instance here and free the buffers it owns."""
@@ -842,21 +857,9 @@ class HostExecutor(Process):
     # -- introspection -----------------------------------------------------
 
     def obligations(self) -> list[str]:
-        out = []
-        if self._tasks:
-            out.append(f"{len(self._tasks)} queued host tasks")
-        for instance in sorted(self.inst):
-            st = self.inst[instance]
-            for nid, ni in st.meta.program.nodes.items():
-                mine = ni.local_shards.get(self.host_id, ())
-                if not mine:
-                    continue
-                done = st.kdone.get(nid, 0)
-                if done < len(mine):
-                    out.append(f"{instance}/{nid}: {done} of {len(mine)} "
-                               "kernels done")
-        if self.inst:
-            out.append(f"{len(self.inst)} instances still installed")
+        out = [f"{len(self._tasks)} queued host tasks"] if self._tasks else []
+        out += [f"{i}: {st.left} local kernels, addr and drain messages still"
+                " to come" for i, st in sorted(self.inst.items())]
         if n := self.tracker.pending_count():
             out.append(f"readiness state of {n} nodes left behind")
         return out

@@ -168,9 +168,6 @@ class ClientProcess(Process):
             del self.results_seen[inst]
         self.completed_at[inst] = self.sim.now()
         self.system.finish_instance(inst)
-        for h in info.all_hosts:
-            self.batcher.send(f"host{h}", "instance_done", {"instance": inst},
-                              critical=False)
         self._job_of(inst, "on_complete")
 
     def _job_of(self, inst: str, event: str) -> None:
@@ -389,7 +386,7 @@ class System:
         meta = InstanceMeta(inst, client.name, info, modes, stages, triggers,
                             reply)
         self.instances[inst] = meta
-        for h in info.all_hosts:
+        for h in info.ends:
             self.hosts[h].install(meta)
         for nid, ni in info.nodes.items():
             self.gang_left[(inst, nid)] = len(ni.devices)

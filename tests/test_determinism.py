@@ -19,13 +19,15 @@ collective, the one pinned run in which a gang spans hosts in one
 rendezvous. In this chain no member waits at the rendezvous, so its series
 equals the non-collective one. `COLLECTIVE_SCHEDULE_PINS` pin that run's
 event schedule, as `SCHEDULE_PINS` do. Its home host alone drains each
-in-place edge and reports the result: 113 events in parallel and 143 in
-sequential dispatch, where each member host doing so took 119 and 164.
+in-place edge and reports the result: 111 events in parallel and 141 in
+sequential dispatch, where each member host doing so took 6 and 21 more.
 
 A host closes its own source shards by a call, not a message to itself,
 so the sequential and auto runs log no `edge_fut`/`edge_dat` event from a
-host to itself: the sequential chain runs 206 events (224 with those
-messages), auto 197 (209) and the sequential collective chain 143 (155).
+host to itself: the sequential chain runs 204 events (18 more with those
+messages), auto 195 (12 more) and the sequential collective chain 141 (12
+more). Each host drops an instance at the last event of its own part, with
+no message from the client: the parallel chain runs 168 events.
 
 `DISPATCH_DOC_PIN` is the sha256 of the `flowpath bench dispatch` document
 at `configs/workloads/dispatch.json`, the one suite that runs sequential
@@ -71,20 +73,20 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "8e2791cfd66228ca40d3ba73ffa86b16cf53f01ed63f4f404a868599e1e5fee5",
+        "8042e30623fcecab2c27e3e91fe6dc3936bb2ce7dacc60d45dcf0e69d5ac8558",
     "sequential":
-        "e05033f13367fcdf5352f8d083fd5b2ec1d63c6af2fa3bf6d8b364ef8045d541",
+        "db546a4cdc1e5180c8ed160c780596206a387671a148568b89ffbfdf3a233fde",
     "auto":
-        "1f25a2b4d03db7b8f4d012d2f02a13949f251aa057422df9a895eb04c0d2af11",
+        "6425f6d45eca52e5396a9b407bb9664d3c8d99bbe7cc445237dac8204bb311c7",
 }
 
 SCHEDULE_PINS = {
     "parallel":
-        "7e4382f78fd9d882c8036f04f6bb1842a17c14b070c047e4af7729b8580262fe",
+        "a02c62f51efc5b6c6d3ed0c4f404cdea0247e6600ea51482651bbc3f2ad5e3f6",
     "sequential":
-        "09295f86be048c3291978607c386ce2b8f1f093170b099cfaedf961796f4b494",
+        "a80a9d54f49e7727681246a89062b571e09e9b5107a74fa0a800d6aad22d832d",
     "auto":
-        "604412fda08eb16c281a175cd8751efd6d9ec64a0e2e279d2103f0f6dfbb54cb",
+        "5260bbaaed57e0534bd33678b936fc5a5f1b53d21949e4531d82c0b2df98324b",
 }
 
 COMPLETION_PINS = {
@@ -104,9 +106,9 @@ COLLECTIVE_COMPLETION_PINS = {
 }
 COLLECTIVE_SCHEDULE_PINS = {
     "parallel":
-        "88e2ed134eeb9462f1109de2b7c6e7dada2b134b204c4dc198d1977e1ea2a4a6",
+        "572488125b7319a5f1bef27026dcafd6449142a6dc08c5cfb661527277b42bb6",
     "sequential":
-        "4953e63201dcd1a3aa6bf4a6fed1c95a5bf4baac6d1cda8c18f9ed01e970b686",
+        "b61af483bdbba783cab2407eb5bba6c559d93daa47bc47a6a18c4661d5a05664",
 }
 
 DISPATCH_DOC_PIN = \
@@ -127,11 +129,11 @@ TENANTS_PINS = {
 }
 RUN_LOG_PINS = {
     "parallel":
-        "91a04343628ca5d8f8623d921ec825abf274805ecb01e0d7a8496bfc0abc6e0b",
+        "c96b5fe27a7ded99afd11fe245bee074abca0e3380faf1f148c277c2b09712cc",
     "sequential":
-        "588aa3cfff76305bb7e404d88ee3175ea705b9d49e23d23d21594f86d9810698",
+        "e64a05924f946935394c0faffbd2b54fe70eb9ad1335941c96bdf4061e5ec2d7",
     "auto":
-        "91a04343628ca5d8f8623d921ec825abf274805ecb01e0d7a8496bfc0abc6e0b",
+        "c96b5fe27a7ded99afd11fe245bee074abca0e3380faf1f148c277c2b09712cc",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS / "workloads"

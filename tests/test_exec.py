@@ -385,6 +385,70 @@ def test_chain_name_changes_the_digest():
     assert sys_a.inst_digests["i1"] != sys_b.inst_digests["i1"]
 
 
+# -- teardown: a host ends its part of an instance by itself ---------------
+
+@pytest.mark.parametrize("collective", [False, True])
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_each_host_drops_an_instance_at_its_own_last_event(
+        mode, collective, monkeypatch):
+    # a 4-to-2 gather on 2 hosts x 2 devices: host 1 holds no shard of the
+    # narrow node, so its part ends with sourcing remote pairs, once their
+    # addresses have come (a host that dropped the instance before would
+    # never send them). Each host drops each instance once, while it
+    # handles its last kernel_done, drain or addr for it.
+    ends = ("kernel_done", "drain", "addr")
+    handled: dict[tuple[int, str], list[str]] = {}    # (host, inst) -> kinds
+    open_: list[tuple] = []          # the end being handled, innermost last
+    drops: list[tuple] = []
+    host_handle, host_drop = HostExecutor.handle, HostExecutor._drop
+
+    def on_host(self, kind, payload, src):
+        if kind not in ends:
+            return host_handle(self, kind, payload, src)
+        key = (self.host_id, payload["instance"])
+        seen = handled.setdefault(key, [])
+        open_.append((key, len(seen)))
+        seen.append(kind)
+        try:
+            return host_handle(self, kind, payload, src)
+        finally:
+            open_.pop()
+
+    def on_drop(self, instance):
+        drops.append(((self.host_id, instance), open_[-1] if open_ else None))
+        return host_drop(self, instance)
+
+    monkeypatch.setattr(HostExecutor, "handle", on_host)
+    monkeypatch.setattr(HostExecutor, "_drop", on_drop)
+    fns = [CompiledFunction(name, n, (16 * KB // n,), (16 * KB // n,), 20.0,
+                            collective=collective)
+           for name, n in (("wide", 4), ("narrow", 2))]
+    sys_ = System(small_cluster(hosts=2, devices_per_host=2), record_log=True)
+    sys_.register_traced("p", chain_program(fns))
+    job = StreamJob(sys_.new_job_id(), "p", count=3, window=2, mode=mode)
+    sys_.start_job(sys_.add_client("c0"), job)
+    stats = sys_.run()
+    assert stats.status == "quiescent", stats.blocked
+    assert job.done
+    info = sys_.programs["p"]
+    assert info.nodes["n2"].hosts == (0,)
+    # host 0: 4 local shards, 3 drains (2 if a collective home host drains
+    # the arg's in-place pairs for both hosts) and 1 addr; host 1: 2 local
+    # shards and 1 addr
+    assert info.ends == {0: 8 - collective, 1: 3}
+    parts = {(h, i) for i in job.instances for h in info.ends}
+    assert sorted(key for key, _at in drops) == sorted(parts)
+    assert set(handled) == parts
+    for key, at in drops:
+        assert at == (key, len(handled[key]) - 1), (key, handled[key])
+    assert all(not h.inst for h in sys_.hosts.values())
+    kinds = {kind for _t, _s, _dst, kind, _p in sys_.sim.log}
+    kinds |= {m["kind"] for _t, _s, _dst, kind, p in sys_.sim.log
+              if kind == "batch" for m in p["messages"]}
+    assert "instance_done" not in kinds
+    assert audit_leaks(sys_.cluster) == {}
+
+
 # -- failure hygiene -------------------------------------------------------
 
 @pytest.mark.parametrize("fail_at_us", [200, 800, 1600, 2500, 4000])
@@ -428,8 +492,8 @@ def test_client_failure_with_thousands_of_queued_kernels():
 
 def test_dead_client_sends_nothing_from_its_open_batch(monkeypatch):
     # the client dies 1us after its first completion, while the batch of
-    # that instance's instance_done messages is open: the batch is dropped,
-    # as a dead client's timer was ignored, and the fleet still cleans up
+    # that instance's result release is open: the batch is dropped, as a
+    # dead client's timer was ignored, and the fleet still cleans up
     def fleet():
         sys_ = System(small_cluster(hosts=2, devices_per_host=2))
         fns = [CompiledFunction(f"f{i}", 2, (MB,), (MB,), 120)
@@ -464,7 +528,7 @@ def test_dead_client_sends_nothing_from_its_open_batch(monkeypatch):
     stats = sys_.run()
     assert stats.status == "quiescent", stats.blocked
     assert c.dead and len(c.completed_at) == 1
-    assert sorted(held) == ["instance_done", "instance_done", "release"]
+    assert held == ["release"]
     assert [t for t, _ in from_client if t >= die_ns] == []
     assert c.batcher.flushes == 0 and c.batcher.batched_sent == 0
     assert sys_.sim._cancelled == set()

@@ -211,8 +211,8 @@ def test_state_left_behind_is_no_quiescent_run():
     assert stats.blocked == [
         "dev0: stray inputs landed for 1 nodes",
         "dev0: 4096 HBM bytes leaked",
-        f"host0: {inst}/n1: 0 of 1 kernels done",
-        "host0: 1 instances still installed",
+        f"host0: {inst}: 2 local kernels, addr and drain messages still to "
+        "come",
         "host0: readiness state of 1 nodes left behind"]
 
 
