@@ -28,19 +28,20 @@ What a node allocates where is stated once, by `ProgramInfo.buffers`: its
 outputs on its home host, a landing buffer for inbound transfers on each of
 its hosts, and the args it creates on their home host. The gang's HBM ask,
 prep and the give-back of an unused grant all read it. Each (consuming
-edge, consumer host) holds one ref on the source buffer, a result edge one
-client hold. A consumer host sends one `drain` per edge once each pair it
-receives has landed (or, on the same device, been read by its kernel); the
-source's home host turns each drain into one release. A collective's
-kernels all end in one event, so its home host drains every pair that any
-member reads in place; a host left with no pair to drain holds no ref.
+edge, drainer) holds one ref on the source buffer, a result edge one client
+hold. A drainer is a consumer host with a pair of the edge, or a collective
+consumer's home host alone, since all its kernels end in one event
+(`EdgeInfo.drainers`). When a host's kernels of a node are done, it frees
+the node's landing buffer and sends one `drain` per in-edge it drains, the
+one rule for pairs that landed and pairs read in place; the source's home
+host turns each drain into one release.
 
 A host drops an instance at the last event of its part, `ProgramInfo.ends`;
 a client's `release` reads no instance state. An instance fails only with
 its client. Each host then aborts what its unfinished shards may have on a
 device (kernel, landed inputs), gives back grants it never prepped, and
-drops the instance. Later messages for it are ignored, except a transfer
-that lands late: its device is told to drop it too.
+drops the instance. Later messages for it are ignored; a transfer that
+lands late is dropped by its device, which was told to abort the node.
 
 Dispatch triggers per node come from the instance plan:
   "go"  - enqueue when the scheduler grants (parallel dispatch),
@@ -75,9 +76,11 @@ class EdgeInfo:
     src_port: int
     dst_port: int
     to_result: bool
-    # consumer host -> (the pairs it drains, its addr rows by sorted source
-    # host); a collective consumer's home host drains every in-place pair
-    inbound: dict[int, tuple[int, tuple[tuple[int, tuple], ...]]]
+    # consumer host -> the addr rows of its remote pairs, by sorted source host
+    inbound: dict[int, tuple[tuple[int, tuple], ...]]
+    # the consumer hosts that each send one drain when their kernels of the
+    # node end: every host with a pair, a collective's home host alone
+    drainers: tuple[int, ...]
     chosts_by_src: dict[int, tuple[int, ...]]   # src shard -> consumer hosts
     addr_hosts: frozenset[int]                    # source hosts sent addr rows
     src_home: int                                 # host holding the source
@@ -99,8 +102,6 @@ class NodeInfo:
     recv_rows: dict[int, tuple[tuple[int, int], ...]]   # host -> landing rows
     args_created: tuple[str, ...]
     waits: dict[int, int]                        # host -> gating source shards
-    # (in-edge, dst shard -> pairs read in place), drained by its kernels
-    local_drains: tuple[tuple[str, dict[int, int]], ...]
     collective: bool                 # `fn.collective`, on 2 or more devices
     hbm_by_device: dict[int, int] = field(default_factory=dict)  # gang ask
 
@@ -186,7 +187,7 @@ class ProgramInfo:
         return rows
 
     def _refs(self, out_edges: tuple[str, ...], port: int) -> tuple[int, bool]:
-        """Each (consuming edge, host in its `inbound`) holds one ref,
+        """Each (consuming edge, host in its `drainers`) holds one ref,
         released by that host's drain; the client holds one more, however
         many results name the buffer, and releases its handle once."""
         rc = 0
@@ -198,7 +199,7 @@ class ProgramInfo:
             if ei.to_result:
                 held = True
             else:
-                rc += len(ei.inbound)
+                rc += len(ei.drainers)
         return max(rc + held, 1), held
 
 
@@ -225,42 +226,32 @@ def _by_host(devs: tuple[int, ...], host_of) -> tuple[dict, dict, tuple]:
 
 
 def _pair_tables(pairs: tuple[ShardPair, ...], host_of,
-                 collective: bool) -> tuple[dict, dict, dict, frozenset]:
-    """An edge's tables: consumer host -> (the pairs it drains, the addr
-    rows of its remote pairs grouped by sorted source host), source shard ->
-    its sorted consumer hosts, dst shard -> pairs read in place (on one
-    device), and the source hosts that get addr rows. A collective
-    consumer's home host drains all its pairs read in place, on shard 0."""
+                 collective: bool) -> tuple[dict, dict, tuple, frozenset]:
+    """An edge's tables: consumer host -> the addr rows of its remote pairs
+    grouped by sorted source host, source shard -> its sorted consumer
+    hosts, the drainers, and the source hosts that get addr rows. A
+    collective's kernels all end in one event, so its home host drains
+    alone."""
     by_chost: dict[int, list[ShardPair]] = {}
     for pr in pairs:
         by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
-    same: dict[int, int] = {}
     inbound: dict[int, tuple] = {}
     chosts: dict[int, list[int]] = {}
     for h in sorted(by_chost):          # each shard's hosts come out sorted
         rows: dict[int, list[tuple]] = {}
-        n = len(by_chost[h])
         for pr in by_chost[h]:
             hs = chosts.setdefault(pr.src_shard, [])
             if not hs or hs[-1] != h:
                 hs.append(h)
-            if pr.src_dev == pr.dst_dev:
-                shard = 0 if collective else pr.dst_shard
-                same[shard] = same.get(shard, 0) + 1
-                n -= collective             # its home host drains it
-            else:
+            if pr.src_dev != pr.dst_dev:
                 rows.setdefault(host_of[pr.src_dev], []).append(
                     (pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes))
-        if n:
-            inbound[h] = (n, tuple((sh, tuple(rows[sh]))
-                                   for sh in sorted(rows)))
-    if collective and same:
-        home = host_of[pairs[0].dst_dev]       # dst shard 0's pairs come first
-        n, rows = inbound.get(home, (0, ()))
-        inbound[home] = (n + same[0], rows)
-    return (inbound, {s: tuple(hs) for s, hs in chosts.items()}, same,
-            frozenset(sh for _n, by_src in inbound.values()
-                      for sh, _rows in by_src))
+        if rows:
+            inbound[h] = tuple((sh, tuple(rows[sh])) for sh in sorted(rows))
+    # dst shard 0's pairs come first, so its home host is the first key
+    drainers = tuple(by_chost)[:1] if collective else tuple(sorted(by_chost))
+    return (inbound, {s: tuple(hs) for s, hs in chosts.items()}, drainers,
+            frozenset(sh for by_src in inbound.values() for sh, _r in by_src))
 
 
 def _inputs(devs: tuple[int, ...], ins: tuple,
@@ -327,7 +318,6 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     out_eids: dict[str, list[str]] = {}
     # per consumer node, one (pairs, source shards, from arg) per in-edge
     ins: dict[str, list[tuple]] = {}
-    drains: dict[str, list[tuple[str, dict[int, int]]]] = {}
     # one table per distinct (pairs tuple, collective consumer), placement,
     # (placement, in-edges) and HBM shape, shared by every edge, arg or node
     # of that shape
@@ -343,21 +333,17 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         eid = edge_id(e.src, e.dst, e.dst_port)
         from_arg = isinstance(p.node(e.src), ArgNode)
         key = (le.pairs, e.dst in collective)
-        inbound, chosts, same, addr_hosts = _shared(
+        inbound, chosts, drainers, addr_hosts = _shared(
             pair_tables, key, _pair_tables, le.pairs, host_of, key[1])
-        if same:
-            # drained once the consumer's kernel has run, on the shard's
-            # host (a collective's home host)
-            drains.setdefault(e.dst, []).append((eid, same))
         home = host_of[lp.placement[e.src][0]]
         edges[eid] = EdgeInfo(
             src=e.src, dst=e.dst, src_port=e.src_port, dst_port=e.dst_port,
             to_result=isinstance(p.node(e.dst), ResultNode),
-            inbound=inbound, chosts_by_src=chosts, addr_hosts=addr_hosts,
-            src_home=home, from_arg=from_arg)
-        # a drain per consumer host, an addr per (consumer, source) host
-        ends[home] = ends.get(home, 0) + len(inbound)
-        for _n, by_src in inbound.values():
+            inbound=inbound, drainers=drainers, chosts_by_src=chosts,
+            addr_hosts=addr_hosts, src_home=home, from_arg=from_arg)
+        # a drain per drainer, an addr per (consumer, source) host
+        ends[home] = ends.get(home, 0) + len(drainers)
+        for by_src in inbound.values():
             for sh, _rows in by_src:
                 ends[sh] = ends.get(sh, 0) + 1
         in_eids.setdefault(e.dst, []).append(eid)
@@ -398,7 +384,6 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             out_edges=tuple(out_eids.get(n.id, ())),
             input_sources=input_sources, recv_rows=recv_rows,
             args_created=tuple(created.get(n.id, ())), waits=waits,
-            local_drains=tuple(drains.get(n.id, ())),
             collective=n.id in collective)
 
     results = []
@@ -450,7 +435,6 @@ class _InstState:
     src_done: dict[str, set] = field(default_factory=dict)      # eid -> shards
     # eid -> {(s,d): ...}, the addresses of pairs not yet launched
     addr: dict[str, dict] = field(default_factory=dict)
-    drain_pending: dict[str, int] = field(default_factory=dict)
 
 
 class HostExecutor(Process):
@@ -533,8 +517,6 @@ class HostExecutor(Process):
             self._on_edge_update(payload)
         elif kind == "addr":
             self._on_addr(payload)
-        elif kind == "xfer_arrived":
-            self._on_xfer_arrived(payload)
         elif kind == "drain":
             self._on_drain(payload)
         elif kind == "release":
@@ -606,13 +588,7 @@ class HostExecutor(Process):
                 self._mark_src_ready(instance, eid, mine)
 
         for eid in ni.in_edges:
-            ei = info.edges[eid]
-            mine = ei.inbound.get(self.host_id)
-            if mine is None:
-                continue
-            npairs, by_src_host = mine
-            st.drain_pending[eid] = st.drain_pending.get(eid, 0) + npairs
-            for sh, rows in by_src_host:
+            for sh, rows in info.edges[eid].inbound.get(self.host_id, ()):
                 self._send(f"host{sh}", "addr",
                            {"instance": instance, "edge": eid, "pairs": rows,
                             "from_host": self.host_id}, critical=True)
@@ -736,8 +712,7 @@ class HostExecutor(Process):
             src_dev = src_devs[src_shard]       # on this host: addr came here
             del amap[(src_shard, dst_shard)]
             self.cluster.transfer(src_dev, dst_dev, nbytes, instance,
-                                  ei.dst, dst_shard,
-                                  extra={"edge": eid, "src_shard": src_shard})
+                                  ei.dst, dst_shard)
 
     # -- completions -------------------------------------------------------
 
@@ -756,25 +731,19 @@ class HostExecutor(Process):
             if (ei.to_result or self.host_id in ei.addr_hosts
                     or st.meta.modes[ei.dst] == "dat"):
                 self._mark_src_ready(instance, eid, shards)
-        for eid, same in ni.local_drains:
-            n_local = same.get(shards[0], 0)   # a collective's: on shard 0
-            if n_local:
-                self._drain(instance, eid, n_local)
         if st.kdone[nid] == len(ni.local_shards[self.host_id]):
+            # this host's part of the node ended: let go of what it read
+            for eid in ni.in_edges:
+                ei = info.edges[eid]
+                if self.host_id in ei.drainers:
+                    self._send(f"host{ei.src_home}", "drain",
+                               {"instance": instance, "edge": eid,
+                                "from_host": self.host_id}, critical=False)
             del st.kernels[nid]
             if self.host_id in ni.recv_rows:
                 self.store.release(info.recv_handle(instance, nid,
                                                     self.host_id))
         self._count_down(instance, st, len(shards))
-
-    def _drain(self, instance: str, eid: str, n: int) -> None:
-        st = self.inst[instance]
-        st.drain_pending[eid] = st.drain_pending.get(eid, 0) - n
-        if st.drain_pending[eid] == 0:
-            home = st.meta.program.edges[eid].src_home
-            self._send(f"host{home}", "drain",
-                       {"instance": instance, "edge": eid,
-                        "from_host": self.host_id}, critical=False)
 
     def _on_drain(self, payload: dict) -> None:
         instance, eid = payload["instance"], payload["edge"]
@@ -787,15 +756,6 @@ class HostExecutor(Process):
         self.store.release(info.arg_handle(instance, ei.src) if ei.from_arg
                            else info.out_handle(instance, ei.src, ei.src_port))
         self._count_down(instance, st, 1)
-
-    def _on_xfer_arrived(self, payload: dict) -> None:
-        # the device counts arrivals to gate the kernel; the host only drains
-        instance, nid = payload["instance"], payload["node"]
-        if instance in self.inst:
-            self._drain(instance, payload["edge"], 1)
-        else:   # landed after the instance failed: the device drops it
-            ni = self.runtime.instances[instance].program.nodes[nid]
-            self._abort(instance, nid, ni.devices[payload["shard"]], None)
 
     # -- teardown ----------------------------------------------------------
 
@@ -840,19 +800,16 @@ class HostExecutor(Process):
             if st.prep.get(nid) != "done":
                 continue
             # once prepped, a granted shard may have its kernel on the device
-            # and a shard with remote inputs may have inputs landing there
+            # and a shard with remote inputs may have inputs landing there:
+            # the device drops the record `k` (None if none was enqueued
+            # here) and every input for the node, landed or late
             for dev in ni.local_devices[self.host_id]:
                 if nid in st.ticket or dev in ni.input_sources:
-                    self._abort(instance, nid, dev, k)
+                    self.sim.send(self.pid, f"dev{dev}", "abort_kernel",
+                                  {"instance": instance, "node": nid,
+                                   "kernel": k},
+                                  latency=self.cluster.spec.pcie.latency_ns)
         self._drop(instance)
-
-    def _abort(self, instance: str, nid: str, device: int,
-               k: KernelExec | None) -> None:
-        """Tell a device to drop the node's record `k`, if one was enqueued
-        here, and the inputs landed for it."""
-        self.sim.send(self.pid, f"dev{device}", "abort_kernel",
-                      {"instance": instance, "node": nid, "kernel": k},
-                      latency=self.cluster.spec.pcie.latency_ns)
 
     # -- introspection -----------------------------------------------------
 

@@ -10,7 +10,10 @@ reached the matching kernel. The rendezvous keeps the member hosts'
 records, each with a count of its devices arrived so far; the last arrival
 schedules one `collective_done` event, which finishes the records one by
 one at the same virtual instant, and the cluster hook hears them all in one
-call. Data transfers ride DMA paths and overlap compute. HBM is a
+call. Data transfers ride DMA paths and overlap compute. A landing tells
+only its device, which counts it towards the kernel's inputs; its host
+hears nothing until the kernel ends. A device told to abort a node drops
+the inputs landed for it and ignores any that land later. HBM is a
 per-device byte budget that the gang scheduler reserves from.
 """
 from __future__ import annotations
@@ -86,6 +89,9 @@ class DeviceProcess(Process):
         self._exec_start = 0
         # (instance, node) -> inputs landed; a node has one shard per device
         self._arrivals: dict[tuple[str, str], int] = {}
+        # the (instance, node) keys told to abort here, whose inputs may
+        # still land: only a dead client's instances in flight
+        self._aborted: set[tuple[str, str]] = set()
         self.busy_ns = 0  # accumulated kernel time, for utilization audits
 
     # -- kernel queue ------------------------------------------------------
@@ -101,9 +107,9 @@ class DeviceProcess(Process):
                     dev._try_start()
         elif kind == "transfer_arrive":
             key = (payload["instance"], payload["node"])
-            self._arrivals[key] = self._arrivals.get(key, 0) + 1
-            self.cluster.on_transfer_arrive(self, payload)
-            self._try_start()
+            if key not in self._aborted:
+                self._arrivals[key] = self._arrivals.get(key, 0) + 1
+                self._try_start()
         elif kind == "kernel_done":
             k = self._finish(self.sim.now())
             self.cluster.on_kernels_done([k], [[k.shard_on(self.device_id)]])
@@ -171,8 +177,10 @@ class DeviceProcess(Process):
 
     def _abort(self, payload: dict) -> None:
         """Drop a failed instance's record here (`payload["kernel"]`, None
-        if its host enqueued none) and the inputs landed for it."""
-        self._arrivals.pop((payload["instance"], payload["node"]), None)
+        if its host enqueued none) and its inputs, landed or still to land."""
+        key = (payload["instance"], payload["node"])
+        self._aborted.add(key)
+        self._arrivals.pop(key, None)
         k = payload["kernel"]
         if k is not None and k is self.executing:
             if self._at_rendezvous():
@@ -272,9 +280,6 @@ class Cluster:
     def on_kernel_aborted(self, dev: DeviceProcess, k: KernelExec) -> None:
         pass
 
-    def on_transfer_arrive(self, dev: DeviceProcess, payload: dict) -> None:
-        pass
-
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
         pass
 
@@ -308,20 +313,17 @@ class Cluster:
         return "dcn", self.spec.dcn
 
     def transfer(self, src_dev: int, dst_dev: int, nbytes: int,
-                 instance: str, node: str, shard: int,
-                 extra: dict | None = None) -> int:
-        """Launch a DMA transfer; returns its arrival time at dst."""
+                 instance: str, node: str, shard: int) -> int:
+        """Launch a DMA transfer into `shard` of `node`; returns its arrival
+        time at dst, where it counts towards the kernel's inputs."""
         if src_dev == dst_dev:
             dur = 0
         else:
             kind, link = self.link_between(src_dev, dst_dev)
             dur = transfer_ns(link, nbytes)
-        payload = {"instance": instance, "node": node, "shard": shard,
-                   "src_dev": src_dev, "bytes": nbytes}
-        if extra:
-            payload.update(extra)
         arrive = self.sim.now() + dur
-        self.sim.schedule_at(arrive, f"dev{dst_dev}", "transfer_arrive", payload)
+        self.sim.schedule_at(arrive, f"dev{dst_dev}", "transfer_arrive",
+                             {"instance": instance, "node": node})
         if dur > 0 and self.sim.record_trace:
             dst = self.devices[dst_dev]
             self.sim.trace_span(dst.host_id, 200_000 + dst_dev,

@@ -85,10 +85,6 @@ class _SysCluster(Cluster):
         # a gang with an aborted shard never completes
         self.system.gang_left.pop((k.instance, k.node), None)
 
-    def on_transfer_arrive(self, dev: DeviceProcess, payload: dict) -> None:
-        self.sim.send(dev.pid, f"host{dev.host_id}", "xfer_arrived",
-                      dict(payload), latency=self.spec.pcie.latency_ns)
-
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
         sched = self.system.scheds.get(dev.island_id)
         if sched is not None:

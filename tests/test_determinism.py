@@ -47,6 +47,10 @@ pressure. With it, every `flowpath bench` suite has a document pin.
 `RUN_LOG_PINS` are the sha256 of `flowpath run --event-log` for
 `configs/programs/chain4.json` in each mode: the one pin of the command
 line's own run. Every node of chain4 is regular, so auto runs as parallel.
+It is the one pinned run whose data crosses devices, in 12 transfers. A
+consumer host drains when its kernels end, not when a transfer lands: 78
+events in parallel and 87 in sequential dispatch, where a message from
+each landing to its host took 12 more.
 
 `TENANTS_PINS` pin the memory-pressure path, which none of the runs above
 reaches: four weighted clients on one device that holds two gangs, so
@@ -129,11 +133,11 @@ TENANTS_PINS = {
 }
 RUN_LOG_PINS = {
     "parallel":
-        "c96b5fe27a7ded99afd11fe245bee074abca0e3380faf1f148c277c2b09712cc",
+        "192e4823a9d815aaffc3f899aed5af53cacde250c49c2699a53e12049026e1f0",
     "sequential":
-        "e64a05924f946935394c0faffbd2b54fe70eb9ad1335941c96bdf4061e5ec2d7",
+        "cf3d270813f8cdcfb6772b9bdeb490c92e4760883c48070b5a9800901455983a",
     "auto":
-        "c96b5fe27a7ded99afd11fe245bee074abca0e3380faf1f148c277c2b09712cc",
+        "192e4823a9d815aaffc3f899aed5af53cacde250c49c2699a53e12049026e1f0",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS / "workloads"

@@ -16,7 +16,7 @@ from flowpath.bench import one_gang_program, pipeline_program
 from flowpath.config import Policy, small_cluster
 from flowpath.coord import edge_id
 from flowpath.executor import HostExecutor, build_program_info
-from flowpath.hardware import KernelExec, transfer_ns
+from flowpath.hardware import DeviceProcess, KernelExec, transfer_ns
 from flowpath.ir import (ArgNode, CompiledFunction, ResultNode, Tracer,
                          arg_consumers, chain_program, lower)
 from flowpath.runtime import ClientProcess, StreamJob, System, steady_rate
@@ -199,8 +199,8 @@ def test_collective_reading_in_place_and_over_transfers_runs_the_same_twice(
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])
 def test_collective_home_host_drains_in_place_pairs_it_does_not_read(mode):
     # p's shards 0 and 1 swap devices, so c's home host 0 reads both over
-    # transfers; host 1 reads shards 2 and 3 in place, and host 0 drains
-    # them with its own landings
+    # transfers; host 1 reads shards 2 and 3 in place. Every member's
+    # kernel ends in one event, so host 0 alone drains the edge, once
     t = Tracer()
     sp, sc = t.virtual_slice([4]), t.virtual_slice([4])
     p = t.call(CompiledFunction("p", 4, (KB,), (KB,), 20.0), t.arg(4, KB),
@@ -211,10 +211,9 @@ def test_collective_home_host_drains_in_place_pairs_it_does_not_read(mode):
     info = sys_.register_program("p", lower(t.finish([c]), {
         sp: (1, 0, 2, 3), sc: (0, 1, 2, 3)}))
     eid = edge_id(p.node, c.node)
-    n, by_src_host = info.edges[eid].inbound[0]
-    assert list(info.edges[eid].inbound) == [0] and n == 4
-    assert by_src_host == ((0, ((0, 0, 0, KB), (1, 1, 1, KB))),)
-    assert info.nodes[c.node].local_drains == ((eid, {0: 2}),)
+    assert info.edges[eid].inbound == {
+        0: ((0, ((0, 0, 0, KB), (1, 1, 1, KB))),)}
+    assert info.edges[eid].drainers == (0,)
     sys_.start_job(sys_.add_client("c0"), StreamJob(
         sys_.new_job_id(), "p", count=3, window=2, mode=mode))
     assert sys_.run().status == "quiescent"
@@ -592,18 +591,20 @@ def test_client_failure_sweep_reaches_late_landings_and_unprepped_grants(
         monkeypatch):
     # a cross-host chain, slices (0,1) (2,3) (0,1) on 2 hosts x 2 devices,
     # with the client dying every 7us: some deaths catch a transfer in
-    # flight (it lands after the instance is gone, so the host tells the
-    # device to drop it) and some a granted gang not yet prepped (its
+    # flight (it lands after its device was told to abort the node, and
+    # the device drops it) and some a granted gang not yet prepped (its
     # grant-time reservation is given back)
     hits = {"late_landing": 0, "unprepped_grant": 0}
     failing = []
-    on_xfer = HostExecutor._on_xfer_arrived
+    on_device = DeviceProcess.handle
     fail_instance = HostExecutor._fail_instance
     give_back = HostExecutor._release_grant_reservation
 
-    def count_late(self, payload):
-        hits["late_landing"] += payload["instance"] not in self.inst
-        return on_xfer(self, payload)
+    def count_late(self, kind, payload, src):
+        if kind == "transfer_arrive":
+            hits["late_landing"] += (payload["instance"],
+                                     payload["node"]) in self._aborted
+        return on_device(self, kind, payload, src)
 
     def mark_failing(self, instance):
         failing.append(instance)
@@ -616,7 +617,7 @@ def test_client_failure_sweep_reaches_late_landings_and_unprepped_grants(
         hits["unprepped_grant"] += bool(failing)
         return give_back(self, *args)
 
-    monkeypatch.setattr(HostExecutor, "_on_xfer_arrived", count_late)
+    monkeypatch.setattr(DeviceProcess, "handle", count_late)
     monkeypatch.setattr(HostExecutor, "_fail_instance", mark_failing)
     monkeypatch.setattr(HostExecutor, "_release_grant_reservation",
                         count_give_back)
@@ -721,13 +722,24 @@ def _naive_tables(lp, cluster):
     def inbound(pairs):
         out = {}
         for h in {host_of[pr.dst_dev] for pr in pairs}:
-            mine = [pr for pr in pairs if host_of[pr.dst_dev] == h]
-            remote = [pr for pr in mine if pr.src_dev != pr.dst_dev]
-            out[h] = (len(mine), tuple(
-                (sh, tuple((pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes)
-                           for pr in remote if host_of[pr.src_dev] == sh))
-                for sh in sorted({host_of[pr.src_dev] for pr in remote})))
+            remote = [pr for pr in pairs
+                      if host_of[pr.dst_dev] == h and pr.src_dev != pr.dst_dev]
+            if remote:
+                out[h] = tuple(
+                    (sh, tuple((pr.src_shard, pr.dst_shard, pr.dst_dev,
+                                pr.nbytes)
+                               for pr in remote if host_of[pr.src_dev] == sh))
+                    for sh in sorted({host_of[pr.src_dev] for pr in remote}))
         return out
+
+    def drainers(le):
+        """Every host with a pair, or a collective consumer's home host."""
+        dst = p.nodes[le.edge.dst]
+        if isinstance(dst, ResultNode):
+            return ()
+        if dst.fn.collective and len(lp.placement[dst.id]) > 1:
+            return (host_of[lp.placement[dst.id][0]],)
+        return tuple(sorted({host_of[pr.dst_dev] for pr in le.pairs}))
 
     def chosts_by_src(pairs):
         return {s: tuple(sorted({host_of[pr.dst_dev] for pr in pairs
@@ -735,7 +747,7 @@ def _naive_tables(lp, cluster):
                 for s in {pr.src_shard for pr in pairs}}
 
     edges = {edge_id(le.edge.src, le.edge.dst, le.edge.dst_port):
-             (inbound(le.pairs), chosts_by_src(le.pairs),
+             (inbound(le.pairs), drainers(le), chosts_by_src(le.pairs),
               {host_of[pr.src_dev] for pr in le.pairs
                if pr.src_dev != pr.dst_dev},
               host_of[lp.placement[le.edge.src][0]])
@@ -750,7 +762,7 @@ def _naive_tables(lp, cluster):
             if isinstance(p.nodes[le.edge.dst], ResultNode):
                 held = True
             else:
-                rc += len({host_of[pr.dst_dev] for pr in le.pairs})
+                rc += len(drainers(le))
         return max(rc + held, 1), held
 
     args = {}
@@ -818,13 +830,13 @@ def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
     info = sys_.register_program("p", lp)
     edges, nodes, args = _naive_tables(lp, sys_.cluster)
     for eid, ei in info.edges.items():
-        assert (ei.inbound, ei.chosts_by_src, ei.addr_hosts,
+        assert (ei.inbound, ei.drainers, ei.chosts_by_src, ei.addr_hosts,
                 ei.src_home) == edges[eid], eid
     # edges with equal pairs share one table
     by_shape = {}
     for le in lp.edges:
         ei = info.edges[edge_id(le.edge.src, le.edge.dst, le.edge.dst_port)]
-        tables = (ei.inbound, ei.chosts_by_src, ei.addr_hosts)
+        tables = (ei.inbound, ei.drainers, ei.chosts_by_src, ei.addr_hosts)
         shared = by_shape.setdefault(le.pairs, tables)
         assert all(a is b for a, b in zip(shared, tables))
     assert len(by_shape) < len(lp.edges)
