@@ -14,7 +14,7 @@ import hashlib
 import heapq
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 NS_PER_US = 1_000
 NS_PER_S = 1_000_000_000
@@ -86,10 +86,16 @@ class RunResult:
     blocked: list[str] = field(default_factory=list)
 
 
+def _field_values(obj) -> list:
+    """A dataclass payload field (a `GangRequest`, a `KernelExec`) as the
+    list of its field values: renaming a field, or retyping a tuple as a
+    list, moves no digest."""
+    return [getattr(obj, f.name) for f in fields(obj)]
+
+
 def payload_digest(payload: dict) -> str:
-    # default=repr admits dataclass payload fields; their reprs are value-based
-    # and therefore stable across runs
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=_field_values)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -3,7 +3,8 @@
 Each `PINS` entry is the sha256 of `dump_event_log` for one small run. A
 change that moves the simulation (timing, event order, message payloads)
 changes a pin; such a change must update the pin and say which model change
-moved it.
+moved it. A payload's `GangRequest` or `KernelExec` is digested as the list
+of its field values, so renaming a field moves no pin.
 
 Each `SCHEDULE_PINS` entry is the sha256 of the same event log with
 `payload_digest` dropped: one (t_ns, seq, target, kind) row per event. A
@@ -77,11 +78,11 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "8042e30623fcecab2c27e3e91fe6dc3936bb2ce7dacc60d45dcf0e69d5ac8558",
+        "d24f71eb0e3ee98decefdcdb24f0a5842e18804d45b02e51e4f5f8695f154c59",
     "sequential":
-        "db546a4cdc1e5180c8ed160c780596206a387671a148568b89ffbfdf3a233fde",
+        "aa7ae38d7292374d7f81f8f1c4b864c72cf5761094169728520d828fb7eca3ab",
     "auto":
-        "6425f6d45eca52e5396a9b407bb9664d3c8d99bbe7cc445237dac8204bb311c7",
+        "1c3c4593b0ee99069bb6fac9a309f2e387c8a584a243f920569808086101f8bb",
 }
 
 SCHEDULE_PINS = {
@@ -133,11 +134,11 @@ TENANTS_PINS = {
 }
 RUN_LOG_PINS = {
     "parallel":
-        "192e4823a9d815aaffc3f899aed5af53cacde250c49c2699a53e12049026e1f0",
+        "0160b471d168ccdafeaf97916cd31af4748459b8acc2bdf4d0b3397d0d851906",
     "sequential":
-        "cf3d270813f8cdcfb6772b9bdeb490c92e4760883c48070b5a9800901455983a",
+        "d01048781b939e8a207e4705435b7eea4e3eaf52acb41724f1069019633c1795",
     "auto":
-        "192e4823a9d815aaffc3f899aed5af53cacde250c49c2699a53e12049026e1f0",
+        "0160b471d168ccdafeaf97916cd31af4748459b8acc2bdf4d0b3397d0d851906",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS / "workloads"

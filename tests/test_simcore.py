@@ -1,5 +1,6 @@
 """Simulation kernel: ordering, channels, quiescence, deadlock oracle."""
 import json
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,24 @@ def test_event_log_ndjson(tmp_path):
 def test_payload_digest_is_order_insensitive():
     assert payload_digest({"a": 1, "b": 2}) == payload_digest({"b": 2, "a": 1})
     assert payload_digest({"a": 1}) != payload_digest({"a": 2})
+
+
+def test_payload_digest_reads_a_dataclass_by_its_field_values():
+    @dataclass
+    class Gang:
+        node: str
+        devices: tuple
+
+    @dataclass
+    class Renamed:
+        nid: str
+        devs: list
+
+    assert (payload_digest({"g": Gang("n1", (0, 1))})
+            == payload_digest({"g": Renamed("n1", [0, 1])})
+            == payload_digest({"g": ["n1", [0, 1]]}))
+    assert (payload_digest({"g": Gang("n1", (0, 1))})
+            != payload_digest({"g": Gang("n1", (1, 0))}))
 
 
 def test_trace_spans_recorded():
