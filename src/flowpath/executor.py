@@ -248,7 +248,8 @@ def _pair_tables(pairs: tuple[ShardPair, ...], host_of,
                     (pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes))
         if rows:
             inbound[h] = tuple((sh, tuple(rows[sh])) for sh in sorted(rows))
-    # dst shard 0's pairs come first, so its home host is the first key
+    # dst shard 0's pairs come first, so the consumer's home host is the
+    # first key
     drainers = tuple(by_chost)[:1] if collective else tuple(sorted(by_chost))
     return (inbound, {s: tuple(hs) for s, hs in chosts.items()}, drainers,
             frozenset(sh for by_src in inbound.values() for sh, _r in by_src))
@@ -800,9 +801,8 @@ class HostExecutor(Process):
             if st.prep.get(nid) != "done":
                 continue
             # once prepped, a granted shard may have its kernel on the device
-            # and a shard with remote inputs may have inputs landing there:
-            # the device drops the record `k` (None if none was enqueued
-            # here) and every input for the node, landed or late
+            # and a shard with remote inputs may have inputs landing there;
+            # `k` is None if none was enqueued here
             for dev in ni.local_devices[self.host_id]:
                 if nid in st.ticket or dev in ni.input_sources:
                     self.sim.send(self.pid, f"dev{dev}", "abort_kernel",

@@ -1004,6 +1004,37 @@ def test_proportional_share_picks_past_a_head_on_a_parked_device():
     assert dispatched["proportional"] == dispatched["fifo"]
 
 
+def test_a_read_output_is_freed_only_after_its_readers_kernel_ends():
+    """A (device 0) writes 1 MB that B (device 1, 1,000 us) reads over a
+    transfer; device 0's HBM fits two of A's gangs. B's host drains the
+    edge when B's kernel ends, not when the transfer lands, so each A
+    output is freed after its instance's B kernel, and memory under
+    pressure still comes back."""
+    t = Tracer()
+    v = t.arg(shards=1, bytes_per_shard=KB)
+    a = t.call(CompiledFunction("A", 1, (KB,), (MB,), 50), v)
+    b = t.call(CompiledFunction("B", 1, (MB,), (KB,), 1000), a)
+    sys_ = System(small_cluster(hosts=2, devices_per_host=1,
+                                hbm_bytes=2 * (MB + KB) + 512),
+                  record_trace=True)
+    info = sys_.register_traced("p", t.finish(results=[b]))
+    assert [info.nodes[n].devices for n in ("n1", "n2")] == [(0,), (1,)]
+    c = sys_.add_client("c0")
+    job = StreamJob(sys_.new_job_id(), "p", count=8, window=4)
+    sys_.start_job(c, job)
+    res = sys_.run()
+    assert res.status == "quiescent", res.blocked
+    assert len(c.completed_at) == 8
+    assert audit_leaks(sys_.cluster) == {}
+    assert audit_no_double_free(sys_.audit) == []
+    b_end = {r.instance: r.end_ns for r in sys_.sim.trace
+             if r.category == "kernel" and r.name == "n2[0]"}
+    freed = {h: t_ns for op, h, *_rest, t_ns in sys_.audit if op == "free"}
+    assert sorted(b_end) == sorted(job.instances)
+    for inst in job.instances:
+        assert freed[info.out_handle(inst, "n1", 0)] > b_end[inst], inst
+
+
 # -- known defect: host-gated prep under HBM pressure ----------------------
 
 @pytest.mark.parametrize("mode", [

@@ -70,6 +70,19 @@ def test_missing_input_is_deadlock_with_wait_edge():
 
 # -- transfers ---------------------------------------------------------------
 
+def test_a_landing_after_its_abort_is_dropped():
+    """A transfer that lands after its device was told to abort the node
+    counts for nothing; one for another node still counts."""
+    sim, cl = make_cluster(hosts=1, devices_per_host=2)
+    sim.schedule_at(0, "dev1", "abort_kernel",
+                    {"instance": "i", "node": "n", "kernel": None})
+    cl.transfer(0, 1, 1000, "i", "n", 0)
+    cl.transfer(0, 1, 1000, "i", "m", 0)
+    res = sim.run_until_quiescent()
+    assert cl.devices[1]._arrivals == {("i", "m"): 1}
+    assert res.blocked == ["dev1: stray inputs landed for 1 nodes"]
+
+
 def test_transfer_ns_latency_plus_ceil_serialization():
     link = small_cluster().islands[0].ici  # 1us, 100 GB/s
     assert transfer_ns(link, 0) == 1000
