@@ -13,9 +13,8 @@ record, whose shards, devices and input sources are static per (node,
 host) in `NodeInfo`. One PCIe message enqueues it on the host's devices, and
 one `kernel_done` lists the shards of a collective on the host, which it
 marks done in one pass. A result's shards reach the client in one `result`
-per host, a collective's in one from its home host. The host keeps the
-record until its kernels are done, so a failure can name it in each
-device's abort.
+per host, a collective's in one from its home host. The host keeps no
+record once it is sent: an abort names the (instance, node) alone.
 
 The static tables are built once per distinct shape: edges with one pairs
 tuple and consumer kind, and nodes with one placement and in-edges, share
@@ -38,10 +37,11 @@ host turns each drain into one release.
 
 A host drops an instance at the last event of its part, `ProgramInfo.ends`;
 a client's `release` reads no instance state. An instance fails only with
-its client. Each host then aborts what its unfinished shards may have on a
-device (kernel, landed inputs), gives back grants it never prepped, and
-drops the instance. Later messages for it are ignored; a transfer that
-lands late is dropped by its device, which was told to abort the node.
+its client. Each host then stops counting its unfinished gangs towards
+completion (`System.gang_left`), aborts by key what their shards may have
+on a device (kernel, landed inputs), gives back grants it never prepped,
+and drops the instance. Later messages for it are ignored; a device drops
+a late record or landing by its key.
 
 Dispatch triggers per node come from the instance plan:
   "go"  - enqueue when the scheduler grants (parallel dispatch),
@@ -431,8 +431,6 @@ class _InstState:
     prep: dict[str, str] = field(default_factory=dict)    # node -> queued/done
     ticket: dict[str, int] = field(default_factory=dict)
     kdone: dict[str, int] = field(default_factory=dict)   # node -> local done
-    # node -> the record enqueued here, until its kernels are done
-    kernels: dict[str, KernelExec] = field(default_factory=dict)
     src_done: dict[str, set] = field(default_factory=dict)      # eid -> shards
     # eid -> {(s,d): ...}, the addresses of pairs not yet launched
     addr: dict[str, dict] = field(default_factory=dict)
@@ -614,14 +612,14 @@ class HostExecutor(Process):
         ni = info.nodes[nid]
         self.stats["enqueues"] += 1
         mine = ni.local_shards[self.host_id]
-        k = st.kernels[nid] = KernelExec(
+        rec = KernelExec(
             instance, nid, mine, ni.local_devices[self.host_id],
             ni.fn.duration_ns, ni.input_sources,
             collective_key=f"{instance}/{nid}" if ni.collective else None,
             group=ni.devices if ni.collective else ())
         # one PCIe message carries the record to all this host's devices
-        self.sim.send(self.pid, f"dev{k.devices[0]}", "enqueue_kernel",
-                      {"kernel": k}, latency=self.cluster.spec.pcie.latency_ns)
+        self.sim.send(self.pid, f"dev{rec.devices[0]}", "enqueue_kernel",
+                      {"kernel": rec}, latency=self.cluster.spec.pcie.latency_ns)
         for eid in ni.out_edges:        # a result node has no mode
             if st.meta.modes.get(info.edges[eid].dst) == "fut":
                 self._emit_edge_update(instance, eid, mine, "fut")
@@ -740,7 +738,6 @@ class HostExecutor(Process):
                     self._send(f"host{ei.src_home}", "drain",
                                {"instance": instance, "edge": eid,
                                 "from_host": self.host_id}, critical=False)
-            del st.kernels[nid]
             if self.host_id in ni.recv_rows:
                 self.store.release(info.recv_handle(instance, nid,
                                                     self.host_id))
@@ -793,21 +790,16 @@ class HostExecutor(Process):
             mine = ni.local_shards.get(self.host_id, ())
             if st.kdone.get(nid, 0) >= len(mine):
                 continue
-            k = st.kernels.get(nid)
-            if k is None:
-                # a shard never enqueued here never runs, so its gang
-                # cannot complete; an enqueued one completes or is aborted
-                self.runtime.gang_left.pop((instance, nid), None)
+            # the gang no longer completes, even if a kernel of it still runs
+            self.runtime.gang_left.pop((instance, nid), None)
             if st.prep.get(nid) != "done":
                 continue
             # once prepped, a granted shard may have its kernel on the device
-            # and a shard with remote inputs may have inputs landing there;
-            # `k` is None if none was enqueued here
+            # and a shard with remote inputs may have inputs landing there
             for dev in ni.local_devices[self.host_id]:
                 if nid in st.ticket or dev in ni.input_sources:
                     self.sim.send(self.pid, f"dev{dev}", "abort_kernel",
-                                  {"instance": instance, "node": nid,
-                                   "kernel": k},
+                                  {"instance": instance, "node": nid},
                                   latency=self.cluster.spec.pcie.latency_ns)
         self._drop(instance)
 

@@ -12,9 +12,10 @@ schedules one `collective_done` event, which finishes the records one by
 one at the same virtual instant, and the cluster hook hears them all in one
 call. Data transfers ride DMA paths and overlap compute. A landing tells
 only its device, which counts it towards the kernel's inputs; its host
-hears nothing until the kernel ends. A device told to abort a node drops
-the inputs landed for it and ignores any that land later. HBM is a
-per-device byte budget that the gang scheduler reserves from.
+hears nothing until the kernel ends. A device aborts an (instance, node)
+by key: it drops the inputs landed and to land, and the record, at the
+rendezvous now or else at the head of its queue. HBM is a per-device byte
+budget that the gang scheduler reserves from.
 """
 from __future__ import annotations
 
@@ -62,7 +63,6 @@ class KernelExec:
     input_sources: dict[int, tuple[int, ...]]
     collective_key: str | None = None   # rendezvous id; None = independent
     group: tuple[int, ...] = ()         # a collective's member devices
-    aborted: tuple[int, ...] = ()       # devices told to drop it
 
     def shard_on(self, device: int) -> int:
         return self.shards[self.devices.index(device)]
@@ -89,8 +89,8 @@ class DeviceProcess(Process):
         self._exec_start = 0
         # (instance, node) -> inputs landed; a node has one shard per device
         self._arrivals: dict[tuple[str, str], int] = {}
-        # the (instance, node) keys told to abort here, whose inputs may
-        # still land: only a dead client's instances in flight
+        # the (instance, node) keys told to abort here, whose record or
+        # inputs may still come: only a dead client's instances in flight
         self._aborted: set[tuple[str, str]] = set()
         self.busy_ns = 0  # accumulated kernel time, for utilization audits
 
@@ -141,10 +141,8 @@ class DeviceProcess(Process):
         queue = self.queue
         while self.executing is None and queue:
             head = queue[0]
-            if self.device_id in head.aborted:
+            if self._aborted and (head.instance, head.node) in self._aborted:
                 queue.popleft()
-                self._arrivals.pop((head.instance, head.node), None)
-                self.cluster.on_kernel_aborted(self, head)
                 continue
             if not self._inputs_ready(head):
                 return
@@ -176,23 +174,20 @@ class DeviceProcess(Process):
         return k
 
     def _abort(self, payload: dict) -> None:
-        """Drop a failed instance's record here (`payload["kernel"]`, None
-        if its host enqueued none) and its inputs, landed or still to land."""
+        """Drop a failed instance's node here by its key: its inputs,
+        landed or to land, and its record, at the rendezvous now or else
+        at the head of the queue."""
         key = (payload["instance"], payload["node"])
         self._aborted.add(key)
         self._arrivals.pop(key, None)
-        k = payload["kernel"]
-        if k is not None and k is self.executing:
-            if self._at_rendezvous():
-                # still waiting at the rendezvous, so nothing ran yet; a
-                # kernel already past it is non-preemptible and finishes
-                self.cluster.rendezvous_cancel(self, k)
-                self.executing = None
-                self.queue.popleft()
-                self.cluster.on_kernel_aborted(self, k)
-        elif k is not None:
-            # dropped when it reaches the head of this device's queue
-            k.aborted += (self.device_id,)
+        k = self.executing
+        if (k is not None and (k.instance, k.node) == key
+                and self._at_rendezvous()):
+            # nothing ran yet; a kernel past the rendezvous, or one that
+            # needs none, is non-preemptible and finishes
+            self.cluster.rendezvous_cancel(self, k)
+            self.executing = None
+            self.queue.popleft()
         self._try_start()
 
     # -- HBM ---------------------------------------------------------------
@@ -245,8 +240,9 @@ class DeviceProcess(Process):
 class Cluster:
     """Topology container: islands, hosts, devices, link pricing, collectives.
 
-    Hooks (on_kernels_done and friends) are filled in by the runtime layer;
-    they default to no-ops so hardware can be unit-tested standalone.
+    Hooks (`on_kernels_done`, `on_hbm_freed`) are filled in by the runtime
+    layer; they default to no-ops so hardware can be unit-tested standalone.
+    A dropped record reports nothing.
     """
 
     def __init__(self, sim: Simulator, spec: ClusterSpec):
@@ -276,9 +272,6 @@ class Cluster:
     # hooks, overridden by the runtime layer
     def on_kernels_done(self, records: list[KernelExec], shards: list) -> None:
         """These shards of each record ended now: one, or a collective's."""
-
-    def on_kernel_aborted(self, dev: DeviceProcess, k: KernelExec) -> None:
-        pass
 
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
         pass
@@ -361,9 +354,8 @@ class Cluster:
                     del self._rendezvous[k.collective_key]
 
 
-def enqueue_kernel(sim: Simulator, kernel: KernelExec,
+def enqueue_kernel(sim: Simulator, rec: KernelExec,
                    at: int | None = None) -> None:
     """Low-level enqueue, for driving devices without a host executor."""
     sim.schedule_at(at if at is not None else sim.now(),
-                    f"dev{kernel.devices[0]}", "enqueue_kernel",
-                    {"kernel": kernel})
+                    f"dev{rec.devices[0]}", "enqueue_kernel", {"kernel": rec})

@@ -81,10 +81,6 @@ class _SysCluster(Cluster):
             else:
                 sys.gang_left[key] = left
 
-    def on_kernel_aborted(self, dev: DeviceProcess, k: KernelExec) -> None:
-        # a gang with an aborted shard never completes
-        self.system.gang_left.pop((k.instance, k.node), None)
-
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
         sched = self.system.scheds.get(dev.island_id)
         if sched is not None:

@@ -78,11 +78,11 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "d24f71eb0e3ee98decefdcdb24f0a5842e18804d45b02e51e4f5f8695f154c59",
+        "49c642b62ee046494bc1301a3d4c5af68a2a924b5348a1f01994b0b239f15018",
     "sequential":
-        "aa7ae38d7292374d7f81f8f1c4b864c72cf5761094169728520d828fb7eca3ab",
+        "d010f518d24fea8cc288c1895ec13e0ba44a3ca22961ada4a023dd04215175d2",
     "auto":
-        "1c3c4593b0ee99069bb6fac9a309f2e387c8a584a243f920569808086101f8bb",
+        "8640d47be85fdc9fc32a5969ca0bb8641846cb39d62cff5634a0a6c828831c6f",
 }
 
 SCHEDULE_PINS = {
@@ -134,11 +134,11 @@ TENANTS_PINS = {
 }
 RUN_LOG_PINS = {
     "parallel":
-        "0160b471d168ccdafeaf97916cd31af4748459b8acc2bdf4d0b3397d0d851906",
+        "30cd545148f3fb1379bcdba42e3b6dbebac2d348845317d68a06a302636fec16",
     "sequential":
-        "d01048781b939e8a207e4705435b7eea4e3eaf52acb41724f1069019633c1795",
+        "97dd9ed7b3b2d266b1d5d4ac3860629fe6c39786d1f8ae824627ff98e442d8a6",
     "auto":
-        "0160b471d168ccdafeaf97916cd31af4748459b8acc2bdf4d0b3397d0d851906",
+        "30cd545148f3fb1379bcdba42e3b6dbebac2d348845317d68a06a302636fec16",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS / "workloads"

@@ -468,9 +468,9 @@ def test_client_failure_leaves_every_store_clean(fail_at_us):
 
 def test_client_failure_with_thousands_of_queued_kernels():
     # 3,000 one-device gangs are in flight when the client dies, about 1,850
-    # of them queued on the one device: it drops them in one pass and finds
-    # each aborted record without scanning its queue (dropping them once
-    # recursed per aborted head, past Python's stack limit)
+    # of them queued on the one device: it drops them in one pass, each by
+    # its key when it reaches the head, without scanning its queue (dropping
+    # them once recursed per aborted head, past Python's stack limit)
     sys_ = System(small_cluster(hosts=1, devices_per_host=1,
                                 hbm_bytes=1 << 40))
     sys_.register_traced("g", one_gang_program(1, 50.0, out_kb=1,

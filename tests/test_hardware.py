@@ -74,8 +74,7 @@ def test_a_landing_after_its_abort_is_dropped():
     """A transfer that lands after its device was told to abort the node
     counts for nothing; one for another node still counts."""
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    sim.schedule_at(0, "dev1", "abort_kernel",
-                    {"instance": "i", "node": "n", "kernel": None})
+    sim.schedule_at(0, "dev1", "abort_kernel", {"instance": "i", "node": "n"})
     cl.transfer(0, 1, 1000, "i", "n", 0)
     cl.transfer(0, 1, 1000, "i", "m", 0)
     res = sim.run_until_quiescent()
@@ -226,16 +225,34 @@ def one_slice_program(name: str, devices: int, t_us: float,
     return t.finish([t.call(fn, t.arg(devices, MB), slice_id=sid)]), sid
 
 
+def queue_exits(cl, instance, node):
+    """[(device, event kind, now)] for each time a record of (instance,
+    node) leaves a device's queue, read after every event at a device."""
+    exits = []
+
+    def count(d):
+        return sum((r.instance, r.node) == (instance, node) for r in d.queue)
+
+    def spy(kind, payload, src, handle):
+        before = [count(d) for d in cl.devices]
+        handle(kind, payload, src)
+        for d, n in zip(cl.devices, before):
+            left = n - count(d)
+            exits.extend([(d.device_id, kind, cl.sim.now())] * max(left, 0))
+
+    for dev in cl.devices:
+        dev.handle = (lambda kind, payload, src, handle=dev.handle:
+                      spy(kind, payload, src, handle))
+    return exits
+
+
 def test_failure_drops_a_record_queued_behind_a_busy_kernel():
     """Client b's collective record reaches device 0, which waits at the
     rendezvous, and queues on device 1 behind client a's 1ms kernel; b dies
-    meanwhile. Device 0 drops the record when it hears, device 1 once its
-    kernel ends, each once, and a's run is untouched."""
+    meanwhile. Device 0 drops the record when its abort lands, device 1
+    once its kernel ends, each once, and a's run is untouched."""
     sys_ = System(small_cluster(hosts=1, devices_per_host=2),
                   record_trace=True)
-    dropped = []
-    sys_.cluster.on_kernel_aborted = lambda dev, kk: dropped.append(
-        (dev.device_id, kk.node, sys_.sim.now()))
     prog_a, sid_a = one_slice_program("long", 1, 1000.0)
     prog_b, sid_b = one_slice_program("ar", 2, 50.0, collective=True)
     sys_.register_traced("a", prog_a, {sid_a: (1,)})
@@ -246,18 +263,48 @@ def test_failure_drops_a_record_queued_behind_a_busy_kernel():
     sys_.start_job(b, StreamJob(sys_.new_job_id(), "b", count=1),
                    at_ns=us(100))
     sys_.fail_client(b, at_ns=us(900))
+    exits = queue_exits(sys_.cluster, "i2", info_b.order[0])
     stats = sys_.run()
     assert stats.status == "quiescent", stats.blocked
     (long_span,) = [t for t in sys_.sim.trace if t.category == "kernel"]
     assert long_span.tid == 1 and long_span.instance in a.completed_at
-    node_b = info_b.order[0]
-    assert [(d, n) for d, n, _t in dropped] == [(0, node_b), (1, node_b)]
-    assert dropped[0][2] < long_span.end_ns == dropped[1][2]
+    assert sys_.instances["i2"].client == "b"
+    assert [(d, kind) for d, kind, _t in exits] == [(0, "abort_kernel"),
+                                                    (1, "kernel_done")]
+    assert us(900) < exits[0][2] < long_span.end_ns == exits[1][2]
     assert job_a.done and b.completed_at == {}
     assert audit_leaks(sys_.cluster) == {}
     assert audit_no_double_free(sys_.audit) == []
     assert not any(d._arrivals or d.queue for d in sys_.cluster.devices)
     assert sys_.cluster._rendezvous == {}
+
+
+def test_a_dead_clients_running_gang_is_not_noted_as_a_completion():
+    """Client b's 1ms gang runs on device 0 when b dies at 900us. A kernel
+    cannot be preempted, so it runs to its end and keeps its span and busy
+    time, but its host stopped counting the gang when it heard of the
+    failure: only client a's gang is noted as a completion."""
+    sys_ = System(small_cluster(hosts=1, devices_per_host=2),
+                  record_trace=True)
+    prog_a, sid_a = one_slice_program("short", 1, 100.0)
+    prog_b, sid_b = one_slice_program("long", 1, 1000.0)
+    sys_.register_traced("a", prog_a, {sid_a: (1,)})
+    sys_.register_traced("b", prog_b, {sid_b: (0,)})
+    a, b = sys_.add_client("a"), sys_.add_client("b")
+    sys_.start_job(a, StreamJob(sys_.new_job_id(), "a", count=1))
+    sys_.start_job(b, StreamJob(sys_.new_job_id(), "b", count=1))
+    sys_.fail_client(b, at_ns=us(900))
+    stats = sys_.run()
+    assert stats.status == "quiescent", stats.blocked
+    assert audit_leaks(sys_.cluster) == {}
+    assert audit_no_double_free(sys_.audit) == []
+    assert sys_.gang_left == {}
+    assert sys_.instances["i2"].client == "b" and b.completed_at == {}
+    assert sys_.sim.completions == [(680_000, "i1", "n1")]
+    spans = [(t.tid, t.start_ns, t.end_ns, t.instance) for t in sys_.sim.trace
+             if t.category == "kernel"]
+    assert (0, 595_000, 1_595_000, "i2") in spans
+    assert sys_.cluster.devices[0].busy_ns == us(1000)
 
 
 class Probe(Process):
@@ -355,35 +402,51 @@ def test_abort_releases_a_parked_rendezvous():
     """dev0 waits at a rendezvous its peer will never reach; the abort frees
     the device for the next queued kernel."""
     sim, cl = make_cluster(hosts=1, devices_per_host=2)
-    aborted = []
-    cl.on_kernel_aborted = lambda dev, kk: aborted.append((dev.device_id, kk.node))
-    parked = k("i", "A", (0,), key="A", group=(0, 1))
-    enqueue_kernel(sim, parked, at=0)
+    exits = queue_exits(cl, "i", "A")
+    enqueue_kernel(sim, k("i", "A", (0,), key="A", group=(0, 1)), at=0)
     enqueue_kernel(sim, k("i", "tail", dur=us(3)), at=0)
     sim.schedule_at(us(10), "dev0", "abort_kernel",
-                    {"instance": "i", "node": "A", "kernel": parked})
+                    {"instance": "i", "node": "A"})
     res = sim.run_until_quiescent()
     assert res.status == "quiescent"
     assert [(t.name, t.start_ns, t.end_ns) for t in sim.trace] == \
         [("tail[0]", us(10), us(13))]
-    assert aborted == [(0, "A")]
+    assert exits == [(0, "abort_kernel", us(10))]
+    assert cl._rendezvous == {}
 
 
 def test_abort_skips_a_still_queued_kernel():
+    """An abort for a record queued behind a running kernel drops it when
+    it reaches the head, as the running kernel ends."""
     sim, cl = make_cluster(hosts=1, devices_per_host=1)
-    aborted = []
-    cl.on_kernel_aborted = lambda dev, kk: aborted.append(kk.node)
-    doomed = k("i", "doomed", dur=us(5))
+    exits = queue_exits(cl, "i", "doomed")
     enqueue_kernel(sim, k("i", "busy", dur=us(20)), at=0)
-    enqueue_kernel(sim, doomed, at=0)
+    enqueue_kernel(sim, k("i", "doomed", dur=us(5)), at=0)
     enqueue_kernel(sim, k("i", "after", dur=us(5)), at=0)
     sim.schedule_at(us(5), "dev0", "abort_kernel",
-                    {"instance": "i", "node": "doomed", "kernel": doomed})
+                    {"instance": "i", "node": "doomed"})
     res = sim.run_until_quiescent()
     assert res.status == "quiescent"
     names = [t.name for t in sim.trace if t.category == "kernel"]
     assert names == ["busy[0]", "after[0]"]
-    assert aborted == ["doomed"]
+    assert exits == [(0, "kernel_done", us(20))]
+
+
+def test_an_abort_before_its_record_drops_the_record_at_the_head():
+    """A device aborts by key: an abort that lands before the record of its
+    (instance, node) is enqueued still drops that record when it reaches
+    the head of the queue, and the next queued kernel runs."""
+    sim, cl = make_cluster(hosts=1, devices_per_host=1)
+    exits = queue_exits(cl, "i", "late")
+    sim.schedule_at(0, "dev0", "abort_kernel", {"instance": "i", "node": "late"})
+    enqueue_kernel(sim, k("i", "busy", dur=us(10)), at=us(1))
+    enqueue_kernel(sim, k("i", "late", dur=us(5)), at=us(1))
+    enqueue_kernel(sim, k("i", "after", dur=us(5)), at=us(1))
+    res = sim.run_until_quiescent()
+    assert res.status == "quiescent"
+    assert [(t.name, t.start_ns, t.end_ns) for t in sim.trace] == \
+        [("busy[0]", us(1), us(11)), ("after[0]", us(11), us(16))]
+    assert exits == [(0, "kernel_done", us(11))]
 
 
 # -- HBM ---------------------------------------------------------------------
