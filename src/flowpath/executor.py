@@ -429,7 +429,7 @@ class _InstState:
     meta: InstanceMeta
     left: int               # events of this host's part still to come (`ends`)
     prep: dict[str, str] = field(default_factory=dict)    # node -> queued/done
-    ticket: dict[str, int] = field(default_factory=dict)
+    ticket: set[str] = field(default_factory=set)         # nodes granted
     kdone: dict[str, int] = field(default_factory=dict)   # node -> local done
     src_done: dict[str, set] = field(default_factory=dict)      # eid -> shards
     # eid -> {(s,d): ...}, the addresses of pairs not yet launched
@@ -539,7 +539,7 @@ class HostExecutor(Process):
             if meta.modes[nid] == "go":
                 self._release_grant_reservation(meta.program, instance, nid)
             return
-        st.ticket[nid] = payload["ticket"]
+        st.ticket.add(nid)
         ni = st.meta.program.nodes[nid]
         enqueue = ("enqueue", self.costs.pcie_enqueue_ns
                    * len(ni.local_shards[self.host_id]))
@@ -592,8 +592,9 @@ class HostExecutor(Process):
                            {"instance": instance, "edge": eid, "pairs": rows,
                             "from_host": self.host_id}, critical=True)
 
+        # no grant comes before this: the home host submits the gang here
         if (st.meta.modes[nid] in ("fut", "dat")
-                and self.host_id == ni.home_host and nid not in st.ticket):
+                and self.host_id == ni.home_host):
             self.runtime.submit_gangs(instance, [nid], src_pid=self.pid,
                                       latency_ns=self.control_latency_ns)
 
