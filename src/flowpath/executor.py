@@ -19,7 +19,8 @@ record once it is sent: an abort names the (instance, node) alone.
 The static tables are built once per distinct shape: edges with one pairs
 tuple and consumer kind, and nodes with one placement and in-edges, share
 them, so a program of many nodes of few shapes costs the few in setup time
-and memory. They are read-only once built. They hold what prep reads per
+and memory (one pass over the edges and one over the nodes looks each up
+by its shape). They are read-only once built. They hold what prep reads per
 host, such as each consumer host's addr rows; the (device, bytes) rows of
 outputs and args are shared per shape too, in `ProgramInfo.rows`.
 
@@ -62,7 +63,7 @@ from .config import BatchingConfig, CostModel
 from .coord import MessageBatcher, ProgressTracker, edge_id
 from .hardware import Cluster, KernelExec
 from .ir import (ArgNode, CompiledFunction, ComputeNode, LoweredProgram,
-                 ResultNode, ShardPair, arg_consumers)
+                 ResultNode, ShardPair)
 from .simcore import Process, Simulator
 from .store import HostStore, ShardRows
 
@@ -76,6 +77,7 @@ class EdgeInfo:
     src_port: int
     dst_port: int
     to_result: bool
+    pairs: tuple[ShardPair, ...]        # from `lower`, shared per shape
     # consumer host -> the addr rows of its remote pairs, by sorted source host
     inbound: dict[int, tuple[tuple[int, tuple], ...]]
     # the consumer hosts that each send one drain when their kernels of the
@@ -203,15 +205,6 @@ class ProgramInfo:
         return max(rc + held, 1), held
 
 
-def _shared(memo: dict, key, build, *args):
-    """memo[key], built by build(*args) on first use: every node or edge of
-    one shape gets the same table."""
-    table = memo.get(key)
-    if table is None:
-        table = memo[key] = build(*args)
-    return table
-
-
 def _by_host(devs: tuple[int, ...], host_of) -> tuple[dict, dict, tuple]:
     """A placement's shard indices by host, their devices by host, and its
     hosts."""
@@ -306,19 +299,16 @@ def _hbm_ask(info: ProgramInfo, ni: NodeInfo) -> dict[int, int]:
 
 
 def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> ProgramInfo:
+    """One pass over the edges, then one over the nodes in trace order (an
+    arg before the node that creates it), each table built on first use."""
     p = lp.program
+    pnodes, placement = p.nodes, lp.placement
     host_of = {d.device_id: d.host_id for d in cluster.devices}
-    nodes: dict[str, NodeInfo] = {}
-    args: dict[str, ArgInfo] = {}
     edges: dict[str, EdgeInfo] = {}
-    order = tuple(n.id for n in p.nodes.values() if isinstance(n, ComputeNode))
-    # a collective's kernels on all its hosts end in one event (`hardware`)
-    collective = {nid for nid in order if p.node(nid).fn.collective
-                  and len(lp.placement[nid]) > 1}
-    in_eids: dict[str, list[str]] = {}
-    out_eids: dict[str, list[str]] = {}
-    # per consumer node, one (pairs, source shards, from arg) per in-edge
-    ins: dict[str, list[tuple]] = {}
+    # node -> its in- and out-edge ids in edge order, grown tuple by tuple
+    ins: dict[str, tuple[str, ...]] = {}
+    outs: dict[str, tuple[str, ...]] = {}
+    ends: dict[int, int] = {}
     # one table per distinct (pairs tuple, collective consumer), placement,
     # (placement, in-edges) and HBM shape, shared by every edge, arg or node
     # of that shape
@@ -326,85 +316,90 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     placed: dict[tuple[int, ...], tuple] = {}
     inputs: dict[tuple, tuple] = {}
     asks: dict[tuple, dict[int, int]] = {}
-    shape: dict[str, tuple] = {}          # node -> its key in inputs
-    ends: dict[int, int] = {}
 
-    for le in lp.edges:
-        e = le.edge
-        eid = edge_id(e.src, e.dst, e.dst_port)
-        from_arg = isinstance(p.node(e.src), ArgNode)
-        key = (le.pairs, e.dst in collective)
-        inbound, chosts, drainers, addr_hosts = _shared(
-            pair_tables, key, _pair_tables, le.pairs, host_of, key[1])
-        home = host_of[lp.placement[e.src][0]]
+    for e, pairs in lp.edges:
+        src, dst, src_port, dst_port = e
+        eid = edge_id(src, dst, dst_port)
+        dn = pnodes[dst]
+        # a collective's kernels on all its hosts end in one event (`hardware`)
+        collective = (isinstance(dn, ComputeNode) and dn.fn.collective
+                      and len(placement[dst]) > 1)
+        tables = pair_tables.get((pairs, collective))
+        if tables is None:
+            tables = pair_tables[pairs, collective] = _pair_tables(
+                pairs, host_of, collective)
+        inbound, chosts, drainers, addr_hosts = tables
+        home = host_of[placement[src][0]]
         edges[eid] = EdgeInfo(
-            src=e.src, dst=e.dst, src_port=e.src_port, dst_port=e.dst_port,
-            to_result=isinstance(p.node(e.dst), ResultNode),
+            src=src, dst=dst, src_port=src_port, dst_port=dst_port,
+            to_result=isinstance(dn, ResultNode), pairs=pairs,
             inbound=inbound, drainers=drainers, chosts_by_src=chosts,
-            addr_hosts=addr_hosts, src_home=home, from_arg=from_arg)
+            addr_hosts=addr_hosts, src_home=home,
+            from_arg=isinstance(pnodes[src], ArgNode))
         # a drain per drainer, an addr per (consumer, source) host
         ends[home] = ends.get(home, 0) + len(drainers)
         for by_src in inbound.values():
             for sh, _rows in by_src:
                 ends[sh] = ends.get(sh, 0) + 1
-        in_eids.setdefault(e.dst, []).append(eid)
-        out_eids.setdefault(e.src, []).append(eid)
-        ins.setdefault(e.dst, []).append(
-            (le.pairs, len(lp.placement[e.src]), from_arg))
+        ins[dst] = ins.get(dst, ()) + (eid,)
+        outs[src] = outs.get(src, ()) + (eid,)
 
-    creator = arg_consumers(p)
-    created: dict[str, list[str]] = {}
-    for n in p.nodes.values():
-        if not isinstance(n, ArgNode):
+    results = tuple((rid, edges[ins[rid][0]].src, edges[ins[rid][0]].src_port)
+                    for rid in p.results)
+    nodes: dict[str, NodeInfo] = {}
+    args: dict[str, ArgInfo] = {}
+    # made before the node pass fills it: a node's HBM ask reads its buffers
+    info = ProgramInfo(
+        pid=pid, lowered=lp,
+        order=tuple(nid for nid, n in pnodes.items()
+                    if isinstance(n, ComputeNode)),
+        nodes=nodes, args=args, edges=edges, results=results,
+        result_bufs=tuple(dict.fromkeys((s, port) for _r, s, port in results)),
+        result_shards=sum(len(placement[s]) for _r, s, _p in results),
+        ends=ends)
+    created: dict[str, tuple[str, ...]] = {}    # node -> the args it creates
+    for nid, n in pnodes.items():
+        if isinstance(n, ResultNode):
             continue
-        outs = tuple(out_eids.get(n.id, ()))
-        placement = lp.placement[n.id]
-        args[n.id] = ArgInfo(
-            shards=n.shards, bytes_per_shard=n.bytes_per_shard,
-            placement=placement, home_host=host_of[placement[0]],
-            local_shards=_shared(placed, placement, _by_host, placement,
-                                 host_of)[0],
-            out_edges=outs)
-        created.setdefault(creator[n.id], []).append(n.id)
-
-    for n in p.nodes.values():
-        if not isinstance(n, ComputeNode):
+        devs = placement[nid]
+        by_host = placed.get(devs)
+        if by_host is None:
+            by_host = placed[devs] = _by_host(devs, host_of)
+        if isinstance(n, ArgNode):
+            args[nid] = ArgInfo(
+                shards=n.shards, bytes_per_shard=n.bytes_per_shard,
+                placement=devs, home_host=host_of[devs[0]],
+                local_shards=by_host[0], out_edges=outs.get(nid, ()))
+            maker = lp.arg_consumers[nid]
+            created[maker] = created.get(maker, ()) + (nid,)
             continue
-        devs = lp.placement[n.id]
-        local, local_devs, hosts = _shared(placed, devs, _by_host, devs, host_of)
+        local, local_devs, hosts = by_host
         for h, mine in local.items():
             ends[h] = ends.get(h, 0) + len(mine)
-        key = shape[n.id] = (devs, tuple(ins.get(n.id, ())))
-        input_sources, recv_rows, waits = _shared(
-            inputs, key, _inputs, *key, host_of)
-        nodes[n.id] = NodeInfo(
-            nid=n.id, fn=n.fn, devices=devs, hosts=hosts,
+        in_edges = ins.get(nid, ())
+        shape = (devs, tuple([(ei.pairs, len(placement[ei.src]), ei.from_arg)
+                              for ei in map(edges.__getitem__, in_edges)]))
+        table = inputs.get(shape)
+        if table is None:
+            table = inputs[shape] = _inputs(*shape, host_of)
+        made = created.get(nid, ())
+        ni = nodes[nid] = NodeInfo(
+            nid=nid, fn=n.fn, devices=devs, hosts=hosts,
             home_host=host_of[devs[0]], local_shards=local,
-            local_devices=local_devs,
-            in_edges=tuple(in_eids.get(n.id, ())),
-            out_edges=tuple(out_eids.get(n.id, ())),
-            input_sources=input_sources, recv_rows=recv_rows,
-            args_created=tuple(created.get(n.id, ())), waits=waits,
-            collective=n.id in collective)
-
-    results = []
-    nshards = 0
-    for rid in p.results:
-        e = edges[in_eids[rid][0]]
-        results.append((rid, e.src, e.src_port))
-        nshards += len(lp.placement[e.src])
-    info = ProgramInfo(
-        pid=pid, lowered=lp, order=order, nodes=nodes, args=args, edges=edges,
-        results=tuple(results),
-        result_bufs=tuple(dict.fromkeys((s, port) for _r, s, port in results)),
-        result_shards=nshards, ends=dict(sorted(ends.items())))
-    # the ask is fixed by the node's shape, its output sizes and the shapes
-    # of the args it creates
-    for ni in nodes.values():
-        made = tuple((args[a].placement, args[a].bytes_per_shard)
-                     for a in ni.args_created)
-        ni.hbm_by_device = _shared(asks, (shape[ni.nid], ni.fn.out_bytes, made),
-                                   _hbm_ask, info, ni)
+            local_devices=local_devs, in_edges=in_edges,
+            out_edges=outs.get(nid, ()), input_sources=table[0],
+            recv_rows=table[1], args_created=made, waits=table[2],
+            collective=n.fn.collective and len(devs) > 1)
+        # the ask is fixed by the node's shape, its output sizes and the
+        # shapes of the args it creates
+        key = (shape, n.fn.out_bytes,
+               tuple([(args[a].placement, args[a].bytes_per_shard)
+                      for a in made]) if made else ())
+        ask = asks.get(key)
+        if ask is None:
+            ask = asks[key] = _hbm_ask(info, ni)
+        ni.hbm_by_device = ask
+    info.ends = dict(sorted(ends.items()))
     return info
 
 

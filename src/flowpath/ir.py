@@ -5,6 +5,10 @@ Compute node per call (regardless of how many shards the call runs on), one
 Result node per returned value. Lowering binds Compute nodes to physical
 devices and attaches its reshard pairs to every edge that moves data; it is
 a pure function of (program, device map).
+
+Value refs, edges, shard pairs and lowered edges are `NamedTuple` records:
+immutable, hashed in C, and equal to the plain tuple of their fields, so no
+dict or set mixes them with plain tuples.
 """
 from __future__ import annotations
 
@@ -12,8 +16,9 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .simcore import us
 
@@ -67,8 +72,7 @@ class CompiledFunction:
         return us(self.us_per_shard)
 
 
-@dataclass(frozen=True)
-class ValueRef:
+class ValueRef(NamedTuple):
     """Opaque handle to one output of a traced node."""
 
     node: str
@@ -86,40 +90,38 @@ class SliceRequirement:
             raise TraceError(f"slice shape {list(self.shape)}: a dimension "
                              "is below 1")
 
-    @property
+    @cached_property
     def device_count(self) -> int:
         return math.prod(self.shape)
 
 
-@dataclass
+@dataclass(slots=True)
 class ArgNode:
     id: str
     shards: int
     bytes_per_shard: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ComputeNode:
     id: str
     fn: CompiledFunction
     slice_id: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultNode:
     id: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     src_port: int = 0
     dst_port: int = 0
 
 
-@dataclass(frozen=True)
-class ShardPair:
+class ShardPair(NamedTuple):
     src_shard: int
     dst_shard: int
     nbytes: int
@@ -185,7 +187,6 @@ class Tracer:
         self._nodes: dict[str, object] = {}
         self._edges: list[Edge] = []
         self._slices: dict[str, SliceRequirement] = {}
-        self._producers: set[tuple[str, int]] = set()
         self._results: list[ValueRef] = []
         self._n = 0
         self._finished = False
@@ -205,7 +206,6 @@ class Tracer:
         self._check_open()
         nid = self._next("n")
         self._nodes[nid] = ArgNode(nid, shards, bytes_per_shard)
-        self._producers.add((nid, 0))
         return ValueRef(nid, 0, self._tid)
 
     def call(self, fn: CompiledFunction, *inputs: ValueRef,
@@ -228,7 +228,6 @@ class Tracer:
             self._check_ref(ref)
             self._edges.append(Edge(ref.node, nid, ref.port, port))
         self._nodes[nid] = ComputeNode(nid, fn, slice_id)
-        self._producers.update((nid, p) for p in range(len(fn.out_bytes)))
         if len(fn.out_bytes) == 1:
             return ValueRef(nid, 0, self._tid)
         return tuple(ValueRef(nid, p, self._tid) for p in range(len(fn.out_bytes)))
@@ -265,7 +264,8 @@ class Tracer:
     def _check_ref(self, ref: ValueRef):
         if not isinstance(ref, ValueRef) or ref.tracer_id != self._tid:
             raise TraceError(f"value {ref!r} does not belong to this trace")
-        if (ref.node, ref.port) not in self._producers:
+        n = self._nodes.get(ref.node)         # no result node while open
+        if n is None or ref.port not in range(_ports(n)[1]):
             raise TraceError(f"undefined value {ref!r}")
 
 
@@ -282,8 +282,7 @@ def validate_regularity(p: TracedProgram) -> RegularityReport:
 
 # -- lowering ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoweredEdge:
+class LoweredEdge(NamedTuple):
     edge: Edge
     pairs: tuple[ShardPair, ...]             # none on an edge into a result
 
@@ -293,6 +292,8 @@ class LoweredProgram:
     program: TracedProgram
     placement: dict[str, tuple[int, ...]]    # arg/compute id -> devices
     edges: list[LoweredEdge]
+    # arg id -> its first consumer, which creates it (`arg_consumers`)
+    arg_consumers: dict[str, str]
 
 
 def _shard_geometry(n, port: int, side: str) -> tuple[int, int]:
@@ -340,38 +341,38 @@ def lower(p: TracedProgram,
             # a device runs one shard of a node
             raise LowerError(f"slice {sid}: a device is mapped twice")
 
+    nodes = p.nodes
     consumer = arg_consumers(p)
     placement: dict[str, tuple[int, ...]] = {}
-    for n in p.nodes.values():
+    for n in nodes.values():
         if isinstance(n, ComputeNode):
             placement[n.id] = dmap[n.slice_id]
-    for n in p.nodes.values():
-        if isinstance(n, ArgNode):
+        elif isinstance(n, ArgNode):
             if n.id not in consumer:
                 raise LowerError(f"arg {n.id} has no consumer")
-            devs = placement[consumer[n.id]]
+            devs = dmap[nodes[consumer[n.id]].slice_id]
             placement[n.id] = tuple(devs[i % len(devs)] for i in range(n.shards))
 
     lowered_edges: list[LoweredEdge] = []
     # edges of one shape (placements and geometries) share one pairs tuple
     shapes: dict[tuple, tuple[ShardPair, ...]] = {}
     for e in p.edges:
-        dst = p.node(e.dst)
+        dst = nodes[e.dst]
         if isinstance(dst, ResultNode):
             lowered_edges.append(LoweredEdge(e, ()))
             continue
         sdevs, ddevs = placement[e.src], placement[e.dst]
-        sgeo = _shard_geometry(p.node(e.src), e.src_port, "out")
+        sgeo = _shard_geometry(nodes[e.src], e.src_port, "out")
         dgeo = _shard_geometry(dst, e.dst_port, "in")
         key = (sdevs, ddevs, sgeo, dgeo)
         pairs = shapes.get(key)
         if pairs is None:
             pairs = shapes[key] = tuple(
-                replace(pr, src_dev=sdevs[pr.src_shard],
-                        dst_dev=ddevs[pr.dst_shard])
-                for pr in plan_reshard(*sgeo, *dgeo))
+                ShardPair(s, d, nbytes, sdevs[s], ddevs[d])
+                for s, d, nbytes, _sd, _dd in plan_reshard(*sgeo, *dgeo))
         lowered_edges.append(LoweredEdge(e, pairs))
-    return LoweredProgram(program=p, placement=placement, edges=lowered_edges)
+    return LoweredProgram(program=p, placement=placement, edges=lowered_edges,
+                          arg_consumers=consumer)
 
 
 # -- serialization ----------------------------------------------------------

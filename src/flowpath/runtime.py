@@ -282,8 +282,12 @@ class System:
     def register_program(self, pid: str, lowered: LoweredProgram) -> ProgramInfo:
         info = build_program_info(pid, lowered, self.cluster)
         # a gang whose buffers cannot fit in one device's HBM would park at
-        # the scheduler forever; reject it here as bad input
+        # the scheduler forever; reject it here as bad input, checking each
+        # shared ask at its first node in trace order
+        firsts: dict[int, str] = {}
         for nid in info.order:
+            firsts.setdefault(id(info.nodes[nid].hbm_by_device), nid)
+        for nid in firsts.values():
             for dev, need in sorted(info.nodes[nid].hbm_by_device.items()):
                 if need > self.spec.hbm_bytes:
                     raise ValidationError(
