@@ -1,4 +1,6 @@
 """Tracing, resharding plans, lowering, serialization."""
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,24 @@ def test_foreign_value_ref_rejected():
     a = t1.arg(4, 64)
     with pytest.raises(TraceError):
         t2.call(fn(), a)
+
+
+def test_hand_made_ref_to_a_port_its_node_lacks_is_undefined():
+    t = Tracer()
+    a = t.arg(4, 64)
+    two = t.call(CompiledFunction("split", 4, (64,), (32, 32), 1.0), a)
+    tid = a.tracer_id
+    # a node of this trace without that output port, or no such node
+    for ref in (ir.ValueRef(a.node, 1, tid), ir.ValueRef(two[0].node, 2, tid),
+                ir.ValueRef(two[0].node, -1, tid), ir.ValueRef("n9", 0, tid)):
+        with pytest.raises(TraceError, match=r"^undefined value ValueRef\("):
+            t.call(fn(), ref)
+        with pytest.raises(TraceError, match="undefined value"):
+            t.result(ref)
+    # a plain tuple of the same fields is no value ref
+    with pytest.raises(TraceError, match="does not belong to this trace"):
+        t.call(fn(), (a.node, 0, tid))
+    t.call(fn(nbytes=32), ir.ValueRef(two[0].node, 1, tid))     # port 1 is
 
 
 def test_shard_count_must_match_slice():
@@ -288,3 +308,98 @@ def test_multi_output_functions_trace_per_port():
     ports = sorted((e.src_port, e.dst_port) for e in p.edges
                    if e.dst == v.node)
     assert ports == [(0, 0), (1, 1)]
+
+
+# -- IR records ----------------------------------------------------------------
+
+def _pipeline_and_map():
+    p = pipeline_program(8, 4, 100.0, islands=2)
+    return p, {sid: (i % 4,) for i, sid in enumerate(sorted(p.slices))}
+
+
+def test_ir_records_are_immutable():
+    p, dmap = _pipeline_and_map()
+    lp = lower(p, dmap)
+    le = next(le for le in lp.edges if le.pairs)
+    t = Tracer()
+    for record in (le, le.edge, le.pairs[0], t.arg(1, 8)):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    with pytest.raises(TypeError):
+        le.pairs[0] = le.pairs[0]
+
+
+def test_lowering_twice_gives_equal_edges_and_one_pairs_tuple_per_shape():
+    p, dmap = _pipeline_and_map()
+    a, b = lower(p, dmap), lower(p, dmap)
+    assert a.edges == b.edges and a.placement == b.placement
+    shapes: dict[tuple, tuple] = {}
+    for le in a.edges:
+        if not le.pairs:
+            continue
+        e = le.edge
+        # every pipeline node has one 1 KB shard, so its placements are
+        # the shape of an edge
+        pairs = shapes.setdefault(
+            (a.placement[e.src], a.placement[e.dst]), le.pairs)
+        assert pairs is le.pairs
+    assert len(shapes) < sum(1 for le in a.edges if le.pairs)
+
+
+RECORDS = (ir.Edge, ir.ShardPair, ir.ValueRef, ir.LoweredEdge)
+
+
+def _signature(key, plain: bool):
+    """A key's structure: each tuple labelled by its type, or, with plain,
+    every record read as a plain tuple."""
+    if isinstance(key, tuple):
+        label = tuple if plain and isinstance(key, RECORDS) else type(key)
+        return label, tuple(_signature(x, plain) for x in key)
+    return type(key)
+
+
+def _keyed_containers(root):
+    """The keys of every dict and the members of every set reachable from
+    root through dataclass fields, dicts, lists, tuples and sets."""
+    seen, stack = set(), [root]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, (str, int, float, type(None))):
+            continue
+        seen.add(id(x))
+        if isinstance(x, dict):
+            yield list(x)
+            stack += [*x, *x.values()]
+        elif isinstance(x, (set, frozenset)):
+            yield list(x)
+            stack += x
+        elif isinstance(x, (list, tuple)):
+            stack += x
+        elif dataclasses.is_dataclass(x):
+            stack += [getattr(x, f.name) for f in dataclasses.fields(x)]
+
+
+def test_no_dict_or_set_mixes_records_with_plain_tuples():
+    """A record equals the plain tuple of its fields, so a dict holding
+    both could return one for the other: in no container reachable from a
+    program's lowering and tables, after a run, may two keys differ only in
+    a record standing where a plain tuple stands."""
+    from flowpath.runtime import StreamJob, System
+    p, _dmap = _pipeline_and_map()
+    sys_ = System(small_cluster(hosts=1, devices_per_host=4, islands=2))
+    info = sys_.register_traced("p", p)
+    for mode in ("parallel", "sequential"):
+        sys_.start_job(sys_.add_client(mode), StreamJob(
+            sys_.new_job_id(), "p", count=2, mode=mode))
+    assert sys_.run().status == "quiescent"
+
+    def mixed(keys) -> bool:
+        typed = {_signature(k, plain=False) for k in keys}
+        return len({_signature(k, plain=True) for k in keys}) < len(typed)
+
+    assert mixed([ir.ShardPair(0, 0, 8), (0, 1, 8, -1, -1)])
+    assert not mixed([(0,), (0, 1), ((0,), 8)])
+    containers = list(_keyed_containers(info))
+    assert len(containers) > 50
+    assert not any(mixed(keys) for keys in containers)

@@ -3,7 +3,7 @@ import pytest
 
 from flowpath.bench import reference_rate
 from flowpath.config import CostModel, ValidationError, small_cluster
-from flowpath.ir import CompiledFunction, Tracer, chain_program
+from flowpath.ir import CompiledFunction, Tracer, chain_program, lower
 from flowpath.runtime import StreamJob, System, steady_rate
 from flowpath.simcore import us
 from flowpath.store import audit_leaks, audit_no_double_free
@@ -38,6 +38,46 @@ def test_parallel_rejects_data_dependent_nodes():
     for _ in range(2):
         with pytest.raises(ValidationError, match="data-dependent"):
             c.submit("p", mode="parallel")
+
+
+def _oversized_program():
+    """f fits; g0..g2 read f's output on other devices and write more
+    than a device holds, all in one shape, so they share one HBM ask."""
+    t = Tracer()
+    s_f, s_g = t.virtual_slice([1]), t.virtual_slice([2])
+    v = t.call(CompiledFunction("f", 1, (100,), (100,), 1.0), t.arg(1, 100),
+               slice_id=s_f)
+    big = CompiledFunction("g", 2, (50,), (5000,), 1.0)
+    outs = [t.call(big, v, slice_id=s_g) for _ in range(3)]
+    # g places its shards against device order, on devices 3 and 2
+    return t.finish(outs), {s_f: (0,), s_g: (3, 2)}
+
+
+def test_hbm_check_names_a_later_node_of_another_shape():
+    prog, dmap = _oversized_program()
+    sys_ = System(small_cluster(hosts=1, devices_per_host=4, hbm_bytes=1000))
+    # f's ask (its arg and its output, 200 bytes on device 0) fits; the
+    # first g in trace order is named, with its lowest oversized device
+    with pytest.raises(ValidationError, match=r"^node n2 needs 5050 bytes "
+                       r"of HBM on device 2, which has 1000$"):
+        sys_.register_program("p", lower(prog, dmap))
+    assert "p" not in sys_.programs
+
+
+def test_hbm_check_names_the_first_of_many_nodes_sharing_an_ask():
+    prog, dmap = _oversized_program()
+    sys_ = System(small_cluster(hosts=1, devices_per_host=4, hbm_bytes=6000))
+    info = sys_.register_program("p", lower(prog, dmap))
+    asks = [info.nodes[nid].hbm_by_device for nid in info.order]
+    assert asks[0] == {0: 200}
+    assert asks[1] == {3: 5050, 2: 5050}
+    assert asks[1] is asks[2] is asks[3]        # one ask, checked once
+    # the same program under a smaller HBM fails at the first sharer only
+    small = System(small_cluster(hosts=1, devices_per_host=4, hbm_bytes=5049))
+    with pytest.raises(ValidationError) as err:
+        small.register_program("p", lower(prog, dmap))
+    assert str(err.value) == ("node n2 needs 5050 bytes of HBM on device 2, "
+                              "which has 5049")
 
 
 def test_plan_is_made_once_per_program_and_mode():
