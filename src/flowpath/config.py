@@ -9,11 +9,12 @@ The cluster document is JSON:
      "hbm_bytes": 17179869184}
 
 gbps means gigabytes per second. An island's device count is hosts x
-devices_per_host, and its ICI is one flat link. Any other key is rejected,
-so a typo cannot silently run the default. No document sets the cost-model
-constants or the batching limits; the CLI and the benchmark suites run with
-the defaults below. The scheduling policy is built by the driver that needs
-one; the fairness suite takes its weights from the workload document.
+devices_per_host, and its ICI is one flat link. A cluster has at most
+`MAX_DEVICES` devices. Any other key is rejected, so a typo cannot silently
+run the default. No document sets the cost-model constants or the batching
+limits; the CLI and the benchmark suites run with the defaults below. The
+scheduling policy is built by the driver that needs one; the fairness suite
+takes its weights from the workload document.
 """
 from __future__ import annotations
 
@@ -61,6 +62,7 @@ DEFAULT_ICI = LinkSpec(latency_ns=1_000, gbps=100.0)
 DEFAULT_DCN = LinkSpec(latency_ns=50_000, gbps=10.0)
 DEFAULT_PCIE = LinkSpec(latency_ns=5_000, gbps=16.0)
 DEFAULT_HBM = 16 * 1000**3  # per-device capacity, bytes
+MAX_DEVICES = 2**16         # in a cluster document; 32x the paper's 2,048
 
 
 def check_keys(doc, known, where: str) -> None:
@@ -105,6 +107,8 @@ def cluster_from_dict(doc: dict) -> ClusterSpec:
         islands.append(IslandSpec(
             devices_per_host=dph, hosts=hosts,
             ici=_link(isl.get("ici"), DEFAULT_ICI, f"islands[{i}].ici")))
+    if sum(isl.device_count for isl in islands) > MAX_DEVICES:
+        raise ValidationError(f"cluster config: over {MAX_DEVICES} devices")
     hbm = doc.get("hbm_bytes", DEFAULT_HBM)
     if type(hbm) is not int or hbm <= 0:
         raise ValidationError("hbm_bytes: positive int required")

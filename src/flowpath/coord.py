@@ -1,7 +1,7 @@
 """Dataflow coordination: host-gated readiness per message, batching.
 
-An edge update is one critical message per (edge, source host, destination
-host), or a call when the two are one host. It names, sorted, the source
+An edge update is one message per (edge, source host, destination host), or
+a call when the two are one host. It names, sorted, the source
 shards whose output it closes on the destination host: their futures in
 sequential dispatch, their data when the consumer is data-dependent. The
 device gates each kernel on its landed inputs, so readiness needs only which
@@ -13,9 +13,9 @@ makes its readiness an all-sources gate before the gang is submitted. A node
 becomes ready on a host exactly once, when its last expected source shard
 closes. State exists only for nodes with pending input.
 
-Control messages between hosts either bypass batching (critical path) or
-are coalesced per destination host into one event, scheduled when the batch
-opens and sent early only if the batch reaches max_messages.
+A host sends each control message on its own (`executor`). Only a client's
+`release` messages are batched per destination host, each batch one event
+scheduled when it opens and sent early if it reaches max_messages.
 """
 from __future__ import annotations
 
@@ -106,18 +106,13 @@ def edge_id(src: str, dst: str, dst_port: int = 0) -> str:
 
 
 class MessageBatcher:
-    """Coalesces non-critical control messages per destination host.
+    """Coalesces a client's `release` messages per destination host.
 
     A destination's first message opens a batch and schedules its one
     `batch` event at once, due at the close instant (open + max_delay) plus
-    latency; a batch to the sender itself is a local handoff and pays none.
-    Messages sent before the close instant join it; one sent at or after it
-    opens a new batch. A batch that reaches max_messages closes now.
-    The batcher sees every send on its channels and keeps them FIFO: a
-    critical message landing no earlier than an open batch moves the batch
-    behind it, and the first send at or after the close instant raises the
-    channel's last delivery to the batch's (not earlier: that would hold
-    back critical messages sent while the batch is open).
+    latency. Messages sent before the close instant join it; one sent at or
+    after it opens a new batch, so a channel's batches land in order. A
+    batch that reaches max_messages closes now.
     """
 
     def __init__(self, sim: Simulator, src_pid: str, cfg: BatchingConfig,
@@ -126,47 +121,30 @@ class MessageBatcher:
         self.src_pid = src_pid
         self.cfg = cfg
         self.latency_ns = latency_ns
-        # dst -> [close ns, delivery ns, event id, messages] of its last
-        # batch, kept past the close instant until the next send to dst
+        # dst -> [close ns, event id, messages] of its last batch, kept past
+        # the close instant until the next send to dst
         self._batch: dict[str, list] = {}
         self.flushes = 0
         self.batched_sent = 0
 
-    def send(self, dst_pid: str, kind: str, payload: dict,
-             critical: bool, latency_ns: int | None = None) -> None:
-        chan = (self.src_pid, dst_pid)
-        b = self._batch.get(dst_pid)
-        if b is not None and self.sim.clock >= b[0]:
-            # b has closed: whatever is sent from now on lands after it
-            del self._batch[dst_pid]
-            self.sim._chan_last[chan] = b[1]
-            b = None
-        if critical:
-            if latency_ns is None:
-                latency_ns = 0 if dst_pid == self.src_pid else self.latency_ns
-            self.sim.send(self.src_pid, dst_pid, kind, payload, latency_ns)
-            if b is not None and self.sim._chan_last[chan] >= b[1]:
-                self._schedule(dst_pid, b)
-            return
+    def send(self, dst_pid: str, kind: str, payload: dict) -> None:
         self.batched_sent += 1
-        if b is None:
+        b = self._batch.get(dst_pid)
+        if b is None or self.sim.clock >= b[0]:
             b = self._batch[dst_pid] = [
-                self.sim.clock + self.cfg.max_delay_ns, 0, 0, []]
+                self.sim.clock + self.cfg.max_delay_ns, 0, []]
             self._schedule(dst_pid, b)
             self.flushes += 1
-        b[3].append({"kind": kind, "payload": payload})
-        if len(b[3]) >= self.cfg.max_messages:
+        b[2].append({"kind": kind, "payload": payload})
+        if len(b[2]) >= self.cfg.max_messages:
             self.flush(dst_pid)
 
     def _schedule(self, dst_pid: str, b: list) -> None:
-        """(Re)schedule b at close + latency, never ahead of the channel."""
-        if b[2]:
-            self.sim.cancel(b[2])
-        lat = 0 if dst_pid == self.src_pid else self.latency_ns
-        b[1] = max(b[0] + lat,
-                   self.sim._chan_last.get((self.src_pid, dst_pid), 0))
-        b[2] = self.sim.schedule_at(b[1], dst_pid, "batch",
-                                    {"messages": b[3]}, self.src_pid)
+        """(Re)schedule b at close + latency."""
+        if b[1]:
+            self.sim.cancel(b[1])
+        b[1] = self.sim.schedule_at(b[0] + self.latency_ns, dst_pid, "batch",
+                                    {"messages": b[2]}, self.src_pid)
 
     def on_timeout(self, payload: dict) -> None:
         """No-op: batches have no timer. perfbench still wraps this method by
@@ -184,6 +162,6 @@ class MessageBatcher:
         for dst in [d for d, b in self._batch.items()
                     if b[0] > self.sim.clock]:
             b = self._batch.pop(dst)
-            self.sim.cancel(b[2])
+            self.sim.cancel(b[1])
             self.flushes -= 1
-            self.batched_sent -= len(b[3])
+            self.batched_sent -= len(b[2])

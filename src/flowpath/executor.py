@@ -3,10 +3,12 @@
 A host serializes its control work (prep and kernel enqueue run one task at
 a time), mirrors its slice of every running program instance, launches DMA
 transfers once it holds both the producer data and the consumer addresses,
-and keeps the store's logical refcounts honest via drain reports. The prep
-and enqueue of a granted gang are one task, which costs both and applies
-the prep effects, then the enqueue effects, when it ends; a node prepped on
-its inputs (host-gated) enqueues in a task of its own once granted.
+and keeps the store's logical refcounts honest via drain reports. It has
+one delivery rule: an edge update, `addr` or `drain` to itself is a call,
+and one to another host lands a control latency later. The prep and
+enqueue of a granted gang are one task, which costs both and applies the
+prep effects, then the enqueue effects, when it ends; a node prepped on its
+inputs (host-gated) enqueues in a task of its own once granted.
 
 Device traffic is per host: a host's share of a gang is one `KernelExec`
 record, whose shards, devices and input sources are static per (node,
@@ -50,10 +52,10 @@ Dispatch triggers per node come from the instance plan:
           its output futures (sequential dispatch of a regular node),
   "dat" - same, but gated on predecessor data completion (irregular node).
 For both, a producer host tells each consumer host its reshard pairs feed,
-and the node's home host, which source shards of an edge it closes there:
-in one message, or in a call to itself, as with its own addr rows. A host
-preps the node once each (edge, source shard) it waits for is closed,
-`NodeInfo.waits`: the home host all of them, another only its pairs'.
+and the node's home host, which source shards of an edge it closes there,
+in one message. A host preps the node once each (edge, source shard) it
+waits for is closed, `NodeInfo.waits`: the home host all of them, another
+only its pairs'.
 """
 from __future__ import annotations
 
@@ -458,11 +460,11 @@ class HostExecutor(Process):
         self.inst[meta.instance] = _InstState(
             meta, meta.program.ends[self.host_id])
 
-    def _send(self, dst: str, kind: str, payload: dict, critical: bool) -> None:
-        if critical and dst == self.pid:    # it lands now: a call, no event
+    def _send(self, dst: str, kind: str, payload: dict) -> None:
+        if dst == self.pid:     # it lands now: a call, no event
             return self.handle(kind, payload, self.pid)
         self.stats["ctrl_msgs"] += 1
-        self.batcher.send(dst, kind, payload, critical)
+        self.sim.send(self.pid, dst, kind, payload, self.control_latency_ns)
 
     # -- serialized host work ----------------------------------------------
 
@@ -585,7 +587,7 @@ class HostExecutor(Process):
             for sh, rows in info.edges[eid].inbound.get(self.host_id, ()):
                 self._send(f"host{sh}", "addr",
                            {"instance": instance, "edge": eid, "pairs": rows,
-                            "from_host": self.host_id}, critical=True)
+                            "from_host": self.host_id})
 
         # no grant comes before this: the home host submits the gang here
         if (st.meta.modes[nid] in ("fut", "dat")
@@ -659,8 +661,7 @@ class HostExecutor(Process):
                     out.setdefault(ch, []).append(s)
         for ch in out:
             self._send(f"host{ch}", f"edge_{cls}",
-                       {"instance": instance, "edge": eid, "srcs": out[ch]},
-                       critical=True)
+                       {"instance": instance, "edge": eid, "srcs": out[ch]})
 
     def _on_edge_update(self, payload: dict) -> None:
         instance, eid = payload["instance"], payload["edge"]
@@ -733,7 +734,7 @@ class HostExecutor(Process):
                 if self.host_id in ei.drainers:
                     self._send(f"host{ei.src_home}", "drain",
                                {"instance": instance, "edge": eid,
-                                "from_host": self.host_id}, critical=False)
+                                "from_host": self.host_id})
             if self.host_id in ni.recv_rows:
                 self.store.release(info.recv_handle(instance, nid,
                                                     self.host_id))

@@ -2,9 +2,10 @@
 
 A traced program is a compact DAG: one Arg node per program input, one
 Compute node per call (regardless of how many shards the call runs on), one
-Result node per returned value. Lowering binds Compute nodes to physical
-devices and attaches its reshard pairs to every edge that moves data; it is
-a pure function of (program, device map).
+Result node per returned value. An Arg node has 1 to `MAX_DEVICES` shards,
+which wrap around its consumer's devices. Lowering binds Compute nodes to
+physical devices and attaches its reshard pairs to every edge that moves
+data; it is a pure function of (program, device map).
 
 Value refs, edges, shard pairs and lowered edges are `NamedTuple` records:
 immutable, hashed in C, and equal to the plain tuple of their fields, so no
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from .config import MAX_DEVICES
 from .simcore import us
 
 
@@ -100,6 +102,11 @@ class ArgNode:
     id: str
     shards: int
     bytes_per_shard: int
+
+    def __post_init__(self):
+        if not 1 <= self.shards <= MAX_DEVICES:
+            raise TraceError(f"arg {self.id}: {self.shards} shards, not 1 to "
+                             f"{MAX_DEVICES}")
 
 
 @dataclass(slots=True)
@@ -214,6 +221,8 @@ class Tracer:
         if len(inputs) != len(fn.in_bytes):
             raise TraceError(
                 f"{fn.name}: expected {len(fn.in_bytes)} inputs, got {len(inputs)}")
+        for ref in inputs:          # a rejected call leaves the trace as it was
+            self._check_ref(ref)
         if slice_id is None:
             slice_id = self.virtual_slice([fn.shard_count])
         req = self._slices.get(slice_id)
@@ -225,7 +234,6 @@ class Tracer:
                 f"{slice_id} with {req.device_count} devices")
         nid = self._next("n")
         for port, ref in enumerate(inputs):
-            self._check_ref(ref)
             self._edges.append(Edge(ref.node, nid, ref.port, port))
         self._nodes[nid] = ComputeNode(nid, fn, slice_id)
         if len(fn.out_bytes) == 1:

@@ -118,8 +118,7 @@ class ClientProcess(Process):
         info = self.system.instances[inst].program
         for src, port in info.result_bufs:
             self.batcher.send(f"host{info.nodes[src].home_host}", "release",
-                              {"handle": info.out_handle(inst, src, port)},
-                              critical=False)
+                              {"handle": info.out_handle(inst, src, port)})
 
     # -- messages ----------------------------------------------------------
 
@@ -324,18 +323,14 @@ class System:
                 raise ValidationError(
                     "parallel dispatch requires static resource needs; "
                     f"data-dependent nodes: {', '.join(rep.irregular)}")
-            return ({n: "go" for n in info.order}, [list(info.order)],
-                    [set()])
+            mode = "auto"       # every node is static: auto plans one stage
         if mode == "sequential":
-            modes = {}
-            stage0 = []
-            for nid in info.order:
-                if gatable(nid):
-                    modes[nid] = "fut" if info.nodes[nid].fn.regular else "dat"
-                else:
-                    modes[nid] = "go"
-                    stage0.append(nid)
-            return modes, [stage0], [set()]
+            # a node that reads a computed value is host-gated; the client
+            # submits the rest, in one stage
+            modes = {nid: "go" if not gatable(nid) else
+                     "fut" if info.nodes[nid].fn.regular else "dat"
+                     for nid in info.order}
+            return modes, [[n for n, m in modes.items() if m == "go"]], [set()]
         if mode == "auto":
             # contiguous runs of static nodes form client-submitted stages;
             # each data-dependent node runs host-gated and, once its sizes
@@ -343,27 +338,21 @@ class System:
             modes = {}
             stages: list[list[str]] = []
             triggers: list[set[str]] = []
-            cur: list[str] = []
-            pending_trigger: set[str] = set()
+            pending: set[str] = set()   # data-dependent since the last stage
             for nid in info.order:
                 if info.nodes[nid].fn.regular:
-                    if not cur:
-                        triggers.append(set(pending_trigger))
-                        pending_trigger = set()
-                    cur.append(nid)
+                    if pending or not stages:
+                        stages.append([])
+                        triggers.append(pending)
+                        pending = set()
+                    stages[-1].append(nid)
                     modes[nid] = "go"
+                elif not gatable(nid):
+                    raise ValidationError(
+                        f"{nid}: data-dependent source node cannot be planned")
                 else:
-                    if not gatable(nid):
-                        raise ValidationError(
-                            f"{nid}: data-dependent source node cannot be "
-                            "planned")
-                    if cur:
-                        stages.append(cur)
-                        cur = []
                     modes[nid] = "dat"
-                    pending_trigger.add(nid)
-            if cur:
-                stages.append(cur)
+                    pending.add(nid)
             return modes, stages, triggers
         raise ValidationError(f"unknown dispatch mode {mode!r}")
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from flowpath import CompiledFunction, System, Tracer, small_cluster
+from flowpath import CompiledFunction, System, Tracer, cli, small_cluster
 from flowpath.bench import WORKLOAD_KEYS
 from flowpath.cli import main
 from flowpath.config import load_cluster
@@ -376,6 +376,54 @@ def test_run_with_a_link_out_of_range_exits_two(tmp_path, capsys, case):
     cfg = write_json(tmp_path / f"{case}.json", doc)
     assert main(["run", CHAIN4, "--config", cfg]) == 2
     assert reason in capsys.readouterr().err
+
+
+# case -> (change to cluster_small.json or chain4's document, reason printed)
+TOO_LARGE = {
+    "hosts_2_63": (
+        "cluster", lambda doc: doc["islands"][0].update(hosts=2**63),
+        "cluster config: over 65536 devices"),
+    "hosts_10_30": (
+        "cluster", lambda doc: doc["islands"][0].update(hosts=10**30),
+        "cluster config: over 65536 devices"),
+    "devices_per_host_2_63": (
+        "cluster",
+        lambda doc: doc["islands"][0].update(devices_per_host=2**63),
+        "cluster config: over 65536 devices"),
+    # 8 devices, then 65,536 more: each island fits, the two do not
+    "islands_together": (
+        "cluster", lambda doc: doc["islands"].append(
+            {"hosts": 2**14, "devices_per_host": 4}),
+        "cluster config: over 65536 devices"),
+    "arg_shards_10_30": (
+        "program", lambda doc: node(doc, "n0").update(shards=10**30),
+        f"arg n0: {10**30} shards, not 1 to 65536"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LARGE))
+def test_run_past_a_size_cap_exits_two_before_building(tmp_path, capsys,
+                                                       monkeypatch, case):
+    def refuse(*_a, **_k):
+        raise AssertionError("built a system for a refused input")
+
+    monkeypatch.setattr(cli, "System", refuse)
+    which, change, reason = TOO_LARGE[case]
+    program = json.loads(Path(CHAIN4).read_text())
+    cluster = json.loads((CONFIGS / "cluster_small.json").read_text())
+    change(program if which == "program" else cluster)
+    argv = ["run", write_json(tmp_path / "p.json", program),
+            "--config", write_json(tmp_path / "c.json", cluster)]
+    assert main(argv) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_a_cluster_of_the_most_devices_loads(tmp_path):
+    # loaded, not built: 2**14 hosts x 4 is the cap, 32x the paper's 2,048
+    doc = json.loads((CONFIGS / "cluster_small.json").read_text())
+    doc["islands"][0].update(hosts=2**14)
+    spec = load_cluster(write_json(tmp_path / "c.json", doc))
+    assert spec.islands[0].hosts * spec.islands[0].devices_per_host == 2**16
 
 
 def test_auto_mode_with_irregular_first_node_exits_two(tmp_path, capsys):

@@ -194,14 +194,12 @@ class Sender(Process):
         super().__init__(sim, pid)
         self.batcher = batcher
 
-    def at(self, t_ns, dst, kind, payload, critical=False, latency_ns=None):
+    def at(self, t_ns, dst, kind, payload):
         self.sim.schedule_at(t_ns, self.pid, "send", {
-            "dst": dst, "kind": kind, "payload": payload,
-            "critical": critical, "latency_ns": latency_ns})
+            "dst": dst, "kind": kind, "payload": payload})
 
     def handle(self, kind, p, src):
-        self.batcher.send(p["dst"], p["kind"], p["payload"], p["critical"],
-                          latency_ns=p["latency_ns"])
+        self.batcher.send(p["dst"], p["kind"], p["payload"])
 
 
 def make_batcher(max_messages=3, max_delay_us=100, latency_us=50):
@@ -217,7 +215,7 @@ def make_batcher(max_messages=3, max_delay_us=100, latency_us=50):
 def pending(b: MessageBatcher, dst: str) -> int:
     """Messages held for dst in a batch that is still open."""
     batch = b._batch.get(dst)
-    return len(batch[3]) if batch and b.sim.now() < batch[0] else 0
+    return len(batch[2]) if batch and b.sim.now() < batch[0] else 0
 
 
 def seen(dst: Host) -> list:
@@ -226,25 +224,10 @@ def seen(dst: Host) -> list:
              if k == "batch" else p) for t, k, p in dst.seen]
 
 
-def test_critical_messages_bypass_batching():
-    sim, b, dst = make_batcher()
-    b.send("h0", "grant", {"n": 1}, critical=True)
-    sim.run_until_quiescent()
-    assert dst.seen == [(us(50), "grant", {"n": 1})]
-    assert b.flushes == 0 and pending(b, "h0") == 0
-
-
-def test_critical_latency_override():
-    sim, b, dst = make_batcher()
-    b.send("h0", "grant", {}, critical=True, latency_ns=us(7))
-    sim.run_until_quiescent()
-    assert dst.seen[0][0] == us(7)
-
-
 def test_size_flush_sends_one_message_in_order():
     sim, b, dst = make_batcher(max_messages=3)
     for i in range(3):
-        b.send("h0", "note", {"i": i}, critical=False)
+        b.send("h0", "note", {"i": i})
     assert b.flushes == 1 and pending(b, "h0") == 0
     sim.run_until_quiescent()
     (t, kind, payload), = dst.seen
@@ -288,56 +271,10 @@ def test_send_at_or_after_close_instant_opens_a_new_batch(t_us):
     assert b.flushes == 2
 
 
-@pytest.mark.parametrize("lat_us", [56, 90])
-def test_critical_landing_no_earlier_than_an_open_batch_moves_it_behind(
-        lat_us):
-    # sent at 4us while the batch (due at 60us) is open; the batch must
-    # not overtake the critical message on the channel, even at a tie
-    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
-    src = sim._procs["src"]
-    src.at(0, "h0", "note", {"i": 0})
-    src.at(us(4), "h0", "urgent", {}, critical=True, latency_ns=us(lat_us))
-    src.at(us(6), "h0", "note", {"i": 1})
-    sim.run_until_quiescent()
-    t = us(4 + lat_us)
-    assert seen(dst) == [(t, "urgent", {}), (t, "batch", [0, 1])]
-    assert sim._cancelled == set()
-
-
-def test_batch_opened_behind_a_slow_critical_message_lands_after_it():
-    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
-    src = sim._procs["src"]
-    src.at(0, "h0", "urgent", {}, critical=True, latency_ns=us(100))
-    src.at(us(1), "h0", "note", {"i": 0})
-    sim.run_until_quiescent()
-    assert seen(dst) == [(us(100), "urgent", {}), (us(100), "batch", [0])]
-
-
-def test_critical_sent_while_a_batch_is_open_is_not_held_back():
-    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
-    src = sim._procs["src"]
-    src.at(0, "h0", "note", {"i": 0})
-    src.at(us(4), "h0", "urgent", {}, critical=True, latency_ns=us(5))
-    sim.run_until_quiescent()
-    assert seen(dst) == [(us(9), "urgent", {}), (us(60), "batch", [0])]
-
-
-@pytest.mark.parametrize("t_us", [10, 12])
-def test_critical_sent_at_or_after_close_instant_lands_after_the_batch(t_us):
-    # the closed batch is still in flight (due at 60us): a critical message
-    # sent now with a short latency is held behind it on the channel
-    sim, b, dst = make_batcher(max_messages=100, max_delay_us=10)
-    src = sim._procs["src"]
-    src.at(0, "h0", "note", {"i": 0})
-    src.at(us(t_us), "h0", "urgent", {}, critical=True, latency_ns=us(5))
-    sim.run_until_quiescent()
-    assert seen(dst) == [(us(60), "batch", [0]), (us(60), "urgent", {})]
-
-
 def test_size_flush_cancels_timer():
     sim, b, dst = make_batcher(max_messages=2, max_delay_us=10)
-    b.send("h0", "note", {"i": 0}, critical=False)
-    b.send("h0", "note", {"i": 1}, critical=False)
+    b.send("h0", "note", {"i": 0})
+    b.send("h0", "note", {"i": 1})
     res = sim.run_until_quiescent()
     assert len(dst.seen) == 1
     assert dst.seen[0][0] == us(50)          # flushed at t=0, not at timeout
@@ -347,10 +284,10 @@ def test_size_flush_cancels_timer():
 def test_destinations_batch_independently():
     sim, b, dst0 = make_batcher(max_messages=2)
     dst1 = Host(sim, "h1")
-    b.send("h0", "a", {}, critical=False)
-    b.send("h1", "b", {}, critical=False)
+    b.send("h0", "a", {})
+    b.send("h1", "b", {})
     assert pending(b, "h0") == 1 and pending(b, "h1") == 1
-    b.send("h0", "c", {}, critical=False)
+    b.send("h0", "c", {})
     assert pending(b, "h0") == 0 and pending(b, "h1") == 1
     b.flush("h1")
     assert pending(b, "h1") == 0
@@ -360,24 +297,23 @@ def test_destinations_batch_independently():
     assert kinds0 == ["a", "c"] and kinds1 == ["b"]
 
 
+def test_batches_closed_at_one_instant_land_in_send_order():
+    # a batch opens only once the last one to its destination has closed,
+    # so with one latency the batches of a channel land in order
+    sim, b, dst = make_batcher(max_messages=2)
+    for i in range(5):
+        b.send("h0", "note", {"i": i})
+    b.flush("h0")
+    sim.run_until_quiescent()
+    assert seen(dst) == [(us(50), "batch", [0, 1]), (us(50), "batch", [2, 3]),
+                         (us(50), "batch", [4])]
+    assert b.flushes == 3 and sim._cancelled == set()
+
+
 def test_flush_empty_destination_is_noop():
     sim, b, _ = make_batcher()
     b.flush("h0")
     assert b.flushes == 0
-
-
-def test_self_batch_is_a_local_handoff():
-    # a flush to the sender itself must not ride the wire: otherwise the
-    # pair's FIFO channel would hold later zero-latency critical messages
-    # behind the in-flight batch
-    sim = Simulator()
-    owner = Host(sim, "src")
-    b = MessageBatcher(sim, "src", BatchingConfig(2, us(100)), us(50))
-    b.send("src", "note", {}, critical=False)
-    b.send("src", "note", {}, critical=False)       # size flush at t=0
-    b.send("src", "urgent", {}, critical=True, latency_ns=0)
-    sim.run_until_quiescent()
-    assert [(t, k) for t, k, _ in owner.seen] == [(0, "batch"), (0, "urgent")]
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])

@@ -20,15 +20,15 @@ collective, the one pinned run in which a gang spans hosts in one
 rendezvous. In this chain no member waits at the rendezvous, so its series
 equals the non-collective one. `COLLECTIVE_SCHEDULE_PINS` pin that run's
 event schedule, as `SCHEDULE_PINS` do. Its home host alone drains each
-in-place edge and reports the result: 111 events in parallel and 141 in
-sequential dispatch, where each member host doing so took 6 and 21 more.
+in-place edge, by a call, and reports the result: 108 events in parallel
+and 135 in sequential dispatch.
 
-A host closes its own source shards by a call, not a message to itself,
-so the sequential and auto runs log no `edge_fut`/`edge_dat` event from a
-host to itself: the sequential chain runs 204 events (18 more with those
-messages), auto 195 (12 more) and the sequential collective chain 141 (12
-more). Each host drops an instance at the last event of its own part, with
-no message from the client: the parallel chain runs 168 events.
+A host's message to itself is a call, and one to another host is an event
+of its own: no pinned run logs an `addr`, edge update or drain from a host
+to itself, nor a batch from a host. The sequential chain runs 201 events
+and auto 192. Each host drops an instance at the last event of its own
+part, with no message from the client: the parallel chain runs 171 events.
+Its 9 drains to another host are an event each.
 
 `DISPATCH_DOC_PIN` is the sha256 of the `flowpath bench dispatch` document
 at `configs/workloads/dispatch.json`, the one suite that runs sequential
@@ -49,8 +49,8 @@ pressure. With it, every `flowpath bench` suite has a document pin.
 `configs/programs/chain4.json` in each mode: the one pin of the command
 line's own run. Every node of chain4 is regular, so auto runs as parallel.
 It is the one pinned run whose data crosses devices, in 12 transfers. A
-consumer host drains when its kernels end, not when a transfer lands: 78
-events in parallel and 87 in sequential dispatch, where a message from
+consumer host drains when its kernels end, not when a transfer lands: 77
+events in parallel and 86 in sequential dispatch, where a message from
 each landing to its host took 12 more.
 
 `TENANTS_PINS` pin the memory-pressure path, which none of the runs above
@@ -78,20 +78,20 @@ from flowpath.simcore import Simulator
 
 PINS = {
     "parallel":
-        "49c642b62ee046494bc1301a3d4c5af68a2a924b5348a1f01994b0b239f15018",
+        "2a66ed0d4faccf4461d76f37ae4fb1d94d9a546d5fe34b774c472826143f693d",
     "sequential":
-        "d010f518d24fea8cc288c1895ec13e0ba44a3ca22961ada4a023dd04215175d2",
+        "314f335f9518424f02943ac21d3d0d29dff56f90d01c77dc3d7949243b1230bf",
     "auto":
-        "8640d47be85fdc9fc32a5969ca0bb8641846cb39d62cff5634a0a6c828831c6f",
+        "00f0f181bf5bc406ba9793fab786f853b8d87e001af02699f9fd93817d68db25",
 }
 
 SCHEDULE_PINS = {
     "parallel":
-        "a02c62f51efc5b6c6d3ed0c4f404cdea0247e6600ea51482651bbc3f2ad5e3f6",
+        "68d2391b4ce8e6d3b6b56d2bb2f2c1cdb60a64ed7df7a17a65a20fdb259b955e",
     "sequential":
-        "a80a9d54f49e7727681246a89062b571e09e9b5107a74fa0a800d6aad22d832d",
+        "f8dbf45cc1aab37c64e5a4f207cdb9454c0a438931892bc77c4e537bedba53a7",
     "auto":
-        "5260bbaaed57e0534bd33678b936fc5a5f1b53d21949e4531d82c0b2df98324b",
+        "378541d2011843b3d81dc5fefc5ba72f808b61ea68c3eb1497b3b56bbf172738",
 }
 
 COMPLETION_PINS = {
@@ -111,9 +111,9 @@ COLLECTIVE_COMPLETION_PINS = {
 }
 COLLECTIVE_SCHEDULE_PINS = {
     "parallel":
-        "572488125b7319a5f1bef27026dcafd6449142a6dc08c5cfb661527277b42bb6",
+        "29f9cbf5ec5bb8e655f7dc80b0ecb8733b4e09a3dcb9acac98a25bffb8bc45c9",
     "sequential":
-        "b61af483bdbba783cab2407eb5bba6c559d93daa47bc47a6a18c4661d5a05664",
+        "bf65099583d671616cc88b836b84a94a57f0609ccea65299945add61582355f4",
 }
 
 DISPATCH_DOC_PIN = \
@@ -130,15 +130,15 @@ TENANTS_PINS = {
     "grant":
         "e632997bd6b48f2f73f10b70528ca8f1a40ad286eded2567c77338a046a6de25",
     "schedule":
-        "c0ec118d7ecfc963d979f0e2cfe18881d93450159e4cdce91fe9d898c1752ca2",
+        "6dbce1003dd96e2d1a9f2df62cdb580b9e421836911e43a24683b0cdea89e4b3",
 }
 RUN_LOG_PINS = {
     "parallel":
-        "30cd545148f3fb1379bcdba42e3b6dbebac2d348845317d68a06a302636fec16",
+        "e0c06df60ed8ef9ef790773c90954820808412b6c2e6ddb2894298f43000e80d",
     "sequential":
-        "97dd9ed7b3b2d266b1d5d4ac3860629fe6c39786d1f8ae824627ff98e442d8a6",
+        "2fdb4f9f37f072cc906330ae52dab9fcfd812783e940226afe35dc4de5331415",
     "auto":
-        "30cd545148f3fb1379bcdba42e3b6dbebac2d348845317d68a06a302636fec16",
+        "e0c06df60ed8ef9ef790773c90954820808412b6c2e6ddb2894298f43000e80d",
 }
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORKLOADS = CONFIGS / "workloads"
@@ -211,18 +211,33 @@ def test_collective_event_schedule_matches_pin(mode, tmp_path):
 @pytest.mark.parametrize("mode,collective", [
     *((m, False) for m in sorted(PINS)),
     *((m, True) for m in sorted(COLLECTIVE_SCHEDULE_PINS))])
-def test_no_pinned_run_logs_a_host_messaging_itself(mode, collective):
-    # a host closes its own source shards and reads its own addr rows by a
-    # call: no `addr` goes to its sender, no edge update to its srcs' host
+def test_no_pinned_run_logs_a_host_messaging_itself(mode, collective,
+                                                    monkeypatch):
+    # a host closes its own source shards, reads its own addr rows and
+    # drains its own buffers by a call: no `addr` or drain goes to its
+    # sender, no edge update to its srcs' host. A host batches nothing:
+    # only clients send batches
+    batch_srcs = []
+    schedule_in = Simulator.schedule_in
+
+    def spy(self, delay, target, kind, payload=None, src=None):
+        if kind == "batch":
+            batch_srcs.append(src)
+        return schedule_in(self, delay, target, kind, payload, src)
+
+    monkeypatch.setattr(Simulator, "schedule_in", spy)
     system = run_chain(mode, collective)
     host_of = [d.host_id for d in system.cluster.devices]
     info = system.programs["chain"]
     for _t, _seq, target, kind, p in system.sim.log:
-        if kind == "addr":
+        if kind in ("addr", "drain"):
             assert target != f"host{p['from_host']}"
         elif kind in ("edge_fut", "edge_dat"):
             src = info.lowered.placement[info.edges[p["edge"]].src]
             assert all(target != f"host{host_of[src[s]]}" for s in p["srcs"])
+    assert batch_srcs and set(batch_srcs) == {"client.c0"}
+    assert all(h.batcher.flushes == h.batcher.batched_sent == 0
+               for h in system.hosts.values())
 
 
 @pytest.mark.parametrize("case", ["sequential", "tenants"])

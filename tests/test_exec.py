@@ -197,7 +197,8 @@ def test_collective_reading_in_place_and_over_transfers_runs_the_same_twice(
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])
-def test_collective_home_host_drains_in_place_pairs_it_does_not_read(mode):
+def test_collective_home_host_drains_in_place_pairs_it_does_not_read(
+        mode, drains):
     # p's shards 0 and 1 swap devices, so c's home host 0 reads both over
     # transfers; host 1 reads shards 2 and 3 in place. Every member's
     # kernel ends in one event, so host 0 alone drains the edge, once
@@ -207,7 +208,7 @@ def test_collective_home_host_drains_in_place_pairs_it_does_not_read(mode):
                slice_id=sp)
     c = t.call(CompiledFunction("c", 4, (KB,), (KB,), 20.0, collective=True),
                p, slice_id=sc)
-    sys_ = System(small_cluster(hosts=2, devices_per_host=2), record_log=True)
+    sys_ = System(small_cluster(hosts=2, devices_per_host=2))
     info = sys_.register_program("p", lower(t.finish([c]), {
         sp: (1, 0, 2, 3), sc: (0, 1, 2, 3)}))
     eid = edge_id(p.node, c.node)
@@ -219,16 +220,16 @@ def test_collective_home_host_drains_in_place_pairs_it_does_not_read(mode):
     assert sys_.run().status == "quiescent"
     assert audit_leaks(sys_.cluster) == {}
     assert audit_no_double_free(sys_.audit) == []
-    assert [(tgt, d["from_host"]) for _t, tgt, d in delivered(sys_, "drain")
+    assert [(tgt, d["from_host"]) for _t, tgt, d in drains
             if d["edge"] == eid] == [("host0", 0)] * 3
 
 
 @pytest.mark.parametrize("fail_at_us", [1850, 2200, 2900])
 def test_client_failure_midway_through_a_collective_chain_ends_clean(
-        fail_at_us):
+        fail_at_us, drains):
     # each time falls in a kernel of the chain's middle node, after at
     # least one instance has finished
-    sys_ = System(small_cluster(hosts=2, devices_per_host=2), record_log=True)
+    sys_ = System(small_cluster(hosts=2, devices_per_host=2))
     fns = [CompiledFunction(f"f{i}", 4, (MB,), (MB,), 120, collective=True)
            for i in range(3)]
     sys_.register_traced("p", chain_program(fns))
@@ -242,8 +243,8 @@ def test_client_failure_midway_through_a_collective_chain_ends_clean(
     assert audit_no_double_free(sys_.audit) == []
     assert audit_leaks(sys_.cluster) == {}
     assert sys_.gang_left == {}
-    # every edge is read in place, so only the home host drains
-    assert {d["from_host"] for _t, _tgt, d in delivered(sys_, "drain")} == {0}
+    # every edge is read in place, so only the home host drains, by a call
+    assert {(tgt, d["from_host"]) for _t, tgt, d in drains} == {("host0", 0)}
 
 
 # -- host tasks: a granted gang preps and enqueues in one task --------------
@@ -263,13 +264,9 @@ def small_chain(mode, **kw):
 
 
 def delivered(sys_, kind):
-    """(t_ns, target, payload) of each `kind` message delivered, batched or
-    not."""
-    out = []
-    for t, _seq, target, k, p in sys_.sim.log:
-        msgs = p["messages"] if k == "batch" else [{"kind": k, "payload": p}]
-        out += [(t, target, m["payload"]) for m in msgs if m["kind"] == kind]
-    return out
+    """(t_ns, target, payload) of each `kind` event delivered."""
+    return [(t, target, p) for t, _seq, target, k, p in sys_.sim.log
+            if k == kind]
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
@@ -394,30 +391,34 @@ def test_each_host_drops_an_instance_at_its_own_last_event(
     # narrow node, so its part ends with sourcing remote pairs, once their
     # addresses have come (a host that dropped the instance before would
     # never send them). Each host drops each instance once, while it
-    # handles its last kernel_done, drain or addr for it.
-    ends = ("kernel_done", "drain", "addr")
-    handled: dict[tuple[int, str], list[str]] = {}    # (host, inst) -> kinds
+    # handles a kernel_done, drain or addr for it, and none comes after.
+    # A host's own drain is a call made while it handles a kernel_done.
+    handled: dict[tuple[int, str], list[str]] = {}    # (host, inst) -> ends
     open_: list[tuple] = []          # the end being handled, innermost last
     drops: list[tuple] = []
-    host_handle, host_drop = HostExecutor.handle, HostExecutor._drop
+    host_drop = HostExecutor._drop
 
-    def on_host(self, kind, payload, src):
-        if kind not in ends:
-            return host_handle(self, kind, payload, src)
-        key = (self.host_id, payload["instance"])
-        seen = handled.setdefault(key, [])
-        open_.append((key, len(seen)))
-        seen.append(kind)
-        try:
-            return host_handle(self, kind, payload, src)
-        finally:
-            open_.pop()
+    def counted(name):
+        on_end = getattr(HostExecutor, name)
+
+        def spy(self, payload):
+            key = (self.host_id, payload["instance"])
+            handled.setdefault(key, []).append(name)
+            open_.append(key)
+            try:
+                return on_end(self, payload)
+            finally:
+                open_.pop()
+        return spy
 
     def on_drop(self, instance):
-        drops.append(((self.host_id, instance), open_[-1] if open_ else None))
+        key = (self.host_id, instance)
+        drops.append((key, open_[-1] if open_ else None,
+                      len(handled.get(key, ()))))
         return host_drop(self, instance)
 
-    monkeypatch.setattr(HostExecutor, "handle", on_host)
+    for name in ("_on_kernel_done", "_on_drain", "_on_addr"):
+        monkeypatch.setattr(HostExecutor, name, counted(name))
     monkeypatch.setattr(HostExecutor, "_drop", on_drop)
     fns = [CompiledFunction(name, n, (16 * KB // n,), (16 * KB // n,), 20.0,
                             collective=collective)
@@ -436,10 +437,10 @@ def test_each_host_drops_an_instance_at_its_own_last_event(
     # shards and 1 addr
     assert info.ends == {0: 8 - collective, 1: 3}
     parts = {(h, i) for i in job.instances for h in info.ends}
-    assert sorted(key for key, _at in drops) == sorted(parts)
+    assert sorted(key for key, _at, _n in drops) == sorted(parts)
     assert set(handled) == parts
-    for key, at in drops:
-        assert at == (key, len(handled[key]) - 1), (key, handled[key])
+    for key, at, n in drops:
+        assert at == key and n == len(handled[key]), (key, handled[key])
     assert all(not h.inst for h in sys_.hosts.values())
     kinds = {kind for _t, _s, _dst, kind, _p in sys_.sim.log}
     kinds |= {m["kind"] for _t, _s, _dst, kind, p in sys_.sim.log
@@ -512,7 +513,7 @@ def test_dead_client_sends_nothing_from_its_open_batch(monkeypatch):
     def on_client(self, kind, payload, src):
         if kind == "die":
             held.extend(m["kind"] for b in self.batcher._batch.values()
-                        if b[0] > self.sim.now() for m in b[3])
+                        if b[0] > self.sim.now() for m in b[2])
         return client_handle(self, kind, payload, src)
 
     def on_host(self, kind, payload, src):

@@ -152,7 +152,7 @@ def test_collective_finishes_every_member_in_one_event():
     assert all(d.executing is None and not d.queue for d in cl.devices)
 
 
-def test_collective_tells_each_member_host_once_with_its_shards():
+def test_collective_tells_each_member_host_once_with_its_shards(drains):
     """Each member host hears its shards' end once; the home host alone
     reports the result, naming every shard, and drains the in-place arg
     edge for all members."""
@@ -181,10 +181,9 @@ def test_collective_tells_each_member_host_once_with_its_shards():
             if kind == "enqueue_kernel"] == ["dev0", "dev2"]   # one per host
     assert results == [("host0", [0, 1, 2, 3])]
     # the arg edge is read in place on all 4 devices: one drain, home to
-    # home, for the instance
-    assert [(target, m["payload"]["from_host"])
-            for _t, _seq, target, kind, p in sys_.sim.log if kind == "batch"
-            for m in p["messages"] if m["kind"] == "drain"] == [("host0", 0)]
+    # home by a call, for the instance
+    assert [(target, d["from_host"]) for _t, target, d in drains] == \
+        [("host0", 0)]
     spans = sorted((t.tid, t.end_ns - t.start_ns) for t in sys_.sim.trace
                    if t.category == "kernel")
     assert spans == [(d, us(10)) for d in range(4)]

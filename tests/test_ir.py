@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flowpath import ir
 from flowpath.bench import pipeline_program
-from flowpath.config import small_cluster
+from flowpath.config import MAX_DEVICES, small_cluster
 from flowpath.hardware import Cluster
 from flowpath.ir import (CompiledFunction, LowerError, ShardPair, TraceError,
                          Tracer, chain_program, deserialize, digest, lower,
@@ -116,6 +116,30 @@ def test_arity_checked():
     two_in = CompiledFunction("g", 4, (64, 64), (64,), 1.0)
     with pytest.raises(TraceError):
         t.call(two_in, a)
+
+
+def test_a_rejected_call_leaves_the_trace_as_it_was():
+    # the second input fails after the first passed: no edge, node id or
+    # slice is left behind, so tracing goes on and the program lowers
+    t = Tracer()
+    a = t.arg(4, 64)
+    two_in = CompiledFunction("g", 4, (64, 64), (64,), 1.0)
+    with pytest.raises(TraceError, match="undefined value"):
+        t.call(two_in, a, ir.ValueRef("n9", 0, a.tracer_id))
+    with pytest.raises(TraceError, match="does not belong to this trace"):
+        t.call(two_in, a, Tracer().arg(4, 64))
+    p = t.finish([t.call(fn(nbytes=64), a)])
+    assert list(p.nodes) == ["n0", "n1", "n2"] and list(p.slices) == ["s0"]
+    assert p.edges == [("n0", "n1", 0, 0), ("n1", "n2", 0, 0)]
+    assert lower(p, {"s0": (0, 1, 2, 3)}).placement["n1"] == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("shards", [0, MAX_DEVICES + 1, 10**30])
+def test_arg_shards_out_of_range_rejected(shards):
+    with pytest.raises(TraceError,
+                       match=f"^arg n0: {shards} shards, not 1 to 65536$"):
+        Tracer().arg(shards, 64)
+    Tracer().arg(MAX_DEVICES, 64)
 
 
 def test_empty_program_rejected():

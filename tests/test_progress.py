@@ -180,20 +180,9 @@ def test_reshard_edges_keep_invariants(src, dst, total, hosts, dph, mode,
         assert system.inst_digests == ref.inst_digests
 
 
-def drains_to(system: System, host: int) -> list[tuple[int, dict]]:
-    """(t_ns, payload) of every drain report the host handled."""
-    out = []
-    for t, _seq, target, kind, payload in system.sim.log:
-        if target != f"host{host}":
-            continue
-        msgs = (payload["messages"] if kind == "batch"
-                else [{"kind": kind, "payload": payload}])
-        out += [(t, m["payload"]) for m in msgs if m["kind"] == "drain"]
-    return out
-
-
 @pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])
-def test_fan_out_buffer_is_freed_by_the_last_consumer_hosts_drain(mode):
+def test_fan_out_buffer_is_freed_by_the_last_consumer_hosts_drain(mode,
+                                                                drains):
     # head runs on host 0; b reads its output on host 1, c on hosts 0 and
     # 2. Hosts 1 and 2 drain as their transfers land, host 0 only after c's
     # kernel has read its shard in place, so the drains come at two instants
@@ -207,18 +196,18 @@ def test_fan_out_buffer_is_freed_by_the_last_consumer_hosts_drain(mode):
     c = t.call(CompiledFunction("c", 2, (4096,), (4096,), 40.0), h,
                slice_id=slices[2])
     prog = t.finish(results=[b, c])
-    system = System(small_cluster(hosts=3, devices_per_host=2),
-                    record_log=True)
+    system = System(small_cluster(hosts=3, devices_per_host=2))
     info = system.register_program("f", lower(prog, dict(zip(
         slices, [(0, 1), (2, 3), (0, 4)]))))
     system.start_job(system.add_client("c0"), StreamJob(
         system.new_job_id(), "f", 3, window=2, mode=mode))
     assert system.run().status == "quiescent"
     assert audit_leaks(system.cluster) == {}
-    drains = drains_to(system, info.nodes[h.node].home_host)
+    home = f"host{info.nodes[h.node].home_host}"
     for inst in ("i1", "i2", "i3"):
         handle = info.out_handle(inst, h.node, 0)
-        mine = [(t_ns, d) for t_ns, d in drains if d["instance"] == inst
+        mine = [(t_ns, d) for t_ns, tgt, d in drains if tgt == home
+                and d["instance"] == inst
                 and info.edges[d["edge"]].src == h.node]
         assert sorted((info.edges[d["edge"]].dst, d["from_host"])
                       for _t, d in mine) == \
