@@ -9,11 +9,12 @@ silently disagree with the simulation.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
-from .config import (ClusterSpec, CostModel, Policy, ValidationError,
-                     check_keys, small_cluster)
+from .config import (MAX_DEVICES, ClusterSpec, CostModel, Policy,
+                     ValidationError, check_keys, small_cluster)
 from .ir import CompiledFunction, TracedProgram, Tracer, chain_program
 from .runtime import StreamJob, System, steady_rate
 from .simcore import Simulator, us
@@ -477,6 +478,22 @@ def run_benchmark(name: str, workload: dict | None = None,
     sized = {"utilization": "devices", "fairness": "resident"}.get(name)
     if spec is not None and sized in w:
         raise ValidationError(f"{where}: {sized}: --config sizes the cluster")
+    # a fleet over the device cap exits before any system is built: a
+    # sweep's most hosts times its devices per host, utilization's devices
+    # or a pipeline case's stages, one device each
+    fleets = [(f"cases: stages {s}", s) for s, _m in w.get("cases", ())]
+    if "devices" in w:
+        fleets.append((f"devices {w['devices']}", w["devices"]))
+    if name in ("dispatch", "crossover"):
+        params = inspect.signature(bench_dispatch if name == "dispatch"
+                                   else bench_crossover).parameters
+        hosts = max(w.get("host_counts", params["host_counts"].default))
+        per = w.get("devices_per_host", params["devices_per_host"].default)
+        fleets.append((f"host_counts {hosts} x devices_per_host {per}",
+                       hosts * per))
+    for what, devices in fleets:
+        if devices > MAX_DEVICES:
+            raise ValidationError(f"{where}: {what} is over {MAX_DEVICES} devices")
     if name == "dispatch":
         return bench_dispatch(record_log=record_log, **_kwargs(w))
     if name == "crossover":

@@ -18,14 +18,6 @@ marks done in one pass. A result's shards reach the client in one `result`
 per host, a collective's in one from its home host. The host keeps no
 record once it is sent: an abort names the (instance, node) alone.
 
-The static tables are built once per distinct shape: edges with one pairs
-tuple and consumer kind, and nodes with one placement and in-edges, share
-them, so a program of many nodes of few shapes costs the few in setup time
-and memory (one pass over the edges and one over the nodes looks each up
-by its shape). They are read-only once built. They hold what prep reads per
-host, such as each consumer host's addr rows; the (device, bytes) rows of
-outputs and args are shared per shape too, in `ProgramInfo.rows`.
-
 What a node allocates where is stated once, by `ProgramInfo.buffers`: its
 outputs on its home host, a landing buffer for inbound transfers on each of
 its hosts, and the args it creates on their home host. The gang's HBM ask,
@@ -62,347 +54,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import BatchingConfig, CostModel
-from .coord import MessageBatcher, ProgressTracker, edge_id
+from .coord import MessageBatcher, ProgressTracker
 from .hardware import Cluster, KernelExec
-from .ir import (ArgNode, CompiledFunction, ComputeNode, LoweredProgram,
-                 ResultNode, ShardPair)
 from .simcore import Process, Simulator
-from .store import HostStore, ShardRows
-
-
-# -- static program tables ---------------------------------------------------
-
-@dataclass(slots=True)
-class EdgeInfo:
-    src: str
-    dst: str
-    src_port: int
-    dst_port: int
-    to_result: bool
-    pairs: tuple[ShardPair, ...]        # from `lower`, shared per shape
-    # consumer host -> the addr rows of its remote pairs, by sorted source host
-    inbound: dict[int, tuple[tuple[int, tuple], ...]]
-    # the consumer hosts that each send one drain when their kernels of the
-    # node end: every host with a pair, a collective's home host alone
-    drainers: tuple[int, ...]
-    chosts_by_src: dict[int, tuple[int, ...]]   # src shard -> consumer hosts
-    addr_hosts: frozenset[int]                    # source hosts sent addr rows
-    src_home: int                                 # host holding the source
-    from_arg: bool                                # source is any arg node
-
-
-@dataclass(slots=True)
-class NodeInfo:
-    nid: str
-    fn: CompiledFunction
-    devices: tuple[int, ...]                     # shard -> device
-    hosts: tuple[int, ...]
-    home_host: int
-    local_shards: dict[int, tuple[int, ...]]     # host -> shard indices
-    local_devices: dict[int, tuple[int, ...]]    # host -> their devices
-    in_edges: tuple[str, ...]
-    out_edges: tuple[str, ...]
-    input_sources: dict[int, tuple[int, ...]]    # device -> producer per arrival
-    recv_rows: dict[int, tuple[tuple[int, int], ...]]   # host -> landing rows
-    args_created: tuple[str, ...]
-    waits: dict[int, int]                        # host -> gating source shards
-    collective: bool                 # `fn.collective`, on 2 or more devices
-    hbm_by_device: dict[int, int] = field(default_factory=dict)  # gang ask
-
-
-@dataclass(slots=True)
-class ArgInfo:
-    shards: int
-    bytes_per_shard: int
-    placement: tuple[int, ...]
-    home_host: int
-    local_shards: dict[int, tuple[int, ...]]     # host -> shard indices
-    out_edges: tuple[str, ...]
-
-
-@dataclass
-class ProgramInfo:
-    """A program's static facts, read by every instance and host.
-
-    Nodes and edges of one shape share the same tables (the dicts and
-    tuples in `NodeInfo`, `EdgeInfo` and `ArgInfo`), so they are read-only
-    once `build_program_info` returns: `submit_gangs` shares the HBM ask
-    with the scheduler, which only reads it. Only `plans`, `digests` and
-    `rows` fill in as instances run; `digests` on the first finish.
-    """
-
-    pid: str
-    lowered: LoweredProgram
-    order: tuple[str, ...]                        # compute nodes, trace order
-    nodes: dict[str, NodeInfo]
-    args: dict[str, ArgInfo]
-    edges: dict[str, EdgeInfo]
-    results: tuple[tuple[str, str, int], ...]     # (result id, src node, port)
-    # the distinct (src node, port) of the results: one client hold each
-    result_bufs: tuple[tuple[str, int], ...]
-    result_shards: int
-    # host -> the events of its part of an instance, sorted by host: its
-    # kernel shards, and the drains and addr messages it receives
-    ends: dict[int, int]
-    plans: dict = field(default_factory=dict)     # dispatch mode -> plan
-    # result digests, the same for every instance: a value is a pure
-    # function of the program graph
-    digests: list[str] | None = None
-    # (placement, bytes per shard) -> its (device, bytes) row per shard
-    rows: dict[tuple, ShardRows] = field(default_factory=dict)
-
-    def out_handle(self, instance: str, nid: str, port: int) -> str:
-        return f"o.{instance}.{nid}.{port}"
-
-    def arg_handle(self, instance: str, aid: str) -> str:
-        return f"a.{instance}.{aid}"
-
-    def recv_handle(self, instance: str, nid: str, host: int) -> str:
-        return f"r.{instance}.{nid}.h{host}"
-
-    def buffers(self, instance: str, nid: str, host: int):
-        """The store rows `host` creates when it preps `nid`.
-
-        Yields (handle, [(device, bytes)] per shard, refcount, client-held).
-        This is the one statement of what a node allocates where: the gang's
-        HBM ask, prep and the give-back of an unused grant all read it.
-        The rows are built once per shape and shared; only handles are new.
-        """
-        ni = self.nodes[nid]
-        if host == ni.home_host:
-            for port, nbytes in enumerate(ni.fn.out_bytes):
-                rc, held = self._refs(ni.out_edges, port)
-                yield (self.out_handle(instance, nid, port),
-                       self._rows(ni.devices, nbytes), rc, held)
-        recv = ni.recv_rows.get(host)
-        if recv is not None:
-            yield self.recv_handle(instance, nid, host), recv, 1, False
-        for aid in ni.args_created:
-            a = self.args[aid]
-            if host == a.home_host:
-                rc, held = self._refs(a.out_edges, 0)
-                yield (self.arg_handle(instance, aid),
-                       self._rows(a.placement, a.bytes_per_shard), rc, held)
-
-    def _rows(self, devs: tuple[int, ...], nbytes: int) -> ShardRows:
-        rows = self.rows.get((devs, nbytes))
-        if rows is None:
-            rows = self.rows[devs, nbytes] = ShardRows((d, nbytes) for d in devs)
-        return rows
-
-    def _refs(self, out_edges: tuple[str, ...], port: int) -> tuple[int, bool]:
-        """Each (consuming edge, host in its `drainers`) holds one ref,
-        released by that host's drain; the client holds one more, however
-        many results name the buffer, and releases its handle once."""
-        rc = 0
-        held = False
-        for eid in out_edges:
-            ei = self.edges[eid]
-            if ei.src_port != port:
-                continue
-            if ei.to_result:
-                held = True
-            else:
-                rc += len(ei.drainers)
-        return max(rc + held, 1), held
-
-
-def _by_host(devs: tuple[int, ...], host_of) -> tuple[dict, dict, tuple]:
-    """A placement's shard indices by host, their devices by host, and its
-    hosts."""
-    out: dict[int, list[int]] = {}
-    for shard, dev in enumerate(devs):
-        out.setdefault(host_of[dev], []).append(shard)
-    local = {h: tuple(v) for h, v in sorted(out.items())}
-    # a node on one host shares its devices tuple
-    local_devs = ({h: devs for h in local} if len(local) == 1 else
-                  {h: tuple(devs[s] for s in ss) for h, ss in local.items()})
-    return local, local_devs, tuple(local)
-
-
-def _pair_tables(pairs: tuple[ShardPair, ...], host_of,
-                 collective: bool) -> tuple[dict, dict, tuple, frozenset]:
-    """An edge's tables: consumer host -> the addr rows of its remote pairs
-    grouped by sorted source host, source shard -> its sorted consumer
-    hosts, the drainers, and the source hosts that get addr rows. A
-    collective's kernels all end in one event, so its home host drains
-    alone."""
-    by_chost: dict[int, list[ShardPair]] = {}
-    for pr in pairs:
-        by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
-    inbound: dict[int, tuple] = {}
-    chosts: dict[int, list[int]] = {}
-    for h in sorted(by_chost):          # each shard's hosts come out sorted
-        rows: dict[int, list[tuple]] = {}
-        for pr in by_chost[h]:
-            hs = chosts.setdefault(pr.src_shard, [])
-            if not hs or hs[-1] != h:
-                hs.append(h)
-            if pr.src_dev != pr.dst_dev:
-                rows.setdefault(host_of[pr.src_dev], []).append(
-                    (pr.src_shard, pr.dst_shard, pr.dst_dev, pr.nbytes))
-        if rows:
-            inbound[h] = tuple((sh, tuple(rows[sh])) for sh in sorted(rows))
-    # dst shard 0's pairs come first, so the consumer's home host is the
-    # first key
-    drainers = tuple(by_chost)[:1] if collective else tuple(sorted(by_chost))
-    return (inbound, {s: tuple(hs) for s, hs in chosts.items()}, drainers,
-            frozenset(sh for by_src in inbound.values() for sh, _r in by_src))
-
-
-def _inputs(devs: tuple[int, ...], ins: tuple,
-            host_of) -> tuple[dict, dict, dict]:
-    """What a node's devices and in-edges fix about its inputs: device ->
-    producer device per inbound transfer, host -> the (device, landing
-    bytes) rows of its shards where any lands, and host -> gating source
-    shards.
-
-    `ins` has one (pairs, source shards, from an arg) per in-edge, in edge
-    order.
-    """
-    home = host_of[devs[0]]
-    sources: dict[tuple[int, int], list[int]] = {}   # (shard, device) -> srcs
-    landing: dict[int, int] = {}
-    waits: dict[int, int] = {}
-    for pairs, src_shards, from_arg in ins:
-        for pr in pairs:
-            if pr.src_dev != pr.dst_dev:
-                sources.setdefault((pr.dst_shard, pr.dst_dev), []).append(
-                    pr.src_dev)
-                landing[pr.dst_shard] = (landing.get(pr.dst_shard, 0)
-                                         + pr.nbytes)
-        if from_arg:
-            continue
-        # host-gated readiness: the home host hears every source shard of
-        # each edge a predecessor gang feeds, another host only the source
-        # shards paired with its own shards
-        for _s, h in {(pr.src_shard, host_of[pr.dst_dev]) for pr in pairs}:
-            if h != home:
-                waits[h] = waits.get(h, 0) + 1
-        waits[home] = waits.get(home, 0) + src_shards
-    recv: dict[int, list[tuple[int, int]]] = {}
-    for shard, dev in enumerate(devs):
-        recv.setdefault(host_of[dev], []).append((dev, landing.get(shard, 0)))
-    return ({d: tuple(v) for (_s, d), v in sorted(sources.items())},
-            {h: ShardRows(rows) for h, rows in recv.items()
-             if any(nb for _d, nb in rows)}, waits)
-
-
-def _hbm_ask(info: ProgramInfo, ni: NodeInfo) -> dict[int, int]:
-    """The gang's HBM ask: every row any host creates for the node (the
-    handles, named for no instance here, go unused)."""
-    hbm = dict.fromkeys(ni.devices, 0)
-    makers = {*ni.hosts, *(info.args[a].home_host for a in ni.args_created)}
-    for host in sorted(makers):
-        for _h, shards, _rc, _held in info.buffers("", ni.nid, host):
-            for dev, nbytes in shards:
-                hbm[dev] = hbm.get(dev, 0) + nbytes
-    return hbm
-
-
-def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> ProgramInfo:
-    """One pass over the edges, then one over the nodes in trace order (an
-    arg before the node that creates it), each table built on first use."""
-    p = lp.program
-    pnodes, placement = p.nodes, lp.placement
-    host_of = {d.device_id: d.host_id for d in cluster.devices}
-    edges: dict[str, EdgeInfo] = {}
-    # node -> its in- and out-edge ids in edge order, grown tuple by tuple
-    ins: dict[str, tuple[str, ...]] = {}
-    outs: dict[str, tuple[str, ...]] = {}
-    ends: dict[int, int] = {}
-    # one table per distinct (pairs tuple, collective consumer), placement,
-    # (placement, in-edges) and HBM shape, shared by every edge, arg or node
-    # of that shape
-    pair_tables: dict[tuple, tuple] = {}
-    placed: dict[tuple[int, ...], tuple] = {}
-    inputs: dict[tuple, tuple] = {}
-    asks: dict[tuple, dict[int, int]] = {}
-
-    for e, pairs in lp.edges:
-        src, dst, src_port, dst_port = e
-        eid = edge_id(src, dst, dst_port)
-        dn = pnodes[dst]
-        # a collective's kernels on all its hosts end in one event (`hardware`)
-        collective = (isinstance(dn, ComputeNode) and dn.fn.collective
-                      and len(placement[dst]) > 1)
-        tables = pair_tables.get((pairs, collective))
-        if tables is None:
-            tables = pair_tables[pairs, collective] = _pair_tables(
-                pairs, host_of, collective)
-        inbound, chosts, drainers, addr_hosts = tables
-        home = host_of[placement[src][0]]
-        edges[eid] = EdgeInfo(
-            src=src, dst=dst, src_port=src_port, dst_port=dst_port,
-            to_result=isinstance(dn, ResultNode), pairs=pairs,
-            inbound=inbound, drainers=drainers, chosts_by_src=chosts,
-            addr_hosts=addr_hosts, src_home=home,
-            from_arg=isinstance(pnodes[src], ArgNode))
-        # a drain per drainer, an addr per (consumer, source) host
-        ends[home] = ends.get(home, 0) + len(drainers)
-        for by_src in inbound.values():
-            for sh, _rows in by_src:
-                ends[sh] = ends.get(sh, 0) + 1
-        ins[dst] = ins.get(dst, ()) + (eid,)
-        outs[src] = outs.get(src, ()) + (eid,)
-
-    results = tuple((rid, edges[ins[rid][0]].src, edges[ins[rid][0]].src_port)
-                    for rid in p.results)
-    nodes: dict[str, NodeInfo] = {}
-    args: dict[str, ArgInfo] = {}
-    # made before the node pass fills it: a node's HBM ask reads its buffers
-    info = ProgramInfo(
-        pid=pid, lowered=lp,
-        order=tuple(nid for nid, n in pnodes.items()
-                    if isinstance(n, ComputeNode)),
-        nodes=nodes, args=args, edges=edges, results=results,
-        result_bufs=tuple(dict.fromkeys((s, port) for _r, s, port in results)),
-        result_shards=sum(len(placement[s]) for _r, s, _p in results),
-        ends=ends)
-    created: dict[str, tuple[str, ...]] = {}    # node -> the args it creates
-    for nid, n in pnodes.items():
-        if isinstance(n, ResultNode):
-            continue
-        devs = placement[nid]
-        by_host = placed.get(devs)
-        if by_host is None:
-            by_host = placed[devs] = _by_host(devs, host_of)
-        if isinstance(n, ArgNode):
-            args[nid] = ArgInfo(
-                shards=n.shards, bytes_per_shard=n.bytes_per_shard,
-                placement=devs, home_host=host_of[devs[0]],
-                local_shards=by_host[0], out_edges=outs.get(nid, ()))
-            maker = lp.arg_consumers[nid]
-            created[maker] = created.get(maker, ()) + (nid,)
-            continue
-        local, local_devs, hosts = by_host
-        for h, mine in local.items():
-            ends[h] = ends.get(h, 0) + len(mine)
-        in_edges = ins.get(nid, ())
-        shape = (devs, tuple([(ei.pairs, len(placement[ei.src]), ei.from_arg)
-                              for ei in map(edges.__getitem__, in_edges)]))
-        table = inputs.get(shape)
-        if table is None:
-            table = inputs[shape] = _inputs(*shape, host_of)
-        made = created.get(nid, ())
-        ni = nodes[nid] = NodeInfo(
-            nid=nid, fn=n.fn, devices=devs, hosts=hosts,
-            home_host=host_of[devs[0]], local_shards=local,
-            local_devices=local_devs, in_edges=in_edges,
-            out_edges=outs.get(nid, ()), input_sources=table[0],
-            recv_rows=table[1], args_created=made, waits=table[2],
-            collective=n.fn.collective and len(devs) > 1)
-        # the ask is fixed by the node's shape, its output sizes and the
-        # shapes of the args it creates
-        key = (shape, n.fn.out_bytes,
-               tuple([(args[a].placement, args[a].bytes_per_shard)
-                      for a in made]) if made else ())
-        ask = asks.get(key)
-        if ask is None:
-            ask = asks[key] = _hbm_ask(info, ni)
-        ni.hbm_by_device = ask
-    info.ends = dict(sorted(ends.items()))
-    return info
+from .store import HostStore
+from .tables import ProgramInfo
 
 
 @dataclass(slots=True)

@@ -4,12 +4,12 @@ A traced program is a compact DAG: one Arg node per program input, one
 Compute node per call (regardless of how many shards the call runs on), one
 Result node per returned value. An Arg node has 1 to `MAX_DEVICES` shards,
 which wrap around its consumer's devices. Lowering binds Compute nodes to
-physical devices and attaches its reshard pairs to every edge that moves
-data; it is a pure function of (program, device map).
+physical devices and places each arg, a pure function of (program, device
+map); the program tables plan each edge shape's reshard pairs once.
 
-Value refs, edges, shard pairs and lowered edges are `NamedTuple` records:
-immutable, hashed in C, and equal to the plain tuple of their fields, so no
-dict or set mixes them with plain tuples.
+Value refs, edges and shard pairs are `NamedTuple` records: immutable,
+hashed in C, and equal to the plain tuple of their fields, so no dict or
+set mixes them with plain tuples.
 """
 from __future__ import annotations
 
@@ -290,26 +290,12 @@ def validate_regularity(p: TracedProgram) -> RegularityReport:
 
 # -- lowering ---------------------------------------------------------------
 
-class LoweredEdge(NamedTuple):
-    edge: Edge
-    pairs: tuple[ShardPair, ...]             # none on an edge into a result
-
-
 @dataclass
 class LoweredProgram:
     program: TracedProgram
     placement: dict[str, tuple[int, ...]]    # arg/compute id -> devices
-    edges: list[LoweredEdge]
     # arg id -> its first consumer, which creates it (`arg_consumers`)
     arg_consumers: dict[str, str]
-
-
-def _shard_geometry(n, port: int, side: str) -> tuple[int, int]:
-    """(shards, bytes_per_shard) for one side of an edge."""
-    if isinstance(n, ArgNode):
-        return n.shards, n.bytes_per_shard
-    sizes = n.fn.out_bytes if side == "out" else n.fn.in_bytes
-    return n.fn.shard_count, sizes[port]
 
 
 def arg_consumers(p: TracedProgram) -> dict[str, str]:
@@ -327,15 +313,13 @@ def arg_consumers(p: TracedProgram) -> dict[str, str]:
 
 def lower(p: TracedProgram,
           device_map: dict[str, tuple[int, ...] | list[int]]) -> LoweredProgram:
-    """Bind compute nodes to devices and derive per-edge resharding.
+    """Bind compute nodes to devices and place each arg.
 
     device_map assigns each virtual slice an ordered device list (shard i of
     a node runs on devices[i]). Arg shards are placed round-robin over the
     first consumer's devices. Results are read in place, where their
-    producer wrote them, so result nodes get no placement and the edges
-    into them no pairs. Edges of one shape (placements and shard
-    geometries at both ends) share one read-only pairs tuple, planned
-    once. Pure: lowering the same inputs twice gives identical output.
+    producer wrote them, so result nodes get no placement. It plans no
+    edge. Pure: lowering the same inputs twice gives identical output.
     """
     dmap = {sid: tuple(devs) for sid, devs in device_map.items()}
     for sid, req in p.slices.items():
@@ -361,25 +345,7 @@ def lower(p: TracedProgram,
             devs = dmap[nodes[consumer[n.id]].slice_id]
             placement[n.id] = tuple(devs[i % len(devs)] for i in range(n.shards))
 
-    lowered_edges: list[LoweredEdge] = []
-    # edges of one shape (placements and geometries) share one pairs tuple
-    shapes: dict[tuple, tuple[ShardPair, ...]] = {}
-    for e in p.edges:
-        dst = nodes[e.dst]
-        if isinstance(dst, ResultNode):
-            lowered_edges.append(LoweredEdge(e, ()))
-            continue
-        sdevs, ddevs = placement[e.src], placement[e.dst]
-        sgeo = _shard_geometry(nodes[e.src], e.src_port, "out")
-        dgeo = _shard_geometry(dst, e.dst_port, "in")
-        key = (sdevs, ddevs, sgeo, dgeo)
-        pairs = shapes.get(key)
-        if pairs is None:
-            pairs = shapes[key] = tuple(
-                ShardPair(s, d, nbytes, sdevs[s], ddevs[d])
-                for s, d, nbytes, _sd, _dd in plan_reshard(*sgeo, *dgeo))
-        lowered_edges.append(LoweredEdge(e, pairs))
-    return LoweredProgram(program=p, placement=placement, edges=lowered_edges,
+    return LoweredProgram(program=p, placement=placement,
                           arg_consumers=consumer)
 
 

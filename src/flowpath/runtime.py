@@ -16,13 +16,13 @@ import hashlib
 from .config import (BatchingConfig, ClusterSpec, CostModel, Policy,
                      ValidationError)
 from .coord import MessageBatcher
-from .executor import (HostExecutor, InstanceMeta, ProgramInfo,
-                       build_program_info)
+from .executor import HostExecutor, InstanceMeta
 from .hardware import Cluster, DeviceProcess, KernelExec
 from .ir import LoweredProgram, TracedProgram, lower, validate_regularity
 from .resman import ResourceManager
 from .sched import GangRequest, IslandScheduler
 from .simcore import Process, RunResult, Simulator
+from .tables import ProgramInfo, build_program_info
 
 
 def _h(*parts) -> str:
@@ -279,21 +279,8 @@ class System:
         return c
 
     def register_program(self, pid: str, lowered: LoweredProgram) -> ProgramInfo:
-        info = build_program_info(pid, lowered, self.cluster)
-        # a gang whose buffers cannot fit in one device's HBM would park at
-        # the scheduler forever; reject it here as bad input, checking each
-        # shared ask at its first node in trace order
-        firsts: dict[int, str] = {}
-        for nid in info.order:
-            firsts.setdefault(id(info.nodes[nid].hbm_by_device), nid)
-        for nid in firsts.values():
-            for dev, need in sorted(info.nodes[nid].hbm_by_device.items()):
-                if need > self.spec.hbm_bytes:
-                    raise ValidationError(
-                        f"node {nid} needs {need} bytes of HBM on device "
-                        f"{dev}, which has {self.spec.hbm_bytes}")
-        self.programs[pid] = info
-        return info
+        self.programs[pid] = build_program_info(pid, lowered, self.cluster)
+        return self.programs[pid]      # kept only if its tables were built
 
     def register_traced(self, pid: str, traced: TracedProgram,
                         device_map: dict | None = None) -> ProgramInfo:

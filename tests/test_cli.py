@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from flowpath import CompiledFunction, System, Tracer, cli, small_cluster
+from flowpath import (CompiledFunction, System, Tracer, bench, cli,
+                      small_cluster)
 from flowpath.bench import WORKLOAD_KEYS
 from flowpath.cli import main
 from flowpath.config import load_cluster
-from flowpath.ir import deserialize, serialize
+from flowpath.ir import LowerError, deserialize, serialize
 from flowpath.runtime import StreamJob
 from flowpath.simcore import Simulator
 
@@ -424,6 +425,63 @@ def test_a_cluster_of_the_most_devices_loads(tmp_path):
     doc["islands"][0].update(hosts=2**14)
     spec = load_cluster(write_json(tmp_path / "c.json", doc))
     assert spec.islands[0].hosts * spec.islands[0].devices_per_host == 2**16
+
+
+# case -> (suite, workload, reason printed): each fleet is one device over
+# the cap
+FLEETS_TOO_LARGE = {
+    "dispatch_host_counts": (
+        "dispatch", {"host_counts": [1, 2**15 + 1]},
+        "host_counts 32769 x devices_per_host 2 is over 65536 devices"),
+    # the default host counts, 1 to 4
+    "dispatch_devices_per_host": (
+        "dispatch", {"devices_per_host": 2**14 + 1},
+        "host_counts 4 x devices_per_host 16385 is over 65536 devices"),
+    "crossover_host_counts": (
+        "crossover", {"host_counts": [2**16 + 1], "devices_per_host": 1},
+        "host_counts 65537 x devices_per_host 1 is over 65536 devices"),
+    "utilization_devices": (
+        "utilization", {"devices": 2**16 + 1},
+        "devices 65537 is over 65536 devices"),
+    "pipeline_stages": (
+        "pipeline", {"cases": [[4, 8], [2**16 + 1, 4]]},
+        "cases: stages 65537 is over 65536 devices"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLEETS_TOO_LARGE))
+def test_bench_past_the_device_cap_exits_two_before_building(
+        tmp_path, capsys, monkeypatch, case):
+    def refuse(*_a, **_k):
+        raise AssertionError("built a system for a refused fleet")
+
+    monkeypatch.setattr(bench, "System", refuse)
+    name, values, reason = FLEETS_TOO_LARGE[case]
+    wl = write_json(tmp_path / "w.json", {"benchmark": name, **values})
+    out = tmp_path / "r.json"
+    assert main(["bench", name, "--workload", wl, "--out", str(out)]) == 2
+    assert f"workload for {name!r}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_reshard_mismatch_is_rejected_by_system_and_run(tmp_path, capsys):
+    # a 2-shard 1 KB output into a 3-shard 1 KB input: 2 KB against 3 KB
+    t = Tracer()
+    a = t.arg(2, 1024)
+    v = t.call(CompiledFunction("f", 2, (1024,), (1024,), 10.0), a)
+    v = t.call(CompiledFunction("g", 3, (1024,), (1024,), 10.0), v)
+    prog = t.finish([v])
+    reason = "resharding mismatch: 2x1024 != 3x1024 total bytes"
+    system = System(small_cluster())
+    ok = system.register_traced("ok", deserialize(Path(CHAIN4).read_text()))
+    for pid in ("p", "ok"):
+        with pytest.raises(LowerError, match=re.escape(reason)):
+            system.register_traced(pid, prog)
+        assert system.programs == {"ok": ok} and system.programs["ok"] is ok
+    path = tmp_path / "mismatch.json"
+    path.write_text(serialize(prog))
+    assert main(["run", str(path)]) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_auto_mode_with_irregular_first_node_exits_two(tmp_path, capsys):

@@ -11,18 +11,20 @@ from collections import Counter
 
 import pytest
 
-from flowpath import executor, ir
+from flowpath import executor, ir, tables
 from flowpath.bench import one_gang_program, pipeline_program
 from flowpath.config import Policy, small_cluster
 from flowpath.coord import edge_id
-from flowpath.executor import HostExecutor, build_program_info
+from flowpath.executor import HostExecutor
 from flowpath.hardware import DeviceProcess, KernelExec, transfer_ns
 from flowpath.ir import (ArgNode, CompiledFunction, ResultNode, Tracer,
-                         arg_consumers, chain_program, lower)
+                         arg_consumers, chain_program, deserialize, lower,
+                         plan_reshard, serialize)
 from flowpath.runtime import ClientProcess, StreamJob, System, steady_rate
 from flowpath.simcore import us
 from flowpath.store import (StoreError, UnknownHandleError, audit_leaks,
                             audit_no_double_free)
+from flowpath.tables import build_program_info
 
 KB = 1 << 10
 MB = 1 << 20
@@ -676,26 +678,61 @@ def test_output_both_consumed_and_returned_agrees_across_modes():
 
 # -- static program tables, one per distinct shape -------------------------
 
+# at most one call per distinct shape: the pipeline has 32 plans and node
+# shapes and 33 edge tables, its result edges' one among them; the chain
+# one plan and two of the rest. A build keyed by function or node
+# identity would exceed them on the deserialized pipeline (a function per
+# node) and on the chain (a function per stage)
+PIPELINE_CALLS = {"plan_reshard": 32, "_pair_tables": 33, "_inputs": 32,
+                  "_hbm_ask": 32}
+SETUP_CALLS = {"pipeline": PIPELINE_CALLS, "deserialized": PIPELINE_CALLS,
+               "chain": {"plan_reshard": 1, "_pair_tables": 2, "_inputs": 2,
+                         "_hbm_ask": 2}}
+
+
 def test_setup_works_once_per_distinct_shape(monkeypatch):
     # 32 stages x 128 microbatches over 4 islands: 4,096 compute nodes, but
     # 32 edge shapes and 32 node placements
-    planned, placed = [], []
-    plan, by_host = ir.plan_reshard, executor._by_host
-    monkeypatch.setattr(ir, "plan_reshard",
-                        lambda *a: planned.append(a) or plan(*a))
-    monkeypatch.setattr(executor, "_by_host",
+    calls, placed = Counter(), []
+    # lower's module too, so a plan made there would count
+    targets = [(ir, "plan_reshard")] + [(tables, f) for f in PIPELINE_CALLS]
+    for mod, name in targets:
+        def counted(*a, _name=name, _f=getattr(mod, name)):
+            calls[_name] += 1
+            return _f(*a)
+        monkeypatch.setattr(mod, name, counted)
+    by_host = tables._by_host
+    monkeypatch.setattr(tables, "_by_host",
                         lambda devs, host_of: placed.append(devs)
                         or by_host(devs, host_of))
     sys_ = System(small_cluster(hosts=2, devices_per_host=4, islands=4))
     prog = pipeline_program(32, 128, 100.0, islands=4)
     lp = lower(prog, sys_.allocate_for(prog))
-    assert len(planned) == 32
-    assert len({id(le.pairs) for le in lp.edges if le.pairs}) == 32
+    assert not calls                  # lower plans no edge
     info = sys_.register_program("pipe", lp)
+    assert calls["plan_reshard"] == 32
+    assert len({id(ei.pairs) for ei in info.edges.values() if ei.pairs}) == 32
     placements = {lp.placement[n.id] for n in prog.compute_nodes}
     assert len(placements) == 32
     assert sorted(placed) == sorted(placements)
     assert len({id(ni.local_shards) for ni in info.nodes.values()}) == 32
+    seen = {"pipeline": dict(calls)}
+    # the same pipeline after a round trip, and perfbench's chain: 4
+    # collective nodes on all 96 devices of 24 hosts
+    calls.clear()
+    sys_ = System(small_cluster(hosts=2, devices_per_host=4, islands=4))
+    sys_.register_traced("pipe", deserialize(serialize(prog)))
+    seen["deserialized"] = dict(calls)
+    calls.clear()
+    fns = [CompiledFunction(f"f{i}", 96, (KB,), (KB,), 10.0 + i,
+                            collective=True) for i in range(4)]
+    System(small_cluster(hosts=24, devices_per_host=4)).register_traced(
+        "chain", chain_program(fns))
+    seen["chain"] = dict(calls)
+    for case, bound in SETUP_CALLS.items():
+        assert set(seen[case]) == set(bound), case
+        for name, n in bound.items():
+            assert seen[case][name] <= n, (case, name, seen[case][name])
 
 
 def _gather_program():
@@ -715,10 +752,25 @@ def _gather_program():
 
 
 def _naive_tables(lp, cluster):
-    """Each edge's pair groupings and each node's tables, recomputed from
-    the lowered edges and the placement alone."""
+    """Each edge's pairs and their groupings and each node's tables,
+    recomputed from the traced edges and the placement alone."""
     p = lp.program
     host_of = {d.device_id: d.host_id for d in cluster.devices}
+
+    def planned(e):
+        """The edge's pairs, planned here: none into a result."""
+        src, dst = p.nodes[e.src], p.nodes[e.dst]
+        if isinstance(dst, ResultNode):
+            return ()
+        sgeo = ((src.shards, src.bytes_per_shard) if isinstance(src, ArgNode)
+                else (src.fn.shard_count, src.fn.out_bytes[e.src_port]))
+        sdevs, ddevs = lp.placement[e.src], lp.placement[e.dst]
+        return tuple(pr._replace(src_dev=sdevs[pr.src_shard],
+                                 dst_dev=ddevs[pr.dst_shard])
+                     for pr in plan_reshard(*sgeo, dst.fn.shard_count,
+                                            dst.fn.in_bytes[e.dst_port]))
+
+    lowered = [(e, planned(e)) for e in p.edges]
 
     def inbound(pairs):
         out = {}
@@ -733,37 +785,37 @@ def _naive_tables(lp, cluster):
                     for sh in sorted({host_of[pr.src_dev] for pr in remote}))
         return out
 
-    def drainers(le):
+    def drainers(e, pairs):
         """Every host with a pair, or a collective consumer's home host."""
-        dst = p.nodes[le.edge.dst]
+        dst = p.nodes[e.dst]
         if isinstance(dst, ResultNode):
             return ()
         if dst.fn.collective and len(lp.placement[dst.id]) > 1:
             return (host_of[lp.placement[dst.id][0]],)
-        return tuple(sorted({host_of[pr.dst_dev] for pr in le.pairs}))
+        return tuple(sorted({host_of[pr.dst_dev] for pr in pairs}))
 
     def chosts_by_src(pairs):
         return {s: tuple(sorted({host_of[pr.dst_dev] for pr in pairs
                                  if pr.src_shard == s}))
                 for s in {pr.src_shard for pr in pairs}}
 
-    edges = {edge_id(le.edge.src, le.edge.dst, le.edge.dst_port):
-             (inbound(le.pairs), drainers(le), chosts_by_src(le.pairs),
-              {host_of[pr.src_dev] for pr in le.pairs
+    edges = {edge_id(e.src, e.dst, e.dst_port):
+             (pairs, inbound(pairs), drainers(e, pairs), chosts_by_src(pairs),
+              {host_of[pr.src_dev] for pr in pairs
                if pr.src_dev != pr.dst_dev},
-              host_of[lp.placement[le.edge.src][0]])
-             for le in lp.edges}
+              host_of[lp.placement[e.src][0]])
+             for e, pairs in lowered}
 
     def refs(nid, port):
         """(refcount, client-held) of one output buffer."""
         rc, held = 0, False
-        for le in lp.edges:
-            if (le.edge.src, le.edge.src_port) != (nid, port):
+        for e, pairs in lowered:
+            if (e.src, e.src_port) != (nid, port):
                 continue
-            if isinstance(p.nodes[le.edge.dst], ResultNode):
+            if isinstance(p.nodes[e.dst], ResultNode):
                 held = True
             else:
-                rc += len(drainers(le))
+                rc += len(drainers(e, pairs))
         return max(rc + held, 1), held
 
     args = {}
@@ -780,18 +832,18 @@ def _naive_tables(lp, cluster):
         for s, d in enumerate(devs):
             local.setdefault(host_of[d], []).append(s)
         waits, sources, recv = {}, {}, {}
-        for le in lp.edges:
-            if le.edge.dst != n.id:
+        for e, pairs in lowered:
+            if e.dst != n.id:
                 continue
-            src = p.nodes[le.edge.src]
+            src = p.nodes[e.src]
             if not isinstance(src, ArgNode):
                 waits[home] = waits.get(home, 0) + len(lp.placement[src.id])
                 for h in local:
-                    heard = {pr.src_shard for pr in le.pairs
+                    heard = {pr.src_shard for pr in pairs
                              if host_of[pr.dst_dev] == h}
                     if h != home and heard:
                         waits[h] = waits.get(h, 0) + len(heard)
-            for pr in le.pairs:
+            for pr in pairs:
                 if pr.src_dev != pr.dst_dev:
                     sources.setdefault(pr.dst_dev, []).append(pr.src_dev)
                     recv[pr.dst_shard] = recv.get(pr.dst_shard, 0) + pr.nbytes
@@ -830,17 +882,17 @@ def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
     lp = lower(prog, dmap)
     info = sys_.register_program("p", lp)
     edges, nodes, args = _naive_tables(lp, sys_.cluster)
+    assert list(info.edges) == list(edges)
     for eid, ei in info.edges.items():
-        assert (ei.inbound, ei.drainers, ei.chosts_by_src, ei.addr_hosts,
-                ei.src_home) == edges[eid], eid
+        assert (ei.pairs, ei.inbound, ei.drainers, ei.chosts_by_src,
+                ei.addr_hosts, ei.src_home) == edges[eid], eid
     # edges with equal pairs share one table
     by_shape = {}
-    for le in lp.edges:
-        ei = info.edges[edge_id(le.edge.src, le.edge.dst, le.edge.dst_port)]
+    for ei in info.edges.values():
         tables = (ei.inbound, ei.drainers, ei.chosts_by_src, ei.addr_hosts)
-        shared = by_shape.setdefault(le.pairs, tables)
+        shared = by_shape.setdefault(ei.pairs, tables)
         assert all(a is b for a, b in zip(shared, tables))
-    assert len(by_shape) < len(lp.edges)
+    assert len(by_shape) < len(info.edges)
     made = {}      # handle -> (rows, refcount, client-held), at instance "x"
     for nid, ni in info.nodes.items():
         want = dict(nodes[nid])

@@ -13,6 +13,7 @@ from flowpath.ir import (CompiledFunction, LowerError, ShardPair, TraceError,
                          Tracer, chain_program, deserialize, digest, lower,
                          plan_reshard, serialize, validate_regularity)
 from flowpath.simcore import Simulator
+from flowpath.tables import build_program_info
 
 
 def fn(name="f", shards=4, nbytes=1024, us_=10.0, **kw):
@@ -268,6 +269,11 @@ def make_cluster():
     return Cluster(sim, small_cluster())
 
 
+def _tables(p, dmap):
+    """The program's tables, lowered onto the default small cluster."""
+    return build_program_info("p", lower(p, dmap), make_cluster())
+
+
 def test_lower_places_args_on_first_consumer():
     cl = make_cluster()
     p = chain_program([fn("a", shards=2), fn("b", shards=2)])
@@ -287,13 +293,13 @@ def test_lower_rejects_wrong_device_count():
 
 
 def test_lower_computes_cross_device_pairs():
+    # lower places the nodes; the program tables plan each edge's pairs
     p = chain_program([fn("a", shards=2), fn("b", shards=2)])
-    lp = lower(p, {"s0": (0, 1), "s1": (4, 5)})
-    le = next(e for e in lp.edges if e.edge.src == "n1" and e.edge.dst == "n2")
-    assert [(pr.src_dev, pr.dst_dev) for pr in le.pairs] == [(0, 4), (1, 5)]
-    assert sum(pr.nbytes for pr in le.pairs if pr.src_dev != pr.dst_dev) == 2048
-    result = next(e for e in lp.edges if e.edge.dst == "n3")
-    assert result.pairs == ()                    # results are read in place
+    edges = _tables(p, {"s0": (0, 1), "s1": (4, 5)}).edges
+    ei = edges["n1->n2#0"]
+    assert [(pr.src_dev, pr.dst_dev) for pr in ei.pairs] == [(0, 4), (1, 5)]
+    assert sum(pr.nbytes for pr in ei.pairs if pr.src_dev != pr.dst_dev) == 2048
+    assert edges["n2->n3#0"].pairs == ()         # results are read in place
 
 
 # -- serialization -----------------------------------------------------------
@@ -343,35 +349,35 @@ def _pipeline_and_map():
 
 def test_ir_records_are_immutable():
     p, dmap = _pipeline_and_map()
-    lp = lower(p, dmap)
-    le = next(le for le in lp.edges if le.pairs)
+    ei = next(ei for ei in _tables(p, dmap).edges.values() if ei.pairs)
     t = Tracer()
-    for record in (le, le.edge, le.pairs[0], t.arg(1, 8)):
+    for record in (p.edges[0], ei.pairs[0], t.arg(1, 8)):
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
     with pytest.raises(TypeError):
-        le.pairs[0] = le.pairs[0]
+        ei.pairs[0] = ei.pairs[0]
 
 
 def test_lowering_twice_gives_equal_edges_and_one_pairs_tuple_per_shape():
     p, dmap = _pipeline_and_map()
     a, b = lower(p, dmap), lower(p, dmap)
-    assert a.edges == b.edges and a.placement == b.placement
+    assert a.placement == b.placement and a.arg_consumers == b.arg_consumers
+    edges = build_program_info("p", a, make_cluster()).edges
+    assert edges == build_program_info("p", b, make_cluster()).edges
     shapes: dict[tuple, tuple] = {}
-    for le in a.edges:
-        if not le.pairs:
+    for ei in edges.values():
+        if not ei.pairs:
             continue
-        e = le.edge
         # every pipeline node has one 1 KB shard, so its placements are
         # the shape of an edge
         pairs = shapes.setdefault(
-            (a.placement[e.src], a.placement[e.dst]), le.pairs)
-        assert pairs is le.pairs
-    assert len(shapes) < sum(1 for le in a.edges if le.pairs)
+            (a.placement[ei.src], a.placement[ei.dst]), ei.pairs)
+        assert pairs is ei.pairs
+    assert len(shapes) < sum(1 for ei in edges.values() if ei.pairs)
 
 
-RECORDS = (ir.Edge, ir.ShardPair, ir.ValueRef, ir.LoweredEdge)
+RECORDS = (ir.Edge, ir.ShardPair, ir.ValueRef)
 
 
 def _signature(key, plain: bool):
