@@ -13,8 +13,8 @@ import inspect
 import json
 import math
 
-from .config import (MAX_DEVICES, ClusterSpec, CostModel, Policy,
-                     ValidationError, check_keys, small_cluster)
+from .config import (MAX_DEVICES, MAX_NODES, MAX_RUNS, ClusterSpec, CostModel,
+                     Policy, ValidationError, check_keys, small_cluster)
 from .ir import CompiledFunction, TracedProgram, Tracer, chain_program
 from .runtime import StreamJob, System, steady_rate
 from .simcore import Simulator, us
@@ -478,22 +478,30 @@ def run_benchmark(name: str, workload: dict | None = None,
     sized = {"utilization": "devices", "fairness": "resident"}.get(name)
     if spec is not None and sized in w:
         raise ValidationError(f"{where}: {sized}: --config sizes the cluster")
-    # a fleet over the device cap exits before any system is built: a
-    # sweep's most hosts times its devices per host, utilization's devices
-    # or a pipeline case's stages, one device each
-    fleets = [(f"cases: stages {s}", s) for s, _m in w.get("cases", ())]
+    # a size over its cap exits before anything is traced or built: the
+    # fleet (a sweep's most hosts times its devices per host, utilization's
+    # devices or a pipeline case's stages, one device each), the program
+    # and each run count
+    dev, nodes = (MAX_DEVICES, "devices"), (MAX_NODES, "nodes")
+    runs = (MAX_RUNS, "instances")
+    cases = w.get("cases", ())
+    caps = [(f"cases: stages {s}", s, dev) for s, _m in cases]
     if "devices" in w:
-        fleets.append((f"devices {w['devices']}", w["devices"]))
+        caps.append((f"devices {w['devices']}", w["devices"], dev))
     if name in ("dispatch", "crossover"):
         params = inspect.signature(bench_dispatch if name == "dispatch"
                                    else bench_crossover).parameters
         hosts = max(w.get("host_counts", params["host_counts"].default))
         per = w.get("devices_per_host", params["devices_per_host"].default)
-        fleets.append((f"host_counts {hosts} x devices_per_host {per}",
-                       hosts * per))
-    for what, devices in fleets:
-        if devices > MAX_DEVICES:
-            raise ValidationError(f"{where}: {what} is over {MAX_DEVICES} devices")
+        caps.append((f"host_counts {hosts} x devices_per_host {per}",
+                     hosts * per, dev))
+    caps += [(f"cases: stages {s} x micro {m}", s * m, nodes) for s, m in cases]
+    caps += [(f"{k} {w[k]}", w[k], nodes if k == "chain_len" else runs)
+             for k in ("chain_len", "count", "per_client", "total_gangs")
+             if k in w]
+    for what, n, (cap, unit) in caps:
+        if n > cap:
+            raise ValidationError(f"{where}: {what} is over {cap} {unit}")
     if name == "dispatch":
         return bench_dispatch(record_log=record_log, **_kwargs(w))
     if name == "crossover":

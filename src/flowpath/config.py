@@ -11,10 +11,14 @@ The cluster document is JSON:
 gbps means gigabytes per second. An island's device count is hosts x
 devices_per_host, and its ICI is one flat link. A cluster has at most
 `MAX_DEVICES` devices. Any other key is rejected, so a typo cannot silently
-run the default. No document sets the cost-model constants or the batching
-limits; the CLI and the benchmark suites run with the defaults below. The
-scheduling policy is built by the driver that needs one; the fairness suite
-takes its weights from the workload document.
+run the default. A benchmark suite's workload has caps of its own: its
+program has at most `MAX_NODES` compute nodes (a pipeline case's stages x
+micro, a dispatch chain's `chain_len`), and each run count (`count`,
+`per_client`, `total_gangs`) is at most `MAX_RUNS` instances. No document
+sets the cost-model constants or the batching limits; the CLI and the
+benchmark suites run with the defaults below. The scheduling policy is
+built by the driver that needs one; the fairness suite takes its weights
+from the workload document.
 """
 from __future__ import annotations
 
@@ -63,6 +67,8 @@ DEFAULT_DCN = LinkSpec(latency_ns=50_000, gbps=10.0)
 DEFAULT_PCIE = LinkSpec(latency_ns=5_000, gbps=16.0)
 DEFAULT_HBM = 16 * 1000**3  # per-device capacity, bytes
 MAX_DEVICES = 2**16         # in a cluster document; 32x the paper's 2,048
+MAX_NODES = 2**16           # in a suite's program; 16x perfbench's pipeline
+MAX_RUNS = 2**17            # per suite run count; 12x the fairness default
 
 
 def check_keys(doc, known, where: str) -> None:

@@ -30,8 +30,14 @@ the node's landing buffer and sends one `drain` per in-edge it drains, the
 one rule for pairs that landed and pairs read in place; the source's home
 host turns each drain into one release.
 
-A host drops an instance at the last event of its part, `ProgramInfo.ends`;
-a client's `release` reads no instance state. An instance fails only with
+Per instance a host keeps only unfinished work (`_InstState`): the count
+of its part's events still to come, and the ended kernels per node, which
+a failure reads. A node's prep mark and grant go when its kernels here
+end. An edge's state here, the sending source shards done and the addr
+rows heard (the static rows of `EdgeInfo.inbound`), goes as its last pair
+from this host launches (`EdgeInfo.sends`). A host drops an instance at
+the last event of its part, `ProgramInfo.ends`; a client's `release`
+reads no instance state. An instance fails only with
 its client. Each host then stops counting its unfinished gangs towards
 completion (`System.gang_left`), aborts by key what their shards may have
 on a device (kernel, landed inputs), gives back grants it never prepped,
@@ -81,12 +87,15 @@ class InstanceMeta:
 class _InstState:
     meta: InstanceMeta
     left: int               # events of this host's part still to come (`ends`)
+    # nodes whose kernels here have not all ended: queued to prep or
+    # prepped, and granted
     prep: dict[str, str] = field(default_factory=dict)    # node -> queued/done
-    ticket: set[str] = field(default_factory=set)         # nodes granted
+    ticket: set[str] = field(default_factory=set)
     kdone: dict[str, int] = field(default_factory=dict)   # node -> local done
-    src_done: dict[str, set] = field(default_factory=dict)      # eid -> shards
-    # eid -> {(s,d): ...}, the addresses of pairs not yet launched
-    addr: dict[str, dict] = field(default_factory=dict)
+    # edges with a pair still to launch from here: the sending source
+    # shards done, and the addr rows heard, in order
+    src_done: dict[str, set] = field(default_factory=dict)
+    addr: dict[str, list] = field(default_factory=dict)
 
 
 class HostExecutor(Process):
@@ -333,9 +342,12 @@ class HostExecutor(Process):
                         shards: tuple[int, ...] | list[int]) -> None:
         st = self.inst[instance]
         # only a host that holds a source of a remote pair hears its address
-        if self.host_id in st.meta.program.edges[eid].addr_hosts:
-            st.src_done.setdefault(eid, set()).update(shards)
-            self._launch_ready(instance, eid)
+        sends = st.meta.program.edges[eid].sends.get(self.host_id)
+        if sends is not None:
+            new = [s for s in shards if s in sends[0]]
+            if new:
+                st.src_done.setdefault(eid, set()).update(new)
+                self._launch(instance, st, eid, st.addr.get(eid, ()), new)
         if shards:
             self._emit_edge_update(instance, eid, shards, "dat")
 
@@ -344,27 +356,30 @@ class HostExecutor(Process):
         st = self.inst.get(instance)
         if st is None:
             return
-        amap = st.addr.setdefault(eid, {})
-        for src_shard, dst_shard, dst_dev, nbytes in payload["pairs"]:
-            amap[(src_shard, dst_shard)] = (dst_dev, nbytes)
-        self._launch_ready(instance, eid)
+        rows = payload["pairs"]         # the static rows of `EdgeInfo.inbound`
+        st.addr.setdefault(eid, []).append(rows)
+        self._launch(instance, st, eid, (rows,), st.src_done.get(eid, ()))
         self._count_down(instance, st, 1)
 
-    def _launch_ready(self, instance: str, eid: str) -> None:
-        """Start every pair whose data exists and whose address is known."""
-        st = self.inst[instance]
+    def _launch(self, instance: str, st: _InstState, eid: str,
+                heard: list | tuple, srcs: set | list) -> None:
+        """Start each pair of the `heard` addr rows whose source shard is in
+        `srcs`: those that now have both data and address. The edge's state
+        goes with its last pair."""
         info = st.meta.program
         ei = info.edges[eid]
-        src_devs = info.lowered.placement[ei.src]
-        done = st.src_done.get(eid, set())
-        amap = st.addr.get(eid, {})
-        for (src_shard, dst_shard), (dst_dev, nbytes) in list(amap.items()):
-            if src_shard not in done:
-                continue
-            src_dev = src_devs[src_shard]       # on this host: addr came here
-            del amap[(src_shard, dst_shard)]
-            self.cluster.transfer(src_dev, dst_dev, nbytes, instance,
-                                  ei.dst, dst_shard)
+        # the sources are on this host: the addr came here
+        src_devs = (info.args[ei.src].placement if ei.from_arg
+                    else info.nodes[ei.src].devices)
+        for rows in heard:
+            for src_shard, dst_shard, dst_dev, nbytes in rows:
+                if src_shard in srcs:
+                    self.cluster.transfer(src_devs[src_shard], dst_dev, nbytes,
+                                          instance, ei.dst, dst_shard)
+        shards, msgs = ei.sends[self.host_id]
+        if (len(st.src_done.get(eid, ())) == len(shards)
+                and len(st.addr.get(eid, ())) == msgs):
+            del st.src_done[eid], st.addr[eid]
 
     # -- completions -------------------------------------------------------
 
@@ -380,11 +395,14 @@ class HostExecutor(Process):
         for eid in ni.out_edges:
             ei = info.edges[eid]
             # data this host ships, or the client or a `dat` node awaits
-            if (ei.to_result or self.host_id in ei.addr_hosts
+            if (ei.to_result or self.host_id in ei.sends
                     or st.meta.modes[ei.dst] == "dat"):
                 self._mark_src_ready(instance, eid, shards)
         if st.kdone[nid] == len(ni.local_shards[self.host_id]):
-            # this host's part of the node ended: let go of what it read
+            # this host's part of the node ended: let go of its grant and
+            # prep marks and of what it read
+            st.ticket.remove(nid)
+            del st.prep[nid]
             for eid in ni.in_edges:
                 ei = info.edges[eid]
                 if self.host_id in ei.drainers:

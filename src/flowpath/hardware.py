@@ -14,8 +14,9 @@ call. Data transfers ride DMA paths and overlap compute. A landing tells
 only its device, which counts it towards the kernel's inputs; its host
 hears nothing until the kernel ends. A device aborts an (instance, node)
 by key: it drops the inputs landed and to land, and the record, at the
-rendezvous now or else at the head of its queue. HBM is a per-device byte
-budget that the gang scheduler reserves from.
+rendezvous now or else at the head of its queue. It keeps the key while
+the record is queued, and for good if an input may still land. HBM is a
+per-device byte budget that the gang scheduler reserves from.
 """
 from __future__ import annotations
 
@@ -89,9 +90,12 @@ class DeviceProcess(Process):
         self._exec_start = 0
         # (instance, node) -> inputs landed; a node has one shard per device
         self._arrivals: dict[tuple[str, str], int] = {}
-        # the (instance, node) keys told to abort here, whose record or
-        # inputs may still come: only a dead client's instances in flight
-        self._aborted: set[tuple[str, str]] = set()
+        # the (instance, node) keys told to abort here -> whether an input
+        # may still land: a dead client's work in flight. A key goes when
+        # its record leaves the queue, unless an input may still land
+        self._aborted: dict[tuple[str, str], bool] = {}
+        # key -> its queued record, indexed from this device's first abort
+        self._queued: dict[tuple[str, str], KernelExec] | None = None
         self.busy_ns = 0  # accumulated kernel time, for utilization audits
 
     # -- kernel queue ------------------------------------------------------
@@ -103,6 +107,8 @@ class DeviceProcess(Process):
             for device_id in k.devices:
                 dev = devices[device_id]
                 dev.queue.append(k)
+                if dev._queued is not None:
+                    dev._queued[k.instance, k.node] = k
                 if dev.executing is None:
                     dev._try_start()
         elif kind == "transfer_arrive":
@@ -142,7 +148,9 @@ class DeviceProcess(Process):
         while self.executing is None and queue:
             head = queue[0]
             if self._aborted and (head.instance, head.node) in self._aborted:
-                queue.popleft()
+                key = self._pop_head()
+                if not self._aborted[key]:
+                    del self._aborted[key]
                 continue
             if not self._inputs_ready(head):
                 return
@@ -158,11 +166,19 @@ class DeviceProcess(Process):
         ex = self.executing
         return ex is not None and ex.collective_key in self.cluster._rendezvous
 
+    def _pop_head(self) -> tuple[str, str]:
+        k = self.queue.popleft()
+        if self._queued is not None:
+            self._queued.pop((k.instance, k.node), None)
+        return k.instance, k.node
+
     def _finish(self, end: int) -> KernelExec:
         k = self.executing
         assert k is not None
         self.executing = None
-        self.queue.popleft()
+        self.queue.popleft()            # `_pop_head` inline: once per kernel
+        if self._queued is not None:
+            self._queued.pop((k.instance, k.node), None)
         if self._arrivals:
             self._arrivals.pop((k.instance, k.node), None)
         start = self._exec_start
@@ -176,18 +192,26 @@ class DeviceProcess(Process):
     def _abort(self, payload: dict) -> None:
         """Drop a failed instance's node here by its key: its inputs,
         landed or to land, and its record, at the rendezvous now or else
-        at the head of the queue."""
+        at the head of the queue. The key is kept while its record is
+        queued, or while an input may still land."""
         key = (payload["instance"], payload["node"])
-        self._aborted.add(key)
-        self._arrivals.pop(key, None)
-        k = self.executing
-        if (k is not None and (k.instance, k.node) == key
-                and self._at_rendezvous()):
-            # nothing ran yet; a kernel past the rendezvous, or one that
-            # needs none, is non-preemptible and finishes
-            self.cluster.rendezvous_cancel(self, k)
-            self.executing = None
-            self.queue.popleft()
+        landed = self._arrivals.pop(key, 0)
+        if self._queued is None:
+            self._queued = {(r.instance, r.node): r for r in self.queue}
+        k = self._queued.get(key)
+        if k is not None and k is self.executing:
+            # its inputs are in. Nothing ran yet at the rendezvous; a kernel
+            # past it, or one that needs none, is non-preemptible and ends
+            if self._at_rendezvous():
+                self.cluster.rendezvous_cancel(self, k)
+                self.executing = None
+                self._pop_head()
+        elif k is not None:
+            self._aborted[key] = landed < len(
+                k.input_sources.get(self.device_id, ()))
+        elif self.cluster.may_land(self.device_id, *key):
+            # no record: it ended here, or never came
+            self._aborted[key] = True
         self._try_start()
 
     # -- HBM ---------------------------------------------------------------
@@ -275,6 +299,12 @@ class Cluster:
 
     def on_hbm_freed(self, dev: DeviceProcess) -> None:
         pass
+
+    def may_land(self, device_id: int, instance: str, node: str) -> bool:
+        """Whether an input of (instance, node) may still land on a device
+        that holds no record of it. Standalone, the record itself may
+        still come, so the device keeps the key."""
+        return True
 
     def release_hbm(self, shards: Iterable[tuple[int, int]]) -> None:
         """Return (device, bytes) per shard. Once every shard is back, tell

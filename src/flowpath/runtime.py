@@ -86,6 +86,11 @@ class _SysCluster(Cluster):
         if sched is not None:
             sched.notify_hbm_freed()
 
+    def may_land(self, device_id: int, instance: str, node: str) -> bool:
+        # an abort follows its record's enqueue, so only a landing can come
+        ni = self.system.instances[instance].program.nodes[node]
+        return device_id in ni.input_sources
+
 
 class ClientProcess(Process):
     """A controller-facing client. pid is "client.<name>"."""
@@ -279,8 +284,12 @@ class System:
         return c
 
     def register_program(self, pid: str, lowered: LoweredProgram) -> ProgramInfo:
-        self.programs[pid] = build_program_info(pid, lowered, self.cluster)
-        return self.programs[pid]      # kept only if its tables were built
+        """Build the program's tables; they keep no traced or lowered graph,
+        so the parallel plan's check is made here, once."""
+        info = build_program_info(pid, lowered, self.cluster)
+        info.irregular = tuple(validate_regularity(lowered.program).irregular)
+        self.programs[pid] = info      # kept only if its tables were built
+        return info
 
     def register_traced(self, pid: str, traced: TracedProgram,
                         device_map: dict | None = None) -> ProgramInfo:
@@ -305,11 +314,10 @@ class System:
                        for e in info.nodes[nid].in_edges)
 
         if mode == "parallel":
-            rep = validate_regularity(info.lowered.program)
-            if not rep.all_regular:
+            if info.irregular:
                 raise ValidationError(
                     "parallel dispatch requires static resource needs; "
-                    f"data-dependent nodes: {', '.join(rep.irregular)}")
+                    f"data-dependent nodes: {', '.join(info.irregular)}")
             mode = "auto"       # every node is static: auto plans one stage
         if mode == "sequential":
             # a node that reads a computed value is host-gated; the client

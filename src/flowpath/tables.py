@@ -33,7 +33,9 @@ class EdgeInfo:
     # node end: every host with a pair, a collective's home host alone
     drainers: tuple[int, ...]
     chosts_by_src: dict[int, tuple[int, ...]]   # src shard -> consumer hosts
-    addr_hosts: frozenset[int]                    # source hosts sent addr rows
+    # source host -> (its source shards with a remote pair, the addr
+    # messages it hears): its pairs have all launched once both are in
+    sends: dict[int, tuple[frozenset[int], int]]
     src_home: int                                 # host holding the source
     from_arg: bool                                # source is any arg node
 
@@ -75,12 +77,13 @@ class ProgramInfo:
     Nodes and edges of one shape share the same tables (the dicts and
     tuples in `NodeInfo`, `EdgeInfo` and `ArgInfo`), so they are read-only
     once `build_program_info` returns: `submit_gangs` shares the HBM ask
-    with the scheduler, which only reads it. Only `plans`, `digests` and
-    `rows` fill in as instances run; `digests` on the first finish.
+    with the scheduler, which only reads it. They hold no traced or
+    lowered graph: `irregular` is set once, at registration. Only
+    `plans`, `digests` and `rows` fill in as instances run; `digests` on
+    the first finish.
     """
 
     pid: str
-    lowered: LoweredProgram
     order: tuple[str, ...]                        # compute nodes, trace order
     nodes: dict[str, NodeInfo]
     args: dict[str, ArgInfo]
@@ -93,6 +96,8 @@ class ProgramInfo:
     # kernel shards, and the drains and addr messages it receives
     ends: dict[int, int]
     plans: dict = field(default_factory=dict)     # dispatch mode -> plan
+    # the data-dependent nodes, which parallel dispatch refuses
+    irregular: tuple[str, ...] = ()
     # result digests, the same for every instance: a value is a pure
     # function of the program graph
     digests: list[str] | None = None
@@ -169,12 +174,12 @@ def _by_host(devs: tuple[int, ...], host_of) -> tuple[dict, dict, tuple]:
 
 
 def _pair_tables(pairs: tuple[ShardPair, ...], host_of,
-                 collective: bool) -> tuple[dict, dict, tuple, frozenset]:
+                 collective: bool) -> tuple[dict, tuple, dict, dict]:
     """An edge's tables: consumer host -> the addr rows of its remote pairs
     grouped by sorted source host, the drainers, source shard -> its
-    sorted consumer hosts, and the source hosts that get addr rows. A
-    collective's kernels all end in one event, so its home host drains
-    alone."""
+    sorted consumer hosts, and source host -> (the shards it sends, the
+    addr messages it hears). A collective's kernels all end in one event,
+    so its home host drains alone."""
     by_chost: dict[int, list[ShardPair]] = {}
     for pr in pairs:
         by_chost.setdefault(host_of[pr.dst_dev], []).append(pr)
@@ -194,8 +199,13 @@ def _pair_tables(pairs: tuple[ShardPair, ...], host_of,
     # dst shard 0's pairs come first, so the consumer's home host is the
     # first key
     drainers = tuple(by_chost)[:1] if collective else tuple(sorted(by_chost))
+    sends: dict[int, tuple[frozenset[int], int]] = {}
+    for by_src in inbound.values():
+        for sh, rows in by_src:
+            shards, heard = sends.get(sh, (frozenset(), 0))
+            sends[sh] = shards | {r[0] for r in rows}, heard + 1
     return (inbound, drainers, {s: tuple(hs) for s, hs in chosts.items()},
-            frozenset(sh for by_src in inbound.values() for sh, _r in by_src))
+            sends)
 
 
 def _inputs(devs: tuple[int, ...], ins: tuple,
@@ -271,12 +281,11 @@ def _edge_shape(key: tuple, host_of, plans: dict, empty: dict) -> tuple:
     else:
         tables = empty.get(collective) or empty.setdefault(
             collective, _pair_tables((), host_of, collective))
-    inbound, drainers, _chosts, _addr_hosts = tables
+    _inbound, drainers, _chosts, sends = tables
     home = host_of[sdevs[0]]
     ends = {home: len(drainers)} if drainers else {}
-    for by_src in inbound.values():
-        for sh, _rows in by_src:
-            ends[sh] = ends.get(sh, 0) + 1
+    for sh, (_shards, heard) in sends.items():
+        ends[sh] = ends.get(sh, 0) + heard
     return no, (pairs, *tables, home), tuple(ends.items())
 
 
@@ -287,11 +296,12 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     pnodes, placement = p.nodes, lp.placement
     host_of = {d.device_id: d.host_id for d in cluster.devices}
     edges: dict[str, EdgeInfo] = {}
-    # node -> its in- and out-edge ids in edge order, grown tuple by tuple,
-    # and its in-edges' (plan number, from an arg)
+    # node -> its in- and out-edge ids in edge order, and its in-edges'
+    # (plan number, from an arg)
     ins: dict[str, tuple[str, ...]] = {}
     outs: dict[str, tuple[str, ...]] = {}
     in_plans: dict[str, tuple] = {}
+    grown: list[tuple[dict, str]] = []
     ends: dict[int, int] = {}
     # edge shape -> entry: both placements and sizes per shard and a
     # collective consumer (its kernels end in one event); none for a result
@@ -316,9 +326,28 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
         edges[eid] = EdgeInfo(*e, to_result, *shared, from_arg)  # Edge first
         for h, k in incs:
             ends[h] = ends.get(h, 0) + k
-        ins[dst] = ins.get(dst, ()) + (eid,)
-        outs[src] = outs.get(src, ()) + (eid,)
-        in_plans[dst] = in_plans.get(dst, ()) + (no, from_arg)
+        # a node's first edge starts a tuple, its second a list: linear
+        # in its edge count, as fast as tuples for one edge
+        have = ins.get(dst)
+        if have is None:
+            ins[dst], in_plans[dst] = (eid,), (no, from_arg)
+        elif type(have) is tuple:
+            ins[dst] = [*have, eid]
+            in_plans[dst] = [*in_plans[dst], no, from_arg]
+            grown += (ins, dst), (in_plans, dst)
+        else:
+            have.append(eid)
+            in_plans[dst] += no, from_arg
+        have = outs.get(src)
+        if have is None:
+            outs[src] = (eid,)
+        elif type(have) is tuple:
+            outs[src] = [*have, eid]
+            grown.append((outs, src))
+        else:
+            have.append(eid)
+    for table, nid in grown:        # each list becomes a tuple once
+        table[nid] = tuple(table[nid])
 
     results = tuple((rid, edges[ins[rid][0]].src, edges[ins[rid][0]].src_port)
                     for rid in p.results)
@@ -326,7 +355,7 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
     args: dict[str, ArgInfo] = {}
     # made before the node pass fills it: a node's HBM ask reads its buffers
     info = ProgramInfo(
-        pid=pid, lowered=lp, order=(), nodes=nodes, args=args, edges=edges,
+        pid=pid, order=(), nodes=nodes, args=args, edges=edges,
         results=results, ends=ends,
         result_bufs=tuple(dict.fromkeys((s, port) for _r, s, port in results)),
         result_shards=sum(len(placement[s]) for _r, s, _p in results))
@@ -346,9 +375,17 @@ def build_program_info(pid: str, lp: LoweredProgram, cluster: Cluster) -> Progra
             args[nid] = ArgInfo(n.shards, n.bytes_per_shard, devs,
                                 host_of[devs[0]], by_host[0], outs.get(nid, ()))
             maker = lp.arg_consumers[nid]
-            created[maker] = created.get(maker, ()) + (nid,)
+            have = created.get(maker)           # grown as `ins` is
+            if have is None:
+                created[maker] = (nid,)
+            elif type(have) is tuple:
+                created[maker] = [*have, nid]
+            else:
+                have.append(nid)
             continue
         in_edges, made = ins.get(nid, ()), created.get(nid, ())
+        if type(made) is list:
+            made = tuple(made)
         key = (devs, in_plans.get(nid, ()), n.fn.out_bytes,
                tuple([(args[a].shards, args[a].bytes_per_shard)
                       for a in made]) if made else ())

@@ -446,6 +446,25 @@ FLEETS_TOO_LARGE = {
     "pipeline_stages": (
         "pipeline", {"cases": [[4, 8], [2**16 + 1, 4]]},
         "cases: stages 65537 is over 65536 devices"),
+    # the program and run-count caps, checked as the fleet's
+    "pipeline_nodes": (
+        "pipeline", {"cases": [[32, 128], [4, 10**9]]},
+        "cases: stages 4 x micro 1000000000 is over 65536 nodes"),
+    "dispatch_chain_len": (
+        "dispatch", {"chain_len": 2**16 + 1},
+        "chain_len 65537 is over 65536 nodes"),
+    "dispatch_count": (
+        "dispatch", {"count": 2**17 + 1},
+        "count 131073 is over 131072 instances"),
+    "crossover_count": (
+        "crossover", {"count": 10**12},
+        "count 1000000000000 is over 131072 instances"),
+    "utilization_per_client": (
+        "utilization", {"per_client": 2**17 + 1},
+        "per_client 131073 is over 131072 instances"),
+    "fairness_total_gangs": (
+        "fairness", {"total_gangs": 2**17 + 1},
+        "total_gangs 131073 is over 131072 instances"),
 }
 
 
@@ -456,6 +475,8 @@ def test_bench_past_the_device_cap_exits_two_before_building(
         raise AssertionError("built a system for a refused fleet")
 
     monkeypatch.setattr(bench, "System", refuse)
+    for traces in ("Tracer", "chain_program"):
+        monkeypatch.setattr(bench, traces, refuse)
     name, values, reason = FLEETS_TOO_LARGE[case]
     wl = write_json(tmp_path / "w.json", {"benchmark": name, **values})
     out = tmp_path / "r.json"

@@ -233,7 +233,8 @@ def test_no_pinned_run_logs_a_host_messaging_itself(mode, collective,
         if kind in ("addr", "drain"):
             assert target != f"host{p['from_host']}"
         elif kind in ("edge_fut", "edge_dat"):
-            src = info.lowered.placement[info.edges[p["edge"]].src]
+            # an edge update's source is a compute node
+            src = info.nodes[info.edges[p["edge"]].src].devices
             assert all(target != f"host{host_of[src[s]]}" for s in p["srcs"])
     assert batch_srcs and set(batch_srcs) == {"client.c0"}
     assert all(h.batcher.flushes == h.batcher.batched_sent == 0

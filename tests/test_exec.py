@@ -488,8 +488,10 @@ def test_client_failure_with_thousands_of_queued_kernels():
     assert audit_leaks(sys_.cluster) == {}
     assert audit_no_double_free(sys_.audit) == []
     assert not any(d._arrivals for d in sys_.cluster.devices)
-    # no gang of a failed instance stays behind
+    # no gang of a failed instance stays behind, and no abort key: each
+    # went with its record, and none of them expects a landing
     assert sys_.gang_left == {}
+    assert sys_.cluster.devices[0]._aborted == {}
 
 
 def test_dead_client_sends_nothing_from_its_open_batch(monkeypatch):
@@ -799,11 +801,20 @@ def _naive_tables(lp, cluster):
                                  if pr.src_shard == s}))
                 for s in {pr.src_shard for pr in pairs}}
 
+    def sends(pairs):
+        """Source host -> (its shards with a remote pair, the consumer
+        hosts that send it their addr rows)."""
+        out = {}
+        for pr in pairs:
+            if pr.src_dev != pr.dst_dev:
+                out.setdefault(host_of[pr.src_dev], []).append(pr)
+        return {sh: (frozenset(pr.src_shard for pr in remote),
+                     len({host_of[pr.dst_dev] for pr in remote}))
+                for sh, remote in out.items()}
+
     edges = {edge_id(e.src, e.dst, e.dst_port):
              (pairs, inbound(pairs), drainers(e, pairs), chosts_by_src(pairs),
-              {host_of[pr.src_dev] for pr in pairs
-               if pr.src_dev != pr.dst_dev},
-              host_of[lp.placement[e.src][0]])
+              sends(pairs), host_of[lp.placement[e.src][0]])
              for e, pairs in lowered}
 
     def refs(nid, port):
@@ -885,11 +896,11 @@ def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
     assert list(info.edges) == list(edges)
     for eid, ei in info.edges.items():
         assert (ei.pairs, ei.inbound, ei.drainers, ei.chosts_by_src,
-                ei.addr_hosts, ei.src_home) == edges[eid], eid
+                ei.sends, ei.src_home) == edges[eid], eid
     # edges with equal pairs share one table
     by_shape = {}
     for ei in info.edges.values():
-        tables = (ei.inbound, ei.drainers, ei.chosts_by_src, ei.addr_hosts)
+        tables = (ei.inbound, ei.drainers, ei.chosts_by_src, ei.sends)
         shared = by_shape.setdefault(ei.pairs, tables)
         assert all(a is b for a, b in zip(shared, tables))
     assert len(by_shape) < len(info.edges)
@@ -999,23 +1010,72 @@ def _tenants():
                                 hbm_bytes=2 * gang_bytes + 4 * KB),
                   policy=Policy(kind="proportional",
                                 weights={"a": 1, "b": 2, "c": 4, "d": 8}))
-    sys_.register_traced("g", one_gang_program(1, 50.0, out_kb=64,
-                                               collective=False))
+    # as `register_traced` does, keeping the lowered program, which the
+    # registered tables do not hold
+    prog = one_gang_program(1, 50.0, out_kb=64, collective=False)
+    lp = lower(prog, sys_.allocate_for(prog))
+    sys_.register_program("g", lp)
     for name in "abcd":
         sys_.start_job(sys_.add_client(name), StreamJob(
             sys_.new_job_id(), "g", 12, window=3))
     assert sys_.run().status == "quiescent"
-    return sys_
+    return sys_, lp
 
 
 def test_a_tenants_run_leaves_the_shared_hbm_asks_as_built():
-    sys_ = _tenants()
+    sys_, lp = _tenants()
     assert all(len(c.completed_at) == 12 for c in sys_.clients.values())
     info = sys_.programs["g"]
-    fresh = build_program_info("g", info.lowered, sys_.cluster)
+    fresh = build_program_info("g", lp, sys_.cluster)
     for nid, ni in info.nodes.items():
         assert ni.hbm_by_device == fresh.nodes[nid].hbm_by_device, nid
     assert audit_leaks(sys_.cluster) == {}
+
+
+@pytest.mark.parametrize("mode", ["parallel", "sequential"])
+def test_hosts_hold_only_unfinished_node_and_edge_state(monkeypatch, mode):
+    # a cross-island pipeline, 8 stages on 2 hosts: after each kernel_done
+    # a host keeps grant and prep marks only for nodes whose kernels there
+    # have not all ended, and address state only for edges with a pair
+    # still to launch from it
+    sys_ = System(small_cluster(hosts=1, devices_per_host=4, islands=2))
+    info = sys_.register_traced("p", pipeline_program(8, 32, 100.0,
+                                                      islands=2))
+    host_of = [d.host_id for d in sys_.cluster.devices]
+    in_edge = {nid: ni.in_edges for nid, ni in info.nodes.items()}
+    assert all(len(eids) == 1 for eids in in_edge.values())
+    remote = Counter((eid, host_of[pr.src_dev])
+                     for eid, ei in info.edges.items() for pr in ei.pairs
+                     if pr.src_dev != pr.dst_dev)
+    assert {h for _e, h in remote} == {0, 1}
+    launched, held = Counter(), Counter()
+    transfer, kernel_done = sys_.cluster.transfer, HostExecutor._on_kernel_done
+
+    def count(src_dev, dst_dev, nbytes, instance, node, shard):
+        launched[instance, in_edge[node][0], host_of[src_dev]] += 1
+        return transfer(src_dev, dst_dev, nbytes, instance, node, shard)
+
+    def check(self, payload):
+        kernel_done(self, payload)
+        h = self.host_id
+        for inst, st in self.inst.items():
+            for nid in st.ticket | set(st.prep):
+                assert (st.kdone.get(nid, 0)
+                        < len(info.nodes[nid].local_shards[h])), (inst, nid)
+            for eid in set(st.src_done) | set(st.addr):
+                assert launched[inst, eid, h] < remote[eid, h], (inst, eid)
+            held["nodes"] += len(st.ticket) + len(st.prep)
+            held["edges"] += len(st.src_done) + len(st.addr)
+
+    monkeypatch.setattr(sys_.cluster, "transfer", count)
+    monkeypatch.setattr(HostExecutor, "_on_kernel_done", check)
+    c = sys_.add_client("c0")
+    sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=2, window=2,
+                                mode=mode))
+    assert sys_.run().status == "quiescent"
+    assert len(c.completed_at) == 2 and held["nodes"] and held["edges"]
+    assert launched == Counter({(i, e, h): n for i in c.completed_at
+                                for (e, h), n in remote.items()})
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential", "auto"])

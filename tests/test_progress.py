@@ -110,7 +110,7 @@ def test_each_edge_message_closes_its_sorted_source_shards_once(
     # head kernel in auto; no host sends itself the addr rows of its pairs
     kind = "edge_fut" if mode == "sequential" else "edge_dat"
     head_host = [system.cluster.devices[d].host_id
-                 for d in info.lowered.placement[head]]
+                 for d in info.nodes[head].devices]
     logged = {"edge_fut": 0, "edge_dat": 0, "addr": 0}
     for _t, _seq, target, k, payload in system.sim.log:
         if k in logged:

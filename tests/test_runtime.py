@@ -1,7 +1,9 @@
 """Submission validation, dispatch planning, client jobs, the reference rate."""
+import weakref
+
 import pytest
 
-from flowpath.bench import reference_rate
+from flowpath.bench import pipeline_program, reference_rate
 from flowpath.config import CostModel, ValidationError, small_cluster
 from flowpath.ir import CompiledFunction, Tracer, chain_program, lower
 from flowpath.runtime import StreamJob, System, steady_rate
@@ -78,6 +80,21 @@ def test_hbm_check_names_the_first_of_many_nodes_sharing_an_ask():
         small.register_program("p", lower(prog, dmap))
     assert str(err.value) == ("node n2 needs 5050 bytes of HBM on device 2, "
                               "which has 5049")
+
+
+def test_registered_tables_keep_no_traced_program():
+    # the tables hold what instances read; the traced and lowered graph
+    # goes when its caller lets go of it, and the tables still run
+    sys_, c = make_system(devices_per_host=4, islands=2)
+    prog = pipeline_program(8, 4, 10.0, islands=2)
+    gone = weakref.ref(prog)
+    info = sys_.register_traced("p", prog)
+    del prog
+    assert gone() is None
+    assert info.irregular == ()
+    sys_.start_job(c, StreamJob(sys_.new_job_id(), "p", count=2))
+    assert sys_.run().status == "quiescent"
+    assert len(c.completed_at) == 2
 
 
 def test_plan_is_made_once_per_program_and_mode():
