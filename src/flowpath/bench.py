@@ -13,10 +13,12 @@ import inspect
 import json
 import math
 
-from .config import (MAX_DEVICES, MAX_NODES, MAX_RUNS, ClusterSpec, CostModel,
-                     Policy, ValidationError, check_keys, small_cluster)
+from .config import (MAX_DEVICES, MAX_KERNELS, MAX_NODES, MAX_RUNS,
+                     ClusterSpec, CostModel, Policy, ValidationError,
+                     check_keys, small_cluster)
 from .ir import CompiledFunction, TracedProgram, Tracer, chain_program
 from .runtime import StreamJob, System, steady_rate
+from .sched import _weight
 from .simcore import Simulator, us
 
 
@@ -366,6 +368,17 @@ def bench_utilization(client_counts=(1, 2, 4, 8, 16), duration_us: float = 330.0
             "rows": rows, "audit": audit, "_system": last_sys}
 
 
+def _fair_counts(weights: dict, total_gangs: int,
+                 window: int) -> dict[str, int]:
+    """Instances per client, by name: its weighted share of `total_gangs`,
+    at least `window`. A bad weight raises, as in the policy."""
+    for c, v in weights.items():
+        _weight(c, v)
+    wsum = sum(weights.values())
+    return {c: max(window, round(total_gangs * weights[c] / wsum))
+            for c in sorted(weights)}
+
+
 def bench_fairness(weights: dict[str, float], total_gangs: int = 10400,
                    duration_us: float = 50.0, window: int = 24,
                    out_kb: int = 1024, resident: int = 2,
@@ -384,14 +397,14 @@ def bench_fairness(weights: dict[str, float], total_gangs: int = 10400,
     gang_bytes = 1024 + out_kb * 1024
     spec = spec or small_cluster(hosts=1, devices_per_host=1,
                                  hbm_bytes=resident * gang_bytes + 4096)
-    # the policy validates the weights before they are summed
+    counts = _fair_counts(weights, total_gangs, window)
     sys = System(spec, policy=Policy(kind="proportional", weights=weights),
                  record_log=record_log)
     wsum = sum(weights.values())
     start_streams(
         sys, one_gang_program(1, duration_us, out_kb=out_kb, collective=False),
-        [(name, max(window, round(total_gangs * weights[name] / wsum)),
-          window, "complete", "parallel") for name in sorted(weights)], (0,))
+        [(name, n, window, "complete", "parallel")
+         for name, n in counts.items()], (0,))
     run_to_quiescence(sys)
     log = sys.scheds[0].dispatched
     a, b = int(len(log) * 0.2), int(len(log) * 0.9)
@@ -484,21 +497,34 @@ def run_benchmark(name: str, workload: dict | None = None,
     # and each run count
     dev, nodes = (MAX_DEVICES, "devices"), (MAX_NODES, "nodes")
     runs = (MAX_RUNS, "instances")
+    # the workload over the suite's defaults
+    a = {k: p.default for k, p in inspect.signature(
+        globals()[f"bench_{name}"]).parameters.items()} | w
     cases = w.get("cases", ())
     caps = [(f"cases: stages {s}", s, dev) for s, _m in cases]
     if "devices" in w:
         caps.append((f"devices {w['devices']}", w["devices"], dev))
     if name in ("dispatch", "crossover"):
-        params = inspect.signature(bench_dispatch if name == "dispatch"
-                                   else bench_crossover).parameters
-        hosts = max(w.get("host_counts", params["host_counts"].default))
-        per = w.get("devices_per_host", params["devices_per_host"].default)
+        hosts, per = max(a["host_counts"]), a["devices_per_host"]
         caps.append((f"host_counts {hosts} x devices_per_host {per}",
                      hosts * per, dev))
     caps += [(f"cases: stages {s} x micro {m}", s * m, nodes) for s, m in cases]
     caps += [(f"{k} {w[k]}", w[k], nodes if k == "chain_len" else runs)
              for k in ("chain_len", "count", "per_client", "total_gangs")
              if k in w]
+    # then each run's size: an instance's device kernels, a suite's instances
+    if name == "dispatch":
+        caps.append((f"chain_len {a['chain_len']} x {hosts * per} devices",
+                     a["chain_len"] * hosts * per, (MAX_KERNELS, "kernels")))
+    if name == "utilization":
+        k = max(a["client_counts"])
+        caps.append((f"client_counts {k} x per_client {a['per_client']}",
+                     k * a["per_client"], runs))
+    if name == "fairness":
+        weights = {str(c): v for c, v in w.pop("weights", {
+            "c0": 1, "c1": 1, "c2": 1, "c3": 1}).items()}
+        n = sum(_fair_counts(weights, a["total_gangs"], a["window"]).values())
+        caps.append((f"window {a['window']}: {n}", n, runs))
     for what, n, (cap, unit) in caps:
         if n > cap:
             raise ValidationError(f"{where}: {what} is over {cap} {unit}")
@@ -513,9 +539,8 @@ def run_benchmark(name: str, workload: dict | None = None,
         return bench_pipeline(record_log=record_log, **_kwargs(w))
     if name == "utilization":
         return bench_utilization(spec=spec, record_log=record_log, **_kwargs(w))
-    weights = w.pop("weights", {"c0": 1, "c1": 1, "c2": 1, "c3": 1})
-    return bench_fairness(weights={str(k): v for k, v in weights.items()},
-                          spec=spec, record_log=record_log, **_kwargs(w))
+    return bench_fairness(weights=weights, spec=spec, record_log=record_log,
+                          **_kwargs(w))
 
 
 def _kwargs(d: dict) -> dict:

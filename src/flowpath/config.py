@@ -14,11 +14,14 @@ devices_per_host, and its ICI is one flat link. A cluster has at most
 run the default. A benchmark suite's workload has caps of its own: its
 program has at most `MAX_NODES` compute nodes (a pipeline case's stages x
 micro, a dispatch chain's `chain_len`), and each run count (`count`,
-`per_client`, `total_gangs`) is at most `MAX_RUNS` instances. No document
-sets the cost-model constants or the batching limits; the CLI and the
-benchmark suites run with the defaults below. The scheduling policy is
-built by the driver that needs one; the fairness suite takes its weights
-from the workload document.
+`per_client`, `total_gangs`) is at most `MAX_RUNS` instances. So are a
+utilization run's most clients x `per_client` and a fairness run's clients'
+instances, each its weighted share of `total_gangs` or `window` if more. A
+dispatch instance has at most `MAX_KERNELS` device kernels: `chain_len` x
+its most hosts x `devices_per_host`. No document sets the cost-model
+constants or the batching limits; the CLI and the benchmark suites run
+with the defaults below. The scheduling policy is built by the driver that
+needs one; the fairness suite takes its weights from the workload document.
 """
 from __future__ import annotations
 
@@ -69,6 +72,7 @@ DEFAULT_HBM = 16 * 1000**3  # per-device capacity, bytes
 MAX_DEVICES = 2**16         # in a cluster document; 32x the paper's 2,048
 MAX_NODES = 2**16           # in a suite's program; 16x perfbench's pipeline
 MAX_RUNS = 2**17            # per suite run count; 12x the fairness default
+MAX_KERNELS = 2**16         # per dispatch instance; 1,365x its default
 
 
 def check_keys(doc, known, where: str) -> None:

@@ -100,6 +100,10 @@ class ProgressTracker:
         """Number of node states held: memory is O(nodes with pending input)."""
         return sum(len(v) for v in self._pending.values())
 
+    def marked(self) -> list[str]:
+        """The instances whose ready marks are held, sorted."""
+        return sorted(self._fired)
+
 
 def edge_id(src: str, dst: str, dst_port: int = 0) -> str:
     return f"{src}->{dst}#{dst_port}"

@@ -5,10 +5,14 @@ a time), mirrors its slice of every running program instance, launches DMA
 transfers once it holds both the producer data and the consumer addresses,
 and keeps the store's logical refcounts honest via drain reports. It has
 one delivery rule: an edge update, `addr` or `drain` to itself is a call,
-and one to another host lands a control latency later. The prep and
-enqueue of a granted gang are one task, which costs both and applies the
-prep effects, then the enqueue effects, when it ends; a node prepped on its
-inputs (host-gated) enqueues in a task of its own once granted.
+and one to another host lands a control latency later. Every channel
+carries one latency (control to hosts and the scheduler, PCIe to its
+devices, client RPC to its clients), which alone keeps it in order: the
+simulator delivers by (time, seq) and keeps nothing per channel. The
+prep and enqueue of a granted gang are one task, which costs both and
+applies the prep effects, then the enqueue effects, when it ends; a node
+prepped on its inputs (host-gated) enqueues in a task of its own once
+granted.
 
 Device traffic is per host: a host's share of a gang is one `KernelExec`
 record, whose shards, devices and input sources are static per (node,
@@ -482,4 +486,5 @@ class HostExecutor(Process):
                 " to come" for i, st in sorted(self.inst.items())]
         if n := self.tracker.pending_count():
             out.append(f"readiness state of {n} nodes left behind")
+        out += [f"{i}: ready marks left behind" for i in self.tracker.marked()]
         return out

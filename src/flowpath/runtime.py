@@ -132,6 +132,7 @@ class ClientProcess(Process):
             self.dead = True
             self.failed.update(i for i in self.submitted_at
                                if i not in self.completed_at)
+            self.results_seen.clear()
             self.batcher.cancel_open()
         if self.dead:
             return
@@ -175,13 +176,15 @@ class ClientProcess(Process):
         getattr(self.jobs[jid], event)(self, inst)
 
     def obligations(self) -> list[str]:
-        if self.dead:
-            return []
-        out = []
-        for jid in sorted(self.jobs):
-            job = self.jobs[jid]
-            if not job.done:
-                out.append(f"job {jid} incomplete")
+        """Unfinished jobs of a live client; partial results and gangs still
+        counted toward completion (`System.gang_left`), dead or alive."""
+        out = [f"{i}: partial results held" for i in sorted(self.results_seen)]
+        out += [f"{i}: gang {nid} still counted"
+                for i, nid in sorted(self.system.gang_left)
+                if i in self.submitted_at]
+        if not self.dead:
+            out += [f"job {jid} incomplete" for jid in sorted(self.jobs)
+                    if not self.jobs[jid].done]
         return out
 
 

@@ -6,7 +6,11 @@ integer nanoseconds. Given the same inputs, a run produces a bit-identical
 event sequence: the event queue is ordered by (fire_at, seq) where seq is a
 global counter assigned at schedule time, and message payloads are restricted
 to plain JSON-able data so the event log can be digested stably. A fan-out
-(`send_many`) keeps a seq and channel per delivery, so it logs as single sends.
+(`send_many`) keeps a seq per delivery, so it logs as single sends.
+
+Deliveries are ordered by (fire_at, seq) alone: the kernel keeps no state per
+channel. A channel (a sender, receiver pair) stays in order because each one
+carries a single latency, so a later send on it never fires earlier.
 """
 from __future__ import annotations
 
@@ -100,7 +104,9 @@ def payload_digest(payload: dict) -> str:
 
 
 class Simulator:
-    """Event queue, channels, clock, and the event/trace logs."""
+    """Event queue, clock, and the event/trace logs. A send fires at clock +
+    latency, in (fire_at, seq) order; callers keep one latency per (src, dst)
+    channel, which keeps each channel in order."""
 
     def __init__(self, record_log: bool = False, record_trace: bool = True):
         self.clock: int = 0
@@ -110,9 +116,6 @@ class Simulator:
         self._heap: list[tuple[int, int, str, str, dict, str | None]] = []
         self._cancelled: set[int] = set()    # ids of pending events only
         self._procs: dict[str, Process] = {}
-        # per (sender, receiver) channel: last delivery timestamp, so a
-        # channel never reorders (FIFO per sender/receiver pair)
-        self._chan_last: dict[tuple[str, str], int] = {}
         self.record_log = record_log
         self.log: list[tuple[int, int, str, str, dict]] = []
         self.record_trace = record_trace
@@ -147,36 +150,30 @@ class Simulator:
         return eid
 
     def send(self, src: str, dst: str, kind: str, payload: dict | None = None,
-             latency: int = 0) -> int:
-        """Channel send: per (src, dst) pair deliveries never reorder."""
+             latency: int = 0) -> None:
+        """Deliver to dst `latency` from now."""
         if latency < 0:
             raise ScheduleInPastError(f"latency {latency}: {kind} -> {dst}")
-        chan = (src, dst)
-        deliver = max(self.clock + latency, self._chan_last.get(chan, 0))
-        self._chan_last[chan] = deliver
         self._seq += 1
-        eid = self._seq
-        heapq.heappush(self._heap, (deliver, eid, dst, kind, payload or {}, src))
-        return eid
+        heapq.heappush(self._heap, (self.clock + latency, self._seq, dst, kind,
+                                    payload or {}, src))
 
     def send_many(self, kind: str, sends: list[tuple[str, str, dict]],
                   latency: int = 0) -> None:
         """Sends (src, dst, payload) of one kind due `latency` from now, in
         one heap entry: target None, payload its (seq, dst, payload, src)
-        rows. A lone send, or one whose channel holds a later delivery, is
-        sent on its own; so is a negative latency, which send refuses."""
-        at = self.clock + latency
-        rows = []           # seqs taken together: no event falls between them
-        for src, dst, payload in sends:
-            if (len(sends) == 1 or latency < 0
-                    or self._chan_last.get((src, dst), 0) > at):
+        rows. Fewer than two sends, or a negative latency, which send
+        refuses, go through send."""
+        if len(sends) < 2 or latency < 0:
+            for src, dst, payload in sends:
                 self.send(src, dst, kind, payload, latency)
-            else:
-                self._seq += 1
-                self._chan_last[src, dst] = at
-                rows.append((self._seq, dst, payload, src))
-        if rows:
-            heapq.heappush(self._heap, (at, rows[0][0], None, kind, rows, None))
+            return
+        seq = self._seq     # seqs taken together: no event falls between them
+        self._seq += len(sends)
+        rows = [(seq + i, dst, payload, src)
+                for i, (src, dst, payload) in enumerate(sends, 1)]
+        heapq.heappush(self._heap, (self.clock + latency, seq + 1, None, kind,
+                                    rows, None))
 
     def cancel(self, eid: int) -> None:
         """Drop an event that has not fired yet."""

@@ -465,6 +465,24 @@ FLEETS_TOO_LARGE = {
     "fairness_total_gangs": (
         "fairness", {"total_gangs": 2**17 + 1},
         "total_gangs 131073 is over 131072 instances"),
+    # a run past its cap with each count under its own: an instance's
+    # device kernels, a suite's instances over its clients (before these
+    # caps, the utilization and window cases died of MemoryError, exit 1,
+    # under a 1 GB address-space limit)
+    "dispatch_kernels": (
+        "dispatch", {"chain_len": 2**12 + 1, "host_counts": [2, 8],
+                     "devices_per_host": 2},
+        "chain_len 4097 x 16 devices is over 65536 kernels"),
+    "utilization_clients": (
+        "utilization", {"client_counts": [1, 10**8], "per_client": 4},
+        "client_counts 100000000 x per_client 4 is over 131072 instances"),
+    "fairness_window": (
+        "fairness", {"weights": {"a": 1}, "window": 10**8},
+        "window 100000000: 100000000 is over 131072 instances"),
+    "fairness_shares": (
+        "fairness", {"weights": {"a": 1, "b": 1e-5}, "total_gangs": 2**17,
+                     "window": 24},
+        "window 24: 131095 is over 131072 instances"),
 }
 
 

@@ -7,12 +7,14 @@ scheduler decision 10us, scheduler send 5us, control hop 50us, host prep
 reaches an idle device at 580us; see the per-test derivations.
 """
 import copy
+import json
 from collections import Counter
 
 import pytest
 
 from flowpath import executor, ir, tables
-from flowpath.bench import one_gang_program, pipeline_program
+from flowpath.bench import (export_chrome_trace, one_gang_program,
+                            pipeline_program)
 from flowpath.config import Policy, small_cluster
 from flowpath.coord import edge_id
 from flowpath.executor import HostExecutor
@@ -21,7 +23,7 @@ from flowpath.ir import (ArgNode, CompiledFunction, ResultNode, Tracer,
                          arg_consumers, chain_program, deserialize, lower,
                          plan_reshard, serialize)
 from flowpath.runtime import ClientProcess, StreamJob, System, steady_rate
-from flowpath.simcore import us
+from flowpath.simcore import Simulator, us
 from flowpath.store import (StoreError, UnknownHandleError, audit_leaks,
                             audit_no_double_free)
 from flowpath.tables import build_program_info
@@ -108,6 +110,36 @@ def test_cross_host_hop_pays_drain_and_transfer():
     hop = transfer_ns(spec.islands[0].ici, MB)
     assert spans[1][2] == e1 + us(5) + hop + us(100) == 796486
     assert c.completed_at["i1"] == 796486 + us(505)
+
+
+def test_host_task_and_transfer_spans_are_traced_and_exported(tmp_path):
+    # a two-island pipeline moves each stage's output over ICI or DCN; every
+    # transfer span lasts its link's `transfer_ns`, and the Chrome trace
+    # writes every span
+    sys_ = System(small_cluster(hosts=1, devices_per_host=4, islands=2),
+                  record_trace=True)
+    info = sys_.register_traced("p", pipeline_program(4, 2, 50.0, islands=2))
+    sys_.start_job(sys_.add_client("c0"), StreamJob(
+        sys_.new_job_id(), "p", count=2, window=2, mode="sequential"))
+    assert sys_.run().status == "quiescent"
+    trace = sys_.sim.trace
+    cats = Counter(r.category for r in trace)
+    assert cats["prep"] and cats["enqueue"] and cats["transfer"], cats
+    links = set()
+    for r in trace:
+        if r.category == "transfer":
+            node = r.name.split()[1].split("[")[0]
+            (pr,) = info.edges[info.nodes[node].in_edges[0]].pairs
+            kind, link = sys_.cluster.link_between(pr.src_dev, pr.dst_dev)
+            assert r.end_ns - r.start_ns == transfer_ns(link, pr.nbytes)
+            links.add(kind)
+    assert links == {"ici", "dcn"}
+    path = tmp_path / "trace.json"
+    export_chrome_trace(sys_.sim, str(path))
+    assert sorted((e["name"], e["pid"], e["tid"], e["ts"], e["dur"])
+                  for e in json.loads(path.read_text())) == sorted(
+        (r.name, r.pid, r.tid, r.start_ns / 1000,
+         (r.end_ns - r.start_ns) / 1000) for r in trace)
 
 
 def test_collective_gang_finishes_in_lockstep():
@@ -753,6 +785,22 @@ def _gather_program():
     return t.finish([h, e]), {s4: (0, 1, 2, 3), s2: (2, 0)}
 
 
+def _fan_program():
+    # x creates and reads three args and four nodes read its value, so its
+    # in-edges, out-edges and created args each grow past two. Two z nodes
+    # on one slice differ only in their third input, so they differ in
+    # shape only by its plan
+    t = Tracer()
+    args = [t.arg(2, KB) for _ in range(3)]
+    x = t.call(CompiledFunction("x", 2, (KB,) * 3, (KB,), 20.0), *args)
+    ys = [t.call(CompiledFunction(f"y{i}", 2, (KB,), (KB,), 20.0), x)
+          for i in range(3)]
+    z = CompiledFunction("z", 2, (KB,) * 3, (KB,), 20.0)
+    s2 = t.virtual_slice([2])
+    return t.finish([t.call(z, *ys[:2], last, slice_id=s2)
+                     for last in (ys[2], x)])
+
+
 def _naive_tables(lp, cluster):
     """Each edge's pairs and their groupings and each node's tables,
     recomputed from the traced edges and the placement alone."""
@@ -866,6 +914,11 @@ def _naive_tables(lp, cluster):
                 for d in lp.placement[aid]:
                     hbm[d] += p.nodes[aid].bytes_per_shard
         nodes[n.id] = {
+            "in_edges": tuple(edge_id(e.src, e.dst, e.dst_port)
+                              for e in p.edges if e.dst == n.id),
+            "out_edges": tuple(edge_id(e.src, e.dst, e.dst_port)
+                               for e in p.edges if e.src == n.id),
+            "args_created": tuple(a for a in args if creator.get(a) == n.id),
             "local_shards": {h: tuple(ss) for h, ss in local.items()},
             "local_devices": {h: tuple(devs[s] for s in ss)
                               for h, ss in local.items()},
@@ -881,12 +934,16 @@ def _naive_tables(lp, cluster):
 
 
 @pytest.mark.parametrize("mode", ["parallel", "sequential"])
-@pytest.mark.parametrize("case", ["pipeline", "gather"])
+@pytest.mark.parametrize("case", ["pipeline", "gather", "fan"])
 def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
     if case == "pipeline":
         sys_ = System(small_cluster(hosts=1, devices_per_host=4, islands=2))
         prog = pipeline_program(8, 4, 100.0, islands=2)
         dmap, fail_us = sys_.allocate_for(prog), 3000
+    elif case == "fan":
+        sys_ = System(small_cluster(hosts=2, devices_per_host=2))
+        prog = _fan_program()
+        dmap, fail_us = sys_.allocate_for(prog), 2000
     else:
         sys_ = System(small_cluster(hosts=2, devices_per_host=2))
         (prog, dmap), fail_us = _gather_program(), 2400
@@ -909,6 +966,8 @@ def test_shared_tables_match_a_naive_recompute_and_stay_unwritten(case, mode):
         want = dict(nodes[nid])
         outputs = want.pop("outputs")
         assert {k: getattr(ni, k) for k in want} == want, nid
+        assert {type(ni.in_edges), type(ni.out_edges),
+                type(ni.args_created)} == {tuple}, nid
         makers = {*ni.hosts, *(info.args[a].home_host for a in ni.args_created)}
         for h in makers:
             made.update((b[0], b[1:]) for b in info.buffers("x", nid, h))
@@ -957,6 +1016,52 @@ def test_addr_sends_go_out_by_sorted_source_host(mode):
             if p["from_host"] == 2]
     # (src shard, dst shard, dst device, bytes) per remote pair
     assert sent == [("host0", ((0, 0, 4, KB),)), ("host1", ((1, 0, 4, KB),))]
+
+
+def test_every_channel_carries_one_latency(monkeypatch):
+    # the simulator keeps nothing per channel: a (src, dst) pair stays in
+    # order only because every message on it rides the same latency
+    lats, kinds = {}, set()
+    send, send_many = Simulator.send, Simulator.send_many
+
+    def spy_send(self, src, dst, kind, payload=None, latency=0):
+        lats.setdefault((src, dst), set()).add(latency)
+        kinds.add(kind)
+        return send(self, src, dst, kind, payload, latency)
+
+    def spy_send_many(self, kind, sends, latency=0):
+        for src, dst, _p in sends:
+            lats.setdefault((src, dst), set()).add(latency)
+        kinds.add(kind)
+        return send_many(self, kind, sends, latency)
+
+    monkeypatch.setattr(Simulator, "send", spy_send)
+    monkeypatch.setattr(Simulator, "send_many", spy_send_many)
+    prog, dmap = _two_source_program()
+    chain = System(small_cluster(hosts=3, devices_per_host=2))
+    chain.register_program("p", lower(prog, dmap))
+    chain.start_job(chain.add_client("c0"), StreamJob(
+        chain.new_job_id(), "p", count=2, mode="sequential"))
+    auto, _c = small_chain("auto")
+    handles, c = small_chain("parallel")
+    handles.start_job(c, StreamJob(handles.new_job_id(), "chain", 3,
+                                   window=2, trigger="handles"))
+    failed = System(small_cluster(hosts=1, devices_per_host=1))
+    failed.register_traced("g", one_gang_program(1, 50.0, collective=False))
+    c = failed.add_client("c0")
+    failed.start_job(c, StreamJob(failed.new_job_id(), "g", count=20,
+                                  window=20))
+    failed.fail_client(c, at_ns=us(700))
+    pipe = System(small_cluster(hosts=1, devices_per_host=4, islands=2))
+    pipe.register_traced("p", pipeline_program(4, 2, 50.0, islands=2))
+    pipe.start_job(pipe.add_client("c0"), StreamJob(
+        pipe.new_job_id(), "p", count=2, window=2))
+    for sys_ in (chain, auto, handles, failed, pipe):
+        assert sys_.run().status == "quiescent"
+    assert kinds >= {"submit", "go", "handles", "enqueue_kernel",
+                     "kernel_done", "edge_fut", "edge_dat", "addr", "drain",
+                     "stage_ready", "result", "abort_kernel"}, kinds
+    assert {chan: lat for chan, lat in lats.items() if len(lat) > 1} == {}
 
 
 def _against_host_order_program(regular):

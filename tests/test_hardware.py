@@ -448,6 +448,38 @@ def test_an_abort_before_its_record_drops_the_record_at_the_head():
     assert exits == [(0, "kernel_done", us(11))]
 
 
+def test_the_abort_index_holds_exactly_the_queued_keys():
+    """From its first abort on, a device indexes its queue by key through
+    every enqueue, skip, kernel end and abort; with no input to land, no
+    abort key outlives its record."""
+    sim, cl = make_cluster(hosts=1, devices_per_host=1)
+    cl.may_land = lambda device_id, instance, node: False
+    dev = cl.device(0)
+    handle, seen = dev.handle, []
+
+    def checked(kind, payload, src):
+        handle(kind, payload, src)
+        seen.append(kind)
+        if "abort_kernel" in seen:
+            assert set(dev._queued) == {(r.instance, r.node)
+                                        for r in dev.queue}
+
+    dev.handle = checked
+    for node in ("busy", "a", "b"):
+        enqueue_kernel(sim, k("i", node, dur=us(10)), at=0)
+    for t, node in ((us(1), "never"), (us(3), "a"), (us(12), "c"),
+                    (us(13), "b")):
+        sim.schedule_at(t, "dev0", "abort_kernel",
+                        {"instance": "i", "node": node})
+    for node in ("c", "d"):
+        enqueue_kernel(sim, k("i", node, dur=us(10)), at=us(2))
+    enqueue_kernel(sim, k("i", "e", dur=us(10)), at=us(14))
+    assert sim.run_until_quiescent().status == "quiescent"
+    assert [t.name for t in sim.trace] == ["busy[0]", "b[0]", "d[0]", "e[0]"]
+    assert seen.count("abort_kernel") == 4 and seen.count("kernel_done") == 4
+    assert dev._queued == {} and dev._aborted == {}
+
+
 # -- HBM ---------------------------------------------------------------------
 
 def test_hbm_try_take_and_release():
